@@ -718,8 +718,8 @@ def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
         return []
     rows = sorted({u for u, _ in cells})
     cols = sorted({v for _, v in cells})
-    sub_a = BipartiteGraph(Za.adj[np.ix_(rows, cols)])
-    sub_b = BipartiteGraph(Zb.adj[np.ix_(rows, cols)])
+    sub_a = BipartiteGraph._trusted(Za.adj[np.ix_(rows, cols)])
+    sub_b = BipartiteGraph._trusted(Zb.adj[np.ix_(rows, cols)])
     local = ryser_sequence(sub_a, sub_b)
     lifted = [Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2], s.orientation)
               for s in local]
@@ -968,7 +968,8 @@ def clear_path_cache():
 
 def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
                 Y: BipartiteGraph, cycle: AlternatingCycle) -> list:
-    """The swap sequence behind ``path_along_cycle``; cached per (G, cycle)."""
+    """The swap sequence behind ``path_along_cycle``; cached per (G, cycle),
+    with G keyed by its shape as well as its bytes."""
     part = symmetric_difference(G, Gp)
     if part.x_edges | part.y_edges != set(cycle.edge_seq):
         raise CycleMismatch("G and Gp do not differ in exactly this cycle")
@@ -979,7 +980,7 @@ def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     side_y = dgy.x_edges | dgy.y_edges
     if side_x & cyc_cells or side_y & cyc_cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
-    key = (G.key(), cycle.edge_seq)
+    key = (G.k, G.l, G.key(), cycle.edge_seq)
     hit = _cycle_swap_cache.get(key)
     if hit is not None:
         return hit

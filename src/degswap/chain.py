@@ -125,4 +125,4 @@ def sample(ds: BipartiteDegreeSequence, steps: int, seed: int) -> BipartiteGraph
         elif a12 and a21 and not a11 and not a22:
             arr[u1, v2] = arr[u2, v1] = 0
             arr[u1, v1] = arr[u2, v2] = 1
-    return BipartiteGraph(arr)
+    return BipartiteGraph._trusted(arr)

@@ -151,6 +151,19 @@ class BipartiteGraph:
             raise ValueError("biadjacency matrix must be two-dimensional")
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("biadjacency entries must be 0 or 1")
+        self._adopt(arr)
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "BipartiteGraph":
+        """Wrap a two-dimensional 0-1 ``uint8`` array built by the package
+        itself (typically a copy of a validated graph's matrix with edges
+        exchanged), without validating it again.  The graph takes ownership:
+        the caller must not write to ``arr`` afterwards."""
+        g = cls.__new__(cls)
+        g._adopt(arr)
+        return g
+
+    def _adopt(self, arr: np.ndarray):
         arr.setflags(write=False)
         self.adj = arr
         self.k, self.l = arr.shape
@@ -211,7 +224,7 @@ class BipartiteGraph:
             arr[u, v] = 0
         for (u, v) in additions:
             arr[u, v] = 1
-        return BipartiteGraph(arr)
+        return BipartiteGraph._trusted(arr)
 
     # -- text format ------------------------------------------------------
 
@@ -267,7 +280,7 @@ def greedy_realize(ds: BipartiteDegreeSequence) -> BipartiteGraph:
             cap[u] -= 1
     if any(cap):
         raise NotGraphical("leftover capacity after placing all V-vertices")
-    return BipartiteGraph(adj)
+    return BipartiteGraph._trusted(adj)
 
 
 def is_graphical(ds: BipartiteDegreeSequence) -> bool:
@@ -359,14 +372,14 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
         u_prime = min(nbrs)
         v_prime = min(v2 for v2 in active
                       if v2 != v and arr[u, v2] and not arr[u_prime, v2])
-        g = BipartiteGraph(arr)
+        g = BipartiteGraph._trusted(arr.copy())
         s = Swap.on(u, u_prime, v, v_prime, graph=g)
         swaps.append(s)
         arr[u, v], arr[u_prime, v] = 1, 0
         arr[u, v_prime], arr[u_prime, v_prime] = 0, 1
     else:
         raise AssertionError("push_up failed to converge within d(v) swaps")
-    return BipartiteGraph(arr), swaps
+    return BipartiteGraph._trusted(arr), swaps
 
 
 # -- symmetric difference ------------------------------------------------------

@@ -1,12 +1,14 @@
 """Desk-scale ground truth: enumerated state spaces, exact kernels, spectra,
 distance-to-uniform decay, and the congestion of the canonical path system.
 
-Everything that feeds an inequality check is computed in exact rational
-arithmetic; floating point only enters the eigensolver.
+The kernel is held as an integer matrix over one common denominator, and
+everything that feeds an inequality check is computed in Python integers or
+exact rationals; floating point only enters the eigensolver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .canonical import canonical_path, hat_matrix, switch_distance
-from .chain import pair_count, transition_prob
-from .core import (BipartiteDegreeSequence, BipartiteGraph, allowed_swaps,
-                   apply_swap, greedy_realize)
+from .chain import pair_count
+from .core import (BipartiteDegreeSequence, allowed_swaps, apply_swap,
+                   greedy_realize)
 from .errors import DegenerateChain, NonMixing, TooLarge, TooManyPairings
 from .pairings import all_pairings, enumerate_pairings_count
 
@@ -24,11 +26,16 @@ from .pairings import all_pairings, enumerate_pairings_count
 @dataclass(frozen=True)
 class StateSpace:
     """All realizations of a degree sequence, canonically ordered by the
-    row-major bit string of the biadjacency matrix."""
+    row-major bit string of the biadjacency matrix.
+
+    ``neighbours[i]`` lists, in increasing order, the ids of the states one
+    allowed swap away from state ``i``: the move graph of the chain.
+    """
 
     ds: BipartiteDegreeSequence
     states: tuple
     index: dict
+    neighbours: tuple
 
     @property
     def n(self) -> int:
@@ -64,70 +71,144 @@ def _brute_force_count(ds: BipartiteDegreeSequence) -> int:
 
 
 def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> StateSpace:
-    """Breadth-first enumeration of the realization space over allowed swaps.
+    """Depth-first enumeration of the realization space over allowed swaps.
 
-    For small instances (k*l <= 20) the count is cross-validated against a
-    direct enumeration of all 0-1 matrices with the prescribed margins.
+    Every allowed swap of every state is applied exactly once, and its
+    target is recorded as a neighbour, so the move graph comes out of the
+    same pass.  For small instances (k*l <= 20) the count is cross-validated
+    against a direct enumeration of all 0-1 matrices with the prescribed
+    margins.
     """
     start = greedy_realize(ds)
-    seen = {start.key(): start}
-    queue = [start]
-    while queue:
-        g = queue.pop()
+    found = {start.key(): 0}         # key -> id in discovery order
+    graphs = [start]
+    moves = {}                       # id -> ids of its swap targets
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        g = graphs[i]
+        nbrs = moves[i] = []
         for s in allowed_swaps(g):
             h = apply_swap(g, s)
-            if h.key() not in seen:
-                if len(seen) >= max_states:
+            j = found.get(h.key())
+            if j is None:
+                if len(graphs) >= max_states:
                     raise TooLarge(f"more than {max_states} realizations")
-                seen[h.key()] = h
-                queue.append(h)
-    states = tuple(seen[key] for key in sorted(seen))
+                j = found[h.key()] = len(graphs)
+                graphs.append(h)
+                stack.append(j)
+            nbrs.append(j)
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].key())
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    states = tuple(graphs[i] for i in order)
+    neighbours = tuple(tuple(sorted(rank[j] for j in moves[i])) for i in order)
     if ds.k * ds.l <= 20:
         expected = _brute_force_count(ds)
         if expected != len(states):
             raise AssertionError(
                 f"swap enumeration found {len(states)} states, direct count {expected}")
-    return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)})
+    return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)}, neighbours)
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
-    """Exact rational kernel of the swap chain on an enumerated space."""
+    """Exact kernel of the swap chain on an enumerated space, held in integers.
 
-    entries: tuple
-    jump: Fraction
+    ``P = A / denom``, where ``A`` has ``diag[i]`` at ``(i, i)``, ``off`` at
+    ``(i, j)`` for every ``j`` in ``neighbours[i]`` and zero elsewhere.  For
+    the swap chain ``denom = C(k,2)*C(l,2)``, ``off = 1`` and
+    ``A = denom*I - L`` with ``L`` the Laplacian of the move graph.
+
+    The constructor takes dense rational rows and converts them to this form;
+    ``entries`` gives them back, built only when first read.
+    """
+
+    __slots__ = ("denom", "off", "diag", "neighbours", "_entries")
+
+    def __init__(self, entries, jump):
+        rows = [tuple(Fraction(x) for x in row) for row in entries]
+        jump = Fraction(jump)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("kernel rows must form a square matrix")
+        neighbours = tuple(tuple(j for j, x in enumerate(row) if x and j != i)
+                           for i, row in enumerate(rows))
+        if any(rows[i][j] != jump for i, nbrs in enumerate(neighbours) for j in nbrs):
+            raise ValueError("off-diagonal entry differs from the jump probability")
+        denom = math.lcm(jump.denominator, *(rows[i][i].denominator for i in range(n)))
+        diag = tuple(int(rows[i][i] * denom) for i in range(n))
+        self._set(denom, int(jump * denom), diag, neighbours)
+
+    @classmethod
+    def _from_move_graph(cls, denom: int, neighbours: tuple) -> "TransitionMatrix":
+        """The kernel stepping to each move-graph neighbour with probability
+        1/denom and staying put otherwise."""
+        kernel = cls.__new__(cls)
+        kernel._set(denom, 1, tuple(denom - len(nbrs) for nbrs in neighbours), neighbours)
+        return kernel
+
+    def _set(self, denom, off, diag, neighbours):
+        """Store the integer form after checking the kernel laws in integers:
+        every off-diagonal entry is zero or the jump, the adjacency is
+        symmetric, and each row is non-negative and sums to one."""
+        if off < 0:
+            raise AssertionError("negative jump probability")
+        nbr_sets = [set(nbrs) for nbrs in neighbours]
+        for i, nbrs in enumerate(neighbours):
+            if len(nbr_sets[i]) != len(nbrs) or i in nbr_sets[i]:
+                raise AssertionError("off-diagonal entry differs from the jump probability")
+            if any(i not in nbr_sets[j] for j in nbrs):
+                raise AssertionError("kernel is not symmetric")
+            if diag[i] < 0 or diag[i] + off * len(nbrs) != denom:
+                raise AssertionError(f"row {i} does not sum to one")
+        self.denom, self.off, self.diag, self.neighbours = denom, off, diag, neighbours
+        self._entries = None
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.diag)
+
+    @property
+    def jump(self) -> Fraction:
+        return Fraction(self.off, self.denom)
+
+    @property
+    def entries(self) -> tuple:
+        """The kernel as dense rows of ``Fraction``s (read-only)."""
+        if self._entries is None:
+            jump, zero = self.jump, Fraction(0)
+            rows = []
+            for i, (d, nbrs) in enumerate(zip(self.diag, self.neighbours)):
+                row = [zero] * self.n
+                for j in nbrs:
+                    row[j] = jump
+                row[i] = Fraction(d, self.denom)
+                rows.append(tuple(row))
+            self._entries = tuple(rows)
+        return self._entries
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
+        """The kernel in float64; each entry is its integer numerator divided
+        by ``denom``, the correctly rounded value of the exact entry."""
+        n = self.n
+        mat = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbours])
+        cols = np.fromiter(itertools.chain.from_iterable(self.neighbours), dtype=np.intp,
+                           count=len(rows))
+        mat[rows, cols] = self.off / self.denom
+        np.fill_diagonal(mat, [d / self.denom for d in self.diag])
+        return mat
 
 
 def build_kernel(space: StateSpace) -> TransitionMatrix:
-    """The exact kernel; verifies symmetry, stochasticity, and that every
-    off-diagonal entry equals the single jump probability."""
-    n = space.n
+    """The exact kernel over the enumerated move graph; verifies in integers
+    that the move graph is symmetric, that every off-diagonal entry is the
+    single jump probability, and that no state has more moves than the
+    C(k,2)*C(l,2) outcomes of a step."""
     ds = space.ds
-    q = Fraction(1, pair_count(ds.k) * pair_count(ds.l)) \
-        if pair_count(ds.k) * pair_count(ds.l) else Fraction(1)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, g in enumerate(space.states):
-        moves = allowed_swaps(g)
-        for s in moves:
-            j = space.index[apply_swap(g, s).key()]
-            rows[i][j] += q
-        rows[i][i] = 1 - q * len(moves)
-    for i in range(n):
-        if sum(rows[i]) != 1:
-            raise AssertionError(f"row {i} does not sum to one")
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise AssertionError("kernel is not symmetric")
-            if i != j and rows[i][j] not in (0, q):
-                raise AssertionError("off-diagonal entry differs from the jump probability")
-    return TransitionMatrix(tuple(tuple(r) for r in rows), q)
+    return TransitionMatrix._from_move_graph(
+        pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours)
 
 
 def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000):
@@ -158,42 +239,44 @@ def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000)
     return lam2, 1.0 / (1.0 - lam2)
 
 
-def distance_profile(P: TransitionMatrix, t: int):
-    """max_x (1/2) max_y |P^t(y, x) - 1/N| as an exact rational."""
-    n = P.n
-    unif = Fraction(1, n)
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows = [list(r) for r in P.entries]
-    for _ in range(t):
-        power = _mat_mul(power, rows)
-    worst = Fraction(0)
-    for x in range(n):
-        col_worst = max(abs(power[y][x] - unif) for y in range(n))
-        worst = max(worst, Fraction(col_worst, 2))
-    return worst
+def _deviations(P: TransitionMatrix):
+    """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
+    where ``P = A / D`` on N states, so that the entrywise deviation of
+    ``P^t`` from uniform is the first value over ``N * D^t``.
+
+    ``A^t`` is advanced by sparse integer products over the move graph:
+    column j of ``A`` holds ``diag[j]`` on the diagonal and ``off`` at the
+    neighbours of j, because ``A`` is symmetric.
+    """
+    n, denom, off, diag, neighbours = P.n, P.denom, P.off, P.diag, P.neighbours
+    cols = tuple(zip(diag, neighbours))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
+    while True:
+        yield max(max(n * max(row) - scale, scale - n * min(row)) for row in power), scale
+        power = [[d * x + off * sum(map(row.__getitem__, nbrs))
+                  for x, (d, nbrs) in zip(row, cols)] for row in power]
+        scale *= denom
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for kk in range(n):
-            a = Ai[kk]
-            if a:
-                Bk = B[kk]
-                row = out[i]
-                for j in range(n):
-                    if Bk[j]:
-                        row[j] += a * Bk[j]
-    return out
+def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
+    """Half the largest entrywise deviation of ``P^t`` from uniform,
+    ``(1/2) max_{x,y} |P^t(y, x) - 1/N|``, as an exact rational.
+
+    This is not the total-variation distance, which sums the deviations of
+    a whole row before halving.
+    """
+    dev, scale = next(itertools.islice(_deviations(P), t, None))
+    return Fraction(dev, 2 * P.n * scale)
 
 
 def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) -> int:
-    """Smallest t whose distance to uniform stays at or below eps from t on.
+    """Smallest t whose ``distance_profile`` stays at or below eps from t on.
 
-    Monotone decay is verified by scanning ahead rather than assumed; a
-    periodic chain that never settles raises ``NonMixing``.
+    The profile is half the largest entrywise deviation of ``P^t`` from
+    uniform, not the total-variation distance.  Each step is decided in
+    integers.  Monotone decay is verified by scanning ahead rather than
+    assumed; a periodic chain that never settles raises ``NonMixing``.
     """
     n = P.n
     eps = Fraction(eps).limit_denominator(10**9)
@@ -203,17 +286,10 @@ def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) ->
             t_max = int(40 * tau * math.log(n / float(eps))) + 50
         except DegenerateChain:
             t_max = 200
-    unif = Fraction(1, n)
-    rows = [list(r) for r in P.entries]
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     candidate = None
     window = 0
-    for t in range(t_max + 1):
-        worst = Fraction(0)
-        for x in range(n):
-            col = max(abs(power[y][x] - unif) for y in range(n))
-            worst = max(worst, Fraction(col, 2))
-        if worst <= eps:
+    for t, (dev, scale) in zip(range(t_max + 1), _deviations(P)):
+        if dev * eps.denominator <= 2 * eps.numerator * n * scale:
             if candidate is None:
                 candidate = t
                 window = 0
@@ -223,7 +299,6 @@ def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) ->
                     return candidate
         else:
             candidate = None
-        power = _mat_mul(power, rows)
     if candidate is not None and window >= 3:
         return candidate
     raise NonMixing(f"distance to uniform never settles below {float(eps)} by t={t_max}")

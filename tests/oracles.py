@@ -163,3 +163,27 @@ def split_environment_pools(ell: int, cycle_cells, rng):
     pool_x = {c for c, m in zip(rest, mask) if m}
     pool_y = set(rest) - pool_x
     return pool_x, pool_y
+
+
+# -- dense rational distance-decay oracle -------------------------------------
+
+
+def dense_kernel_rows(space):
+    """The kernel of the swap chain as dense ``Fraction`` rows, one
+    ``transition_prob`` per ordered pair of states."""
+    from degswap.chain import transition_prob
+
+    return [[transition_prob(X, Y) for Y in space.states] for X in space.states]
+
+
+def dense_distance_profile(rows, t):
+    """(1/2) max_{x,y} |P^t(y, x) - 1/N| by dense ``Fraction`` matrix powers."""
+    from fractions import Fraction
+
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(t):
+        power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    unif = Fraction(1, n)
+    return max(abs(x - unif) for row in power for x in row) / 2

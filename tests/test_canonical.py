@@ -8,15 +8,16 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _frame_types, _local_f,
-                               _spec_target, cycle_swaps, matches_spec, ring,
-                               verify_friendly_path, verify_same_state,
-                               verify_steinhaus)
+                               _spec_target, clear_path_cache, cycle_swaps,
+                               matches_spec, ring, verify_friendly_path,
+                               verify_same_state, verify_steinhaus)
 from degswap.core import allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             TooManyPairings)
 from degswap.mixing import enumerate_states
-from degswap import BipartiteDegreeSequence, all_pairings, random_pairing
+from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings,
+                     random_pairing)
 from degswap.ryser import replay
 
 from oracles import (cycle_graph_pair, friendly_path_exists, perturbed_environment,
@@ -378,6 +379,28 @@ class TestPathAlongCycle:
         states = path_along_cycle(G, Gp, G, Gp, cyc)
         assert states[-1] == Gp
         assert len(states) - 1 <= 2 * ell
+
+    def test_cycle_cache_keyed_by_shape(self):
+        # A 3x8 and a 4x6 graph with the same bytes, both holding this 6-cycle
+        # but with different chords, so their swap sequences differ.  (A 2-row
+        # graph only holds 4-cycles, whose single swap ignores the shape.)
+        bits = np.array([1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1,
+                         0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1], np.uint8)
+        x_edges = frozenset({(0, 0), (1, 1), (2, 2)})
+        y_edges = frozenset({(0, 1), (1, 2), (2, 0)})
+        cyc = AlternatingCycle(((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)),
+                               x_edges, y_edges)
+        (G1, Gp1), (G2, Gp2) = [
+            (G, G.with_edges(sorted(x_edges), sorted(y_edges)))
+            for G in (BipartiteGraph(bits.reshape(3, 8)), BipartiteGraph(bits.reshape(4, 6)))]
+        assert G1.key() == G2.key()
+        clear_path_cache()
+        alone = cycle_swaps(G2, Gp2, G2, Gp2, cyc)
+        clear_path_cache()
+        assert cycle_swaps(G1, Gp1, G1, Gp1, cyc) != alone
+        assert cycle_swaps(G2, Gp2, G2, Gp2, cyc) == alone
+        assert replay(G2, alone)[-1] == Gp2
+        clear_path_cache()
 
     def test_environment_disjointness_enforced(self):
         # an environment differing from G on the cycle cells themselves

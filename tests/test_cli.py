@@ -77,6 +77,17 @@ def test_mix_report(tmp_path, capsys):
     assert lines[1].split(",")[0] == "3"
 
 
+@pytest.mark.parametrize("ds_text, row", [
+    ("2 2 2\n3 2 1\n", "3,0.666666666667,3,9,6,1-2,0"),
+    ("2 2 2\n2 2 2\n", "6,0.666666666667,3,9,15,4-5,1"),
+])
+def test_mix_report_rows(tmp_path, capsys, ds_text, row):
+    assert main(["mix-report", "--ds", write(tmp_path, "d.txt", ds_text)]) == 0
+    assert capsys.readouterr().out == (
+        "n,lambda2,tau_rel,tv_mixing_time,kappa,max_edge,max_switch_distance\n"
+        + row + "\n")
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     assert main(["realize", write(tmp_path, "d.txt", DS_BAD)]) == 1
     err = capsys.readouterr().err

@@ -128,6 +128,18 @@ class TestSwaps:
         with pytest.raises(SwapNotAllowed):
             apply_swap(BipartiteGraph([[1, 1], [1, 1]]), Swap(0, 1, 0, 1, 1))
 
+    def test_derived_graphs_equal_validated_ones(self):
+        with pytest.raises(ValueError):
+            BipartiteGraph([[1, 2], [0, 1]])
+        for seed in range(10):
+            g = random_graph(seed)
+            for s in allowed_swaps(g):
+                h = apply_swap(g, s)
+                fresh = BipartiteGraph(h.adj.tolist())
+                assert h == fresh and hash(h) == hash(fresh)
+                assert (h.row_deg, h.col_deg) == (fresh.row_deg, fresh.col_deg)
+                assert h.adj.dtype == np.uint8 and not h.adj.flags.writeable
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_involution_and_degrees(self, seed):

@@ -8,7 +8,7 @@ from degswap.mixing import (TransitionMatrix, build_kernel, congestion,
                             distance_profile, enumerate_states, spectral_gap,
                             tv_mixing_time)
 
-from oracles import brute_margin_count
+from oracles import brute_margin_count, dense_distance_profile, dense_kernel_rows
 
 
 def bds(a, b):
@@ -52,6 +52,24 @@ class TestKernel:
         for row in K.entries:
             assert sum(row) == 1
 
+    def test_entries_match_transition_prob(self):
+        for a, b in (((2, 2, 2), (3, 2, 1)), ((2, 2, 1), (2, 2, 1))):
+            space = enumerate_states(bds(a, b))
+            rows = dense_kernel_rows(space)
+            assert build_kernel(space).entries == tuple(tuple(r) for r in rows)
+
+    def test_dense_rows_round_trip(self):
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        K = build_kernel(space)
+        again = TransitionMatrix(dense_kernel_rows(space), K.jump)
+        assert again.entries == K.entries and again.jump == K.jump
+        assert (again.as_float() == K.as_float()).all()
+
+    def test_dense_rows_off_jump_rejected(self):
+        rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
+        with pytest.raises(ValueError):
+            TransitionMatrix(rows, Fraction(1, 3))
+
 
 class TestSpectralGap:
     def test_two_state_flip(self):
@@ -87,6 +105,24 @@ class TestMixingTime:
     def test_loose_epsilon_is_zero(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
         assert tv_mixing_time(K, 0.5) == 0
+
+    @pytest.mark.parametrize("a, b, t", [
+        ((2, 2, 2), (3, 2, 1), 9),
+        ((2, 2, 2), (2, 2, 2), 9),
+        ((2, 2, 2, 2), (3, 2, 2, 1), 17),
+        ((3, 2, 2, 1), (2, 2, 2, 2), 17),
+        ((2, 2, 2, 2), (2, 2, 2, 2), 12),
+    ])
+    def test_pinned_mixing_times(self, a, b, t):
+        assert tv_mixing_time(build_kernel(enumerate_states(bds(a, b))), 0.01) == t
+
+    def test_profile_matches_dense_oracle(self):
+        for a, b in (((2, 2, 2), (3, 2, 1)), ((2, 2, 2), (2, 2, 2))):
+            space = enumerate_states(bds(a, b))
+            K = build_kernel(space)
+            rows = dense_kernel_rows(space)
+            for t in range(13):
+                assert distance_profile(K, t) == dense_distance_profile(rows, t), (a, b, t)
 
     def test_finite_mixing(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
