@@ -959,17 +959,22 @@ def _second_possibility(Z, frame, types, i, t, j, jp):
     return swaps, cur
 
 
-_cycle_swap_cache: dict = {}
-
-
-def clear_path_cache():
-    _cycle_swap_cache.clear()
+def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+    """The swaps carrying G to Gp along ``cycle``, without re-checking that
+    the two differ exactly in it; raises ``SpecViolation`` if the
+    construction misses Gp."""
+    frame = CycleFrame.from_cycle(cycle, G)
+    swaps, end = _solve_frame(G, frame, _frame_types(G, frame))
+    if end != Gp:
+        raise SpecViolation("cycle construction missed its target")
+    return tuple(swaps)
 
 
 def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
-                Y: BipartiteGraph, cycle: AlternatingCycle) -> list:
-    """The swap sequence behind ``path_along_cycle``; cached per (G, cycle),
-    with G keyed by its shape as well as its bytes."""
+                Y: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+    """The swap sequence behind ``path_along_cycle``, after checking that G
+    and Gp differ exactly in ``cycle`` and that X xor G, the cycle and
+    Gp xor Y are pairwise disjoint."""
     part = symmetric_difference(G, Gp)
     if part.x_edges | part.y_edges != set(cycle.edge_seq):
         raise CycleMismatch("G and Gp do not differ in exactly this cycle")
@@ -980,18 +985,7 @@ def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     side_y = dgy.x_edges | dgy.y_edges
     if side_x & cyc_cells or side_y & cyc_cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
-    key = (G.k, G.l, G.key(), cycle.edge_seq)
-    hit = _cycle_swap_cache.get(key)
-    if hit is not None:
-        return hit
-    frame = CycleFrame.from_cycle(cycle, G)
-    types = _frame_types(G, frame)
-    swaps, end = _solve_frame(G, frame, types)
-    if end != Gp:
-        raise SpecViolation("cycle construction missed its target")
-    swaps = tuple(swaps)
-    _cycle_swap_cache[key] = swaps
-    return swaps
+    return _solve_cycle(G, Gp, cycle)
 
 
 def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
@@ -999,6 +993,55 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     """Realizations G = Z_0, ..., Z_m = Gp, consecutive ones one swap apart,
     built along the given alternating cycle."""
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
+
+
+def _pairing_cycles(X: BipartiteGraph, Y: BipartiteGraph, pairing, part) -> tuple:
+    """The pairing's cycles in decomposition order, checked once to be
+    pairwise edge-disjoint, to split as ``part`` = X xor Y does, and to
+    cover it.
+
+    Walking them in order from X then meets every precondition
+    ``cycle_swaps`` checks: each realization on the way agrees with X on
+    the cycles still ahead and with Y on those behind, so the next cycle is
+    exactly where it differs from its target, and the three symmetric
+    differences never overlap.
+    """
+    if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
+        raise PairingMismatch("pairing does not belong to this realization pair")
+    cycles = decompose(X, Y, pairing).cycles
+    seen_x, seen_y = set(), set()
+    for cyc in cycles:
+        if not (cyc.x_edges <= part.x_edges and cyc.y_edges <= part.y_edges):
+            raise PreconditionViolation("a cycle does not split as the symmetric difference")
+        if cyc.x_edges & seen_x or cyc.y_edges & seen_y:
+            raise PreconditionViolation("two cycles of the decomposition overlap")
+        seen_x |= cyc.x_edges
+        seen_y |= cyc.y_edges
+    if seen_x != part.x_edges or seen_y != part.y_edges:
+        raise PreconditionViolation("the cycles do not cover the symmetric difference")
+    return cycles
+
+
+def _path(X: BipartiteGraph, Y: BipartiteGraph, pairing, part, segments: dict) -> list:
+    """Realizations from X to Y along the pairing's cycles.
+
+    ``segments`` is the caller's cache of the realizations after each swap
+    of a segment, keyed by the bytes of the segment's start and the cycle,
+    so one cache must only ever see realizations of one shape.
+    """
+    states = [X]
+    cur = X
+    for cyc in _pairing_cycles(X, Y, pairing, part):
+        key = (cur.key(), cyc.edge_seq)
+        seg = segments.get(key)
+        if seg is None:
+            target = cur.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
+            seg = segments[key] = tuple(replay(cur, _solve_cycle(cur, target, cyc))[1:])
+        states.extend(seg)
+        cur = seg[-1]
+    if cur != Y:
+        raise SpecViolation("path did not land on Y")
+    return states
 
 
 def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool = False,
@@ -1010,22 +1053,7 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y).
     """
-    part = symmetric_difference(X, Y)
-    if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
-        raise PairingMismatch("pairing does not belong to this realization pair")
-    decomp = decompose(X, Y, pairing)
-    states = [X]
-    cur = X
-    for cyc in decomp.cycles:
-        target = cur.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-        seg = cycle_swaps(cur, target, X, Y, cyc)
-        for s in seg:
-            cur = apply_swap(cur, s)
-            states.append(cur)
-        if cur != target:
-            raise SpecViolation("segment did not land on its fixed point")
-    if cur != Y:
-        raise SpecViolation("path did not land on Y")
+    states = _path(X, Y, pairing, symmetric_difference(X, Y), {})
     if certify:
         certs = [switch_distance(hat_matrix(X, Y, Z).cells, cap=switch_cap)
                  for Z in states]
@@ -1040,9 +1068,11 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     total = enumerate_pairings_count(X, Y)
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
+    part = symmetric_difference(X, Y)
+    segments = {}
     counts = {}
     for s in all_pairings(X, Y):
-        gamma = tuple(st.key() for st in canonical_path(X, Y, s))
+        gamma = tuple(st.key() for st in _path(X, Y, s, part, segments))
         counts[gamma] = counts.get(gamma, 0) + 1
     dist = {g: Fraction(c, total) for g, c in counts.items()}
     assert sum(dist.values()) == 1

@@ -15,12 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import canonical_path, hat_matrix, switch_distance
+from .canonical import _pairing_cycles, _solve_cycle, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import (BipartiteDegreeSequence, allowed_swaps, apply_swap,
-                   greedy_realize)
-from .errors import DegenerateChain, NonMixing, TooLarge, TooManyPairings
+                   greedy_realize, symmetric_difference)
+from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
+                     TooManyPairings)
 from .pairings import all_pairings, enumerate_pairings_count
+from .ryser import replay
 
 
 @dataclass(frozen=True)
@@ -313,6 +315,30 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
+def _segment(space: StateSpace, segments: dict, i: int, cycle) -> tuple:
+    """State ids after each swap that flips ``cycle`` starting from state i.
+
+    ``segments`` is the caller's cache, keyed by ``(i, cycle.edge_seq)``; a
+    hit does no graph work.  A newly built segment is checked to step along
+    move-graph edges only, and the solver checks that it lands on the
+    flipped state.
+    """
+    key = (i, cycle.edge_seq)
+    seg = segments.get(key)
+    if seg is None:
+        start = space.states[i]
+        target = start.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
+        seg = []
+        for g in replay(start, _solve_cycle(start, target, cycle))[1:]:
+            j = space.index.get(g.key())
+            if j is None or j not in space.neighbours[i]:
+                raise SpecViolation("a canonical path step is not a move-graph edge")
+            seg.append(j)
+            i = j
+        seg = segments[key] = tuple(seg)
+    return seg
+
+
 def congestion(space: StateSpace, kernel: TransitionMatrix,
                max_states: int = 120, max_pairings: int = 5000,
                certify: bool = False, switch_cap: int = 6) -> CongestionReport:
@@ -322,15 +348,24 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     weighted by the fraction of pairings choosing it; each Markov-graph
     edge accumulates weight times the path's unit-cost sum 1/(T * pi).
     The maximum over edges upper-bounds the relaxation time.
+
+    Paths are walked in state ids.  Their segments are cached per call by
+    start state and cycle, and with ``certify`` the switch distances per
+    distinct three-term matrix; nothing outlives the call.  Loads are
+    integer numerators over one common multiple of the pairing counts.
     """
     n = space.n
     if n > max_states:
         raise TooLarge(f"{n} states exceed the congestion guard {max_states}")
-    q = kernel.jump
-    unit = Fraction(1, 1) / (q * Fraction(1, n))     # 1 / (T(z|w) pi(w))
-    pi2 = Fraction(1, n * n)
-    load = {}
-    weight = {}
+    if n < 2:
+        raise DegenerateChain("need at least two states")
+    if kernel.n != n or kernel.neighbours != space.neighbours:
+        raise ValueError("the kernel does not belong to this state space")
+    segments = {}
+    certs = {}
+    scale = 1            # a common multiple of the pairing counts seen so far
+    load = {}            # edge -> sum of c * |edges| * scale / T
+    weight = {}          # edge -> sum of c * scale / T
     n_paths = 0
     max_sd = 0
     for xi, X in enumerate(space.states):
@@ -341,35 +376,44 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
             if t_total > max_pairings:
                 raise TooManyPairings(
                     f"{t_total} pairings exceed the guard {max_pairings}")
+            part = symmetric_difference(X, Y)
             counts = {}
-            sd_memo = {}
             for s in all_pairings(X, Y):
-                states = canonical_path(X, Y, s)
-                ids = tuple(space.index[g.key()] for g in states)
+                ids = [xi]
+                for cyc in _pairing_cycles(X, Y, s, part):
+                    ids.extend(_segment(space, segments, ids[-1], cyc))
+                if ids[-1] != yi:
+                    raise SpecViolation("path did not land on Y")
+                ids = tuple(ids)
                 counts[ids] = counts.get(ids, 0) + 1
-                if certify:
-                    for g in states:
-                        if g.key() not in sd_memo:
-                            sd_memo[g.key()] = switch_distance(
-                                hat_matrix(X, Y, g).cells, cap=switch_cap)
-                        sd = sd_memo[g.key()]
-                        if isinstance(sd, int):
-                            max_sd = max(max_sd, sd)
-                        else:
-                            max_sd = max(max_sd, sd.cap + 1)
+            if certify:
+                for z in set().union(*counts):
+                    hat = hat_matrix(X, Y, space.states[z]).cells
+                    key = hat.tobytes()
+                    sd = certs.get(key)
+                    if sd is None:
+                        sd = certs[key] = switch_distance(hat, cap=switch_cap)
+                    max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+            if scale % t_total:
+                grow = t_total // math.gcd(scale, t_total)
+                scale *= grow
+                load = {e: v * grow for e, v in load.items()}
+                weight = {e: v * grow for e, v in weight.items()}
+            per_pairing = scale // t_total
             for ids, c in counts.items():
                 n_paths += 1
-                prob = Fraction(c, t_total)
-                edges = {tuple(sorted((ids[t], ids[t + 1])))
-                         for t in range(len(ids) - 1)}
-                cost = len(edges) * unit
+                edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+                w = c * per_pairing
+                lw = w * len(edges)
                 for e in edges:
-                    load[e] = load.get(e, Fraction(0)) + pi2 * prob * cost
-                    weight[e] = weight.get(e, Fraction(0)) + prob
-    if not load:
-        raise TooLarge("no paths; the space has a single state")
+                    load[e] = load.get(e, 0) + lw
+                    weight[e] = weight.get(e, 0) + w
+    # the load of edge e is load[e] / (n * scale * jump): one positive factor
+    # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))
-    return CongestionReport(kappa=load[max_edge], max_edge=max_edge,
-                            edge_loading_max=max(weight.values()),
-                            n_paths=n_paths,
-                            max_switch_distance=max_sd if certify else None)
+    return CongestionReport(
+        kappa=Fraction(load[max_edge] * kernel.denom, n * scale * kernel.off),
+        max_edge=max_edge,
+        edge_loading_max=Fraction(max(weight.values()), scale),
+        n_paths=n_paths,
+        max_switch_distance=max_sd if certify else None)

@@ -187,3 +187,56 @@ def dense_distance_profile(rows, t):
                  for i in range(n)]
     unif = Fraction(1, n)
     return max(abs(x - unif) for row in power for x in row) / 2
+
+
+# -- congestion by one canonical path per pairing -----------------------------
+
+
+def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = False,
+                     switch_cap: int = 6):
+    """The congestion report built the direct way: one ``canonical_path`` per
+    pairing, mapped to state ids, with every load accumulated as a
+    ``Fraction``."""
+    from fractions import Fraction
+
+    from degswap.canonical import canonical_path, hat_matrix, switch_distance
+    from degswap.errors import TooManyPairings
+    from degswap.mixing import CongestionReport
+    from degswap.pairings import all_pairings, enumerate_pairings_count
+
+    n = space.n
+    unit = 1 / (kernel.jump * Fraction(1, n))        # 1 / (T(z|w) pi(w))
+    pi2 = Fraction(1, n * n)
+    load, weight = {}, {}
+    n_paths = max_sd = 0
+    for xi, X in enumerate(space.states):
+        for yi, Y in enumerate(space.states):
+            if xi == yi:
+                continue
+            t_total = enumerate_pairings_count(X, Y)
+            if t_total > max_pairings:
+                raise TooManyPairings(f"{t_total} pairings exceed the guard {max_pairings}")
+            counts, sd_memo = {}, {}
+            for s in all_pairings(X, Y):
+                states = canonical_path(X, Y, s)
+                ids = tuple(space.index[g.key()] for g in states)
+                counts[ids] = counts.get(ids, 0) + 1
+                if certify:
+                    for g in states:
+                        if g.key() not in sd_memo:
+                            sd_memo[g.key()] = switch_distance(
+                                hat_matrix(X, Y, g).cells, cap=switch_cap)
+                        sd = sd_memo[g.key()]
+                        max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+            for ids, c in counts.items():
+                n_paths += 1
+                prob = Fraction(c, t_total)
+                edges = {tuple(sorted((ids[t], ids[t + 1]))) for t in range(len(ids) - 1)}
+                cost = len(edges) * unit
+                for e in edges:
+                    load[e] = load.get(e, Fraction(0)) + pi2 * prob * cost
+                    weight[e] = weight.get(e, Fraction(0)) + prob
+    max_edge = max(load, key=lambda e: (load[e], e))
+    return CongestionReport(kappa=load[max_edge], max_edge=max_edge,
+                            edge_loading_max=max(weight.values()), n_paths=n_paths,
+                            max_switch_distance=max_sd if certify else None)

@@ -101,6 +101,9 @@ def test_criterion_4_sinclair_inequality():
             _, tau = spectral_gap(K)
             rep = congestion(space, K)
             assert tau <= float(rep.kappa) + 1e-8, (a, b, tau, rep.kappa)
+            if space.n == 90:
+                assert (rep.kappa, rep.max_edge, rep.edge_loading_max) == (
+                    Fraction(539, 10), (84, 88), Fraction(417, 8))
             print(f"  {a}|{b}: N={space.n} tau_rel={tau:.4f} kappa={rep.kappa} "
                   f"({float(rep.kappa):.2f})")
         elapsed = time.time() - t0

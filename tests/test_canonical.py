@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _frame_types, _local_f,
-                               _spec_target, clear_path_cache, cycle_swaps,
+                               _spec_target, cycle_swaps,
                                matches_spec, ring, verify_friendly_path,
                                verify_same_state, verify_steinhaus)
 from degswap.core import allowed_swaps, apply_swap
@@ -384,6 +386,8 @@ class TestPathAlongCycle:
         # A 3x8 and a 4x6 graph with the same bytes, both holding this 6-cycle
         # but with different chords, so their swap sequences differ.  (A 2-row
         # graph only holds 4-cycles, whose single swap ignores the shape.)
+        # Nothing is cached across calls, so neither order can leak one
+        # shape's sequence into the other.
         bits = np.array([1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1,
                          0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1], np.uint8)
         x_edges = frozenset({(0, 0), (1, 1), (2, 2)})
@@ -394,13 +398,14 @@ class TestPathAlongCycle:
             (G, G.with_edges(sorted(x_edges), sorted(y_edges)))
             for G in (BipartiteGraph(bits.reshape(3, 8)), BipartiteGraph(bits.reshape(4, 6)))]
         assert G1.key() == G2.key()
-        clear_path_cache()
-        alone = cycle_swaps(G2, Gp2, G2, Gp2, cyc)
-        clear_path_cache()
-        assert cycle_swaps(G1, Gp1, G1, Gp1, cyc) != alone
-        assert cycle_swaps(G2, Gp2, G2, Gp2, cyc) == alone
-        assert replay(G2, alone)[-1] == Gp2
-        clear_path_cache()
+        first_2 = cycle_swaps(G2, Gp2, G2, Gp2, cyc)
+        then_1 = cycle_swaps(G1, Gp1, G1, Gp1, cyc)
+        first_1 = cycle_swaps(G1, Gp1, G1, Gp1, cyc)
+        then_2 = cycle_swaps(G2, Gp2, G2, Gp2, cyc)
+        assert first_1 == then_1 and first_2 == then_2
+        assert first_1 != first_2
+        assert replay(G1, first_1)[-1] == Gp1
+        assert replay(G2, first_2)[-1] == Gp2
 
     def test_environment_disjointness_enforced(self):
         # an environment differing from G on the cycle cells themselves
@@ -481,6 +486,38 @@ class TestCanonicalPath:
         Y = BipartiteGraph([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
         with pytest.raises(TooManyPairings):
             path_distribution(X, Y, max_pairings=1)
+
+    def test_path_distribution_matches_single_paths(self):
+        # path_distribution shares one segment cache across its pairings;
+        # canonical_path builds each path afresh
+        X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        Y = BipartiteGraph([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
+        counts = {}
+        for s in all_pairings(X, Y):
+            gamma = tuple(g.key() for g in canonical_path(X, Y, s))
+            counts[gamma] = counts.get(gamma, 0) + 1
+        total = sum(counts.values())
+        assert path_distribution(X, Y) == {g: Fraction(c, total) for g, c in counts.items()}
+
+    @pytest.mark.parametrize("mangle", [lambda cycles: cycles + cycles[:1],
+                                        lambda cycles: cycles[1:]])
+    def test_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):
+        # a decomposition whose cycles overlap, or miss part of X xor Y, is
+        # refused before any cycle is walked
+        import degswap.canonical as canonical
+
+        X = BipartiteGraph([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        Y = BipartiteGraph([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        s = next(all_pairings(X, Y))
+        real = canonical.decompose
+
+        def mangled(X, Y, pairing):
+            dec = real(X, Y, pairing)
+            return type(dec)(dec.circuits, mangle(dec.cycles))
+
+        monkeypatch.setattr(canonical, "decompose", mangled)
+        with pytest.raises(PreconditionViolation):
+            canonical_path(X, Y, s)
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

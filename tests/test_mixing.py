@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from degswap import BipartiteDegreeSequence, BipartiteGraph
-from degswap.errors import NonMixing, TooLarge
-from degswap.mixing import (TransitionMatrix, build_kernel, congestion,
-                            distance_profile, enumerate_states, spectral_gap,
-                            tv_mixing_time)
+from degswap.core import is_graphical
+from degswap.errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
+from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
+                            build_kernel, congestion, distance_profile,
+                            enumerate_states, spectral_gap, tv_mixing_time)
 
-from oracles import brute_margin_count, dense_distance_profile, dense_kernel_rows
+from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
+                     dense_kernel_rows, naive_congestion)
 
 
 def bds(a, b):
@@ -167,3 +169,69 @@ class TestCongestion:
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         with pytest.raises(TooLarge):
             congestion(space, build_kernel(space), max_states=2)
+
+    def test_single_state_is_degenerate(self):
+        space = enumerate_states(bds((2, 2), (2, 2)))
+        assert space.n == 1
+        with pytest.raises(DegenerateChain):
+            congestion(space, build_kernel(space))
+
+    def test_kernel_of_another_space_rejected(self):
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        n = space.n
+        complete = [[Fraction(1, n)] * n for _ in range(n)]
+        other = TransitionMatrix(complete, Fraction(1, n))
+        assert other.n == n and other.neighbours != space.neighbours
+        with pytest.raises(ValueError):
+            congestion(space, other)
+        smaller = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
+        with pytest.raises(ValueError):
+            congestion(space, smaller)
+
+    def test_path_step_off_the_move_graph_rejected(self):
+        # drop the move 0-j from the space's neighbour table (and from a
+        # kernel built on it): the one-swap path from state 0 to j now
+        # steps along a non-edge
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        j = space.neighbours[0][0]
+        cut = tuple(tuple(x for x in nbrs if {i, x} != {0, j})
+                    for i, nbrs in enumerate(space.neighbours))
+        tampered = StateSpace(space.ds, space.states, space.index, cut)
+        K = TransitionMatrix._from_move_graph(build_kernel(space).denom, cut)
+        with pytest.raises(SpecViolation):
+            congestion(tampered, K)
+
+    def test_matches_naive_oracle(self):
+        checked = 0
+        for a, b in all_degree_pairs(3, 3):
+            ds = bds(a, b)
+            if len(a) != 3 or len(b) != 3 or not is_graphical(ds):
+                continue
+            space = enumerate_states(ds)
+            if space.n < 2:
+                continue
+            K = build_kernel(space)
+            for certify in (False, True):
+                assert (congestion(space, K, certify=certify)
+                        == naive_congestion(space, K, certify=certify)), (a, b, certify)
+            checked += 1
+        assert checked > 0
+
+    def test_repeated_calls_agree(self):
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        K = build_kernel(space)
+        first = congestion(space, K, certify=True)
+        assert congestion(space, K, certify=True) == first
+        assert congestion(space, K) == CongestionReport(
+            first.kappa, first.max_edge, first.edge_loading_max, first.n_paths, None)
+
+    @pytest.mark.parametrize("a, b, report", [
+        ((2, 2, 2, 2), (3, 2, 2, 1),
+         CongestionReport(Fraction(237, 4), (38, 39), Fraction(129, 4), 4568, 2)),
+        ((3, 2, 2, 1), (2, 2, 2, 2),
+         CongestionReport(Fraction(2787, 16), (44, 46), Fraction(45), 4008, 3)),
+    ])
+    def test_pinned_48_state_reports(self, a, b, report):
+        space = enumerate_states(bds(a, b))
+        assert space.n == 48
+        assert congestion(space, build_kernel(space), certify=True) == report
