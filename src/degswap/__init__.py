@@ -13,7 +13,7 @@ from .canonical import (FMatrix, FriendlyPath, HatMatrix, OKKOSpec, SteinhausSet
                         adjusted_positions, canonical_path, cousins, f_matrix,
                         find_friendly_path, hat_matrix, ok_ko_step,
                         path_along_cycle, path_distribution, switch_distance)
-from .chain import ChainState, sample, step, transition_prob
+from .chain import ChainState, advance, sample, step, transition_prob
 from .core import (BipartiteDegreeSequence, BipartiteGraph, EdgePartition, Swap,
                    allowed_swaps, apply_swap, greedy_realize, is_graphical,
                    push_up, symmetric_difference)

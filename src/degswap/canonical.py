@@ -39,7 +39,8 @@ from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PairingMismatch,
                      PreconditionViolation, ShapeMismatch, SpecViolation,
                      TooManyPairings)
-from .pairings import AlternatingCycle, all_pairings, decompose, enumerate_pairings_count
+from .pairings import (AlternatingCycle, _all_pairings, _incidences, _pairing_count,
+                       decompose)
 from .ryser import replay, ryser_sequence
 
 # ---------------------------------------------------------------------------
@@ -1065,13 +1066,14 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
                       max_pairings: int = 5000) -> dict:
     """Exact distribution over canonical paths: each path's weight is the
     number of pairings selecting it over the total number of pairings."""
-    total = enumerate_pairings_count(X, Y)
+    part = symmetric_difference(X, Y)
+    incid = _incidences(part)
+    total = _pairing_count(incid)
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
-    part = symmetric_difference(X, Y)
     segments = {}
     counts = {}
-    for s in all_pairings(X, Y):
+    for s in _all_pairings(part, incid):
         gamma = tuple(st.key() for st in _path(X, Y, s, part, segments))
         counts[gamma] = counts.get(gamma, 0) + 1
     dist = {g: Fraction(c, total) for g, c in counts.items()}

@@ -7,13 +7,17 @@ otherwise.  The kernel is symmetric with the uniform distribution as its
 stationary law.
 
 Randomness discipline: each step consumes exactly one integer draw from the
-state's generator, so runs are reproducible from the seed alone.
+state's generator, so runs are reproducible from the seed alone.  A walk
+draws its steps in one vectorized call (one per block of 65,536 steps) that
+reproduces the stream of one scalar draw per step, so a seed gives the same
+trajectory as stepping one move at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,14 +30,34 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _unrank_pair(r: int, n: int):
-    """The r-th pair (i, j) with i < j, in lexicographic order."""
-    i = 0
-    remaining = r
-    while remaining >= n - 1 - i:
-        remaining -= n - 1 - i
-        i += 1
-    return i, i + 1 + remaining
+# Steps drawn and unranked per generator call; bounds a walk's memory.
+_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=32)
+def _row_starts(n: int):
+    """For each row i of the lexicographic order on the pairs of n items: the
+    rank i*(2n-i-1)/2 of its first pair (i, i+1), and that rank minus i+1, so
+    that the pair of rank r in row i is (i, r - shift[i])."""
+    i = np.arange(n - 1, dtype=np.int64)
+    starts = i * (2 * n - i - 1) // 2
+    shift = starts - i - 1
+    starts.setflags(write=False)
+    shift.setflags(write=False)
+    return starts, shift
+
+
+def _unrank_pairs(r: np.ndarray, n: int):
+    """The r-th pairs (i, j) with i < j, in lexicographic order, for an int64
+    array of ranks."""
+    starts, shift = _row_starts(n)
+    i = np.searchsorted(starts, r, side="right") - 1
+    return i, r - shift[i]
+
+
+def _check_steps(steps: int):
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
 
 
 def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
@@ -77,52 +101,54 @@ class ChainState:
         return cls(greedy_realize(ds), np.random.default_rng(seed))
 
 
+def advance(state: ChainState, steps: int) -> ChainState:
+    """Run the chain ``steps`` moves from ``state``: the package's one
+    swap-attempt routine, which ``step`` and ``sample`` run.
+
+    Step t draws r_t uniformly below C(k,2)*C(l,2), takes the U-pair of rank
+    r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and exchanges the 2x2
+    submatrix on them when it is a one-factor (x11 == x22 != x12 == x21).
+    The draws come from one ``integers(denom, size=...)`` call per block,
+    the same stream as one scalar draw per step.  The cells are walked in a
+    flat byte buffer; the returned state shares ``state.rng``.
+    """
+    _check_steps(steps)
+    G = state.graph
+    k, l = G.k, G.l
+    cl = pair_count(l)
+    denom = pair_count(k) * cl
+    if denom == 0 or steps == 0:
+        return ChainState(G, state.rng)
+    cells = bytearray(G.key())
+    moved = False
+    for done in range(0, steps, _BLOCK):
+        iu, il = np.divmod(state.rng.integers(denom, size=min(_BLOCK, steps - done)), cl)
+        u1, u2 = _unrank_pairs(iu, k)
+        v1, v2 = _unrank_pairs(il, l)
+        u1 *= l
+        u2 *= l
+        for p11, p12, p21, p22 in zip((u1 + v1).tolist(), (u1 + v2).tolist(),
+                                      (u2 + v1).tolist(), (u2 + v2).tolist()):
+            x11, x12 = cells[p11], cells[p12]
+            if x11 == cells[p22] and x12 == cells[p21] and x11 != x12:
+                cells[p11] = cells[p22] = x12
+                cells[p12] = cells[p21] = x11
+                moved = True
+    if moved:
+        G = BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(k, l))
+    return ChainState(G, state.rng)
+
+
 def step(state: ChainState) -> ChainState:
     """Advance the chain by one step."""
-    G = state.graph
-    denom = pair_count(G.k) * pair_count(G.l)
-    if denom == 0:
-        return ChainState(G, state.rng)
-    r = int(state.rng.integers(denom))
-    iu, il = divmod(r, pair_count(G.l))
-    u1, u2 = _unrank_pair(iu, G.k)
-    v1, v2 = _unrank_pair(il, G.l)
-    a = G.adj
-    if a[u1, v1] and a[u2, v2] and not a[u1, v2] and not a[u2, v1]:
-        nxt = G.with_edges([(u1, v1), (u2, v2)], [(u1, v2), (u2, v1)])
-    elif a[u1, v2] and a[u2, v1] and not a[u1, v1] and not a[u2, v2]:
-        nxt = G.with_edges([(u1, v2), (u2, v1)], [(u1, v1), (u2, v2)])
-    else:
-        nxt = G
-    return ChainState(nxt, state.rng)
+    return advance(state, 1)
 
 
 def sample(ds: BipartiteDegreeSequence, steps: int, seed: int) -> BipartiteGraph:
     """Run the chain for ``steps`` moves from the greedy realization.
 
     Deterministic in ``seed``.  No burn-in heuristics: the caller chooses
-    the step count.
+    the step count.  A negative count is rejected before ``ds`` is realized.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    G = greedy_realize(ds)
-    denom = pair_count(G.k) * pair_count(G.l)
-    if denom == 0 or steps == 0:
-        return G
-    rng = np.random.default_rng(seed)
-    arr = G.adj.copy()
-    cl = pair_count(G.l)
-    for _ in range(steps):
-        r = int(rng.integers(denom))
-        iu, il = divmod(r, cl)
-        u1, u2 = _unrank_pair(iu, G.k)
-        v1, v2 = _unrank_pair(il, G.l)
-        a11, a12 = arr[u1, v1], arr[u1, v2]
-        a21, a22 = arr[u2, v1], arr[u2, v2]
-        if a11 and a22 and not a12 and not a21:
-            arr[u1, v1] = arr[u2, v2] = 0
-            arr[u1, v2] = arr[u2, v1] = 1
-        elif a12 and a21 and not a11 and not a22:
-            arr[u1, v2] = arr[u2, v1] = 0
-            arr[u1, v1] = arr[u2, v2] = 1
-    return BipartiteGraph._trusted(arr)
+    _check_steps(steps)
+    return advance(ChainState.start(ds, seed), steps).graph

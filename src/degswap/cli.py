@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .canonical import canonical_path, hat_matrix, switch_distance
-from .chain import sample as chain_sample
+from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, apply_swap, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
@@ -25,6 +27,7 @@ from .pairings import all_pairings, decompose, random_pairing
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _read_ds(path: str) -> BipartiteDegreeSequence:
@@ -64,20 +67,23 @@ def cmd_realize(args) -> int:
 
 def cmd_sample(args) -> int:
     ds = _read_ds(args.ds)
+    graphs = []
+    if args.count > 0:
+        # one realization per command; --count 0 neither realizes nor validates
+        _check_steps(args.steps)
+        start = greedy_realize(ds)
+        graphs = (advance(ChainState(start, np.random.default_rng(args.seed + i)),
+                          args.steps).graph for i in range(args.count))
     if args.stats:
         hist = {}
-        for i in range(args.count):
-            g = chain_sample(ds, args.steps, args.seed + i)
-            bits = "".join(str(int(x)) for x in g.adj.ravel())
-            hist[bits] = hist.get(bits, 0) + 1
+        for g in graphs:
+            hist[g.key()] = hist.get(g.key(), 0) + 1
         print("state,count")
-        for bits in sorted(hist):
-            print(f"{bits},{hist[bits]}")
+        # keys are the raw 0/1 cell bytes, so they sort as the bit strings do
+        for key in sorted(hist):
+            print(f"{key.translate(_BITS).decode()},{hist[key]}")
         return 0
-    chunks = []
-    for i in range(args.count):
-        chunks.append(chain_sample(ds, args.steps, args.seed + i).to_text())
-    sys.stdout.write("\n".join(chunks))
+    sys.stdout.write("\n".join(g.to_text() for g in graphs))
     return 0
 
 
@@ -140,8 +146,6 @@ def cmd_canonical_path(args) -> int:
 
 
 def _recover_swap(a: BipartiteGraph, b: BipartiteGraph):
-    import numpy as np
-
     from .core import Swap
     us, vs = np.nonzero(a.adj != b.adj)
     rows, cols = sorted(set(int(u) for u in us)), sorted(set(int(v) for v in vs))

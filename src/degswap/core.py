@@ -167,8 +167,8 @@ class BipartiteGraph:
         arr.setflags(write=False)
         self.adj = arr
         self.k, self.l = arr.shape
-        self.row_deg = tuple(int(x) for x in arr.sum(axis=1))
-        self.col_deg = tuple(int(x) for x in arr.sum(axis=0))
+        self.row_deg = tuple(arr.sum(axis=1).tolist())
+        self.col_deg = tuple(arr.sum(axis=0).tolist())
         self._key = arr.tobytes()
 
     # -- identity ---------------------------------------------------------
@@ -229,10 +229,9 @@ class BipartiteGraph:
     # -- text format ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.k} {self.l}"]
-        for u in range(self.k):
-            lines.append("".join("1" if self.adj[u, v] else "0" for v in range(self.l)))
-        return "\n".join(lines) + "\n"
+        rows = np.full((self.k, self.l + 1), ord("\n"), dtype=np.uint8)
+        rows[:, :-1] = self.adj + ord("0")
+        return f"{self.k} {self.l}\n" + rows.tobytes().decode()
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
@@ -240,14 +239,17 @@ class BipartiteGraph:
         if not lines:
             raise ValueError("empty graph text")
         k, l = (int(t) for t in lines[0].split())
-        if len(lines) != k + 1:
-            raise ValueError(f"expected {k} matrix rows, found {len(lines) - 1}")
+        body = lines[1:]
+        if l == 0 and not body:
+            body = [""] * k      # the k rows of a k x 0 matrix are blank lines
+        if len(body) != k:
+            raise ValueError(f"expected {k} matrix rows, found {len(body)}")
         rows = []
-        for ln in lines[1:]:
+        for ln in body:
             if len(ln) != l or set(ln) - {"0", "1"}:
                 raise ValueError(f"bad matrix row {ln!r}")
             rows.append([int(c) for c in ln])
-        return cls(np.array(rows, dtype=np.uint8))
+        return cls(np.array(rows, dtype=np.uint8).reshape(k, l))
 
 
 # -- realization --------------------------------------------------------------

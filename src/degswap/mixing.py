@@ -21,7 +21,7 @@ from .core import (BipartiteDegreeSequence, allowed_swaps, apply_swap,
                    greedy_realize, symmetric_difference)
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
                      TooManyPairings)
-from .pairings import all_pairings, enumerate_pairings_count
+from .pairings import _all_pairings, _incidences, _pairing_count
 from .ryser import replay
 
 
@@ -372,13 +372,14 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
         for yi, Y in enumerate(space.states):
             if xi == yi:
                 continue
-            t_total = enumerate_pairings_count(X, Y)
+            part = symmetric_difference(X, Y)
+            incid = _incidences(part)
+            t_total = _pairing_count(incid)
             if t_total > max_pairings:
                 raise TooManyPairings(
                     f"{t_total} pairings exceed the guard {max_pairings}")
-            part = symmetric_difference(X, Y)
             counts = {}
-            for s in all_pairings(X, Y):
+            for s in _all_pairings(part, incid):
                 ids = [xi]
                 for cyc in _pairing_cycles(X, Y, s, part):
                     ids.extend(_segment(space, segments, ids[-1], cyc))

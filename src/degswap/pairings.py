@@ -60,17 +60,20 @@ class Pairing:
 def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
     """The exact number of pairings: the product of (d_w)! over all vertices,
     where the symmetric difference has degree 2*d_w at w."""
-    part = symmetric_difference(X, Y)
+    return _pairing_count(_incidences(symmetric_difference(X, Y)))
+
+
+def _pairing_count(incid) -> int:
     total = 1
-    for xs, ys in _incidences(part).values():
+    for xs, ys in incid.values():
         assert len(xs) == len(ys)
         total *= math.factorial(len(xs))
     return total
 
 
-def _build(part, perm_choice) -> Pairing:
+def _build(part, incid, perm_choice) -> Pairing:
     maps = {}
-    for w, (xs, ys) in _incidences(part).items():
+    for w, (xs, ys) in incid.items():
         image = perm_choice(w, xs, ys)
         table = {}
         for e, f in zip(xs, image):
@@ -88,7 +91,7 @@ def random_pairing(X: BipartiteGraph, Y: BipartiteGraph, seed: int) -> Pairing:
     def choose(w, xs, ys):
         return [ys[i] for i in rng.permutation(len(ys))]
 
-    return _build(part, choose)
+    return _build(part, _incidences(part), choose)
 
 
 def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
@@ -98,14 +101,18 @@ def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     the images run through permutations of the sorted Y-edge list.
     """
     part = symmetric_difference(X, Y)
-    incid = _incidences(part)
+    yield from _all_pairings(part, _incidences(part))
+
+
+def _all_pairings(part, incid):
+    """``all_pairings`` for a symmetric difference and its ``_incidences``."""
     keys = sorted(incid.keys())
     perm_lists = [list(permutations(incid[w][1])) for w in keys]
 
     def rec(i, chosen):
         if i == len(keys):
             assignment = dict(zip(keys, chosen))
-            yield _build(part, lambda w, xs, ys: assignment[w])
+            yield _build(part, incid, lambda w, xs, ys: assignment[w])
             return
         for image in perm_lists[i]:
             yield from rec(i + 1, chosen + [image])

@@ -240,3 +240,33 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
     return CongestionReport(kappa=load[max_edge], max_edge=max_edge,
                             edge_loading_max=max(weight.values()), n_paths=n_paths,
                             max_switch_distance=max_sd if certify else None)
+
+
+def cell_text(g) -> str:
+    """The graph text format written cell by cell: a "k l" header line, then
+    one line of 0/1 characters per U-vertex."""
+    lines = [f"{g.k} {g.l}"]
+    for u in range(g.k):
+        lines.append("".join("1" if g.adj[u, v] else "0" for v in range(g.l)))
+    return "\n".join(lines) + "\n"
+
+
+def scalar_walk(g, rng, steps: int):
+    """The swap chain one scalar draw per step, on a copy of the matrix: draw
+    r below C(k,2)*C(l,2), take the U-pair and V-pair of ranks divmod(r,
+    C(l,2)) from ``itertools.combinations`` order, and exchange the 2x2
+    submatrix when it holds exactly one of its two diagonals."""
+    from itertools import combinations
+
+    u_pairs = list(combinations(range(g.k), 2))
+    v_pairs = list(combinations(range(g.l), 2))
+    a = g.adj.copy()
+    if not u_pairs or not v_pairs:
+        return BipartiteGraph(a)
+    for _ in range(steps):
+        iu, iv = divmod(int(rng.integers(len(u_pairs) * len(v_pairs))), len(v_pairs))
+        (u1, u2), (v1, v2) = u_pairs[iu], v_pairs[iv]
+        sub = a[np.ix_((u1, u2), (v1, v2))]
+        if sub.sum() == 2 and sub[0, 0] == sub[1, 1]:
+            a[np.ix_((u1, u2), (v1, v2))] = 1 - sub
+    return BipartiteGraph(a)

@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState,
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, advance,
                      greedy_realize, sample, step, transition_prob)
-from degswap.errors import DegreeMismatch
+from degswap import chain
+from degswap.errors import DegreeMismatch, NotGraphical
 from degswap.mixing import enumerate_states
+
+from oracles import scalar_walk
 
 DS = BipartiteDegreeSequence((2, 2, 2), (3, 2, 1))
 
@@ -101,3 +105,64 @@ def test_sample_deterministic():
 def test_sample_margins():
     g = sample(DS, 300, seed=7)
     assert g.row_deg == (2, 2, 2) and g.col_deg == (3, 2, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_unrank_lists_pairs_in_combinations_order(n):
+    i, j = chain._unrank_pairs(np.arange(math.comb(n, 2), dtype=np.int64), n)
+    assert list(zip(i.tolist(), j.tolist())) == list(combinations(range(n), 2))
+
+
+def _stepwise(graph, seed, n):
+    st = ChainState(graph, np.random.default_rng(seed))
+    for _ in range(n):
+        st = step(st)
+    return st
+
+
+@pytest.mark.parametrize("graph, denom", [
+    (BipartiteGraph([[1, 1, 0, 1]]), 0),
+    (BipartiteGraph([[1, 0], [0, 1]]), 1),
+    (greedy_realize(DS), 9),
+    (greedy_realize(BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2))), 60),
+    (greedy_realize(BipartiteDegreeSequence((200,) * 400, (200,) * 400)), 79_800 ** 2),
+])
+def test_advance_reproduces_the_stepwise_stream(graph, denom):
+    assert chain.pair_count(graph.k) * chain.pair_count(graph.l) == denom
+    for seed, n in ((3, 0), (5, 1), (8, 150)):
+        one = _stepwise(graph, seed, n)
+        batch = advance(ChainState(graph, np.random.default_rng(seed)), n)
+        ref_rng = np.random.default_rng(seed)
+        assert batch.graph == one.graph == scalar_walk(graph, ref_rng, n)
+        # the generator is left where the scalar draws leave it
+        nxt = batch.rng.integers(max(denom, 1))
+        assert nxt == one.rng.integers(max(denom, 1)) == ref_rng.integers(max(denom, 1))
+        assert batch.rng.random() == one.rng.random() == ref_rng.random()
+
+
+def test_advance_blocks_continue_the_stream(monkeypatch):
+    monkeypatch.setattr(chain, "_BLOCK", 7)
+    graph = greedy_realize(BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2)))
+    one = _stepwise(graph, 17, 40)
+    batch = advance(ChainState(graph, np.random.default_rng(17)), 40)
+    assert batch.graph == one.graph
+    assert batch.rng.random() == one.rng.random()
+    split = advance(advance(ChainState(graph, np.random.default_rng(17)), 9), 31)
+    assert split.graph == one.graph
+
+
+def test_advance_keeps_the_state_and_margins():
+    st = ChainState(greedy_realize(DS), np.random.default_rng(4))
+    after = advance(st, 300)
+    assert after.rng is st.rng and st.graph == greedy_realize(DS)
+    assert after.graph.row_deg == (2, 2, 2) and after.graph.col_deg == (3, 2, 1)
+    assert not after.graph.adj.flags.writeable
+
+
+def test_negative_steps_rejected_before_realizing():
+    with pytest.raises(ValueError):
+        advance(ChainState(greedy_realize(DS), np.random.default_rng(0)), -1)
+    with pytest.raises(ValueError):
+        sample(BipartiteDegreeSequence((2, 2), (1, 1)), -1, seed=0)
+    with pytest.raises(NotGraphical):
+        sample(BipartiteDegreeSequence((2, 2), (1, 1)), 0, seed=0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from degswap.cli import main
@@ -114,3 +116,51 @@ def test_help(capsys):
     for sub in ("check", "realize", "sample", "transform", "decompose",
                 "canonical-path", "mix-report"):
         assert sub in out
+
+
+# Digests (sha256, first 16 hex digits) of `sample --steps 57 --seed 11` stdout,
+# recorded before the batched walk replaced the one-draw-per-step loop; the
+# walk must reproduce the old trajectories exactly.
+SAMPLE_GOLDEN = {
+    # name: (degree sequence, --count 4 digest, --count 40 --stats digest)
+    "3x3": ("2 2 2\n3 2 1\n", "0cf44c96a0528d56", "d3c1f2a6c89f7391"),
+    "4x5": ("3 2 2 1\n2 2 2 1 1\n", "ede13fec39f90fa2", "5669ca73808badb9"),
+    "2x2 one swap": ("1 1\n1 1\n", "1cd01ee7eb0aa377", "85125b76784d1f53"),
+    "1x3 no swap": ("2\n1 1 0\n", "288098f19ec0a29e", "4deba5d62870dd54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GOLDEN))
+@pytest.mark.parametrize("stats", [False, True])
+def test_sample_golden_output(tmp_path, capsys, name, stats):
+    ds_text, plain, with_stats = SAMPLE_GOLDEN[name]
+    argv = ["sample", "--ds", write(tmp_path, "d.txt", ds_text), "--steps", "57",
+            "--seed", "11", "--count", "40" if stats else "4"]
+    if stats:
+        argv.append("--stats")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+    assert digest == (with_stats if stats else plain)
+
+
+@pytest.mark.parametrize("extra, code, out, err", [
+    # --count 0 never realizes, so neither graphicality nor the step count is checked
+    (["--count", "0"], 0, "", ""),
+    (["--count", "0", "--stats"], 0, "state,count\n", ""),
+    (["--count", "0", "--steps", "-1"], 0, "", ""),
+    # a negative step count is reported before graphicality
+    (["--steps", "-1"], 1, "", "error[ValueError]: steps must be non-negative\n"),
+    (["--steps", "-1", "--stats"], 1, "", "error[ValueError]: steps must be non-negative\n"),
+    ([], 1, "", "error[NotGraphical]: degree sums differ: sum(a)=4 vs sum(b)=2\n"),
+])
+def test_sample_exit_behaviour(tmp_path, capsys, extra, code, out, err):
+    assert main(["sample", "--ds", write(tmp_path, "d.txt", DS_BAD)] + extra) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
+def test_sample_negative_steps_on_graphical_sequence(tmp_path, capsys):
+    assert main(["sample", "--ds", write(tmp_path, "d.txt", DS_OK), "--steps", "-1"]) == 1
+    assert capsys.readouterr().err == "error[ValueError]: steps must be non-negative\n"

@@ -8,7 +8,7 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap
                      push_up, symmetric_difference)
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
-from oracles import brute_margin_count, all_degree_pairs
+from oracles import all_degree_pairs, brute_margin_count, cell_text
 
 
 def bds(a, b):
@@ -192,6 +192,19 @@ class TestGraphText:
         assert BipartiteGraph.from_text(g.to_text()) == g
         assert BipartiteGraph.from_text(g.to_text()).to_text() == g.to_text()
 
+    @pytest.mark.parametrize("k, l", [(1, 1), (1, 7), (7, 1), (3, 5), (6, 2), (0, 3), (2, 0)])
+    def test_matches_cell_by_cell_text(self, k, l):
+        for seed in range(3):
+            g = random_graph(seed, k, l)
+            assert g.to_text() == cell_text(g)
+            assert BipartiteGraph.from_text(g.to_text()) == g
+
+    def test_empty_shapes(self):
+        assert BipartiteGraph(np.zeros((0, 3), dtype=np.uint8)).to_text() == "0 3\n"
+        assert BipartiteGraph(np.zeros((2, 0), dtype=np.uint8)).to_text() == "2 0\n\n\n"
+
     def test_bad_row(self):
         with pytest.raises(ValueError):
             BipartiteGraph.from_text("1 2\n12\n")
+        with pytest.raises(ValueError):
+            BipartiteGraph.from_text("0 3\n101\n")
