@@ -19,7 +19,8 @@ from .core import (BipartiteDegreeSequence, BipartiteGraph, EdgePartition, Swap,
                    push_up, symmetric_difference)
 from .errors import DegSwapError, Exceeds, NotGraphical, Unreachable
 from .mixing import (StateSpace, TransitionMatrix, build_kernel, congestion,
-                     enumerate_states, spectral_gap, tv_mixing_time)
+                     count_realizations, enumerate_states, spectral_gap,
+                     tv_mixing_time)
 from .pairings import (AlternatingCycle, CircuitDecomposition, Pairing,
                        all_pairings, circuits_of, cycles_of, decompose,
                        enumerate_pairings_count, random_pairing)

@@ -13,12 +13,13 @@ listing the two U-vertices and then the two V-vertices.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from . import __version__
-from .canonical import canonical_path, hat_matrix, switch_distance
+from .canonical import canonical_path
 from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, apply_swap, greedy_realize
 from .errors import DegSwapError, NotGraphical
@@ -129,14 +130,16 @@ def cmd_canonical_path(args) -> int:
             raise DegSwapError(f"pairing index {args.pairing_index} out of range")
     else:
         pairing = random_pairing(x, y, args.seed)
-    states = canonical_path(x, y, pairing)
+    if args.certify:
+        states, certs = canonical_path(x, y, pairing, certify=True)
+    else:
+        states = canonical_path(x, y, pairing)
     sys.stdout.write("\n".join(g.to_text() for g in states))
     if args.certify:
         print("---")
         print("step,swap,switch_distance")
         prev = None
-        for i, g in enumerate(states):
-            sd = switch_distance(hat_matrix(x, y, g).cells)
+        for i, (g, sd) in enumerate(zip(states, certs)):
             sw = ""
             if prev is not None:
                 sw = _swap_line(_recover_swap(prev, g))
@@ -170,7 +173,10 @@ def cmd_mix_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every call starts from the same parser."""
     p = argparse.ArgumentParser(prog="degswap", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"degswap {__version__}")

@@ -268,19 +268,18 @@ def greedy_realize(ds: BipartiteDegreeSequence) -> BipartiteGraph:
             f"degree sums differ: sum(a)={sum(ds.a)} vs sum(b)={sum(ds.b)}")
     k, l = ds.k, ds.l
     adj = np.zeros((k, l), dtype=np.uint8)
-    cap = list(ds.a)
+    cap = np.array(ds.a, dtype=np.int64)
     for j in range(l):
         d = ds.b[j]
         if d == 0:
             continue
-        order = sorted(range(k), key=lambda u: (-cap[u], u))
-        chosen = order[:d]
+        # a stable sort of -cap breaks ties by lowest index
+        chosen = np.argsort(-cap, kind="stable")[:d]
         if cap[chosen[-1]] == 0:
             raise NotGraphical(f"cannot satisfy V-vertex {j} with degree {d}")
-        for u in chosen:
-            adj[u, j] = 1
-            cap[u] -= 1
-    if any(cap):
+        adj[chosen, j] = 1
+        cap[chosen] -= 1
+    if cap.any():
         raise NotGraphical("leftover capacity after placing all V-vertices")
     return BipartiteGraph._trusted(adj)
 

@@ -1,5 +1,6 @@
-"""Desk-scale ground truth: enumerated state spaces, exact kernels, spectra,
-distance-to-uniform decay, and the congestion of the canonical path system.
+"""Desk-scale ground truth: exact realization counts, enumerated state spaces,
+exact kernels, spectra, distance-to-uniform decay, and the congestion of the
+canonical path system.
 
 The kernel is held as an integer matrix over one common denominator, and
 everything that feeds an inequality check is computed in Python integers or
@@ -17,12 +18,14 @@ import numpy as np
 
 from .canonical import _pairing_cycles, _solve_cycle, hat_matrix, switch_distance
 from .chain import pair_count
-from .core import (BipartiteDegreeSequence, allowed_swaps, apply_swap,
-                   greedy_realize, symmetric_difference)
+from .core import (BipartiteDegreeSequence, BipartiteGraph, greedy_realize,
+                   symmetric_difference)
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
                      TooManyPairings)
 from .pairings import _all_pairings, _incidences, _pairing_count
 from .ryser import replay
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -44,74 +47,158 @@ class StateSpace:
         return len(self.states)
 
 
-def _brute_force_count(ds: BipartiteDegreeSequence) -> int:
-    """Direct count of 0-1 matrices with the given margins, by rows."""
-    from itertools import combinations
+def count_realizations(ds: BipartiteDegreeSequence) -> int:
+    """Number of 0-1 matrices with row sums ``ds.a`` and column sums ``ds.b``.
 
+    A dynamic program over the rows, after Miller & Harrison (2013), "Exact
+    sampling and counting for fixed-margin matrices": columns that still
+    need equally many ones are interchangeable, so the state after each row
+    is the histogram of remaining column demands, and a row picks how many
+    columns to take from each demand class, in ``C(count, taken)`` ways.
+    Only states the remaining rows can still complete (Gale-Ryser) are kept,
+    so each row holds at most one state per realization.
+    """
+    if not ds.sums_match():
+        return 0
     k, l = ds.k, ds.l
-    memo = {}
+    hist = [0] * (k + 1)           # hist[d]: columns still needing d ones
+    for d in ds.b:
+        hist[d] += 1
+    level = {tuple(hist): 1}       # histogram after the rows so far -> matrices
+    for i, r in enumerate(ds.a):
+        # room[q]: the most ones that q columns can take from the rows after row i
+        room = [sum(min(x, q) for x in ds.a[i + 1:]) for q in range(l + 1)]
+        after_row = {}
+        for h, count in level.items():
+            for after, ways in _row_choices(h, r, room):
+                after_row[after] = after_row.get(after, 0) + count * ways
+        level = after_row
+    return sum(level.values())     # after the last row only all-zero demands fit
 
-    def count_from(i, cols_left):
-        if i == k:
-            return 1 if all(c == 0 for c in cols_left) else 0
-        key = (i, cols_left)
-        if key in memo:
-            return memo[key]
-        total = 0
-        d = ds.a[i]
-        avail = [j for j in range(l) if cols_left[j] > 0]
-        if len(avail) >= d:
-            for pick in combinations(avail, d):
-                nxt = list(cols_left)
-                for j in pick:
-                    nxt[j] -= 1
-                total += count_from(i + 1, tuple(nxt))
-        memo[key] = total
-        return total
 
-    return count_from(0, tuple(ds.b))
+def _row_choices(hist: tuple, r: int, room: list) -> list:
+    """Every way one row with r ones can take its columns by demand class,
+    as ``(histogram after the row, number of column sets)``, keeping only
+    histograms whose q largest demands sum to at most ``room[q]`` for every
+    q (the Gale-Ryser condition for the rows after this one)."""
+    out = []
+    after = list(hist)
+    classes = [d for d in range(len(hist) - 1, 0, -1) if hist[d]]
+    below = [0] * len(hist)        # below[d]: columns with demand in 1..d-1
+    for d in range(2, len(hist)):
+        below[d] = below[d - 1] + hist[d - 1]
+
+    def take(c: int, r: int, ways: int, q: int, s: int):
+        # the classes above classes[c] are settled: q columns with s demand.
+        # The q largest demands sum linearly in q across one class and room
+        # is concave, so checking at each class boundary checks every q.
+        if c == len(classes):
+            if r == 0:
+                out.append((tuple(after), ways))
+            return
+        d = classes[c]
+        for t in range(max(0, r - below[d]), min(hist[d], r) + 1):
+            after[d] -= t
+            after[d - 1] += t
+            q_d, s_d = q + after[d], s + d * after[d]
+            fits = s_d <= room[q_d]
+            if fits and not hist[d - 1]:
+                # no class of its own below: the t columns settle at d - 1
+                q_d, s_d = q_d + t, s_d + (d - 1) * t
+                fits = s_d <= room[q_d]
+            if fits:
+                take(c + 1, r - t, ways * math.comb(hist[d], t), q_d, s_d)
+            after[d] += t
+            after[d - 1] -= t
+
+    take(0, r, 1, 0, 0)
+    return out
+
+
+def _row_masks(g) -> tuple:
+    """The rows of g's matrix as ints, column j at bit ``l-1-j``, so that
+    tuples of masks order as the graphs' byte keys do."""
+    bits = g.key().translate(_BITS)
+    return tuple(int(bits[u * g.l:(u + 1) * g.l], 2) for u in range(g.k))
+
+
+def _stacked(states: list, k: int, l: int) -> np.ndarray:
+    """The matrices of row-mask states as one read-only ``(n, k, l)`` uint8
+    array."""
+    nb = (l + 7) // 8
+    raw = b"".join(r.to_bytes(nb, "big") for rows in states for r in rows)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(states), k, nb), axis=2)
+    arr = np.ascontiguousarray(bits[:, :, 8 * nb - l:])
+    arr.setflags(write=False)
+    return arr
 
 
 def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> StateSpace:
     """Depth-first enumeration of the realization space over allowed swaps.
 
-    Every allowed swap of every state is applied exactly once, and its
-    target is recorded as a neighbour, so the move graph comes out of the
-    same pass.  For small instances (k*l <= 20) the count is cross-validated
-    against a direct enumeration of all 0-1 matrices with the prescribed
-    margins.
+    The walk runs on packed rows: a state is the tuple of its row masks
+    (``_row_masks``).  For rows a < b, the allowed swaps are exactly the
+    pairs of a column x in ``ra & ~rb`` and a column y in ``rb & ~ra``, and
+    the swap XORs both rows with ``bit x | bit y``.  Every allowed swap of
+    every state is made once and its target recorded as a neighbour, so the
+    move graph comes out of the same pass.  The graphs are built once, at
+    the end, and the number of states is checked against
+    ``count_realizations`` at every size.
     """
     start = greedy_realize(ds)
-    found = {start.key(): 0}         # key -> id in discovery order
-    graphs = [start]
-    moves = {}                       # id -> ids of its swap targets
+    k, l = ds.k, ds.l
+    first = _row_masks(start)
+    found = {first: 0}              # state -> id in discovery order
+    states = [first]
+    moves = {}                      # id -> ids of its swap targets
+    row_pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     stack = [0]
     while stack:
         i = stack.pop()
-        g = graphs[i]
+        rows = states[i]
         nbrs = moves[i] = []
-        for s in allowed_swaps(g):
-            h = apply_swap(g, s)
-            j = found.get(h.key())
-            if j is None:
-                if len(graphs) >= max_states:
-                    raise TooLarge(f"more than {max_states} realizations")
-                j = found[h.key()] = len(graphs)
-                graphs.append(h)
-                stack.append(j)
-            nbrs.append(j)
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].key())
-    rank = [0] * len(order)
+        for a, b in row_pairs:
+            ra, rb = rows[a], rows[b]
+            xs, ys = ra & ~rb, rb & ~ra
+            if not xs or not ys:
+                continue
+            ybits = []
+            while ys:
+                y = ys & -ys
+                ybits.append(y)
+                ys ^= y
+            head, mid, tail = rows[:a], rows[a + 1:b], rows[b + 1:]
+            while xs:
+                x = xs & -xs
+                xs ^= x
+                for y in ybits:
+                    m = x | y
+                    h = head + (ra ^ m,) + mid + (rb ^ m,) + tail
+                    j = found.get(h)
+                    if j is None:
+                        if len(states) >= max_states:
+                            raise TooLarge(f"more than {max_states} realizations")
+                        j = found[h] = len(states)
+                        states.append(h)
+                        stack.append(j)
+                    nbrs.append(j)
+    del found                       # the graphs below need the room
+    n = len(states)
+    expected = count_realizations(ds)
+    if expected != n:
+        raise AssertionError(f"swap enumeration found {n} states, exact count {expected}")
+    order = sorted(range(n), key=states.__getitem__)
+    rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    states = tuple(graphs[i] for i in order)
-    neighbours = tuple(tuple(sorted(rank[j] for j in moves[i])) for i in order)
-    if ds.k * ds.l <= 20:
-        expected = _brute_force_count(ds)
-        if expected != len(states):
-            raise AssertionError(
-                f"swap enumeration found {len(states)} states, direct count {expected}")
-    return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)}, neighbours)
+    mats = _stacked([states[i] for i in order], k, l)
+    if not ((mats.sum(axis=2) == start.row_deg).all()
+            and (mats.sum(axis=1) == start.col_deg).all()):
+        raise AssertionError("an enumerated state has other margins than the start")
+    graphs = tuple(BipartiteGraph._trusted(m) for m in mats)
+    # popping each list as it is ranked keeps one copy of the move graph alive
+    neighbours = tuple(tuple(sorted(rank[j] for j in moves.pop(i))) for i in order)
+    return StateSpace(ds, graphs, {g.key(): i for i, g in enumerate(graphs)}, neighbours)
 
 
 class TransitionMatrix:

@@ -8,24 +8,33 @@ relation, and instances are assembled cell by cell.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from degswap import AlternatingCycle, BipartiteGraph
 from degswap.core import allowed_swaps, apply_swap
 
 
+@lru_cache(maxsize=16)
+def _all_margins(k: int, l: int):
+    """Row sums and column sums of every k x l 0-1 matrix, one bitmask each."""
+    n = k * l
+    codes = np.arange(1 << n, dtype=np.int64)
+    bits = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    mats = bits.reshape(-1, k, l)
+    return mats.sum(axis=2, dtype=np.int8), mats.sum(axis=1, dtype=np.int8)
+
+
 def brute_margin_count(a, b) -> int:
     """Number of 0-1 matrices with row sums ``a`` and column sums ``b``,
     by enumerating all 2^(k*l) bitmasks (k*l <= 24)."""
     k, l = len(a), len(b)
-    n = k * l
-    if n > 24:
+    if k * l > 24:
         raise ValueError("bitmask oracle limited to k*l <= 24")
-    codes = np.arange(1 << n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n)) & 1
-    mats = bits.reshape(-1, k, l)
-    ok_rows = (mats.sum(axis=2) == np.array(a)).all(axis=1)
-    ok_cols = (mats.sum(axis=1) == np.array(b)).all(axis=1)
+    rows, cols = _all_margins(k, l)
+    ok_rows = (rows == np.array(a)).all(axis=1)
+    ok_cols = (cols == np.array(b)).all(axis=1)
     return int((ok_rows & ok_cols).sum())
 
 
@@ -270,3 +279,63 @@ def scalar_walk(g, rng, steps: int):
         if sub.sum() == 2 and sub[0, 0] == sub[1, 1]:
             a[np.ix_((u1, u2), (v1, v2))] = 1 - sub
     return BipartiteGraph(a)
+
+
+# -- graph-object walks -------------------------------------------------------
+
+
+def naive_greedy_realize(ds):
+    """``greedy_realize`` with the U-vertices sorted in Python for every
+    V-vertex: each V-vertex in order takes the d U-vertices of largest
+    remaining capacity, ties broken by lowest index."""
+    from degswap.errors import NotGraphical
+
+    if sum(ds.a) != sum(ds.b):
+        raise NotGraphical(
+            f"degree sums differ: sum(a)={sum(ds.a)} vs sum(b)={sum(ds.b)}")
+    k, l = len(ds.a), len(ds.b)
+    adj = np.zeros((k, l), dtype=np.uint8)
+    cap = list(ds.a)
+    for j in range(l):
+        d = ds.b[j]
+        if d == 0:
+            continue
+        order = sorted(range(k), key=lambda u: (-cap[u], u))
+        chosen = order[:d]
+        if cap[chosen[-1]] == 0:
+            raise NotGraphical(f"cannot satisfy V-vertex {j} with degree {d}")
+        for u in chosen:
+            adj[u, j] = 1
+            cap[u] -= 1
+    if any(cap):
+        raise NotGraphical("leftover capacity after placing all V-vertices")
+    return BipartiteGraph(adj)
+
+
+def naive_enumerate(ds):
+    """The state space walked on graph objects: every allowed swap of every
+    state applied with ``apply_swap``, states ordered by byte key."""
+    from degswap.core import greedy_realize
+    from degswap.mixing import StateSpace
+
+    start = greedy_realize(ds)
+    found = {start.key(): 0}
+    graphs = [start]
+    moves = {}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        nbrs = moves[i] = []
+        for s in allowed_swaps(graphs[i]):
+            h = apply_swap(graphs[i], s)
+            j = found.get(h.key())
+            if j is None:
+                j = found[h.key()] = len(graphs)
+                graphs.append(h)
+                stack.append(j)
+            nbrs.append(j)
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].key())
+    rank = {i: r for r, i in enumerate(order)}
+    states = tuple(graphs[i] for i in order)
+    neighbours = tuple(tuple(sorted(rank[j] for j in moves[i])) for i in order)
+    return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)}, neighbours)

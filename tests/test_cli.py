@@ -71,6 +71,39 @@ def test_canonical_path_certify(tmp_path, capsys):
     assert out.count("2 2") >= 1
 
 
+# Digests (sha256, first 16 hex digits) of `canonical-path X Y --certify`
+# stdout, recorded while the command still computed its certificates itself
+# instead of taking them from `canonical_path(certify=True)`.
+CANONICAL_PATH_GOLDEN = {
+    # name: (X, Y, --pairing-index 0 digest, --seed 5 digest)
+    "4x4 2-regular": ("4 4\n0011\n0011\n1100\n1100\n", "4 4\n1100\n1100\n0011\n0011\n",
+                      "bf52f2ea6e3ada6d", "23e9d5f61ce81acc"),
+    "V-regular, certificate 3": ("4 4\n1011\n0101\n0110\n1000\n",
+                                 "4 4\n1101\n0110\n1010\n0001\n",
+                                 "a0e4b620635252b1", "a0e4b620635252b1"),
+    "U-regular": ("4 4\n0011\n1010\n1100\n1100\n", "4 4\n1100\n1100\n1010\n0011\n",
+                  "8265415e0d0f4865", "927580ac37bffaa2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN))
+@pytest.mark.parametrize("by_index", [False, True])
+def test_canonical_path_certify_golden(tmp_path, capsys, name, by_index):
+    x, y, indexed, seeded = CANONICAL_PATH_GOLDEN[name]
+    argv = ["canonical-path", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y),
+            "--certify"]
+    argv += ["--pairing-index", "0"] if by_index else ["--seed", "5"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == (indexed if by_index else seeded)
+
+
+def test_parser_built_once():
+    from degswap.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
 def test_mix_report(tmp_path, capsys):
     ds = write(tmp_path, "d.txt", DS_OK)
     assert main(["mix-report", "--ds", ds]) == 0

@@ -8,11 +8,27 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap
                      push_up, symmetric_difference)
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
-from oracles import all_degree_pairs, brute_margin_count, cell_text
+from oracles import all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize
 
 
 def bds(a, b):
     return BipartiteDegreeSequence(tuple(a), tuple(b))
+
+
+def unchecked_ds(a, b):
+    """A degree sequence built past the constructor's checks."""
+    ds = object.__new__(BipartiteDegreeSequence)
+    object.__setattr__(ds, "a", tuple(a))
+    object.__setattr__(ds, "b", tuple(b))
+    return ds
+
+
+def realized(realize, ds):
+    """The realization, or the text of the ``NotGraphical`` raised."""
+    try:
+        return realize(ds)
+    except NotGraphical as exc:
+        return str(exc)
 
 
 def random_graph(seed, k=4, l=4, p=0.5):
@@ -72,6 +88,47 @@ class TestGreedyRealize:
     def test_not_graphical_raises(self):
         with pytest.raises(NotGraphical):
             greedy_realize(bds((2, 2), (1, 1)))
+
+    def test_matches_python_sort_on_small_pairs(self):
+        for a, b in all_degree_pairs(4, 4):
+            ds = bds(a, b)
+            assert realized(greedy_realize, ds) == realized(naive_greedy_realize, ds), (a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        # a V degree above k (or a U degree above l), past the range checks
+        # of BipartiteDegreeSequence
+        ((2, 1), (3,)), ((3, 3), (3, 3)), ((2, 2), (3, 1)), ((3, 1), (4,)),
+        ((2, 2, 2), (2, 4)), ((4, 2), (3, 3)),
+        ((2, 2), (1, 1)),        # unequal sums
+    ])
+    def test_matches_python_sort_when_not_graphical(self, a, b):
+        ds = unchecked_ds(a, b)
+        got = realized(greedy_realize, ds)
+        assert got == realized(naive_greedy_realize, ds)
+        assert isinstance(got, str)
+
+    def test_matches_python_sort_on_random_sequences(self):
+        rng = np.random.default_rng(2026)
+        outcomes = set()
+        for _ in range(300):
+            k, l = (int(x) for x in rng.integers(1, 31, size=2))
+            adj = rng.random((k, l)) < rng.random()
+            a = sorted(adj.sum(axis=1).tolist(), reverse=True)
+            b = sorted(adj.sum(axis=0).tolist(), reverse=True)
+            for _ in range(int(rng.integers(4)) if any(b) else 0):
+                # move a unit of V degree from the smallest positive column
+                # to the largest one below k: b then majorizes more, and
+                # soon no longer realizes
+                src = max(j for j in range(l) if b[j] > 0)
+                dst = min((j for j in range(l) if b[j] < k), default=src)
+                if dst < src:
+                    b[src] -= 1
+                    b[dst] += 1
+            ds = bds(a, b)
+            want = realized(naive_greedy_realize, ds)
+            assert realized(greedy_realize, ds) == want, (a, b)
+            outcomes.add(want if isinstance(want, str) else "graph")
+        assert "graph" in outcomes and len(outcomes) > 1
 
 
 class TestPushUp:

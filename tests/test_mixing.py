@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from degswap import BipartiteDegreeSequence, BipartiteGraph
+from degswap import BipartiteDegreeSequence, BipartiteGraph, mixing
 from degswap.core import is_graphical
 from degswap.errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
 from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
-                            build_kernel, congestion, distance_profile,
-                            enumerate_states, spectral_gap, tv_mixing_time)
+                            build_kernel, congestion, count_realizations,
+                            distance_profile, enumerate_states, spectral_gap,
+                            tv_mixing_time)
 
 from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
-                     dense_kernel_rows, naive_congestion)
+                     dense_kernel_rows, naive_congestion, naive_enumerate)
 
 
 def bds(a, b):
@@ -36,6 +37,84 @@ class TestEnumeration:
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         keys = [g.key() for g in space.states]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("a, b", [
+        # shapes beyond the 4 x 4 sweep below: 1 x n, n x 1, zero degrees,
+        # rows wider than one byte, and the 1,170- and 2,040-state spaces
+        ((7,), (1,) * 7), ((1,) * 7, (7,)), ((4,), (1, 1, 1, 1, 0, 0)),
+        ((0,) * 6, (0,)), ((3, 2, 1, 0, 0), (2, 1, 1, 1, 1, 0)),
+        ((2, 2), (1,) * 4 + (0,) * 6), ((3, 3, 2), (1,) * 8 + (0,) * 3),
+        ((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)), ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
+    ])
+    def test_matches_graph_walk(self, a, b):
+        assert_same_space(bds(a, b))
+
+    def test_matches_graph_walk_on_small_pairs(self):
+        checked = 0
+        for a, b in all_degree_pairs(4, 4):
+            ds = bds(a, b)
+            if is_graphical(ds):
+                assert_same_space(ds)
+                checked += 1
+        assert checked > 500
+
+    def test_states_are_trusted_read_only_graphs(self):
+        space = enumerate_states(bds((2, 2, 1), (2, 2, 1)))
+        for g in space.states:
+            assert g == BipartiteGraph(g.adj) and not g.adj.flags.writeable
+            assert (g.row_deg, g.col_deg) == ((2, 2, 1), (2, 2, 1))
+
+    def test_too_large_fires_during_the_walk(self, monkeypatch):
+        def no_count(ds):
+            raise AssertionError("counted before the walk finished")
+
+        monkeypatch.setattr(mixing, "count_realizations", no_count)
+        with pytest.raises(TooLarge):
+            enumerate_states(bds((3,) * 6, (3,) * 6))
+
+    def test_count_checked_above_the_old_cutoff(self, monkeypatch):
+        ds = bds((3, 2, 2, 2, 1), (2, 2, 2, 2, 2))
+        assert ds.k * ds.l > 20 and enumerate_states(ds).n == 1170
+        real = mixing.count_realizations
+        monkeypatch.setattr(mixing, "count_realizations", lambda ds: real(ds) + 1)
+        with pytest.raises(AssertionError, match="exact count 1171"):
+            enumerate_states(ds)
+
+
+def assert_same_space(ds):
+    got, want = enumerate_states(ds), naive_enumerate(ds)
+    assert [g.key() for g in got.states] == [g.key() for g in want.states], ds
+    assert got.index == want.index and got.neighbours == want.neighbours, ds
+
+
+class TestCounting:
+    def test_matches_bitmask_count(self):
+        nonzero = 0
+        for a, b in all_degree_pairs(4, 4):
+            count = count_realizations(bds(a, b))
+            assert count == brute_margin_count(a, b), (a, b)
+            nonzero += count > 0
+        assert 0 < nonzero < len(all_degree_pairs(4, 4))
+
+    def test_unequal_sums_count_zero(self):
+        assert count_realizations(bds((2, 2), (1, 1))) == 0
+
+    @pytest.mark.parametrize("n, d, count", [
+        (4, 2, 90), (6, 3, 297_200), (8, 4, 116_963_796_250),
+    ])
+    def test_pinned_regular_counts(self, n, d, count):
+        assert count_realizations(bds((d,) * n, (d,) * n)) == count
+
+    def test_staircase_has_one_realization(self):
+        # every row's choice but the greedy one is a dead end; the
+        # Gale-Ryser pruning drops each at once instead of expanding it
+        stairs = tuple(range(40, 0, -1))
+        assert count_realizations(bds(stairs, stairs)) == 1
+        assert enumerate_states(bds(stairs[-12:], stairs[-12:])).n == 1
+
+    def test_transpose_invariant(self):
+        for a, b in (((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)), ((5, 3, 3, 1), (3, 3, 2, 2, 1, 1))):
+            assert count_realizations(bds(a, b)) == count_realizations(bds(b, a))
 
 
 class TestKernel:
