@@ -39,8 +39,7 @@ from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PairingMismatch,
                      PreconditionViolation, ShapeMismatch, SpecViolation,
                      TooManyPairings)
-from .pairings import (AlternatingCycle, _all_pairings, _incidences, _pairing_count,
-                       decompose)
+from .pairings import AlternatingCycle, _cells, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
 # ---------------------------------------------------------------------------
@@ -1023,8 +1022,8 @@ def _pairing_cycles(X: BipartiteGraph, Y: BipartiteGraph, pairing, part) -> tupl
     return cycles
 
 
-def _path(X: BipartiteGraph, Y: BipartiteGraph, pairing, part, segments: dict) -> list:
-    """Realizations from X to Y along the pairing's cycles.
+def _walk(X: BipartiteGraph, Y: BipartiteGraph, cycles, segments: dict) -> list:
+    """Realizations from X to Y along the given cycles, in order.
 
     ``segments`` is the caller's cache of the realizations after each swap
     of a segment, keyed by the bytes of the segment's start and the cycle,
@@ -1032,7 +1031,7 @@ def _path(X: BipartiteGraph, Y: BipartiteGraph, pairing, part, segments: dict) -
     """
     states = [X]
     cur = X
-    for cyc in _pairing_cycles(X, Y, pairing, part):
+    for cyc in cycles:
         key = (cur.key(), cyc.edge_seq)
         seg = segments.get(key)
         if seg is None:
@@ -1054,7 +1053,7 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y).
     """
-    states = _path(X, Y, pairing, symmetric_difference(X, Y), {})
+    states = _walk(X, Y, _pairing_cycles(X, Y, pairing, symmetric_difference(X, Y)), {})
     if certify:
         certs = [switch_distance(hat_matrix(X, Y, Z).cells, cap=switch_cap)
                  for Z in states]
@@ -1066,15 +1065,14 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
                       max_pairings: int = 5000) -> dict:
     """Exact distribution over canonical paths: each path's weight is the
     number of pairings selecting it over the total number of pairings."""
-    part = symmetric_difference(X, Y)
-    incid = _incidences(part)
-    total = _pairing_count(incid)
+    symmetric_difference(X, Y)      # the shape and margin checks
+    total, decompositions = _decompositions(_cells(X), _cells(Y), X.l, {})
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
     segments = {}
     counts = {}
-    for s in _all_pairings(part, incid):
-        gamma = tuple(st.key() for st in _path(X, Y, s, part, segments))
+    for cycles in decompositions:
+        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments))
         counts[gamma] = counts.get(gamma, 0) + 1
     dist = {g: Fraction(c, total) for g, c in counts.items()}
     assert sum(dist.values()) == 1

@@ -373,9 +373,10 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
         u_prime = min(nbrs)
         v_prime = min(v2 for v2 in active
                       if v2 != v and arr[u, v2] and not arr[u_prime, v2])
-        g = BipartiteGraph._trusted(arr.copy())
-        s = Swap.on(u, u_prime, v, v_prime, graph=g)
-        swaps.append(s)
+        # the 2x2 submatrix is a one-factor: (u, v_prime) and (u_prime, v) are on
+        u1, u2 = sorted((u, u_prime))
+        v1, v2 = sorted((v, v_prime))
+        swaps.append(Swap(u1, u2, v1, v2, 1 if arr[u1, v1] else 2))
         arr[u, v], arr[u_prime, v] = 1, 0
         arr[u, v_prime], arr[u_prime, v_prime] = 0, 1
     else:

@@ -4,7 +4,9 @@ canonical path system.
 
 The kernel is held as an integer matrix over one common denominator, and
 everything that feeds an inequality check is computed in Python integers or
-exact rationals; floating point only enters the eigensolver.
+exact rationals; floating point only enters the eigensolver.  Congestion
+decomposes every pairing of every ordered pair through the integer kernel
+of ``pairings``, with its circuit memo scoped to one source state.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _pairing_cycles, _solve_cycle, hat_matrix, switch_distance
+from .canonical import _solve_cycle, hat_matrix, switch_distance
 from .chain import pair_count
-from .core import (BipartiteDegreeSequence, BipartiteGraph, greedy_realize,
-                   symmetric_difference)
+from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
                      TooManyPairings)
-from .pairings import _all_pairings, _incidences, _pairing_count
+from .pairings import _cells, _decompositions
 from .ryser import replay
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -402,28 +403,22 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
-def _segment(space: StateSpace, segments: dict, i: int, cycle) -> tuple:
+def _segment(space: StateSpace, i: int, cycle) -> tuple:
     """State ids after each swap that flips ``cycle`` starting from state i.
 
-    ``segments`` is the caller's cache, keyed by ``(i, cycle.edge_seq)``; a
-    hit does no graph work.  A newly built segment is checked to step along
-    move-graph edges only, and the solver checks that it lands on the
-    flipped state.
+    The steps are checked to follow move-graph edges only, and the solver
+    checks that they land on the flipped state.
     """
-    key = (i, cycle.edge_seq)
-    seg = segments.get(key)
-    if seg is None:
-        start = space.states[i]
-        target = start.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
-        seg = []
-        for g in replay(start, _solve_cycle(start, target, cycle))[1:]:
-            j = space.index.get(g.key())
-            if j is None or j not in space.neighbours[i]:
-                raise SpecViolation("a canonical path step is not a move-graph edge")
-            seg.append(j)
-            i = j
-        seg = segments[key] = tuple(seg)
-    return seg
+    start = space.states[i]
+    target = start.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
+    seg = []
+    for g in replay(start, _solve_cycle(start, target, cycle))[1:]:
+        j = space.index.get(g.key())
+        if j is None or j not in space.neighbours[i]:
+            raise SpecViolation("a canonical path step is not a move-graph edge")
+        seg.append(j)
+        i = j
+    return tuple(seg)
 
 
 def congestion(space: StateSpace, kernel: TransitionMatrix,
@@ -436,10 +431,13 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     edge accumulates weight times the path's unit-cost sum 1/(T * pi).
     The maximum over edges upper-bounds the relaxation time.
 
-    Paths are walked in state ids.  Their segments are cached per call by
-    start state and cycle, and with ``certify`` the switch distances per
-    distinct three-term matrix; nothing outlives the call.  Loads are
-    integer numerators over one common multiple of the pairing counts.
+    Each pairing's cycles come from the integer decomposition kernel
+    (``pairings._decompositions``), whose circuit memo lives for one source
+    state X.  Paths are walked in state ids.  Their segments are cached per
+    call by start state and cycle, and with ``certify`` the switch
+    distances per distinct three-term matrix; nothing outlives the call.
+    Loads are integer numerators over one common multiple of the pairing
+    counts.
     """
     n = space.n
     if n > max_states:
@@ -455,22 +453,29 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     weight = {}          # edge -> sum of c * scale / T
     n_paths = 0
     max_sd = 0
+    l = space.ds.l
+    cells = [_cells(g) for g in space.states]
     for xi, X in enumerate(space.states):
+        circuits = {}    # the decomposition kernel's memo, for this source state
         for yi, Y in enumerate(space.states):
             if xi == yi:
                 continue
-            part = symmetric_difference(X, Y)
-            incid = _incidences(part)
-            t_total = _pairing_count(incid)
+            t_total, decompositions = _decompositions(cells[xi], cells[yi], l, circuits)
             if t_total > max_pairings:
                 raise TooManyPairings(
                     f"{t_total} pairings exceed the guard {max_pairings}")
             counts = {}
-            for s in _all_pairings(part, incid):
+            for cycles in decompositions:
+                i = xi
                 ids = [xi]
-                for cyc in _pairing_cycles(X, Y, s, part):
-                    ids.extend(_segment(space, segments, ids[-1], cyc))
-                if ids[-1] != yi:
+                for cyc in cycles:
+                    key = (i, cyc.edge_seq)
+                    seg = segments.get(key)
+                    if seg is None:
+                        seg = segments[key] = _segment(space, i, cyc)
+                    ids += seg
+                    i = seg[-1]
+                if i != yi:
                     raise SpecViolation("path did not land on Y")
                 ids = tuple(ids)
                 counts[ids] = counts.get(ids, 0) + 1

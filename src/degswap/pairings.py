@@ -10,18 +10,28 @@ first repeated vertex.
 
 The number of pairings is the product of d! over all vertices, where 2d is
 the vertex's degree in the symmetric difference.
+
+``Pairing``, ``all_pairings``, ``random_pairing`` and ``decompose`` are the
+public, object-level view.  ``congestion`` and ``path_distribution``, which
+decompose every pairing of a pair, use the integer kernel
+``_decompositions`` instead: it numbers the difference edges, runs the
+pairings as an odometer over per-vertex permutations of edge ids, traces
+circuits on partner arrays, and takes each circuit's cycles from a memo the
+caller scopes (``congestion`` keeps one per source state X).  It yields the
+same cycles as ``decompose``, pairing by pairing, without building a
+``Pairing``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from .core import BipartiteGraph, symmetric_difference
-from .errors import NonAlternating
+from .errors import DegreeMismatch, NonAlternating, PreconditionViolation
 
 
 def _incidences(part):
@@ -60,12 +70,8 @@ class Pairing:
 def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
     """The exact number of pairings: the product of (d_w)! over all vertices,
     where the symmetric difference has degree 2*d_w at w."""
-    return _pairing_count(_incidences(symmetric_difference(X, Y)))
-
-
-def _pairing_count(incid) -> int:
     total = 1
-    for xs, ys in incid.values():
+    for xs, ys in _incidences(symmetric_difference(X, Y)).values():
         assert len(xs) == len(ys)
         total *= math.factorial(len(xs))
     return total
@@ -101,23 +107,11 @@ def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     the images run through permutations of the sorted Y-edge list.
     """
     part = symmetric_difference(X, Y)
-    yield from _all_pairings(part, _incidences(part))
-
-
-def _all_pairings(part, incid):
-    """``all_pairings`` for a symmetric difference and its ``_incidences``."""
-    keys = sorted(incid.keys())
-    perm_lists = [list(permutations(incid[w][1])) for w in keys]
-
-    def rec(i, chosen):
-        if i == len(keys):
-            assignment = dict(zip(keys, chosen))
-            yield _build(part, incid, lambda w, xs, ys: assignment[w])
-            return
-        for image in perm_lists[i]:
-            yield from rec(i + 1, chosen + [image])
-
-    yield from rec(0, [])
+    incid = _incidences(part)
+    keys = sorted(incid)
+    for images in product(*(permutations(incid[w][1]) for w in keys)):
+        assignment = dict(zip(keys, images))
+        yield _build(part, incid, lambda w, xs, ys: assignment[w])
 
 
 @dataclass(frozen=True)
@@ -251,3 +245,168 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
     for circ in circuits:
         cycles.extend(cycles_of(circ, pairing.x_edges))
     return CircuitDecomposition(tuple(tuple(c) for c in circuits), tuple(cycles))
+
+
+def _cells(G: BipartiteGraph) -> int:
+    """G's edges as a bitmask: bit u*l+v is set for each edge (u, v)."""
+    return int.from_bytes(np.packbits(G.adj, axis=None, bitorder="little").tobytes(),
+                          "little")
+
+
+def _decompositions(x_cells: int, y_cells: int, l: int, memo: dict):
+    """The decomposition kernel: every pairing's cycles, in integers.
+
+    X and Y are given as ``_cells`` bitmasks of realizations with l
+    V-vertices and equal margins.  Returns the number of pairings of X xor Y
+    and an iterator over one cycle list per pairing, in ``all_pairings``
+    order; each list equals ``decompose(X, Y, s).cycles`` for the matching
+    pairing s, but no ``Pairing`` is built.
+
+    The difference edges get ids in cell order, which is edge order.
+    Pairings run as an odometer over the per-vertex permutations of Y-edge
+    ids; each fills a U-side and a V-side partner array, rewriting only the
+    vertices whose permutation changed.  Circuits are traced on these
+    arrays from the smallest unseen id, leaving through its U end.  A
+    circuit's cycles come from ``memo``, keyed by the class of its first
+    edge and the cells u*l+v of its edges, which is everything they depend
+    on; the caller owns and scopes it.  On a miss ``_split`` cuts the
+    circuit as ``cycles_of`` does.
+
+    Checked once per pairing: the circuits visit every edge id exactly
+    once, and the cycles are pairwise edge-disjoint and cover X xor Y, each
+    edge in its class there.
+    """
+    x_only = x_cells & ~y_cells
+    cells = []
+    rest = x_cells ^ y_cells
+    while rest:
+        low = rest & -rest
+        cells.append(low.bit_length() - 1)
+        rest ^= low
+    edges = [divmod(c, l) for c in cells]
+    in_x = [x_only >> c & 1 == 1 for c in cells]
+    # per vertex (side 0 for U, 1 for V): its X-edge ids and Y-edge ids
+    incid = {}
+    for i, (u, v) in enumerate(edges):
+        incid.setdefault((0, u), ([], []))[not in_x[i]].append(i)
+        incid.setdefault((1, v), ([], []))[not in_x[i]].append(i)
+    total = 1
+    for xs, ys in incid.values():
+        if len(xs) != len(ys):
+            raise DegreeMismatch("X and Y do not share their degree vectors")
+        total *= math.factorial(len(xs))
+    vertices = [(side, *incid[side, w]) for side, w in sorted(incid)]
+    return total, _cycle_lists(edges, cells, in_x, vertices, memo)
+
+
+def _cycle_lists(edges, cells, in_x, vertices, memo: dict):
+    m = len(edges)
+    codes = [(2 * u, 2 * v + 1) for u, v in edges]
+    bits = [1 << (2 * c + (not x)) for c, x in zip(cells, in_x)]
+    full = sum(bits)
+    pu, pv = [0] * m, [0] * m
+    # vertices with one Y-edge have one permutation: fill them once, and run
+    # the odometer over the rest, in the same order
+    wheel = []
+    for side, xs, ys in vertices:
+        partner = pv if side else pu
+        if len(ys) == 1:
+            partner[xs[0]], partner[ys[0]] = ys[0], xs[0]
+        else:
+            wheel.append((partner, xs, permutations(ys)))
+    current = [None] * len(wheel)
+    for images in product(*(perms for _, _, perms in wheel)):
+        for w, image in enumerate(images):
+            if image is not current[w]:
+                current[w] = image
+                partner, xs, _ = wheel[w]
+                for x, y in zip(xs, image):
+                    partner[x] = y
+                    partner[y] = x
+        seen = bytearray(m)
+        cycles = []
+        covered = 0
+        for e0 in range(m):
+            if seen[e0]:
+                continue
+            circuit = []
+            e = e0
+            while True:
+                f = pu[e]
+                if seen[e] or seen[f]:
+                    raise PreconditionViolation("a circuit visits an edge twice")
+                seen[e] = seen[f] = 1
+                circuit += (e, f)
+                e = pv[f]
+                if e == e0:
+                    break
+            key = (in_x[e0], tuple(map(cells.__getitem__, circuit)))
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = _split(circuit, edges, codes, bits, in_x)
+            for c, mask in entry:
+                if covered & mask:
+                    raise PreconditionViolation("two cycles of the decomposition overlap")
+                covered |= mask
+                cycles.append(c)
+        if covered != full:
+            raise PreconditionViolation("the cycles do not cover the symmetric difference")
+        yield cycles
+
+
+def _split(circuit, edges, codes, bits, in_x) -> tuple:
+    """``cycles_of`` on edge ids: the circuit's cycles, each with its mask,
+    the sum of ``bits`` over its edges.
+
+    Edges t and t+1 of a traced circuit share their U end for even t and
+    their V end for odd t; ``codes`` gives each id's U end as 2u and V end
+    as 2v+1.  Each cycle is rotated to its smallest X-edge and checked as
+    ``_check_alternating`` checks it.
+    """
+    n = len(circuit)
+    reached = [0] * n
+    reached[::2] = [codes[e][0] for e in circuit[::2]]
+    reached[1::2] = [codes[e][1] for e in circuit[1::2]]
+    # with no vertex met twice the circuit is one cycle
+    pieces = [range(n)] if len(set(reached)) == n else _cuts(reached)
+    out = []
+    for piece in pieces:
+        n = len(piece)
+        if n % 2 or n < 4:
+            raise NonAlternating(f"cycle length {n} is not an even number >= 4")
+        if len(set(map(reached.__getitem__, piece))) != n:
+            raise NonAlternating("cycle repeats a vertex")
+        piece = list(map(circuit.__getitem__, piece))
+        start = piece.index(min(piece[0::2] if in_x[piece[0]] else piece[1::2]))
+        piece = piece[start:] + piece[:start]
+        xe, ye = piece[::2], piece[1::2]
+        if not all(map(in_x.__getitem__, xe)) or any(map(in_x.__getitem__, ye)):
+            raise NonAlternating("consecutive edges in one class")
+        out.append((AlternatingCycle(tuple(map(edges.__getitem__, piece)),
+                                     frozenset(map(edges.__getitem__, xe)),
+                                     frozenset(map(edges.__getitem__, ye))),
+                    sum(map(bits.__getitem__, piece))))
+    return tuple(out)
+
+
+def _cuts(reached) -> list:
+    """The positions of each cycle ``cycles_of`` cuts from a circuit whose
+    edge t reaches vertex ``reached[t]``, in the order they come off."""
+    open_at = {reached[-1]: 0}
+    stack = []
+    pieces = []
+    for t, w in enumerate(reached):
+        stack.append(t)
+        cut = open_at.get(w)
+        if cut is None:
+            open_at[w] = len(stack)
+            continue
+        piece = stack[cut:]
+        del stack[cut:]
+        # close the vertices the piece opened; w itself stays open
+        for p in piece[:-1]:
+            del open_at[reached[p]]
+        pieces.append(piece)
+    if stack:
+        raise NonAlternating("circuit walk did not close at its start vertex")
+    return pieces

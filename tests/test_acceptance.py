@@ -102,8 +102,8 @@ def test_criterion_4_sinclair_inequality():
             rep = congestion(space, K)
             assert tau <= float(rep.kappa) + 1e-8, (a, b, tau, rep.kappa)
             if space.n == 90:
-                assert (rep.kappa, rep.max_edge, rep.edge_loading_max) == (
-                    Fraction(539, 10), (84, 88), Fraction(417, 8))
+                assert (rep.kappa, rep.max_edge, rep.edge_loading_max, rep.n_paths) == (
+                    Fraction(539, 10), (84, 88), Fraction(417, 8), 33492)
             print(f"  {a}|{b}: N={space.n} tau_rel={tau:.4f} kappa={rep.kappa} "
                   f"({float(rep.kappa):.2f})")
         elapsed = time.time() - t0

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from degswap import BipartiteDegreeSequence, BipartiteGraph, mixing
+from degswap import BipartiteDegreeSequence, BipartiteGraph, mixing, pairings
 from degswap.core import is_graphical
-from degswap.errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
+from degswap.errors import (DegenerateChain, NonMixing, PreconditionViolation,
+                            SpecViolation, TooLarge)
 from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             build_kernel, congestion, count_realizations,
                             distance_profile, enumerate_states, spectral_gap,
@@ -314,3 +315,20 @@ class TestCongestion:
         space = enumerate_states(bds(a, b))
         assert space.n == 48
         assert congestion(space, build_kernel(space), certify=True) == report
+
+    def test_pinned_90_state_report(self):
+        space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
+        assert space.n == 90
+        assert congestion(space, build_kernel(space), certify=True) == CongestionReport(
+            Fraction(539, 10), (84, 88), Fraction(417, 8), 33492, 1)
+
+    @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
+                                        lambda entries: entries[1:]])
+    def test_kernel_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):
+        # a kernel cycle list whose cycles overlap, or miss part of X xor Y,
+        # is refused before any cycle is walked
+        real = pairings._split
+        monkeypatch.setattr(pairings, "_split", lambda *args: mangle(real(*args)))
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        with pytest.raises(PreconditionViolation):
+            congestion(space, build_kernel(space))

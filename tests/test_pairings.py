@@ -1,10 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from degswap import (BipartiteGraph, all_pairings, circuits_of, cycles_of,
-                     decompose, enumerate_pairings_count, random_pairing,
-                     symmetric_difference)
-from degswap.core import allowed_swaps, apply_swap
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, advance,
+                     all_pairings, circuits_of, cycles_of, decompose,
+                     enumerate_pairings_count, random_pairing, symmetric_difference)
+from degswap.core import allowed_swaps, apply_swap, is_graphical
+from degswap.errors import DegreeMismatch
+from degswap.mixing import enumerate_states
+from degswap.pairings import _cells, _decompositions
+
+from oracles import all_degree_pairs
 
 # symmetric difference: two 4-cycles sharing U-vertex 0
 FIG8_X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -100,3 +107,61 @@ def test_cycle_walk_alternates():
                 e, f = c.edge_seq[t], c.edge_seq[(t + 1) % n]
                 assert (e in c.x_edges) != (f in c.x_edges)
             assert len(set(c.vertex_seq())) == n
+
+
+# -- the integer decomposition kernel ----------------------------------------
+
+
+def kernel_matches_decompose(X, Y, memo) -> int:
+    """Assert that the kernel yields ``decompose``'s cycles for every pairing
+    in ``all_pairings`` order, and return the number of pairings."""
+    total, lists = _decompositions(_cells(X), _cells(Y), X.l, memo)
+    want = [decompose(X, Y, s).cycles for s in all_pairings(X, Y)]
+    assert [tuple(cycles) for cycles in lists] == want
+    assert total == len(want)
+    return total
+
+
+def test_kernel_matches_decompose_on_small_spaces():
+    # every ordered pair of every space of a graphical pair with k, l <= 4
+    # (the 48-state U- and V-regular spaces and the 90-state space among
+    # them), with one circuit memo per source state as congestion keeps it
+    spaces = pairings = 0
+    sizes = set()
+    for a, b in all_degree_pairs(4, 4):
+        ds = BipartiteDegreeSequence(a, b)
+        if not is_graphical(ds):
+            continue
+        space = enumerate_states(ds)
+        if space.n < 2:
+            continue
+        for X in space.states:
+            memo = {}
+            for Y in space.states:
+                if X is not Y:
+                    pairings += kernel_matches_decompose(X, Y, memo)
+        spaces += 1
+        sizes.add((a, b, space.n))
+    assert {((2, 2, 2, 2), (3, 2, 2, 1), 48), ((3, 2, 2, 1), (2, 2, 2, 2), 48),
+            ((2, 2, 2, 2), (2, 2, 2, 2), 90)} <= sizes
+    assert (spaces, pairings) == (268, 105026)
+
+
+def test_kernel_matches_decompose_on_higher_degree_differences():
+    # a vertex meeting three X-edges of X xor Y (six pairings there), which
+    # no space with k, l <= 4 has
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 20:
+        g = BipartiteGraph((rng.random((6, 6)) < 0.5).astype(np.uint8))
+        h = advance(ChainState(g, rng), 40).graph
+        part = symmetric_difference(g, h)
+        deg = Counter(u for u, _ in part.x_edges) + Counter(-1 - v for _, v in part.x_edges)
+        if max(deg.values(), default=0) >= 3 and enumerate_pairings_count(g, h) <= 2000:
+            kernel_matches_decompose(g, h, {})
+            checked += 1
+
+
+def test_kernel_rejects_unequal_margins():
+    with pytest.raises(DegreeMismatch):
+        _decompositions(_cells(M1), _cells(BipartiteGraph([[1, 1], [0, 1]])), 2, {})
