@@ -1092,14 +1092,33 @@ def switch_distance(M, cap: int = 6, entry_slack: int = 1):
     moves the first out-of-range entry toward range; the search branches
     only over those, giving exact results whenever a witness exists with
     intermediate entries inside the allowed band (the input's value range
-    widened by ``entry_slack``).  A switch repairs at most four units of
-    deficiency, which prunes hopeless branches early.
+    widened by ``entry_slack``).
+
+    The deficiency of a matrix, the summed distance of its entries from
+    [0, 1], falls by at most four per switch, so a node whose deficiency
+    exceeds four times its budget is hopeless.  The search deepens the
+    budget from 1 to ``cap`` and memoizes every node it decides, keyed by
+    the matrix and the budget.  A switch changes four cells, so a child's
+    deficiency is the parent's plus the change on those four cells, known
+    in O(1) before the child is entered: a child at deficiency 0 is a 0-1
+    matrix and ends the search, and a child above four times its budget is
+    skipped.  These are the first two tests a child would make, in the same
+    order and before it reads or writes the memo, so the search decides and
+    memoizes exactly the nodes of a search that entered every child and
+    rescanned its matrix.
+
+    A 0-1 matrix is at distance 0, and it realizes its own margins, so it
+    is answered before the margin check, which it cannot fail.  Every other
+    input must have margins that some 0-1 matrix realizes
+    (``MarginMismatch`` otherwise), checked before any search.
     """
     mat = np.array(M, dtype=np.int64)
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
-    rows = sorted((int(x) for x in mat.sum(axis=1)), reverse=True)
-    cols = sorted((int(x) for x in mat.sum(axis=0)), reverse=True)
+    if mat.size and ((mat == 0) | (mat == 1)).all():
+        return 0 if cap >= 0 else Exceeds(cap)
+    rows = sorted(mat.sum(axis=1).tolist(), reverse=True)
+    cols = sorted(mat.sum(axis=0).tolist(), reverse=True)
     try:
         ds = BipartiteDegreeSequence(tuple(rows), tuple(cols))
         ok = is_graphical(ds)
@@ -1107,35 +1126,36 @@ def switch_distance(M, cap: int = 6, entry_slack: int = 1):
         ok = False
     if not ok:
         raise MarginMismatch("margins admit no 0-1 matrix")
+    # at least 1: M holds an entry outside [0, 1]
+    deficiency = int(np.maximum(-mat, 0).sum() + np.maximum(mat - 1, 0).sum())
+    if deficiency > 4 * cap:
+        return Exceeds(cap)
     lo = min(-1, int(mat.min())) - entry_slack
     hi = max(2, int(mat.max())) + entry_slack
     k, l = mat.shape
-    base = [int(x) for x in mat.ravel()]
+    # entries are held shifted by offset, so the band is 0..span; excess[s]
+    # is the distance of the entry held as s from [0, 1]
     offset = -lo
+    span = hi - lo
+    excess = [max(offset - s, s - offset - 1, 0) for s in range(span + 1)]
+    flat = (mat + offset).ravel().tolist()
     memo = {}
 
-    def dfs(flat, budget):
-        first = -1
-        deficiency = 0
-        for i, v in enumerate(flat):
-            if v < 0:
-                deficiency -= v
-                if first < 0:
-                    first = i
-            elif v > 1:
-                deficiency += v - 1
-                if first < 0:
-                    first = i
-        if first < 0:
-            return True
-        if deficiency > 4 * budget:
-            return False
-        key = (bytes(v + offset for v in flat), budget)
+    def dfs(budget, deficiency):
+        # entered only with 0 < deficiency <= 4 * budget
+        key = (tuple(flat), budget)
         hit = memo.get(key)
         if hit is not None:
             return hit
+        first = 0
+        while not excess[flat[first]]:
+            first += 1
         r, c = divmod(first, l)
-        sign = 1 if flat[first] < 0 else -1
+        v00 = flat[first]
+        sign = 1 if v00 < offset else -1
+        # the first entry moves one step toward range
+        base = deficiency - 1
+        limit = 4 * (budget - 1)
         found = False
         for r2 in range(k):
             if r2 == r:
@@ -1145,19 +1165,22 @@ def switch_distance(M, cap: int = 6, entry_slack: int = 1):
                 if c2 == c:
                     continue
                 i01, i10, i11 = rb + c2, r2b + c, r2b + c2
-                v00 = flat[first] + sign
-                v11 = flat[i11] + sign
-                v01 = flat[i01] - sign
-                v10 = flat[i10] - sign
-                if not (lo <= v11 <= hi and lo <= v01 <= hi and lo <= v10 <= hi):
+                o11, o01, o10 = flat[i11], flat[i01], flat[i10]
+                v11 = o11 + sign
+                v01 = o01 - sign
+                v10 = o10 - sign
+                if not (0 <= v11 <= span and 0 <= v01 <= span and 0 <= v10 <= span):
                     continue
-                flat[first], flat[i11], flat[i01], flat[i10] = v00, v11, v01, v10
-                if dfs(flat, budget - 1):
+                child = (base + excess[v11] - excess[o11] + excess[v01] - excess[o01]
+                         + excess[v10] - excess[o10])
+                if child == 0:
                     found = True
-                flat[first] = v00 - sign
-                flat[i11] = v11 - sign
-                flat[i01] = v01 + sign
-                flat[i10] = v10 + sign
+                    break
+                if child > limit:
+                    continue
+                flat[first], flat[i11], flat[i01], flat[i10] = v00 + sign, v11, v01, v10
+                found = dfs(budget - 1, child)
+                flat[first], flat[i11], flat[i01], flat[i10] = v00, o11, o01, o10
                 if found:
                     break
             if found:
@@ -1165,7 +1188,7 @@ def switch_distance(M, cap: int = 6, entry_slack: int = 1):
         memo[key] = found
         return found
 
-    for d in range(cap + 1):
-        if dfs(list(base), d):
+    for d in range(1, cap + 1):
+        if deficiency <= 4 * d and dfs(d, deficiency):
             return d
     return Exceeds(cap)

@@ -285,12 +285,31 @@ def greedy_realize(ds: BipartiteDegreeSequence) -> BipartiteGraph:
 
 
 def is_graphical(ds: BipartiteDegreeSequence) -> bool:
-    """True iff a simple bipartite realization of ``ds`` exists."""
-    try:
-        greedy_realize(ds)
-        return True
-    except NotGraphical:
+    """True iff a simple bipartite realization of ``ds`` exists.
+
+    Decided by the Gale-Ryser theorem: the sums agree, and for every t the
+    t largest U degrees sum to at most sum_j min(b_j, t), the number of
+    edges the V-vertices can send to t U-vertices.  That sum is the running
+    total of the conjugate of b, so after the sort the test is O(k + l).
+    """
+    a = sorted(ds.a, reverse=True)
+    k = len(a)
+    if sum(a) != sum(ds.b):
         return False
+    at_least = [0] * (k + 1)      # at_least[t]: V degrees >= t, once summed
+    for d in ds.b:
+        if d < 0 or d > k:
+            return False
+        at_least[d] += 1
+    for t in range(k - 1, 0, -1):
+        at_least[t] += at_least[t + 1]
+    need = room = 0
+    for t in range(1, k + 1):
+        need += a[t - 1]
+        room += at_least[t]
+        if need > room:
+            return False
+    return True
 
 
 # -- swaps ---------------------------------------------------------------------

@@ -339,3 +339,96 @@ def naive_enumerate(ds):
     states = tuple(graphs[i] for i in order)
     neighbours = tuple(tuple(sorted(rank[j] for j in moves[i])) for i in order)
     return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)}, neighbours)
+
+
+# -- the certificate search that rescans every node ----------------------------
+
+
+def naive_switch_distance(M, cap: int = 6, entry_slack: int = 1):
+    """Minimum number of 2x2 plus/minus switches carrying the integer matrix
+    M to a 0-1 matrix, or ``Exceeds(cap)``.
+
+    Switches commute, so some optimal sequence starts with a switch that
+    moves the first out-of-range entry toward range; the search branches
+    only over those, giving exact results whenever a witness exists with
+    intermediate entries inside the allowed band (the input's value range
+    widened by ``entry_slack``).  A switch repairs at most four units of
+    deficiency, which prunes hopeless branches early.
+    """
+    from degswap.core import BipartiteDegreeSequence, is_graphical
+    from degswap.errors import Exceeds, MarginMismatch
+
+    mat = np.array(M, dtype=np.int64)
+    if mat.ndim != 2:
+        raise MarginMismatch("switch distance needs a matrix")
+    rows = sorted((int(x) for x in mat.sum(axis=1)), reverse=True)
+    cols = sorted((int(x) for x in mat.sum(axis=0)), reverse=True)
+    try:
+        ds = BipartiteDegreeSequence(tuple(rows), tuple(cols))
+        ok = is_graphical(ds)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise MarginMismatch("margins admit no 0-1 matrix")
+    lo = min(-1, int(mat.min())) - entry_slack
+    hi = max(2, int(mat.max())) + entry_slack
+    k, l = mat.shape
+    base = [int(x) for x in mat.ravel()]
+    offset = -lo
+    memo = {}
+
+    def dfs(flat, budget):
+        first = -1
+        deficiency = 0
+        for i, v in enumerate(flat):
+            if v < 0:
+                deficiency -= v
+                if first < 0:
+                    first = i
+            elif v > 1:
+                deficiency += v - 1
+                if first < 0:
+                    first = i
+        if first < 0:
+            return True
+        if deficiency > 4 * budget:
+            return False
+        key = (bytes(v + offset for v in flat), budget)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        r, c = divmod(first, l)
+        sign = 1 if flat[first] < 0 else -1
+        found = False
+        for r2 in range(k):
+            if r2 == r:
+                continue
+            rb, r2b = r * l, r2 * l
+            for c2 in range(l):
+                if c2 == c:
+                    continue
+                i01, i10, i11 = rb + c2, r2b + c, r2b + c2
+                v00 = flat[first] + sign
+                v11 = flat[i11] + sign
+                v01 = flat[i01] - sign
+                v10 = flat[i10] - sign
+                if not (lo <= v11 <= hi and lo <= v01 <= hi and lo <= v10 <= hi):
+                    continue
+                flat[first], flat[i11], flat[i01], flat[i10] = v00, v11, v01, v10
+                if dfs(flat, budget - 1):
+                    found = True
+                flat[first] = v00 - sign
+                flat[i11] = v11 - sign
+                flat[i01] = v01 + sign
+                flat[i10] = v10 + sign
+                if found:
+                    break
+            if found:
+                break
+        memo[key] = found
+        return found
+
+    for d in range(cap + 1):
+        if dfs(list(base), d):
+            return d
+    return Exceeds(cap)

@@ -16,7 +16,8 @@ from scipy import stats
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, FMatrix,
                      FriendlyPath, all_pairings, canonical_path,
                      enumerate_pairings_count, find_friendly_path, hat_matrix,
-                     is_graphical, ryser_sequence, sample, switch_distance)
+                     is_graphical, random_pairing, ryser_sequence, sample,
+                     switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
                                matches_spec, ring, verify_friendly_path,
                                verify_same_state, verify_steinhaus)
@@ -214,6 +215,42 @@ def test_criterion_7_semi_regular_switch_distance():
                     assert all(isinstance(c, int) and c <= 2 for c in certs)
                     checked += len(certs)
         print(f"  {checked} intermediate certificates, all <= 2")
+
+
+def _u_regular_instance(rng, lo, hi):
+    """A random U-regular degree sequence with k, l in lo..hi: each row
+    picks the same number of columns at random, and the columns' degrees
+    are whatever that gives."""
+    k, l = (int(x) for x in rng.integers(lo, hi + 1, size=2))
+    d = int(rng.integers(1, l))
+    adj = np.zeros((k, l), np.int64)
+    for u in range(k):
+        adj[u, rng.choice(l, size=d, replace=False)] = 1
+    return bds((d,) * k, sorted(adj.sum(axis=0).tolist(), reverse=True))
+
+
+def test_seeded_certificate_sweep_u_regular():
+    """Criterion 7's claim beyond its one 3-state space: canonical paths
+    between sampled realizations of random U-regular sequences keep every
+    certificate at 2 or below."""
+    t0 = time.time()
+    rng = np.random.default_rng(7007)
+    hist = {}
+    for lo, hi, count in ((3, 8, 300), (6, 16, 150)):
+        for _ in range(count):
+            ds = _u_regular_instance(rng, lo, hi)
+            sx, sy, sp = (int(x) for x in rng.integers(2**31, size=3))
+            steps = 10 * ds.k * ds.l
+            X, Y = sample(ds, steps, seed=sx), sample(ds, steps, seed=sy)
+            _, certs = canonical_path(X, Y, random_pairing(X, Y, sp), certify=True)
+            for c in certs:
+                key = c if isinstance(c, int) else repr(c)
+                hist[key] = hist.get(key, 0) + 1
+            assert all(isinstance(c, int) and c <= 2 for c in certs), (
+                f"certificate above 2: ds={ds.a}|{ds.b}, steps={steps}, "
+                f"sample seeds {sx}, {sy}, pairing seed {sp}, certificates {certs}")
+    print(f"  450 U-regular paths, certificate histogram "
+          f"{dict(sorted(hist.items(), key=str))}, {time.time() - t0:.1f}s")
 
 
 def test_criterion_8_friendly_dichotomy():

@@ -18,12 +18,13 @@ from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             TooManyPairings)
 from degswap.mixing import enumerate_states
-from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings,
+from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, chain,
                      random_pairing)
 from degswap.ryser import replay
 
-from oracles import (cycle_graph_pair, friendly_path_exists, perturbed_environment,
-                     random_types, ring_blocker_types, split_environment_pools)
+from oracles import (cycle_graph_pair, friendly_path_exists, naive_switch_distance,
+                     perturbed_environment, random_types, ring_blocker_types,
+                     split_environment_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,11 @@ class TestOkKoStep:
 
 class TestSwitchDistance:
     def test_zero_for_binary(self):
-        assert switch_distance([[1, 0], [0, 1]]) == 0
+        binary = [[1, 0], [0, 1]]
+        assert switch_distance(binary) == 0
+        # answered before the margin check, yet a negative cap still exceeds
+        assert switch_distance(binary, cap=-1) == naive_switch_distance(binary, cap=-1) \
+            == Exceeds(-1)
 
     def test_single_switch(self):
         assert switch_distance([[2, 0], [0, 1]]) == 1
@@ -288,10 +293,28 @@ class TestSwitchDistance:
 
     def test_exceeds_cap(self):
         assert switch_distance([[2, 0], [0, 1]], cap=0) == Exceeds(0)
+        assert naive_switch_distance([[2, 0], [0, 1]], cap=0) == Exceeds(0)
+
+    def test_entry_far_out_of_band(self):
+        mat = [[300, -299], [-299, 300]]
+        assert switch_distance(mat) == naive_switch_distance(mat) == Exceeds(6)
 
     def test_margin_mismatch(self):
         with pytest.raises(MarginMismatch):
             switch_distance([[2, 0], [0, 0]])
+
+    @pytest.mark.parametrize("mat", [
+        [1, 0, 1],                  # not a matrix
+        np.zeros((0, 3), np.int64),
+        np.zeros((3, 0), np.int64),
+        # rows (3, 3, 0, 0) and columns (3, 1, 1, 1) fail Gale-Ryser at t = 2;
+        # the deficiency 2 is above 4 * cap, yet the margins are reported
+        [[3, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ])
+    def test_margin_mismatch_before_search(self, mat):
+        for fn in (switch_distance, naive_switch_distance):
+            with pytest.raises(MarginMismatch):
+                fn(mat, cap=0)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -338,6 +361,63 @@ class TestSwitchDistance:
             assert isinstance(got, Exceeds)
         else:
             assert got == oracle
+
+
+class TestSwitchDistanceMatchesRescan:
+    """The pruned search against ``oracles.naive_switch_distance``, which
+    enters every child and rescans its matrix."""
+
+    def test_random_switched_matrices(self):
+        rng = np.random.default_rng(8080)
+        seen = set()
+        for _ in range(2000):
+            k, l = (int(x) for x in rng.integers(2, 7, size=2))
+            mat = (rng.random((k, l)) < rng.random()).astype(np.int64)
+            for _ in range(int(rng.integers(0, 5))):
+                r = rng.choice(k, size=2, replace=False)
+                c = rng.choice(l, size=2, replace=False)
+                sign = 1 if rng.random() < 0.5 else -1
+                mat[r[0], c[0]] += sign
+                mat[r[1], c[1]] += sign
+                mat[r[0], c[1]] -= sign
+                mat[r[1], c[0]] -= sign
+            cap = int(rng.integers(0, 6))
+            got = switch_distance(mat, cap=cap)
+            assert got == naive_switch_distance(mat, cap=cap), (mat.tolist(), cap)
+            seen.add(got if isinstance(got, int) else "exceeds")
+        assert {0, 1, 2, 3, "exceeds"} <= seen
+
+    def test_hats_along_certified_16x16_paths(self):
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        certs = []
+        for p in range(16):
+            X, Y = chain.sample(ds, 1000, 800 + 2 * p), chain.sample(ds, 1000, 801 + 2 * p)
+            states, path_certs = canonical_path(X, Y, random_pairing(X, Y, p), certify=True)
+            for Z, cert in zip(states, path_certs):
+                hat = hat_matrix(X, Y, Z).cells
+                assert cert == naive_switch_distance(hat, cap=6)
+            certs += path_certs
+        assert 2 in certs
+
+    def test_hats_of_certified_v_regular_congestion(self):
+        # every three-term matrix the certified 48-state congestion scores,
+        # including the one at certificate 3
+        space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
+        hats = {}
+        for X in space.states:
+            for Y in space.states:
+                if X == Y:
+                    continue
+                for path in path_distribution(X, Y):
+                    for key in path:
+                        hat = hat_matrix(X, Y, space.states[space.index[key]]).cells
+                        hats.setdefault(hat.tobytes(), hat)
+        certs = []
+        for hat in hats.values():
+            got = switch_distance(hat, cap=6)
+            assert got == naive_switch_distance(hat, cap=6), hat.tolist()
+            certs.append(got)
+        assert max(certs) == 3
 
 
 # ---------------------------------------------------------------------------

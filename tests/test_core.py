@@ -92,7 +92,9 @@ class TestGreedyRealize:
     def test_matches_python_sort_on_small_pairs(self):
         for a, b in all_degree_pairs(4, 4):
             ds = bds(a, b)
-            assert realized(greedy_realize, ds) == realized(naive_greedy_realize, ds), (a, b)
+            want = realized(naive_greedy_realize, ds)
+            assert realized(greedy_realize, ds) == want, (a, b)
+            assert is_graphical(ds) == (not isinstance(want, str)), (a, b)
 
     @pytest.mark.parametrize("a, b", [
         # a V degree above k (or a U degree above l), past the range checks
@@ -106,6 +108,7 @@ class TestGreedyRealize:
         got = realized(greedy_realize, ds)
         assert got == realized(naive_greedy_realize, ds)
         assert isinstance(got, str)
+        assert not is_graphical(ds)
 
     def test_matches_python_sort_on_random_sequences(self):
         rng = np.random.default_rng(2026)
@@ -124,11 +127,15 @@ class TestGreedyRealize:
                 if dst < src:
                     b[src] -= 1
                     b[dst] += 1
+            if rng.random() < 0.15 and b[-1] < b[0]:
+                b[-1] += 1                  # unequal sums
+                b.sort(reverse=True)
             ds = bds(a, b)
             want = realized(naive_greedy_realize, ds)
             assert realized(greedy_realize, ds) == want, (a, b)
-            outcomes.add(want if isinstance(want, str) else "graph")
-        assert "graph" in outcomes and len(outcomes) > 1
+            assert is_graphical(ds) == (not isinstance(want, str)), (a, b)
+            outcomes.add(want.split(":")[0] if isinstance(want, str) else "graph")
+        assert {"graph", "degree sums differ"} <= outcomes and len(outcomes) > 2
 
 
 class TestPushUp:
