@@ -21,9 +21,8 @@ from .errors import DegSwapError, Exceeds, NotGraphical, Unreachable
 from .mixing import (StateSpace, TransitionMatrix, build_kernel, congestion,
                      count_realizations, enumerate_states, spectral_gap,
                      tv_mixing_time)
-from .pairings import (AlternatingCycle, CircuitDecomposition, Pairing,
-                       all_pairings, circuits_of, cycles_of, decompose,
-                       enumerate_pairings_count, random_pairing)
+from .pairings import (AlternatingCycle, CircuitDecomposition, Pairing, all_pairings,
+                       decompose, enumerate_pairings_count, random_pairing)
 from .ryser import ryser_sequence, swap_distance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

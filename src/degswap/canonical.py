@@ -36,9 +36,8 @@ import numpy as np
 from .core import (BipartiteDegreeSequence, BipartiteGraph, Swap, apply_swap,
                    is_graphical, symmetric_difference)
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
-                     MarginMismatch, NoCousinWitness, PairingMismatch,
-                     PreconditionViolation, ShapeMismatch, SpecViolation,
-                     TooManyPairings)
+                     MarginMismatch, NoCousinWitness, PreconditionViolation,
+                     ShapeMismatch, SpecViolation, TooManyPairings)
 from .pairings import AlternatingCycle, _cells, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
@@ -995,53 +994,41 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
 
 
-def _pairing_cycles(X: BipartiteGraph, Y: BipartiteGraph, pairing, part) -> tuple:
-    """The pairing's cycles in decomposition order, checked once to be
-    pairwise edge-disjoint, to split as ``part`` = X xor Y does, and to
-    cover it.
+def _flip(G: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+    """The realizations after each swap of the canonical segment that flips
+    ``cycle`` in G."""
+    target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
+    return tuple(replay(G, _solve_cycle(G, target, cycle))[1:])
 
-    Walking them in order from X then meets every precondition
-    ``cycle_swaps`` checks: each realization on the way agrees with X on
-    the cycles still ahead and with Y on those behind, so the next cycle is
-    exactly where it differs from its target, and the three symmetric
-    differences never overlap.
+
+def _walk(start, end, cycles, segments: dict, flip) -> list:
+    """The path from ``start`` to ``end`` that flips the given cycles in
+    order: the start, then the states after each swap.
+
+    A state is whatever ``flip(state, cycle)`` takes: a realization, or a
+    state id of an enumerated space.  ``flip`` returns the states after
+    each swap of one segment, and ``segments`` is the caller's cache of
+    them, keyed by the segment's start state and the cycle.  Raises
+    ``SpecViolation`` unless the path lands on ``end``.
+
+    A decomposition's cycles, walked in order, meet every precondition
+    ``cycle_swaps`` checks: each state on the way agrees with the start on
+    the cycles still ahead and with the end on those behind, so the next
+    cycle is exactly where it differs from its target, and the three
+    symmetric differences never overlap.
     """
-    if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
-        raise PairingMismatch("pairing does not belong to this realization pair")
-    cycles = decompose(X, Y, pairing).cycles
-    seen_x, seen_y = set(), set()
+    path = [start]
+    cur = start
     for cyc in cycles:
-        if not (cyc.x_edges <= part.x_edges and cyc.y_edges <= part.y_edges):
-            raise PreconditionViolation("a cycle does not split as the symmetric difference")
-        if cyc.x_edges & seen_x or cyc.y_edges & seen_y:
-            raise PreconditionViolation("two cycles of the decomposition overlap")
-        seen_x |= cyc.x_edges
-        seen_y |= cyc.y_edges
-    if seen_x != part.x_edges or seen_y != part.y_edges:
-        raise PreconditionViolation("the cycles do not cover the symmetric difference")
-    return cycles
-
-
-def _walk(X: BipartiteGraph, Y: BipartiteGraph, cycles, segments: dict) -> list:
-    """Realizations from X to Y along the given cycles, in order.
-
-    ``segments`` is the caller's cache of the realizations after each swap
-    of a segment, keyed by the bytes of the segment's start and the cycle,
-    so one cache must only ever see realizations of one shape.
-    """
-    states = [X]
-    cur = X
-    for cyc in cycles:
-        key = (cur.key(), cyc.edge_seq)
+        key = (cur, cyc.edge_seq)
         seg = segments.get(key)
         if seg is None:
-            target = cur.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-            seg = segments[key] = tuple(replay(cur, _solve_cycle(cur, target, cyc))[1:])
-        states.extend(seg)
+            seg = segments[key] = flip(cur, cyc)
+        path += seg
         cur = seg[-1]
-    if cur != Y:
+    if cur != end:
         raise SpecViolation("path did not land on Y")
-    return states
+    return path
 
 
 def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool = False,
@@ -1053,7 +1040,7 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y).
     """
-    states = _walk(X, Y, _pairing_cycles(X, Y, pairing, symmetric_difference(X, Y)), {})
+    states = _walk(X, Y, decompose(X, Y, pairing).cycles, {}, _flip)
     if certify:
         certs = [switch_distance(hat_matrix(X, Y, Z).cells, cap=switch_cap)
                  for Z in states]
@@ -1072,7 +1059,7 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     segments = {}
     counts = {}
     for cycles in decompositions:
-        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments))
+        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments, _flip))
         counts[gamma] = counts.get(gamma, 0) + 1
     dist = {g: Fraction(c, total) for g, c in counts.items()}
     assert sum(dist.values()) == 1

@@ -377,7 +377,7 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
         raise ValueError(f"column {v} is not active")
     arr = G.adj.copy()
     arr.setflags(write=True)
-    deg = {u: int(arr[u, active].sum()) for u in range(G.k)}
+    deg = arr[:, active].sum(axis=1).tolist()
     d = int(arr[:, v].sum())
     order = sorted(range(G.k), key=lambda u: (-deg[u], u))
     targets = order[:d]

@@ -11,6 +11,7 @@ of ``pairings``, with its circuit memo scoped to one source state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,13 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _solve_cycle, hat_matrix, switch_distance
+from .canonical import _flip, _walk, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
                      TooManyPairings)
 from .pairings import _cells, _decompositions
-from .ryser import replay
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -409,10 +409,8 @@ def _segment(space: StateSpace, i: int, cycle) -> tuple:
     The steps are checked to follow move-graph edges only, and the solver
     checks that they land on the flipped state.
     """
-    start = space.states[i]
-    target = start.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
     seg = []
-    for g in replay(start, _solve_cycle(start, target, cycle))[1:]:
+    for g in _flip(space.states[i], cycle):
         j = space.index.get(g.key())
         if j is None or j not in space.neighbours[i]:
             raise SpecViolation("a canonical path step is not a move-graph edge")
@@ -433,8 +431,9 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
 
     Each pairing's cycles come from the integer decomposition kernel
     (``pairings._decompositions``), whose circuit memo lives for one source
-    state X.  Paths are walked in state ids.  Their segments are cached per
-    call by start state and cycle, and with ``certify`` the switch
+    state X.  Paths are walked in state ids by ``canonical._walk``, the
+    walker ``canonical_path`` uses.  Their segments are cached per call by
+    start state and cycle, and with ``certify`` the switch
     distances per distinct three-term matrix; nothing outlives the call.
     Loads are integer numerators over one common multiple of the pairing
     counts.
@@ -446,6 +445,7 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
         raise DegenerateChain("need at least two states")
     if kernel.n != n or kernel.neighbours != space.neighbours:
         raise ValueError("the kernel does not belong to this state space")
+    flip = functools.partial(_segment, space)
     segments = {}
     certs = {}
     scale = 1            # a common multiple of the pairing counts seen so far
@@ -466,18 +466,7 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
                     f"{t_total} pairings exceed the guard {max_pairings}")
             counts = {}
             for cycles in decompositions:
-                i = xi
-                ids = [xi]
-                for cyc in cycles:
-                    key = (i, cyc.edge_seq)
-                    seg = segments.get(key)
-                    if seg is None:
-                        seg = segments[key] = _segment(space, i, cyc)
-                    ids += seg
-                    i = seg[-1]
-                if i != yi:
-                    raise SpecViolation("path did not land on Y")
-                ids = tuple(ids)
+                ids = tuple(_walk(xi, yi, cycles, segments, flip))
                 counts[ids] = counts.get(ids, 0) + 1
             if certify:
                 for z in set().union(*counts):

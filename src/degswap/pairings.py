@@ -1,4 +1,4 @@
-"""Pairings of the symmetric difference and its circuit/cycle decompositions.
+"""Pairings of the symmetric difference and their circuit/cycle decompositions.
 
 For two realizations X and Y of one degree sequence, every vertex meets as
 many X-edges as Y-edges of the symmetric difference.  A pairing fixes, at
@@ -11,15 +11,17 @@ first repeated vertex.
 The number of pairings is the product of d! over all vertices, where 2d is
 the vertex's degree in the symmetric difference.
 
-``Pairing``, ``all_pairings``, ``random_pairing`` and ``decompose`` are the
-public, object-level view.  ``congestion`` and ``path_distribution``, which
-decompose every pairing of a pair, use the integer kernel
-``_decompositions`` instead: it numbers the difference edges, runs the
-pairings as an odometer over per-vertex permutations of edge ids, traces
-circuits on partner arrays, and takes each circuit's cycles from a memo the
-caller scopes (``congestion`` keeps one per source state X).  It yields the
-same cycles as ``decompose``, pairing by pairing, without building a
-``Pairing``.
+``Pairing``, ``all_pairings`` and ``random_pairing`` build pairings as
+objects.  There is one decomposition implementation, the integer kernel: it
+numbers the difference edges in edge order, traces each pairing's circuits
+on partner arrays of edge ids (``_trace``), and takes each circuit's cycles
+from a memo the caller scopes, cutting them (``_split``) on a miss.
+``decompose`` is its single-pairing entry point: it fills the partner
+arrays from a ``Pairing`` after checking the pairing's maps.
+``_decompositions``, which ``congestion`` and ``path_distribution`` run,
+enumerates every pairing of a pair as an odometer over per-vertex
+permutations of edge ids, without building a ``Pairing``, and yields the
+same cycles as ``decompose``, pairing by pairing, in ``all_pairings`` order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from itertools import permutations, product
 import numpy as np
 
 from .core import BipartiteGraph, symmetric_difference
-from .errors import DegreeMismatch, NonAlternating, PreconditionViolation
+from .errors import (DegreeMismatch, NonAlternating, PairingMismatch,
+                     PreconditionViolation)
 
 
 def _incidences(part):
@@ -155,102 +158,70 @@ def _shared_vertex(e, f):
     raise NonAlternating(f"edges {e} and {f} share no endpoint")
 
 
-def circuits_of(pairing: Pairing) -> list:
-    """Trace the 2-regular auxiliary graph into alternating circuits.
-
-    Each circuit is a list of edges in traversal order; traversal starts at
-    the smallest unvisited edge, leaving through its U endpoint.
-    """
-    remaining = set(pairing.domain())
-    x_edges = pairing.x_edges
-    circuits = []
-    while remaining:
-        e0 = min(remaining)
-        w0 = ("u", e0[0])
-        circuit = []
-        e, w = e0, w0
-        for _ in range(len(pairing.maps) * len(remaining) + 2):
-            circuit.append(e)
-            remaining.discard(e)
-            f = pairing.partner_at(w, e)
-            if (e in x_edges) == (f in x_edges):
-                raise NonAlternating(f"pairing sends {e} to same-class {f}")
-            w = ("v", f[1]) if w[0] == "u" else ("u", f[0])
-            e = f
-            if e == e0 and w == w0:
-                break
-        else:
-            raise AssertionError("circuit traversal did not close")
-        circuits.append(circuit)
-    return circuits
-
-
-def _as_cycle(edges, x_edges) -> AlternatingCycle:
-    cyc_x = frozenset(e for e in edges if e in x_edges)
-    cyc_y = frozenset(e for e in edges if e not in x_edges)
-    start = edges.index(min(cyc_x))
-    rotated = tuple(edges[(start + t) % len(edges)] for t in range(len(edges)))
-    return AlternatingCycle(rotated, cyc_x, cyc_y)
-
-
-def cycles_of(circuit, x_edges) -> list:
-    """Split an alternating circuit into simple alternating cycles.
-
-    The circuit is walked edge by edge; whenever the walk returns to a
-    vertex that is still open, the edges since its previous visit come off
-    as one cycle.  The extracted edge sets partition the circuit.
-    """
-    n = len(circuit)
-    # Vertex reached after edge t; edge t connects reached[t-1] to reached[t].
-    reached = [_shared_vertex(circuit[t], circuit[(t + 1) % n]) for t in range(n)]
-    start_vertex = reached[n - 1]
-    cycles = []
-    stack = []
-    open_at = {start_vertex: 0}
-    for t in range(n):
-        stack.append(circuit[t])
-        w = reached[t]
-        if w in open_at:
-            cut = open_at[w]
-            piece = stack[cut:]
-            del stack[cut:]
-            open_at = {x: d for x, d in open_at.items() if d <= cut}
-            cycles.append(_as_cycle(piece, x_edges))
-        else:
-            open_at[w] = len(stack)
-    if stack:
-        raise NonAlternating("circuit walk did not close at its start vertex")
-    for c in cycles:
-        _check_alternating(c)
-    return cycles
-
-
-def _check_alternating(cycle: AlternatingCycle):
-    n = len(cycle.edge_seq)
-    if n % 2 != 0 or n < 4:
-        raise NonAlternating(f"cycle length {n} is not an even number >= 4")
-    verts = cycle.vertex_seq()
-    if len(set(verts)) != n:
-        raise NonAlternating("cycle repeats a vertex")
-    for t in range(n):
-        e, f = cycle.edge_seq[t], cycle.edge_seq[(t + 1) % n]
-        if (e in cycle.x_edges) == (f in cycle.x_edges):
-            raise NonAlternating("consecutive edges in one class")
-
-
 def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> CircuitDecomposition:
-    """Full pipeline: circuits of the pairing, refined into ordered cycles."""
-    circuits = circuits_of(pairing)
-    cycles = []
-    for circ in circuits:
-        cycles.extend(cycles_of(circ, pairing.x_edges))
-    return CircuitDecomposition(tuple(tuple(c) for c in circuits), tuple(cycles))
+    """The pairing's circuits, each a tuple of edges in traversal order, and
+    their refinement into ordered cycles.
+
+    The single-pairing entry point of the decomposition kernel: the edges of
+    X xor Y are numbered as ``_decompositions`` numbers them, the pairing's
+    maps fill the partner arrays, and ``_trace`` runs with a fresh memo.
+    The pairing must split as X xor Y does (``PairingMismatch``), and every
+    map must be an involution that pairs each edge, at each of its ends,
+    with an edge of the other class there: ``NonAlternating`` for a partner
+    of the same class, ``PairingMismatch`` for any other defect.
+    """
+    part = symmetric_difference(X, Y)       # the shape and margin checks
+    if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
+        raise PairingMismatch("pairing does not belong to this realization pair")
+    numbering = _number(_cells(X), _cells(Y), X.l)
+    edges, _, in_x = numbering[:3]
+    ids = {e: i for i, e in enumerate(edges)}
+    pu, pv = [0] * len(edges), [0] * len(edges)
+    for i, e in enumerate(edges):
+        for side, partner in ((0, pu), (1, pv)):
+            w = ("v", e[1]) if side else ("u", e[0])
+            table = pairing.maps.get(w, {})
+            f = table.get(e)
+            j = ids.get(f)
+            if j is None or f[side] != e[side] or table.get(f) != e:
+                raise PairingMismatch(f"the pairing's map at {w} does not pair off "
+                                      f"the edges of X xor Y there")
+            if in_x[j] == in_x[i]:
+                raise NonAlternating(f"pairing sends {e} to same-class {f}")
+            partner[i] = j
+    circuits, cycles = _trace(pu, pv, numbering, {})
+    return CircuitDecomposition(tuple(tuple(map(edges.__getitem__, c)) for c in circuits),
+                                tuple(cycles))
 
 
 def _cells(G: BipartiteGraph) -> int:
     """G's edges as a bitmask: bit u*l+v is set for each edge (u, v)."""
     return int.from_bytes(np.packbits(G.adj, axis=None, bitorder="little").tobytes(),
                           "little")
+
+
+def _number(x_cells: int, y_cells: int, l: int) -> tuple:
+    """The edges of X xor Y numbered in cell order, which is edge order.
+
+    X and Y are given as ``_cells`` bitmasks of realizations with l
+    V-vertices.  Returns ``(edges, cells, in_x, codes, bits, full)``: edge
+    i is ``edges[i]`` in cell ``cells[i]`` = u*l+v, ``in_x[i]`` tells
+    whether it is an X-edge, ``codes[i]`` gives its U end as 2u and its V
+    end as 2v+1, ``bits[i]`` is its bit 2*cell + (1 for a Y-edge), and
+    ``full`` is the sum of ``bits``.
+    """
+    x_only = x_cells & ~y_cells
+    cells = []
+    rest = x_cells ^ y_cells
+    while rest:
+        low = rest & -rest
+        cells.append(low.bit_length() - 1)
+        rest ^= low
+    edges = [divmod(c, l) for c in cells]
+    in_x = [x_only >> c & 1 == 1 for c in cells]
+    codes = [(2 * u, 2 * v + 1) for u, v in edges]
+    bits = [1 << (2 * c + (not x)) for c, x in zip(cells, in_x)]
+    return edges, cells, in_x, codes, bits, sum(bits)
 
 
 def _decompositions(x_cells: int, y_cells: int, l: int, memo: dict):
@@ -262,29 +233,13 @@ def _decompositions(x_cells: int, y_cells: int, l: int, memo: dict):
     order; each list equals ``decompose(X, Y, s).cycles`` for the matching
     pairing s, but no ``Pairing`` is built.
 
-    The difference edges get ids in cell order, which is edge order.
     Pairings run as an odometer over the per-vertex permutations of Y-edge
     ids; each fills a U-side and a V-side partner array, rewriting only the
-    vertices whose permutation changed.  Circuits are traced on these
-    arrays from the smallest unseen id, leaving through its U end.  A
-    circuit's cycles come from ``memo``, keyed by the class of its first
-    edge and the cells u*l+v of its edges, which is everything they depend
-    on; the caller owns and scopes it.  On a miss ``_split`` cuts the
-    circuit as ``cycles_of`` does.
-
-    Checked once per pairing: the circuits visit every edge id exactly
-    once, and the cycles are pairwise edge-disjoint and cover X xor Y, each
-    edge in its class there.
+    vertices whose permutation changed, and ``_trace`` decomposes it with
+    the caller's ``memo``, which the caller owns and scopes.
     """
-    x_only = x_cells & ~y_cells
-    cells = []
-    rest = x_cells ^ y_cells
-    while rest:
-        low = rest & -rest
-        cells.append(low.bit_length() - 1)
-        rest ^= low
-    edges = [divmod(c, l) for c in cells]
-    in_x = [x_only >> c & 1 == 1 for c in cells]
+    numbering = _number(x_cells, y_cells, l)
+    edges, _, in_x = numbering[:3]
     # per vertex (side 0 for U, 1 for V): its X-edge ids and Y-edge ids
     incid = {}
     for i, (u, v) in enumerate(edges):
@@ -296,14 +251,13 @@ def _decompositions(x_cells: int, y_cells: int, l: int, memo: dict):
             raise DegreeMismatch("X and Y do not share their degree vectors")
         total *= math.factorial(len(xs))
     vertices = [(side, *incid[side, w]) for side, w in sorted(incid)]
-    return total, _cycle_lists(edges, cells, in_x, vertices, memo)
+    return total, _cycle_lists(numbering, vertices, memo)
 
 
-def _cycle_lists(edges, cells, in_x, vertices, memo: dict):
-    m = len(edges)
-    codes = [(2 * u, 2 * v + 1) for u, v in edges]
-    bits = [1 << (2 * c + (not x)) for c, x in zip(cells, in_x)]
-    full = sum(bits)
+def _cycle_lists(numbering, vertices, memo: dict):
+    """The odometer behind ``_decompositions``: one ``_trace`` cycle list
+    per pairing, in ``all_pairings`` order."""
+    m = len(numbering[0])
     pu, pv = [0] * m, [0] * m
     # vertices with one Y-edge have one permutation: fill them once, and run
     # the odometer over the rest, in the same order
@@ -323,45 +277,67 @@ def _cycle_lists(edges, cells, in_x, vertices, memo: dict):
                 for x, y in zip(xs, image):
                     partner[x] = y
                     partner[y] = x
-        seen = bytearray(m)
-        cycles = []
-        covered = 0
-        for e0 in range(m):
-            if seen[e0]:
-                continue
-            circuit = []
-            e = e0
-            while True:
-                f = pu[e]
-                if seen[e] or seen[f]:
-                    raise PreconditionViolation("a circuit visits an edge twice")
-                seen[e] = seen[f] = 1
-                circuit += (e, f)
-                e = pv[f]
-                if e == e0:
-                    break
-            key = (in_x[e0], tuple(map(cells.__getitem__, circuit)))
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = _split(circuit, edges, codes, bits, in_x)
-            for c, mask in entry:
-                if covered & mask:
-                    raise PreconditionViolation("two cycles of the decomposition overlap")
-                covered |= mask
-                cycles.append(c)
-        if covered != full:
-            raise PreconditionViolation("the cycles do not cover the symmetric difference")
-        yield cycles
+        yield _trace(pu, pv, numbering, memo)[1]
+
+
+def _trace(pu, pv, numbering, memo: dict) -> tuple:
+    """One pairing's circuits, as lists of edge ids, and its cycles.
+
+    ``pu[i]`` and ``pv[i]`` are the partners of edge i at its U end and at
+    its V end.  Circuits are traced from the smallest unseen id, leaving
+    through its U end.  A circuit's cycles come from ``memo``, keyed by the
+    class of its first edge and the cells of its edges, which is everything
+    they depend on; on a miss ``_split`` cuts the circuit.
+
+    Checked once per pairing: the circuits visit every edge id exactly
+    once, and the cycles are pairwise edge-disjoint and cover X xor Y, each
+    edge in its class there.
+    """
+    edges, cells, in_x, codes, bits, full = numbering
+    seen = bytearray(len(pu))
+    circuits = []
+    cycles = []
+    covered = 0
+    for e0 in range(len(pu)):
+        if seen[e0]:
+            continue
+        circuit = []
+        e = e0
+        while True:
+            f = pu[e]
+            if seen[e] or seen[f]:
+                raise PreconditionViolation("a circuit visits an edge twice")
+            seen[e] = seen[f] = 1
+            circuit += (e, f)
+            e = pv[f]
+            if e == e0:
+                break
+        circuits.append(circuit)
+        key = (in_x[e0], tuple(map(cells.__getitem__, circuit)))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _split(circuit, edges, codes, bits, in_x)
+        for c, mask in entry:
+            if covered & mask:
+                raise PreconditionViolation("two cycles of the decomposition overlap")
+            covered |= mask
+            cycles.append(c)
+    if covered != full:
+        raise PreconditionViolation("the cycles do not cover the symmetric difference")
+    return circuits, cycles
 
 
 def _split(circuit, edges, codes, bits, in_x) -> tuple:
-    """``cycles_of`` on edge ids: the circuit's cycles, each with its mask,
-    the sum of ``bits`` over its edges.
+    """A traced circuit's simple alternating cycles, each with its mask, the
+    sum of ``bits`` over its edges.
 
-    Edges t and t+1 of a traced circuit share their U end for even t and
-    their V end for odd t; ``codes`` gives each id's U end as 2u and V end
-    as 2v+1.  Each cycle is rotated to its smallest X-edge and checked as
-    ``_check_alternating`` checks it.
+    The circuit is walked edge by edge; whenever the walk returns to a
+    vertex that is still open, the edges since its previous visit come off
+    as one cycle (``_cuts``).  Edges t and t+1 of a traced circuit share
+    their U end for even t and their V end for odd t; ``codes`` gives each
+    id's U end as 2u and V end as 2v+1.  Each cycle is rotated to its
+    smallest X-edge and checked to have even length >= 4, no repeated
+    vertex, and alternating classes (``NonAlternating`` otherwise).
     """
     n = len(circuit)
     reached = [0] * n
@@ -390,8 +366,8 @@ def _split(circuit, edges, codes, bits, in_x) -> tuple:
 
 
 def _cuts(reached) -> list:
-    """The positions of each cycle ``cycles_of`` cuts from a circuit whose
-    edge t reaches vertex ``reached[t]``, in the order they come off."""
+    """The positions of each cycle ``_split`` cuts from a circuit whose edge
+    t reaches vertex ``reached[t]``, in the order they come off."""
     open_at = {reached[-1]: 0}
     stack = []
     pieces = []

@@ -14,6 +14,8 @@ import numpy as np
 
 from degswap import AlternatingCycle, BipartiteGraph
 from degswap.core import allowed_swaps, apply_swap
+from degswap.errors import NonAlternating
+from degswap.pairings import CircuitDecomposition, _shared_vertex
 
 
 @lru_cache(maxsize=16)
@@ -174,6 +176,106 @@ def split_environment_pools(ell: int, cycle_cells, rng):
     return pool_x, pool_y
 
 
+# -- the object-level decomposition -------------------------------------------
+#
+# Circuits traced and cut into cycles on the pairing's dicts, one edge tuple at
+# a time: the reference that the integer kernel and ``decompose`` are checked
+# against.
+
+
+def circuits_of(pairing) -> list:
+    """Trace the 2-regular auxiliary graph into alternating circuits.
+
+    Each circuit is a list of edges in traversal order; traversal starts at
+    the smallest unvisited edge, leaving through its U endpoint.
+    """
+    remaining = set(pairing.domain())
+    x_edges = pairing.x_edges
+    circuits = []
+    while remaining:
+        e0 = min(remaining)
+        w0 = ("u", e0[0])
+        circuit = []
+        e, w = e0, w0
+        for _ in range(len(pairing.maps) * len(remaining) + 2):
+            circuit.append(e)
+            remaining.discard(e)
+            f = pairing.partner_at(w, e)
+            if (e in x_edges) == (f in x_edges):
+                raise NonAlternating(f"pairing sends {e} to same-class {f}")
+            w = ("v", f[1]) if w[0] == "u" else ("u", f[0])
+            e = f
+            if e == e0 and w == w0:
+                break
+        else:
+            raise AssertionError("circuit traversal did not close")
+        circuits.append(circuit)
+    return circuits
+
+
+def _as_cycle(edges, x_edges):
+    cyc_x = frozenset(e for e in edges if e in x_edges)
+    cyc_y = frozenset(e for e in edges if e not in x_edges)
+    start = edges.index(min(cyc_x))
+    rotated = tuple(edges[(start + t) % len(edges)] for t in range(len(edges)))
+    return AlternatingCycle(rotated, cyc_x, cyc_y)
+
+
+def cycles_of(circuit, x_edges) -> list:
+    """Split an alternating circuit into simple alternating cycles.
+
+    The circuit is walked edge by edge; whenever the walk returns to a
+    vertex that is still open, the edges since its previous visit come off
+    as one cycle.  The extracted edge sets partition the circuit.
+    """
+    n = len(circuit)
+    # Vertex reached after edge t; edge t connects reached[t-1] to reached[t].
+    reached = [_shared_vertex(circuit[t], circuit[(t + 1) % n]) for t in range(n)]
+    start_vertex = reached[n - 1]
+    cycles = []
+    stack = []
+    open_at = {start_vertex: 0}
+    for t in range(n):
+        stack.append(circuit[t])
+        w = reached[t]
+        if w in open_at:
+            cut = open_at[w]
+            piece = stack[cut:]
+            del stack[cut:]
+            open_at = {x: d for x, d in open_at.items() if d <= cut}
+            cycles.append(_as_cycle(piece, x_edges))
+        else:
+            open_at[w] = len(stack)
+    if stack:
+        raise NonAlternating("circuit walk did not close at its start vertex")
+    for c in cycles:
+        _check_alternating(c)
+    return cycles
+
+
+def _check_alternating(cycle):
+    n = len(cycle.edge_seq)
+    if n % 2 != 0 or n < 4:
+        raise NonAlternating(f"cycle length {n} is not an even number >= 4")
+    verts = cycle.vertex_seq()
+    if len(set(verts)) != n:
+        raise NonAlternating("cycle repeats a vertex")
+    for t in range(n):
+        e, f = cycle.edge_seq[t], cycle.edge_seq[(t + 1) % n]
+        if (e in cycle.x_edges) == (f in cycle.x_edges):
+            raise NonAlternating("consecutive edges in one class")
+
+
+def naive_decompose(X, Y, pairing):
+    """``decompose`` on the pairing's dicts: circuits of the pairing, refined
+    into ordered cycles."""
+    circuits = circuits_of(pairing)
+    cycles = []
+    for circ in circuits:
+        cycles.extend(cycles_of(circ, pairing.x_edges))
+    return CircuitDecomposition(tuple(tuple(c) for c in circuits), tuple(cycles))
+
+
 # -- dense rational distance-decay oracle -------------------------------------
 
 
@@ -203,12 +305,13 @@ def dense_distance_profile(rows, t):
 
 def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = False,
                      switch_cap: int = 6):
-    """The congestion report built the direct way: one ``canonical_path`` per
-    pairing, mapped to state ids, with every load accumulated as a
-    ``Fraction``."""
+    """The congestion report built the direct way: every pairing decomposed
+    by ``naive_decompose``, its path built cycle by cycle with the checked
+    ``path_along_cycle`` and mapped to state ids, and every load accumulated
+    as a ``Fraction``."""
     from fractions import Fraction
 
-    from degswap.canonical import canonical_path, hat_matrix, switch_distance
+    from degswap.canonical import hat_matrix, path_along_cycle, switch_distance
     from degswap.errors import TooManyPairings
     from degswap.mixing import CongestionReport
     from degswap.pairings import all_pairings, enumerate_pairings_count
@@ -227,7 +330,13 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                 raise TooManyPairings(f"{t_total} pairings exceed the guard {max_pairings}")
             counts, sd_memo = {}, {}
             for s in all_pairings(X, Y):
-                states = canonical_path(X, Y, s)
+                states = [X]
+                for cyc in naive_decompose(X, Y, s).cycles:
+                    adj = states[-1].adj.copy()
+                    adj[tuple(zip(*cyc.x_edges))] = 0
+                    adj[tuple(zip(*cyc.y_edges))] = 1
+                    states += path_along_cycle(states[-1], BipartiteGraph(adj), X, Y, cyc)[1:]
+                assert states[-1] == Y
                 ids = tuple(space.index[g.key()] for g in states)
                 counts[ids] = counts.get(ids, 0) + 1
                 if certify:

@@ -19,7 +19,7 @@ from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             TooManyPairings)
 from degswap.mixing import enumerate_states
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, chain,
-                     random_pairing)
+                     pairings, random_pairing)
 from degswap.ryser import replay
 
 from oracles import (cycle_graph_pair, friendly_path_exists, naive_switch_distance,
@@ -579,25 +579,40 @@ class TestCanonicalPath:
         total = sum(counts.values())
         assert path_distribution(X, Y) == {g: Fraction(c, total) for g, c in counts.items()}
 
-    @pytest.mark.parametrize("mangle", [lambda cycles: cycles + cycles[:1],
-                                        lambda cycles: cycles[1:]])
+    @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
+                                        lambda entries: entries[1:]])
     def test_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):
         # a decomposition whose cycles overlap, or miss part of X xor Y, is
-        # refused before any cycle is walked
-        import degswap.canonical as canonical
-
+        # refused before any cycle is walked, by both entry points
         X = BipartiteGraph([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         Y = BipartiteGraph([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         s = next(all_pairings(X, Y))
-        real = canonical.decompose
-
-        def mangled(X, Y, pairing):
-            dec = real(X, Y, pairing)
-            return type(dec)(dec.circuits, mangle(dec.cycles))
-
-        monkeypatch.setattr(canonical, "decompose", mangled)
+        real = pairings._split
+        monkeypatch.setattr(pairings, "_split", lambda *args: mangle(real(*args)))
         with pytest.raises(PreconditionViolation):
             canonical_path(X, Y, s)
+        with pytest.raises(PreconditionViolation):
+            path_distribution(X, Y)
+
+    def test_walk_caches_segments_and_checks_landing(self):
+        # the one walker, on state ids: one flip per (state, cycle), and a
+        # path that misses its end is refused
+        from degswap.canonical import _walk
+
+        a, b = (AlternatingCycle((e,), frozenset(), frozenset()) for e in ((0, 0), (1, 1)))
+        calls = []
+
+        def flip(state, cycle):
+            calls.append((state, cycle.edge_seq))
+            return (state + 1, state + 2)
+
+        segments = {}
+        assert _walk(0, 4, [a, b], segments, flip) == [0, 1, 2, 3, 4]
+        assert _walk(0, 4, [a, b], segments, flip) == [0, 1, 2, 3, 4]
+        assert _walk(0, 4, [b, b], segments, flip) == [0, 1, 2, 3, 4]
+        assert calls == [(0, ((0, 0),)), (2, ((1, 1),)), (0, ((1, 1),))]
+        with pytest.raises(SpecViolation):
+            _walk(0, 3, [a, b], segments, flip)
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -98,6 +98,36 @@ def test_canonical_path_certify_golden(tmp_path, capsys, name, by_index):
     assert digest == (indexed if by_index else seeded)
 
 
+
+# Digests (sha256, first 16 hex digits) of `decompose X Y` stdout, recorded
+# while the command still traced circuits on the pairing's dicts instead of
+# running the integer kernel, on the pairs above and the figure-eight (two
+# 4-cycles sharing U-vertex 0).
+DECOMPOSE_GOLDEN = {
+    # name: (X, Y, --all digest, --seed 5 digest)
+    "4x4 2-regular": ("4 4\n0011\n0011\n1100\n1100\n", "4 4\n1100\n1100\n0011\n0011\n",
+                      "62f57de22b349b3d", "ce204682afade34a"),
+    "V-regular, certificate 3": ("4 4\n1011\n0101\n0110\n1000\n",
+                                 "4 4\n1101\n0110\n1010\n0001\n",
+                                 "c94f2d4538ffcee3", "c94f2d4538ffcee3"),
+    "U-regular": ("4 4\n0011\n1010\n1100\n1100\n", "4 4\n1100\n1100\n1010\n0011\n",
+                  "7f78430cea7c282f", "2b7a1b8117f9d02c"),
+    "figure-eight": ("3 4\n1010\n0100\n0001\n", "3 4\n0101\n1000\n0010\n",
+                     "bfad4849bbf76737", "7450b57cb394d145"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GOLDEN))
+@pytest.mark.parametrize("every", [False, True])
+def test_decompose_golden(tmp_path, capsys, name, every):
+    x, y, all_digest, seeded = DECOMPOSE_GOLDEN[name]
+    argv = ["decompose", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y)]
+    argv += ["--all"] if every else ["--seed", "5"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == (all_digest if every else seeded)
+
+
 def test_parser_built_once():
     from degswap.cli import build_parser
 

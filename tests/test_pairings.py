@@ -3,15 +3,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, advance,
-                     all_pairings, circuits_of, cycles_of, decompose,
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairing,
+                     advance, all_pairings, canonical_path, decompose,
                      enumerate_pairings_count, random_pairing, symmetric_difference)
 from degswap.core import allowed_swaps, apply_swap, is_graphical
-from degswap.errors import DegreeMismatch
+from degswap.errors import DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch
 from degswap.mixing import enumerate_states
 from degswap.pairings import _cells, _decompositions
 
-from oracles import all_degree_pairs
+from oracles import all_degree_pairs, naive_decompose
 
 # symmetric difference: two 4-cycles sharing U-vertex 0
 FIG8_X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -52,32 +52,35 @@ def test_random_pairing_deterministic():
 
 def test_single_cycle_circuit():
     s = next(all_pairings(M1, M2))
-    circuits = circuits_of(s)
+    circuits = decompose(M1, M2, s).circuits
     assert len(circuits) == 1 and len(circuits[0]) == 4
 
 
 def test_figure_eight_both_pairings():
     shapes = set()
     for s in all_pairings(FIG8_X, FIG8_Y):
-        shapes.add(tuple(sorted(len(c) for c in circuits_of(s))))
+        shapes.add(tuple(sorted(len(c) for c in decompose(FIG8_X, FIG8_Y, s).circuits)))
     assert shapes == {(4, 4), (8,)}
 
 
 def test_cycles_partition_circuit():
+    # the cycles come circuit by circuit, each circuit's cycles partitioning it
     for s in all_pairings(FIG8_X, FIG8_Y):
-        for circ in circuits_of(s):
-            cycles = cycles_of(circ, s.x_edges)
-            assert sum(len(c) for c in cycles) == len(circ)
-            edges = [e for c in cycles for e in c.edge_seq]
+        dec = decompose(FIG8_X, FIG8_Y, s)
+        cycles = iter(dec.cycles)
+        for circ in dec.circuits:
+            edges = []
+            while len(edges) < len(circ):
+                edges += next(cycles).edge_seq
             assert sorted(edges) == sorted(circ)
+        assert next(cycles, None) is None
 
 
 def test_figure_eight_long_circuit_splits():
     for s in all_pairings(FIG8_X, FIG8_Y):
-        circuits = circuits_of(s)
-        if len(circuits) == 1:
-            cycles = cycles_of(circuits[0], s.x_edges)
-            assert sorted(len(c) for c in cycles) == [4, 4]
+        dec = decompose(FIG8_X, FIG8_Y, s)
+        if len(dec.circuits) == 1:
+            assert sorted(len(c) for c in dec.cycles) == [4, 4]
 
 
 def test_decompose_covers_difference_randomized():
@@ -109,25 +112,67 @@ def test_cycle_walk_alternates():
             assert len(set(c.vertex_seq())) == n
 
 
+
+def with_map_at_u0(table) -> Pairing:
+    """A pairing of (FIG8_X, FIG8_Y) whose map at U-vertex 0 is ``table``."""
+    s = next(all_pairings(FIG8_X, FIG8_Y))
+    return Pairing({**s.maps, ("u", 0): table}, s.x_edges, s.y_edges)
+
+
+def test_same_class_partner_rejected():
+    # X-edge (0,0) sent to X-edge (0,2) at u0: the figure-eight's circuit
+    # would still cut into two alternating 4-cycles
+    s = with_map_at_u0({(0, 0): (0, 2), (0, 2): (0, 0), (0, 1): (0, 3), (0, 3): (0, 1)})
+    with pytest.raises(NonAlternating, match=r"sends \(0, 0\) to same-class \(0, 2\)"):
+        decompose(FIG8_X, FIG8_Y, s)
+    with pytest.raises(NonAlternating):
+        canonical_path(FIG8_X, FIG8_Y, s)
+
+
+def test_map_that_is_no_involution_rejected():
+    # (0,2) -> (0,1) -> (0,0): every partner is of the other class
+    s = with_map_at_u0({(0, 0): (0, 1), (0, 2): (0, 1), (0, 1): (0, 0), (0, 3): (0, 2)})
+    with pytest.raises(DegSwapError, match="does not pair off"):
+        decompose(FIG8_X, FIG8_Y, s)
+
+
+def test_pairing_of_another_pair_rejected():
+    s = next(all_pairings(FIG8_X, FIG8_Y))
+    with pytest.raises(PairingMismatch):
+        decompose(FIG8_Y, FIG8_X, s)
+
+
 # -- the integer decomposition kernel ----------------------------------------
 
 
-def kernel_matches_decompose(X, Y, memo) -> int:
-    """Assert that the kernel yields ``decompose``'s cycles for every pairing
-    in ``all_pairings`` order, and return the number of pairings."""
+def kernel_matches_decompose(X, Y, memo, public: bool = False) -> int:
+    """Assert that the kernel yields ``naive_decompose``'s cycles for every
+    pairing in ``all_pairings`` order, and with ``public`` that
+    ``decompose`` gives its circuits and cycles too; return the number of
+    pairings."""
     total, lists = _decompositions(_cells(X), _cells(Y), X.l, memo)
-    want = [decompose(X, Y, s).cycles for s in all_pairings(X, Y)]
-    assert [tuple(cycles) for cycles in lists] == want
+    pairings = list(all_pairings(X, Y))
+    want = [naive_decompose(X, Y, s) for s in pairings]
+    assert [tuple(cycles) for cycles in lists] == [dec.cycles for dec in want]
     assert total == len(want)
+    if public:
+        assert [decompose(X, Y, s) for s in pairings] == want
     return total
+
+
+# both 48-state spaces, besides every space with k, l <= 3
+PUBLIC_CHECKED = {((2, 2, 2, 2), (3, 2, 2, 1)), ((3, 2, 2, 1), (2, 2, 2, 2))}
 
 
 def test_kernel_matches_decompose_on_small_spaces():
     # every ordered pair of every space of a graphical pair with k, l <= 4
     # (the 48-state U- and V-regular spaces and the 90-state space among
-    # them), with one circuit memo per source state as congestion keeps it
+    # them), with one circuit memo per source state as congestion keeps it;
+    # the public ``decompose`` on the spaces with k, l <= 3 and the 48-state
+    # ones
     spaces = pairings = 0
     sizes = set()
+    public_spaces = public_pairings = 0
     for a, b in all_degree_pairs(4, 4):
         ds = BipartiteDegreeSequence(a, b)
         if not is_graphical(ds):
@@ -135,16 +180,21 @@ def test_kernel_matches_decompose_on_small_spaces():
         space = enumerate_states(ds)
         if space.n < 2:
             continue
+        public = max(len(a), len(b)) <= 3 or (a, b) in PUBLIC_CHECKED
         for X in space.states:
             memo = {}
             for Y in space.states:
                 if X is not Y:
-                    pairings += kernel_matches_decompose(X, Y, memo)
+                    total = kernel_matches_decompose(X, Y, memo, public)
+                    pairings += total
+                    public_pairings += total if public else 0
         spaces += 1
+        public_spaces += public
         sizes.add((a, b, space.n))
     assert {((2, 2, 2, 2), (3, 2, 2, 1), 48), ((3, 2, 2, 1), (2, 2, 2, 2), 48),
             ((2, 2, 2, 2), (2, 2, 2, 2), 90)} <= sizes
     assert (spaces, pairings) == (268, 105026)
+    assert (public_spaces, public_pairings) == (23, 11102)
 
 
 def test_kernel_matches_decompose_on_higher_degree_differences():
@@ -158,7 +208,7 @@ def test_kernel_matches_decompose_on_higher_degree_differences():
         part = symmetric_difference(g, h)
         deg = Counter(u for u, _ in part.x_edges) + Counter(-1 - v for _, v in part.x_edges)
         if max(deg.values(), default=0) >= 3 and enumerate_pairings_count(g, h) <= 2000:
-            kernel_matches_decompose(g, h, {})
+            kernel_matches_decompose(g, h, {}, public=True)
             checked += 1
 
 
