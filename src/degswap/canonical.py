@@ -1001,6 +1001,37 @@ def _flip(G: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
     return tuple(replay(G, _solve_cycle(G, target, cycle))[1:])
 
 
+def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict) -> tuple:
+    """The swaps that flip ``cycle`` in G, as ``(rows, cols, swaps)``: the
+    cycle's U- and V-vertices in increasing order, and swaps in local
+    indices, where index t stands for ``rows[t]`` or ``cols[t]``.
+
+    The construction reads only the cells of the cycle's rows x columns,
+    and its tie-breaks depend only on the order of vertex indices.  So its
+    swaps are a function of the local pattern: the m x m submatrix of G on
+    ``rows x cols`` and the cycle relabelled into it, which key ``memo``.
+    A miss runs ``_solve_cycle`` on the m x m graph, flipping every cycle
+    cell; the caller checks that the lifted swaps land where it wants.
+    """
+    seq = cycle.edge_seq
+    rows = sorted({u for u, _ in seq})
+    cols = sorted({v for _, v in seq})
+    at_row = {u: a for a, u in enumerate(rows)}
+    at_col = {v: b for b, v in enumerate(cols)}
+    local_seq = tuple((at_row[u], at_col[v]) for u, v in seq)
+    sub = G.adj[np.ix_(rows, cols)]
+    key = (sub.tobytes(), local_seq)
+    swaps = memo.get(key)
+    if swaps is None:
+        local = BipartiteGraph._trusted(sub)
+        x_edges = frozenset(e for e in local_seq if sub[e])
+        y_edges = frozenset(local_seq) - x_edges
+        target = local.with_edges(sorted(x_edges), sorted(y_edges))
+        swaps = memo[key] = _solve_cycle(local, target,
+                                         AlternatingCycle(local_seq, x_edges, y_edges))
+    return rows, cols, swaps
+
+
 def _walk(start, end, cycles, segments: dict, flip) -> list:
     """The path from ``start`` to ``end`` that flips the given cycles in
     order: the start, then the states after each swap.

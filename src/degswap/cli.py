@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .canonical import canonical_path
 from .chain import ChainState, _check_steps, advance
-from .core import BipartiteDegreeSequence, BipartiteGraph, apply_swap, greedy_realize
+from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
 from .pairings import all_pairings, decompose, random_pairing

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _flip, _walk, hat_matrix, switch_distance
+from .canonical import _pattern_swaps, _walk, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
@@ -403,19 +403,39 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
-def _segment(space: StateSpace, i: int, cycle) -> tuple:
+def _segment(space: StateSpace, patterns: dict, i: int, cycle) -> tuple:
     """State ids after each swap that flips ``cycle`` starting from state i.
 
-    The steps are checked to follow move-graph edges only, and the solver
-    checks that they land on the flipped state.
+    The swaps come from ``canonical._pattern_swaps``, solved once per local
+    pattern in ``patterns``.  Each lifted swap XORs its four cells into a
+    copy of the state's key, which is looked up in ``space.index``.  Every
+    step is checked to follow a move-graph edge, and the segment to land on
+    the state with the cycle's X-edges removed and its Y-edges added.
     """
+    G = space.states[i]
+    rows, cols, swaps = _pattern_swaps(G, cycle, patterns)
+    l = G.l
+    key = bytearray(G.key())
     seg = []
-    for g in _flip(space.states[i], cycle):
-        j = space.index.get(g.key())
+    for s in swaps:
+        a, b = rows[s.u1] * l, rows[s.u2] * l
+        c, d = cols[s.v1], cols[s.v2]
+        key[a + c] ^= 1
+        key[a + d] ^= 1
+        key[b + c] ^= 1
+        key[b + d] ^= 1
+        j = space.index.get(bytes(key))
         if j is None or j not in space.neighbours[i]:
             raise SpecViolation("a canonical path step is not a move-graph edge")
         seg.append(j)
         i = j
+    end = bytearray(G.key())
+    for u, v in cycle.x_edges:
+        end[u * l + v] = 0
+    for u, v in cycle.y_edges:
+        end[u * l + v] = 1
+    if key != end:
+        raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
 
 
@@ -433,10 +453,13 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     (``pairings._decompositions``), whose circuit memo lives for one source
     state X.  Paths are walked in state ids by ``canonical._walk``, the
     walker ``canonical_path`` uses.  Their segments are cached per call by
-    start state and cycle, and with ``certify`` the switch
-    distances per distinct three-term matrix; nothing outlives the call.
-    Loads are integer numerators over one common multiple of the pairing
-    counts.
+    start state and cycle.  A segment's swaps are solved once per local
+    pattern (the cycle's submatrix and its cells, see
+    ``canonical._pattern_swaps``) and walked by flipping bytes of the state
+    keys, without building graphs.  With ``certify`` the switch distances
+    are cached per distinct three-term matrix.  All three caches live for
+    one call.  Loads are integer numerators over one common multiple of the
+    pairing counts.
     """
     n = space.n
     if n > max_states:
@@ -445,7 +468,8 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
         raise DegenerateChain("need at least two states")
     if kernel.n != n or kernel.neighbours != space.neighbours:
         raise ValueError("the kernel does not belong to this state space")
-    flip = functools.partial(_segment, space)
+    patterns = {}
+    flip = functools.partial(_segment, space, patterns)
     segments = {}
     certs = {}
     scale = 1            # a common multiple of the pairing counts seen so far

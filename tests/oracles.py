@@ -360,6 +360,24 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                             max_switch_distance=max_sd if certify else None)
 
 
+def naive_segment(space, i, cycle):
+    """State ids after each swap that flips ``cycle`` from state i, the
+    graph way: ``canonical._flip`` solves the cycle on the full realization
+    and replays its swaps, and each realization is mapped to its id and
+    checked to follow a move-graph edge."""
+    from degswap.canonical import _flip
+    from degswap.errors import SpecViolation
+
+    seg = []
+    for g in _flip(space.states[i], cycle):
+        j = space.index.get(g.key())
+        if j is None or j not in space.neighbours[i]:
+            raise SpecViolation("a canonical path step is not a move-graph edge")
+        seg.append(j)
+        i = j
+    return tuple(seg)
+
+
 def cell_text(g) -> str:
     """The graph text format written cell by cell: a "k l" header line, then
     one line of 0/1 characters per U-vertex."""

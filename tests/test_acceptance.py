@@ -10,16 +10,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, FMatrix,
                      FriendlyPath, all_pairings, canonical_path,
-                     enumerate_pairings_count, find_friendly_path, hat_matrix,
-                     is_graphical, random_pairing, ryser_sequence, sample,
-                     switch_distance)
+                     find_friendly_path, hat_matrix, is_graphical,
+                     random_pairing, ryser_sequence, sample, switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
-                               matches_spec, ring, verify_friendly_path,
+                               matches_spec, verify_friendly_path,
                                verify_same_state, verify_steinhaus)
 from degswap.mixing import (build_kernel, congestion, enumerate_states,
                             spectral_gap, tv_mixing_time)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,10 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _frame_types, _local_f,
-                               _spec_target, cycle_swaps,
+from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
                                matches_spec, ring, verify_friendly_path,
                                verify_same_state, verify_steinhaus)
-from degswap.core import allowed_swaps, apply_swap
+from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             TooManyPairings)
@@ -613,6 +613,58 @@ class TestCanonicalPath:
         assert calls == [(0, ((0, 0),)), (2, ((1, 1),)), (0, ((1, 1),))]
         with pytest.raises(SpecViolation):
             _walk(0, 3, [a, b], segments, flip)
+
+    def test_local_pattern_swaps_lift_to_the_full_solve(self):
+        # walking each decomposition's cycles, the swaps solved on the
+        # cycle's m x m pattern (or taken from the memo) and lifted through
+        # rows and cols are the swaps of the solve on the full graphs
+        from degswap.canonical import _pattern_swaps, _solve_cycle
+
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        memo = {}
+        sizes = []
+        for p in range(20):
+            X, Y = chain.sample(ds, 1000, 900 + 2 * p), chain.sample(ds, 1000, 901 + 2 * p)
+            G = X
+            for cyc in pairings.decompose(X, Y, random_pairing(X, Y, p)).cycles:
+                target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
+                rows, cols, local = _pattern_swaps(G, cyc, memo)
+                lifted = tuple(Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2],
+                                    s.orientation) for s in local)
+                assert lifted == _solve_cycle(G, target, cyc), (p, cyc.edge_seq)
+                sizes.append(len(rows))
+                G = target
+            assert G == Y
+        assert max(sizes) >= 8
+        assert len(memo) < len(sizes)
+
+    def test_pattern_memo_keeps_row_and_column_order(self):
+        # chord layouts of one 10-cycle whose matrices are row or column
+        # permutations of each other share every order-free summary, yet
+        # their solves differ; through one memo each gets its own solve
+        from degswap.canonical import _pattern_swaps, _solve_cycle
+
+        m = 5
+        rng = np.random.default_rng(12)
+        layouts = set()
+        for _ in range(30):
+            G, _, _ = cycle_graph_pair(m, random_types(m, rng, 0.5))
+            for perm in itertools.permutations(range(m)):
+                for adj in (G.adj[list(perm)], G.adj[:, list(perm)]):
+                    if all(adj[t, t] and not adj[t, (t + 1) % m] for t in range(m)):
+                        layouts.add(adj.tobytes())
+        memo = {}
+        by_rows = {}
+        for layout in sorted(layouts):
+            adj = np.frombuffer(layout, np.uint8).reshape(m, m)
+            G, H, cyc = cycle_graph_pair(m, {(a, b): int(adj[a, b]) for a in range(m)
+                                             for b in range(m) if ring((a, b), m) >= 2})
+            rows, cols, local = _pattern_swaps(G, cyc, memo)
+            assert rows == cols == list(range(m))
+            assert local == _solve_cycle(G, H, cyc), adj.tolist()
+            by_rows.setdefault(tuple(sorted(map(bytes, adj))), set()).add(local)
+        assert len(memo) == len(layouts)
+        assert any(len(solves) > 1 for solves in by_rows.values())
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from degswap import BipartiteDegreeSequence, BipartiteGraph, mixing, pairings
+from degswap import (AlternatingCycle, BipartiteDegreeSequence, BipartiteGraph, canonical,
+                     mixing, pairings)
 from degswap.core import is_graphical
 from degswap.errors import (DegenerateChain, NonMixing, PreconditionViolation,
                             SpecViolation, TooLarge)
@@ -12,7 +13,8 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             tv_mixing_time)
 
 from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
-                     dense_kernel_rows, naive_congestion, naive_enumerate)
+                     dense_kernel_rows, naive_congestion, naive_enumerate,
+                     naive_segment)
 
 
 def bds(a, b):
@@ -322,6 +324,18 @@ class TestCongestion:
         assert congestion(space, build_kernel(space), certify=True) == CongestionReport(
             Fraction(539, 10), (84, 88), Fraction(417, 8), 33492, 1)
 
+    def test_segment_landing_checked(self):
+        # a cycle whose X- and Y-edges are named the wrong way round flips
+        # the right cells but misses the state it claims to reach
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        X, Y = space.states[0], space.states[space.neighbours[0][0]]
+        (cyc,) = next(pairings._decompositions(pairings._cells(X), pairings._cells(Y),
+                                                3, {})[1])
+        assert mixing._segment(space, {}, 0, cyc) == (space.neighbours[0][0],)
+        wrong = AlternatingCycle(cyc.edge_seq, cyc.y_edges, cyc.x_edges)
+        with pytest.raises(SpecViolation):
+            mixing._segment(space, {}, 0, wrong)
+
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
     def test_kernel_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):
@@ -332,3 +346,50 @@ class TestCongestion:
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         with pytest.raises(PreconditionViolation):
             congestion(space, build_kernel(space))
+
+
+class TestSegmentMemo:
+    """Certified congestion solves each cycle once per local pattern, and
+    its byte-flip walk gives the segments of the graph walk."""
+
+    SPACES = {"48U": ((2, 2, 2, 2), (3, 2, 2, 1)),
+              "48V": ((3, 2, 2, 1), (2, 2, 2, 2)),
+              "90": ((2, 2, 2, 2), (2, 2, 2, 2))}
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Per space: the space, the ``_solve_cycle`` calls of one certified
+        congestion, and every segment it computed as (state id, cycle, ids)."""
+        out = {}
+        real_solve, real_segment = canonical._solve_cycle, mixing._segment
+        for name, (a, b) in self.SPACES.items():
+            calls, segments = [0], []
+
+            def counting(*args):
+                calls[0] += 1
+                return real_solve(*args)
+
+            def recording(space, patterns, i, cycle):
+                seg = real_segment(space, patterns, i, cycle)
+                segments.append((i, cycle, seg))
+                return seg
+
+            space = enumerate_states(bds(a, b))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(canonical, "_solve_cycle", counting)
+                mp.setattr(mixing, "_segment", recording)
+                congestion(space, build_kernel(space), certify=True)
+            out[name] = space, calls[0], segments
+        return out
+
+    @pytest.mark.parametrize("name, solves, segments", [
+        ("48U", 278, 1483), ("48V", 244, 1431), ("90", 508, 4092)])
+    def test_one_solve_per_local_pattern(self, runs, name, solves, segments):
+        _, calls, segs = runs[name]
+        assert (calls, len(segs)) == (solves, segments)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_segments_match_graph_walk(self, runs, name):
+        space, _, segs = runs[name]
+        for i, cycle, seg in segs:
+            assert seg == naive_segment(space, i, cycle), (i, cycle.edge_seq)
