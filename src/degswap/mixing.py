@@ -7,6 +7,16 @@ everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
 decomposes every pairing of every ordered pair through the integer kernel
 of ``pairings``, with its circuit memo scoped to one source state.
+
+The chain commutes with exchanging two vertices of equal degree.  On spaces
+large enough to pay for it, ``build_kernel`` stores such exchanges of
+disjoint vertex pairs on the kernel as state-id permutations, each checked
+in integers to map the move graph onto itself.  ``spectral_gap`` then
+splits ``P`` exactly into one block per character of the group (Z_2)^m they
+generate, in the basis of signed orbit sums (Boyd, Diaconis, Parrilo & Xiao,
+"Fastest mixing Markov chain on graphs with symmetries", 2009).  Each block
+is summed from the move graph's edges and solved densely, and each keeps
+the eigensolver's residual certificate.
 """
 
 from __future__ import annotations
@@ -210,11 +220,17 @@ class TransitionMatrix:
     the swap chain ``denom = C(k,2)*C(l,2)``, ``off = 1`` and
     ``A = denom*I - L`` with ``L`` the Laplacian of the move graph.
 
-    The constructor takes dense rational rows and converts them to this form;
-    ``entries`` gives them back, built only when first read.
+    ``symmetries`` holds commuting involutions of the state ids, each a
+    read-only integer array ``p`` with ``A[p[i], p[j]] == A[i, j]``: the
+    relabellings of equal-degree vertices that ``build_kernel`` takes.
+    ``spectral_gap`` splits ``P`` into blocks by the group they generate.
+
+    The constructor takes dense rational rows and converts them to this form,
+    with no symmetries; ``entries`` gives them back, built only when first
+    read.
     """
 
-    __slots__ = ("denom", "off", "diag", "neighbours", "_entries")
+    __slots__ = ("denom", "off", "diag", "neighbours", "symmetries", "_entries")
 
     def __init__(self, entries, jump):
         rows = [tuple(Fraction(x) for x in row) for row in entries]
@@ -231,17 +247,24 @@ class TransitionMatrix:
         self._set(denom, int(jump * denom), diag, neighbours)
 
     @classmethod
-    def _from_move_graph(cls, denom: int, neighbours: tuple) -> "TransitionMatrix":
+    def _from_move_graph(cls, denom: int, neighbours: tuple,
+                         symmetries=()) -> "TransitionMatrix":
         """The kernel stepping to each move-graph neighbour with probability
-        1/denom and staying put otherwise."""
+        1/denom and staying put otherwise, carrying the given state-id
+        ``symmetries`` once ``_set`` has verified them."""
         kernel = cls.__new__(cls)
-        kernel._set(denom, 1, tuple(denom - len(nbrs) for nbrs in neighbours), neighbours)
+        kernel._set(denom, 1, tuple(denom - len(nbrs) for nbrs in neighbours), neighbours,
+                    symmetries)
         return kernel
 
-    def _set(self, denom, off, diag, neighbours):
+    def _set(self, denom, off, diag, neighbours, symmetries=()):
         """Store the integer form after checking the kernel laws in integers:
         every off-diagonal entry is zero or the jump, the adjacency is
-        symmetric, and each row is non-negative and sums to one."""
+        symmetric, and each row is non-negative and sums to one.  Each
+        symmetry must be an involution of the state ids that maps the move
+        graph onto itself and commutes with the others; it then keeps
+        ``diag`` too, since the row sums make ``diag[i]`` equal to
+        ``denom - off * len(neighbours[i])``."""
         if off < 0:
             raise AssertionError("negative jump probability")
         nbr_sets = [set(nbrs) for nbrs in neighbours]
@@ -252,7 +275,26 @@ class TransitionMatrix:
                 raise AssertionError("kernel is not symmetric")
             if diag[i] < 0 or diag[i] + off * len(nbrs) != denom:
                 raise AssertionError(f"row {i} does not sum to one")
+        n = len(diag)
+        perms = tuple(np.array(p, dtype=np.intp) for p in symmetries)
+        if perms:
+            # block entries are sums of at most n row entries times +-1,
+            # so float64 holds them exactly while n * denom < 2**53
+            if n * denom >= 2**53:
+                raise AssertionError("kernel denominator too large for exact symmetry blocks")
+            rows, cols = _move_edges(neighbours)
+            edges = np.sort(rows * n + cols)
+            ids = np.arange(n)
+            for k, p in enumerate(perms):
+                if p.shape != (n,) or not ((p >= 0) & (p < n)).all() or (p[p] != ids).any():
+                    raise AssertionError(f"symmetry {k} is not an involution of the states")
+                if (np.sort(p[rows] * n + p[cols]) != edges).any():
+                    raise AssertionError(f"symmetry {k} does not map the move graph onto itself")
+                if any((p[q] != q[p]).any() for q in perms[:k]):
+                    raise AssertionError(f"symmetry {k} does not commute with the others")
+                p.setflags(write=False)
         self.denom, self.off, self.diag, self.neighbours = denom, off, diag, neighbours
+        self.symmetries = perms
         self._entries = None
 
     @property
@@ -281,51 +323,187 @@ class TransitionMatrix:
     def as_float(self) -> np.ndarray:
         """The kernel in float64; each entry is its integer numerator divided
         by ``denom``, the correctly rounded value of the exact entry."""
-        n = self.n
-        mat = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbours])
-        cols = np.fromiter(itertools.chain.from_iterable(self.neighbours), dtype=np.intp,
-                           count=len(rows))
-        mat[rows, cols] = self.off / self.denom
+        mat = np.zeros((self.n, self.n))
+        mat[_move_edges(self.neighbours)] = self.off / self.denom
         np.fill_diagonal(mat, [d / self.denom for d in self.diag])
         return mat
+
+
+def _move_edges(neighbours: tuple) -> tuple:
+    """The move graph's directed edges as ``(rows, cols)`` index arrays, in
+    the order of ``neighbours``."""
+    rows = np.repeat(np.arange(len(neighbours)), [len(nbrs) for nbrs in neighbours])
+    cols = np.fromiter(itertools.chain.from_iterable(neighbours), dtype=np.intp,
+                       count=len(rows))
+    return rows, cols
+
+
+# Symmetries are taken while the mean block, n / 2**m over the 2**m
+# characters, stays at least this large: below it the per-block set-up
+# costs more than the smaller eigensolves save (see CHANGES.md).
+_MIN_BLOCK = 64
+
+
+def _vertex_swaps(ds: BipartiteDegreeSequence) -> list:
+    """Disjoint pairs of equal-degree vertices as ``(side, a, b)``, side 0
+    for U (rows) and 1 for V (columns), U first.  Vertices of degree 0 or
+    full degree are left out: every realization fixes their row or column,
+    so exchanging two of them moves no state."""
+    out = []
+    for side, (degs, full) in enumerate(((ds.a, ds.l), (ds.b, ds.k))):
+        by_degree = {}
+        for v, d in enumerate(degs):
+            if 0 < d < full:
+                by_degree.setdefault(d, []).append(v)
+        for vs in by_degree.values():
+            out += [(side, vs[i], vs[i + 1]) for i in range(0, len(vs) - 1, 2)]
+    return out
+
+
+def _relabellings(space: StateSpace, swaps: list) -> list:
+    """For each ``(side, a, b)`` of ``_vertex_swaps``, the state-id
+    permutation that exchanges vertices a and b of that side: the state
+    whose key has the two rows (or columns) exchanged."""
+    if not swaps:
+        return []
+    n, k, l = space.n, space.ds.k, space.ds.l
+    size = k * l
+    keys = np.frombuffer(b"".join(g.key() for g in space.states), np.uint8).reshape(n, size)
+    perms = []
+    for side, a, b in swaps:
+        cells = np.arange(size).reshape(k, l)
+        if side == 0:
+            cells[[a, b]] = cells[[b, a]]
+        else:
+            cells[:, [a, b]] = cells[:, [b, a]]
+        moved = keys[:, cells.ravel()].tobytes()
+        perms.append(np.fromiter((space.index[moved[i:i + size]]
+                                  for i in range(0, n * size, size)), np.intp, count=n))
+    return perms
 
 
 def build_kernel(space: StateSpace) -> TransitionMatrix:
     """The exact kernel over the enumerated move graph; verifies in integers
     that the move graph is symmetric, that every off-diagonal entry is the
     single jump probability, and that no state has more moves than the
-    C(k,2)*C(l,2) outcomes of a step."""
+    C(k,2)*C(l,2) outcomes of a step.
+
+    The kernel carries the first m relabellings of ``_vertex_swaps`` as
+    symmetries, m as large as keeps ``n / 2**m >= _MIN_BLOCK``; each is
+    verified in integers to map the move graph onto itself."""
     ds = space.ds
+    swaps = _vertex_swaps(ds)
+    m = 0
+    while m < len(swaps) and space.n >> (m + 1) >= _MIN_BLOCK:
+        m += 1
     return TransitionMatrix._from_move_graph(
-        pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours)
+        pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours,
+        _relabellings(space, swaps[:m]))
+
+
+def _parity(x: np.ndarray, m: int) -> np.ndarray:
+    """Parity of the low m bits of each entry of x."""
+    out = x & 1
+    for k in range(1, m):
+        out ^= (x >> k) & 1
+    return out
+
+
+def _blocks(P: TransitionMatrix, max_block: int) -> list:
+    """The diagonal blocks of ``P`` in a basis adapted to its symmetries;
+    together their spectra are the spectrum of ``P``.
+
+    The m symmetries generate a group (Z_2)^m whose characters are
+    ``chi_s(h) = (-1)^popcount(s & h)``.  A state x of the orbit of r is
+    ``h_x r``.  Character s keeps an orbit when it is +1 on the orbit's
+    stabilizer, and its block has one basis vector per kept orbit O, the
+    signed orbit sum ``chi_s(h_x) / sqrt(|O|)`` over x in O.  The block
+    entry at (O, O') is ``sqrt(|O| / |O'|) * sum_y A(r, y) chi_s(h_y) / denom``
+    over y in O' with r the orbit's representative, so each block is summed
+    from the representatives' rows of the move graph, and the n x n matrix
+    is never formed.  Without symmetries the one block is ``P.as_float()``.
+
+    Raises ``TooLarge`` when the largest block exceeds ``max_block``.
+    """
+    n, perms = P.n, P.symmetries
+    if not perms:
+        if n > max_block:
+            raise TooLarge(f"a block of {n} states exceeds the dense eigensolve guard {max_block}")
+        return [P.as_float()]
+    m = len(perms)
+    # rep[x]: the least state id in x's orbit; elem[x]: h with x = h rep[x]
+    rep, elem = np.arange(n), np.zeros(n, np.intp)
+    for k, p in enumerate(perms):
+        rp = rep[p]
+        moved = rp < rep
+        elem = np.where(moved, elem[p] ^ (1 << k), elem)
+        rep = np.where(moved, rp, rep)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    size = np.bincount(orbit)
+    # Schreier generators of the stabilizers: elem[x] ^ elem[p x] ^ bit k fixes x
+    fixer = np.concatenate([elem ^ elem[p] ^ (1 << k) for k, p in enumerate(perms)])
+    fixed_orbit = np.tile(orbit, m)[fixer != 0]
+    fixer = fixer[fixer != 0]
+    keep = np.ones((1 << m, len(reps)), bool)
+    for s in range(1 << m):
+        keep[s, fixed_orbit[_parity(fixer & s, m) == 1]] = False
+    sizes = keep.sum(axis=1)
+    if sizes.sum() != n:
+        raise AssertionError(f"symmetry blocks hold {sizes.sum()} of {n} states")
+    if sizes.max() > max_block:
+        raise TooLarge(f"a symmetry block of {sizes.max()} states exceeds the dense "
+                       f"eigensolve guard {max_block}")
+    # the representatives' rows of A: the diagonal, then every move
+    rows = [P.neighbours[r] for r in reps.tolist()]
+    row_orbit, cols = _move_edges(rows)
+    reps_diag = np.array([P.diag[r] for r in reps.tolist()], dtype=float)
+    row_orbit = np.concatenate([np.arange(len(reps)), row_orbit])
+    col_orbit = np.concatenate([np.arange(len(reps)), orbit[cols]])
+    col_elem = np.concatenate([np.zeros(len(reps), np.intp), elem[cols]])
+    value = np.concatenate([reps_diag, np.full(len(cols), float(P.off))])
+    blocks = []
+    for s, b in enumerate(sizes.tolist()):
+        if not b:
+            continue
+        kept = keep[s]
+        pos = np.cumsum(kept) - 1
+        use = kept[row_orbit] & kept[col_orbit]
+        sign = 1 - 2 * _parity(col_elem[use] & s, m)
+        rep_sums = np.bincount(pos[row_orbit[use]] * b + pos[col_orbit[use]],
+                               weights=value[use] * sign, minlength=b * b).reshape(b, b)
+        # |O| times a representative's row sum is the sum over the whole
+        # orbit: an integer matrix, symmetric because A commutes with the group
+        full = size[kept][:, None] * rep_sums
+        if (full != full.T).any():
+            raise AssertionError("a symmetry block is not symmetric")
+        scale = 1 / np.sqrt(size[kept])
+        blocks.append(full * np.outer(scale, scale) / P.denom)
+    return blocks
 
 
 def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000):
-    """Second-largest distinct eigenvalue and the relaxation time 1/(1 - l2).
+    """Second-largest eigenvalue and the relaxation time 1/(1 - l2).
 
-    Eigenvalues within ``tol`` of each other count as one value, matching
-    the convention of listing distinct eigenvalues in decreasing order.
+    ``P`` is split into the blocks of ``_blocks``, one per character of the
+    group its symmetries generate (a single dense block when it has none),
+    and each block is solved by ``eigh`` and must pass the residual check
+    ``|B v - l v| <= 1e-10``.  The block spectra together are the spectrum
+    of ``P``.  ``max_states`` bounds the largest block.  The largest
+    eigenvalue is 1; a second eigenvalue within ``tol`` of 1 means the
+    chain is reducible and raises ``DegenerateChain``.
     """
     if P.n < 2:
         raise DegenerateChain("need at least two states")
-    if P.n > max_states:
-        raise TooLarge(f"{P.n} states exceed the dense eigensolve guard {max_states}")
-    mat = P.as_float()
-    vals, vecs = np.linalg.eigh(mat)
-    resid = np.abs(mat @ vecs - vecs * vals).max()
-    if resid > 1e-10:
-        raise AssertionError(f"eigensolver residual {resid:.2e} too large")
-    ordered = sorted(vals, reverse=True)
-    distinct = [ordered[0]]
-    for v in ordered[1:]:
-        if distinct[-1] - v > tol:
-            distinct.append(v)
-    if len(distinct) < 2:
-        raise DegenerateChain("kernel has a single distinct eigenvalue")
-    lam2 = distinct[1]
-    if lam2 >= 1 - 1e-12:
-        raise DegenerateChain("second eigenvalue is 1; the chain is disconnected")
+    spectrum = []
+    for mat in _blocks(P, max_states):
+        vals, vecs = np.linalg.eigh(mat)
+        resid = np.abs(mat @ vecs - vecs * vals).max()
+        if resid > 1e-10:
+            raise AssertionError(f"eigensolver residual {resid:.2e} too large")
+        spectrum.append(vals)
+    lam2 = np.sort(np.concatenate(spectrum))[-2]
+    if lam2 >= 1 - tol:
+        raise DegenerateChain("eigenvalue 1 is repeated; the chain is reducible")
     return lam2, 1.0 / (1.0 - lam2)
 
 

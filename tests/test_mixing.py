@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, BipartiteGraph, canonical,
@@ -178,6 +179,160 @@ class TestSpectralGap:
         K = build_kernel(enumerate_states(bds((1, 1, 1), (1, 1, 1))))
         with pytest.raises(TooLarge):
             spectral_gap(K, max_states=3)
+
+    def test_reducible_kernel_is_degenerate(self):
+        # eigenvalue 1 twice: state 0 never leaves, states 1 and 2 swap
+        half = Fraction(1, 2)
+        K = TransitionMatrix([[1, 0, 0], [0, half, half], [0, half, half]], half)
+        with pytest.raises(DegenerateChain, match="reducible"):
+            spectral_gap(K)
+
+    def test_pinned_1170_state_gap(self, space_1170):
+        K = build_kernel(space_1170)
+        assert len(K.symmetries) == 3
+        sizes = [len(b) for b in mixing._blocks(K, 2000)]
+        assert sizes == [170, 151, 148, 143, 148, 143, 134, 133] and sum(sizes) == 1170
+        lam2, tau = spectral_gap(K)
+        assert f"{lam2:.12g}" == "0.922314848983"
+        assert abs(tau - 1 / (1 - lam2)) < 1e-12
+
+    def test_2040_state_gap_matches_dense(self):
+        # n exceeds the guard; the largest of its 16 blocks does not
+        space = enumerate_states(bds((2,) * 5, (2,) * 5))
+        K = build_kernel(space)
+        assert space.n == 2040 and len(K.symmetries) == 4
+        lam2, _ = spectral_gap(K)
+        assert f"{lam2:.12g}" == "0.915817832304"
+        assert abs(lam2 - np.linalg.eigvalsh(K.as_float())[-2]) < 1e-10
+
+    def test_guard_bounds_the_largest_block(self, space_1170):
+        K = build_kernel(space_1170)
+        with pytest.raises(TooLarge, match="block of 170 states"):
+            spectral_gap(K, max_states=169)
+        assert spectral_gap(K, max_states=170) == spectral_gap(K)
+
+
+@pytest.fixture(scope="module")
+def space_1170():
+    return enumerate_states(bds((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)))
+
+
+def forced_kernel(space):
+    """The space's kernel carrying every available vertex relabelling,
+    whatever its size."""
+    swaps = mixing._vertex_swaps(space.ds)
+    return TransitionMatrix._from_move_graph(build_kernel(space).denom, space.neighbours,
+                                             mixing._relabellings(space, swaps))
+
+
+class TestSymmetryBlocks:
+    def test_forced_blocks_match_dense_spectrum(self):
+        solved = 0
+        for a, b in all_degree_pairs(4, 4):
+            ds = bds(a, b)
+            if not is_graphical(ds):
+                continue
+            space = enumerate_states(ds)
+            K = forced_kernel(space)
+            blocks = mixing._blocks(K, 2000)
+            assert sum(len(blk) for blk in blocks) == space.n, (a, b)
+            got = np.sort(np.concatenate([np.linalg.eigvalsh(blk) for blk in blocks]))
+            dense = np.linalg.eigvalsh(K.as_float())
+            assert np.abs(got - dense).max() <= 1e-10, (a, b)
+            if space.n < 2:
+                with pytest.raises(DegenerateChain):
+                    spectral_gap(K)
+                continue
+            lam2, _ = spectral_gap(K)
+            assert abs(lam2 - spectral_gap(build_kernel(space))[0]) <= 1e-10, (a, b)
+            solved += 1
+        assert solved == 268
+
+    def test_symmetries_relabel_vertices_and_keep_the_move_graph(self, space_1170):
+        spaces = [space_1170, enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1))),
+                  enumerate_states(bds((3, 3, 1), (2, 2, 2, 1)))]
+        for space in spaces:
+            K = forced_kernel(space)
+            swaps = mixing._vertex_swaps(space.ds)
+            assert len(K.symmetries) == len(swaps) > 0
+            for p, (side, a, b) in zip(K.symmetries, swaps):
+                for i, g in enumerate(space.states):
+                    order = list(range(g.k if side == 0 else g.l))
+                    order[a], order[b] = b, a
+                    moved = g.adj[order] if side == 0 else g.adj[:, order]
+                    assert space.states[p[i]].key() == moved.tobytes()
+                    assert sorted(p[j] for j in space.neighbours[i]) == list(
+                        space.neighbours[p[i]])
+
+    def test_swaps_are_disjoint_equal_degree_pairs(self):
+        swaps = mixing._vertex_swaps(bds((3, 2, 2, 2, 1, 0, 0), (3, 2, 2, 2, 2, 1)))
+        # degree 0 rows and degree 6 = k columns are fixed by every realization
+        assert swaps == [(0, 1, 2), (1, 1, 2), (1, 3, 4)]
+
+    @pytest.mark.parametrize("perm, message", [
+        (lambda space: [1, 2, 0] + list(range(3, space.n)), "involution"),
+        (lambda space: list(range(space.n - 1)), "involution"),
+        # state 0 and one of its neighbours exchanged: an involution that
+        # moves the edges from 0 to its other neighbours off the move graph
+        (lambda space: _transposition(space.n, 0, space.neighbours[0][0]), "move graph"),
+    ])
+    def test_non_symmetry_rejected(self, perm, message):
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        with pytest.raises(AssertionError, match=message):
+            TransitionMatrix._from_move_graph(9, space.neighbours, [perm(space)])
+
+    def test_overlapping_swaps_rejected(self):
+        # exchanging rows 0, 1 and exchanging rows 1, 2 are each symmetries,
+        # but they do not commute, so they generate no (Z_2)^2
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        perms = mixing._relabellings(space, [(0, 0, 1), (0, 1, 2)])
+        for p in perms:
+            TransitionMatrix._from_move_graph(9, space.neighbours, [p])
+        with pytest.raises(AssertionError, match="commute"):
+            TransitionMatrix._from_move_graph(9, space.neighbours, perms)
+
+    def test_denominator_too_large_for_exact_blocks(self):
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        perms = mixing._relabellings(space, mixing._vertex_swaps(space.ds))
+        with pytest.raises(AssertionError, match="denominator"):
+            TransitionMatrix._from_move_graph(2**53, space.neighbours, perms)
+
+    def test_block_checks(self, monkeypatch):
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        K = forced_kernel(space)
+        # an unverified transposition of two adjacent states sums to an
+        # asymmetric integer block
+        unverified = build_kernel(space)
+        unverified.symmetries = (np.array(_transposition(space.n, 0, space.neighbours[0][0])),)
+        with pytest.raises(AssertionError, match="not symmetric"):
+            mixing._blocks(unverified, 2000)
+        # blocks that keep every orbit for every character overcount the states
+        monkeypatch.setattr(mixing, "_parity", lambda x, m: x & 0)
+        with pytest.raises(AssertionError, match="blocks hold"):
+            mixing._blocks(K, 2000)
+
+    def test_dense_rows_carry_no_symmetries(self):
+        space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
+        K = build_kernel(space)
+        dense = TransitionMatrix(dense_kernel_rows(space), K.jump)
+        assert dense.symmetries == () and K.symmetries == ()
+        assert spectral_gap(dense) == spectral_gap(K)
+        assert abs(spectral_gap(forced_kernel(space))[0] - spectral_gap(K)[0]) < 1e-12
+
+    @pytest.mark.parametrize("a, b, m", [
+        ((2, 2, 2), (3, 2, 1), 0), ((2, 2, 2, 2), (3, 2, 2, 1), 0),
+        ((2, 2, 2, 2), (2, 2, 2, 2), 0), ((3, 3, 2, 2), (3, 2, 2, 2, 1), 1),
+    ])
+    def test_symmetries_taken_while_the_mean_block_is_large(self, a, b, m):
+        # 3, 48 and 90 states stay dense; 156 states split once into a mean
+        # block of 78, as a second split would leave 39 < 64
+        assert len(build_kernel(enumerate_states(bds(a, b))).symmetries) == m
+
+
+def _transposition(n, i, j):
+    p = list(range(n))
+    p[i], p[j] = j, i
+    return p
 
 
 class TestMixingTime:
