@@ -20,7 +20,7 @@ from .core import (BipartiteDegreeSequence, BipartiteGraph, EdgePartition, Swap,
 from .errors import DegSwapError, Exceeds, NotGraphical, Unreachable
 from .mixing import (StateSpace, TransitionMatrix, build_kernel, congestion,
                      count_realizations, enumerate_states, spectral_gap,
-                     tv_mixing_time)
+                     total_variation, total_variation_time, tv_mixing_time)
 from .pairings import (AlternatingCycle, CircuitDecomposition, Pairing, all_pairings,
                        decompose, enumerate_pairings_count, random_pairing)
 from .ryser import ryser_sequence, swap_distance

@@ -17,6 +17,16 @@ generate, in the basis of signed orbit sums (Boyd, Diaconis, Parrilo & Xiao,
 "Fastest mixing Markov chain on graphs with symmetries", 2009).  Each block
 is summed from the move graph's edges and solved densely, and each keeps
 the eigensolver's residual certificate.
+
+The same symmetry, taken whole, shrinks the exact decay scans.  Every
+relabelling of equal-degree vertices (and the transpose when ``a == b``)
+commutes with the chain, so ``P^t`` from a start x is ``P^t`` from any
+state of x's orbit, relabelled.  ``_representatives`` finds one start per
+orbit by union-find over the adjacent transpositions inside each degree
+class, each checked in integers to map the move graph onto itself, and
+``distance_profile``, ``tv_mixing_time``, ``total_variation`` and
+``total_variation_time`` advance only those columns of ``A^t``, still in
+exact integers.
 """
 
 from __future__ import annotations
@@ -225,12 +235,17 @@ class TransitionMatrix:
     relabellings of equal-degree vertices that ``build_kernel`` takes.
     ``spectral_gap`` splits ``P`` into blocks by the group they generate.
 
+    A kernel built by ``build_kernel`` also knows its state space, whose
+    vertex relabellings ``_representatives`` turns into orbits of states the
+    first time a decay scan asks for them.
+
     The constructor takes dense rational rows and converts them to this form,
-    with no symmetries; ``entries`` gives them back, built only when first
-    read.
+    with no symmetries and no state space; ``entries`` gives them back, built
+    only when first read.
     """
 
-    __slots__ = ("denom", "off", "diag", "neighbours", "symmetries", "_entries")
+    __slots__ = ("denom", "off", "diag", "neighbours", "symmetries", "_entries",
+                 "_space", "_reps")
 
     def __init__(self, entries, jump):
         rows = [tuple(Fraction(x) for x in row) for row in entries]
@@ -247,55 +262,56 @@ class TransitionMatrix:
         self._set(denom, int(jump * denom), diag, neighbours)
 
     @classmethod
-    def _from_move_graph(cls, denom: int, neighbours: tuple,
-                         symmetries=()) -> "TransitionMatrix":
+    def _from_move_graph(cls, denom: int, neighbours: tuple, symmetries=(),
+                         space: StateSpace | None = None) -> "TransitionMatrix":
         """The kernel stepping to each move-graph neighbour with probability
         1/denom and staying put otherwise, carrying the given state-id
-        ``symmetries`` once ``_set`` has verified them."""
+        ``symmetries`` once ``_set`` has verified them, and the ``space``
+        whose orbits the decay scans use."""
         kernel = cls.__new__(cls)
         kernel._set(denom, 1, tuple(denom - len(nbrs) for nbrs in neighbours), neighbours,
-                    symmetries)
+                    symmetries, space)
         return kernel
 
-    def _set(self, denom, off, diag, neighbours, symmetries=()):
+    def _set(self, denom, off, diag, neighbours, symmetries=(), space=None):
         """Store the integer form after checking the kernel laws in integers:
         every off-diagonal entry is zero or the jump, the adjacency is
-        symmetric, and each row is non-negative and sums to one.  Each
-        symmetry must be an involution of the state ids that maps the move
-        graph onto itself and commutes with the others; it then keeps
+        symmetric, and each row is non-negative and sums to one.  The first
+        two are decided on the sorted edge codes ``i * n + j`` of the move
+        graph: no code repeats or lies on the diagonal, and the codes of the
+        reversed edges sort to the same array.  Each symmetry must pass
+        ``_check_involutions`` and commute with the others; it then keeps
         ``diag`` too, since the row sums make ``diag[i]`` equal to
-        ``denom - off * len(neighbours[i])``."""
+        ``denom - off * len(neighbours[i])``.  ``space`` is the state space
+        whose vertex relabellings give the orbits of ``_representatives``;
+        without one every state is its own representative."""
         if off < 0:
             raise AssertionError("negative jump probability")
-        nbr_sets = [set(nbrs) for nbrs in neighbours]
-        for i, nbrs in enumerate(neighbours):
-            if len(nbr_sets[i]) != len(nbrs) or i in nbr_sets[i]:
-                raise AssertionError("off-diagonal entry differs from the jump probability")
-            if any(i not in nbr_sets[j] for j in nbrs):
-                raise AssertionError("kernel is not symmetric")
-            if diag[i] < 0 or diag[i] + off * len(nbrs) != denom:
-                raise AssertionError(f"row {i} does not sum to one")
         n = len(diag)
+        rows, cols, edges = _edge_codes(neighbours)
+        if (rows == cols).any() or (edges[1:] == edges[:-1]).any():
+            raise AssertionError("off-diagonal entry differs from the jump probability")
+        if (np.sort(cols * n + rows) != edges).any():
+            raise AssertionError("kernel is not symmetric")
+        for i, (d, nbrs) in enumerate(zip(diag, neighbours)):
+            if d < 0 or d + off * len(nbrs) != denom:
+                raise AssertionError(f"row {i} does not sum to one")
         perms = tuple(np.array(p, dtype=np.intp) for p in symmetries)
         if perms:
             # block entries are sums of at most n row entries times +-1,
             # so float64 holds them exactly while n * denom < 2**53
             if n * denom >= 2**53:
                 raise AssertionError("kernel denominator too large for exact symmetry blocks")
-            rows, cols = _move_edges(neighbours)
-            edges = np.sort(rows * n + cols)
-            ids = np.arange(n)
+            _check_involutions(perms, n, rows, cols, edges)
             for k, p in enumerate(perms):
-                if p.shape != (n,) or not ((p >= 0) & (p < n)).all() or (p[p] != ids).any():
-                    raise AssertionError(f"symmetry {k} is not an involution of the states")
-                if (np.sort(p[rows] * n + p[cols]) != edges).any():
-                    raise AssertionError(f"symmetry {k} does not map the move graph onto itself")
                 if any((p[q] != q[p]).any() for q in perms[:k]):
                     raise AssertionError(f"symmetry {k} does not commute with the others")
                 p.setflags(write=False)
         self.denom, self.off, self.diag, self.neighbours = denom, off, diag, neighbours
         self.symmetries = perms
         self._entries = None
+        self._space = space
+        self._reps = None
 
     @property
     def n(self) -> int:
@@ -338,14 +354,34 @@ def _move_edges(neighbours: tuple) -> tuple:
     return rows, cols
 
 
+def _edge_codes(neighbours: tuple) -> tuple:
+    """``(rows, cols, edges)``: the move graph's directed edges as in
+    ``_move_edges``, and their codes ``row * n + col`` sorted."""
+    rows, cols = _move_edges(neighbours)
+    return rows, cols, np.sort(rows * len(neighbours) + cols)
+
+
+def _check_involutions(perms, n: int, rows, cols, edges) -> None:
+    """Check in integers that each state-id array of ``perms`` is an
+    involution of the n states that maps the move graph, given by
+    ``_edge_codes``, onto itself: the codes of the mapped edges sort to
+    ``edges``.  Raises ``AssertionError`` naming the first that fails."""
+    ids = np.arange(n)
+    for k, p in enumerate(perms):
+        if p.shape != (n,) or not ((p >= 0) & (p < n)).all() or (p[p] != ids).any():
+            raise AssertionError(f"symmetry {k} is not an involution of the states")
+        if (np.sort(p[rows] * n + p[cols]) != edges).any():
+            raise AssertionError(f"symmetry {k} does not map the move graph onto itself")
+
+
 # Symmetries are taken while the mean block, n / 2**m over the 2**m
 # characters, stays at least this large: below it the per-block set-up
 # costs more than the smaller eigensolves save (see CHANGES.md).
 _MIN_BLOCK = 64
 
 
-def _vertex_swaps(ds: BipartiteDegreeSequence) -> list:
-    """Disjoint pairs of equal-degree vertices as ``(side, a, b)``, side 0
+def _degree_blocks(ds: BipartiteDegreeSequence) -> list:
+    """The classes of equal-degree vertices as ``(side, vertices)``, side 0
     for U (rows) and 1 for V (columns), U first.  Vertices of degree 0 or
     full degree are left out: every realization fixes their row or column,
     so exchanging two of them moves no state."""
@@ -355,28 +391,41 @@ def _vertex_swaps(ds: BipartiteDegreeSequence) -> list:
         for v, d in enumerate(degs):
             if 0 < d < full:
                 by_degree.setdefault(d, []).append(v)
-        for vs in by_degree.values():
-            out += [(side, vs[i], vs[i + 1]) for i in range(0, len(vs) - 1, 2)]
+        out += [(side, vs) for vs in by_degree.values()]
     return out
 
 
-def _relabellings(space: StateSpace, swaps: list) -> list:
-    """For each ``(side, a, b)`` of ``_vertex_swaps``, the state-id
-    permutation that exchanges vertices a and b of that side: the state
-    whose key has the two rows (or columns) exchanged."""
-    if not swaps:
+def _vertex_swaps(ds: BipartiteDegreeSequence) -> list:
+    """Disjoint pairs of equal-degree vertices as ``(side, a, b)``, in the
+    order of ``_degree_blocks``."""
+    return [(side, vs[i], vs[i + 1]) for side, vs in _degree_blocks(ds)
+            for i in range(0, len(vs) - 1, 2)]
+
+
+def _relabellings(space: StateSpace, swaps: list, transpose: bool = False) -> list:
+    """For each ``(side, a, b)`` of ``swaps``, the state-id permutation that
+    exchanges vertices a and b of that side: the state whose key has the two
+    rows (or columns) exchanged.  With ``transpose`` (square spaces with
+    ``a == b`` only) the permutation taking each state to its transpose
+    follows them."""
+    if not swaps and not transpose:
         return []
     n, k, l = space.n, space.ds.k, space.ds.l
     size = k * l
     keys = np.frombuffer(b"".join(g.key() for g in space.states), np.uint8).reshape(n, size)
-    perms = []
+    orders = []
     for side, a, b in swaps:
         cells = np.arange(size).reshape(k, l)
         if side == 0:
             cells[[a, b]] = cells[[b, a]]
         else:
             cells[:, [a, b]] = cells[:, [b, a]]
-        moved = keys[:, cells.ravel()].tobytes()
+        orders.append(cells.ravel())
+    if transpose:
+        orders.append(np.arange(size).reshape(k, l).T.ravel())
+    perms = []
+    for cells in orders:
+        moved = keys[:, cells].tobytes()
         perms.append(np.fromiter((space.index[moved[i:i + size]]
                                   for i in range(0, n * size, size)), np.intp, count=n))
     return perms
@@ -390,7 +439,8 @@ def build_kernel(space: StateSpace) -> TransitionMatrix:
 
     The kernel carries the first m relabellings of ``_vertex_swaps`` as
     symmetries, m as large as keeps ``n / 2**m >= _MIN_BLOCK``; each is
-    verified in integers to map the move graph onto itself."""
+    verified in integers to map the move graph onto itself.  It keeps the
+    space for ``_representatives``, which does no work until a scan runs."""
     ds = space.ds
     swaps = _vertex_swaps(ds)
     m = 0
@@ -398,7 +448,46 @@ def build_kernel(space: StateSpace) -> TransitionMatrix:
         m += 1
     return TransitionMatrix._from_move_graph(
         pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours,
-        _relabellings(space, swaps[:m]))
+        _relabellings(space, swaps[:m]), space)
+
+
+def _orbit_generators(space: StateSpace) -> list:
+    """State-id permutations generating the chain's relabelling group: every
+    adjacent transposition inside each class of ``_degree_blocks`` (they
+    generate the class's symmetric group, which is never enumerated), then
+    the transpose when ``a == b``."""
+    ds = space.ds
+    swaps = [(side, vs[i], vs[i + 1]) for side, vs in _degree_blocks(ds)
+             for i in range(len(vs) - 1)]
+    return _relabellings(space, swaps, transpose=ds.a == ds.b)
+
+
+def _representatives(P: TransitionMatrix) -> tuple:
+    """The least state id of each orbit of the group ``_orbit_generators``
+    generates, in increasing order; computed on first use and kept on the
+    (immutable) kernel.
+
+    The group commutes with the chain: ``A(p x, p y) == A(x, y)`` for each
+    generator p, checked in integers by ``_check_involutions``.  The orbits
+    are the components of the graph joining x to p x; ``rep`` takes the
+    minimum over each generator and jumps ``rep[rep]`` until nothing moves,
+    when it is constant on each orbit and equal to its least id.  A kernel
+    without a state space has every state as its own representative.
+    """
+    if P._reps is None:
+        ids = rep = np.arange(P.n)
+        if P._space is not None:
+            perms = _orbit_generators(P._space)
+            _check_involutions(perms, P.n, *_edge_codes(P.neighbours))
+            while True:
+                before = rep
+                for p in perms:
+                    rep = np.minimum(rep, rep[p])
+                rep = rep[rep]
+                if (rep == before).all():
+                    break
+        P._reps = tuple(np.flatnonzero(rep == ids).tolist())
+    return P._reps
 
 
 def _parity(x: np.ndarray, m: int) -> np.ndarray:
@@ -507,24 +596,50 @@ def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000)
     return lam2, 1.0 / (1.0 - lam2)
 
 
+def _powers(P: TransitionMatrix):
+    """For t = 0, 1, 2, ... yield ``(columns, D^t)``: the columns of ``A^t``
+    at the states of ``_representatives``, where ``P = A / D``.
+
+    ``A^t`` is advanced by sparse integer products over the move graph:
+    column j of ``A`` holds ``diag[j]`` on the diagonal and ``off`` at the
+    neighbours of j, because ``A`` is symmetric.  Each relabelling p of the
+    group commutes with ``A``, so the column of ``A^t`` at ``p r`` is the
+    column at r permuted by p, and the representatives' columns hold every
+    value of ``A^t`` that a maximum over starts can reach.
+    """
+    n, denom, off = P.n, P.denom, P.off
+    cols = tuple(zip(P.diag, P.neighbours))
+    power = [[int(i == r) for i in range(n)] for r in _representatives(P)]
+    scale = 1
+    while True:
+        yield power, scale
+        power = [[d * x + off * sum(map(col.__getitem__, nbrs))
+                  for x, (d, nbrs) in zip(col, cols)] for col in power]
+        scale *= denom
+
+
 def _deviations(P: TransitionMatrix):
     """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
     where ``P = A / D`` on N states, so that the entrywise deviation of
     ``P^t`` from uniform is the first value over ``N * D^t``.
 
-    ``A^t`` is advanced by sparse integer products over the move graph:
-    column j of ``A`` holds ``diag[j]`` on the diagonal and ``off`` at the
-    neighbours of j, because ``A`` is symmetric.
+    The maximum runs over the representatives' columns of ``_powers``
+    only: every other column permutes one of them, so the value is the
+    maximum over all N columns.
     """
-    n, denom, off, diag, neighbours = P.n, P.denom, P.off, P.diag, P.neighbours
-    cols = tuple(zip(diag, neighbours))
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    scale = 1
-    while True:
-        yield max(max(n * max(row) - scale, scale - n * min(row)) for row in power), scale
-        power = [[d * x + off * sum(map(row.__getitem__, nbrs))
-                  for x, (d, nbrs) in zip(row, cols)] for row in power]
-        scale *= denom
+    n = P.n
+    for power, scale in _powers(P):
+        yield max(max(n * max(col) - scale, scale - n * min(col)) for col in power), scale
+
+
+def _tv_deviations(P: TransitionMatrix):
+    """For t = 0, 1, 2, ... yield ``(max_x sum_y |N*A^t(y,x) - D^t|, D^t)``,
+    so that the worst-start total-variation distance of ``P^t`` from
+    uniform is the first value over ``2 * N * D^t``; the maximum runs over
+    the representatives' columns of ``_powers``, as in ``_deviations``."""
+    n = P.n
+    for power, scale in _powers(P):
+        yield max(sum(abs(n * x - scale) for x in col) for col in power), scale
 
 
 def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
@@ -532,28 +647,45 @@ def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
     ``(1/2) max_{x,y} |P^t(y, x) - 1/N|``, as an exact rational.
 
     This is not the total-variation distance, which sums the deviations of
-    a whole row before halving.
+    a whole row before halving; ``total_variation`` gives that one.
     """
     dev, scale = next(itertools.islice(_deviations(P), t, None))
     return Fraction(dev, 2 * P.n * scale)
+
+
+def total_variation(P: TransitionMatrix, t: int) -> Fraction:
+    """The worst-start total-variation distance of ``P^t`` from uniform,
+    ``max_x (1/2) sum_y |P^t(x, y) - 1/N|``, as an exact rational (Levin,
+    Peres & Wilmer, "Markov Chains and Mixing Times", section 4.1)."""
+    dev, scale = next(itertools.islice(_tv_deviations(P), t, None))
+    return Fraction(dev, 2 * P.n * scale)
+
+
+def _scan_limit(P: TransitionMatrix, eps: Fraction) -> int:
+    """The default last step of a decay scan: 40 relaxation times scaled by
+    ``log(N / eps)``, plus 50; 200 when the chain has no spectral gap."""
+    try:
+        _, tau = spectral_gap(P)
+    except DegenerateChain:
+        return 200
+    return int(40 * tau * math.log(P.n / float(eps))) + 50
 
 
 def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) -> int:
     """Smallest t whose ``distance_profile`` stays at or below eps from t on.
 
     The profile is half the largest entrywise deviation of ``P^t`` from
-    uniform, not the total-variation distance.  Each step is decided in
-    integers.  Monotone decay is verified by scanning ahead rather than
-    assumed; a periodic chain that never settles raises ``NonMixing``.
+    uniform, not the total-variation distance (``total_variation_time``
+    gives the mixing time in that).  Each step is decided in integers, and
+    only the columns of ``P^t`` at one start per symmetry orbit are
+    advanced (``_powers``).  Monotone decay is verified by scanning ahead
+    rather than assumed; a periodic chain that never settles raises
+    ``NonMixing``.
     """
     n = P.n
     eps = Fraction(eps).limit_denominator(10**9)
     if t_max is None:
-        try:
-            _, tau = spectral_gap(P)
-            t_max = int(40 * tau * math.log(n / float(eps))) + 50
-        except DegenerateChain:
-            t_max = 200
+        t_max = _scan_limit(P, eps)
     candidate = None
     window = 0
     for t, (dev, scale) in zip(range(t_max + 1), _deviations(P)):
@@ -570,6 +702,32 @@ def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) ->
     if candidate is not None and window >= 3:
         return candidate
     raise NonMixing(f"distance to uniform never settles below {float(eps)} by t={t_max}")
+
+
+def total_variation_time(P: TransitionMatrix, eps: float, t_max: int | None = None) -> int:
+    """Smallest t with ``total_variation(P, t) <= eps``: the mixing time in
+    worst-start total variation.
+
+    Worst-start total variation never increases with t (Levin, Peres &
+    Wilmer, exercise 4.2), so the first t at or below eps is the answer and
+    nothing is scanned past it; each step still checks that law in
+    integers and raises ``AssertionError`` if it fails.  A chain that has
+    not come within eps by ``t_max`` (default as in ``tv_mixing_time``)
+    raises ``NonMixing``.
+    """
+    n = P.n
+    eps = Fraction(eps).limit_denominator(10**9)
+    if t_max is None:
+        t_max = _scan_limit(P, eps)
+    last = None
+    for t, (dev, scale) in zip(range(t_max + 1), _tv_deviations(P)):
+        # dev / D^t <= last / D^(t-1), in integers
+        if last is not None and dev > last * P.denom:
+            raise AssertionError(f"worst-start total variation increased at t={t}")
+        if dev * eps.denominator <= 2 * eps.numerator * n * scale:
+            return t
+        last = dev
+    raise NonMixing(f"total variation never falls to {float(eps)} by t={t_max}")
 
 
 @dataclass
@@ -635,9 +793,12 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     pattern (the cycle's submatrix and its cells, see
     ``canonical._pattern_swaps``) and walked by flipping bytes of the state
     keys, without building graphs.  With ``certify`` the switch distances
-    are cached per distinct three-term matrix.  All three caches live for
-    one call.  Loads are integer numerators over one common multiple of the
-    pairing counts.
+    are cached per distinct three-term matrix ``X + Y - Z``, keyed by three
+    cell bitmasks of ``pairings._cells``: its cells at 2 (``X & Y & ~Z``),
+    at -1 (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
+    determine the matrix one-to-one, so ``hat_matrix`` is built only on a
+    miss.  All three caches live for one call.  Loads are integer numerators
+    over one common multiple of the pairing counts.
     """
     n = space.n
     if n > max_states:
@@ -671,11 +832,14 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
                 ids = tuple(_walk(xi, yi, cycles, segments, flip))
                 counts[ids] = counts.get(ids, 0) + 1
             if certify:
+                x, y = cells[xi], cells[yi]
+                both, either, odd = x & y, x | y, x ^ y
                 for z in set().union(*counts):
-                    hat = hat_matrix(X, Y, space.states[z]).cells
-                    key = hat.tobytes()
+                    c = cells[z]
+                    key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
                     sd = certs.get(key)
                     if sd is None:
+                        hat = hat_matrix(X, Y, space.states[z]).cells
                         sd = certs[key] = switch_distance(hat, cap=switch_cap)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
             if scale % t_total:

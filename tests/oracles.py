@@ -300,6 +300,34 @@ def dense_distance_profile(rows, t):
     return max(abs(x - unif) for row in power for x in row) / 2
 
 
+def dense_total_variation(rows, t):
+    """max_x (1/2) sum_y |P^t(x, y) - 1/N| by dense ``Fraction`` matrix powers."""
+    from fractions import Fraction
+
+    n = len(rows)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(t):
+        power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    unif = Fraction(1, n)
+    return max(sum(abs(x - unif) for x in row) for row in power) / 2
+
+
+def full_deviations(P):
+    """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
+    where ``P = A / D`` on N states, advancing all N columns of ``A^t`` by
+    sparse integer products over the move graph, with no symmetry used."""
+    n, denom, off, diag, neighbours = P.n, P.denom, P.off, P.diag, P.neighbours
+    cols = tuple(zip(diag, neighbours))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
+    while True:
+        yield max(max(n * max(row) - scale, scale - n * min(row)) for row in power), scale
+        power = [[d * x + off * sum(map(row.__getitem__, nbrs))
+                  for x, (d, nbrs) in zip(row, cols)] for row in power]
+        scale *= denom
+
+
 # -- congestion by one canonical path per pairing -----------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,11 @@ from degswap.errors import (DegenerateChain, NonMixing, PreconditionViolation,
 from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             build_kernel, congestion, count_realizations,
                             distance_profile, enumerate_states, spectral_gap,
-                            tv_mixing_time)
+                            total_variation, total_variation_time, tv_mixing_time)
 
 from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
-                     dense_kernel_rows, naive_congestion, naive_enumerate,
-                     naive_segment)
+                     dense_kernel_rows, dense_total_variation, full_deviations,
+                     naive_congestion, naive_enumerate, naive_segment)
 
 
 def bds(a, b):
@@ -154,6 +155,24 @@ class TestKernel:
         rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
         with pytest.raises(ValueError):
             TransitionMatrix(rows, Fraction(1, 3))
+
+    @pytest.mark.parametrize("neighbours, message", [
+        (((1,), (), ()), "not symmetric"),
+        (((1, 2), (0,), ()), "not symmetric"),
+        (((1, 1), (0, 0)), "differs from the jump"),
+        (((0, 1), (0,)), "differs from the jump"),
+        (((1, 2), (0,), (0,)), "row 0 does not sum"),
+    ])
+    def test_move_graph_laws_rejected(self, neighbours, message):
+        with pytest.raises(AssertionError, match=message):
+            TransitionMatrix._from_move_graph(1, neighbours)
+
+    def test_dense_rows_laws_rejected(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        with pytest.raises(AssertionError, match="row 1 does not sum"):
+            TransitionMatrix([[3 * quarter, quarter], [quarter, half]], quarter)
+        with pytest.raises(AssertionError, match="negative jump"):
+            TransitionMatrix([[3 * half, -half], [-half, 3 * half]], -half)
 
 
 class TestSpectralGap:
@@ -371,6 +390,189 @@ class TestMixingTime:
         assert distance_profile(K, t - 1) > Fraction(1, 100)
 
 
+class TestOrbitScan:
+    """The decay scans advance one column of ``A^t`` per orbit of the
+    relabelling group and give the values of the full N-column scan."""
+
+    def test_matches_full_scan(self):
+        checked = set()
+        for a, b in all_degree_pairs(4, 4):
+            ds = bds(a, b)
+            if not is_graphical(ds):
+                continue
+            space = enumerate_states(ds)
+            if space.n < 2:
+                continue
+            K = build_kernel(space)
+            got = list(itertools.islice(mixing._deviations(K), 41))
+            assert got == list(itertools.islice(full_deviations(K), 41)), (a, b)
+            checked.add((a, b, space.n))
+        assert len(checked) == 268
+        assert {((2, 2, 2, 2), (3, 2, 2, 1), 48), ((3, 2, 2, 1), (2, 2, 2, 2), 48),
+                ((2, 2, 2, 2), (2, 2, 2, 2), 90)} <= checked
+
+    @pytest.mark.parametrize("a, b, reps", [
+        ((2, 2, 2), (3, 2, 1), 1), ((2, 2, 2), (2, 2, 2), 1),
+        ((2, 2, 2, 2), (3, 2, 2, 1), 2), ((3, 2, 2, 1), (2, 2, 2, 2), 2),
+        ((2, 2, 2, 2), (2, 2, 2, 2), 2),
+    ])
+    def test_pinned_representative_counts(self, a, b, reps):
+        assert len(mixing._representatives(build_kernel(enumerate_states(bds(a, b))))) == reps
+
+    def test_1170_states_mix_from_four_representatives(self, space_1170):
+        K = build_kernel(space_1170)
+        assert len(mixing._representatives(K)) == 4
+        assert tv_mixing_time(K, 0.01) == 19
+        assert total_variation_time(K, 0.01) == 62
+
+    def test_representatives_are_orbit_minima(self):
+        # every state reaches its representative through the generators,
+        # and no two representatives reach each other
+        for a, b in (((2, 2, 2, 2), (3, 2, 2, 1)), ((3, 3, 1), (2, 2, 2, 1)),
+                     ((2, 2, 2, 2), (2, 2, 2, 2))):
+            space = enumerate_states(bds(a, b))
+            perms = mixing._orbit_generators(space)
+            orbit_min = []
+            for x in range(space.n):
+                seen, todo = {x}, [x]
+                while todo:
+                    y = todo.pop()
+                    for p in perms:
+                        if int(p[y]) not in seen:
+                            seen.add(int(p[y]))
+                            todo.append(int(p[y]))
+                orbit_min.append(min(seen))
+            reps = mixing._representatives(build_kernel(space))
+            assert reps == tuple(sorted(set(orbit_min))), (a, b)
+
+    def test_generators_relabel_vertices_and_keep_the_move_graph(self, space_1170):
+        spaces = [space_1170, enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2))),
+                  enumerate_states(bds((3, 3, 1), (2, 2, 2, 1)))]
+        for space in spaces:
+            ds = space.ds
+            blocks = mixing._degree_blocks(ds)
+            moves = [(side, vs[i], vs[i + 1]) for side, vs in blocks
+                     for i in range(len(vs) - 1)] + ["T"] * (ds.a == ds.b)
+            perms = mixing._orbit_generators(space)
+            assert len(perms) == len(moves) > 0
+            for p, move in zip(perms, moves):
+                for i, g in enumerate(space.states):
+                    if move == "T":
+                        moved = g.adj.T
+                    else:
+                        side, a, b = move
+                        order = list(range(g.k if side == 0 else g.l))
+                        order[a], order[b] = b, a
+                        moved = g.adj[order] if side == 0 else g.adj[:, order]
+                    assert space.states[p[i]].key() == moved.tobytes()
+                    assert sorted(p[j] for j in space.neighbours[i]) == list(
+                        space.neighbours[p[i]])
+
+    def test_corrupted_generator_rejected(self, monkeypatch):
+        # a relabelling that exchanges state 0 with one of its neighbours is
+        # an involution but moves the move graph's edges
+        space = enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1)))
+        real = mixing._relabellings
+
+        def corrupted(*args, **kwargs):
+            perms = real(*args, **kwargs)
+            if perms:       # build_kernel takes no symmetry on 48 states
+                perms[0] = np.array(_transposition(space.n, 0, space.neighbours[0][0]))
+            return perms
+
+        monkeypatch.setattr(mixing, "_relabellings", corrupted)
+        with pytest.raises(AssertionError, match="move graph"):
+            tv_mixing_time(build_kernel(space), 0.01)
+
+    def test_orbits_computed_on_the_first_scan_only(self, monkeypatch):
+        space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
+        K = build_kernel(space)
+        spectral_gap(K)
+        calls = []
+        real = mixing._orbit_generators
+        monkeypatch.setattr(mixing, "_orbit_generators",
+                            lambda space: calls.append(space) or real(space))
+        assert K._reps is None
+        assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (12, 25)
+        assert distance_profile(K, 7) == distance_profile(K, 7)
+        assert calls == [space]
+
+    def test_dense_rows_scan_every_column(self):
+        space = enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1)))
+        K = build_kernel(space)
+        dense = TransitionMatrix(dense_kernel_rows(space), K.jump)
+        assert mixing._representatives(dense) == tuple(range(space.n))
+        for t in range(0, 36, 7):
+            assert distance_profile(dense, t) == distance_profile(K, t)
+            assert total_variation(dense, t) == total_variation(K, t)
+
+
+class TestTotalVariation:
+    def test_matches_dense_oracle(self):
+        for a, b in (((2, 2, 2), (3, 2, 1)), ((2, 2, 2), (2, 2, 2))):
+            space = enumerate_states(bds(a, b))
+            K = build_kernel(space)
+            rows = dense_kernel_rows(space)
+            for t in range(13):
+                assert total_variation(K, t) == dense_total_variation(rows, t), (a, b, t)
+
+    def test_never_increases(self):
+        checked = 0
+        for a, b in all_degree_pairs(3, 3):
+            ds = bds(a, b)
+            if not is_graphical(ds):
+                continue
+            space = enumerate_states(ds)
+            if space.n < 2:
+                continue
+            K = build_kernel(space)
+            tv = [Fraction(dev, 2 * space.n * scale)
+                  for dev, scale in itertools.islice(mixing._tv_deviations(K), 31)]
+            assert tv[0] == 1 - Fraction(1, space.n)
+            assert all(later <= earlier for earlier, later in zip(tv, tv[1:])), (a, b)
+            checked += 1
+        assert checked > 20
+
+    def test_bounds_the_entrywise_profile(self):
+        # each entry's deviation is one term of its row's sum
+        K = build_kernel(enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1))))
+        for t in range(0, 40, 3):
+            assert distance_profile(K, t) <= total_variation(K, t)
+
+    @pytest.mark.parametrize("a, b, t", [
+        ((2, 2, 2), (2, 2, 2), 11),
+        ((2, 2, 2), (3, 2, 1), 11),
+        ((2, 2, 2, 2), (2, 2, 2, 2), 25),
+        ((2, 2, 2, 2), (3, 2, 2, 1), 31),
+    ])
+    def test_pinned_mixing_times(self, a, b, t):
+        K = build_kernel(enumerate_states(bds(a, b)))
+        assert total_variation_time(K, 0.01) == t
+        assert total_variation(K, t) <= Fraction(1, 100) < total_variation(K, t - 1)
+
+    def test_flip_chain_never_mixes(self):
+        K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
+        assert total_variation(K, 9) == Fraction(1, 2)
+        with pytest.raises(NonMixing):
+            total_variation_time(K, 0.01)
+
+    def test_loose_epsilon_is_zero(self):
+        K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
+        assert total_variation_time(K, 1) == 0
+
+    def test_increase_rejected(self, monkeypatch):
+        K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
+        real = mixing._tv_deviations
+
+        def rising(P):
+            for t, (dev, scale) in enumerate(real(P)):
+                yield (dev * P.denom if t == 2 else dev), scale
+
+        monkeypatch.setattr(mixing, "_tv_deviations", rising)
+        with pytest.raises(AssertionError, match="increased at t=2"):
+            total_variation_time(K, 0.01)
+
+
 class TestSamplerUniformity:
     def test_chi_square_on_permutation_space(self):
         from scipy import stats
@@ -514,11 +716,14 @@ class TestSegmentMemo:
     @pytest.fixture(scope="class")
     def runs(self):
         """Per space: the space, the ``_solve_cycle`` calls of one certified
-        congestion, and every segment it computed as (state id, cycle, ids)."""
+        congestion, every segment it computed as (state id, cycle, ids), and
+        its certificate work: the ``tobytes`` of each hat matrix passed to
+        ``switch_distance``, and the states each ordered pair's paths visit."""
         out = {}
         real_solve, real_segment = canonical._solve_cycle, mixing._segment
+        real_walk, real_distance = mixing._walk, mixing.switch_distance
         for name, (a, b) in self.SPACES.items():
-            calls, segments = [0], []
+            calls, segments, certified, visited = [0], [], [], {}
 
             def counting(*args):
                 calls[0] += 1
@@ -529,22 +734,44 @@ class TestSegmentMemo:
                 segments.append((i, cycle, seg))
                 return seg
 
+            def walking(xi, yi, *args):
+                ids = real_walk(xi, yi, *args)
+                visited.setdefault((xi, yi), set()).update(ids)
+                return ids
+
+            def certifying(hat, **kwargs):
+                certified.append(hat.tobytes())
+                return real_distance(hat, **kwargs)
+
             space = enumerate_states(bds(a, b))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canonical, "_solve_cycle", counting)
                 mp.setattr(mixing, "_segment", recording)
+                mp.setattr(mixing, "_walk", walking)
+                mp.setattr(mixing, "switch_distance", certifying)
                 congestion(space, build_kernel(space), certify=True)
-            out[name] = space, calls[0], segments
+            out[name] = space, calls[0], segments, (certified, visited)
         return out
 
     @pytest.mark.parametrize("name, solves, segments", [
         ("48U", 278, 1483), ("48V", 244, 1431), ("90", 508, 4092)])
     def test_one_solve_per_local_pattern(self, runs, name, solves, segments):
-        _, calls, segs = runs[name]
+        _, calls, segs, _ = runs[name]
         assert (calls, len(segs)) == (solves, segments)
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_segments_match_graph_walk(self, runs, name):
-        space, _, segs = runs[name]
+        space, _, segs, _ = runs[name]
         for i, cycle, seg in segs:
             assert seg == naive_segment(space, i, cycle), (i, cycle.edge_seq)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_one_certificate_per_hat_matrix(self, runs, name):
+        # the three-bitmask key splits the visited (X, Y, Z) exactly as the
+        # hat matrix's bytes do: one switch_distance per distinct matrix
+        space, _, _, (certified, visited) = runs[name]
+        hats = {canonical.hat_matrix(space.states[xi], space.states[yi],
+                                     space.states[z]).cells.tobytes()
+                for (xi, yi), zs in visited.items() for z in zs}
+        assert len(certified) == len(set(certified)) == len(hats)
+        assert set(certified) == hats
