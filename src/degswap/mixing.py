@@ -395,34 +395,35 @@ def _degree_blocks(ds: BipartiteDegreeSequence) -> list:
     return out
 
 
-def _vertex_swaps(ds: BipartiteDegreeSequence) -> list:
-    """Disjoint pairs of equal-degree vertices as ``(side, a, b)``, in the
-    order of ``_degree_blocks``."""
+def _vertex_swaps(ds: BipartiteDegreeSequence, step: int = 2) -> list:
+    """Pairs of equal-degree vertices as ``(side, vs[i], vs[i + 1])`` for
+    every ``step``-th i of each class of ``_degree_blocks``: disjoint pairs
+    with the default step 2, every adjacent pair with step 1."""
     return [(side, vs[i], vs[i + 1]) for side, vs in _degree_blocks(ds)
-            for i in range(0, len(vs) - 1, 2)]
+            for i in range(0, len(vs) - 1, step)]
 
 
-def _relabellings(space: StateSpace, swaps: list, transpose: bool = False) -> list:
-    """For each ``(side, a, b)`` of ``swaps``, the state-id permutation that
+def _relabellings(space: StateSpace, moves: list) -> list:
+    """For each ``(side, a, b)`` of ``moves``, the state-id permutation that
     exchanges vertices a and b of that side: the state whose key has the two
-    rows (or columns) exchanged.  With ``transpose`` (square spaces with
-    ``a == b`` only) the permutation taking each state to its transpose
-    follows them."""
-    if not swaps and not transpose:
+    rows (or columns) exchanged.  A move ``"T"`` (square spaces with
+    ``a == b`` only) is the permutation taking each state to its
+    transpose."""
+    if not moves:
         return []
     n, k, l = space.n, space.ds.k, space.ds.l
     size = k * l
     keys = np.frombuffer(b"".join(g.key() for g in space.states), np.uint8).reshape(n, size)
     orders = []
-    for side, a, b in swaps:
+    for move in moves:
         cells = np.arange(size).reshape(k, l)
-        if side == 0:
-            cells[[a, b]] = cells[[b, a]]
+        if move == "T":
+            cells = cells.T
+        elif move[0] == 0:
+            cells[[move[1], move[2]]] = cells[[move[2], move[1]]]
         else:
-            cells[:, [a, b]] = cells[:, [b, a]]
+            cells[:, [move[1], move[2]]] = cells[:, [move[2], move[1]]]
         orders.append(cells.ravel())
-    if transpose:
-        orders.append(np.arange(size).reshape(k, l).T.ravel())
     perms = []
     for cells in orders:
         moved = keys[:, cells].tobytes()
@@ -457,9 +458,7 @@ def _orbit_generators(space: StateSpace) -> list:
     generate the class's symmetric group, which is never enumerated), then
     the transpose when ``a == b``."""
     ds = space.ds
-    swaps = [(side, vs[i], vs[i + 1]) for side, vs in _degree_blocks(ds)
-             for i in range(len(vs) - 1)]
-    return _relabellings(space, swaps, transpose=ds.a == ds.b)
+    return _relabellings(space, _vertex_swaps(ds, step=1) + ["T"] * (ds.a == ds.b))
 
 
 def _representatives(P: TransitionMatrix) -> tuple:
@@ -704,7 +703,7 @@ def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) ->
     raise NonMixing(f"distance to uniform never settles below {float(eps)} by t={t_max}")
 
 
-def total_variation_time(P: TransitionMatrix, eps: float, t_max: int | None = None) -> int:
+def total_variation_time(P: TransitionMatrix, eps: float) -> int:
     """Smallest t with ``total_variation(P, t) <= eps``: the mixing time in
     worst-start total variation.
 
@@ -712,13 +711,11 @@ def total_variation_time(P: TransitionMatrix, eps: float, t_max: int | None = No
     Wilmer, exercise 4.2), so the first t at or below eps is the answer and
     nothing is scanned past it; each step still checks that law in
     integers and raises ``AssertionError`` if it fails.  A chain that has
-    not come within eps by ``t_max`` (default as in ``tv_mixing_time``)
-    raises ``NonMixing``.
+    not come within eps by ``_scan_limit`` raises ``NonMixing``.
     """
     n = P.n
     eps = Fraction(eps).limit_denominator(10**9)
-    if t_max is None:
-        t_max = _scan_limit(P, eps)
+    t_max = _scan_limit(P, eps)
     last = None
     for t, (dev, scale) in zip(range(t_max + 1), _tv_deviations(P)):
         # dev / D^t <= last / D^(t-1), in integers

@@ -450,9 +450,7 @@ class TestOrbitScan:
                   enumerate_states(bds((3, 3, 1), (2, 2, 2, 1)))]
         for space in spaces:
             ds = space.ds
-            blocks = mixing._degree_blocks(ds)
-            moves = [(side, vs[i], vs[i + 1]) for side, vs in blocks
-                     for i in range(len(vs) - 1)] + ["T"] * (ds.a == ds.b)
+            moves = mixing._vertex_swaps(ds, step=1) + ["T"] * (ds.a == ds.b)
             perms = mixing._orbit_generators(space)
             assert len(perms) == len(moves) > 0
             for p, move in zip(perms, moves):
