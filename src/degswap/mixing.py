@@ -26,7 +26,11 @@ orbit by union-find over the adjacent transpositions inside each degree
 class, each checked in integers to map the move graph onto itself, and
 ``distance_profile``, ``tv_mixing_time``, ``total_variation`` and
 ``total_variation_time`` advance only those columns of ``A^t``, still in
-exact integers.
+exact integers.  Both distances never increase with t, so both mixing times
+stop at the first t within eps (``_first_hit``).  The chain is ergodic
+exactly when ``A^(2N-2)`` has no zero entry, so a scan still beyond eps at
+t = 2N - 2 raises ``NonMixing`` only if it finds one there; no spectrum
+bounds the scan.
 """
 
 from __future__ import annotations
@@ -595,9 +599,21 @@ def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000)
     return lam2, 1.0 / (1.0 - lam2)
 
 
-def _powers(P: TransitionMatrix):
-    """For t = 0, 1, 2, ... yield ``(columns, D^t)``: the columns of ``A^t``
-    at the states of ``_representatives``, where ``P = A / D``.
+def _entrywise(n: int, scale: int, col: list) -> int:
+    """``max_y |N*A^t(y,x) - D^t|`` for the column ``col`` of ``A^t`` at x."""
+    return max(n * max(col) - scale, scale - n * min(col))
+
+
+def _total(n: int, scale: int, col: list) -> int:
+    """``sum_y |N*A^t(y,x) - D^t|`` for the column ``col`` of ``A^t`` at x."""
+    return sum(abs(n * x - scale) for x in col)
+
+
+def _decay(P: TransitionMatrix, measure):
+    """For t = 0, 1, 2, ... yield ``(dev, D^t, columns)``: the columns of
+    ``A^t`` at the states of ``_representatives``, where ``P = A / D`` on N
+    states, and ``dev`` the largest ``measure(N, D^t, column)`` among them,
+    so that the distance it measures is ``dev / (2 * N * D^t)``.
 
     ``A^t`` is advanced by sparse integer products over the move graph:
     column j of ``A`` holds ``diag[j]`` on the diagonal and ``off`` at the
@@ -611,34 +627,10 @@ def _powers(P: TransitionMatrix):
     power = [[int(i == r) for i in range(n)] for r in _representatives(P)]
     scale = 1
     while True:
-        yield power, scale
+        yield max(measure(n, scale, col) for col in power), scale, power
         power = [[d * x + off * sum(map(col.__getitem__, nbrs))
                   for x, (d, nbrs) in zip(col, cols)] for col in power]
         scale *= denom
-
-
-def _deviations(P: TransitionMatrix):
-    """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
-    where ``P = A / D`` on N states, so that the entrywise deviation of
-    ``P^t`` from uniform is the first value over ``N * D^t``.
-
-    The maximum runs over the representatives' columns of ``_powers``
-    only: every other column permutes one of them, so the value is the
-    maximum over all N columns.
-    """
-    n = P.n
-    for power, scale in _powers(P):
-        yield max(max(n * max(col) - scale, scale - n * min(col)) for col in power), scale
-
-
-def _tv_deviations(P: TransitionMatrix):
-    """For t = 0, 1, 2, ... yield ``(max_x sum_y |N*A^t(y,x) - D^t|, D^t)``,
-    so that the worst-start total-variation distance of ``P^t`` from
-    uniform is the first value over ``2 * N * D^t``; the maximum runs over
-    the representatives' columns of ``_powers``, as in ``_deviations``."""
-    n = P.n
-    for power, scale in _powers(P):
-        yield max(sum(abs(n * x - scale) for x in col) for col in power), scale
 
 
 def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
@@ -648,7 +640,7 @@ def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
     This is not the total-variation distance, which sums the deviations of
     a whole row before halving; ``total_variation`` gives that one.
     """
-    dev, scale = next(itertools.islice(_deviations(P), t, None))
+    dev, scale, _ = next(itertools.islice(_decay(P, _entrywise), t, None))
     return Fraction(dev, 2 * P.n * scale)
 
 
@@ -656,51 +648,59 @@ def total_variation(P: TransitionMatrix, t: int) -> Fraction:
     """The worst-start total-variation distance of ``P^t`` from uniform,
     ``max_x (1/2) sum_y |P^t(x, y) - 1/N|``, as an exact rational (Levin,
     Peres & Wilmer, "Markov Chains and Mixing Times", section 4.1)."""
-    dev, scale = next(itertools.islice(_tv_deviations(P), t, None))
+    dev, scale, _ = next(itertools.islice(_decay(P, _total), t, None))
     return Fraction(dev, 2 * P.n * scale)
 
 
-def _scan_limit(P: TransitionMatrix, eps: Fraction) -> int:
-    """The default last step of a decay scan: 40 relaxation times scaled by
-    ``log(N / eps)``, plus 50; 200 when the chain has no spectral gap."""
-    try:
-        _, tau = spectral_gap(P)
-    except DegenerateChain:
-        return 200
-    return int(40 * tau * math.log(P.n / float(eps))) + 50
+def _first_hit(P: TransitionMatrix, eps, measure, name: str) -> int:
+    """The first t whose distance ``dev / (2 * N * D^t)`` from ``_decay``
+    is at most eps, decided in integers.
+
+    Both distances never increase with t (see the two mixing times), so the
+    first t within eps is the mixing time and nothing is scanned past it.
+    Each step checks that law and raises ``AssertionError`` naming the
+    distance if it fails.
+
+    If the chain is ergodic, ``A^t > 0`` for every t >= 2N - 2: through a
+    holding state any two states are joined by walks of every such length,
+    and Shao (1987) bounds the exponent of any symmetric primitive matrix by
+    2N - 2.  If it is not, every ``A^t`` holds a zero.  So a scan still
+    beyond eps at t = 2N - 2 raises ``NonMixing`` when a representative's
+    column of ``A^(2N-2)`` holds a zero, even where the distance would
+    later settle within eps; otherwise ``P^t`` tends to uniform and the scan
+    ends.  eps is rounded to a fraction of denominator at most 10**9, which
+    must be positive, and must be finite (``ValueError``).
+    """
+    if not math.isfinite(eps) or (q := Fraction(eps).limit_denominator(10**9)) <= 0:
+        raise ValueError("eps must be finite and round to a positive fraction of "
+                         f"denominator at most 10**9: got {eps}")
+    n, last = P.n, None
+    for t, (dev, scale, power) in enumerate(_decay(P, measure)):
+        # dev / D^t <= last / D^(t-1), in integers
+        if last is not None and dev > last * P.denom:
+            raise AssertionError(f"{name} increased at t={t}")
+        if dev * q.denominator <= 2 * q.numerator * n * scale:
+            return t
+        if t == 2 * n - 2 and any(0 in col for col in power):
+            raise NonMixing(f"{name} is above {float(q)} at t={t} and P^{t} still "
+                            "has a zero entry: the chain is not ergodic")
+        last = dev
 
 
-def tv_mixing_time(P: TransitionMatrix, eps: float, t_max: int | None = None) -> int:
-    """Smallest t whose ``distance_profile`` stays at or below eps from t on.
+def tv_mixing_time(P: TransitionMatrix, eps: float) -> int:
+    """Smallest t with ``distance_profile(P, t) <= eps``.
 
     The profile is half the largest entrywise deviation of ``P^t`` from
     uniform, not the total-variation distance (``total_variation_time``
-    gives the mixing time in that).  Each step is decided in integers, and
-    only the columns of ``P^t`` at one start per symmetry orbit are
-    advanced (``_powers``).  Monotone decay is verified by scanning ahead
-    rather than assumed; a periodic chain that never settles raises
-    ``NonMixing``.
+    gives the mixing time in that).  It never increases with t: each entry
+    of ``P^(t+1) = P P^t`` averages a column of ``P^t``.  So the scan stops
+    at the first t within eps, checking that law in integers at each step,
+    and advances only the columns of ``P^t`` at one start per symmetry
+    orbit (``_decay``).  A chain still beyond eps at t = 2N - 2 whose
+    ``P^(2N-2)`` holds a zero is not ergodic and raises ``NonMixing``
+    (``_first_hit``); eps must be finite and positive (``ValueError``).
     """
-    n = P.n
-    eps = Fraction(eps).limit_denominator(10**9)
-    if t_max is None:
-        t_max = _scan_limit(P, eps)
-    candidate = None
-    window = 0
-    for t, (dev, scale) in zip(range(t_max + 1), _deviations(P)):
-        if dev * eps.denominator <= 2 * eps.numerator * n * scale:
-            if candidate is None:
-                candidate = t
-                window = 0
-            else:
-                window += 1
-                if window >= max(10, candidate):
-                    return candidate
-        else:
-            candidate = None
-    if candidate is not None and window >= 3:
-        return candidate
-    raise NonMixing(f"distance to uniform never settles below {float(eps)} by t={t_max}")
+    return _first_hit(P, eps, _entrywise, "the largest entrywise deviation")
 
 
 def total_variation_time(P: TransitionMatrix, eps: float) -> int:
@@ -708,23 +708,13 @@ def total_variation_time(P: TransitionMatrix, eps: float) -> int:
     worst-start total variation.
 
     Worst-start total variation never increases with t (Levin, Peres &
-    Wilmer, exercise 4.2), so the first t at or below eps is the answer and
-    nothing is scanned past it; each step still checks that law in
-    integers and raises ``AssertionError`` if it fails.  A chain that has
-    not come within eps by ``_scan_limit`` raises ``NonMixing``.
+    Wilmer, exercise 4.2): each row of ``P^(t+1) = P^t P`` is a row of
+    ``P^t`` moved by the doubly stochastic ``P``, which cannot take it
+    further from uniform.  So the scan stops at the first t within eps,
+    checking that law in integers at each step.  The ``NonMixing`` witness
+    at t = 2N - 2 and the rule for eps are ``tv_mixing_time``'s.
     """
-    n = P.n
-    eps = Fraction(eps).limit_denominator(10**9)
-    t_max = _scan_limit(P, eps)
-    last = None
-    for t, (dev, scale) in zip(range(t_max + 1), _tv_deviations(P)):
-        # dev / D^t <= last / D^(t-1), in integers
-        if last is not None and dev > last * P.denom:
-            raise AssertionError(f"worst-start total variation increased at t={t}")
-        if dev * eps.denominator <= 2 * eps.numerator * n * scale:
-            return t
-        last = dev
-    raise NonMixing(f"total variation never falls to {float(eps)} by t={t_max}")
+    return _first_hit(P, eps, _total, "worst-start total variation")
 
 
 @dataclass

@@ -145,12 +145,22 @@ def test_mix_report(tmp_path, capsys):
 @pytest.mark.parametrize("ds_text, row", [
     ("2 2 2\n3 2 1\n", "3,0.666666666667,3,9,6,1-2,0"),
     ("2 2 2\n2 2 2\n", "6,0.666666666667,3,9,15,4-5,1"),
+    ("1 1\n1 1\n", "2,-1,0.5,none(NonMixing),1,0-1,0"),
 ])
 def test_mix_report_rows(tmp_path, capsys, ds_text, row):
     assert main(["mix-report", "--ds", write(tmp_path, "d.txt", ds_text)]) == 0
     assert capsys.readouterr().out == (
         "n,lambda2,tau_rel,tv_mixing_time,kappa,max_edge,max_switch_distance\n"
         + row + "\n")
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "1e-12", "inf", "nan"])
+def test_mix_report_bad_eps(tmp_path, capsys, eps):
+    # the flip chain never mixes, so a missing check could not scan on forever
+    assert main(["mix-report", "--ds", write(tmp_path, "d.txt", "1 1\n1 1\n"), "--eps", eps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[ValueError]: eps must be finite") and err.count("\n") == 1
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

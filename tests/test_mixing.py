@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, BipartiteGraph, canonical,
-                     mixing, pairings)
+                     cli, mixing, pairings)
+from degswap.chain import pair_count
 from degswap.core import is_graphical
 from degswap.errors import (DegenerateChain, NonMixing, PreconditionViolation,
                             SpecViolation, TooLarge)
@@ -205,6 +206,9 @@ class TestSpectralGap:
         K = TransitionMatrix([[1, 0, 0], [0, half, half], [0, half, half]], half)
         with pytest.raises(DegenerateChain, match="reducible"):
             spectral_gap(K)
+        for scan in (tv_mixing_time, total_variation_time):
+            with pytest.raises(NonMixing, match="P\\^4 still has a zero"):
+                scan(K, 0.01)
 
     def test_pinned_1170_state_gap(self, space_1170):
         K = build_kernel(space_1170)
@@ -359,6 +363,8 @@ class TestMixingTime:
         K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
         with pytest.raises(NonMixing):
             tv_mixing_time(K, 0.01)
+        # every entry of P^t is 0 or 1, so half its deviation from 1/2 is 1/4
+        assert tv_mixing_time(K, 0.25) == 0
 
     def test_loose_epsilon_is_zero(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
@@ -389,6 +395,47 @@ class TestMixingTime:
         assert distance_profile(K, t) <= Fraction(1, 100)
         assert distance_profile(K, t - 1) > Fraction(1, 100)
 
+    @pytest.mark.parametrize("eps", [0, -1, 1e-12, float("inf"), float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        # 1e-12 rounds to 0 at denominators up to 10**9.  On the flip chain a
+        # missing check ends at the NonMixing witness instead of scanning on
+        K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
+        for scan in (tv_mixing_time, total_variation_time):
+            with pytest.raises(ValueError, match="eps must be finite"):
+                scan(K, eps)
+
+    def test_scans_need_no_spectrum(self, monkeypatch):
+        K = build_kernel(enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2))))
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("a decay scan solved the spectrum")
+
+        monkeypatch.setattr(mixing, "spectral_gap", no_spectrum)
+        assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (12, 25)
+
+    def test_mix_report_solves_the_spectrum_once(self, monkeypatch, tmp_path):
+        calls = []
+        real = mixing.spectral_gap
+
+        def counting(P, *args, **kwargs):
+            calls.append(P)
+            return real(P, *args, **kwargs)
+
+        monkeypatch.setattr(mixing, "spectral_gap", counting)
+        monkeypatch.setattr(cli, "spectral_gap", counting)
+        ds = tmp_path / "d.txt"
+        ds.write_text("2 2 2 2\n3 2 2 1\n")
+        assert cli.main(["mix-report", "--ds", str(ds)]) == 0
+        assert len(calls) == 1
+
+    def test_2040_states_without_symmetry_blocks(self):
+        # one dense block of 2,040 states: past the eigensolve guard
+        space = enumerate_states(bds((2,) * 5, (2,) * 5))
+        K = TransitionMatrix._from_move_graph(pair_count(5) ** 2, space.neighbours, (), space)
+        with pytest.raises(TooLarge):
+            spectral_gap(K)
+        assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (16, 58)
+
 
 class TestOrbitScan:
     """The decay scans advance one column of ``A^t`` per orbit of the
@@ -404,7 +451,8 @@ class TestOrbitScan:
             if space.n < 2:
                 continue
             K = build_kernel(space)
-            got = list(itertools.islice(mixing._deviations(K), 41))
+            got = [(dev, scale) for dev, scale, _ in
+                   itertools.islice(mixing._decay(K, mixing._entrywise), 41)]
             assert got == list(itertools.islice(full_deviations(K), 41)), (a, b)
             checked.add((a, b, space.n))
         assert len(checked) == 268
@@ -500,9 +548,10 @@ class TestOrbitScan:
         K = build_kernel(space)
         dense = TransitionMatrix(dense_kernel_rows(space), K.jump)
         assert mixing._representatives(dense) == tuple(range(space.n))
-        for t in range(0, 36, 7):
-            assert distance_profile(dense, t) == distance_profile(K, t)
-            assert total_variation(dense, t) == total_variation(K, t)
+        for measure in (mixing._entrywise, mixing._total):
+            scans = zip(mixing._decay(dense, measure), mixing._decay(K, measure))
+            for t, (full, reduced) in enumerate(itertools.islice(scans, 36)):
+                assert full[:2] == reduced[:2], (measure.__name__, t)
 
 
 class TestTotalVariation:
@@ -524,10 +573,14 @@ class TestTotalVariation:
             if space.n < 2:
                 continue
             K = build_kernel(space)
-            tv = [Fraction(dev, 2 * space.n * scale)
-                  for dev, scale in itertools.islice(mixing._tv_deviations(K), 31)]
+            tv, entrywise = ([Fraction(dev, 2 * space.n * scale) for dev, scale, _ in
+                              itertools.islice(mixing._decay(K, measure), 31)]
+                             for measure in (mixing._total, mixing._entrywise))
             assert tv[0] == 1 - Fraction(1, space.n)
-            assert all(later <= earlier for earlier, later in zip(tv, tv[1:])), (a, b)
+            assert entrywise[0] == (1 - Fraction(1, space.n)) / 2
+            for profile in (tv, entrywise):
+                assert all(later <= earlier for earlier, later in zip(profile, profile[1:])), (
+                    a, b)
             checked += 1
         assert checked > 20
 
@@ -553,6 +606,9 @@ class TestTotalVariation:
         assert total_variation(K, 9) == Fraction(1, 2)
         with pytest.raises(NonMixing):
             total_variation_time(K, 0.01)
+        # within 1/4 entrywise at t = 0, but never in total variation
+        with pytest.raises(NonMixing, match="P\\^2 still has a zero"):
+            total_variation_time(K, 0.25)
 
     def test_loose_epsilon_is_zero(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
@@ -560,15 +616,19 @@ class TestTotalVariation:
 
     def test_increase_rejected(self, monkeypatch):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
-        real = mixing._tv_deviations
+        for scan, measure, name in (
+                (total_variation_time, "_total", "worst-start total variation"),
+                (tv_mixing_time, "_entrywise", "the largest entrywise deviation")):
+            real = getattr(mixing, measure)
 
-        def rising(P):
-            for t, (dev, scale) in enumerate(real(P)):
-                yield (dev * P.denom if t == 2 else dev), scale
+            def rising(n, scale, col, real=real):
+                # D^t is K.denom**t, so this scales up the value at t = 2
+                return real(n, scale, col) * (K.denom if scale == K.denom ** 2 else 1)
 
-        monkeypatch.setattr(mixing, "_tv_deviations", rising)
-        with pytest.raises(AssertionError, match="increased at t=2"):
-            total_variation_time(K, 0.01)
+            monkeypatch.setattr(mixing, measure, rising)
+            with pytest.raises(AssertionError, match=f"^{name} increased at t=2$"):
+                scan(K, 0.01)
+            monkeypatch.undo()
 
 
 class TestSamplerUniformity:
