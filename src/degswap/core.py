@@ -141,9 +141,10 @@ class BipartiteGraph:
 
     Instances are immutable; all mutations go through copies.  ``key()``
     returns a hashable canonical form (the raw bytes of the matrix).
+    ``row_deg`` and ``col_deg`` are summed from the matrix when first read.
     """
 
-    __slots__ = ("adj", "k", "l", "row_deg", "col_deg", "_key")
+    __slots__ = ("adj", "k", "l", "_row_deg", "_col_deg", "_key")
 
     def __init__(self, adj):
         arr = np.array(adj, dtype=np.uint8)
@@ -167,9 +168,22 @@ class BipartiteGraph:
         arr.setflags(write=False)
         self.adj = arr
         self.k, self.l = arr.shape
-        self.row_deg = tuple(arr.sum(axis=1).tolist())
-        self.col_deg = tuple(arr.sum(axis=0).tolist())
+        self._row_deg = self._col_deg = None
         self._key = arr.tobytes()
+
+    @property
+    def row_deg(self) -> tuple:
+        """The degrees of the U-vertices, in row order."""
+        if self._row_deg is None:
+            self._row_deg = tuple(self.adj.sum(axis=1).tolist())
+        return self._row_deg
+
+    @property
+    def col_deg(self) -> tuple:
+        """The degrees of the V-vertices, in column order."""
+        if self._col_deg is None:
+            self._col_deg = tuple(self.adj.sum(axis=0).tolist())
+        return self._col_deg
 
     # -- identity ---------------------------------------------------------
 

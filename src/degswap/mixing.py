@@ -2,6 +2,12 @@
 exact kernels, spectra, distance-to-uniform decay, and the congestion of the
 canonical path system.
 
+``enumerate_states`` walks the realizations breadth-first on packed
+integer keys, one bit per cell, and expands each level's whole frontier in
+numpy passes over the row pairs and ordered column pairs, so the move
+graph comes out of the same walk; every space is checked against the exact
+count of ``count_realizations``.
+
 The kernel is held as an integer matrix over one common denominator, and
 everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
@@ -49,8 +55,6 @@ from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
                      TooManyPairings)
 from .pairings import _cells, _decompositions
-
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -140,90 +144,160 @@ def _row_choices(hist: tuple, r: int, room: list) -> list:
     return out
 
 
-def _row_masks(g) -> tuple:
-    """The rows of g's matrix as ints, column j at bit ``l-1-j``, so that
-    tuples of masks order as the graphs' byte keys do."""
-    bits = g.key().translate(_BITS)
-    return tuple(int(bits[u * g.l:(u + 1) * g.l], 2) for u in range(g.k))
+# A frontier is taken about this many (row pair, column) cells, and then
+# this many moves, at a time, so a chunk's arrays stay small at every size.
+_CHUNK = 1 << 14
+
+# _BIT[i]: bit i of a key word, counted from its most significant bit
+_BIT = np.left_shift(np.uint64(1), np.arange(63, -1, -1, dtype=np.uint64))
 
 
-def _stacked(states: list, k: int, l: int) -> np.ndarray:
-    """The matrices of row-mask states as one read-only ``(n, k, l)`` uint8
-    array."""
-    nb = (l + 7) // 8
-    raw = b"".join(r.to_bytes(nb, "big") for rows in states for r in rows)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(states), k, nb), axis=2)
-    arr = np.ascontiguousarray(bits[:, :, 8 * nb - l:])
-    arr.setflags(write=False)
-    return arr
+def _unpack(keys: np.ndarray, k: int, l: int) -> np.ndarray:
+    """The ``(m, k, l)`` 0-1 ``uint8`` matrices of m packed state keys."""
+    raw = keys.astype(">u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=k * l).reshape(-1, k, l)
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """The keys as one flat array that sorts and compares as the keys do:
+    the word itself when one word holds the cells, else each key's
+    big-endian bytes as one ``void`` item, which compare as bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.astype(">u8").view(f"V{8 * keys.shape[1]}").ravel()
+
+
+def _spans(sizes: np.ndarray, budget: int):
+    """Consecutive ``(lo, hi)`` spans of ``sizes`` whose sum is at most
+    ``budget``, or which hold one entry."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + budget, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _swap_targets(keys: np.ndarray, xs: np.ndarray, ys: np.ndarray, pa: np.ndarray,
+                  pb: np.ndarray) -> np.ndarray:
+    """The keys that every allowed swap of the given states leads to,
+    grouped by state in order.  ``xs[s, p]`` and ``ys[s, p]`` mark the
+    columns x in ``ra & ~rb`` and y in ``rb & ~ra`` of state s's rows
+    a = ``pa[p]`` < b = ``pb[p]``; each pair (x, y) is one swap, which flips
+    the cells (a, x), (a, y), (b, x) and (b, y) of the key.  The x's are
+    joined to their pair's y's by index arithmetic, so no array is larger
+    than the moves or ``xs``."""
+    n_pairs, l = xs.shape[1:]
+    ny = ys.sum(axis=2).ravel()                     # y's per (state, pair)
+    x_at, y_at = np.flatnonzero(xs), np.flatnonzero(ys)
+    group = x_at // l                               # state * n_pairs + pair
+    reps = ny[group]                                # swaps of each x
+    y_from = (np.cumsum(ny) - ny)[group] - (np.cumsum(reps) - reps)
+    y = y_at[np.repeat(y_from, reps) + np.arange(reps.sum())] % l
+    x, group = np.repeat(x_at % l, reps), np.repeat(group, reps)
+    pair = group % n_pairs
+    ra, rb = pa[pair] * l, pb[pair] * l
+    out = keys[group // n_pairs]
+    words = out.reshape(-1)
+    at = np.arange(0, len(words), out.shape[1])     # each target's first word
+    for c in (ra + x, ra + y, rb + x, rb + y):
+        words[at + (c >> 6)] ^= _BIT[c & 63]
+    return out
 
 
 def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> StateSpace:
-    """Depth-first enumeration of the realization space over allowed swaps.
+    """Breadth-first enumeration of the realization space over allowed swaps.
 
-    The walk runs on packed rows: a state is the tuple of its row masks
-    (``_row_masks``).  For rows a < b, the allowed swaps are exactly the
-    pairs of a column x in ``ra & ~rb`` and a column y in ``rb & ~ra``, and
-    the swap XORs both rows with ``bit x | bit y``.  Every allowed swap of
-    every state is made once and its target recorded as a neighbour, so the
-    move graph comes out of the same pass.  The graphs are built once, at
-    the end, and the number of states is checked against
-    ``count_realizations`` at every size.
+    A state is a packed key of ``ceil(k*l/64)`` ``uint64`` words, cell
+    (u, v) at bit ``c = u*l + v`` counted from the most significant bit of
+    word ``c // 64``, so keys order as the graphs' byte keys do.  Each level
+    expands its whole frontier in numpy passes over every row pair and
+    ordered column pair (``_swap_targets``).  The number of swaps of each
+    state is counted from the rows before any target is built, and the
+    frontier is expanded in chunks of about ``_CHUNK`` swaps; a chunk's
+    targets that no earlier state has, found by one ``np.unique`` and one
+    search of the sorted keys seen so far, form the next level.  Every
+    allowed swap of every state is made once and its target recorded, so
+    the move graph comes out of the same pass.
+
+    ``TooLarge`` is raised as soon as more than ``max_states`` states are
+    found, or one state has at least ``max_states`` swaps, since its targets
+    are distinct states.  The number of states is checked against
+    ``count_realizations`` at every size, and every state's margins against
+    the start's.  The graphs are built once, at the end, and the neighbour
+    tuples share one set of id ints.
     """
     start = greedy_realize(ds)
     k, l = ds.k, ds.l
-    first = _row_masks(start)
-    found = {first: 0}              # state -> id in discovery order
-    states = [first]
-    moves = {}                      # id -> ids of its swap targets
-    row_pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        rows = states[i]
-        nbrs = moves[i] = []
-        for a, b in row_pairs:
-            ra, rb = rows[a], rows[b]
-            xs, ys = ra & ~rb, rb & ~ra
-            if not xs or not ys:
-                continue
-            ybits = []
-            while ys:
-                y = ys & -ys
-                ybits.append(y)
-                ys ^= y
-            head, mid, tail = rows[:a], rows[a + 1:b], rows[b + 1:]
-            while xs:
-                x = xs & -xs
-                xs ^= x
-                for y in ybits:
-                    m = x | y
-                    h = head + (ra ^ m,) + mid + (rb ^ m,) + tail
-                    j = found.get(h)
-                    if j is None:
-                        if len(states) >= max_states:
-                            raise TooLarge(f"more than {max_states} realizations")
-                        j = found[h] = len(states)
-                        states.append(h)
-                        stack.append(j)
-                    nbrs.append(j)
-    del found                       # the graphs below need the room
-    n = len(states)
+    words = -(-k * l // 64)
+    raw = np.zeros(8 * words, np.uint8)
+    raw[:-(-k * l // 8)] = np.packbits(start.adj)
+    frontier = raw.view(">u8").astype(np.uint64)[None]
+    pa, pb = np.triu_indices(k, 1)                  # the row pairs a < b
+    id_type = np.int32 if max_states < 2**31 else np.int64
+    seen, seen_ids = _sortable(frontier), np.zeros(1, id_type)   # sorted keys, their ids
+    levels, degrees, targets = [], [], []   # keys, swap counts and targets, in id order
+    n = 1
+    per_slice = max(1, _CHUNK // max(1, len(pa) * l))
+    while len(frontier):
+        levels.append(frontier)
+        found = []
+        for lo in range(0, len(frontier), per_slice):
+            keys = frontier[lo:lo + per_slice]
+            cells = _unpack(keys, k, l)
+            rows_a, rows_b = cells[:, pa], cells[:, pb]
+            xs, ys = rows_a > rows_b, rows_b > rows_a
+            moves = (xs.sum(axis=2) * ys.sum(axis=2)).sum(axis=1)
+            if moves.max() >= max_states:
+                raise TooLarge(f"more than {max_states} realizations")
+            degrees.append(moves)
+            for a, b in _spans(moves, _CHUNK):
+                out = _swap_targets(keys[a:b], xs[a:b], ys[a:b], pa, pb)
+                uniq, where, inverse = np.unique(_sortable(out), return_index=True,
+                                                 return_inverse=True)
+                pos = np.searchsorted(seen, uniq)
+                old = pos < len(seen)
+                old[old] = seen[pos[old]] == uniq[old]
+                new = np.flatnonzero(~old)
+                if n + len(new) > max_states:
+                    raise TooLarge(f"more than {max_states} realizations")
+                ids = np.empty(len(uniq), id_type)
+                ids[old] = seen_ids[pos[old]]
+                ids[new] = np.arange(n, n + len(new))
+                seen = np.insert(seen, pos[new], uniq[new])
+                seen_ids = np.insert(seen_ids, pos[new], ids[new])
+                found.append(out[where[new]])
+                targets.append(ids[inverse])
+                n += len(new)
+        frontier = np.concatenate(found)
     expected = count_realizations(ds)
     if expected != n:
         raise AssertionError(f"swap enumeration found {n} states, exact count {expected}")
-    order = sorted(range(n), key=states.__getitem__)
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    mats = _stacked([states[i] for i in order], k, l)
+    order = seen_ids                # the ids in key order
+    rank = np.empty(n, id_type)
+    rank[order] = np.arange(n)
+    degree = np.concatenate(degrees)
+    begin = np.cumsum(degree) - degree
+    targets = np.concatenate(targets)
+    shared = np.array(range(n), dtype=object)
+    neighbours = []
+    for a, b in _spans(degree[order], _CHUNK):
+        # the targets of the states ranked a..b-1, as ranks sorted per state
+        lens = degree[order[a:b]]
+        at = np.repeat(begin[order[a:b]] - (np.cumsum(lens) - lens), lens)
+        row = np.repeat(np.arange(b - a, dtype=np.int64) * n, lens)
+        ranks = np.sort(row + rank[targets[at + np.arange(len(at))]]) - row
+        ids = shared[ranks].tolist()
+        ends = np.cumsum(lens).tolist()
+        neighbours += [tuple(ids[e - d:e]) for e, d in zip(ends, lens.tolist())]
+    del targets, shared             # the graphs below need the room
+    mats = _unpack(np.concatenate(levels)[order], k, l)
+    mats.setflags(write=False)
     if not ((mats.sum(axis=2) == start.row_deg).all()
             and (mats.sum(axis=1) == start.col_deg).all()):
         raise AssertionError("an enumerated state has other margins than the start")
     graphs = tuple(BipartiteGraph._trusted(m) for m in mats)
-    # popping each list as it is ranked keeps one copy of the move graph alive
-    neighbours = tuple(tuple(sorted(rank[j] for j in moves.pop(i))) for i in order)
-    return StateSpace(ds, graphs, {g.key(): i for i, g in enumerate(graphs)}, neighbours)
+    return StateSpace(ds, graphs, {g.key(): i for i, g in enumerate(graphs)}, tuple(neighbours))
 
 
 class TransitionMatrix:

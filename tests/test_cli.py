@@ -163,6 +163,13 @@ def test_mix_report_bad_eps(tmp_path, capsys, eps):
     assert err.startswith("error[ValueError]: eps must be finite") and err.count("\n") == 1
 
 
+def test_mix_report_too_large(tmp_path, capsys):
+    side = " ".join(["50"] * 100)
+    assert main(["mix-report", "--ds", write(tmp_path, "d.txt", f"{side}\n{side}\n")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[TooLarge]:")
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     assert main(["realize", write(tmp_path, "d.txt", DS_BAD)]) == 1
     err = capsys.readouterr().err

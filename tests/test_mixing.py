@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,8 @@ class TestEnumeration:
         ((0,) * 6, (0,)), ((3, 2, 1, 0, 0), (2, 1, 1, 1, 1, 0)),
         ((2, 2), (1,) * 4 + (0,) * 6), ((3, 3, 2), (1,) * 8 + (0,) * 3),
         ((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)), ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
+        # keys of more than one word: 66 cells (560 states), and rows of 65
+        ((3, 3, 2), (1,) * 8 + (0,) * 14), ((1, 1), (1, 1) + (0,) * 63),
     ])
     def test_matches_graph_walk(self, a, b):
         assert_same_space(bds(a, b))
@@ -77,6 +80,19 @@ class TestEnumeration:
         monkeypatch.setattr(mixing, "count_realizations", no_count)
         with pytest.raises(TooLarge):
             enumerate_states(bds((3,) * 6, (3,) * 6))
+
+    def test_too_large_fires_on_one_state_with_small_memory(self):
+        # the 100 x 100 50-regular start alone has more swaps than the guard
+        # allows states, which is decided before any target is built
+        ds = bds((50,) * 100, (50,) * 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                enumerate_states(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
 
     def test_count_checked_above_the_old_cutoff(self, monkeypatch):
         ds = bds((3, 2, 2, 2, 1), (2, 2, 2, 2, 2))

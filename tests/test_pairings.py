@@ -145,14 +145,23 @@ def test_pairing_of_another_pair_rejected():
 # -- the integer decomposition kernel ----------------------------------------
 
 
-def kernel_matches_decompose(X, Y, memo, public: bool = False) -> int:
+def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> int:
     """Assert that the kernel yields ``naive_decompose``'s cycles for every
     pairing in ``all_pairings`` order, and with ``public`` that
     ``decompose`` gives its circuits and cycles too; return the number of
-    pairings."""
-    total, lists = _decompositions(_cells(X), _cells(Y), X.l, memo)
-    pairings = list(all_pairings(X, Y))
-    want = [naive_decompose(X, Y, s) for s in pairings]
+    pairings.
+
+    ``all_pairings`` and ``naive_decompose`` read only X xor Y, so the
+    dict ``oracle`` keeps their results by the shape and the cells of
+    X - Y and Y - X, and pairs with the same difference share them."""
+    x, y = _cells(X), _cells(Y)
+    total, lists = _decompositions(x, y, X.l, memo)
+    oracle = {} if oracle is None else oracle
+    key = (X.k, X.l, x & ~y, y & ~x)
+    if key not in oracle:
+        pairings = list(all_pairings(X, Y))
+        oracle[key] = pairings, [naive_decompose(X, Y, s) for s in pairings]
+    pairings, want = oracle[key]
     assert [tuple(cycles) for cycles in lists] == [dec.cycles for dec in want]
     assert total == len(want)
     if public:
@@ -173,6 +182,7 @@ def test_kernel_matches_decompose_on_small_spaces():
     spaces = pairings = 0
     sizes = set()
     public_spaces = public_pairings = 0
+    oracle = {}
     for a, b in all_degree_pairs(4, 4):
         ds = BipartiteDegreeSequence(a, b)
         if not is_graphical(ds):
@@ -185,7 +195,7 @@ def test_kernel_matches_decompose_on_small_spaces():
             memo = {}
             for Y in space.states:
                 if X is not Y:
-                    total = kernel_matches_decompose(X, Y, memo, public)
+                    total = kernel_matches_decompose(X, Y, memo, public, oracle)
                     pairings += total
                     public_pairings += total if public else 0
         spaces += 1
@@ -195,6 +205,7 @@ def test_kernel_matches_decompose_on_small_spaces():
             ((2, 2, 2, 2), (2, 2, 2, 2), 90)} <= sizes
     assert (spaces, pairings) == (268, 105026)
     assert (public_spaces, public_pairings) == (23, 11102)
+    assert len(oracle) == 2790
 
 
 def test_kernel_matches_decompose_on_higher_degree_differences():
