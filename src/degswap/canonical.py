@@ -640,22 +640,30 @@ def _cyc_range(s, e, m):
     return out
 
 
-def _spec_target(Z: BipartiteGraph, prev: OKKOSpec | None, spec: OKKOSpec) -> BipartiteGraph:
-    """The realization demanded by ``spec``, inheriting everything the
-    pattern leaves free from Z, with the previous anchor restored to type."""
-    frame = spec.frame
-    m = frame.m
+def _retarget(Z: BipartiteGraph, frame: CycleFrame, prev: OKKOSpec | None, mains, smalls,
+              anchors: dict) -> BipartiteGraph:
+    """Z with the frame's main and small cells set to ``mains`` and
+    ``smalls`` and each cell of ``anchors`` (an anchor -> value dict) set to
+    its value, after the previous anchor is restored to its type; every
+    other cell is inherited from Z."""
     want = {}
     if prev is not None:
         want[frame.cell_edge(prev.anchor)] = prev.anchor_type()
-    mains, smalls, anchor_val = spec.pattern()
-    for t in range(m):
+    for t in range(frame.m):
         want[frame.main_edge(t)] = mains[t]
         want[frame.small_edge(t)] = smalls[t]
-    want[frame.cell_edge(spec.anchor)] = anchor_val
+    for anchor, v in anchors.items():
+        want[frame.cell_edge(anchor)] = v
     rem = [e for e, v in want.items() if v == 0 and Z.adj[e]]
     add = [e for e, v in want.items() if v == 1 and not Z.adj[e]]
     return Z.with_edges(rem, add)
+
+
+def _spec_target(Z: BipartiteGraph, prev: OKKOSpec | None, spec: OKKOSpec) -> BipartiteGraph:
+    """The realization demanded by ``spec``, inheriting everything the
+    pattern leaves free from Z, with the previous anchor restored to type."""
+    mains, smalls, anchor_val = spec.pattern()
+    return _retarget(Z, spec.frame, prev, mains, smalls, {spec.anchor: anchor_val})
 
 
 def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
@@ -705,14 +713,14 @@ def _diff_cycle_cells(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
     return cells
 
 
-def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
-    """Swaps carrying Za to Zb when they differ in one alternating cycle.
+def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list) -> list:
+    """Swaps carrying Za to Zb, which differ in ``cells``, one alternating
+    cycle as ``_diff_cycle_cells`` finds it.
 
     The difference cycle's rows and columns span a small subgraph in both
     graphs with equal margins; the constructive transformation on that
     subgraph is lifted back to global coordinates.
     """
-    cells = _diff_cycle_cells(Za, Zb)
     if not cells:
         return []
     rows = sorted({u for u, _ in cells})
@@ -741,10 +749,16 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     the spanned subgraph: 24 for the adjacent same-kind case and 40 for
     the kind-changing case.
     """
+    return _ok_ko_move(L_prev, spec_prev, spec_next)[0]
+
+
+def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> tuple:
+    """``(swaps, L_next)``: the swaps of ``ok_ko_step`` and the realization
+    they reach, built and traced once."""
     if spec_prev.frame != spec_next.frame:
         raise SpecViolation("patterns live on different cycle frames")
     if spec_prev == spec_next:
-        return []
+        return [], L_prev
     if not matches_spec(L_prev, spec_prev):
         raise SpecViolation("graph does not match the claimed source pattern")
     L_next = _spec_target(L_prev, spec_prev, spec_next)
@@ -755,7 +769,7 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     if len(cells) > cap:
         raise SpecViolation(
             f"difference cycle of {len(cells)} exceeds {cap} for anchor distance {dist}")
-    return _bridge(L_prev, L_next)
+    return _bridge(L_prev, L_next, cells), L_next
 
 
 # ---------------------------------------------------------------------------
@@ -784,28 +798,15 @@ def _friendly_swaps(Z: BipartiteGraph, frame: CycleFrame, types: dict,
     for pos, anchor in zip(path.positions, path.adjusted):
         t = types[frame.cell_edge(pos)]
         specs.append(OKKOSpec("OK" if t == 1 else "KO", anchor, frame))
-    swaps = []
-    cur = Z
-    prev = None
-    for spec in specs:
-        nxt = _spec_target(cur, prev, spec)
-        if prev is None:
-            step = _bridge(cur, nxt)
-        else:
-            step = ok_ko_step(cur, prev, spec)
+    cur = _spec_target(Z, None, specs[0])
+    swaps = _bridge(Z, cur, _diff_cycle_cells(Z, cur))
+    for prev, spec in zip(specs, specs[1:]):
+        step, cur = _ok_ko_move(cur, prev, spec)
         swaps.extend(step)
-        cur = nxt
-        prev = spec
     # closing target: every main edge gone, every small edge in, anchor restored
     m = frame.m
-    want = {frame.cell_edge(prev.anchor): prev.anchor_type()}
-    for t in range(m):
-        want[frame.main_edge(t)] = 0
-        want[frame.small_edge(t)] = 1
-    rem = [e for e, v in want.items() if v == 0 and cur.adj[e]]
-    add = [e for e, v in want.items() if v == 1 and not cur.adj[e]]
-    final = cur.with_edges(rem, add)
-    swaps.extend(_bridge(cur, final))
+    final = _retarget(cur, frame, specs[-1], [0] * m, [1] * m, {})
+    swaps.extend(_bridge(cur, final, _diff_cycle_cells(cur, final)))
     return swaps, final
 
 

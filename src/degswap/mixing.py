@@ -8,8 +8,10 @@ numpy passes over the row pairs and ordered column pairs, so the move
 graph comes out of the same walk; every space is checked against the exact
 count of ``count_realizations``.
 
-The kernel is held as an integer matrix over one common denominator, and
-everything that feeds an inequality check is computed in Python integers or
+Every allowed swap has probability 1/(C(k,2)*C(l,2)) and the chain stays
+put otherwise, so ``TransitionMatrix`` holds the kernel as that one
+denominator and the move graph, and no dense table of it is ever built.
+Everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
 decomposes every pairing of every ordered pair through the integer kernel
 of ``pairings``, with its circuit memo scoped to one source state.
@@ -303,76 +305,47 @@ def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> St
 class TransitionMatrix:
     """Exact kernel of the swap chain on an enumerated space, held in integers.
 
-    ``P = A / denom``, where ``A`` has ``diag[i]`` at ``(i, i)``, ``off`` at
-    ``(i, j)`` for every ``j`` in ``neighbours[i]`` and zero elsewhere.  For
-    the swap chain ``denom = C(k,2)*C(l,2)``, ``off = 1`` and
-    ``A = denom*I - L`` with ``L`` the Laplacian of the move graph.
+    ``P = A / denom``: from state i the chain moves to each state of
+    ``neighbours[i]`` with probability ``jump = 1/denom`` and stays put with
+    probability ``diag[i] / denom``, where ``diag[i] = denom -
+    len(neighbours[i])``.  So ``A = denom*I - L`` with ``L`` the Laplacian
+    of the move graph; for the swap chain ``denom = C(k,2)*C(l,2)``, one
+    outcome per pair of rows and pair of columns.  ``chain.transition_prob``
+    derives the same entries pair by pair from the graphs.
 
-    ``symmetries`` holds commuting involutions of the state ids, each a
-    read-only integer array ``p`` with ``A[p[i], p[j]] == A[i, j]``: the
-    relabellings of equal-degree vertices that ``build_kernel`` takes.
+    The constructor checks the kernel laws in integers: no move stays put or
+    repeats, the move graph is symmetric, and no state has more than
+    ``denom`` moves, so every row is non-negative and sums to one.  The
+    first two are decided on the sorted edge codes ``i * n + j`` of the move
+    graph: no code repeats or lies on the diagonal, and the codes of the
+    reversed edges sort to the same array.
+
+    ``symmetries`` holds commuting involutions of the state ids, each
+    checked by ``_check_involutions`` to map the move graph onto itself and
+    kept as a read-only integer array ``p`` with ``A[p[i], p[j]] == A[i, j]``:
+    the relabellings of equal-degree vertices that ``build_kernel`` takes.
     ``spectral_gap`` splits ``P`` into blocks by the group they generate.
 
-    A kernel built by ``build_kernel`` also knows its state space, whose
-    vertex relabellings ``_representatives`` turns into orbits of states the
-    first time a decay scan asks for them.
-
-    The constructor takes dense rational rows and converts them to this form,
-    with no symmetries and no state space; ``entries`` gives them back, built
-    only when first read.
+    ``space`` is the state space whose vertex relabellings
+    ``_representatives`` turns into orbits of states the first time a decay
+    scan asks for them; without one every state is its own representative.
     """
 
-    __slots__ = ("denom", "off", "diag", "neighbours", "symmetries", "_entries",
-                 "_space", "_reps")
+    __slots__ = ("denom", "diag", "neighbours", "symmetries", "_space", "_reps")
 
-    def __init__(self, entries, jump):
-        rows = [tuple(Fraction(x) for x in row) for row in entries]
-        jump = Fraction(jump)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("kernel rows must form a square matrix")
-        neighbours = tuple(tuple(j for j, x in enumerate(row) if x and j != i)
-                           for i, row in enumerate(rows))
-        if any(rows[i][j] != jump for i, nbrs in enumerate(neighbours) for j in nbrs):
-            raise ValueError("off-diagonal entry differs from the jump probability")
-        denom = math.lcm(jump.denominator, *(rows[i][i].denominator for i in range(n)))
-        diag = tuple(int(rows[i][i] * denom) for i in range(n))
-        self._set(denom, int(jump * denom), diag, neighbours)
-
-    @classmethod
-    def _from_move_graph(cls, denom: int, neighbours: tuple, symmetries=(),
-                         space: StateSpace | None = None) -> "TransitionMatrix":
-        """The kernel stepping to each move-graph neighbour with probability
-        1/denom and staying put otherwise, carrying the given state-id
-        ``symmetries`` once ``_set`` has verified them, and the ``space``
-        whose orbits the decay scans use."""
-        kernel = cls.__new__(cls)
-        kernel._set(denom, 1, tuple(denom - len(nbrs) for nbrs in neighbours), neighbours,
-                    symmetries, space)
-        return kernel
-
-    def _set(self, denom, off, diag, neighbours, symmetries=(), space=None):
-        """Store the integer form after checking the kernel laws in integers:
-        every off-diagonal entry is zero or the jump, the adjacency is
-        symmetric, and each row is non-negative and sums to one.  The first
-        two are decided on the sorted edge codes ``i * n + j`` of the move
-        graph: no code repeats or lies on the diagonal, and the codes of the
-        reversed edges sort to the same array.  Each symmetry must pass
-        ``_check_involutions`` and commute with the others; it then keeps
-        ``diag`` too, since the row sums make ``diag[i]`` equal to
-        ``denom - off * len(neighbours[i])``.  ``space`` is the state space
-        whose vertex relabellings give the orbits of ``_representatives``;
-        without one every state is its own representative."""
-        if off < 0:
-            raise AssertionError("negative jump probability")
-        n = len(diag)
+    def __init__(self, denom: int, neighbours: tuple, symmetries=(),
+                 space: StateSpace | None = None):
+        if denom < 1:
+            raise ValueError(f"the kernel denominator must be positive: got {denom}")
+        n = len(neighbours)
         rows, cols, edges = _edge_codes(neighbours)
         if (rows == cols).any() or (edges[1:] == edges[:-1]).any():
             raise AssertionError("off-diagonal entry differs from the jump probability")
         if (np.sort(cols * n + rows) != edges).any():
             raise AssertionError("kernel is not symmetric")
-        for i, (d, nbrs) in enumerate(zip(diag, neighbours)):
-            if d < 0 or d + off * len(nbrs) != denom:
+        diag = tuple(denom - len(nbrs) for nbrs in neighbours)
+        for i, d in enumerate(diag):
+            if d < 0:
                 raise AssertionError(f"row {i} does not sum to one")
         perms = tuple(np.array(p, dtype=np.intp) for p in symmetries)
         if perms:
@@ -385,9 +358,8 @@ class TransitionMatrix:
                 if any((p[q] != q[p]).any() for q in perms[:k]):
                     raise AssertionError(f"symmetry {k} does not commute with the others")
                 p.setflags(write=False)
-        self.denom, self.off, self.diag, self.neighbours = denom, off, diag, neighbours
+        self.denom, self.diag, self.neighbours = denom, diag, neighbours
         self.symmetries = perms
-        self._entries = None
         self._space = space
         self._reps = None
 
@@ -397,28 +369,13 @@ class TransitionMatrix:
 
     @property
     def jump(self) -> Fraction:
-        return Fraction(self.off, self.denom)
-
-    @property
-    def entries(self) -> tuple:
-        """The kernel as dense rows of ``Fraction``s (read-only)."""
-        if self._entries is None:
-            jump, zero = self.jump, Fraction(0)
-            rows = []
-            for i, (d, nbrs) in enumerate(zip(self.diag, self.neighbours)):
-                row = [zero] * self.n
-                for j in nbrs:
-                    row[j] = jump
-                row[i] = Fraction(d, self.denom)
-                rows.append(tuple(row))
-            self._entries = tuple(rows)
-        return self._entries
+        return Fraction(1, self.denom)
 
     def as_float(self) -> np.ndarray:
         """The kernel in float64; each entry is its integer numerator divided
         by ``denom``, the correctly rounded value of the exact entry."""
         mat = np.zeros((self.n, self.n))
-        mat[_move_edges(self.neighbours)] = self.off / self.denom
+        mat[_move_edges(self.neighbours)] = 1 / self.denom
         np.fill_diagonal(mat, [d / self.denom for d in self.diag])
         return mat
 
@@ -511,10 +468,10 @@ def _relabellings(space: StateSpace, moves: list) -> list:
 
 
 def build_kernel(space: StateSpace) -> TransitionMatrix:
-    """The exact kernel over the enumerated move graph; verifies in integers
-    that the move graph is symmetric, that every off-diagonal entry is the
-    single jump probability, and that no state has more moves than the
-    C(k,2)*C(l,2) outcomes of a step.
+    """The exact kernel over the enumerated move graph, with denominator
+    C(k,2)*C(l,2); ``TransitionMatrix`` verifies in integers that the move
+    graph is symmetric, that no move repeats, and that no state has more
+    moves than the outcomes of a step.
 
     The kernel carries the first m relabellings of ``_vertex_swaps`` as
     symmetries, m as large as keeps ``n / 2**m >= _MIN_BLOCK``; each is
@@ -525,9 +482,8 @@ def build_kernel(space: StateSpace) -> TransitionMatrix:
     m = 0
     while m < len(swaps) and space.n >> (m + 1) >= _MIN_BLOCK:
         m += 1
-    return TransitionMatrix._from_move_graph(
-        pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours,
-        _relabellings(space, swaps[:m]), space)
+    return TransitionMatrix(pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours,
+                            _relabellings(space, swaps[:m]), space)
 
 
 def _orbit_generators(space: StateSpace) -> list:
@@ -626,7 +582,7 @@ def _blocks(P: TransitionMatrix, max_block: int) -> list:
     row_orbit = np.concatenate([np.arange(len(reps)), row_orbit])
     col_orbit = np.concatenate([np.arange(len(reps)), orbit[cols]])
     col_elem = np.concatenate([np.zeros(len(reps), np.intp), elem[cols]])
-    value = np.concatenate([reps_diag, np.full(len(cols), float(P.off))])
+    value = np.concatenate([reps_diag, np.ones(len(cols))])
     blocks = []
     for s, b in enumerate(sizes.tolist()):
         if not b:
@@ -690,19 +646,19 @@ def _decay(P: TransitionMatrix, measure):
     so that the distance it measures is ``dev / (2 * N * D^t)``.
 
     ``A^t`` is advanced by sparse integer products over the move graph:
-    column j of ``A`` holds ``diag[j]`` on the diagonal and ``off`` at the
+    column j of ``A`` holds ``diag[j]`` on the diagonal and 1 at the
     neighbours of j, because ``A`` is symmetric.  Each relabelling p of the
     group commutes with ``A``, so the column of ``A^t`` at ``p r`` is the
     column at r permuted by p, and the representatives' columns hold every
     value of ``A^t`` that a maximum over starts can reach.
     """
-    n, denom, off = P.n, P.denom, P.off
+    n, denom = P.n, P.denom
     cols = tuple(zip(P.diag, P.neighbours))
     power = [[int(i == r) for i in range(n)] for r in _representatives(P)]
     scale = 1
     while True:
         yield max(measure(n, scale, col) for col in power), scale, power
-        power = [[d * x + off * sum(map(col.__getitem__, nbrs))
+        power = [[d * x + sum(map(col.__getitem__, nbrs))
                   for x, (d, nbrs) in zip(col, cols)] for col in power]
         scale *= denom
 
@@ -921,7 +877,7 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))
     return CongestionReport(
-        kappa=Fraction(load[max_edge] * kernel.denom, n * scale * kernel.off),
+        kappa=Fraction(load[max_edge] * kernel.denom, n * scale),
         max_edge=max_edge,
         edge_loading_max=Fraction(max(weight.values()), scale),
         n_paths=n_paths,

@@ -279,6 +279,22 @@ def naive_decompose(X, Y, pairing):
 # -- dense rational distance-decay oracle -------------------------------------
 
 
+def kernel_rows(K):
+    """The kernel ``K`` expanded into dense ``Fraction`` rows: ``1/denom`` at
+    every move-graph neighbour, and the holding probability
+    ``diag[i]/denom`` on the diagonal."""
+    from fractions import Fraction
+
+    rows = []
+    for i, (d, nbrs) in enumerate(zip(K.diag, K.neighbours)):
+        row = [Fraction(0)] * K.n
+        for j in nbrs:
+            row[j] = K.jump
+        row[i] = Fraction(d, K.denom)
+        rows.append(row)
+    return rows
+
+
 def dense_kernel_rows(space):
     """The kernel of the swap chain as dense ``Fraction`` rows, one
     ``transition_prob`` per ordered pair of states."""
@@ -317,13 +333,13 @@ def full_deviations(P):
     """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
     where ``P = A / D`` on N states, advancing all N columns of ``A^t`` by
     sparse integer products over the move graph, with no symmetry used."""
-    n, denom, off, diag, neighbours = P.n, P.denom, P.off, P.diag, P.neighbours
+    n, denom, diag, neighbours = P.n, P.denom, P.diag, P.neighbours
     cols = tuple(zip(diag, neighbours))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     scale = 1
     while True:
         yield max(max(n * max(row) - scale, scale - n * min(row)) for row in power), scale
-        power = [[d * x + off * sum(map(row.__getitem__, nbrs))
+        power = [[d * x + sum(map(row.__getitem__, nbrs))
                   for x, (d, nbrs) in zip(row, cols)] for row in power]
         scale *= denom
 

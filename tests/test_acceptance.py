@@ -24,8 +24,8 @@ from degswap.mixing import (build_kernel, congestion, enumerate_states,
 from degswap.ryser import replay
 
 from oracles import (all_degree_pairs, brute_margin_count, cycle_graph_pair,
-                     friendly_path_exists, perturbed_environment, random_types,
-                     split_environment_pools)
+                     dense_kernel_rows, friendly_path_exists, kernel_rows,
+                     perturbed_environment, random_types, split_environment_pools)
 
 
 @contextmanager
@@ -85,8 +85,10 @@ def test_criterion_3_kernel_laws():
         for ds in instances:
             space = enumerate_states(ds)
             K = build_kernel(space)      # verifies symmetry/rows on build
+            rows = kernel_rows(K)
+            assert rows == dense_kernel_rows(space), ds
             for j in range(K.n):
-                col = sum(K.entries[i][j] for i in range(K.n))
+                col = sum(rows[i][j] for i in range(K.n))
                 assert col == 1, (ds, j)
 
 

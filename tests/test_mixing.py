@@ -18,7 +18,7 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
 
 from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
                      dense_kernel_rows, dense_total_variation, full_deviations,
-                     naive_congestion, naive_enumerate, naive_segment)
+                     kernel_rows, naive_congestion, naive_enumerate, naive_segment)
 
 
 def bds(a, b):
@@ -139,39 +139,38 @@ class TestCounting:
             assert count_realizations(bds(a, b)) == count_realizations(bds(b, a))
 
 
+def _complete(n):
+    """The neighbours of the complete move graph on n states."""
+    return tuple(tuple(j for j in range(n) if j != i) for i in range(n))
+
+
 class TestKernel:
     def test_degenerate_two_state(self):
         K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
-        assert K.entries == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+        assert (K.denom, K.diag, K.neighbours) == (1, (0, 0), ((1,), (0,)))
+        assert kernel_rows(K) == [[0, 1], [1, 0]]
 
     def test_uniform_is_stationary(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
-        n = K.n
-        for j in range(n):
-            assert sum(K.entries[i][j] for i in range(n)) == 1
+        rows = kernel_rows(K)
+        for j in range(K.n):
+            assert sum(row[j] for row in rows) == 1
 
     def test_row_sums(self):
         K = build_kernel(enumerate_states(bds((2, 2, 1), (2, 2, 1))))
-        for row in K.entries:
+        for row in kernel_rows(K):
             assert sum(row) == 1
 
     def test_entries_match_transition_prob(self):
-        for a, b in (((2, 2, 2), (3, 2, 1)), ((2, 2, 1), (2, 2, 1))):
-            space = enumerate_states(bds(a, b))
-            rows = dense_kernel_rows(space)
-            assert build_kernel(space).entries == tuple(tuple(r) for r in rows)
-
-    def test_dense_rows_round_trip(self):
-        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
-        K = build_kernel(space)
-        again = TransitionMatrix(dense_kernel_rows(space), K.jump)
-        assert again.entries == K.entries and again.jump == K.jump
-        assert (again.as_float() == K.as_float()).all()
-
-    def test_dense_rows_off_jump_rejected(self):
-        rows = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
-        with pytest.raises(ValueError):
-            TransitionMatrix(rows, Fraction(1, 3))
+        # every graphical pair of margins up to 3 x 3, and the 90-state space
+        spaces = [enumerate_states(ds) for a, b in all_degree_pairs(3, 3)
+                  if is_graphical(ds := bds(a, b))]
+        spaces.append(enumerate_states(bds((2,) * 4, (2,) * 4)))
+        for space in spaces:
+            K = build_kernel(space)
+            assert K.jump == Fraction(1, K.denom)
+            assert kernel_rows(K) == dense_kernel_rows(space), space.ds
+        assert len(spaces) == 84 and spaces[-1].n == 90
 
     @pytest.mark.parametrize("neighbours, message", [
         (((1,), (), ()), "not symmetric"),
@@ -182,14 +181,16 @@ class TestKernel:
     ])
     def test_move_graph_laws_rejected(self, neighbours, message):
         with pytest.raises(AssertionError, match=message):
-            TransitionMatrix._from_move_graph(1, neighbours)
+            TransitionMatrix(1, neighbours)
 
     def test_dense_rows_laws_rejected(self):
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        # state 1 has three moves of 1/2 each: its holding probability
+        # would be -1/2
         with pytest.raises(AssertionError, match="row 1 does not sum"):
-            TransitionMatrix([[3 * quarter, quarter], [quarter, half]], quarter)
-        with pytest.raises(AssertionError, match="negative jump"):
-            TransitionMatrix([[3 * half, -half], [-half, 3 * half]], -half)
+            TransitionMatrix(2, ((1,), (0, 2, 3), (1,), (1,)))
+        for denom in (0, -1):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                TransitionMatrix(denom, ((),))
 
 
 class TestSpectralGap:
@@ -200,9 +201,9 @@ class TestSpectralGap:
         assert abs(tau - 0.5) < 1e-12
 
     def test_uniform_jump_closed_form(self):
+        # every entry is 1/n: n - 1 moves of 1/n and a holding 1/n
         n = 5
-        entries = tuple(tuple(Fraction(1, n) for _ in range(n)) for _ in range(n))
-        lam2, tau = spectral_gap(TransitionMatrix(entries, Fraction(1, n)))
+        lam2, tau = spectral_gap(TransitionMatrix(n, _complete(n)))
         assert abs(lam2) < 1e-12 and abs(tau - 1.0) < 1e-12
 
     def test_semi_regular_gap(self):
@@ -218,8 +219,7 @@ class TestSpectralGap:
 
     def test_reducible_kernel_is_degenerate(self):
         # eigenvalue 1 twice: state 0 never leaves, states 1 and 2 swap
-        half = Fraction(1, 2)
-        K = TransitionMatrix([[1, 0, 0], [0, half, half], [0, half, half]], half)
+        K = TransitionMatrix(2, ((), (2,), (1,)))
         with pytest.raises(DegenerateChain, match="reducible"):
             spectral_gap(K)
         for scan in (tv_mixing_time, total_variation_time):
@@ -260,8 +260,8 @@ def forced_kernel(space):
     """The space's kernel carrying every available vertex relabelling,
     whatever its size."""
     swaps = mixing._vertex_swaps(space.ds)
-    return TransitionMatrix._from_move_graph(build_kernel(space).denom, space.neighbours,
-                                             mixing._relabellings(space, swaps))
+    return TransitionMatrix(build_kernel(space).denom, space.neighbours,
+                            mixing._relabellings(space, swaps))
 
 
 class TestSymmetryBlocks:
@@ -318,7 +318,7 @@ class TestSymmetryBlocks:
     def test_non_symmetry_rejected(self, perm, message):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         with pytest.raises(AssertionError, match=message):
-            TransitionMatrix._from_move_graph(9, space.neighbours, [perm(space)])
+            TransitionMatrix(9, space.neighbours, [perm(space)])
 
     def test_overlapping_swaps_rejected(self):
         # exchanging rows 0, 1 and exchanging rows 1, 2 are each symmetries,
@@ -326,15 +326,15 @@ class TestSymmetryBlocks:
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         perms = mixing._relabellings(space, [(0, 0, 1), (0, 1, 2)])
         for p in perms:
-            TransitionMatrix._from_move_graph(9, space.neighbours, [p])
+            TransitionMatrix(9, space.neighbours, [p])
         with pytest.raises(AssertionError, match="commute"):
-            TransitionMatrix._from_move_graph(9, space.neighbours, perms)
+            TransitionMatrix(9, space.neighbours, perms)
 
     def test_denominator_too_large_for_exact_blocks(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         perms = mixing._relabellings(space, mixing._vertex_swaps(space.ds))
         with pytest.raises(AssertionError, match="denominator"):
-            TransitionMatrix._from_move_graph(2**53, space.neighbours, perms)
+            TransitionMatrix(2**53, space.neighbours, perms)
 
     def test_block_checks(self, monkeypatch):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
@@ -353,7 +353,7 @@ class TestSymmetryBlocks:
     def test_dense_rows_carry_no_symmetries(self):
         space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
         K = build_kernel(space)
-        dense = TransitionMatrix(dense_kernel_rows(space), K.jump)
+        dense = TransitionMatrix(K.denom, space.neighbours)
         assert dense.symmetries == () and K.symmetries == ()
         assert spectral_gap(dense) == spectral_gap(K)
         assert abs(spectral_gap(forced_kernel(space))[0] - spectral_gap(K)[0]) < 1e-12
@@ -447,7 +447,7 @@ class TestMixingTime:
     def test_2040_states_without_symmetry_blocks(self):
         # one dense block of 2,040 states: past the eigensolve guard
         space = enumerate_states(bds((2,) * 5, (2,) * 5))
-        K = TransitionMatrix._from_move_graph(pair_count(5) ** 2, space.neighbours, (), space)
+        K = TransitionMatrix(pair_count(5) ** 2, space.neighbours, (), space)
         with pytest.raises(TooLarge):
             spectral_gap(K)
         assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (16, 58)
@@ -562,7 +562,7 @@ class TestOrbitScan:
     def test_dense_rows_scan_every_column(self):
         space = enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1)))
         K = build_kernel(space)
-        dense = TransitionMatrix(dense_kernel_rows(space), K.jump)
+        dense = TransitionMatrix(K.denom, space.neighbours)
         assert mixing._representatives(dense) == tuple(range(space.n))
         for measure in (mixing._entrywise, mixing._total):
             scans = zip(mixing._decay(dense, measure), mixing._decay(K, measure))
@@ -692,8 +692,7 @@ class TestCongestion:
     def test_kernel_of_another_space_rejected(self):
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         n = space.n
-        complete = [[Fraction(1, n)] * n for _ in range(n)]
-        other = TransitionMatrix(complete, Fraction(1, n))
+        other = TransitionMatrix(n, _complete(n))
         assert other.n == n and other.neighbours != space.neighbours
         with pytest.raises(ValueError):
             congestion(space, other)
@@ -710,7 +709,7 @@ class TestCongestion:
         cut = tuple(tuple(x for x in nbrs if {i, x} != {0, j})
                     for i, nbrs in enumerate(space.neighbours))
         tampered = StateSpace(space.ds, space.states, space.index, cut)
-        K = TransitionMatrix._from_move_graph(build_kernel(space).denom, cut)
+        K = TransitionMatrix(build_kernel(space).denom, cut)
         with pytest.raises(SpecViolation):
             congestion(tampered, K)
 
