@@ -27,6 +27,7 @@ live at any moment.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -713,24 +714,40 @@ def _diff_cycle_cells(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
     return cells
 
 
-def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list) -> list:
+def _local_bytes(G: BipartiteGraph, rows, cols) -> bytes:
+    """The bytes of G's submatrix on ``rows x cols``, read from ``G.key()``:
+    ``G.adj[np.ix_(rows, cols)].tobytes()`` without building the array."""
+    key, l = G.key(), G.l
+    return bytes([key[u * l + v] for u in rows for v in cols])
+
+
+def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list, bridges: dict) -> list:
     """Swaps carrying Za to Zb, which differ in ``cells``, one alternating
     cycle as ``_diff_cycle_cells`` finds it.
 
     The difference cycle's rows and columns span a small subgraph in both
     graphs with equal margins; the constructive transformation on that
     subgraph is lifted back to global coordinates.
+
+    ``bridges`` is the caller's memo of local solves, living for one
+    top-level call.  It is keyed by the subgraph's shape and the bytes of Za
+    and Zb on the sorted rows x columns.  ``ryser_sequence`` is a pure
+    function of those two local matrices, so a hit returns exactly the
+    local swaps a miss would solve; only the lift depends on rows and cols.
     """
     if not cells:
         return []
     rows = sorted({u for u, _ in cells})
     cols = sorted({v for _, v in cells})
-    sub_a = BipartiteGraph._trusted(Za.adj[np.ix_(rows, cols)])
-    sub_b = BipartiteGraph._trusted(Zb.adj[np.ix_(rows, cols)])
-    local = ryser_sequence(sub_a, sub_b)
-    lifted = [Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2], s.orientation)
-              for s in local]
-    return lifted
+    shape = (len(rows), len(cols))
+    key = (shape, _local_bytes(Za, rows, cols), _local_bytes(Zb, rows, cols))
+    local = bridges.get(key)
+    if local is None:
+        sub_a, sub_b = (BipartiteGraph._trusted(np.frombuffer(data, np.uint8).reshape(shape))
+                        for data in key[1:])
+        local = bridges[key] = tuple(ryser_sequence(sub_a, sub_b))
+    return [Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2], s.orientation)
+            for s in local]
 
 
 def _anchor_params(spec: OKKOSpec):
@@ -747,14 +764,17 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     linear in the grid distance of the anchor parameters; before bridging,
     that is asserted.  The swap count is bounded by twice the edge count of
     the spanned subgraph: 24 for the adjacent same-kind case and 40 for
-    the kind-changing case.
+    the kind-changing case.  Each call solves its bridge with a fresh
+    bridge memo (see ``_bridge``).
     """
-    return _ok_ko_move(L_prev, spec_prev, spec_next)[0]
+    return _ok_ko_move(L_prev, spec_prev, spec_next, {})[0]
 
 
-def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> tuple:
+def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec,
+                bridges: dict) -> tuple:
     """``(swaps, L_next)``: the swaps of ``ok_ko_step`` and the realization
-    they reach, built and traced once."""
+    they reach, built and traced once; the bridge goes through the
+    ``bridges`` memo."""
     if spec_prev.frame != spec_next.frame:
         raise SpecViolation("patterns live on different cycle frames")
     if spec_prev == spec_next:
@@ -769,7 +789,7 @@ def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec
     if len(cells) > cap:
         raise SpecViolation(
             f"difference cycle of {len(cells)} exceeds {cap} for anchor distance {dist}")
-    return _bridge(L_prev, L_next, cells), L_next
+    return _bridge(L_prev, L_next, cells, bridges), L_next
 
 
 # ---------------------------------------------------------------------------
@@ -793,20 +813,20 @@ def _assert_right_form(Z: BipartiteGraph, frame: CycleFrame, types: dict):
 
 
 def _friendly_swaps(Z: BipartiteGraph, frame: CycleFrame, types: dict,
-                    path: FriendlyPath):
+                    path: FriendlyPath, bridges: dict):
     specs = []
     for pos, anchor in zip(path.positions, path.adjusted):
         t = types[frame.cell_edge(pos)]
         specs.append(OKKOSpec("OK" if t == 1 else "KO", anchor, frame))
     cur = _spec_target(Z, None, specs[0])
-    swaps = _bridge(Z, cur, _diff_cycle_cells(Z, cur))
+    swaps = _bridge(Z, cur, _diff_cycle_cells(Z, cur), bridges)
     for prev, spec in zip(specs, specs[1:]):
-        step, cur = _ok_ko_move(cur, prev, spec)
+        step, cur = _ok_ko_move(cur, prev, spec, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
     m = frame.m
     final = _retarget(cur, frame, specs[-1], [0] * m, [1] * m, {})
-    swaps.extend(_bridge(cur, final, _diff_cycle_cells(cur, final)))
+    swaps.extend(_bridge(cur, final, _diff_cycle_cells(cur, final), bridges))
     return swaps, final
 
 
@@ -860,12 +880,13 @@ def _first_touch(swaps, edge) -> int:
     raise SpecViolation("a block sequence never touches its closing cell")
 
 
-def _solve_frame(Z: BipartiteGraph, frame: CycleFrame, types: dict,
+def _solve_frame(Z: BipartiteGraph, frame: CycleFrame, types: dict, bridges: dict,
                  expect_friendly: bool = False):
     """Swaps flipping the framed cycle from its main side to its small side.
 
     Returns (swaps, final graph).  Every emitted swap touches only cells of
-    this frame, so sequences of disjoint frames commute.
+    this frame, so sequences of disjoint frames commute.  Bridges between
+    OK/KO targets go through the ``bridges`` memo (see ``_bridge``).
     """
     m = frame.m
     _assert_right_form(Z, frame, types)
@@ -878,13 +899,13 @@ def _solve_frame(Z: BipartiteGraph, frame: CycleFrame, types: dict,
     F = _local_f(Z, frame, types)
     res = find_friendly_path(F)
     if isinstance(res, FriendlyPath):
-        return _friendly_swaps(Z, frame, types, res)
+        return _friendly_swaps(Z, frame, types, res, bridges)
     if expect_friendly:
         raise SpecViolation("a block guaranteed friendly came out blocked")
     i, t, j, jp = _choose_pattern(_valid_patterns(F), m)
     if jp == 1:
-        return _first_possibility(Z, frame, types, i, t)
-    return _second_possibility(Z, frame, types, i, t, j, jp)
+        return _first_possibility(Z, frame, types, i, t, bridges)
+    return _second_possibility(Z, frame, types, i, t, j, jp, bridges)
 
 
 def _swap_on_cells(Z, frame, urow_a, urow_b, vcol_a, vcol_b) -> Swap:
@@ -892,7 +913,7 @@ def _swap_on_cells(Z, frame, urow_a, urow_b, vcol_a, vcol_b) -> Swap:
                    frame.v_ids[vcol_a], frame.v_ids[vcol_b], graph=Z)
 
 
-def _first_possibility(Z, frame, types, i, t):
+def _first_possibility(Z, frame, types, i, t, bridges):
     m = frame.m
     im1, ip1 = (i - 1) % m, (i + 1) % m
     swaps = []
@@ -903,7 +924,7 @@ def _first_possibility(Z, frame, types, i, t):
         swaps.append(s1)
         cur = apply_swap(Z, s1)
         child = frame.sub([(i + 1 + t0) % m for t0 in range(m - 1)])
-        sub, cur = _solve_frame(cur, child, types)
+        sub, cur = _solve_frame(cur, child, types, bridges)
         return swaps + sub, cur
     if m < 5:
         raise SpecViolation("type-0 adjacent pattern needs at least five indices")
@@ -919,9 +940,9 @@ def _first_possibility(Z, frame, types, i, t):
         sC = _swap_on_cells(cur, frame, im2, ip1, im1, ip2)
         cur = apply_swap(cur, sC)
         swaps.append(sC)
-        sub, cur = _solve_frame(cur, child, types)
+        sub, cur = _solve_frame(cur, child, types, bridges)
         return swaps + sub, cur
-    sub, cur = _solve_frame(cur, child, types)
+    sub, cur = _solve_frame(cur, child, types, bridges)
     swaps.extend(sub)
     sC = _swap_on_cells(cur, frame, im2, ip1, im1, ip2)
     cur = apply_swap(cur, sC)
@@ -929,7 +950,7 @@ def _first_possibility(Z, frame, types, i, t):
     return swaps, cur
 
 
-def _second_possibility(Z, frame, types, i, t, j, jp):
+def _second_possibility(Z, frame, types, i, t, j, jp, bridges):
     m = frame.m
     lo_u, hi_u = (i - jp) % m, (i + j) % m
     lo_v, hi_v = (i - j) % m, (i + jp) % m
@@ -944,8 +965,8 @@ def _second_possibility(Z, frame, types, i, t, j, jp):
         pre = _swap_on_cells(cur, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(pre)
         cur = apply_swap(cur, pre)
-    s1, _end1 = _solve_frame(cur, sub1, types, expect_friendly=True)
-    s2, _end2 = _solve_frame(cur, sub2, types)
+    s1, _end1 = _solve_frame(cur, sub1, types, bridges, expect_friendly=True)
+    s2, _end2 = _solve_frame(cur, sub2, types, bridges)
     c1 = _first_touch(s1, frame.cell_edge(d_cell))
     c2 = _first_touch(s2, frame.cell_edge(u_cell))
     interleaved = s1[:c1] + s2[:c2] + s1[c1:] + s2[c2:]
@@ -959,12 +980,19 @@ def _second_possibility(Z, frame, types, i, t, j, jp):
     return swaps, cur
 
 
-def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
+                 bridges: dict) -> tuple:
     """The swaps carrying G to Gp along ``cycle``, without re-checking that
     the two differ exactly in it; raises ``SpecViolation`` if the
-    construction misses Gp."""
+    construction misses Gp.
+
+    ``bridges`` is the call-scoped bridge memo that every ``_bridge`` of the
+    construction reads and fills: keyed by the bridge's shape and the bytes
+    of both graphs on its rows x columns, it holds ``ryser_sequence``'s
+    local swaps, a pure function of that key, so a hit is exact.
+    """
     frame = CycleFrame.from_cycle(cycle, G)
-    swaps, end = _solve_frame(G, frame, _frame_types(G, frame))
+    swaps, end = _solve_frame(G, frame, _frame_types(G, frame), bridges)
     if end != Gp:
         raise SpecViolation("cycle construction missed its target")
     return tuple(swaps)
@@ -985,7 +1013,7 @@ def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     side_y = dgy.x_edges | dgy.y_edges
     if side_x & cyc_cells or side_y & cyc_cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
-    return _solve_cycle(G, Gp, cycle)
+    return _solve_cycle(G, Gp, cycle, {})
 
 
 def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
@@ -995,14 +1023,15 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
 
 
-def _flip(G: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+def _flip(G: BipartiteGraph, cycle: AlternatingCycle, bridges: dict) -> tuple:
     """The realizations after each swap of the canonical segment that flips
-    ``cycle`` in G."""
+    ``cycle`` in G, bridging through the ``bridges`` memo."""
     target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
-    return tuple(replay(G, _solve_cycle(G, target, cycle))[1:])
+    return tuple(replay(G, _solve_cycle(G, target, cycle, bridges))[1:])
 
 
-def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict) -> tuple:
+def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict,
+                   bridges: dict) -> tuple:
     """The swaps that flip ``cycle`` in G, as ``(rows, cols, swaps)``: the
     cycle's U- and V-vertices in increasing order, and swaps in local
     indices, where index t stands for ``rows[t]`` or ``cols[t]``.
@@ -1010,9 +1039,11 @@ def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict) -> tu
     The construction reads only the cells of the cycle's rows x columns,
     and its tie-breaks depend only on the order of vertex indices.  So its
     swaps are a function of the local pattern: the m x m submatrix of G on
-    ``rows x cols`` and the cycle relabelled into it, which key ``memo``.
-    A miss runs ``_solve_cycle`` on the m x m graph, flipping every cycle
-    cell; the caller checks that the lifted swaps land where it wants.
+    ``rows x cols`` (its bytes, read from ``G.key()``) and the cycle
+    relabelled into it, which key ``memo``.  A miss runs ``_solve_cycle``
+    on the m x m graph, flipping every cycle cell, with the call-scoped
+    bridge memo ``bridges``; the caller checks that the lifted swaps land
+    where it wants.
     """
     seq = cycle.edge_seq
     rows = sorted({u for u, _ in seq})
@@ -1020,16 +1051,17 @@ def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict) -> tu
     at_row = {u: a for a, u in enumerate(rows)}
     at_col = {v: b for b, v in enumerate(cols)}
     local_seq = tuple((at_row[u], at_col[v]) for u, v in seq)
-    sub = G.adj[np.ix_(rows, cols)]
-    key = (sub.tobytes(), local_seq)
+    key = (_local_bytes(G, rows, cols), local_seq)
     swaps = memo.get(key)
     if swaps is None:
+        sub = np.frombuffer(key[0], np.uint8).reshape(len(rows), len(cols))
         local = BipartiteGraph._trusted(sub)
         x_edges = frozenset(e for e in local_seq if sub[e])
         y_edges = frozenset(local_seq) - x_edges
         target = local.with_edges(sorted(x_edges), sorted(y_edges))
         swaps = memo[key] = _solve_cycle(local, target,
-                                         AlternatingCycle(local_seq, x_edges, y_edges))
+                                         AlternatingCycle(local_seq, x_edges, y_edges),
+                                         bridges)
     return rows, cols, swaps
 
 
@@ -1070,9 +1102,13 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     The pairing's cycles are processed in decomposition order; the path
     passes through the partial targets X xor (first cycles) between them.
     With ``certify`` each visited realization also gets the switch distance
-    of its three-term matrix against (X, Y).
+    of its three-term matrix against (X, Y).  Each call makes one fresh
+    bridge memo, shared by all its cycles: it maps a bridge's shape and the
+    bytes of both graphs on its rows x columns to ``ryser_sequence``'s local
+    swaps, a pure function of that key, so a hit is exact (``_bridge``).
     """
-    states = _walk(X, Y, decompose(X, Y, pairing).cycles, {}, _flip)
+    flip = functools.partial(_flip, bridges={})
+    states = _walk(X, Y, decompose(X, Y, pairing).cycles, {}, flip)
     if certify:
         certs = [switch_distance(hat_matrix(X, Y, Z).cells, cap=switch_cap)
                  for Z in states]
@@ -1083,15 +1119,17 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
                       max_pairings: int = 5000) -> dict:
     """Exact distribution over canonical paths: each path's weight is the
-    number of pairings selecting it over the total number of pairings."""
+    number of pairings selecting it over the total number of pairings.
+    Segments and bridges are memoized for the call."""
     symmetric_difference(X, Y)      # the shape and margin checks
     total, decompositions = _decompositions(_cells(X), _cells(Y), X.l, {})
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
+    flip = functools.partial(_flip, bridges={})
     segments = {}
     counts = {}
     for cycles in decompositions:
-        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments, _flip))
+        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments, flip))
         counts[gamma] = counts.get(gamma, 0) + 1
     dist = {g: Fraction(c, total) for g, c in counts.items()}
     assert sum(dist.values()) == 1

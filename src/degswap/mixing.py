@@ -756,17 +756,18 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
-def _segment(space: StateSpace, patterns: dict, i: int, cycle) -> tuple:
+def _segment(space: StateSpace, patterns: dict, bridges: dict, i: int, cycle) -> tuple:
     """State ids after each swap that flips ``cycle`` starting from state i.
 
     The swaps come from ``canonical._pattern_swaps``, solved once per local
-    pattern in ``patterns``.  Each lifted swap XORs its four cells into a
+    pattern in ``patterns``, with each bridge solved once per local problem
+    in ``bridges``.  Each lifted swap XORs its four cells into a
     copy of the state's key, which is looked up in ``space.index``.  Every
     step is checked to follow a move-graph edge, and the segment to land on
     the state with the cycle's X-edges removed and its Y-edges added.
     """
     G = space.states[i]
-    rows, cols, swaps = _pattern_swaps(G, cycle, patterns)
+    rows, cols, swaps = _pattern_swaps(G, cycle, patterns, bridges)
     l = G.l
     key = bytearray(G.key())
     seg = []
@@ -809,12 +810,16 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     start state and cycle.  A segment's swaps are solved once per local
     pattern (the cycle's submatrix and its cells, see
     ``canonical._pattern_swaps``) and walked by flipping bytes of the state
-    keys, without building graphs.  With ``certify`` the switch distances
+    keys, without building graphs.  A pattern miss bridges its OK/KO targets
+    through a bridge memo keyed by each bridge's shape and the bytes of both
+    graphs on its rows x columns, which determine ``ryser_sequence``'s local
+    swaps (``canonical._bridge``), so each local bridge problem is solved
+    once per call.  With ``certify`` the switch distances
     are cached per distinct three-term matrix ``X + Y - Z``, keyed by three
     cell bitmasks of ``pairings._cells``: its cells at 2 (``X & Y & ~Z``),
     at -1 (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
     determine the matrix one-to-one, so ``hat_matrix`` is built only on a
-    miss.  All three caches live for one call.  Loads are integer numerators
+    miss.  All four caches live for one call.  Loads are integer numerators
     over one common multiple of the pairing counts.
     """
     n = space.n
@@ -825,7 +830,8 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     if kernel.n != n or kernel.neighbours != space.neighbours:
         raise ValueError("the kernel does not belong to this state space")
     patterns = {}
-    flip = functools.partial(_segment, space, patterns)
+    bridges = {}
+    flip = functools.partial(_segment, space, patterns, bridges)
     segments = {}
     certs = {}
     scale = 1            # a common multiple of the pairing counts seen so far

@@ -407,19 +407,44 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
 def naive_segment(space, i, cycle):
     """State ids after each swap that flips ``cycle`` from state i, the
     graph way: ``canonical._flip`` solves the cycle on the full realization
-    and replays its swaps, and each realization is mapped to its id and
-    checked to follow a move-graph edge."""
+    with a fresh bridge memo and replays its swaps, and each realization is
+    mapped to its id and checked to follow a move-graph edge."""
     from degswap.canonical import _flip
     from degswap.errors import SpecViolation
 
     seg = []
-    for g in _flip(space.states[i], cycle):
+    for g in _flip(space.states[i], cycle, {}):
         j = space.index.get(g.key())
         if j is None or j not in space.neighbours[i]:
             raise SpecViolation("a canonical path step is not a move-graph edge")
         seg.append(j)
         i = j
     return tuple(seg)
+
+
+def count_ryser(mp):
+    """Wrap the cycle solver's ``ryser_sequence`` through the monkeypatch
+    ``mp``; returns a one-item list that counts its calls."""
+    from degswap import canonical
+
+    calls = [0]
+    real = canonical.ryser_sequence
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    mp.setattr(canonical, "ryser_sequence", counting)
+    return calls
+
+
+def never_memoize_bridges(mp):
+    """Hand every ``canonical._bridge`` a fresh bridge memo through the
+    monkeypatch ``mp``, so every bridge is solved as a miss."""
+    from degswap import canonical
+
+    real = canonical._bridge
+    mp.setattr(canonical, "_bridge", lambda *args: real(*args[:-1], {}))
 
 
 def cell_text(g) -> str:

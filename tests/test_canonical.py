@@ -22,9 +22,9 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, ch
                      pairings, random_pairing)
 from degswap.ryser import replay
 
-from oracles import (cycle_graph_pair, friendly_path_exists, naive_switch_distance,
-                     perturbed_environment, random_types, ring_blocker_types,
-                     split_environment_pools)
+from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists,
+                     naive_switch_distance, never_memoize_bridges, perturbed_environment,
+                     random_types, ring_blocker_types, split_environment_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +628,10 @@ class TestCanonicalPath:
             G = X
             for cyc in pairings.decompose(X, Y, random_pairing(X, Y, p)).cycles:
                 target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-                rows, cols, local = _pattern_swaps(G, cyc, memo)
+                rows, cols, local = _pattern_swaps(G, cyc, memo, {})
                 lifted = tuple(Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2],
                                     s.orientation) for s in local)
-                assert lifted == _solve_cycle(G, target, cyc), (p, cyc.edge_seq)
+                assert lifted == _solve_cycle(G, target, cyc, {}), (p, cyc.edge_seq)
                 sizes.append(len(rows))
                 G = target
             assert G == Y
@@ -659,12 +659,35 @@ class TestCanonicalPath:
             adj = np.frombuffer(layout, np.uint8).reshape(m, m)
             G, H, cyc = cycle_graph_pair(m, {(a, b): int(adj[a, b]) for a in range(m)
                                              for b in range(m) if ring((a, b), m) >= 2})
-            rows, cols, local = _pattern_swaps(G, cyc, memo)
+            rows, cols, local = _pattern_swaps(G, cyc, memo, {})
             assert rows == cols == list(range(m))
-            assert local == _solve_cycle(G, H, cyc), adj.tolist()
+            assert local == _solve_cycle(G, H, cyc, {}), adj.tolist()
             by_rows.setdefault(tuple(sorted(map(bytes, adj))), set()).add(local)
         assert len(memo) == len(layouts)
         assert any(len(solves) > 1 for solves in by_rows.values())
+
+    def test_bridge_memo_is_exact_and_call_scoped(self):
+        # seeded 16 x 16 4-regular pairs: one call solves each local bridge
+        # problem once, a repeated call solves them all again, and a run in
+        # which every bridge misses gives the same states and certificates
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        pairs = [(chain.sample(ds, 1000, 700 + 2 * p), chain.sample(ds, 1000, 701 + 2 * p))
+                 for p in range(8)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_ryser(mp)
+
+            def solve(p):
+                X, Y = pairs[p]
+                calls[0] = 0
+                return canonical_path(X, Y, random_pairing(X, Y, p), certify=True), calls[0]
+
+            memoized = [solve(p) for p in range(8) for _ in range(2)]
+            never_memoize_bridges(mp)
+            unmemoized = [solve(p) for p in range(8)]
+        assert [path for path, _ in memoized] == [path for path, _ in unmemoized
+                                                  for _ in range(2)]
+        assert [n for _, n in memoized] == [3, 3, 3, 3, 4, 4, 5, 5, 4, 4, 4, 4, 3, 3, 5, 5]
+        assert [n for _, n in unmemoized] == [28, 28, 34, 28, 32, 22, 19, 35]
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -16,9 +16,10 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             distance_profile, enumerate_states, spectral_gap,
                             total_variation, total_variation_time, tv_mixing_time)
 
-from oracles import (all_degree_pairs, brute_margin_count, dense_distance_profile,
-                     dense_kernel_rows, dense_total_variation, full_deviations,
-                     kernel_rows, naive_congestion, naive_enumerate, naive_segment)
+from oracles import (all_degree_pairs, brute_margin_count, count_ryser,
+                     dense_distance_profile, dense_kernel_rows, dense_total_variation,
+                     full_deviations, kernel_rows, naive_congestion, naive_enumerate,
+                     naive_segment, never_memoize_bridges)
 
 
 def bds(a, b):
@@ -183,9 +184,10 @@ class TestKernel:
         with pytest.raises(AssertionError, match=message):
             TransitionMatrix(1, neighbours)
 
-    def test_dense_rows_laws_rejected(self):
-        # state 1 has three moves of 1/2 each: its holding probability
-        # would be -1/2
+    def test_bare_kernel_laws_rejected(self):
+        # a bare kernel, TransitionMatrix(denom, neighbours) with no space or
+        # symmetries: state 1 has three moves of 1/2 each, so its holding
+        # probability would be -1/2
         with pytest.raises(AssertionError, match="row 1 does not sum"):
             TransitionMatrix(2, ((1,), (0, 2, 3), (1,), (1,)))
         for denom in (0, -1):
@@ -350,12 +352,13 @@ class TestSymmetryBlocks:
         with pytest.raises(AssertionError, match="blocks hold"):
             mixing._blocks(K, 2000)
 
-    def test_dense_rows_carry_no_symmetries(self):
+    def test_bare_kernel_carries_no_symmetries(self):
+        # TransitionMatrix(denom, neighbours), built with no space or symmetries
         space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
         K = build_kernel(space)
-        dense = TransitionMatrix(K.denom, space.neighbours)
-        assert dense.symmetries == () and K.symmetries == ()
-        assert spectral_gap(dense) == spectral_gap(K)
+        bare = TransitionMatrix(K.denom, space.neighbours)
+        assert bare.symmetries == () and K.symmetries == ()
+        assert spectral_gap(bare) == spectral_gap(K)
         assert abs(spectral_gap(forced_kernel(space))[0] - spectral_gap(K)[0]) < 1e-12
 
     @pytest.mark.parametrize("a, b, m", [
@@ -559,13 +562,15 @@ class TestOrbitScan:
         assert distance_profile(K, 7) == distance_profile(K, 7)
         assert calls == [space]
 
-    def test_dense_rows_scan_every_column(self):
+    def test_bare_kernel_scans_every_column(self):
+        # TransitionMatrix(denom, neighbours) knows no space, so it has no
+        # relabellings and every state is its own orbit
         space = enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1)))
         K = build_kernel(space)
-        dense = TransitionMatrix(K.denom, space.neighbours)
-        assert mixing._representatives(dense) == tuple(range(space.n))
+        bare = TransitionMatrix(K.denom, space.neighbours)
+        assert mixing._representatives(bare) == tuple(range(space.n))
         for measure in (mixing._entrywise, mixing._total):
-            scans = zip(mixing._decay(dense, measure), mixing._decay(K, measure))
+            scans = zip(mixing._decay(bare, measure), mixing._decay(K, measure))
             for t, (full, reduced) in enumerate(itertools.islice(scans, 36)):
                 assert full[:2] == reduced[:2], (measure.__name__, t)
 
@@ -663,6 +668,10 @@ class TestSamplerUniformity:
         assert p > 0.01, counts
 
 
+# the certified congestion report of the 90-state 4 x 4 2-regular space
+REPORT_90 = CongestionReport(Fraction(539, 10), (84, 88), Fraction(417, 8), 33492, 1)
+
+
 class TestCongestion:
     def test_two_state_closed_form(self):
         space = enumerate_states(bds((1, 1), (1, 1)))
@@ -751,8 +760,7 @@ class TestCongestion:
     def test_pinned_90_state_report(self):
         space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
         assert space.n == 90
-        assert congestion(space, build_kernel(space), certify=True) == CongestionReport(
-            Fraction(539, 10), (84, 88), Fraction(417, 8), 33492, 1)
+        assert congestion(space, build_kernel(space), certify=True) == REPORT_90
 
     def test_segment_landing_checked(self):
         # a cycle whose X- and Y-edges are named the wrong way round flips
@@ -761,10 +769,10 @@ class TestCongestion:
         X, Y = space.states[0], space.states[space.neighbours[0][0]]
         (cyc,) = next(pairings._decompositions(pairings._cells(X), pairings._cells(Y),
                                                 3, {})[1])
-        assert mixing._segment(space, {}, 0, cyc) == (space.neighbours[0][0],)
+        assert mixing._segment(space, {}, {}, 0, cyc) == (space.neighbours[0][0],)
         wrong = AlternatingCycle(cyc.edge_seq, cyc.y_edges, cyc.x_edges)
         with pytest.raises(SpecViolation):
-            mixing._segment(space, {}, 0, wrong)
+            mixing._segment(space, {}, {}, 0, wrong)
 
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
@@ -802,8 +810,8 @@ class TestSegmentMemo:
                 calls[0] += 1
                 return real_solve(*args)
 
-            def recording(space, patterns, i, cycle):
-                seg = real_segment(space, patterns, i, cycle)
+            def recording(space, patterns, bridges, i, cycle):
+                seg = real_segment(space, patterns, bridges, i, cycle)
                 segments.append((i, cycle, seg))
                 return seg
 
@@ -848,3 +856,46 @@ class TestSegmentMemo:
                 for (xi, yi), zs in visited.items() for z in zs}
         assert len(certified) == len(set(certified)) == len(hats)
         assert set(certified) == hats
+
+
+class TestBridgeMemo:
+    """Certified congestion solves each local bridge problem once per call,
+    and the memo changes no report."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Per space: the reports and ``ryser_sequence`` counts of two
+        certified congestion calls in one process (48-state spaces only; the
+        90-state report is pinned), then of one call whose every bridge
+        misses."""
+        out = {}
+        for name, (a, b) in TestSegmentMemo.SPACES.items():
+            space = enumerate_states(bds(a, b))
+            K = build_kernel(space)
+            reports, solves = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_ryser(mp)
+                for _ in range(2 if space.n == 48 else 0):
+                    calls[0] = 0
+                    reports.append(congestion(space, K, certify=True))
+                    solves.append(calls[0])
+                never_memoize_bridges(mp)
+                calls[0] = 0
+                reports.append(congestion(space, K, certify=True))
+                solves.append(calls[0])
+            out[name] = reports, solves
+        return out
+
+    @pytest.mark.parametrize("name, solves", [
+        ("48U", [12, 12, 692]), ("48V", [74, 74, 576]), ("90", [1368])])
+    def test_one_ryser_per_local_bridge(self, runs, name, solves):
+        # the second call solves every bridge again: the memo is the call's
+        assert runs[name][1] == solves
+
+    @pytest.mark.parametrize("name", list(TestSegmentMemo.SPACES))
+    def test_reports_match_without_the_memo(self, runs, name):
+        reports, _ = runs[name]
+        # the last report is the one that never hit a bridge
+        assert all(r == reports[-1] for r in reports)
+        if name == "90":
+            assert reports == [REPORT_90]
