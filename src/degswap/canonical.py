@@ -209,14 +209,6 @@ class FMatrix:
                 elif v not in (0, 1, 2, 3):
                     raise ValueError(f"chord cell ({a},{b}) out of range: {v}")
 
-    @property
-    def main_diag(self) -> tuple:
-        return tuple((t, t) for t in range(self.ell))
-
-    @property
-    def small_diag(self) -> tuple:
-        return tuple((t, (t + 1) % self.ell) for t in range(self.ell))
-
     def value(self, pos) -> int:
         return self.cells[pos[0]][pos[1]]
 
@@ -225,13 +217,6 @@ class FMatrix:
         if not is_chord(pos, self.ell):
             raise DiagonalPosition(f"{pos} lies on a diagonal")
         return 1 if self.cells[pos[0]][pos[1]] >= 2 else 0
-
-    def in_current(self, pos) -> int:
-        """Whether the cell's vertex pair is an edge of the current Z."""
-        v = self.cells[pos[0]][pos[1]]
-        if is_chord(pos, self.ell):
-            return v % 2
-        return v
 
     def chords(self) -> tuple:
         m = self.ell
@@ -344,14 +329,12 @@ class FriendlyPath:
     """A chain of friendly chords from the ring next to the main diagonal to
     the ring next to the small diagonal, stepping one cell at a time.
 
-    ``witnesses`` maps each position to its chosen same-type cousin and
     ``adjusted`` is the anchor sequence: the position itself for type-0
-    chords, the witness for type-1 chords.  ``length_one`` flags the
-    degenerate single-chord path possible when ell = 3.
+    chords, the lowest same-type cousin for type-1 chords.  ``length_one``
+    flags the degenerate single-chord path possible when ell = 3.
     """
 
     positions: tuple
-    witnesses: dict
     adjusted: tuple
     length_one: bool
 
@@ -479,8 +462,7 @@ def find_friendly_path(F: FMatrix):
             pos.append(cur)
             cur = parent[cur]
         pos.reverse()
-        witnesses = {p: _witness(F, p) for p in pos}
-        return FriendlyPath(tuple(pos), witnesses, _adjusted(pos, F), len(pos) == 1)
+        return FriendlyPath(tuple(pos), _adjusted(pos, F), len(pos) == 1)
 
     unfriendly = set(F.chords()) - friendly
     comps = []
@@ -1025,7 +1007,16 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
 
 def _flip(G: BipartiteGraph, cycle: AlternatingCycle, bridges: dict) -> tuple:
     """The realizations after each swap of the canonical segment that flips
-    ``cycle`` in G, bridging through the ``bridges`` memo."""
+    ``cycle`` in G, bridging through the ``bridges`` memo.
+
+    ``canonical_path`` and ``path_distribution`` solve each cycle on the
+    full graph here, as ``cycle_swaps`` does; ``congestion`` solves it on
+    the local pattern (``_pattern_swaps``).  Routing this walk through the
+    pattern memo gives byte-identical certified paths on 16 x 16 4-regular
+    pairs, but no faster ones: the memo pays only where patterns repeat, as
+    across a whole space (278 solves for 1,483 segments of the certified
+    48-state U-regular congestion), and one path repeats few.  So the two
+    routes stay apart."""
     target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
     return tuple(replay(G, _solve_cycle(G, target, cycle, bridges))[1:])
 
@@ -1043,7 +1034,8 @@ def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict,
     relabelled into it, which key ``memo``.  A miss runs ``_solve_cycle``
     on the m x m graph, flipping every cycle cell, with the call-scoped
     bridge memo ``bridges``; the caller checks that the lifted swaps land
-    where it wants.
+    where it wants.  Only ``congestion`` comes this way: a single path
+    repeats too few patterns to pay for the memo (see ``_flip``).
     """
     seq = cycle.edge_seq
     rows = sorted({u for u, _ in seq})
@@ -1095,14 +1087,37 @@ def _walk(start, end, cycles, segments: dict, flip) -> list:
     return path
 
 
-def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool = False,
-                   switch_cap: int = 6):
+def _path_counts(start, end, x_cells: int, y_cells: int, l: int, circuits: dict,
+                 segments: dict, flip, max_pairings: int) -> tuple:
+    """``(total, counts)``: the number of pairings of the pair whose cells
+    are ``x_cells`` and ``y_cells`` (``pairings._cells``, l columns), and
+    for each distinct canonical path from ``start`` to ``end`` the number of
+    pairings that select it.
+
+    Every pairing comes from ``pairings._decompositions`` with the circuit
+    memo ``circuits``, after the guard: more than ``max_pairings`` pairings
+    raise ``TooManyPairings``.  Each pairing's cycles are walked by
+    ``_walk`` with the segment cache ``segments`` and the walk ``flip``, so
+    a path is a tuple of whatever states ``flip`` takes.
+    """
+    total, decompositions = _decompositions(x_cells, y_cells, l, circuits)
+    if total > max_pairings:
+        raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
+    counts = {}
+    for cycles in decompositions:
+        path = tuple(_walk(start, end, cycles, segments, flip))
+        counts[path] = counts.get(path, 0) + 1
+    return total, counts
+
+
+def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool = False):
     """The canonical path from X to Y selected by the pairing.
 
     The pairing's cycles are processed in decomposition order; the path
     passes through the partial targets X xor (first cycles) between them.
     With ``certify`` each visited realization also gets the switch distance
-    of its three-term matrix against (X, Y).  Each call makes one fresh
+    of its three-term matrix against (X, Y), capped at 6 switches
+    (``switch_distance``'s default).  Each call makes one fresh
     bridge memo, shared by all its cycles: it maps a bridge's shape and the
     bytes of both graphs on its rows x columns to ``ryser_sequence``'s local
     swaps, a pure function of that key, so a hit is exact (``_bridge``).
@@ -1110,28 +1125,23 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     flip = functools.partial(_flip, bridges={})
     states = _walk(X, Y, decompose(X, Y, pairing).cycles, {}, flip)
     if certify:
-        certs = [switch_distance(hat_matrix(X, Y, Z).cells, cap=switch_cap)
-                 for Z in states]
+        certs = [switch_distance(hat_matrix(X, Y, Z).cells) for Z in states]
         return states, certs
     return states
 
 
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
                       max_pairings: int = 5000) -> dict:
-    """Exact distribution over canonical paths: each path's weight is the
-    number of pairings selecting it over the total number of pairings.
-    Segments and bridges are memoized for the call."""
+    """Exact distribution over canonical paths, each path a tuple of the
+    visited realizations' keys: its weight is the number of pairings
+    selecting it over the total number of pairings.  The paths are counted
+    by ``_path_counts``, on the full graphs (``_flip``), so more than
+    ``max_pairings`` pairings raise ``TooManyPairings`` as in
+    ``congestion``.  Segments and bridges are memoized for the call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    total, decompositions = _decompositions(_cells(X), _cells(Y), X.l, {})
-    if total > max_pairings:
-        raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
     flip = functools.partial(_flip, bridges={})
-    segments = {}
-    counts = {}
-    for cycles in decompositions:
-        gamma = tuple(st.key() for st in _walk(X, Y, cycles, segments, flip))
-        counts[gamma] = counts.get(gamma, 0) + 1
-    dist = {g: Fraction(c, total) for g, c in counts.items()}
+    total, counts = _path_counts(X, Y, _cells(X), _cells(Y), X.l, {}, {}, flip, max_pairings)
+    dist = {tuple(st.key() for st in path): Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
     return dist
 

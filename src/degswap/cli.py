@@ -165,7 +165,7 @@ def cmd_mix_report(args) -> int:
         tmix_str = str(tmix)
     except DegSwapError as exc:
         tmix_str = f"none({exc.code})"
-    rep = congestion(space, kernel, certify=True)
+    rep = congestion(space, certify=True)
     print("n,lambda2,tau_rel,tv_mixing_time,kappa,max_edge,max_switch_distance")
     edge = f"{rep.max_edge[0]}-{rep.max_edge[1]}"
     print(f"{space.n},{lam2:.12g},{tau:.12g},{tmix_str},{rep.kappa}"

@@ -101,24 +101,18 @@ class Swap:
             raise ValueError("orientation must be 1 or 2")
 
     @classmethod
-    def on(cls, ua: int, ub: int, va: int, vb: int, orientation_for_sorted=None,
-           graph: "BipartiteGraph | None" = None) -> "Swap":
-        """Build a canonical swap on the four given vertices.
-
-        When ``graph`` is given the orientation is read off its biadjacency
-        matrix (the diagonal holding the edges).
-        """
+    def on(cls, ua: int, ub: int, va: int, vb: int, graph: "BipartiteGraph") -> "Swap":
+        """The canonical swap on the four given vertices of ``graph``, its
+        orientation read off the biadjacency matrix (the diagonal holding
+        the edges); ``SwapNotAllowed`` when neither diagonal holds both."""
         u1, u2 = sorted((ua, ub))
         v1, v2 = sorted((va, vb))
-        if graph is not None:
-            if graph.adj[u1, v1] and graph.adj[u2, v2]:
-                ori = 1
-            elif graph.adj[u1, v2] and graph.adj[u2, v1]:
-                ori = 2
-            else:
-                raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
+        if graph.adj[u1, v1] and graph.adj[u2, v2]:
+            ori = 1
+        elif graph.adj[u1, v2] and graph.adj[u2, v1]:
+            ori = 2
         else:
-            ori = orientation_for_sorted
+            raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
         return cls(u1, u2, v1, v2, ori)
 
     def inverse(self) -> "Swap":
@@ -202,20 +196,8 @@ class BipartiteGraph:
 
     # -- queries ----------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
-    def edges(self):
-        us, vs = np.nonzero(self.adj)
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
-
     def num_edges(self) -> int:
         return int(self.adj.sum())
-
-    def bd(self) -> BipartiteDegreeSequence:
-        """The degree sequence pair, sorted non-increasing."""
-        return BipartiteDegreeSequence(tuple(sorted(self.row_deg, reverse=True)),
-                                       tuple(sorted(self.col_deg, reverse=True)))
 
     def same_margins(self, other: "BipartiteGraph") -> bool:
         return (self.k == other.k and self.l == other.l

@@ -51,12 +51,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _pattern_swaps, _walk, hat_matrix, switch_distance
+from .canonical import _path_counts, _pattern_swaps, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
-from .errors import (DegenerateChain, NonMixing, SpecViolation, TooLarge,
-                     TooManyPairings)
-from .pairings import _cells, _decompositions
+from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
+from .pairings import _cells
 
 
 @dataclass(frozen=True)
@@ -603,7 +602,7 @@ def _blocks(P: TransitionMatrix, max_block: int) -> list:
     return blocks
 
 
-def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000):
+def spectral_gap(P: TransitionMatrix, max_states: int = 2000):
     """Second-largest eigenvalue and the relaxation time 1/(1 - l2).
 
     ``P`` is split into the blocks of ``_blocks``, one per character of the
@@ -611,8 +610,8 @@ def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000)
     and each block is solved by ``eigh`` and must pass the residual check
     ``|B v - l v| <= 1e-10``.  The block spectra together are the spectrum
     of ``P``.  ``max_states`` bounds the largest block.  The largest
-    eigenvalue is 1; a second eigenvalue within ``tol`` of 1 means the
-    chain is reducible and raises ``DegenerateChain``.
+    eigenvalue is 1; a second eigenvalue within 1e-9 of 1 means the chain
+    is reducible and raises ``DegenerateChain``.
     """
     if P.n < 2:
         raise DegenerateChain("need at least two states")
@@ -624,7 +623,7 @@ def spectral_gap(P: TransitionMatrix, tol: float = 1e-9, max_states: int = 2000)
             raise AssertionError(f"eigensolver residual {resid:.2e} too large")
         spectrum.append(vals)
     lam2 = np.sort(np.concatenate(spectrum))[-2]
-    if lam2 >= 1 - tol:
+    if lam2 >= 1 - 1e-9:
         raise DegenerateChain("eigenvalue 1 is repeated; the chain is reducible")
     return lam2, 1.0 / (1.0 - lam2)
 
@@ -793,42 +792,43 @@ def _segment(space: StateSpace, patterns: dict, bridges: dict, i: int, cycle) ->
     return tuple(seg)
 
 
-def congestion(space: StateSpace, kernel: TransitionMatrix,
-               max_states: int = 120, max_pairings: int = 5000,
-               certify: bool = False, switch_cap: int = 6) -> CongestionReport:
+def congestion(space: StateSpace, *, max_states: int = 120,
+               certify: bool = False) -> CongestionReport:
     """The congestion constant of the full canonical path system.
 
     For every ordered pair (X, Y) and every pairing, the selected path is
     weighted by the fraction of pairings choosing it; each Markov-graph
     edge accumulates weight times the path's unit-cost sum 1/(T * pi).
-    The maximum over edges upper-bounds the relaxation time.
+    The maximum over edges upper-bounds the relaxation time.  Every move of
+    the swap chain has T = 1/(C(k,2)*C(l,2)), the kernel of ``build_kernel``,
+    so the space alone fixes the constant.
 
-    Each pairing's cycles come from the integer decomposition kernel
-    (``pairings._decompositions``), whose circuit memo lives for one source
-    state X.  Paths are walked in state ids by ``canonical._walk``, the
-    walker ``canonical_path`` uses.  Their segments are cached per call by
-    start state and cycle.  A segment's swaps are solved once per local
-    pattern (the cycle's submatrix and its cells, see
+    Each ordered pair's paths are counted by ``canonical._path_counts``,
+    the routine ``path_distribution`` runs: every pairing of the integer
+    decomposition kernel (``pairings._decompositions``), whose circuit memo
+    lives for one source state X, walked in state ids by ``canonical._walk``;
+    more than 5000 pairings raise ``TooManyPairings``.  Segments are cached
+    per call by start state and cycle.  A segment's swaps are solved once
+    per local pattern (the cycle's submatrix and its cells, see
     ``canonical._pattern_swaps``) and walked by flipping bytes of the state
     keys, without building graphs.  A pattern miss bridges its OK/KO targets
     through a bridge memo keyed by each bridge's shape and the bytes of both
     graphs on its rows x columns, which determine ``ryser_sequence``'s local
     swaps (``canonical._bridge``), so each local bridge problem is solved
-    once per call.  With ``certify`` the switch distances
-    are cached per distinct three-term matrix ``X + Y - Z``, keyed by three
-    cell bitmasks of ``pairings._cells``: its cells at 2 (``X & Y & ~Z``),
-    at -1 (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
-    determine the matrix one-to-one, so ``hat_matrix`` is built only on a
-    miss.  All four caches live for one call.  Loads are integer numerators
-    over one common multiple of the pairing counts.
+    once per call.  With ``certify`` the switch distances, capped at 6
+    switches, are cached per distinct three-term matrix ``X + Y - Z``, keyed
+    by three cell bitmasks of ``pairings._cells``: its cells at 2
+    (``X & Y & ~Z``), at -1 (``Z & ~X & ~Y``) and at 1
+    (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which determine the matrix one-to-one,
+    so ``hat_matrix`` is built only on a miss.  All four caches live for one
+    call.  Loads are integer numerators over one common multiple of the
+    pairing counts.
     """
     n = space.n
     if n > max_states:
         raise TooLarge(f"{n} states exceed the congestion guard {max_states}")
     if n < 2:
         raise DegenerateChain("need at least two states")
-    if kernel.n != n or kernel.neighbours != space.neighbours:
-        raise ValueError("the kernel does not belong to this state space")
     patterns = {}
     bridges = {}
     flip = functools.partial(_segment, space, patterns, bridges)
@@ -839,21 +839,15 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     weight = {}          # edge -> sum of c * scale / T
     n_paths = 0
     max_sd = 0
-    l = space.ds.l
+    k, l = space.ds.k, space.ds.l
     cells = [_cells(g) for g in space.states]
     for xi, X in enumerate(space.states):
         circuits = {}    # the decomposition kernel's memo, for this source state
         for yi, Y in enumerate(space.states):
             if xi == yi:
                 continue
-            t_total, decompositions = _decompositions(cells[xi], cells[yi], l, circuits)
-            if t_total > max_pairings:
-                raise TooManyPairings(
-                    f"{t_total} pairings exceed the guard {max_pairings}")
-            counts = {}
-            for cycles in decompositions:
-                ids = tuple(_walk(xi, yi, cycles, segments, flip))
-                counts[ids] = counts.get(ids, 0) + 1
+            t_total, counts = _path_counts(xi, yi, cells[xi], cells[yi], l, circuits,
+                                           segments, flip, 5000)
             if certify:
                 x, y = cells[xi], cells[yi]
                 both, either, odd = x & y, x | y, x ^ y
@@ -863,7 +857,7 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
                     sd = certs.get(key)
                     if sd is None:
                         hat = hat_matrix(X, Y, space.states[z]).cells
-                        sd = certs[key] = switch_distance(hat, cap=switch_cap)
+                        sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
@@ -883,7 +877,7 @@ def congestion(space: StateSpace, kernel: TransitionMatrix,
     # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))
     return CongestionReport(
-        kappa=Fraction(load[max_edge] * kernel.denom, n * scale),
+        kappa=Fraction(load[max_edge] * pair_count(k) * pair_count(l), n * scale),
         max_edge=max_edge,
         edge_loading_max=Fraction(max(weight.values()), scale),
         n_paths=n_paths,

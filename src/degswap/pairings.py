@@ -18,10 +18,11 @@ on partner arrays of edge ids (``_trace``), and takes each circuit's cycles
 from a memo the caller scopes, cutting them (``_split``) on a miss.
 ``decompose`` is its single-pairing entry point: it fills the partner
 arrays from a ``Pairing`` after checking the pairing's maps.
-``_decompositions``, which ``congestion`` and ``path_distribution`` run,
-enumerates every pairing of a pair as an odometer over per-vertex
-permutations of edge ids, without building a ``Pairing``, and yields the
-same cycles as ``decompose``, pairing by pairing, in ``all_pairings`` order.
+``_decompositions``, which ``canonical._path_counts`` runs for
+``congestion`` and ``path_distribution``, enumerates every pairing of a
+pair as an odometer over per-vertex permutations of edge ids, without
+building a ``Pairing``, and yields the same cycles as ``decompose``, pairing
+by pairing, in ``all_pairings`` order.
 """
 
 from __future__ import annotations

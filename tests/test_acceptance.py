@@ -98,9 +98,8 @@ def test_criterion_4_sinclair_inequality():
         for a, b in (((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (3, 2, 1)),
                      ((2, 2, 2, 2), (2, 2, 2, 2))):
             space = enumerate_states(bds(a, b))
-            K = build_kernel(space)
-            _, tau = spectral_gap(K)
-            rep = congestion(space, K)
+            _, tau = spectral_gap(build_kernel(space))
+            rep = congestion(space)
             assert tau <= float(rep.kappa) + 1e-8, (a, b, tau, rep.kappa)
             if space.n == 90:
                 assert (rep.kappa, rep.max_edge, rep.edge_loading_max, rep.n_paths) == (

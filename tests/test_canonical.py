@@ -579,6 +579,33 @@ class TestCanonicalPath:
         total = sum(counts.values())
         assert path_distribution(X, Y) == {g: Fraction(c, total) for g, c in counts.items()}
 
+    @pytest.mark.parametrize("a, b, n_pairs", [((2, 2, 2), (2, 2, 2), None),
+                                               ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
+    def test_path_distribution_matches_congestion_id_walk(self, a, b, n_pairs):
+        # the one path count behind both: path_distribution walks graphs
+        # (_flip), congestion walks state ids (mixing._segment); every
+        # ordered pair of the 6-state space and seeded pairs of the 48-state
+        # space give the same distribution
+        import functools
+
+        from degswap import mixing
+        from degswap.canonical import _path_counts
+
+        space = enumerate_states(BipartiteDegreeSequence(a, b))
+        pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
+        if n_pairs is not None:
+            rng = np.random.default_rng(18)
+            pairs = [pairs[i] for i in rng.choice(len(pairs), n_pairs, replace=False)]
+        flip = functools.partial(mixing._segment, space, {}, {})
+        segments = {}
+        for xi, yi in pairs:
+            X, Y = space.states[xi], space.states[yi]
+            dist = {tuple(space.index[key] for key in gamma): p
+                    for gamma, p in path_distribution(X, Y).items()}
+            total, counts = _path_counts(xi, yi, pairings._cells(X), pairings._cells(Y),
+                                         X.l, {}, segments, flip, 5000)
+            assert dist == {ids: Fraction(c, total) for ids, c in counts.items()}, (xi, yi)
+
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
     def test_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):

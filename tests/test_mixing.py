@@ -675,7 +675,7 @@ REPORT_90 = CongestionReport(Fraction(539, 10), (84, 88), Fraction(417, 8), 3349
 class TestCongestion:
     def test_two_state_closed_form(self):
         space = enumerate_states(bds((1, 1), (1, 1)))
-        rep = congestion(space, build_kernel(space))
+        rep = congestion(space)
         assert rep.kappa == 1
         assert rep.edge_loading_max == 2
 
@@ -684,43 +684,37 @@ class TestCongestion:
             space = enumerate_states(bds(a, b))
             K = build_kernel(space)
             _, tau = spectral_gap(K)
-            rep = congestion(space, K)
+            rep = congestion(space)
             assert tau <= float(rep.kappa) + 1e-8
 
     def test_guard(self):
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         with pytest.raises(TooLarge):
-            congestion(space, build_kernel(space), max_states=2)
+            congestion(space, max_states=2)
 
     def test_single_state_is_degenerate(self):
         space = enumerate_states(bds((2, 2), (2, 2)))
         assert space.n == 1
         with pytest.raises(DegenerateChain):
+            congestion(space)
+
+    def test_options_are_keyword_only(self):
+        # the space alone fixes the congestion: a kernel passed where the
+        # signature once took one is refused, not bound to max_states
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        with pytest.raises(TypeError):
             congestion(space, build_kernel(space))
 
-    def test_kernel_of_another_space_rejected(self):
-        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
-        n = space.n
-        other = TransitionMatrix(n, _complete(n))
-        assert other.n == n and other.neighbours != space.neighbours
-        with pytest.raises(ValueError):
-            congestion(space, other)
-        smaller = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
-        with pytest.raises(ValueError):
-            congestion(space, smaller)
-
     def test_path_step_off_the_move_graph_rejected(self):
-        # drop the move 0-j from the space's neighbour table (and from a
-        # kernel built on it): the one-swap path from state 0 to j now
-        # steps along a non-edge
+        # drop the move 0-j from the space's neighbour table: the one-swap
+        # path from state 0 to j now steps along a non-edge
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         j = space.neighbours[0][0]
         cut = tuple(tuple(x for x in nbrs if {i, x} != {0, j})
                     for i, nbrs in enumerate(space.neighbours))
         tampered = StateSpace(space.ds, space.states, space.index, cut)
-        K = TransitionMatrix(build_kernel(space).denom, cut)
         with pytest.raises(SpecViolation):
-            congestion(tampered, K)
+            congestion(tampered)
 
     def test_matches_naive_oracle(self):
         checked = 0
@@ -733,17 +727,16 @@ class TestCongestion:
                 continue
             K = build_kernel(space)
             for certify in (False, True):
-                assert (congestion(space, K, certify=certify)
+                assert (congestion(space, certify=certify)
                         == naive_congestion(space, K, certify=certify)), (a, b, certify)
             checked += 1
         assert checked > 0
 
     def test_repeated_calls_agree(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
-        K = build_kernel(space)
-        first = congestion(space, K, certify=True)
-        assert congestion(space, K, certify=True) == first
-        assert congestion(space, K) == CongestionReport(
+        first = congestion(space, certify=True)
+        assert congestion(space, certify=True) == first
+        assert congestion(space) == CongestionReport(
             first.kappa, first.max_edge, first.edge_loading_max, first.n_paths, None)
 
     @pytest.mark.parametrize("a, b, report", [
@@ -755,12 +748,12 @@ class TestCongestion:
     def test_pinned_48_state_reports(self, a, b, report):
         space = enumerate_states(bds(a, b))
         assert space.n == 48
-        assert congestion(space, build_kernel(space), certify=True) == report
+        assert congestion(space, certify=True) == report
 
     def test_pinned_90_state_report(self):
         space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
         assert space.n == 90
-        assert congestion(space, build_kernel(space), certify=True) == REPORT_90
+        assert congestion(space, certify=True) == REPORT_90
 
     def test_segment_landing_checked(self):
         # a cycle whose X- and Y-edges are named the wrong way round flips
@@ -783,7 +776,7 @@ class TestCongestion:
         monkeypatch.setattr(pairings, "_split", lambda *args: mangle(real(*args)))
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         with pytest.raises(PreconditionViolation):
-            congestion(space, build_kernel(space))
+            congestion(space)
 
 
 class TestSegmentMemo:
@@ -802,7 +795,7 @@ class TestSegmentMemo:
         ``switch_distance``, and the states each ordered pair's paths visit."""
         out = {}
         real_solve, real_segment = canonical._solve_cycle, mixing._segment
-        real_walk, real_distance = mixing._walk, mixing.switch_distance
+        real_walk, real_distance = canonical._walk, mixing.switch_distance
         for name, (a, b) in self.SPACES.items():
             calls, segments, certified, visited = [0], [], [], {}
 
@@ -828,9 +821,9 @@ class TestSegmentMemo:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canonical, "_solve_cycle", counting)
                 mp.setattr(mixing, "_segment", recording)
-                mp.setattr(mixing, "_walk", walking)
+                mp.setattr(canonical, "_walk", walking)
                 mp.setattr(mixing, "switch_distance", certifying)
-                congestion(space, build_kernel(space), certify=True)
+                congestion(space, certify=True)
             out[name] = space, calls[0], segments, (certified, visited)
         return out
 
@@ -871,17 +864,16 @@ class TestBridgeMemo:
         out = {}
         for name, (a, b) in TestSegmentMemo.SPACES.items():
             space = enumerate_states(bds(a, b))
-            K = build_kernel(space)
             reports, solves = [], []
             with pytest.MonkeyPatch.context() as mp:
                 calls = count_ryser(mp)
                 for _ in range(2 if space.n == 48 else 0):
                     calls[0] = 0
-                    reports.append(congestion(space, K, certify=True))
+                    reports.append(congestion(space, certify=True))
                     solves.append(calls[0])
                 never_memoize_bridges(mp)
                 calls[0] = 0
-                reports.append(congestion(space, K, certify=True))
+                reports.append(congestion(space, certify=True))
                 solves.append(calls[0])
             out[name] = reports, solves
         return out
