@@ -38,7 +38,7 @@ from .core import (BipartiteDegreeSequence, BipartiteGraph, Swap, apply_swap,
                    is_graphical, symmetric_difference)
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
-                     ShapeMismatch, SpecViolation, TooManyPairings)
+                     ShapeMismatch, SpecViolation, SwapNotAllowed, TooManyPairings)
 from .pairings import AlternatingCycle, _cells, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
@@ -624,11 +624,12 @@ def _cyc_range(s, e, m):
 
 
 def _retarget(Z: BipartiteGraph, frame: CycleFrame, prev: OKKOSpec | None, mains, smalls,
-              anchors: dict) -> BipartiteGraph:
-    """Z with the frame's main and small cells set to ``mains`` and
-    ``smalls`` and each cell of ``anchors`` (an anchor -> value dict) set to
-    its value, after the previous anchor is restored to its type; every
-    other cell is inherited from Z."""
+              anchors: dict) -> tuple:
+    """``(target, cells)``: Z with the frame's main and small cells set to
+    ``mains`` and ``smalls`` and each cell of ``anchors`` (an anchor -> value
+    dict) set to its value, after the previous anchor is restored to its
+    type, every other cell inherited from Z; and the cells where the target
+    differs from Z."""
     want = {}
     if prev is not None:
         want[frame.cell_edge(prev.anchor)] = prev.anchor_type()
@@ -639,12 +640,13 @@ def _retarget(Z: BipartiteGraph, frame: CycleFrame, prev: OKKOSpec | None, mains
         want[frame.cell_edge(anchor)] = v
     rem = [e for e, v in want.items() if v == 0 and Z.adj[e]]
     add = [e for e, v in want.items() if v == 1 and not Z.adj[e]]
-    return Z.with_edges(rem, add)
+    return Z.with_edges(rem, add), rem + add
 
 
-def _spec_target(Z: BipartiteGraph, prev: OKKOSpec | None, spec: OKKOSpec) -> BipartiteGraph:
-    """The realization demanded by ``spec``, inheriting everything the
-    pattern leaves free from Z, with the previous anchor restored to type."""
+def _spec_target(Z: BipartiteGraph, prev: OKKOSpec | None, spec: OKKOSpec) -> tuple:
+    """``(target, cells)``: the realization demanded by ``spec``, inheriting
+    everything the pattern leaves free from Z, with the previous anchor
+    restored to type, and the cells where it differs from Z."""
     mains, smalls, anchor_val = spec.pattern()
     return _retarget(Z, spec.frame, prev, mains, smalls, {spec.anchor: anchor_val})
 
@@ -661,22 +663,22 @@ def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
     return Z.adj[frame.cell_edge(spec.anchor)] == anchor_val
 
 
-def _diff_cycle_cells(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
-    """The cells where the two graphs differ, verified to form one
-    alternating cycle; raises otherwise."""
-    us, vs = np.nonzero(Za.adj != Zb.adj)
-    cells = sorted((int(u), int(v)) for u, v in zip(us, vs))
+def _cycle_cells(Z: BipartiteGraph, flipped: list) -> list:
+    """The cells ``flipped`` in Z (as ``_retarget`` returns them), sorted and
+    verified to form one alternating cycle: two cells in each row and in
+    each column they meet, one of them an edge of Z, and a single cycle
+    through them all; raises ``SpecViolation`` otherwise."""
+    cells = sorted(flipped)
     if not cells:
         return []
-    by_row = {}
-    by_col = {}
+    by_row, by_col = {}, {}
     for c in cells:
         by_row.setdefault(c[0], []).append(c)
         by_col.setdefault(c[1], []).append(c)
     for group in list(by_row.values()) + list(by_col.values()):
         if len(group) != 2:
             raise SpecViolation("pattern difference is not a disjoint cycle union")
-        vals = sorted(int(Za.adj[c]) for c in group)
+        vals = sorted(int(Z.adj[c]) for c in group)
         if vals != [0, 1]:
             raise SpecViolation("pattern difference does not alternate")
     start = cells[0]
@@ -696,16 +698,15 @@ def _diff_cycle_cells(Za: BipartiteGraph, Zb: BipartiteGraph) -> list:
     return cells
 
 
-def _local_bytes(G: BipartiteGraph, rows, cols) -> bytes:
-    """The bytes of G's submatrix on ``rows x cols``, read from ``G.key()``:
-    ``G.adj[np.ix_(rows, cols)].tobytes()`` without building the array."""
-    key, l = G.key(), G.l
+def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
+    """``G.adj[np.ix_(rows, cols)].tobytes()`` for the graph G with l
+    columns whose key is ``key``, without building the array."""
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
 def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list, bridges: dict) -> list:
     """Swaps carrying Za to Zb, which differ in ``cells``, one alternating
-    cycle as ``_diff_cycle_cells`` finds it.
+    cycle as ``_cycle_cells`` checks it.
 
     The difference cycle's rows and columns span a small subgraph in both
     graphs with equal margins; the constructive transformation on that
@@ -722,7 +723,8 @@ def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list, bridges: dict) 
     rows = sorted({u for u, _ in cells})
     cols = sorted({v for _, v in cells})
     shape = (len(rows), len(cols))
-    key = (shape, _local_bytes(Za, rows, cols), _local_bytes(Zb, rows, cols))
+    key = (shape, _local_bytes(Za.key(), Za.l, rows, cols),
+           _local_bytes(Zb.key(), Zb.l, rows, cols))
     local = bridges.get(key)
     if local is None:
         sub_a, sub_b = (BipartiteGraph._trusted(np.frombuffer(data, np.uint8).reshape(shape))
@@ -763,8 +765,8 @@ def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec
         return [], L_prev
     if not matches_spec(L_prev, spec_prev):
         raise SpecViolation("graph does not match the claimed source pattern")
-    L_next = _spec_target(L_prev, spec_prev, spec_next)
-    cells = _diff_cycle_cells(L_prev, L_next)
+    L_next, flipped = _spec_target(L_prev, spec_prev, spec_next)
+    cells = _cycle_cells(L_prev, flipped)
     dist = position_distance(_anchor_params(spec_prev), _anchor_params(spec_next),
                              spec_prev.frame.m)
     cap = (2 if spec_prev.kind == spec_next.kind else 4) + 2 * dist
@@ -800,15 +802,15 @@ def _friendly_swaps(Z: BipartiteGraph, frame: CycleFrame, types: dict,
     for pos, anchor in zip(path.positions, path.adjusted):
         t = types[frame.cell_edge(pos)]
         specs.append(OKKOSpec("OK" if t == 1 else "KO", anchor, frame))
-    cur = _spec_target(Z, None, specs[0])
-    swaps = _bridge(Z, cur, _diff_cycle_cells(Z, cur), bridges)
+    cur, flipped = _spec_target(Z, None, specs[0])
+    swaps = _bridge(Z, cur, _cycle_cells(Z, flipped), bridges)
     for prev, spec in zip(specs, specs[1:]):
         step, cur = _ok_ko_move(cur, prev, spec, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
     m = frame.m
-    final = _retarget(cur, frame, specs[-1], [0] * m, [1] * m, {})
-    swaps.extend(_bridge(cur, final, _diff_cycle_cells(cur, final), bridges))
+    final, flipped = _retarget(cur, frame, specs[-1], [0] * m, [1] * m, {})
+    swaps.extend(_bridge(cur, final, _cycle_cells(cur, flipped), bridges))
     return swaps, final
 
 
@@ -965,14 +967,9 @@ def _second_possibility(Z, frame, types, i, t, j, jp, bridges):
 def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
                  bridges: dict) -> tuple:
     """The swaps carrying G to Gp along ``cycle``, without re-checking that
-    the two differ exactly in it; raises ``SpecViolation`` if the
-    construction misses Gp.
-
-    ``bridges`` is the call-scoped bridge memo that every ``_bridge`` of the
-    construction reads and fills: keyed by the bridge's shape and the bytes
-    of both graphs on its rows x columns, it holds ``ryser_sequence``'s
-    local swaps, a pure function of that key, so a hit is exact.
-    """
+    the two differ exactly in it, bridging through the call-scoped memo
+    ``bridges`` (see ``_bridge``); raises ``SpecViolation`` if the
+    construction misses Gp."""
     frame = CycleFrame.from_cycle(cycle, G)
     swaps, end = _solve_frame(G, frame, _frame_types(G, frame), bridges)
     if end != Gp:
@@ -1005,37 +1002,20 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
 
 
-def _flip(G: BipartiteGraph, cycle: AlternatingCycle, bridges: dict) -> tuple:
-    """The realizations after each swap of the canonical segment that flips
-    ``cycle`` in G, bridging through the ``bridges`` memo.
-
-    ``canonical_path`` and ``path_distribution`` solve each cycle on the
-    full graph here, as ``cycle_swaps`` does; ``congestion`` solves it on
-    the local pattern (``_pattern_swaps``).  Routing this walk through the
-    pattern memo gives byte-identical certified paths on 16 x 16 4-regular
-    pairs, but no faster ones: the memo pays only where patterns repeat, as
-    across a whole space (278 solves for 1,483 segments of the certified
-    48-state U-regular congestion), and one path repeats few.  So the two
-    routes stay apart."""
-    target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
-    return tuple(replay(G, _solve_cycle(G, target, cycle, bridges))[1:])
-
-
-def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict,
+def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
                    bridges: dict) -> tuple:
-    """The swaps that flip ``cycle`` in G, as ``(rows, cols, swaps)``: the
-    cycle's U- and V-vertices in increasing order, and swaps in local
-    indices, where index t stands for ``rows[t]`` or ``cols[t]``.
+    """The swaps that flip ``cycle`` in the graph with l columns whose key
+    is ``key``, as ``(rows, cols, swaps)``: the cycle's U- and V-vertices in
+    increasing order, and swaps in local indices, where index t stands for
+    ``rows[t]`` or ``cols[t]``.
 
     The construction reads only the cells of the cycle's rows x columns,
     and its tie-breaks depend only on the order of vertex indices.  So its
-    swaps are a function of the local pattern: the m x m submatrix of G on
-    ``rows x cols`` (its bytes, read from ``G.key()``) and the cycle
-    relabelled into it, which key ``memo``.  A miss runs ``_solve_cycle``
-    on the m x m graph, flipping every cycle cell, with the call-scoped
-    bridge memo ``bridges``; the caller checks that the lifted swaps land
-    where it wants.  Only ``congestion`` comes this way: a single path
-    repeats too few patterns to pay for the memo (see ``_flip``).
+    swaps are a function of the local pattern: the m x m submatrix on
+    ``rows x cols`` (its bytes, read from ``key``) and the cycle relabelled
+    into it, which key ``memo``.  A miss runs ``_solve_cycle`` on the m x m
+    graph, flipping every cycle cell, with the call-scoped bridge memo
+    ``bridges``; ``_key_segment`` checks where the lifted swaps land.
     """
     seq = cycle.edge_seq
     rows = sorted({u for u, _ in seq})
@@ -1043,29 +1023,63 @@ def _pattern_swaps(G: BipartiteGraph, cycle: AlternatingCycle, memo: dict,
     at_row = {u: a for a, u in enumerate(rows)}
     at_col = {v: b for b, v in enumerate(cols)}
     local_seq = tuple((at_row[u], at_col[v]) for u, v in seq)
-    key = (_local_bytes(G, rows, cols), local_seq)
-    swaps = memo.get(key)
+    pattern = (_local_bytes(key, l, rows, cols), local_seq)
+    swaps = memo.get(pattern)
     if swaps is None:
-        sub = np.frombuffer(key[0], np.uint8).reshape(len(rows), len(cols))
+        sub = np.frombuffer(pattern[0], np.uint8).reshape(len(rows), len(cols))
         local = BipartiteGraph._trusted(sub)
         x_edges = frozenset(e for e in local_seq if sub[e])
         y_edges = frozenset(local_seq) - x_edges
         target = local.with_edges(sorted(x_edges), sorted(y_edges))
-        swaps = memo[key] = _solve_cycle(local, target,
-                                         AlternatingCycle(local_seq, x_edges, y_edges),
-                                         bridges)
+        swaps = memo[pattern] = _solve_cycle(local, target,
+                                             AlternatingCycle(local_seq, x_edges, y_edges),
+                                             bridges)
     return rows, cols, swaps
+
+
+def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
+                 cycle: AlternatingCycle) -> tuple:
+    """The keys after each swap of the canonical segment that flips
+    ``cycle`` in the graph with l columns whose key is ``key``.
+
+    The swaps come from ``_pattern_swaps``, solved once per local pattern in
+    ``patterns``, with each bridge solved once per local problem in
+    ``bridges``.  Each lifted swap flips its four bytes in a copy of the
+    key, after a check that they hold the one-factor the swap removes (the
+    check of ``apply_swap``).  Raises ``SpecViolation`` unless the segment
+    lands on the key with the cycle's X-edges removed and its Y-edges added.
+    """
+    rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
+    cur = bytearray(key)
+    seg = []
+    for s in swaps:
+        a, b = rows[s.u1] * l, rows[s.u2] * l
+        c, d = cols[s.v1], cols[s.v2]
+        cells = (a + c, b + d, a + d, b + c)
+        if [cur[i] for i in cells] != ([1, 1, 0, 0] if s.orientation == 1 else [0, 0, 1, 1]):
+            raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
+        for i in cells:
+            cur[i] ^= 1
+        seg.append(bytes(cur))
+    end = bytearray(key)
+    for u, v in cycle.x_edges:
+        end[u * l + v] = 0
+    for u, v in cycle.y_edges:
+        end[u * l + v] = 1
+    if cur != end:
+        raise SpecViolation("a canonical segment missed its flipped state")
+    return tuple(seg)
 
 
 def _walk(start, end, cycles, segments: dict, flip) -> list:
     """The path from ``start`` to ``end`` that flips the given cycles in
     order: the start, then the states after each swap.
 
-    A state is whatever ``flip(state, cycle)`` takes: a realization, or a
-    state id of an enumerated space.  ``flip`` returns the states after
-    each swap of one segment, and ``segments`` is the caller's cache of
-    them, keyed by the segment's start state and the cycle.  Raises
-    ``SpecViolation`` unless the path lands on ``end``.
+    A state is whatever ``flip(state, cycle)`` takes: a realization's key
+    (``_key_segment``), or a state id of an enumerated space.  ``flip``
+    returns the states after each swap of one segment, and ``segments`` is
+    the caller's cache of them, keyed by the segment's start state and the
+    cycle.  Raises ``SpecViolation`` unless the path lands on ``end``.
 
     A decomposition's cycles, walked in order, meet every precondition
     ``cycle_swaps`` checks: each state on the way agrees with the start on
@@ -1117,13 +1131,15 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     passes through the partial targets X xor (first cycles) between them.
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y), capped at 6 switches
-    (``switch_distance``'s default).  Each call makes one fresh
-    bridge memo, shared by all its cycles: it maps a bridge's shape and the
-    bytes of both graphs on its rows x columns to ``ryser_sequence``'s local
-    swaps, a pure function of that key, so a hit is exact (``_bridge``).
+    (``switch_distance``'s default).  The cycles are walked on keys by
+    ``_key_segment``, with a pattern memo and a bridge memo made fresh for
+    the call (a hit is exact, see ``_bridge``); the visited keys become
+    graphs once, at the end.
     """
-    flip = functools.partial(_flip, bridges={})
-    states = _walk(X, Y, decompose(X, Y, pairing).cycles, {}, flip)
+    flip = functools.partial(_key_segment, {}, {}, X.l)
+    keys = _walk(X.key(), Y.key(), decompose(X, Y, pairing).cycles, {}, flip)
+    states = [BipartiteGraph._trusted(np.frombuffer(key, np.uint8).reshape(X.k, X.l))
+              for key in keys]
     if certify:
         certs = [switch_distance(hat_matrix(X, Y, Z).cells) for Z in states]
         return states, certs
@@ -1135,13 +1151,15 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     """Exact distribution over canonical paths, each path a tuple of the
     visited realizations' keys: its weight is the number of pairings
     selecting it over the total number of pairings.  The paths are counted
-    by ``_path_counts``, on the full graphs (``_flip``), so more than
-    ``max_pairings`` pairings raise ``TooManyPairings`` as in
-    ``congestion``.  Segments and bridges are memoized for the call."""
+    by ``_path_counts`` on the key walk of ``canonical_path``
+    (``_key_segment``), so more than ``max_pairings`` pairings raise
+    ``TooManyPairings`` as in ``congestion``.  Segments, patterns and
+    bridges are memoized for the call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    flip = functools.partial(_flip, bridges={})
-    total, counts = _path_counts(X, Y, _cells(X), _cells(Y), X.l, {}, {}, flip, max_pairings)
-    dist = {tuple(st.key() for st in path): Fraction(c, total) for path, c in counts.items()}
+    flip = functools.partial(_key_segment, {}, {}, X.l)
+    total, counts = _path_counts(X.key(), Y.key(), _cells(X), _cells(Y), X.l, {}, {}, flip,
+                                 max_pairings)
+    dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
     return dist
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,11 @@ class BipartiteDegreeSequence:
     b: tuple
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
+        try:
+            a = tuple(map(operator.index, self.a))
+            b = tuple(map(operator.index, self.b))
+        except TypeError:
+            raise ValueError("degrees must be integers") from None
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not a or not b:
@@ -141,12 +145,13 @@ class BipartiteGraph:
     __slots__ = ("adj", "k", "l", "_row_deg", "_col_deg", "_key")
 
     def __init__(self, adj):
-        arr = np.array(adj, dtype=np.uint8)
+        arr = np.array(adj)
         if arr.ndim != 2:
             raise ValueError("biadjacency matrix must be two-dimensional")
+        # checked before the cast, which would truncate 1.5 and wrap 256
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("biadjacency entries must be 0 or 1")
-        self._adopt(arr)
+        self._adopt(arr.astype(np.uint8))
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "BipartiteGraph":

@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _path_counts, _pattern_swaps, hat_matrix, switch_distance
+from .canonical import _key_segment, _path_counts, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
@@ -756,39 +756,17 @@ class CongestionReport:
 
 
 def _segment(space: StateSpace, patterns: dict, bridges: dict, i: int, cycle) -> tuple:
-    """State ids after each swap that flips ``cycle`` starting from state i.
-
-    The swaps come from ``canonical._pattern_swaps``, solved once per local
-    pattern in ``patterns``, with each bridge solved once per local problem
-    in ``bridges``.  Each lifted swap XORs its four cells into a
-    copy of the state's key, which is looked up in ``space.index``.  Every
-    step is checked to follow a move-graph edge, and the segment to land on
-    the state with the cycle's X-edges removed and its Y-edges added.
-    """
-    G = space.states[i]
-    rows, cols, swaps = _pattern_swaps(G, cycle, patterns, bridges)
-    l = G.l
-    key = bytearray(G.key())
+    """State ids after each swap that flips ``cycle`` starting from state i:
+    the keys of ``canonical._key_segment`` (with the pattern memo
+    ``patterns`` and the bridge memo ``bridges``) looked up in
+    ``space.index``, each step checked to follow a move-graph edge."""
     seg = []
-    for s in swaps:
-        a, b = rows[s.u1] * l, rows[s.u2] * l
-        c, d = cols[s.v1], cols[s.v2]
-        key[a + c] ^= 1
-        key[a + d] ^= 1
-        key[b + c] ^= 1
-        key[b + d] ^= 1
-        j = space.index.get(bytes(key))
+    for key in _key_segment(patterns, bridges, space.ds.l, space.states[i].key(), cycle):
+        j = space.index.get(key)
         if j is None or j not in space.neighbours[i]:
             raise SpecViolation("a canonical path step is not a move-graph edge")
         seg.append(j)
         i = j
-    end = bytearray(G.key())
-    for u, v in cycle.x_edges:
-        end[u * l + v] = 0
-    for u, v in cycle.y_edges:
-        end[u * l + v] = 1
-    if key != end:
-        raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
 
 
@@ -808,19 +786,16 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     decomposition kernel (``pairings._decompositions``), whose circuit memo
     lives for one source state X, walked in state ids by ``canonical._walk``;
     more than 5000 pairings raise ``TooManyPairings``.  Segments are cached
-    per call by start state and cycle.  A segment's swaps are solved once
-    per local pattern (the cycle's submatrix and its cells, see
-    ``canonical._pattern_swaps``) and walked by flipping bytes of the state
-    keys, without building graphs.  A pattern miss bridges its OK/KO targets
-    through a bridge memo keyed by each bridge's shape and the bytes of both
-    graphs on its rows x columns, which determine ``ryser_sequence``'s local
-    swaps (``canonical._bridge``), so each local bridge problem is solved
-    once per call.  With ``certify`` the switch distances, capped at 6
-    switches, are cached per distinct three-term matrix ``X + Y - Z``, keyed
-    by three cell bitmasks of ``pairings._cells``: its cells at 2
-    (``X & Y & ~Z``), at -1 (``Z & ~X & ~Y``) and at 1
-    (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which determine the matrix one-to-one,
-    so ``hat_matrix`` is built only on a miss.  All four caches live for one
+    per call by start state and cycle, and each is walked on the state keys
+    by ``canonical._key_segment``, the walk of ``canonical_path``, whose
+    pattern and bridge memos solve each local pattern (the cycle's
+    submatrix and its cells) and each local bridge problem once per call.
+    With ``certify`` the switch distances, capped at 6 switches, are cached
+    per distinct three-term matrix ``X + Y - Z``, keyed by three cell
+    bitmasks of ``pairings._cells``: its cells at 2 (``X & Y & ~Z``), at -1
+    (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
+    determine the matrix one-to-one, so ``hat_matrix`` is built only on a
+    miss.  All four caches live for one
     call.  Loads are integer numerators over one common multiple of the
     pairing counts.
     """

@@ -347,15 +347,30 @@ def full_deviations(P):
 # -- congestion by one canonical path per pairing -----------------------------
 
 
+def reference_path(X, Y, pairing) -> list:
+    """The canonical path from X to Y for the pairing, built the direct way:
+    the cycles of ``naive_decompose``, each flipped on the full graphs by
+    the checked ``path_along_cycle``."""
+    from degswap.canonical import path_along_cycle
+
+    states = [X]
+    for cyc in naive_decompose(X, Y, pairing).cycles:
+        adj = states[-1].adj.copy()
+        adj[tuple(zip(*cyc.x_edges))] = 0
+        adj[tuple(zip(*cyc.y_edges))] = 1
+        states += path_along_cycle(states[-1], BipartiteGraph(adj), X, Y, cyc)[1:]
+    assert states[-1] == Y
+    return states
+
+
 def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = False,
                      switch_cap: int = 6):
-    """The congestion report built the direct way: every pairing decomposed
-    by ``naive_decompose``, its path built cycle by cycle with the checked
-    ``path_along_cycle`` and mapped to state ids, and every load accumulated
-    as a ``Fraction``."""
+    """The congestion report built the direct way: every pairing's
+    ``reference_path`` mapped to state ids, and every load accumulated as a
+    ``Fraction``."""
     from fractions import Fraction
 
-    from degswap.canonical import hat_matrix, path_along_cycle, switch_distance
+    from degswap.canonical import hat_matrix, switch_distance
     from degswap.errors import TooManyPairings
     from degswap.mixing import CongestionReport
     from degswap.pairings import all_pairings, enumerate_pairings_count
@@ -374,13 +389,7 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                 raise TooManyPairings(f"{t_total} pairings exceed the guard {max_pairings}")
             counts, sd_memo = {}, {}
             for s in all_pairings(X, Y):
-                states = [X]
-                for cyc in naive_decompose(X, Y, s).cycles:
-                    adj = states[-1].adj.copy()
-                    adj[tuple(zip(*cyc.x_edges))] = 0
-                    adj[tuple(zip(*cyc.y_edges))] = 1
-                    states += path_along_cycle(states[-1], BipartiteGraph(adj), X, Y, cyc)[1:]
-                assert states[-1] == Y
+                states = reference_path(X, Y, s)
                 ids = tuple(space.index[g.key()] for g in states)
                 counts[ids] = counts.get(ids, 0) + 1
                 if certify:
@@ -406,14 +415,18 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
 
 def naive_segment(space, i, cycle):
     """State ids after each swap that flips ``cycle`` from state i, the
-    graph way: ``canonical._flip`` solves the cycle on the full realization
-    with a fresh bridge memo and replays its swaps, and each realization is
-    mapped to its id and checked to follow a move-graph edge."""
-    from degswap.canonical import _flip
+    graph way: ``canonical._solve_cycle`` solves the cycle on the full
+    realization with a fresh bridge memo, ``ryser.replay`` applies its swaps
+    one ``apply_swap`` at a time, and each realization is mapped to its id
+    and checked to follow a move-graph edge."""
+    from degswap.canonical import _solve_cycle
     from degswap.errors import SpecViolation
+    from degswap.ryser import replay
 
+    G = space.states[i]
+    target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
     seg = []
-    for g in _flip(space.states[i], cycle, {}):
+    for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:]:
         j = space.index.get(g.key())
         if j is None or j not in space.neighbours[i]:
             raise SpecViolation("a canonical path step is not a move-graph edge")

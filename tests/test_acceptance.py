@@ -142,7 +142,7 @@ def test_criterion_5_okko_constants():
             G = BipartiteGraph(adj)
             frame = CycleFrame(tuple(range(ell)), tuple(range(ell)))
             s1 = OKKOSpec("OK", (a, b), frame)
-            L1 = _spec_target(G, None, s1)
+            L1, _ = _spec_target(G, None, s1)
             assert matches_spec(L1, s1)
             if kind_change:
                 s2 = OKKOSpec("KO", ((b + 2) % ell, (a - 1) % ell), frame)

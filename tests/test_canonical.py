@@ -16,7 +16,7 @@ from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
 from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
-                            TooManyPairings)
+                            SwapNotAllowed, TooManyPairings)
 from degswap.mixing import enumerate_states
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, chain,
                      pairings, random_pairing)
@@ -24,7 +24,8 @@ from degswap.ryser import replay
 
 from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists,
                      naive_switch_distance, never_memoize_bridges, perturbed_environment,
-                     random_types, ring_blocker_types, split_environment_pools)
+                     random_types, reference_path, ring_blocker_types,
+                     split_environment_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +219,13 @@ class TestOkKoStep:
     def test_identity(self):
         G, frame = _okko_environment(8, 0, {(2, 5): 1})
         spec = OKKOSpec("OK", (2, 5), frame)
-        L = _spec_target(G, None, spec)
+        L, _ = _spec_target(G, None, spec)
         assert ok_ko_step(L, spec, spec) == []
 
     def test_adjacent_ok_step_bound(self):
         G, frame = _okko_environment(10, 1, {(2, 6): 1, (1, 8): 1})
         s1, s2 = OKKOSpec("OK", (2, 6), frame), OKKOSpec("OK", (1, 8), frame)
-        L1 = _spec_target(G, None, s1)
+        L1, _ = _spec_target(G, None, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 24
         L2 = replay(L1, swaps)[-1]
@@ -234,7 +235,7 @@ class TestOkKoStep:
     def test_ok_to_ko_bound(self):
         G, frame = _okko_environment(10, 2, {(2, 6): 1, (8, 1): 0})
         s1, s2 = OKKOSpec("OK", (2, 6), frame), OKKOSpec("KO", (8, 1), frame)
-        L1 = _spec_target(G, None, s1)
+        L1, _ = _spec_target(G, None, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 40
         assert matches_spec(replay(L1, swaps)[-1], s2)
@@ -242,7 +243,7 @@ class TestOkKoStep:
     def test_ko_to_ko_step(self):
         G, frame = _okko_environment(10, 4, {(6, 2): 0, (8, 1): 0})
         s1, s2 = OKKOSpec("KO", (6, 2), frame), OKKOSpec("KO", (8, 1), frame)
-        L1 = _spec_target(G, None, s1)
+        L1, _ = _spec_target(G, None, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 24
         L2 = replay(L1, swaps)[-1]
@@ -252,7 +253,7 @@ class TestOkKoStep:
     def test_ko_to_ok_step(self):
         G, frame = _okko_environment(10, 5, {(6, 2): 0, (1, 7): 1})
         s1, s2 = OKKOSpec("KO", (6, 2), frame), OKKOSpec("OK", (1, 7), frame)
-        L1 = _spec_target(G, None, s1)
+        L1, _ = _spec_target(G, None, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 40
         assert matches_spec(replay(L1, swaps)[-1], s2)
@@ -286,7 +287,7 @@ class TestSwitchDistance:
         G, Gp, cyc = _instance(6, 5, p=1.0)
         frame = CycleFrame.from_cycle(cyc, G)
         spec = OKKOSpec("OK", (1, 4), frame)
-        L = _spec_target(G, None, spec)
+        L, _ = _spec_target(G, None, spec)
         h = hat_matrix(G, Gp, L).cells
         assert h.max() == 2
         assert switch_distance(h) == 1
@@ -581,11 +582,12 @@ class TestCanonicalPath:
 
     @pytest.mark.parametrize("a, b, n_pairs", [((2, 2, 2), (2, 2, 2), None),
                                                ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
-    def test_path_distribution_matches_congestion_id_walk(self, a, b, n_pairs):
-        # the one path count behind both: path_distribution walks graphs
-        # (_flip), congestion walks state ids (mixing._segment); every
-        # ordered pair of the 6-state space and seeded pairs of the 48-state
-        # space give the same distribution
+    def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
+        # both routes through the key walk, path_distribution on keys and
+        # congestion's id walk (mixing._segment under _path_counts), give the
+        # distribution of the paths built cycle by cycle on the full graphs
+        # by path_along_cycle, one per pairing: every ordered pair of the
+        # 6-state space and seeded pairs of the 48-state space
         import functools
 
         from degswap import mixing
@@ -600,11 +602,17 @@ class TestCanonicalPath:
         segments = {}
         for xi, yi in pairs:
             X, Y = space.states[xi], space.states[yi]
-            dist = {tuple(space.index[key] for key in gamma): p
-                    for gamma, p in path_distribution(X, Y).items()}
+            counts = {}
+            for s in all_pairings(X, Y):
+                gamma = tuple(g.key() for g in reference_path(X, Y, s))
+                counts[gamma] = counts.get(gamma, 0) + 1
+            total = sum(counts.values())
+            reference = {gamma: Fraction(c, total) for gamma, c in counts.items()}
+            assert path_distribution(X, Y) == reference, (xi, yi)
             total, counts = _path_counts(xi, yi, pairings._cells(X), pairings._cells(Y),
                                          X.l, {}, segments, flip, 5000)
-            assert dist == {ids: Fraction(c, total) for ids, c in counts.items()}, (xi, yi)
+            assert {tuple(space.states[i].key() for i in ids): Fraction(c, total)
+                    for ids, c in counts.items()} == reference, (xi, yi)
 
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
@@ -641,10 +649,28 @@ class TestCanonicalPath:
         with pytest.raises(SpecViolation):
             _walk(0, 3, [a, b], segments, flip)
 
+    def test_key_segment_checks_each_swap(self):
+        # a memoized swap whose cells do not hold the one-factor it removes
+        # is refused before its bytes flip, as apply_swap refuses it (the
+        # landing check is test_mixing's test_segment_landing_checked)
+        from degswap.canonical import _key_segment
+
+        X = BipartiteGraph([[1, 0], [0, 1]])
+        Y = BipartiteGraph([[0, 1], [1, 0]])
+        (cyc,) = pairings.decompose(X, Y, next(all_pairings(X, Y))).cycles
+        patterns = {}
+        assert _key_segment(patterns, {}, 2, X.key(), cyc) == (Y.key(),)
+        ((pattern, swaps),) = patterns.items()
+        patterns[pattern] = tuple(s.inverse() for s in swaps)
+        with pytest.raises(SwapNotAllowed):
+            _key_segment(patterns, {}, 2, X.key(), cyc)
+
     def test_local_pattern_swaps_lift_to_the_full_solve(self):
         # walking each decomposition's cycles, the swaps solved on the
         # cycle's m x m pattern (or taken from the memo) and lifted through
-        # rows and cols are the swaps of the solve on the full graphs
+        # rows and cols are the swaps of the solve on the full graphs; and
+        # canonical_path's states and certificates are those of the path
+        # built cycle by cycle on the full graphs by path_along_cycle
         from degswap.canonical import _pattern_swaps, _solve_cycle
 
         ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
@@ -652,16 +678,22 @@ class TestCanonicalPath:
         sizes = []
         for p in range(20):
             X, Y = chain.sample(ds, 1000, 900 + 2 * p), chain.sample(ds, 1000, 901 + 2 * p)
+            pairing = random_pairing(X, Y, p)
             G = X
-            for cyc in pairings.decompose(X, Y, random_pairing(X, Y, p)).cycles:
+            reference = [X]
+            for cyc in pairings.decompose(X, Y, pairing).cycles:
                 target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-                rows, cols, local = _pattern_swaps(G, cyc, memo, {})
+                rows, cols, local = _pattern_swaps(G.key(), G.l, cyc, memo, {})
                 lifted = tuple(Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2],
                                     s.orientation) for s in local)
                 assert lifted == _solve_cycle(G, target, cyc, {}), (p, cyc.edge_seq)
+                reference += path_along_cycle(G, target, X, Y, cyc)[1:]
                 sizes.append(len(rows))
                 G = target
             assert G == Y
+            states, certs = canonical_path(X, Y, pairing, certify=True)
+            assert states == reference, p
+            assert certs == [switch_distance(hat_matrix(X, Y, Z).cells) for Z in reference], p
         assert max(sizes) >= 8
         assert len(memo) < len(sizes)
 
@@ -686,7 +718,7 @@ class TestCanonicalPath:
             adj = np.frombuffer(layout, np.uint8).reshape(m, m)
             G, H, cyc = cycle_graph_pair(m, {(a, b): int(adj[a, b]) for a in range(m)
                                              for b in range(m) if ring((a, b), m) >= 2})
-            rows, cols, local = _pattern_swaps(G, cyc, memo, {})
+            rows, cols, local = _pattern_swaps(G.key(), G.l, cyc, memo, {})
             assert rows == cols == list(range(m))
             assert local == _solve_cycle(G, H, cyc, {}), adj.tolist()
             by_rows.setdefault(tuple(sorted(map(bytes, adj))), set()).add(local)
@@ -714,7 +746,9 @@ class TestCanonicalPath:
         assert [path for path, _ in memoized] == [path for path, _ in unmemoized
                                                   for _ in range(2)]
         assert [n for _, n in memoized] == [3, 3, 3, 3, 4, 4, 5, 5, 4, 4, 4, 4, 3, 3, 5, 5]
-        assert [n for _, n in unmemoized] == [28, 28, 34, 28, 32, 22, 19, 35]
+        # the pattern memo still serves every cycle whose local pattern
+        # repeats within the call, so such a hit skips that cycle's bridges
+        assert [n for _, n in unmemoized] == [28, 28, 34, 28, 30, 22, 19, 35]
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -41,6 +41,13 @@ class TestDegreeSequence:
         with pytest.raises(ValueError):
             bds((1, 2), (1, 1, 1))
 
+    def test_rejects_non_integer_degrees(self):
+        # no truncation: 2.7 is not read as 2, and neither is 2.0 or "2"
+        for a in ((2.7, 1), (2.0, 1), ("2", 1), (np.float64(2), 1)):
+            with pytest.raises(ValueError):
+                bds(a, (2, 1))
+        assert bds((np.int64(2), 1), (np.uint8(2), 1)) == bds((2, 1), (2, 1))
+
     def test_rejects_oversized_degree(self):
         with pytest.raises(ValueError):
             bds((3,), (1, 1))
@@ -193,8 +200,12 @@ class TestSwaps:
             apply_swap(BipartiteGraph([[1, 1], [1, 1]]), Swap(0, 1, 0, 1, 1))
 
     def test_derived_graphs_equal_validated_ones(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph([[1, 2], [0, 1]])
+        # entries are checked before the uint8 cast, which would truncate
+        # fractions and wrap 256 and -1
+        for bad in ([[1, 2], [0, 1]], [[1.5, 0], [0, 1]], [[0.2, 1], [1, 0]], [[256]],
+                    [[-1]]):
+            with pytest.raises(ValueError):
+                BipartiteGraph(bad)
         for seed in range(10):
             g = random_graph(seed)
             for s in allowed_swaps(g):
