@@ -23,11 +23,16 @@ structure forces a long same-type run on some anti-diagonal, which lets
 the cycle be cut into two smaller cycles handled recursively, with the two
 sub-sequences interleaved so that at most two temporarily wrong cells are
 live at any moment.
+
+A realization on a path is named by its key alone (``BipartiteGraph.key``,
+one byte per cell).  ``_walk`` flips a decomposition's cycles in order,
+each segment by ``_key_segment`` on the cycle's local m x m pattern, with
+segment, pattern and bridge memos the caller scopes; ``canonical_path``,
+``path_distribution`` and ``mixing.congestion`` all walk through it.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +44,7 @@ from .core import (BipartiteDegreeSequence, BipartiteGraph, Swap, apply_swap,
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed, TooManyPairings)
-from .pairings import AlternatingCycle, _cells, _decompositions, decompose
+from .pairings import AlternatingCycle, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
 # ---------------------------------------------------------------------------
@@ -1071,15 +1076,15 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
     return tuple(seg)
 
 
-def _walk(start, end, cycles, segments: dict, flip) -> list:
-    """The path from ``start`` to ``end`` that flips the given cycles in
-    order: the start, then the states after each swap.
+def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
+    """The keys of the path from ``start`` to ``end``, realizations with l
+    columns, that flips the given cycles in order: the start, then the key
+    after each swap.
 
-    A state is whatever ``flip(state, cycle)`` takes: a realization's key
-    (``_key_segment``), or a state id of an enumerated space.  ``flip``
-    returns the states after each swap of one segment, and ``segments`` is
-    the caller's cache of them, keyed by the segment's start state and the
-    cycle.  Raises ``SpecViolation`` unless the path lands on ``end``.
+    ``memos`` holds the caller's segment cache, pattern memo and bridge
+    memo.  Each segment comes from ``_key_segment`` with the last two, once
+    per start key and cycle.  Raises ``SpecViolation`` unless the path
+    lands on ``end``.
 
     A decomposition's cycles, walked in order, meet every precondition
     ``cycle_swaps`` checks: each state on the way agrees with the start on
@@ -1087,13 +1092,14 @@ def _walk(start, end, cycles, segments: dict, flip) -> list:
     cycle is exactly where it differs from its target, and the three
     symmetric differences never overlap.
     """
+    segments, patterns, bridges = memos
     path = [start]
     cur = start
     for cyc in cycles:
         key = (cur, cyc.edge_seq)
         seg = segments.get(key)
         if seg is None:
-            seg = segments[key] = flip(cur, cyc)
+            seg = segments[key] = _key_segment(patterns, bridges, l, cur, cyc)
         path += seg
         cur = seg[-1]
     if cur != end:
@@ -1101,25 +1107,23 @@ def _walk(start, end, cycles, segments: dict, flip) -> list:
     return path
 
 
-def _path_counts(start, end, x_cells: int, y_cells: int, l: int, circuits: dict,
-                 segments: dict, flip, max_pairings: int) -> tuple:
-    """``(total, counts)``: the number of pairings of the pair whose cells
-    are ``x_cells`` and ``y_cells`` (``pairings._cells``, l columns), and
-    for each distinct canonical path from ``start`` to ``end`` the number of
-    pairings that select it.
+def _path_counts(l: int, start: bytes, end: bytes, circuits: dict, memos: tuple,
+                 max_pairings: int) -> tuple:
+    """``(total, counts)``: the number of pairings of the pair with keys
+    ``start`` and ``end`` (l columns), and for each distinct canonical path
+    between them, a tuple of keys, the number of pairings that select it.
 
     Every pairing comes from ``pairings._decompositions`` with the circuit
     memo ``circuits``, after the guard: more than ``max_pairings`` pairings
     raise ``TooManyPairings``.  Each pairing's cycles are walked by
-    ``_walk`` with the segment cache ``segments`` and the walk ``flip``, so
-    a path is a tuple of whatever states ``flip`` takes.
+    ``_walk`` with the caller's ``memos``.
     """
-    total, decompositions = _decompositions(x_cells, y_cells, l, circuits)
+    total, decompositions = _decompositions(start, end, l, circuits)
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
     counts = {}
     for cycles in decompositions:
-        path = tuple(_walk(start, end, cycles, segments, flip))
+        path = tuple(_walk(l, start, end, cycles, memos))
         counts[path] = counts.get(path, 0) + 1
     return total, counts
 
@@ -1132,12 +1136,11 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y), capped at 6 switches
     (``switch_distance``'s default).  The cycles are walked on keys by
-    ``_key_segment``, with a pattern memo and a bridge memo made fresh for
-    the call (a hit is exact, see ``_bridge``); the visited keys become
-    graphs once, at the end.
+    ``_walk``, with segment, pattern and bridge memos made fresh for the
+    call (a hit is exact, see ``_bridge``); the visited keys become graphs
+    once, at the end.
     """
-    flip = functools.partial(_key_segment, {}, {}, X.l)
-    keys = _walk(X.key(), Y.key(), decompose(X, Y, pairing).cycles, {}, flip)
+    keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
     states = [BipartiteGraph._trusted(np.frombuffer(key, np.uint8).reshape(X.k, X.l))
               for key in keys]
     if certify:
@@ -1151,14 +1154,12 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     """Exact distribution over canonical paths, each path a tuple of the
     visited realizations' keys: its weight is the number of pairings
     selecting it over the total number of pairings.  The paths are counted
-    by ``_path_counts`` on the key walk of ``canonical_path``
-    (``_key_segment``), so more than ``max_pairings`` pairings raise
-    ``TooManyPairings`` as in ``congestion``.  Segments, patterns and
-    bridges are memoized for the call."""
+    by ``_path_counts`` on the key walk of ``canonical_path``, so more than
+    ``max_pairings`` pairings raise ``TooManyPairings`` as in
+    ``congestion``.  Segments, patterns and bridges are memoized for the
+    call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    flip = functools.partial(_key_segment, {}, {}, X.l)
-    total, counts = _path_counts(X.key(), Y.key(), _cells(X), _cells(Y), X.l, {}, {}, flip,
-                                 max_pairings)
+    total, counts = _path_counts(X.l, X.key(), Y.key(), {}, ({}, {}, {}), max_pairings)
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
     return dist

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (BipartiteDegreeSequence, BipartiteGraph, count_allowed_swaps,
-                   greedy_realize, symmetric_difference)
+from .core import (BipartiteDegreeSequence, BipartiteGraph, allowed_swaps, greedy_realize,
+                   symmetric_difference)
 from .errors import DegreeMismatch
 
 
@@ -72,7 +72,7 @@ def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
     if G == H:
         if denom == 0:
             return Fraction(1)
-        return 1 - Fraction(count_allowed_swaps(G), denom)
+        return 1 - Fraction(len(allowed_swaps(G)), denom)
     if denom == 0:
         return Fraction(0)
     part = symmetric_difference(G, H)

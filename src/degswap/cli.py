@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import all_pairings, decompose, random_pairing
+from .pairings import all_pairings, decompose, enumerate_pairings_count, random_pairing
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
@@ -68,6 +69,8 @@ def cmd_realize(args) -> int:
 
 def cmd_sample(args) -> int:
     ds = _read_ds(args.ds)
+    if args.count < 0:
+        raise ValueError("count must be non-negative")
     graphs = []
     if args.count > 0:
         # one realization per command; --count 0 neither realizes nor validates
@@ -122,12 +125,10 @@ def _circuit_vertices(circ):
 def cmd_canonical_path(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
     if args.pairing_index is not None:
-        for i, s in enumerate(all_pairings(x, y)):
-            if i == args.pairing_index:
-                pairing = s
-                break
-        else:
+        # checked against the exact count: a pair can have too many pairings to walk
+        if not 0 <= args.pairing_index < enumerate_pairings_count(x, y):
             raise DegSwapError(f"pairing index {args.pairing_index} out of range")
+        pairing = next(itertools.islice(all_pairings(x, y), args.pairing_index, None))
     else:
         pairing = random_pairing(x, y, args.seed)
     if args.certify:

@@ -348,18 +348,6 @@ def allowed_swaps(G: BipartiteGraph) -> list:
     return out
 
 
-def count_allowed_swaps(G: BipartiteGraph) -> int:
-    """Number of allowed swaps, without materializing them."""
-    total = 0
-    a = G.adj.astype(np.int64)
-    for u1 in range(G.k):
-        for u2 in range(u1 + 1, G.k):
-            ones = int(((a[u1] == 1) & (a[u2] == 0)).sum())
-            zeros = int(((a[u1] == 0) & (a[u2] == 1)).sum())
-            total += ones * zeros
-    return total
-
-
 def push_up(G: BipartiteGraph, v: int, active_cols=None):
     """Rewire so the neighborhood of V-vertex ``v`` is the d(v) largest-degree
     U-vertices, using at most d(v) swaps.

@@ -14,7 +14,9 @@ denominator and the move graph, and no dense table of it is ever built.
 Everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
 decomposes every pairing of every ordered pair through the integer kernel
-of ``pairings``, with its circuit memo scoped to one source state.
+of ``pairings``, with its circuit memo scoped to one source state, walks
+it on the states' keys (``canonical._walk``), and maps each distinct key
+path to state ids once, where it adds the path's loads.
 
 The chain commutes with exchanging two vertices of equal degree.  On spaces
 large enough to pay for it, ``build_kernel`` stores such exchanges of
@@ -43,7 +45,6 @@ bounds the scan.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,11 +52,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _key_segment, _path_counts, hat_matrix, switch_distance
+from .canonical import _path_counts, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
-from .pairings import _cells
 
 
 @dataclass(frozen=True)
@@ -755,21 +755,6 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
-def _segment(space: StateSpace, patterns: dict, bridges: dict, i: int, cycle) -> tuple:
-    """State ids after each swap that flips ``cycle`` starting from state i:
-    the keys of ``canonical._key_segment`` (with the pattern memo
-    ``patterns`` and the bridge memo ``bridges``) looked up in
-    ``space.index``, each step checked to follow a move-graph edge."""
-    seg = []
-    for key in _key_segment(patterns, bridges, space.ds.l, space.states[i].key(), cycle):
-        j = space.index.get(key)
-        if j is None or j not in space.neighbours[i]:
-            raise SpecViolation("a canonical path step is not a move-graph edge")
-        seg.append(j)
-        i = j
-    return tuple(seg)
-
-
 def congestion(space: StateSpace, *, max_states: int = 120,
                certify: bool = False) -> CongestionReport:
     """The congestion constant of the full canonical path system.
@@ -784,30 +769,28 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     Each ordered pair's paths are counted by ``canonical._path_counts``,
     the routine ``path_distribution`` runs: every pairing of the integer
     decomposition kernel (``pairings._decompositions``), whose circuit memo
-    lives for one source state X, walked in state ids by ``canonical._walk``;
-    more than 5000 pairings raise ``TooManyPairings``.  Segments are cached
-    per call by start state and cycle, and each is walked on the state keys
-    by ``canonical._key_segment``, the walk of ``canonical_path``, whose
-    pattern and bridge memos solve each local pattern (the cycle's
-    submatrix and its cells) and each local bridge problem once per call.
-    With ``certify`` the switch distances, capped at 6 switches, are cached
-    per distinct three-term matrix ``X + Y - Z``, keyed by three cell
-    bitmasks of ``pairings._cells``: its cells at 2 (``X & Y & ~Z``), at -1
+    lives for one source state X, walked on the state keys by
+    ``canonical._walk``, the walk of ``canonical_path``; more than 5000
+    pairings raise ``TooManyPairings``.  Segments are cached per call by
+    start key and cycle, and the pattern and bridge memos solve each local
+    pattern (the cycle's submatrix and its cells) and each local bridge
+    problem once per call.  Each distinct key path is mapped to state ids
+    once, where its loads are added, and a step that is not a move-graph
+    edge raises ``SpecViolation`` there.  With ``certify`` the switch
+    distances, capped at 6 switches, are cached per distinct three-term
+    matrix ``X + Y - Z``, keyed by three cell bitmasks of the keys read as
+    little-endian integers: its cells at 2 (``X & Y & ~Z``), at -1
     (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
     determine the matrix one-to-one, so ``hat_matrix`` is built only on a
-    miss.  All four caches live for one
-    call.  Loads are integer numerators over one common multiple of the
-    pairing counts.
+    miss.  All four caches live for one call.  Loads are integer numerators
+    over one common multiple of the pairing counts.
     """
     n = space.n
     if n > max_states:
         raise TooLarge(f"{n} states exceed the congestion guard {max_states}")
     if n < 2:
         raise DegenerateChain("need at least two states")
-    patterns = {}
-    bridges = {}
-    flip = functools.partial(_segment, space, patterns, bridges)
-    segments = {}
+    memos = ({}, {}, {})  # segments, patterns and bridges of canonical._walk
     certs = {}
     scale = 1            # a common multiple of the pairing counts seen so far
     load = {}            # edge -> sum of c * |edges| * scale / T
@@ -815,18 +798,39 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     n_paths = 0
     max_sd = 0
     k, l = space.ds.k, space.ds.l
-    cells = [_cells(g) for g in space.states]
+    index = space.index
+    moves = {(i, j) for i, nbrs in enumerate(space.neighbours) for j in nbrs if i < j}
+    keys = [g.key() for g in space.states]
+    cells = [int.from_bytes(key, "little") for key in keys]
     for xi, X in enumerate(space.states):
         circuits = {}    # the decomposition kernel's memo, for this source state
         for yi, Y in enumerate(space.states):
             if xi == yi:
                 continue
-            t_total, counts = _path_counts(xi, yi, cells[xi], cells[yi], l, circuits,
-                                           segments, flip, 5000)
+            t_total, counts = _path_counts(l, keys[xi], keys[yi], circuits, memos, 5000)
+            if scale % t_total:
+                grow = t_total // math.gcd(scale, t_total)
+                scale *= grow
+                load = {e: v * grow for e, v in load.items()}
+                weight = {e: v * grow for e, v in weight.items()}
+            per_pairing = scale // t_total
+            visited = set()
+            for path, c in counts.items():
+                n_paths += 1
+                ids = [index.get(key, -1) for key in path]    # -1: a key off the space
+                edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+                if not edges <= moves:
+                    raise SpecViolation("a canonical path step is not a move-graph edge")
+                visited.update(ids)
+                w = c * per_pairing
+                lw = w * len(edges)
+                for e in edges:
+                    load[e] = load.get(e, 0) + lw
+                    weight[e] = weight.get(e, 0) + w
             if certify:
                 x, y = cells[xi], cells[yi]
                 both, either, odd = x & y, x | y, x ^ y
-                for z in set().union(*counts):
+                for z in visited:
                     c = cells[z]
                     key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
                     sd = certs.get(key)
@@ -834,20 +838,6 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                         hat = hat_matrix(X, Y, space.states[z]).cells
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
-            if scale % t_total:
-                grow = t_total // math.gcd(scale, t_total)
-                scale *= grow
-                load = {e: v * grow for e, v in load.items()}
-                weight = {e: v * grow for e, v in weight.items()}
-            per_pairing = scale // t_total
-            for ids, c in counts.items():
-                n_paths += 1
-                edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
-                w = c * per_pairing
-                lw = w * len(edges)
-                for e in edges:
-                    load[e] = load.get(e, 0) + lw
-                    weight[e] = weight.get(e, 0) + w
     # the load of edge e is load[e] / (n * scale * jump): one positive factor
     # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))

@@ -13,12 +13,13 @@ the vertex's degree in the symmetric difference.
 
 ``Pairing``, ``all_pairings`` and ``random_pairing`` build pairings as
 objects.  There is one decomposition implementation, the integer kernel: it
-numbers the difference edges in edge order, traces each pairing's circuits
-on partner arrays of edge ids (``_trace``), and takes each circuit's cycles
-from a memo the caller scopes, cutting them (``_split``) on a miss.
-``decompose`` is its single-pairing entry point: it fills the partner
-arrays from a ``Pairing`` after checking the pairing's maps.
-``_decompositions``, which ``canonical._path_counts`` runs for
+reads the realizations' keys (``BipartiteGraph.key``, one byte per cell) as
+little-endian integers, numbers the difference edges in edge order, traces
+each pairing's circuits on partner arrays of edge ids (``_trace``), and
+takes each circuit's cycles from a memo the caller scopes, cutting them
+(``_split``) on a miss.  ``decompose`` is its single-pairing entry point: it
+fills the partner arrays from a ``Pairing`` after checking the pairing's
+maps.  ``_decompositions``, which ``canonical._path_counts`` runs for
 ``congestion`` and ``path_distribution``, enumerates every pairing of a
 pair as an odometer over per-vertex permutations of edge ids, without
 building a ``Pairing``, and yields the same cycles as ``decompose``, pairing
@@ -174,7 +175,7 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
     part = symmetric_difference(X, Y)       # the shape and margin checks
     if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
         raise PairingMismatch("pairing does not belong to this realization pair")
-    numbering = _number(_cells(X), _cells(Y), X.l)
+    numbering = _number(X.key(), Y.key(), X.l)
     edges, _, in_x = numbering[:3]
     ids = {e: i for i, e in enumerate(edges)}
     pu, pv = [0] * len(edges), [0] * len(edges)
@@ -195,51 +196,45 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
                                 tuple(cycles))
 
 
-def _cells(G: BipartiteGraph) -> int:
-    """G's edges as a bitmask: bit u*l+v is set for each edge (u, v)."""
-    return int.from_bytes(np.packbits(G.adj, axis=None, bitorder="little").tobytes(),
-                          "little")
-
-
-def _number(x_cells: int, y_cells: int, l: int) -> tuple:
+def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     """The edges of X xor Y numbered in cell order, which is edge order.
 
-    X and Y are given as ``_cells`` bitmasks of realizations with l
-    V-vertices.  Returns ``(edges, cells, in_x, codes, bits, full)``: edge
-    i is ``edges[i]`` in cell ``cells[i]`` = u*l+v, ``in_x[i]`` tells
-    whether it is an X-edge, ``codes[i]`` gives its U end as 2u and its V
-    end as 2v+1, ``bits[i]`` is its bit 2*cell + (1 for a Y-edge), and
-    ``full`` is the sum of ``bits``.
+    X and Y are given by their keys, realizations with l V-vertices; read
+    as little-endian integers, cell c = u*l+v sits at bit 8c.  Returns
+    ``(edges, cells, in_x, codes, bits, full)``: edge i is ``edges[i]`` in
+    cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
+    ``codes[i]`` gives its U end as 2u and its V end as 2v+1, ``bits[i]``
+    is its bit 2*cell + (1 for a Y-edge), and ``full`` is the sum of
+    ``bits``.
     """
-    x_only = x_cells & ~y_cells
     cells = []
-    rest = x_cells ^ y_cells
+    rest = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
     while rest:
         low = rest & -rest
-        cells.append(low.bit_length() - 1)
+        cells.append((low.bit_length() - 1) >> 3)
         rest ^= low
     edges = [divmod(c, l) for c in cells]
-    in_x = [x_only >> c & 1 == 1 for c in cells]
+    in_x = [x_key[c] == 1 for c in cells]
     codes = [(2 * u, 2 * v + 1) for u, v in edges]
     bits = [1 << (2 * c + (not x)) for c, x in zip(cells, in_x)]
     return edges, cells, in_x, codes, bits, sum(bits)
 
 
-def _decompositions(x_cells: int, y_cells: int, l: int, memo: dict):
+def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
     """The decomposition kernel: every pairing's cycles, in integers.
 
-    X and Y are given as ``_cells`` bitmasks of realizations with l
-    V-vertices and equal margins.  Returns the number of pairings of X xor Y
-    and an iterator over one cycle list per pairing, in ``all_pairings``
-    order; each list equals ``decompose(X, Y, s).cycles`` for the matching
-    pairing s, but no ``Pairing`` is built.
+    X and Y are given by their keys, realizations with l V-vertices and
+    equal margins.  Returns the number of pairings of X xor Y and an
+    iterator over one cycle list per pairing, in ``all_pairings`` order;
+    each list equals ``decompose(X, Y, s).cycles`` for the matching pairing
+    s, but no ``Pairing`` is built.
 
     Pairings run as an odometer over the per-vertex permutations of Y-edge
     ids; each fills a U-side and a V-side partner array, rewriting only the
     vertices whose permutation changed, and ``_trace`` decomposes it with
     the caller's ``memo``, which the caller owns and scopes.
     """
-    numbering = _number(x_cells, y_cells, l)
+    numbering = _number(x_key, y_key, l)
     edges, _, in_x = numbering[:3]
     # per vertex (side 0 for U, 1 for V): its X-edge ids and Y-edge ids
     incid = {}

@@ -413,26 +413,16 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                             max_switch_distance=max_sd if certify else None)
 
 
-def naive_segment(space, i, cycle):
-    """State ids after each swap that flips ``cycle`` from state i, the
-    graph way: ``canonical._solve_cycle`` solves the cycle on the full
-    realization with a fresh bridge memo, ``ryser.replay`` applies its swaps
-    one ``apply_swap`` at a time, and each realization is mapped to its id
-    and checked to follow a move-graph edge."""
+def naive_segment(G, cycle):
+    """The keys after each swap that flips ``cycle`` in G, the graph way:
+    ``canonical._solve_cycle`` solves the cycle on the full realization
+    with a fresh bridge memo, and ``ryser.replay`` applies its swaps one
+    checked ``apply_swap`` at a time."""
     from degswap.canonical import _solve_cycle
-    from degswap.errors import SpecViolation
     from degswap.ryser import replay
 
-    G = space.states[i]
     target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
-    seg = []
-    for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:]:
-        j = space.index.get(g.key())
-        if j is None or j not in space.neighbours[i]:
-            raise SpecViolation("a canonical path step is not a move-graph edge")
-        seg.append(j)
-        i = j
-    return tuple(seg)
+    return tuple(g.key() for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:])
 
 
 def count_ryser(mp):

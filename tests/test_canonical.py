@@ -583,14 +583,12 @@ class TestCanonicalPath:
     @pytest.mark.parametrize("a, b, n_pairs", [((2, 2, 2), (2, 2, 2), None),
                                                ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
-        # both routes through the key walk, path_distribution on keys and
-        # congestion's id walk (mixing._segment under _path_counts), give the
-        # distribution of the paths built cycle by cycle on the full graphs
-        # by path_along_cycle, one per pairing: every ordered pair of the
-        # 6-state space and seeded pairs of the 48-state space
-        import functools
-
-        from degswap import mixing
+        # path_distribution, with memos fresh for each pair, and congestion's
+        # route, _path_counts with its segment, pattern and bridge memos
+        # shared across the pairs and each key path mapped to state ids,
+        # give the distribution of the paths built cycle by cycle on the
+        # full graphs by path_along_cycle, one per pairing: every ordered
+        # pair of the 6-state space and seeded pairs of the 48-state space
         from degswap.canonical import _path_counts
 
         space = enumerate_states(BipartiteDegreeSequence(a, b))
@@ -598,8 +596,7 @@ class TestCanonicalPath:
         if n_pairs is not None:
             rng = np.random.default_rng(18)
             pairs = [pairs[i] for i in rng.choice(len(pairs), n_pairs, replace=False)]
-        flip = functools.partial(mixing._segment, space, {}, {})
-        segments = {}
+        memos = ({}, {}, {})
         for xi, yi in pairs:
             X, Y = space.states[xi], space.states[yi]
             counts = {}
@@ -609,10 +606,12 @@ class TestCanonicalPath:
             total = sum(counts.values())
             reference = {gamma: Fraction(c, total) for gamma, c in counts.items()}
             assert path_distribution(X, Y) == reference, (xi, yi)
-            total, counts = _path_counts(xi, yi, pairings._cells(X), pairings._cells(Y),
-                                         X.l, {}, segments, flip, 5000)
-            assert {tuple(space.states[i].key() for i in ids): Fraction(c, total)
-                    for ids, c in counts.items()} == reference, (xi, yi)
+            total, counts = _path_counts(X.l, X.key(), Y.key(), {}, memos, 5000)
+            by_ids = {tuple(space.index[key] for key in path): Fraction(c, total)
+                      for path, c in counts.items()}
+            assert {tuple(space.states[i].key() for i in ids): f
+                    for ids, f in by_ids.items()} == reference, (xi, yi)
+        assert all(memos)
 
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
@@ -629,25 +628,31 @@ class TestCanonicalPath:
         with pytest.raises(PreconditionViolation):
             path_distribution(X, Y)
 
-    def test_walk_caches_segments_and_checks_landing(self):
-        # the one walker, on state ids: one flip per (state, cycle), and a
-        # path that misses its end is refused
-        from degswap.canonical import _walk
+    def test_walk_caches_segments_and_checks_landing(self, monkeypatch):
+        # the one walker: one _key_segment per (key, cycle), with the
+        # caller's pattern and bridge memos, and a path that misses its end
+        # is refused
+        from degswap import canonical
 
         a, b = (AlternatingCycle((e,), frozenset(), frozenset()) for e in ((0, 0), (1, 1)))
+        segments, patterns, bridges = {}, {}, {}
+        memos = (segments, patterns, bridges)
         calls = []
 
-        def flip(state, cycle):
-            calls.append((state, cycle.edge_seq))
-            return (state + 1, state + 2)
+        def segment(pattern_memo, bridge_memo, l, key, cycle):
+            assert (pattern_memo is patterns, bridge_memo is bridges, l) == (True, True, 3)
+            calls.append((key, cycle.edge_seq))
+            return (bytes([key[0] + 1]), bytes([key[0] + 2]))
 
-        segments = {}
-        assert _walk(0, 4, [a, b], segments, flip) == [0, 1, 2, 3, 4]
-        assert _walk(0, 4, [a, b], segments, flip) == [0, 1, 2, 3, 4]
-        assert _walk(0, 4, [b, b], segments, flip) == [0, 1, 2, 3, 4]
-        assert calls == [(0, ((0, 0),)), (2, ((1, 1),)), (0, ((1, 1),))]
+        monkeypatch.setattr(canonical, "_key_segment", segment)
+        path = [bytes([i]) for i in range(5)]
+        assert canonical._walk(3, path[0], path[4], [a, b], memos) == path
+        assert canonical._walk(3, path[0], path[4], [a, b], memos) == path
+        assert canonical._walk(3, path[0], path[4], [b, b], memos) == path
+        assert calls == [(path[0], ((0, 0),)), (path[2], ((1, 1),)), (path[0], ((1, 1),))]
+        assert len(segments) == 3
         with pytest.raises(SpecViolation):
-            _walk(0, 3, [a, b], segments, flip)
+            canonical._walk(3, path[0], path[3], [a, b], memos)
 
     def test_key_segment_checks_each_swap(self):
         # a memoized swap whose cells do not hold the one-factor it removes

@@ -71,6 +71,49 @@ def test_canonical_path_certify(tmp_path, capsys):
     assert out.count("2 2") >= 1
 
 
+def test_canonical_path_pairing_index_bounds(tmp_path, capsys, monkeypatch):
+    # an index outside [0, count) is refused before any pairing is
+    # enumerated: these 16 x 16 4-regular circulants share no edge, so they
+    # have 24**32 pairings and a walk over them would never return
+    from degswap import cli
+
+    def circulant(offsets):
+        return "16 16\n" + "".join("".join("1" if (v - u) % 16 in offsets else "0"
+                                            for v in range(16)) + "\n" for u in range(16))
+
+    x, y = circulant(range(4)), circulant(range(4, 8))
+    advanced = []
+
+    def recording(*args):
+        advanced.append(args)
+        yield from ()
+
+    monkeypatch.setattr(cli, "all_pairings", recording)
+    for index in (-1, 24 ** 32):
+        argv = ["canonical-path", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y),
+                "--pairing-index", str(index)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error[DegSwapError]: pairing index {index} "
+                                           f"out of range\n")
+    assert advanced == []
+
+
+def test_canonical_path_last_pairing_index(tmp_path, capsys):
+    # the last index in range selects the last pairing of all_pairings
+    from degswap import BipartiteGraph
+    from degswap.canonical import canonical_path
+    from degswap.pairings import all_pairings
+
+    x, y = "4 4\n0011\n1010\n1100\n1100\n", "4 4\n1100\n1100\n1010\n0011\n"
+    X, Y = BipartiteGraph.from_text(x), BipartiteGraph.from_text(y)
+    pairings = list(all_pairings(X, Y))
+    argv = ["canonical-path", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y),
+            "--pairing-index", str(len(pairings) - 1)]
+    assert main(argv) == 0
+    expected = "\n".join(g.to_text() for g in canonical_path(X, Y, pairings[-1]))
+    assert capsys.readouterr().out == expected
+
+
 # Digests (sha256, first 16 hex digits) of `canonical-path X Y --certify`
 # stdout, recorded while the command still computed its certificates itself
 # instead of taking them from `canonical_path(certify=True)`.
@@ -234,6 +277,10 @@ def test_sample_golden_output(tmp_path, capsys, name, stats):
     (["--steps", "-1"], 1, "", "error[ValueError]: steps must be non-negative\n"),
     (["--steps", "-1", "--stats"], 1, "", "error[ValueError]: steps must be non-negative\n"),
     ([], 1, "", "error[NotGraphical]: degree sums differ: sum(a)=4 vs sum(b)=2\n"),
+    # a negative count is reported as a negative step count is, and first
+    (["--count", "-2", "--steps", "-5"], 1, "", "error[ValueError]: count must be non-negative\n"),
+    (["--count", "-1"], 1, "", "error[ValueError]: count must be non-negative\n"),
+    (["--count", "-1", "--stats"], 1, "", "error[ValueError]: count must be non-negative\n"),
 ])
 def test_sample_exit_behaviour(tmp_path, capsys, extra, code, out, err):
     assert main(["sample", "--ds", write(tmp_path, "d.txt", DS_BAD)] + extra) == code

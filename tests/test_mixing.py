@@ -760,12 +760,26 @@ class TestCongestion:
         # the right cells but misses the state it claims to reach
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         X, Y = space.states[0], space.states[space.neighbours[0][0]]
-        (cyc,) = next(pairings._decompositions(pairings._cells(X), pairings._cells(Y),
-                                                3, {})[1])
-        assert mixing._segment(space, {}, {}, 0, cyc) == (space.neighbours[0][0],)
+        (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 3, {})[1])
+        assert canonical._key_segment({}, {}, 3, X.key(), cyc) == (Y.key(),)
         wrong = AlternatingCycle(cyc.edge_seq, cyc.y_edges, cyc.x_edges)
         with pytest.raises(SpecViolation):
-            mixing._segment(space, {}, {}, 0, wrong)
+            canonical._key_segment({}, {}, 3, X.key(), wrong)
+
+    def test_path_key_off_the_space_rejected(self, monkeypatch):
+        # a key path through a key that is no state of the space is refused
+        # where congestion maps it to state ids, as a step along a non-edge
+        # is (test_path_step_off_the_move_graph_rejected)
+        space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
+        real = mixing._path_counts
+
+        def detour(l, start, end, circuits, memos, max_pairings):
+            total, _ = real(l, start, end, circuits, memos, max_pairings)
+            return total, {(start, bytes(9), end): total}
+
+        monkeypatch.setattr(mixing, "_path_counts", detour)
+        with pytest.raises(SpecViolation):
+            congestion(space)
 
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])
@@ -790,11 +804,12 @@ class TestSegmentMemo:
     @pytest.fixture(scope="class")
     def runs(self):
         """Per space: the space, the ``_solve_cycle`` calls of one certified
-        congestion, every segment it computed as (state id, cycle, ids), and
-        its certificate work: the ``tobytes`` of each hat matrix passed to
-        ``switch_distance``, and the states each ordered pair's paths visit."""
+        congestion, every segment it computed as (start key, cycle, keys),
+        and its certificate work: the ``tobytes`` of each hat matrix passed
+        to ``switch_distance``, and the keys each ordered pair's paths
+        visit."""
         out = {}
-        real_solve, real_segment = canonical._solve_cycle, mixing._segment
+        real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
         real_walk, real_distance = canonical._walk, mixing.switch_distance
         for name, (a, b) in self.SPACES.items():
             calls, segments, certified, visited = [0], [], [], {}
@@ -803,15 +818,15 @@ class TestSegmentMemo:
                 calls[0] += 1
                 return real_solve(*args)
 
-            def recording(space, patterns, bridges, i, cycle):
-                seg = real_segment(space, patterns, bridges, i, cycle)
-                segments.append((i, cycle, seg))
+            def recording(patterns, bridges, l, key, cycle):
+                seg = real_segment(patterns, bridges, l, key, cycle)
+                segments.append((key, cycle, seg))
                 return seg
 
-            def walking(xi, yi, *args):
-                ids = real_walk(xi, yi, *args)
-                visited.setdefault((xi, yi), set()).update(ids)
-                return ids
+            def walking(l, start, end, *args):
+                keys = real_walk(l, start, end, *args)
+                visited.setdefault((start, end), set()).update(keys)
+                return keys
 
             def certifying(hat, **kwargs):
                 certified.append(hat.tobytes())
@@ -820,7 +835,7 @@ class TestSegmentMemo:
             space = enumerate_states(bds(a, b))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(canonical, "_solve_cycle", counting)
-                mp.setattr(mixing, "_segment", recording)
+                mp.setattr(canonical, "_key_segment", recording)
                 mp.setattr(canonical, "_walk", walking)
                 mp.setattr(mixing, "switch_distance", certifying)
                 congestion(space, certify=True)
@@ -836,17 +851,17 @@ class TestSegmentMemo:
     @pytest.mark.parametrize("name", list(SPACES))
     def test_segments_match_graph_walk(self, runs, name):
         space, _, segs, _ = runs[name]
-        for i, cycle, seg in segs:
-            assert seg == naive_segment(space, i, cycle), (i, cycle.edge_seq)
+        for key, cycle, seg in segs:
+            assert seg == naive_segment(space.states[space.index[key]], cycle), cycle.edge_seq
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_one_certificate_per_hat_matrix(self, runs, name):
         # the three-bitmask key splits the visited (X, Y, Z) exactly as the
         # hat matrix's bytes do: one switch_distance per distinct matrix
         space, _, _, (certified, visited) = runs[name]
-        hats = {canonical.hat_matrix(space.states[xi], space.states[yi],
-                                     space.states[z]).cells.tobytes()
-                for (xi, yi), zs in visited.items() for z in zs}
+        graph = {g.key(): g for g in space.states}
+        hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).cells.tobytes()
+                for (x, y), zs in visited.items() for z in zs}
         assert len(certified) == len(set(certified)) == len(hats)
         assert set(certified) == hats
 

@@ -9,7 +9,7 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairin
 from degswap.core import allowed_swaps, apply_swap, is_graphical
 from degswap.errors import DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch
 from degswap.mixing import enumerate_states
-from degswap.pairings import _cells, _decompositions
+from degswap.pairings import _decompositions
 
 from oracles import all_degree_pairs, naive_decompose
 
@@ -154,9 +154,9 @@ def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> i
     ``all_pairings`` and ``naive_decompose`` read only X xor Y, so the
     dict ``oracle`` keeps their results by the shape and the cells of
     X - Y and Y - X, and pairs with the same difference share them."""
-    x, y = _cells(X), _cells(Y)
-    total, lists = _decompositions(x, y, X.l, memo)
+    total, lists = _decompositions(X.key(), Y.key(), X.l, memo)
     oracle = {} if oracle is None else oracle
+    x, y = int.from_bytes(X.key(), "little"), int.from_bytes(Y.key(), "little")
     key = (X.k, X.l, x & ~y, y & ~x)
     if key not in oracle:
         pairings = list(all_pairings(X, Y))
@@ -225,4 +225,4 @@ def test_kernel_matches_decompose_on_higher_degree_differences():
 
 def test_kernel_rejects_unequal_margins():
     with pytest.raises(DegreeMismatch):
-        _decompositions(_cells(M1), _cells(BipartiteGraph([[1, 1], [0, 1]])), 2, {})
+        _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {})
