@@ -1107,25 +1107,30 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     return path
 
 
-def _path_counts(l: int, start: bytes, end: bytes, circuits: dict, memos: tuple,
-                 max_pairings: int) -> tuple:
-    """``(total, counts)``: the number of pairings of the pair with keys
-    ``start`` and ``end`` (l columns), and for each distinct canonical path
-    between them, a tuple of keys, the number of pairings that select it.
-
-    Every pairing comes from ``pairings._decompositions`` with the circuit
-    memo ``circuits``, after the guard: more than ``max_pairings`` pairings
-    raise ``TooManyPairings``.  Each pairing's cycles are walked by
-    ``_walk`` with the caller's ``memos``.
+def _guarded_decompositions(l: int, start: bytes, end: bytes, circuits: dict,
+                            max_pairings: int) -> tuple:
+    """``(total, cycle_lists)``: the number of pairings of the pair with
+    keys ``start`` and ``end`` (l columns), and an iterator over one cycle
+    list per pairing, from ``pairings._decompositions`` with the circuit
+    memo ``circuits``.  Guarded: more than ``max_pairings`` pairings raise
+    ``TooManyPairings`` before any pairing is decomposed.
     """
-    total, decompositions = _decompositions(start, end, l, circuits)
+    total, cycle_lists = _decompositions(start, end, l, circuits)
     if total > max_pairings:
         raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
+    return total, cycle_lists
+
+
+def _path_counts(l: int, start: bytes, end: bytes, cycle_lists, memos: tuple) -> dict:
+    """For each distinct canonical path from ``start`` to ``end`` (l
+    columns), a tuple of keys, the number of the given cycle lists that
+    select it.  Each list is walked by ``_walk`` with the caller's
+    ``memos``."""
     counts = {}
-    for cycles in decompositions:
+    for cycles in cycle_lists:
         path = tuple(_walk(l, start, end, cycles, memos))
         counts[path] = counts.get(path, 0) + 1
-    return total, counts
+    return counts
 
 
 def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool = False):
@@ -1154,12 +1159,14 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     """Exact distribution over canonical paths, each path a tuple of the
     visited realizations' keys: its weight is the number of pairings
     selecting it over the total number of pairings.  The paths are counted
-    by ``_path_counts`` on the key walk of ``canonical_path``, so more than
+    by ``_path_counts`` on the key walk of ``canonical_path``, over the
+    cycle lists of ``_guarded_decompositions``, so more than
     ``max_pairings`` pairings raise ``TooManyPairings`` as in
-    ``congestion``.  Segments, patterns and bridges are memoized for the
-    call."""
+    ``congestion``.  Segments,
+    patterns and bridges are memoized for the call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    total, counts = _path_counts(X.l, X.key(), Y.key(), {}, ({}, {}, {}), max_pairings)
+    total, cycle_lists = _guarded_decompositions(X.l, X.key(), Y.key(), {}, max_pairings)
+    counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, ({}, {}, {}))
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
     return dist

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 import numpy as np
@@ -25,7 +24,7 @@ from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import all_pairings, decompose, enumerate_pairings_count, random_pairing
+from .pairings import all_pairings, decompose, nth_pairing, random_pairing
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
@@ -125,10 +124,8 @@ def _circuit_vertices(circ):
 def cmd_canonical_path(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
     if args.pairing_index is not None:
-        # checked against the exact count: a pair can have too many pairings to walk
-        if not 0 <= args.pairing_index < enumerate_pairings_count(x, y):
-            raise DegSwapError(f"pairing index {args.pairing_index} out of range")
-        pairing = next(itertools.islice(all_pairings(x, y), args.pairing_index, None))
+        # unranked: a pair can have too many pairings to walk
+        pairing = nth_pairing(x, y, args.pairing_index)
     else:
         pairing = random_pairing(x, y, args.seed)
     if args.certify:

@@ -52,10 +52,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _path_counts, hat_matrix, switch_distance
+from .canonical import _guarded_decompositions, _path_counts, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
+from .pairings import _exchanged
 
 
 @dataclass(frozen=True)
@@ -766,24 +767,34 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     the swap chain has T = 1/(C(k,2)*C(l,2)), the kernel of ``build_kernel``,
     so the space alone fixes the constant.
 
-    Each ordered pair's paths are counted by ``canonical._path_counts``,
-    the routine ``path_distribution`` runs: every pairing of the integer
-    decomposition kernel (``pairings._decompositions``), whose circuit memo
-    lives for one source state X, walked on the state keys by
-    ``canonical._walk``, the walk of ``canonical_path``; more than 5000
-    pairings raise ``TooManyPairings``.  Segments are cached per call by
-    start key and cycle, and the pattern and bridge memos solve each local
-    pattern (the cycle's submatrix and its cells) and each local bridge
-    problem once per call.  Each distinct key path is mapped to state ids
-    once, where its loads are added, and a step that is not a move-graph
-    edge raises ``SpecViolation`` there.  With ``certify`` the switch
-    distances, capped at 6 switches, are cached per distinct three-term
-    matrix ``X + Y - Z``, keyed by three cell bitmasks of the keys read as
-    little-endian integers: its cells at 2 (``X & Y & ~Z``), at -1
-    (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
+    Each unordered pair is decomposed once, and its paths are counted in
+    both directions from that one decomposition.
+    ``canonical._guarded_decompositions`` runs the integer decomposition
+    kernel (``pairings._decompositions``) from X to Y, after its guard: more
+    than 5000 pairings raise ``TooManyPairings``.  Its circuit memo lives
+    for one source state X.
+    ``canonical._path_counts``, the routine ``path_distribution`` runs,
+    counts the X -> Y paths on those cycle lists and the Y -> X paths on
+    the same lists with each cycle's classes exchanged
+    (``pairings._exchanged``, exact, memoized by edge sequence for one
+    source state).  Each list is walked on the state keys by
+    ``canonical._walk``, the walk of ``canonical_path``.  Segments are
+    cached per call by start key and cycle, and the pattern and bridge
+    memos solve each local pattern (the cycle's submatrix and its cells)
+    and each local bridge problem once per call.  Each distinct key path is
+    mapped to state ids once, where its loads are added, and a step that is
+    not a move-graph edge raises ``SpecViolation`` there.  With ``certify``
+    the switch distances, capped at 6 switches, are cached per distinct
+    three-term matrix ``X + Y - Z``, keyed by three cell bitmasks of the
+    keys read as little-endian integers: its cells at 2 (``X & Y & ~Z``),
+    at -1 (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
     determine the matrix one-to-one, so ``hat_matrix`` is built only on a
-    miss.  All four caches live for one call.  Loads are integer numerators
-    over one common multiple of the pairing counts.
+    miss.  The key is symmetric in X and Y, so one pass over the states
+    both directions visit certifies the pair.  All four caches live for one
+    call.  Loads are integer numerators over one common multiple of the
+    pairing counts, which both directions share; sums of integers and the
+    least common multiple do not depend on the order of the pairs, so the
+    report is that of a loop over ordered pairs.
     """
     n = space.n
     if n > max_states:
@@ -804,29 +815,41 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     cells = [int.from_bytes(key, "little") for key in keys]
     for xi, X in enumerate(space.states):
         circuits = {}    # the decomposition kernel's memo, for this source state
-        for yi, Y in enumerate(space.states):
-            if xi == yi:
-                continue
-            t_total, counts = _path_counts(l, keys[xi], keys[yi], circuits, memos, 5000)
+        exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
+        for yi in range(xi + 1, n):
+            t_total, cycle_lists = _guarded_decompositions(l, keys[xi], keys[yi],
+                                                           circuits, 5000)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
                 scale *= grow
                 load = {e: v * grow for e, v in load.items()}
                 weight = {e: v * grow for e, v in weight.items()}
             per_pairing = scale // t_total
+            forward = list(cycle_lists)
+            backward = []
+            for cycles in forward:
+                back = []
+                for cyc in cycles:
+                    other = exchanged.get(cyc.edge_seq)
+                    if other is None:
+                        other = exchanged[cyc.edge_seq] = _exchanged(cyc)
+                    back.append(other)
+                backward.append(back)
             visited = set()
-            for path, c in counts.items():
-                n_paths += 1
-                ids = [index.get(key, -1) for key in path]    # -1: a key off the space
-                edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
-                if not edges <= moves:
-                    raise SpecViolation("a canonical path step is not a move-graph edge")
-                visited.update(ids)
-                w = c * per_pairing
-                lw = w * len(edges)
-                for e in edges:
-                    load[e] = load.get(e, 0) + lw
-                    weight[e] = weight.get(e, 0) + w
+            for start, end, lists in ((keys[xi], keys[yi], forward),
+                                      (keys[yi], keys[xi], backward)):
+                for path, c in _path_counts(l, start, end, lists, memos).items():
+                    n_paths += 1
+                    ids = [index.get(key, -1) for key in path]    # -1: a key off the space
+                    edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+                    if not edges <= moves:
+                        raise SpecViolation("a canonical path step is not a move-graph edge")
+                    visited.update(ids)
+                    w = c * per_pairing
+                    lw = w * len(edges)
+                    for e in edges:
+                        load[e] = load.get(e, 0) + lw
+                        weight[e] = weight.get(e, 0) + w
             if certify:
                 x, y = cells[xi], cells[yi]
                 both, either, odd = x & y, x | y, x ^ y
@@ -835,7 +858,7 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                     key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(X, Y, space.states[z]).cells
+                        hat = hat_matrix(X, space.states[yi], space.states[z]).cells
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     # the load of edge e is load[e] / (n * scale * jump): one positive factor

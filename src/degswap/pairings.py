@@ -12,18 +12,22 @@ The number of pairings is the product of d! over all vertices, where 2d is
 the vertex's degree in the symmetric difference.
 
 ``Pairing``, ``all_pairings`` and ``random_pairing`` build pairings as
-objects.  There is one decomposition implementation, the integer kernel: it
-reads the realizations' keys (``BipartiteGraph.key``, one byte per cell) as
-little-endian integers, numbers the difference edges in edge order, traces
-each pairing's circuits on partner arrays of edge ids (``_trace``), and
-takes each circuit's cycles from a memo the caller scopes, cutting them
-(``_split``) on a miss.  ``decompose`` is its single-pairing entry point: it
-fills the partner arrays from a ``Pairing`` after checking the pairing's
-maps.  ``_decompositions``, which ``canonical._path_counts`` runs for
-``congestion`` and ``path_distribution``, enumerates every pairing of a
-pair as an odometer over per-vertex permutations of edge ids, without
-building a ``Pairing``, and yields the same cycles as ``decompose``, pairing
-by pairing, in ``all_pairings`` order.
+objects, and ``nth_pairing`` builds the one ``all_pairings`` yields at an
+index by unranking it.  There is one decomposition implementation, the
+integer kernel: it reads the realizations' keys (``BipartiteGraph.key``, one
+byte per cell) as little-endian integers, numbers the difference edges in
+edge order, traces each pairing's circuits on partner arrays of edge ids
+(``_trace``), and takes each circuit's cycles from a memo the caller scopes,
+cutting them (``_split``) on a miss.  ``decompose`` is its single-pairing
+entry point: it fills the partner arrays from a ``Pairing`` after checking
+the pairing's maps.  ``_decompositions``, which
+``canonical._guarded_decompositions`` runs for ``congestion`` and
+``path_distribution``, enumerates every pairing of a pair as an odometer
+over per-vertex permutations of edge ids, without building a ``Pairing``,
+and yields the same cycles as ``decompose``, pairing by pairing, in
+``all_pairings`` order.  ``_exchanged`` turns a cycle of (X, Y) into the
+cycle the kernel cuts for (Y, X) at the same place, so ``congestion``
+decomposes each unordered pair once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .core import BipartiteGraph, symmetric_difference
-from .errors import (DegreeMismatch, NonAlternating, PairingMismatch,
+from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                      PreconditionViolation)
 
 
@@ -117,6 +121,33 @@ def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     for images in product(*(permutations(incid[w][1]) for w in keys)):
         assignment = dict(zip(keys, images))
         yield _build(part, incid, lambda w, xs, ys: assignment[w])
+
+
+def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
+    """The pairing ``all_pairings(X, Y)`` yields at ``index``, built without
+    walking the ones before it.
+
+    ``all_pairings`` runs a product over the sorted vertices, the last one
+    fastest, of the permutations of each vertex's Y-edges.  So ``index`` is
+    read as mixed-radix digits, radix d! at a vertex with d Y-edges, and
+    each digit is decoded as a Lehmer code into the permutation at that
+    rank.  An index outside [0, count) raises ``DegSwapError``.
+    """
+    part = symmetric_difference(X, Y)
+    incid = _incidences(part)
+    assignment = {}
+    rest = index
+    for w in sorted(incid, reverse=True):
+        ys = list(incid[w][1])
+        rest, digit = divmod(rest, math.factorial(len(ys)))
+        image = []
+        while ys:
+            q, digit = divmod(digit, math.factorial(len(ys) - 1))
+            image.append(ys.pop(q))
+        assignment[w] = image
+    if index < 0 or rest:
+        raise DegSwapError(f"pairing index {index} out of range")
+    return _build(part, incid, lambda w, xs, ys: assignment[w])
 
 
 @dataclass(frozen=True)
@@ -359,6 +390,24 @@ def _split(circuit, edges, codes, bits, in_x) -> tuple:
                                      frozenset(map(edges.__getitem__, ye))),
                     sum(map(bits.__getitem__, piece))))
     return tuple(out)
+
+
+def _exchanged(cycle: AlternatingCycle) -> AlternatingCycle:
+    """The cycle ``_split`` cuts for the pair (Y, X) where it cuts ``cycle``
+    for (X, Y): its classes exchanged, rotated to its smallest new X-edge.
+
+    This is exact.  A pairing of (X, Y) and a pairing of (Y, X) are the same
+    per-vertex bijections, and both number X xor Y in cell order, so
+    ``_trace`` gets the same partner arrays, traces the same circuits from
+    the same edges, and ``_split`` makes the same cuts in the same order.
+    Only the rotation differs: each piece starts at its smallest X-edge,
+    and the X-edges of (Y, X) are the Y-edges of (X, Y).  So the cycle list
+    of (Y, X) for a pairing is that of (X, Y) with each cycle exchanged, and
+    the two pairs have equal pairing counts and equal multisets of lists.
+    """
+    seq = cycle.edge_seq
+    start = seq.index(min(cycle.y_edges))
+    return AlternatingCycle(seq[start:] + seq[:start], cycle.y_edges, cycle.x_edges)
 
 
 def _cuts(reached) -> list:

@@ -413,6 +413,76 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                             max_switch_distance=max_sd if certify else None)
 
 
+def ordered_congestion(space, certify: bool = False):
+    """The congestion report of a loop over ordered pairs: every (X, Y)
+    decomposed on its own by ``canonical._guarded_decompositions`` and its
+    paths counted by ``canonical._path_counts``, with the memos and integer
+    loads of ``congestion``.  The oracle of its one decomposition per
+    unordered pair."""
+    import math
+    from fractions import Fraction
+
+    from degswap.canonical import (_guarded_decompositions, _path_counts, hat_matrix,
+                                   switch_distance)
+    from degswap.chain import pair_count
+    from degswap.errors import SpecViolation
+    from degswap.mixing import CongestionReport
+
+    n = space.n
+    memos = ({}, {}, {})
+    certs = {}
+    scale = 1
+    load, weight = {}, {}
+    n_paths = max_sd = 0
+    k, l = space.ds.k, space.ds.l
+    moves = {(i, j) for i, nbrs in enumerate(space.neighbours) for j in nbrs if i < j}
+    keys = [g.key() for g in space.states]
+    cells = [int.from_bytes(key, "little") for key in keys]
+    for xi, X in enumerate(space.states):
+        circuits = {}
+        for yi, Y in enumerate(space.states):
+            if xi == yi:
+                continue
+            t_total, cycle_lists = _guarded_decompositions(l, keys[xi], keys[yi], circuits, 5000)
+            counts = _path_counts(l, keys[xi], keys[yi], cycle_lists, memos)
+            if scale % t_total:
+                grow = t_total // math.gcd(scale, t_total)
+                scale *= grow
+                load = {e: v * grow for e, v in load.items()}
+                weight = {e: v * grow for e, v in weight.items()}
+            per_pairing = scale // t_total
+            visited = set()
+            for path, c in counts.items():
+                n_paths += 1
+                ids = [space.index.get(key, -1) for key in path]
+                edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+                if not edges <= moves:
+                    raise SpecViolation("a canonical path step is not a move-graph edge")
+                visited.update(ids)
+                w = c * per_pairing
+                for e in edges:
+                    load[e] = load.get(e, 0) + w * len(edges)
+                    weight[e] = weight.get(e, 0) + w
+            if certify:
+                x, y = cells[xi], cells[yi]
+                both, either, odd = x & y, x | y, x ^ y
+                for z in visited:
+                    c = cells[z]
+                    key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
+                    sd = certs.get(key)
+                    if sd is None:
+                        hat = hat_matrix(X, Y, space.states[z]).cells
+                        sd = certs[key] = switch_distance(hat)
+                    max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+    max_edge = max(load, key=lambda e: (load[e], e))
+    return CongestionReport(
+        kappa=Fraction(load[max_edge] * pair_count(k) * pair_count(l), n * scale),
+        max_edge=max_edge,
+        edge_loading_max=Fraction(max(weight.values()), scale),
+        n_paths=n_paths,
+        max_switch_distance=max_sd if certify else None)
+
+
 def naive_segment(G, cycle):
     """The keys after each swap that flips ``cycle`` in G, the graph way:
     ``canonical._solve_cycle`` solves the cycle on the full realization

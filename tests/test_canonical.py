@@ -584,12 +584,13 @@ class TestCanonicalPath:
                                                ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
         # path_distribution, with memos fresh for each pair, and congestion's
-        # route, _path_counts with its segment, pattern and bridge memos
-        # shared across the pairs and each key path mapped to state ids,
+        # route, _path_counts over the cycle lists of _guarded_decompositions
+        # with its segment, pattern and bridge memos shared across the pairs
+        # and each key path mapped to state ids,
         # give the distribution of the paths built cycle by cycle on the
         # full graphs by path_along_cycle, one per pairing: every ordered
         # pair of the 6-state space and seeded pairs of the 48-state space
-        from degswap.canonical import _path_counts
+        from degswap.canonical import _guarded_decompositions, _path_counts
 
         space = enumerate_states(BipartiteDegreeSequence(a, b))
         pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
@@ -606,7 +607,8 @@ class TestCanonicalPath:
             total = sum(counts.values())
             reference = {gamma: Fraction(c, total) for gamma, c in counts.items()}
             assert path_distribution(X, Y) == reference, (xi, yi)
-            total, counts = _path_counts(X.l, X.key(), Y.key(), {}, memos, 5000)
+            total, cycle_lists = _guarded_decompositions(X.l, X.key(), Y.key(), {}, 5000)
+            counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, memos)
             by_ids = {tuple(space.index[key] for key in path): Fraction(c, total)
                       for path, c in counts.items()}
             assert {tuple(space.states[i].key() for i in ids): f

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -14,6 +15,12 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def circulant(offsets):
+    """The 16 x 16 circulant with a 1 where (v - u) mod 16 is in ``offsets``."""
+    return "16 16\n" + "".join("".join("1" if (v - u) % 16 in offsets else "0"
+                                        for v in range(16)) + "\n" for u in range(16))
 
 
 def test_check_graphical(tmp_path, capsys):
@@ -77,10 +84,6 @@ def test_canonical_path_pairing_index_bounds(tmp_path, capsys, monkeypatch):
     # have 24**32 pairings and a walk over them would never return
     from degswap import cli
 
-    def circulant(offsets):
-        return "16 16\n" + "".join("".join("1" if (v - u) % 16 in offsets else "0"
-                                            for v in range(16)) + "\n" for u in range(16))
-
     x, y = circulant(range(4)), circulant(range(4, 8))
     advanced = []
 
@@ -112,6 +115,20 @@ def test_canonical_path_last_pairing_index(tmp_path, capsys):
     assert main(argv) == 0
     expected = "\n".join(g.to_text() for g in canonical_path(X, Y, pairings[-1]))
     assert capsys.readouterr().out == expected
+
+
+def test_canonical_path_far_pairing_index(tmp_path, capsys):
+    # an index is unranked, not walked to: 2**63, past what islice takes,
+    # and the last of the circulants' 24**32 pairings run at once
+    x, y = circulant(range(4)), circulant(range(4, 8))
+    for index in (2 ** 63, 24 ** 32 - 1):
+        argv = ["canonical-path", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y),
+                "--pairing-index", str(index)]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert out.startswith(x) and out.endswith(y)
 
 
 # Digests (sha256, first 16 hex digits) of `canonical-path X Y --certify`

@@ -19,7 +19,7 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
 from oracles import (all_degree_pairs, brute_margin_count, count_ryser,
                      dense_distance_profile, dense_kernel_rows, dense_total_variation,
                      full_deviations, kernel_rows, naive_congestion, naive_enumerate,
-                     naive_segment, never_memoize_bridges)
+                     naive_segment, never_memoize_bridges, ordered_congestion)
 
 
 def bds(a, b):
@@ -732,6 +732,15 @@ class TestCongestion:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("a, b", [((2, 2, 2), (2, 2, 2)), ((3, 3, 2, 1), (3, 2, 2, 2)),
+                                      ((2, 2, 2, 2), (3, 2, 2, 1)),
+                                      ((3, 2, 2, 1), (2, 2, 2, 2))])
+    def test_matches_ordered_pair_oracle(self, a, b):
+        # one decomposition per unordered pair, counted in both directions,
+        # reports what a loop over ordered pairs reports
+        space = enumerate_states(bds(a, b))
+        assert congestion(space, certify=True) == ordered_congestion(space, certify=True)
+
     def test_repeated_calls_agree(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         first = congestion(space, certify=True)
@@ -773,9 +782,9 @@ class TestCongestion:
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         real = mixing._path_counts
 
-        def detour(l, start, end, circuits, memos, max_pairings):
-            total, _ = real(l, start, end, circuits, memos, max_pairings)
-            return total, {(start, bytes(9), end): total}
+        def detour(l, start, end, cycle_lists, memos):
+            counts = real(l, start, end, cycle_lists, memos)
+            return {(start, bytes(9), end): sum(counts.values())}
 
         monkeypatch.setattr(mixing, "_path_counts", detour)
         with pytest.raises(SpecViolation):

@@ -9,7 +9,7 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairin
 from degswap.core import allowed_swaps, apply_swap, is_graphical
 from degswap.errors import DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch
 from degswap.mixing import enumerate_states
-from degswap.pairings import _decompositions
+from degswap.pairings import _decompositions, _exchanged, nth_pairing
 
 from oracles import all_degree_pairs, naive_decompose
 
@@ -142,6 +142,24 @@ def test_pairing_of_another_pair_rejected():
         decompose(FIG8_Y, FIG8_X, s)
 
 
+@pytest.mark.parametrize("x, y", [
+    # the U-regular 4 x 4 pair of the CLI's last-pairing-index test
+    ([[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0]],
+     [[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]]),
+    # U-vertex 0 meets three X-edges of X xor Y and U-vertex 1 two
+    ([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1]],
+     [[0, 0, 0, 1, 1, 1], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+])
+def test_nth_pairing_unranks_all_pairings(x, y):
+    X, Y = BipartiteGraph(x), BipartiteGraph(y)
+    pairings = list(all_pairings(X, Y))
+    assert len(pairings) == enumerate_pairings_count(X, Y) > 6
+    assert [nth_pairing(X, Y, i) for i in range(len(pairings))] == pairings
+    for index in (-1, len(pairings)):
+        with pytest.raises(DegSwapError, match=f"pairing index {index} out of range"):
+            nth_pairing(X, Y, index)
+
+
 # -- the integer decomposition kernel ----------------------------------------
 
 
@@ -226,3 +244,53 @@ def test_kernel_matches_decompose_on_higher_degree_differences():
 def test_kernel_rejects_unequal_margins():
     with pytest.raises(DegreeMismatch):
         _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {})
+
+
+# -- the class exchange: (Y, X) from the decomposition of (X, Y) --------------
+
+
+def exchange_matches_reverse(x_key, y_key, l, x_memo, y_memo) -> int:
+    """Assert that the kernel gives (Y, X) the pairing count of (X, Y) and
+    its cycle lists with each cycle's classes exchanged, as equal multisets
+    of lists; return the number of pairings."""
+    total, lists = _decompositions(x_key, y_key, l, x_memo)
+    back_total, back = _decompositions(y_key, x_key, l, y_memo)
+    assert back_total == total
+    exchanged = Counter(tuple(map(_exchanged, cycles)) for cycles in lists)
+    assert exchanged == Counter(map(tuple, back))
+    assert sum(exchanged.values()) == total
+    return total
+
+
+@pytest.mark.parametrize("a, b, n, pairs", [
+    ((3, 3, 2, 1), (3, 2, 2, 2), 27, 351),
+    ((2, 2, 2, 2), (3, 2, 2, 1), 48, 1128),
+    ((3, 2, 2, 1), (2, 2, 2, 2), 48, 1128),
+    ((2, 2, 2, 2), (2, 2, 2, 2), 90, 4005),
+])
+def test_exchange_matches_reverse_on_every_pair(a, b, n, pairs):
+    # every unordered pair, with one circuit memo per state as congestion
+    # keeps it for its source state
+    space = enumerate_states(BipartiteDegreeSequence(a, b))
+    assert space.n == n
+    keys = [g.key() for g in space.states]
+    memos = [{} for _ in keys]
+    checked = 0
+    for xi in range(n):
+        for yi in range(xi + 1, n):
+            exchange_matches_reverse(keys[xi], keys[yi], space.ds.l, memos[xi], memos[yi])
+            checked += 1
+    assert checked == pairs
+
+
+def test_exchange_matches_reverse_on_seeded_pairs():
+    # 1,000 seeded pairs of the 1,170-state 5 x 5 space
+    space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)))
+    assert space.n == 1170
+    rng = np.random.default_rng(21)
+    totals = set()
+    for _ in range(1000):
+        xi, yi = rng.choice(space.n, 2, replace=False)
+        X, Y = space.states[xi], space.states[yi]
+        totals.add(exchange_matches_reverse(X.key(), Y.key(), X.l, {}, {}))
+    assert max(totals) == 256
