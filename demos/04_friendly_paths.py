@@ -56,7 +56,7 @@ def show(ell, types, label):
         print("  blocking set:", sorted(res.positions))
     G, Gp, cyc = cycle_pair(ell, types)
     states = path_along_cycle(G, Gp, G, Gp, cyc)
-    certs = [switch_distance(hat_matrix(G, Gp, Z).cells) for Z in states]
+    certs = [switch_distance(hat_matrix(G, Gp, Z)) for Z in states]
     print(f"  path: {len(states) - 1} swaps, certificates {certs}")
 
 

@@ -9,7 +9,7 @@ congestion of the path system).
 
 __version__ = "0.1.0"
 
-from .canonical import (FMatrix, FriendlyPath, HatMatrix, OKKOSpec, SteinhausSet,
+from .canonical import (FMatrix, FriendlyPath, OKKOSpec, SteinhausSet,
                         adjusted_positions, canonical_path, cousins, f_matrix,
                         find_friendly_path, hat_matrix, ok_ko_step,
                         path_along_cycle, path_distribution, switch_distance)

@@ -39,8 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (BipartiteDegreeSequence, BipartiteGraph, Swap, apply_swap,
-                   is_graphical, symmetric_difference)
+from .core import BipartiteGraph, Swap, _gale_ryser, apply_swap, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed, TooManyPairings)
@@ -245,27 +244,6 @@ class FMatrix:
             cells[a][b] = 3 * int(ty)
         return cls(ell, tuple(tuple(r) for r in cells))
 
-    def to_local_hat(self) -> tuple:
-        """Cycle-local start+end-current matrix; inverse of ``from_local_hat``."""
-        m = self.ell
-        conv = {1: -1, 0: 0, 3: 1, 2: 2}
-        out = [[0] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                v = self.cells[a][b]
-                out[a][b] = 1 - v if ring((a, b), m) <= 1 else conv[v]
-        return tuple(tuple(r) for r in out)
-
-    @classmethod
-    def from_local_hat(cls, ell: int, hat) -> "FMatrix":
-        conv = {-1: 1, 0: 0, 1: 3, 2: 2}
-        cells = [[0] * ell for _ in range(ell)]
-        for a in range(ell):
-            for b in range(ell):
-                v = hat[a][b]
-                cells[a][b] = 1 - v if ring((a, b), ell) <= 1 else conv[v]
-        return cls(ell, tuple(tuple(r) for r in cells))
-
 
 def _frame_types(G: BipartiteGraph, frame: CycleFrame) -> dict:
     types = {}
@@ -304,24 +282,16 @@ def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
     return _local_f(Z, frame, _frame_types(G, frame))
 
 
-@dataclass(frozen=True, eq=False)
-class HatMatrix:
-    """Entrywise M_X + M_Y - M_Z; entries in {-1, 0, 1, 2} with the margins
-    of the common degree sequence."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        self.cells.setflags(write=False)
-
-
-def hat_matrix(X: BipartiteGraph, Y: BipartiteGraph, Z: BipartiteGraph) -> HatMatrix:
+def hat_matrix(X: BipartiteGraph, Y: BipartiteGraph, Z: BipartiteGraph) -> np.ndarray:
+    """Entrywise M_X + M_Y - M_Z as a read-only ``int8`` array: entries in
+    {-1, 0, 1, 2}, with the margins of the common degree sequence."""
     if not ((X.k, X.l) == (Y.k, Y.l) == (Z.k, Z.l)):
         raise ShapeMismatch("hat matrix needs three equally shaped graphs")
     if not (X.same_margins(Y) and X.same_margins(Z)):
         raise DegreeMismatch("hat matrix needs three realizations of one sequence")
-    cells = X.adj.astype(np.int8) + Y.adj.astype(np.int8) - Z.adj.astype(np.int8)
-    return HatMatrix(cells)
+    hat = X.adj.astype(np.int8) + Y.adj.astype(np.int8) - Z.adj.astype(np.int8)
+    hat.setflags(write=False)
+    return hat
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +365,20 @@ def _king_neighbors(pos, ell):
                 continue
             out.append(((a + da) % ell, (b + db) % ell))
     return out
+
+
+def _king_component(seed, cells, ell: int) -> set:
+    """The cells of ``cells`` king-connected to ``seed``, which is one of
+    them, by breadth-first search."""
+    comp = {seed}
+    queue = deque([seed])
+    while queue:
+        cur = queue.popleft()
+        for q in _king_neighbors(cur, ell):
+            if q in cells and q not in comp:
+                comp.add(q)
+                queue.append(q)
+    return comp
 
 
 def _blocks_all_rook_paths(block: set, ell: int) -> bool:
@@ -473,19 +457,9 @@ def find_friendly_path(F: FMatrix):
     comps = []
     assigned = set()
     for p in sorted(unfriendly):
-        if p in assigned:
-            continue
-        comp = {p}
-        queue = deque([p])
-        assigned.add(p)
-        while queue:
-            cur = queue.popleft()
-            for q in _king_neighbors(cur, m):
-                if q in unfriendly and q not in comp:
-                    comp.add(q)
-                    assigned.add(q)
-                    queue.append(q)
-        comps.append(comp)
+        if p not in assigned:
+            comps.append(_king_component(p, unfriendly, m))
+            assigned |= comps[-1]
     blocking = [c for c in comps if _blocks_all_rook_paths(c, m)]
     if not blocking:
         raise SpecViolation("no friendly path and no single blocking component")
@@ -531,16 +505,7 @@ def verify_steinhaus(ss: SteinhausSet, F: FMatrix):
     for p in T:
         if F.is_friendly(p):
             raise SpecViolation(f"{p} in the blocking set is friendly")
-    seed = min(T)
-    comp = {seed}
-    queue = deque([seed])
-    while queue:
-        cur = queue.popleft()
-        for q in _king_neighbors(cur, m):
-            if q in T and q not in comp:
-                comp.add(q)
-                queue.append(q)
-    if comp != set(T):
+    if _king_component(min(T), T, m) != set(T):
         raise SpecViolation("blocking set is not king-connected")
     if not _blocks_all_rook_paths(set(T), m):
         raise SpecViolation("blocking set misses a rook path")
@@ -824,18 +789,17 @@ def _valid_patterns(F: FMatrix) -> list:
     share type t, the first jp-1 up-line cells share 1-t, and up-line cell
     jp has type t again, with jp = j + 1 whenever jp >= 2."""
     m = F.ell
-    max_down, max_up = _max_down_steps(m), _max_up_steps(m)
     out = []
-    if max_down < 1 or max_up < 1:
+    if _max_down_steps(m) < 1:      # ell < 4: no down-line, so no cut
         return out
     for i in range(m):
-        down = [F.type_of(((i + s) % m, (i - s) % m)) for s in range(1, max_down + 1)]
-        up = [F.type_of(((i - s) % m, (i + s) % m)) for s in range(1, max_up + 1)]
+        down = [F.type_of(p) for p in down_line(i, m)]
+        up = [F.type_of(p) for p in up_line(i, m)]
         t = down[0]
         run = 1
-        while run < max_down and down[run] == t:
+        while run < len(down) and down[run] == t:
             run += 1
-        p = next((s for s in range(1, max_up + 1) if up[s - 1] == t), None)
+        p = next((s for s, ty in enumerate(up, 1) if ty == t), None)
         if p is None:
             continue
         if p == 1:
@@ -1149,7 +1113,7 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     states = [BipartiteGraph._trusted(np.frombuffer(key, np.uint8).reshape(X.k, X.l))
               for key in keys]
     if certify:
-        certs = [switch_distance(hat_matrix(X, Y, Z).cells) for Z in states]
+        certs = [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
         return states, certs
     return states
 
@@ -1177,15 +1141,15 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
 # ---------------------------------------------------------------------------
 
 
-def switch_distance(M, cap: int = 6, entry_slack: int = 1):
+def switch_distance(M, cap: int = 6):
     """Minimum number of 2x2 plus/minus switches carrying the integer matrix
     M to a 0-1 matrix, or ``Exceeds(cap)``.
 
     Switches commute, so some optimal sequence starts with a switch that
     moves the first out-of-range entry toward range; the search branches
     only over those, giving exact results whenever a witness exists with
-    intermediate entries inside the allowed band (the input's value range
-    widened by ``entry_slack``).
+    intermediate entries inside the allowed band: the input's value range,
+    taken to cover at least [-1, 2], widened by one on each side.
 
     The deficiency of a matrix, the summed distance of its entries from
     [0, 1], falls by at most four per switch, so a node whose deficiency
@@ -1202,29 +1166,23 @@ def switch_distance(M, cap: int = 6, entry_slack: int = 1):
 
     A 0-1 matrix is at distance 0, and it realizes its own margins, so it
     is answered before the margin check, which it cannot fail.  Every other
-    input must have margins that some 0-1 matrix realizes
-    (``MarginMismatch`` otherwise), checked before any search.
+    input must have margins that some 0-1 matrix realizes, decided by
+    ``core._gale_ryser`` on its row and column sums before any search
+    (``MarginMismatch`` otherwise, an empty matrix included).
     """
     mat = np.array(M, dtype=np.int64)
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
     if mat.size and ((mat == 0) | (mat == 1)).all():
         return 0 if cap >= 0 else Exceeds(cap)
-    rows = sorted(mat.sum(axis=1).tolist(), reverse=True)
-    cols = sorted(mat.sum(axis=0).tolist(), reverse=True)
-    try:
-        ds = BipartiteDegreeSequence(tuple(rows), tuple(cols))
-        ok = is_graphical(ds)
-    except ValueError:
-        ok = False
-    if not ok:
+    if not _gale_ryser(mat.sum(axis=1).tolist(), mat.sum(axis=0).tolist()):
         raise MarginMismatch("margins admit no 0-1 matrix")
     # at least 1: M holds an entry outside [0, 1]
     deficiency = int(np.maximum(-mat, 0).sum() + np.maximum(mat - 1, 0).sum())
     if deficiency > 4 * cap:
         return Exceeds(cap)
-    lo = min(-1, int(mat.min())) - entry_slack
-    hi = max(2, int(mat.max())) + entry_slack
+    lo = min(-1, int(mat.min())) - 1
+    hi = max(2, int(mat.max())) + 1
     k, l = mat.shape
     # entries are held shifted by offset, so the band is 0..span; excess[s]
     # is the distance of the entry held as s from [0, 1]

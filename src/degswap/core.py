@@ -286,19 +286,32 @@ def greedy_realize(ds: BipartiteDegreeSequence) -> BipartiteGraph:
 
 
 def is_graphical(ds: BipartiteDegreeSequence) -> bool:
-    """True iff a simple bipartite realization of ``ds`` exists.
+    """True iff a simple bipartite realization of ``ds`` exists, decided by
+    ``_gale_ryser``."""
+    return _gale_ryser(ds.a, ds.b)
+
+
+def _gale_ryser(a, b) -> bool:
+    """True iff some 0-1 matrix has row sums ``a`` and column sums ``b``,
+    lists of integers in any order.  An empty list answers False, as no
+    degree sequence has an empty class.
 
     Decided by the Gale-Ryser theorem: the sums agree, and for every t the
-    t largest U degrees sum to at most sum_j min(b_j, t), the number of
-    edges the V-vertices can send to t U-vertices.  That sum is the running
-    total of the conjugate of b, so after the sort the test is O(k + l).
+    t largest row sums add up to at most sum_j min(b_j, t), the number of
+    ones the columns can put in t rows.  That sum is the running total of
+    the conjugate of b, so after the sort the test is O(k + l).  Row sums
+    out of [0, l] fail it without a check of their own: a negative one
+    leaves the other k - 1 rows more than the total (or, when k = 1, a
+    negative column sum), and one above l exceeds the l columns at t = 1.
     """
-    a = sorted(ds.a, reverse=True)
-    k = len(a)
-    if sum(a) != sum(ds.b):
+    if not a or not b:
         return False
-    at_least = [0] * (k + 1)      # at_least[t]: V degrees >= t, once summed
-    for d in ds.b:
+    a = sorted(a, reverse=True)
+    k = len(a)
+    if sum(a) != sum(b):
+        return False
+    at_least = [0] * (k + 1)      # at_least[t]: column sums >= t, once summed
+    for d in b:
         if d < 0 or d > k:
             return False
         at_least[d] += 1

@@ -785,16 +785,18 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     mapped to state ids once, where its loads are added, and a step that is
     not a move-graph edge raises ``SpecViolation`` there.  With ``certify``
     the switch distances, capped at 6 switches, are cached per distinct
-    three-term matrix ``X + Y - Z``, keyed by three cell bitmasks of the
-    keys read as little-endian integers: its cells at 2 (``X & Y & ~Z``),
-    at -1 (``Z & ~X & ~Y``) and at 1 (``(X ^ Y ^ Z) & (X | Y | ~Z)``), which
-    determine the matrix one-to-one, so ``hat_matrix`` is built only on a
-    miss.  The key is symmetric in X and Y, so one pass over the states
-    both directions visit certifies the pair.  All four caches live for one
-    call.  Loads are integer numerators over one common multiple of the
-    pairing counts, which both directions share; sums of integers and the
-    least common multiple do not depend on the order of the pairs, so the
-    report is that of a loop over ordered pairs.
+    three-term matrix ``X + Y - Z``, keyed by the one integer ``x + y - z``
+    of the keys read as little-endian integers.  Its base-256 digits are
+    the matrix's cells, each in [-1, 2].  Two different digit strings
+    differ by a nonzero string of digits in [-3, 3], whose leading term
+    outweighs everything below it, as 3 * (256^c - 1) / 255 < 256^c; so
+    the integer names the matrix one-to-one, and ``hat_matrix`` is built
+    only on a miss.  The key is symmetric in X and Y, so one pass over the
+    states both directions visit certifies the pair.  All four caches live
+    for one call.  Loads are integer numerators over one common multiple of
+    the pairing counts, which both directions share; sums of integers and
+    the least common multiple do not depend on the order of the pairs, so
+    the report is that of a loop over ordered pairs.
     """
     n = space.n
     if n > max_states:
@@ -851,14 +853,12 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                         load[e] = load.get(e, 0) + lw
                         weight[e] = weight.get(e, 0) + w
             if certify:
-                x, y = cells[xi], cells[yi]
-                both, either, odd = x & y, x | y, x ^ y
+                xy = cells[xi] + cells[yi]
                 for z in visited:
-                    c = cells[z]
-                    key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
+                    key = xy - cells[z]
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(X, space.states[yi], space.states[z]).cells
+                        hat = hat_matrix(X, space.states[yi], space.states[z])
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     # the load of edge e is load[e] / (n * scale * jump): one positive factor

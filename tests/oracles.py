@@ -396,7 +396,7 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                     for g in states:
                         if g.key() not in sd_memo:
                             sd_memo[g.key()] = switch_distance(
-                                hat_matrix(X, Y, g).cells, cap=switch_cap)
+                                hat_matrix(X, Y, g), cap=switch_cap)
                         sd = sd_memo[g.key()]
                         max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
             for ids, c in counts.items():
@@ -471,7 +471,7 @@ def ordered_congestion(space, certify: bool = False):
                     key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(X, Y, space.states[z]).cells
+                        hat = hat_matrix(X, Y, space.states[z])
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     max_edge = max(load, key=lambda e: (load[e], e))
@@ -613,6 +613,23 @@ def naive_enumerate(ds):
 # -- the certificate search that rescans every node ----------------------------
 
 
+def sequence_margins_ok(M) -> bool:
+    """Whether some 0-1 matrix has the row and column sums of the 2-D
+    integer matrix M, decided through a ``BipartiteDegreeSequence`` of the
+    sorted sums and ``is_graphical``; a sequence the constructor rejects
+    (an empty class, a negative sum, a sum above the other class's size)
+    has no realization."""
+    from degswap.core import BipartiteDegreeSequence, is_graphical
+
+    mat = np.asarray(M, dtype=np.int64)
+    rows = sorted((int(x) for x in mat.sum(axis=1)), reverse=True)
+    cols = sorted((int(x) for x in mat.sum(axis=0)), reverse=True)
+    try:
+        return is_graphical(BipartiteDegreeSequence(tuple(rows), tuple(cols)))
+    except ValueError:
+        return False
+
+
 def naive_switch_distance(M, cap: int = 6, entry_slack: int = 1):
     """Minimum number of 2x2 plus/minus switches carrying the integer matrix
     M to a 0-1 matrix, or ``Exceeds(cap)``.
@@ -624,20 +641,12 @@ def naive_switch_distance(M, cap: int = 6, entry_slack: int = 1):
     widened by ``entry_slack``).  A switch repairs at most four units of
     deficiency, which prunes hopeless branches early.
     """
-    from degswap.core import BipartiteDegreeSequence, is_graphical
     from degswap.errors import Exceeds, MarginMismatch
 
     mat = np.array(M, dtype=np.int64)
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
-    rows = sorted((int(x) for x in mat.sum(axis=1)), reverse=True)
-    cols = sorted((int(x) for x in mat.sum(axis=0)), reverse=True)
-    try:
-        ds = BipartiteDegreeSequence(tuple(rows), tuple(cols))
-        ok = is_graphical(ds)
-    except ValueError:
-        ok = False
-    if not ok:
+    if not sequence_margins_ok(mat):
         raise MarginMismatch("margins admit no 0-1 matrix")
     lo = min(-1, int(mat.min())) - entry_slack
     hi = max(2, int(mat.max())) + entry_slack

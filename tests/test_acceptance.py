@@ -181,7 +181,7 @@ def test_criterion_6_single_cycle_paths():
                 assert states[-1] == Gp
                 worst_len = max(worst_len, len(swaps))
                 for Z in states:
-                    sd = switch_distance(hat_matrix(X, Y, Z).cells, cap=6)
+                    sd = switch_distance(hat_matrix(X, Y, Z), cap=6)
                     assert isinstance(sd, int), "certificate exceeded its cap"
                     worst_sd = max(worst_sd, sd)
             ratios[ell] = worst_len / (2 * ell)

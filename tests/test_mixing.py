@@ -865,11 +865,11 @@ class TestSegmentMemo:
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_one_certificate_per_hat_matrix(self, runs, name):
-        # the three-bitmask key splits the visited (X, Y, Z) exactly as the
-        # hat matrix's bytes do: one switch_distance per distinct matrix
+        # the integer key x + y - z splits the visited (X, Y, Z) exactly as
+        # the hat matrix's bytes do: one switch_distance per distinct matrix
         space, _, _, (certified, visited) = runs[name]
         graph = {g.key(): g for g in space.states}
-        hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).cells.tobytes()
+        hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).tobytes()
                 for (x, y), zs in visited.items() for z in zs}
         assert len(certified) == len(set(certified)) == len(hats)
         assert set(certified) == hats
