@@ -42,7 +42,7 @@ import numpy as np
 from .core import BipartiteGraph, Swap, _gale_ryser, apply_swap, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
-                     ShapeMismatch, SpecViolation, SwapNotAllowed, TooManyPairings)
+                     ShapeMismatch, SpecViolation, SwapNotAllowed)
 from .pairings import AlternatingCycle, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
@@ -276,7 +276,7 @@ def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
     part = symmetric_difference(G, Gp)
     if part.x_edges | part.y_edges != set(cycle.edge_seq):
         raise CycleMismatch("G and Gp do not differ in exactly this cycle")
-    if (Z.k, Z.l) != (G.k, G.l) or not Z.same_margins(G):
+    if not Z.same_margins(G):
         raise DegreeMismatch("Z does not realize the same degree sequence")
     frame = CycleFrame.from_cycle(cycle, G)
     return _local_f(Z, frame, _frame_types(G, frame))
@@ -1071,20 +1071,6 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     return path
 
 
-def _guarded_decompositions(l: int, start: bytes, end: bytes, circuits: dict,
-                            max_pairings: int) -> tuple:
-    """``(total, cycle_lists)``: the number of pairings of the pair with
-    keys ``start`` and ``end`` (l columns), and an iterator over one cycle
-    list per pairing, from ``pairings._decompositions`` with the circuit
-    memo ``circuits``.  Guarded: more than ``max_pairings`` pairings raise
-    ``TooManyPairings`` before any pairing is decomposed.
-    """
-    total, cycle_lists = _decompositions(start, end, l, circuits)
-    if total > max_pairings:
-        raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
-    return total, cycle_lists
-
-
 def _path_counts(l: int, start: bytes, end: bytes, cycle_lists, memos: tuple) -> dict:
     """For each distinct canonical path from ``start`` to ``end`` (l
     columns), a tuple of keys, the number of the given cycle lists that
@@ -1124,12 +1110,12 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
     visited realizations' keys: its weight is the number of pairings
     selecting it over the total number of pairings.  The paths are counted
     by ``_path_counts`` on the key walk of ``canonical_path``, over the
-    cycle lists of ``_guarded_decompositions``, so more than
+    cycle lists of ``pairings._decompositions``, so more than
     ``max_pairings`` pairings raise ``TooManyPairings`` as in
-    ``congestion``.  Segments,
-    patterns and bridges are memoized for the call."""
+    ``congestion``.  Segments, patterns and bridges are memoized for the
+    call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    total, cycle_lists = _guarded_decompositions(X.l, X.key(), Y.key(), {}, max_pairings)
+    total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, max_pairings)
     counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, ({}, {}, {}))
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1

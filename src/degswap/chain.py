@@ -66,7 +66,7 @@ def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
     For H one swap away this is 1/(C(k,2)*C(l,2)); for H = G it is the
     complementary holding probability; otherwise zero.
     """
-    if (G.k, G.l) != (H.k, H.l) or not G.same_margins(H):
+    if not G.same_margins(H):
         raise DegreeMismatch("graphs do not realize the same degree sequence")
     denom = pair_count(G.k) * pair_count(G.l)
     if G == H:

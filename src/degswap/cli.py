@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .canonical import canonical_path
 from .chain import ChainState, _check_steps, advance
-from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
+from .core import BipartiteDegreeSequence, BipartiteGraph, Swap, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import all_pairings, decompose, nth_pairing, random_pairing
+from .pairings import _vertex_walk, all_pairings, decompose, nth_pairing, random_pairing
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
@@ -107,18 +107,12 @@ def cmd_decompose(args) -> int:
         dec = decompose(x, y, s)
         print(f"pairing {pi}")
         for ci, circ in enumerate(dec.circuits):
-            verts = " ".join(_vertex_label(w) for w in _circuit_vertices(circ))
+            verts = " ".join(_vertex_label(w) for w in _vertex_walk(circ))
             print(f"  circuit {ci}: {verts}")
         for ci, cyc in enumerate(dec.cycles):
             verts = " ".join(_vertex_label(w) for w in cyc.vertex_seq())
             print(f"  cycle {ci}: {verts}")
     return 0
-
-
-def _circuit_vertices(circ):
-    from .pairings import _shared_vertex
-    n = len(circ)
-    return [_shared_vertex(circ[t], circ[(t + 1) % n]) for t in range(n)]
 
 
 def cmd_canonical_path(args) -> int:
@@ -147,7 +141,6 @@ def cmd_canonical_path(args) -> int:
 
 
 def _recover_swap(a: BipartiteGraph, b: BipartiteGraph):
-    from .core import Swap
     us, vs = np.nonzero(a.adj != b.adj)
     rows, cols = sorted(set(int(u) for u in us)), sorted(set(int(v) for v in vs))
     return Swap.on(rows[0], rows[1], cols[0], cols[1], graph=a)

@@ -6,17 +6,20 @@ canonical path system.
 integer keys, one bit per cell, and expands each level's whole frontier in
 numpy passes over the row pairs and ordered column pairs, so the move
 graph comes out of the same walk; every space is checked against the exact
-count of ``count_realizations``.
+count of ``count_realizations``.  A ``StateSpace`` is arrays: the states
+as one stacked ``uint8`` matrix and the move graph in CSR form.  A state
+becomes a ``BipartiteGraph`` only when ``StateSpace.graph`` is asked.
 
 Every allowed swap has probability 1/(C(k,2)*C(l,2)) and the chain stays
 put otherwise, so ``TransitionMatrix`` holds the kernel as that one
-denominator and the move graph, and no dense table of it is ever built.
+denominator and the CSR move graph, and no dense table of it is ever built.
 Everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
-decomposes every pairing of every ordered pair through the integer kernel
-of ``pairings``, with its circuit memo scoped to one source state, walks
-it on the states' keys (``canonical._walk``), and maps each distinct key
-path to state ids once, where it adds the path's loads.
+decomposes every pairing of each unordered pair once through the integer
+kernel of ``pairings``, with its circuit memo scoped to the pair's first
+state, counts the paths of both directions from that one decomposition,
+walks them on the states' keys (``canonical._walk``), and maps each
+distinct key path to state ids once, where it adds the path's loads.
 
 The chain commutes with exchanging two vertices of equal degree.  On spaces
 large enough to pay for it, ``build_kernel`` stores such exchanges of
@@ -52,11 +55,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _guarded_decompositions, _path_counts, hat_matrix, switch_distance
+from .canonical import _path_counts, hat_matrix, switch_distance
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
-from .pairings import _exchanged
+from .pairings import _decompositions, _exchanged
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,24 @@ class StateSpace:
     """All realizations of a degree sequence, canonically ordered by the
     row-major bit string of the biadjacency matrix.
 
-    ``neighbours[i]`` lists, in increasing order, the ids of the states one
-    allowed swap away from state ``i``: the move graph of the chain.
+    ``adj[i]`` is state i's read-only 0-1 matrix, whose bytes are its key in
+    ``index``.  The move graph is CSR: ``indices[indptr[i]:indptr[i + 1]]``
+    lists, in increasing order, the states one allowed swap away from i.
     """
 
     ds: BipartiteDegreeSequence
-    states: tuple
+    adj: np.ndarray
     index: dict
-    neighbours: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.adj)
+
+    def graph(self, i: int) -> BipartiteGraph:
+        """State i as a graph, sharing the read-only ``adj[i]``."""
+        return BipartiteGraph._trusted(self.adj[i])
 
 
 def count_realizations(ds: BipartiteDegreeSequence) -> int:
@@ -226,8 +235,8 @@ def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> St
     found, or one state has at least ``max_states`` swaps, since its targets
     are distinct states.  The number of states is checked against
     ``count_realizations`` at every size, and every state's margins against
-    the start's.  The graphs are built once, at the end, and the neighbour
-    tuples share one set of id ints.
+    the start's.  The move graph is written, row by row in key order, into
+    the CSR arrays of the ``StateSpace``; no graph is built but the start.
     """
     start = greedy_realize(ds)
     k, l = ds.k, ds.l
@@ -281,44 +290,47 @@ def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> St
     degree = np.concatenate(degrees)
     begin = np.cumsum(degree) - degree
     targets = np.concatenate(targets)
-    shared = np.array(range(n), dtype=object)
-    neighbours = []
-    for a, b in _spans(degree[order], _CHUNK):
+    ranked = degree[order]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(ranked, out=indptr[1:])
+    indices = np.empty(indptr[-1], id_type)
+    for a, b in _spans(ranked, _CHUNK):
         # the targets of the states ranked a..b-1, as ranks sorted per state
-        lens = degree[order[a:b]]
+        lens = ranked[a:b]
         at = np.repeat(begin[order[a:b]] - (np.cumsum(lens) - lens), lens)
         row = np.repeat(np.arange(b - a, dtype=np.int64) * n, lens)
-        ranks = np.sort(row + rank[targets[at + np.arange(len(at))]]) - row
-        ids = shared[ranks].tolist()
-        ends = np.cumsum(lens).tolist()
-        neighbours += [tuple(ids[e - d:e]) for e, d in zip(ends, lens.tolist())]
-    del targets, shared             # the graphs below need the room
+        indices[indptr[a]:indptr[b]] = np.sort(row + rank[targets[at + np.arange(len(at))]]) - row
+    del targets
     mats = _unpack(np.concatenate(levels)[order], k, l)
-    mats.setflags(write=False)
+    for arr in (mats, indptr, indices):
+        arr.setflags(write=False)
     if not ((mats.sum(axis=2) == start.row_deg).all()
             and (mats.sum(axis=1) == start.col_deg).all()):
         raise AssertionError("an enumerated state has other margins than the start")
-    graphs = tuple(BipartiteGraph._trusted(m) for m in mats)
-    return StateSpace(ds, graphs, {g.key(): i for i, g in enumerate(graphs)}, tuple(neighbours))
+    data, size = mats.tobytes(), k * l
+    index = dict(zip((data[c:c + size] for c in range(0, n * size, size)), range(n)))
+    return StateSpace(ds, mats, index, indptr, indices)
 
 
 class TransitionMatrix:
     """Exact kernel of the swap chain on an enumerated space, held in integers.
 
-    ``P = A / denom``: from state i the chain moves to each state of
-    ``neighbours[i]`` with probability ``jump = 1/denom`` and stays put with
-    probability ``diag[i] / denom``, where ``diag[i] = denom -
-    len(neighbours[i])``.  So ``A = denom*I - L`` with ``L`` the Laplacian
-    of the move graph; for the swap chain ``denom = C(k,2)*C(l,2)``, one
-    outcome per pair of rows and pair of columns.  ``chain.transition_prob``
-    derives the same entries pair by pair from the graphs.
+    ``P = A / denom``: from state i the chain moves to each state of row i
+    of the CSR move graph, ``indices[indptr[i]:indptr[i + 1]]``, with
+    probability ``jump = 1/denom`` and stays put with probability
+    ``diag[i] / denom``, where ``diag[i]`` is ``denom`` less the row's
+    length.  So ``A = denom*I - L`` with ``L`` the Laplacian of the move
+    graph; for the swap chain ``denom = C(k,2)*C(l,2)``, one outcome per
+    pair of rows and pair of columns.  ``chain.transition_prob`` derives the
+    same entries pair by pair from the graphs.
 
-    The constructor checks the kernel laws in integers: no move stays put or
-    repeats, the move graph is symmetric, and no state has more than
-    ``denom`` moves, so every row is non-negative and sums to one.  The
-    first two are decided on the sorted edge codes ``i * n + j`` of the move
-    graph: no code repeats or lies on the diagonal, and the codes of the
-    reversed edges sort to the same array.
+    The constructor checks the CSR form and the kernel laws in integers.
+    ``indptr`` starts at 0, never decreases and ends at ``len(indices)``,
+    and every id lies in [0, n).  The edge codes ``i * n + j`` strictly
+    increase, so each row is increasing and no move repeats; no move stays
+    put; the move graph is symmetric, as the codes of the reversed edges
+    sort to the same array; and no state has more than ``denom`` moves, so
+    every row is non-negative and sums to one.
 
     ``symmetries`` holds commuting involutions of the state ids, each
     checked by ``_check_involutions`` to map the move graph onto itself and
@@ -331,19 +343,28 @@ class TransitionMatrix:
     scan asks for them; without one every state is its own representative.
     """
 
-    __slots__ = ("denom", "diag", "neighbours", "symmetries", "_space", "_reps")
+    __slots__ = ("denom", "diag", "indptr", "indices", "symmetries", "_space", "_reps")
 
-    def __init__(self, denom: int, neighbours: tuple, symmetries=(),
+    def __init__(self, denom: int, indptr, indices, symmetries=(),
                  space: StateSpace | None = None):
         if denom < 1:
             raise ValueError(f"the kernel denominator must be positive: got {denom}")
-        n = len(neighbours)
-        rows, cols, edges = _edge_codes(neighbours)
-        if (rows == cols).any() or (edges[1:] == edges[:-1]).any():
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        n = len(indptr) - 1
+        if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() or indptr[-1] != len(indices):
+            raise AssertionError("indptr must start at 0, never decrease and end at len(indices)")
+        if ((indices < 0) | (indices >= n)).any():
+            raise AssertionError(f"a move-graph id lies outside [0, {n})")
+        rows, cols = _move_edges(indptr, indices)
+        codes = rows * n + cols
+        step = np.diff(codes)
+        if (rows == cols).any() or (step == 0).any():
             raise AssertionError("off-diagonal entry differs from the jump probability")
-        if (np.sort(cols * n + rows) != edges).any():
+        if (step < 0).any():
+            raise AssertionError("a move-graph row is not increasing")
+        if (np.sort(cols * n + rows) != codes).any():
             raise AssertionError("kernel is not symmetric")
-        diag = tuple(denom - len(nbrs) for nbrs in neighbours)
+        diag = tuple(denom - d for d in np.diff(indptr).tolist())
         for i, d in enumerate(diag):
             if d < 0:
                 raise AssertionError(f"row {i} does not sum to one")
@@ -353,12 +374,12 @@ class TransitionMatrix:
             # so float64 holds them exactly while n * denom < 2**53
             if n * denom >= 2**53:
                 raise AssertionError("kernel denominator too large for exact symmetry blocks")
-            _check_involutions(perms, n, rows, cols, edges)
+            _check_involutions(perms, n, rows, cols, codes)
             for k, p in enumerate(perms):
                 if any((p[q] != q[p]).any() for q in perms[:k]):
                     raise AssertionError(f"symmetry {k} does not commute with the others")
                 p.setflags(write=False)
-        self.denom, self.diag, self.neighbours = denom, diag, neighbours
+        self.denom, self.diag, self.indptr, self.indices = denom, diag, indptr, indices
         self.symmetries = perms
         self._space = space
         self._reps = None
@@ -375,37 +396,28 @@ class TransitionMatrix:
         """The kernel in float64; each entry is its integer numerator divided
         by ``denom``, the correctly rounded value of the exact entry."""
         mat = np.zeros((self.n, self.n))
-        mat[_move_edges(self.neighbours)] = 1 / self.denom
+        mat[_move_edges(self.indptr, self.indices)] = 1 / self.denom
         np.fill_diagonal(mat, [d / self.denom for d in self.diag])
         return mat
 
 
-def _move_edges(neighbours: tuple) -> tuple:
-    """The move graph's directed edges as ``(rows, cols)`` index arrays, in
-    the order of ``neighbours``."""
-    rows = np.repeat(np.arange(len(neighbours)), [len(nbrs) for nbrs in neighbours])
-    cols = np.fromiter(itertools.chain.from_iterable(neighbours), dtype=np.intp,
-                       count=len(rows))
-    return rows, cols
+def _move_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """The CSR move graph's directed edges as ``(rows, cols)`` index
+    arrays, in CSR order."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return rows, indices.astype(np.intp, copy=False)
 
 
-def _edge_codes(neighbours: tuple) -> tuple:
-    """``(rows, cols, edges)``: the move graph's directed edges as in
-    ``_move_edges``, and their codes ``row * n + col`` sorted."""
-    rows, cols = _move_edges(neighbours)
-    return rows, cols, np.sort(rows * len(neighbours) + cols)
-
-
-def _check_involutions(perms, n: int, rows, cols, edges) -> None:
+def _check_involutions(perms, n: int, rows, cols, codes) -> None:
     """Check in integers that each state-id array of ``perms`` is an
-    involution of the n states that maps the move graph, given by
-    ``_edge_codes``, onto itself: the codes of the mapped edges sort to
-    ``edges``.  Raises ``AssertionError`` naming the first that fails."""
+    involution of the n states that maps the move graph (edges ``rows``,
+    ``cols``, increasing ``codes``) onto itself: the mapped edges' codes sort
+    to ``codes``.  Raises ``AssertionError`` naming the first that fails."""
     ids = np.arange(n)
     for k, p in enumerate(perms):
         if p.shape != (n,) or not ((p >= 0) & (p < n)).all() or (p[p] != ids).any():
             raise AssertionError(f"symmetry {k} is not an involution of the states")
-        if (np.sort(p[rows] * n + p[cols]) != edges).any():
+        if (np.sort(p[rows] * n + p[cols]) != codes).any():
             raise AssertionError(f"symmetry {k} does not map the move graph onto itself")
 
 
@@ -448,7 +460,7 @@ def _relabellings(space: StateSpace, moves: list) -> list:
         return []
     n, k, l = space.n, space.ds.k, space.ds.l
     size = k * l
-    keys = np.frombuffer(b"".join(g.key() for g in space.states), np.uint8).reshape(n, size)
+    keys = space.adj.reshape(n, size)
     orders = []
     for move in moves:
         cells = np.arange(size).reshape(k, l)
@@ -482,8 +494,8 @@ def build_kernel(space: StateSpace) -> TransitionMatrix:
     m = 0
     while m < len(swaps) and space.n >> (m + 1) >= _MIN_BLOCK:
         m += 1
-    return TransitionMatrix(pair_count(ds.k) * pair_count(ds.l) or 1, space.neighbours,
-                            _relabellings(space, swaps[:m]), space)
+    return TransitionMatrix(pair_count(ds.k) * pair_count(ds.l) or 1, space.indptr,
+                            space.indices, _relabellings(space, swaps[:m]), space)
 
 
 def _orbit_generators(space: StateSpace) -> list:
@@ -511,7 +523,8 @@ def _representatives(P: TransitionMatrix) -> tuple:
         ids = rep = np.arange(P.n)
         if P._space is not None:
             perms = _orbit_generators(P._space)
-            _check_involutions(perms, P.n, *_edge_codes(P.neighbours))
+            rows, cols = _move_edges(P.indptr, P.indices)
+            _check_involutions(perms, P.n, rows, cols, rows * P.n + cols)
             while True:
                 before = rep
                 for p in perms:
@@ -525,8 +538,8 @@ def _representatives(P: TransitionMatrix) -> tuple:
 
 def _parity(x: np.ndarray, m: int) -> np.ndarray:
     """Parity of the low m bits of each entry of x."""
-    out = x & 1
-    for k in range(1, m):
+    out = np.zeros_like(x)
+    for k in range(m):
         out ^= (x >> k) & 1
     return out
 
@@ -543,15 +556,12 @@ def _blocks(P: TransitionMatrix, max_block: int) -> list:
     entry at (O, O') is ``sqrt(|O| / |O'|) * sum_y A(r, y) chi_s(h_y) / denom``
     over y in O' with r the orbit's representative, so each block is summed
     from the representatives' rows of the move graph, and the n x n matrix
-    is never formed.  Without symmetries the one block is ``P.as_float()``.
+    is never formed.  Without symmetries (m = 0) every state is its own
+    orbit, and the one block holds the entries of ``P.as_float()``.
 
     Raises ``TooLarge`` when the largest block exceeds ``max_block``.
     """
     n, perms = P.n, P.symmetries
-    if not perms:
-        if n > max_block:
-            raise TooLarge(f"a block of {n} states exceeds the dense eigensolve guard {max_block}")
-        return [P.as_float()]
     m = len(perms)
     # rep[x]: the least state id in x's orbit; elem[x]: h with x = h rep[x]
     rep, elem = np.arange(n), np.zeros(n, np.intp)
@@ -563,7 +573,8 @@ def _blocks(P: TransitionMatrix, max_block: int) -> list:
     reps, orbit = np.unique(rep, return_inverse=True)
     size = np.bincount(orbit)
     # Schreier generators of the stabilizers: elem[x] ^ elem[p x] ^ bit k fixes x
-    fixer = np.concatenate([elem ^ elem[p] ^ (1 << k) for k, p in enumerate(perms)])
+    # (at m = 0 there are none, and concatenate needs one empty array)
+    fixer = np.concatenate([elem ^ elem[p] ^ (1 << k) for k, p in enumerate(perms)] or [elem[:0]])
     fixed_orbit = np.tile(orbit, m)[fixer != 0]
     fixer = fixer[fixer != 0]
     keep = np.ones((1 << m, len(reps)), bool)
@@ -573,11 +584,13 @@ def _blocks(P: TransitionMatrix, max_block: int) -> list:
     if sizes.sum() != n:
         raise AssertionError(f"symmetry blocks hold {sizes.sum()} of {n} states")
     if sizes.max() > max_block:
-        raise TooLarge(f"a symmetry block of {sizes.max()} states exceeds the dense "
-                       f"eigensolve guard {max_block}")
-    # the representatives' rows of A: the diagonal, then every move
-    rows = [P.neighbours[r] for r in reps.tolist()]
-    row_orbit, cols = _move_edges(rows)
+        raise TooLarge(f"a block of {sizes.max()} states exceeds the dense eigensolve "
+                       f"guard {max_block}")
+    # the representatives' rows of A: the diagonal, then every move, taken
+    # from the move graph's edges in CSR order
+    rows, cols = _move_edges(P.indptr, P.indices)
+    mine = (rep == np.arange(n))[rows]
+    row_orbit, cols = orbit[rows[mine]], cols[mine]
     reps_diag = np.array([P.diag[r] for r in reps.tolist()], dtype=float)
     row_orbit = np.concatenate([np.arange(len(reps)), row_orbit])
     col_orbit = np.concatenate([np.arange(len(reps)), orbit[cols]])
@@ -607,7 +620,7 @@ def spectral_gap(P: TransitionMatrix, max_states: int = 2000):
     """Second-largest eigenvalue and the relaxation time 1/(1 - l2).
 
     ``P`` is split into the blocks of ``_blocks``, one per character of the
-    group its symmetries generate (a single dense block when it has none),
+    group its symmetries generate (one block of all n states when it has none),
     and each block is solved by ``eigh`` and must pass the residual check
     ``|B v - l v| <= 1e-10``.  The block spectra together are the spectrum
     of ``P``.  ``max_states`` bounds the largest block.  The largest
@@ -653,7 +666,9 @@ def _decay(P: TransitionMatrix, measure):
     value of ``A^t`` that a maximum over starts can reach.
     """
     n, denom = P.n, P.denom
-    cols = tuple(zip(P.diag, P.neighbours))
+    # each row once as a list of Python ints, so the columns stay exact
+    ids, ends = P.indices.tolist(), P.indptr.tolist()
+    cols = tuple(zip(P.diag, (ids[a:b] for a, b in zip(ends, ends[1:]))))
     power = [[int(i == r) for i in range(n)] for r in _representatives(P)]
     scale = 1
     while True:
@@ -768,11 +783,10 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     so the space alone fixes the constant.
 
     Each unordered pair is decomposed once, and its paths are counted in
-    both directions from that one decomposition.
-    ``canonical._guarded_decompositions`` runs the integer decomposition
-    kernel (``pairings._decompositions``) from X to Y, after its guard: more
-    than 5000 pairings raise ``TooManyPairings``.  Its circuit memo lives
-    for one source state X.
+    both directions from that one decomposition.  The integer decomposition
+    kernel (``pairings._decompositions``) runs from X to Y after its guard:
+    more than 5000 pairings raise ``TooManyPairings``.  Its circuit memo
+    lives for one source state X.
     ``canonical._path_counts``, the routine ``path_distribution`` runs,
     counts the X -> Y paths on those cycle lists and the Y -> X paths on
     the same lists with each cycle's classes exchanged
@@ -812,15 +826,16 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     max_sd = 0
     k, l = space.ds.k, space.ds.l
     index = space.index
-    moves = {(i, j) for i, nbrs in enumerate(space.neighbours) for j in nbrs if i < j}
-    keys = [g.key() for g in space.states]
+    rows, cols = _move_edges(space.indptr, space.indices)
+    moves = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j}
+    data, size = space.adj.tobytes(), k * l
+    keys = [data[c:c + size] for c in range(0, n * size, size)]
     cells = [int.from_bytes(key, "little") for key in keys]
-    for xi, X in enumerate(space.states):
+    for xi in range(n):
         circuits = {}    # the decomposition kernel's memo, for this source state
         exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
         for yi in range(xi + 1, n):
-            t_total, cycle_lists = _guarded_decompositions(l, keys[xi], keys[yi],
-                                                           circuits, 5000)
+            t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
                 scale *= grow
@@ -858,7 +873,7 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                     key = xy - cells[z]
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(X, space.states[yi], space.states[z])
+                        hat = hat_matrix(*map(space.graph, (xi, yi, z)))
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     # the load of edge e is load[e] / (n * scale * jump): one positive factor

@@ -20,14 +20,14 @@ edge order, traces each pairing's circuits on partner arrays of edge ids
 (``_trace``), and takes each circuit's cycles from a memo the caller scopes,
 cutting them (``_split``) on a miss.  ``decompose`` is its single-pairing
 entry point: it fills the partner arrays from a ``Pairing`` after checking
-the pairing's maps.  ``_decompositions``, which
-``canonical._guarded_decompositions`` runs for ``congestion`` and
-``path_distribution``, enumerates every pairing of a pair as an odometer
-over per-vertex permutations of edge ids, without building a ``Pairing``,
-and yields the same cycles as ``decompose``, pairing by pairing, in
-``all_pairings`` order.  ``_exchanged`` turns a cycle of (X, Y) into the
-cycle the kernel cuts for (Y, X) at the same place, so ``congestion``
-decomposes each unordered pair once.
+the pairing's maps.  ``_decompositions``, which ``congestion`` and
+``path_distribution`` run behind its pairing guard, enumerates every
+pairing of a pair as an odometer over per-vertex permutations of edge ids,
+without building a ``Pairing``, and yields the same cycles as
+``decompose``, pairing by pairing, in ``all_pairings`` order.
+``_exchanged`` turns a cycle of (X, Y) into the cycle the kernel cuts for
+(Y, X) at the same place, so ``congestion`` decomposes each unordered pair
+once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import BipartiteGraph, symmetric_difference
 from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
-                     PreconditionViolation)
+                     PreconditionViolation, TooManyPairings)
 
 
 def _incidences(part):
@@ -167,12 +167,7 @@ class AlternatingCycle:
 
     def vertex_seq(self) -> tuple:
         """Vertices in walk order; entry t is shared by edges t and t+1."""
-        out = []
-        n = len(self.edge_seq)
-        for t in range(n):
-            e, f = self.edge_seq[t], self.edge_seq[(t + 1) % n]
-            out.append(_shared_vertex(e, f))
-        return tuple(out)
+        return _vertex_walk(self.edge_seq)
 
 
 @dataclass(frozen=True)
@@ -189,6 +184,12 @@ def _shared_vertex(e, f):
     if e[1] == f[1]:
         return ("v", e[1])
     raise NonAlternating(f"edges {e} and {f} share no endpoint")
+
+
+def _vertex_walk(edges) -> tuple:
+    """The vertices of a closed walk given by its edges in order: entry t
+    is the vertex shared by edges t and t+1 (the last with the first)."""
+    return tuple(_shared_vertex(e, f) for e, f in zip(edges, edges[1:] + edges[:1]))
 
 
 def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> CircuitDecomposition:
@@ -251,14 +252,15 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     return edges, cells, in_x, codes, bits, sum(bits)
 
 
-def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
+def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict, max_pairings: int):
     """The decomposition kernel: every pairing's cycles, in integers.
 
     X and Y are given by their keys, realizations with l V-vertices and
     equal margins.  Returns the number of pairings of X xor Y and an
     iterator over one cycle list per pairing, in ``all_pairings`` order;
     each list equals ``decompose(X, Y, s).cycles`` for the matching pairing
-    s, but no ``Pairing`` is built.
+    s, but no ``Pairing`` is built.  More than ``max_pairings`` pairings
+    raise ``TooManyPairings`` before any pairing is decomposed.
 
     Pairings run as an odometer over the per-vertex permutations of Y-edge
     ids; each fills a U-side and a V-side partner array, rewriting only the
@@ -277,6 +279,8 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
         if len(xs) != len(ys):
             raise DegreeMismatch("X and Y do not share their degree vectors")
         total *= math.factorial(len(xs))
+    if total > max_pairings:
+        raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
     vertices = [(side, *incid[side, w]) for side, w in sorted(incid)]
     return total, _cycle_lists(numbering, vertices, memo)
 

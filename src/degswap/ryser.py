@@ -16,7 +16,7 @@ from .errors import DegreeMismatch, Unreachable
 
 
 def _check_pair(G1: BipartiteGraph, G2: BipartiteGraph):
-    if (G1.k, G1.l) != (G2.k, G2.l) or not G1.same_margins(G2):
+    if not G1.same_margins(G2):
         raise DegreeMismatch("graphs do not realize the same degree sequence")
 
 

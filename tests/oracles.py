@@ -276,6 +276,29 @@ def naive_decompose(X, Y, pairing):
     return CircuitDecomposition(tuple(tuple(c) for c in circuits), tuple(cycles))
 
 
+# -- the CSR move graph as neighbour tuples ------------------------------------
+
+
+def csr(neighbours) -> tuple:
+    """``(indptr, indices)``: one tuple of neighbour ids per state as the
+    CSR arrays of ``StateSpace`` and ``TransitionMatrix``."""
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in neighbours])
+    indices = np.array([j for nbrs in neighbours for j in nbrs], dtype=np.intp)
+    return indptr, indices
+
+
+def neighbour_rows(space) -> tuple:
+    """The CSR move graph of a space or kernel as one tuple of neighbour ids
+    per state."""
+    ends, ids = space.indptr.tolist(), space.indices.tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def graphs(space) -> list:
+    """Every state of the space as a graph, in id order."""
+    return [space.graph(i) for i in range(space.n)]
+
+
 # -- dense rational distance-decay oracle -------------------------------------
 
 
@@ -286,7 +309,7 @@ def kernel_rows(K):
     from fractions import Fraction
 
     rows = []
-    for i, (d, nbrs) in enumerate(zip(K.diag, K.neighbours)):
+    for i, (d, nbrs) in enumerate(zip(K.diag, neighbour_rows(K))):
         row = [Fraction(0)] * K.n
         for j in nbrs:
             row[j] = K.jump
@@ -300,7 +323,8 @@ def dense_kernel_rows(space):
     ``transition_prob`` per ordered pair of states."""
     from degswap.chain import transition_prob
 
-    return [[transition_prob(X, Y) for Y in space.states] for X in space.states]
+    all_states = graphs(space)
+    return [[transition_prob(X, Y) for Y in all_states] for X in all_states]
 
 
 def dense_distance_profile(rows, t):
@@ -333,8 +357,8 @@ def full_deviations(P):
     """For t = 0, 1, 2, ... yield ``(max_{x,y} |N*A^t(y,x) - D^t|, D^t)``,
     where ``P = A / D`` on N states, advancing all N columns of ``A^t`` by
     sparse integer products over the move graph, with no symmetry used."""
-    n, denom, diag, neighbours = P.n, P.denom, P.diag, P.neighbours
-    cols = tuple(zip(diag, neighbours))
+    n, denom, diag = P.n, P.denom, P.diag
+    cols = tuple(zip(diag, neighbour_rows(P)))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     scale = 1
     while True:
@@ -380,8 +404,9 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
     pi2 = Fraction(1, n * n)
     load, weight = {}, {}
     n_paths = max_sd = 0
-    for xi, X in enumerate(space.states):
-        for yi, Y in enumerate(space.states):
+    all_states = graphs(space)
+    for xi, X in enumerate(all_states):
+        for yi, Y in enumerate(all_states):
             if xi == yi:
                 continue
             t_total = enumerate_pairings_count(X, Y)
@@ -415,18 +440,18 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
 
 def ordered_congestion(space, certify: bool = False):
     """The congestion report of a loop over ordered pairs: every (X, Y)
-    decomposed on its own by ``canonical._guarded_decompositions`` and its
+    decomposed on its own by ``pairings._decompositions`` and its
     paths counted by ``canonical._path_counts``, with the memos and integer
     loads of ``congestion``.  The oracle of its one decomposition per
     unordered pair."""
     import math
     from fractions import Fraction
 
-    from degswap.canonical import (_guarded_decompositions, _path_counts, hat_matrix,
-                                   switch_distance)
+    from degswap.canonical import _path_counts, hat_matrix, switch_distance
     from degswap.chain import pair_count
     from degswap.errors import SpecViolation
     from degswap.mixing import CongestionReport
+    from degswap.pairings import _decompositions
 
     n = space.n
     memos = ({}, {}, {})
@@ -435,15 +460,16 @@ def ordered_congestion(space, certify: bool = False):
     load, weight = {}, {}
     n_paths = max_sd = 0
     k, l = space.ds.k, space.ds.l
-    moves = {(i, j) for i, nbrs in enumerate(space.neighbours) for j in nbrs if i < j}
-    keys = [g.key() for g in space.states]
+    moves = {(i, j) for i, nbrs in enumerate(neighbour_rows(space)) for j in nbrs if i < j}
+    all_states = graphs(space)
+    keys = [g.key() for g in all_states]
     cells = [int.from_bytes(key, "little") for key in keys]
-    for xi, X in enumerate(space.states):
+    for xi, X in enumerate(all_states):
         circuits = {}
-        for yi, Y in enumerate(space.states):
+        for yi, Y in enumerate(all_states):
             if xi == yi:
                 continue
-            t_total, cycle_lists = _guarded_decompositions(l, keys[xi], keys[yi], circuits, 5000)
+            t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
             counts = _path_counts(l, keys[xi], keys[yi], cycle_lists, memos)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
@@ -471,7 +497,7 @@ def ordered_congestion(space, certify: bool = False):
                     key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(X, Y, space.states[z])
+                        hat = hat_matrix(X, Y, space.graph(z))
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     max_edge = max(load, key=lambda e: (load[e], e))
@@ -589,25 +615,27 @@ def naive_enumerate(ds):
 
     start = greedy_realize(ds)
     found = {start.key(): 0}
-    graphs = [start]
+    states = [start]
     moves = {}
     stack = [0]
     while stack:
         i = stack.pop()
         nbrs = moves[i] = []
-        for s in allowed_swaps(graphs[i]):
-            h = apply_swap(graphs[i], s)
+        for s in allowed_swaps(states[i]):
+            h = apply_swap(states[i], s)
             j = found.get(h.key())
             if j is None:
-                j = found[h.key()] = len(graphs)
-                graphs.append(h)
+                j = found[h.key()] = len(states)
+                states.append(h)
                 stack.append(j)
             nbrs.append(j)
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].key())
+    order = sorted(range(len(found)), key=lambda i: states[i].key())
     rank = {i: r for r, i in enumerate(order)}
-    states = tuple(graphs[i] for i in order)
+    adj = np.array([states[i].adj for i in order])
+    adj.setflags(write=False)
     neighbours = tuple(tuple(sorted(rank[j] for j in moves[i])) for i in order)
-    return StateSpace(ds, states, {g.key(): i for i, g in enumerate(states)}, neighbours)
+    return StateSpace(ds, adj, {states[i].key(): r for r, i in enumerate(order)},
+                      *csr(neighbours))
 
 
 # -- the certificate search that rescans every node ----------------------------

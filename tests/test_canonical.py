@@ -22,7 +22,7 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, ch
                      pairings, random_pairing)
 from degswap.ryser import replay
 
-from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists,
+from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists, graphs,
                      naive_switch_distance, never_memoize_bridges, perturbed_environment,
                      random_types, reference_path, ring_blocker_types,
                      sequence_margins_ok, split_environment_pools)
@@ -112,7 +112,7 @@ class TestFMatrix:
 class TestHatMatrix:
     def test_cancellation(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
-        X, Y = space.states[0], space.states[1]
+        X, Y = space.graph(0), space.graph(1)
         assert (hat_matrix(X, Y, X) == Y.adj).all()
         assert (hat_matrix(X, Y, Y) == X.adj).all()
 
@@ -121,7 +121,7 @@ class TestHatMatrix:
                                  max_states=200)
         rng = np.random.default_rng(4)
         for _ in range(40):
-            X, Y, Z = (space.states[int(rng.integers(space.n))] for _ in range(3))
+            X, Y, Z = (space.graph(int(rng.integers(space.n))) for _ in range(3))
             h = hat_matrix(X, Y, Z)
             assert h.min() >= -1 and h.max() <= 2
             assert (h.sum(axis=1) == np.array(X.row_deg)).all()
@@ -129,7 +129,7 @@ class TestHatMatrix:
 
     def test_read_only(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
-        h = hat_matrix(*space.states[:3])
+        h = hat_matrix(*graphs(space)[:3])
         assert h.dtype == np.int8
         with pytest.raises(ValueError):
             h[0, 0] = 0
@@ -141,12 +141,12 @@ class TestHatMatrix:
         # integer is symmetric in X and Y
         space = enumerate_states(BipartiteDegreeSequence((3, 3, 2, 1), (3, 2, 2, 2)))
         assert space.n == 27
-        ints = [int.from_bytes(g.key(), "little") for g in space.states]
+        ints = [int.from_bytes(g.key(), "little") for g in graphs(space)]
         hat_of, key_of = {}, {}
         for x, y, z in itertools.product(range(space.n), repeat=3):
             key = ints[x] + ints[y] - ints[z]
             assert key == ints[y] + ints[x] - ints[z]
-            hat = hat_matrix(space.states[x], space.states[y], space.states[z]).tobytes()
+            hat = hat_matrix(space.graph(x), space.graph(y), space.graph(z)).tobytes()
             assert hat_of.setdefault(key, hat) == hat
             assert key_of.setdefault(hat, key) == key
         assert len(hat_of) == len(key_of) < 27 ** 3
@@ -452,13 +452,14 @@ class TestSwitchDistanceMatchesRescan:
         # including the one at certificate 3
         space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
         hats = {}
-        for X in space.states:
-            for Y in space.states:
+        all_states = graphs(space)
+        for X in all_states:
+            for Y in all_states:
                 if X == Y:
                     continue
                 for path in path_distribution(X, Y):
                     for key in path:
-                        hat = hat_matrix(X, Y, space.states[space.index[key]])
+                        hat = hat_matrix(X, Y, space.graph(space.index[key]))
                         hats.setdefault(hat.tobytes(), hat)
         certs = []
         for hat in hats.values():
@@ -563,7 +564,7 @@ class TestPathAlongCycle:
 class TestCanonicalPath:
     def test_identity(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
-        X = space.states[0]
+        X = space.graph(0)
         s = next(all_pairings(X, X))
         assert canonical_path(X, X, s) == [X]
 
@@ -631,13 +632,14 @@ class TestCanonicalPath:
                                                ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
         # path_distribution, with memos fresh for each pair, and congestion's
-        # route, _path_counts over the cycle lists of _guarded_decompositions
+        # route, _path_counts over the cycle lists of pairings._decompositions
         # with its segment, pattern and bridge memos shared across the pairs
         # and each key path mapped to state ids,
         # give the distribution of the paths built cycle by cycle on the
         # full graphs by path_along_cycle, one per pairing: every ordered
         # pair of the 6-state space and seeded pairs of the 48-state space
-        from degswap.canonical import _guarded_decompositions, _path_counts
+        from degswap.canonical import _path_counts
+        from degswap.pairings import _decompositions
 
         space = enumerate_states(BipartiteDegreeSequence(a, b))
         pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
@@ -646,7 +648,7 @@ class TestCanonicalPath:
             pairs = [pairs[i] for i in rng.choice(len(pairs), n_pairs, replace=False)]
         memos = ({}, {}, {})
         for xi, yi in pairs:
-            X, Y = space.states[xi], space.states[yi]
+            X, Y = space.graph(xi), space.graph(yi)
             counts = {}
             for s in all_pairings(X, Y):
                 gamma = tuple(g.key() for g in reference_path(X, Y, s))
@@ -654,11 +656,11 @@ class TestCanonicalPath:
             total = sum(counts.values())
             reference = {gamma: Fraction(c, total) for gamma, c in counts.items()}
             assert path_distribution(X, Y) == reference, (xi, yi)
-            total, cycle_lists = _guarded_decompositions(X.l, X.key(), Y.key(), {}, 5000)
+            total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, 5000)
             counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, memos)
             by_ids = {tuple(space.index[key] for key in path): Fraction(c, total)
                       for path, c in counts.items()}
-            assert {tuple(space.states[i].key() for i in ids): f
+            assert {tuple(space.graph(i).key() for i in ids): f
                     for ids, f in by_ids.items()} == reference, (xi, yi)
         assert all(memos)
 
@@ -806,7 +808,7 @@ class TestCanonicalPath:
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
-        X, Y = space.states[0], space.states[2]
+        X, Y = space.graph(0), space.graph(2)
         s = next(all_pairings(X, Y))
         states, certs = canonical_path(X, Y, s, certify=True)
         assert len(states) == len(certs)

@@ -11,7 +11,7 @@ from degswap import chain
 from degswap.errors import DegreeMismatch, NotGraphical
 from degswap.mixing import enumerate_states
 
-from oracles import scalar_walk
+from oracles import graphs, scalar_walk
 
 DS = BipartiteDegreeSequence((2, 2, 2), (3, 2, 1))
 
@@ -25,21 +25,23 @@ def test_degenerate_two_matchings():
 
 def test_single_swap_probability():
     space = enumerate_states(DS)
-    X, Y = space.states[0], space.states[1]
+    X, Y = space.graph(0), space.graph(1)
     assert transition_prob(X, Y) in (Fraction(0), Fraction(1, 9))
 
 
 def test_rows_sum_to_one():
     space = enumerate_states(DS)
-    for X in space.states:
-        total = sum(transition_prob(X, Y) for Y in space.states)
+    all_states = graphs(space)
+    for X in all_states:
+        total = sum(transition_prob(X, Y) for Y in all_states)
         assert total == 1
 
 
 def test_kernel_symmetry():
     space = enumerate_states(DS)
-    for X in space.states:
-        for Y in space.states:
+    all_states = graphs(space)
+    for X in all_states:
+        for Y in all_states:
             assert transition_prob(X, Y) == transition_prob(Y, X)
 
 
@@ -67,11 +69,12 @@ def test_step_degenerate_always_moves():
 
 def test_step_frequencies_match_kernel():
     space = enumerate_states(DS)
+    all_states = graphs(space)
     kernel = {(i, j): float(transition_prob(X, Y))
-              for i, X in enumerate(space.states)
-              for j, Y in enumerate(space.states)}
+              for i, X in enumerate(all_states)
+              for j, Y in enumerate(all_states)}
     n_steps = 100_000
-    st = ChainState(space.states[0], np.random.default_rng(123))
+    st = ChainState(space.graph(0), np.random.default_rng(123))
     counts = {}
     visits = {}
     for _ in range(n_steps):

@@ -16,10 +16,10 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             distance_profile, enumerate_states, spectral_gap,
                             total_variation, total_variation_time, tv_mixing_time)
 
-from oracles import (all_degree_pairs, brute_margin_count, count_ryser,
+from oracles import (all_degree_pairs, brute_margin_count, count_ryser, csr,
                      dense_distance_profile, dense_kernel_rows, dense_total_variation,
-                     full_deviations, kernel_rows, naive_congestion, naive_enumerate,
-                     naive_segment, never_memoize_bridges, ordered_congestion)
+                     full_deviations, graphs, kernel_rows, naive_congestion, naive_enumerate,
+                     naive_segment, neighbour_rows, never_memoize_bridges, ordered_congestion)
 
 
 def bds(a, b):
@@ -43,7 +43,7 @@ class TestEnumeration:
 
     def test_canonical_order(self):
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
-        keys = [g.key() for g in space.states]
+        keys = [g.key() for g in graphs(space)]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("a, b", [
@@ -70,7 +70,8 @@ class TestEnumeration:
 
     def test_states_are_trusted_read_only_graphs(self):
         space = enumerate_states(bds((2, 2, 1), (2, 2, 1)))
-        for g in space.states:
+        assert not any(arr.flags.writeable for arr in (space.adj, space.indptr, space.indices))
+        for g in graphs(space):
             assert g == BipartiteGraph(g.adj) and not g.adj.flags.writeable
             assert (g.row_deg, g.col_deg) == ((2, 2, 1), (2, 2, 1))
 
@@ -106,8 +107,10 @@ class TestEnumeration:
 
 def assert_same_space(ds):
     got, want = enumerate_states(ds), naive_enumerate(ds)
-    assert [g.key() for g in got.states] == [g.key() for g in want.states], ds
-    assert got.index == want.index and got.neighbours == want.neighbours, ds
+    assert np.array_equal(got.adj, want.adj), ds
+    assert got.index == want.index, ds
+    assert np.array_equal(got.indptr, want.indptr), ds
+    assert np.array_equal(got.indices, want.indices), ds
 
 
 class TestCounting:
@@ -148,7 +151,7 @@ def _complete(n):
 class TestKernel:
     def test_degenerate_two_state(self):
         K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
-        assert (K.denom, K.diag, K.neighbours) == (1, (0, 0), ((1,), (0,)))
+        assert (K.denom, K.diag, neighbour_rows(K)) == (1, (0, 0), ((1,), (0,)))
         assert kernel_rows(K) == [[0, 1], [1, 0]]
 
     def test_uniform_is_stationary(self):
@@ -182,17 +185,31 @@ class TestKernel:
     ])
     def test_move_graph_laws_rejected(self, neighbours, message):
         with pytest.raises(AssertionError, match=message):
-            TransitionMatrix(1, neighbours)
+            TransitionMatrix(1, *csr(neighbours))
+
+    @pytest.mark.parametrize("indptr, indices, message", [
+        ([1, 1, 2], [1, 0], "indptr must start at 0"),
+        ([0, 2, 1, 2], [1, 2], "never decrease"),
+        ([0, 1, 1], [1, 0], "end at len"),
+        ([0, 1, 2], [2, 0], "outside \\[0, 2\\)"),
+        ([0, 1, 2], [1, -1], "outside \\[0, 2\\)"),
+        ([0, 2, 3, 4], [2, 1, 0, 0], "row is not increasing"),
+    ])
+    def test_malformed_csr_rejected(self, indptr, indices, message):
+        # one case per malformed CSR input; the last is a symmetric move
+        # graph whose row 0 lists its ids in decreasing order
+        with pytest.raises(AssertionError, match=message):
+            TransitionMatrix(2, np.array(indptr), np.array(indices))
 
     def test_bare_kernel_laws_rejected(self):
-        # a bare kernel, TransitionMatrix(denom, neighbours) with no space or
+        # a bare kernel, TransitionMatrix(denom, indptr, indices) with no space or
         # symmetries: state 1 has three moves of 1/2 each, so its holding
         # probability would be -1/2
         with pytest.raises(AssertionError, match="row 1 does not sum"):
-            TransitionMatrix(2, ((1,), (0, 2, 3), (1,), (1,)))
+            TransitionMatrix(2, *csr(((1,), (0, 2, 3), (1,), (1,))))
         for denom in (0, -1):
             with pytest.raises(ValueError, match="denominator must be positive"):
-                TransitionMatrix(denom, ((),))
+                TransitionMatrix(denom, *csr(((),)))
 
 
 class TestSpectralGap:
@@ -205,7 +222,7 @@ class TestSpectralGap:
     def test_uniform_jump_closed_form(self):
         # every entry is 1/n: n - 1 moves of 1/n and a holding 1/n
         n = 5
-        lam2, tau = spectral_gap(TransitionMatrix(n, _complete(n)))
+        lam2, tau = spectral_gap(TransitionMatrix(n, *csr(_complete(n))))
         assert abs(lam2) < 1e-12 and abs(tau - 1.0) < 1e-12
 
     def test_semi_regular_gap(self):
@@ -221,7 +238,7 @@ class TestSpectralGap:
 
     def test_reducible_kernel_is_degenerate(self):
         # eigenvalue 1 twice: state 0 never leaves, states 1 and 2 swap
-        K = TransitionMatrix(2, ((), (2,), (1,)))
+        K = TransitionMatrix(2, *csr(((), (2,), (1,))))
         with pytest.raises(DegenerateChain, match="reducible"):
             spectral_gap(K)
         for scan in (tv_mixing_time, total_variation_time):
@@ -246,6 +263,18 @@ class TestSpectralGap:
         assert f"{lam2:.12g}" == "0.915817832304"
         assert abs(lam2 - np.linalg.eigvalsh(K.as_float())[-2]) < 1e-10
 
+    def test_spectrum_builds_only_the_start_graph(self, monkeypatch):
+        # the space, its kernel and its blocks are arrays: the greedy start is
+        # the one graph that enumerating and solving the 1,170 states builds
+        built = []
+        real = BipartiteGraph._adopt
+        monkeypatch.setattr(BipartiteGraph, "_adopt",
+                            lambda g, arr: built.append(arr.shape) or real(g, arr))
+        space = enumerate_states(bds((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)))
+        lam2, _ = spectral_gap(build_kernel(space))
+        assert (space.n, f"{lam2:.12g}") == (1170, "0.922314848983")
+        assert built == [(5, 5)]
+
     def test_guard_bounds_the_largest_block(self, space_1170):
         K = build_kernel(space_1170)
         with pytest.raises(TooLarge, match="block of 170 states"):
@@ -262,7 +291,7 @@ def forced_kernel(space):
     """The space's kernel carrying every available vertex relabelling,
     whatever its size."""
     swaps = mixing._vertex_swaps(space.ds)
-    return TransitionMatrix(build_kernel(space).denom, space.neighbours,
+    return TransitionMatrix(build_kernel(space).denom, space.indptr, space.indices,
                             mixing._relabellings(space, swaps))
 
 
@@ -294,16 +323,16 @@ class TestSymmetryBlocks:
                   enumerate_states(bds((3, 3, 1), (2, 2, 2, 1)))]
         for space in spaces:
             K = forced_kernel(space)
+            nbrs = neighbour_rows(space)
             swaps = mixing._vertex_swaps(space.ds)
             assert len(K.symmetries) == len(swaps) > 0
             for p, (side, a, b) in zip(K.symmetries, swaps):
-                for i, g in enumerate(space.states):
+                for i, g in enumerate(graphs(space)):
                     order = list(range(g.k if side == 0 else g.l))
                     order[a], order[b] = b, a
                     moved = g.adj[order] if side == 0 else g.adj[:, order]
-                    assert space.states[p[i]].key() == moved.tobytes()
-                    assert sorted(p[j] for j in space.neighbours[i]) == list(
-                        space.neighbours[p[i]])
+                    assert space.graph(p[i]).key() == moved.tobytes()
+                    assert sorted(p[j] for j in nbrs[i]) == list(nbrs[p[i]])
 
     def test_swaps_are_disjoint_equal_degree_pairs(self):
         swaps = mixing._vertex_swaps(bds((3, 2, 2, 2, 1, 0, 0), (3, 2, 2, 2, 2, 1)))
@@ -315,12 +344,12 @@ class TestSymmetryBlocks:
         (lambda space: list(range(space.n - 1)), "involution"),
         # state 0 and one of its neighbours exchanged: an involution that
         # moves the edges from 0 to its other neighbours off the move graph
-        (lambda space: _transposition(space.n, 0, space.neighbours[0][0]), "move graph"),
+        (lambda space: _transposition(space.n, 0, neighbour_rows(space)[0][0]), "move graph"),
     ])
     def test_non_symmetry_rejected(self, perm, message):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         with pytest.raises(AssertionError, match=message):
-            TransitionMatrix(9, space.neighbours, [perm(space)])
+            TransitionMatrix(9, space.indptr, space.indices, [perm(space)])
 
     def test_overlapping_swaps_rejected(self):
         # exchanging rows 0, 1 and exchanging rows 1, 2 are each symmetries,
@@ -328,15 +357,15 @@ class TestSymmetryBlocks:
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         perms = mixing._relabellings(space, [(0, 0, 1), (0, 1, 2)])
         for p in perms:
-            TransitionMatrix(9, space.neighbours, [p])
+            TransitionMatrix(9, space.indptr, space.indices, [p])
         with pytest.raises(AssertionError, match="commute"):
-            TransitionMatrix(9, space.neighbours, perms)
+            TransitionMatrix(9, space.indptr, space.indices, perms)
 
     def test_denominator_too_large_for_exact_blocks(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         perms = mixing._relabellings(space, mixing._vertex_swaps(space.ds))
         with pytest.raises(AssertionError, match="denominator"):
-            TransitionMatrix(2**53, space.neighbours, perms)
+            TransitionMatrix(2**53, space.indptr, space.indices, perms)
 
     def test_block_checks(self, monkeypatch):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
@@ -344,7 +373,8 @@ class TestSymmetryBlocks:
         # an unverified transposition of two adjacent states sums to an
         # asymmetric integer block
         unverified = build_kernel(space)
-        unverified.symmetries = (np.array(_transposition(space.n, 0, space.neighbours[0][0])),)
+        j = neighbour_rows(space)[0][0]
+        unverified.symmetries = (np.array(_transposition(space.n, 0, j)),)
         with pytest.raises(AssertionError, match="not symmetric"):
             mixing._blocks(unverified, 2000)
         # blocks that keep every orbit for every character overcount the states
@@ -353,10 +383,10 @@ class TestSymmetryBlocks:
             mixing._blocks(K, 2000)
 
     def test_bare_kernel_carries_no_symmetries(self):
-        # TransitionMatrix(denom, neighbours), built with no space or symmetries
+        # TransitionMatrix(denom, indptr, indices), built with no space or symmetries
         space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
         K = build_kernel(space)
-        bare = TransitionMatrix(K.denom, space.neighbours)
+        bare = TransitionMatrix(K.denom, space.indptr, space.indices)
         assert bare.symmetries == () and K.symmetries == ()
         assert spectral_gap(bare) == spectral_gap(K)
         assert abs(spectral_gap(forced_kernel(space))[0] - spectral_gap(K)[0]) < 1e-12
@@ -450,7 +480,7 @@ class TestMixingTime:
     def test_2040_states_without_symmetry_blocks(self):
         # one dense block of 2,040 states: past the eigensolve guard
         space = enumerate_states(bds((2,) * 5, (2,) * 5))
-        K = TransitionMatrix(pair_count(5) ** 2, space.neighbours, (), space)
+        K = TransitionMatrix(pair_count(5) ** 2, space.indptr, space.indices, (), space)
         with pytest.raises(TooLarge):
             spectral_gap(K)
         assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (16, 58)
@@ -519,9 +549,10 @@ class TestOrbitScan:
             ds = space.ds
             moves = mixing._vertex_swaps(ds, step=1) + ["T"] * (ds.a == ds.b)
             perms = mixing._orbit_generators(space)
+            nbrs = neighbour_rows(space)
             assert len(perms) == len(moves) > 0
             for p, move in zip(perms, moves):
-                for i, g in enumerate(space.states):
+                for i, g in enumerate(graphs(space)):
                     if move == "T":
                         moved = g.adj.T
                     else:
@@ -529,9 +560,8 @@ class TestOrbitScan:
                         order = list(range(g.k if side == 0 else g.l))
                         order[a], order[b] = b, a
                         moved = g.adj[order] if side == 0 else g.adj[:, order]
-                    assert space.states[p[i]].key() == moved.tobytes()
-                    assert sorted(p[j] for j in space.neighbours[i]) == list(
-                        space.neighbours[p[i]])
+                    assert space.graph(p[i]).key() == moved.tobytes()
+                    assert sorted(p[j] for j in nbrs[i]) == list(nbrs[p[i]])
 
     def test_corrupted_generator_rejected(self, monkeypatch):
         # a relabelling that exchanges state 0 with one of its neighbours is
@@ -542,7 +572,7 @@ class TestOrbitScan:
         def corrupted(*args, **kwargs):
             perms = real(*args, **kwargs)
             if perms:       # build_kernel takes no symmetry on 48 states
-                perms[0] = np.array(_transposition(space.n, 0, space.neighbours[0][0]))
+                perms[0] = np.array(_transposition(space.n, 0, neighbour_rows(space)[0][0]))
             return perms
 
         monkeypatch.setattr(mixing, "_relabellings", corrupted)
@@ -563,11 +593,11 @@ class TestOrbitScan:
         assert calls == [space]
 
     def test_bare_kernel_scans_every_column(self):
-        # TransitionMatrix(denom, neighbours) knows no space, so it has no
+        # TransitionMatrix(denom, indptr, indices) knows no space, so it has no
         # relabellings and every state is its own orbit
         space = enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1)))
         K = build_kernel(space)
-        bare = TransitionMatrix(K.denom, space.neighbours)
+        bare = TransitionMatrix(K.denom, space.indptr, space.indices)
         assert mixing._representatives(bare) == tuple(range(space.n))
         for measure in (mixing._entrywise, mixing._total):
             scans = zip(mixing._decay(bare, measure), mixing._decay(K, measure))
@@ -709,10 +739,10 @@ class TestCongestion:
         # drop the move 0-j from the space's neighbour table: the one-swap
         # path from state 0 to j now steps along a non-edge
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
-        j = space.neighbours[0][0]
+        j = neighbour_rows(space)[0][0]
         cut = tuple(tuple(x for x in nbrs if {i, x} != {0, j})
-                    for i, nbrs in enumerate(space.neighbours))
-        tampered = StateSpace(space.ds, space.states, space.index, cut)
+                    for i, nbrs in enumerate(neighbour_rows(space)))
+        tampered = StateSpace(space.ds, space.adj, space.index, *csr(cut))
         with pytest.raises(SpecViolation):
             congestion(tampered)
 
@@ -768,8 +798,8 @@ class TestCongestion:
         # a cycle whose X- and Y-edges are named the wrong way round flips
         # the right cells but misses the state it claims to reach
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
-        X, Y = space.states[0], space.states[space.neighbours[0][0]]
-        (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 3, {})[1])
+        X, Y = space.graph(0), space.graph(neighbour_rows(space)[0][0])
+        (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 3, {}, 5000)[1])
         assert canonical._key_segment({}, {}, 3, X.key(), cyc) == (Y.key(),)
         wrong = AlternatingCycle(cyc.edge_seq, cyc.y_edges, cyc.x_edges)
         with pytest.raises(SpecViolation):
@@ -861,14 +891,14 @@ class TestSegmentMemo:
     def test_segments_match_graph_walk(self, runs, name):
         space, _, segs, _ = runs[name]
         for key, cycle, seg in segs:
-            assert seg == naive_segment(space.states[space.index[key]], cycle), cycle.edge_seq
+            assert seg == naive_segment(space.graph(space.index[key]), cycle), cycle.edge_seq
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_one_certificate_per_hat_matrix(self, runs, name):
         # the integer key x + y - z splits the visited (X, Y, Z) exactly as
         # the hat matrix's bytes do: one switch_distance per distinct matrix
         space, _, _, (certified, visited) = runs[name]
-        graph = {g.key(): g for g in space.states}
+        graph = {g.key(): g for g in graphs(space)}
         hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).tobytes()
                 for (x, y), zs in visited.items() for z in zs}
         assert len(certified) == len(set(certified)) == len(hats)

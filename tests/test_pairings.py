@@ -3,15 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairing,
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairing, pairings,
                      advance, all_pairings, canonical_path, decompose,
                      enumerate_pairings_count, random_pairing, symmetric_difference)
 from degswap.core import allowed_swaps, apply_swap, is_graphical
-from degswap.errors import DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch
+from degswap.errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
+                            TooManyPairings)
 from degswap.mixing import enumerate_states
 from degswap.pairings import _decompositions, _exchanged, nth_pairing
 
-from oracles import all_degree_pairs, naive_decompose
+from oracles import all_degree_pairs, graphs, naive_decompose
 
 # symmetric difference: two 4-cycles sharing U-vertex 0
 FIG8_X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -172,7 +173,7 @@ def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> i
     ``all_pairings`` and ``naive_decompose`` read only X xor Y, so the
     dict ``oracle`` keeps their results by the shape and the cells of
     X - Y and Y - X, and pairs with the same difference share them."""
-    total, lists = _decompositions(X.key(), Y.key(), X.l, memo)
+    total, lists = _decompositions(X.key(), Y.key(), X.l, memo, 5000)
     oracle = {} if oracle is None else oracle
     x, y = int.from_bytes(X.key(), "little"), int.from_bytes(Y.key(), "little")
     key = (X.k, X.l, x & ~y, y & ~x)
@@ -209,9 +210,10 @@ def test_kernel_matches_decompose_on_small_spaces():
         if space.n < 2:
             continue
         public = max(len(a), len(b)) <= 3 or (a, b) in PUBLIC_CHECKED
-        for X in space.states:
+        all_states = graphs(space)
+        for X in all_states:
             memo = {}
-            for Y in space.states:
+            for Y in all_states:
                 if X is not Y:
                     total = kernel_matches_decompose(X, Y, memo, public, oracle)
                     pairings += total
@@ -241,9 +243,23 @@ def test_kernel_matches_decompose_on_higher_degree_differences():
             checked += 1
 
 
+def test_kernel_guard_fires_before_any_pairing_is_decomposed(monkeypatch):
+    # the figure-eight pair has 2 pairings: a guard of 1 refuses it before
+    # the first pairing is traced, and a guard of 2 lets both through
+    def no_trace(*args):
+        raise AssertionError("a pairing was decomposed past the guard")
+
+    monkeypatch.setattr(pairings, "_trace", no_trace)
+    with pytest.raises(TooManyPairings, match="^2 pairings exceed the guard 1$"):
+        _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {}, 1)
+    monkeypatch.undo()
+    total, lists = _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {}, 2)
+    assert total == len(list(lists)) == 2
+
+
 def test_kernel_rejects_unequal_margins():
     with pytest.raises(DegreeMismatch):
-        _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {})
+        _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {}, 5000)
 
 
 # -- the class exchange: (Y, X) from the decomposition of (X, Y) --------------
@@ -253,8 +269,8 @@ def exchange_matches_reverse(x_key, y_key, l, x_memo, y_memo) -> int:
     """Assert that the kernel gives (Y, X) the pairing count of (X, Y) and
     its cycle lists with each cycle's classes exchanged, as equal multisets
     of lists; return the number of pairings."""
-    total, lists = _decompositions(x_key, y_key, l, x_memo)
-    back_total, back = _decompositions(y_key, x_key, l, y_memo)
+    total, lists = _decompositions(x_key, y_key, l, x_memo, 5000)
+    back_total, back = _decompositions(y_key, x_key, l, y_memo, 5000)
     assert back_total == total
     exchanged = Counter(tuple(map(_exchanged, cycles)) for cycles in lists)
     assert exchanged == Counter(map(tuple, back))
@@ -273,7 +289,7 @@ def test_exchange_matches_reverse_on_every_pair(a, b, n, pairs):
     # keeps it for its source state
     space = enumerate_states(BipartiteDegreeSequence(a, b))
     assert space.n == n
-    keys = [g.key() for g in space.states]
+    keys = [g.key() for g in graphs(space)]
     memos = [{} for _ in keys]
     checked = 0
     for xi in range(n):
@@ -291,6 +307,6 @@ def test_exchange_matches_reverse_on_seeded_pairs():
     totals = set()
     for _ in range(1000):
         xi, yi = rng.choice(space.n, 2, replace=False)
-        X, Y = space.states[xi], space.states[yi]
+        X, Y = space.graph(xi), space.graph(yi)
         totals.add(exchange_matches_reverse(X.key(), Y.key(), X.l, {}, {}))
     assert max(totals) == 256

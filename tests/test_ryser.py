@@ -5,6 +5,8 @@ from degswap.errors import DegreeMismatch
 from degswap.mixing import enumerate_states
 from degswap.ryser import replay
 
+from oracles import graphs
+
 M1 = BipartiteGraph([[1, 0], [0, 1]])
 M2 = BipartiteGraph([[0, 1], [1, 0]])
 
@@ -23,9 +25,10 @@ def test_two_matchings():
 
 def test_all_pairs_of_semi_regular_instance():
     space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
-    e = space.states[0].num_edges()
-    for X in space.states:
-        for Y in space.states:
+    e = space.graph(0).num_edges()
+    all_states = graphs(space)
+    for X in all_states:
+        for Y in all_states:
             seq = ryser_sequence(X, Y)
             states = replay(X, seq)
             assert states[-1] == Y
@@ -39,8 +42,9 @@ def test_all_pairs_of_semi_regular_instance():
 
 def test_distance_never_exceeds_construction():
     space = enumerate_states(BipartiteDegreeSequence((2, 2, 1), (2, 2, 1)))
-    for X in space.states:
-        for Y in space.states:
+    all_states = graphs(space)
+    for X in all_states:
+        for Y in all_states:
             assert swap_distance(X, Y) <= len(ryser_sequence(X, Y))
 
 
