@@ -28,18 +28,22 @@ A realization on a path is named by its key alone (``BipartiteGraph.key``,
 one byte per cell).  ``_walk`` flips a decomposition's cycles in order,
 each segment by ``_key_segment`` on the cycle's local m x m pattern, with
 segment, pattern and bridge memos the caller scopes; ``canonical_path``,
-``path_distribution`` and ``mixing.congestion`` all walk through it.
+``path_distribution`` and ``mixing.congestion`` all walk through it.  The
+cycle solver works on keys too, and reads the grid's geometry from one
+table per cycle length, ``_grid``.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BipartiteGraph, Swap, _gale_ryser, apply_swap, symmetric_difference
+from .core import BipartiteGraph, Swap, _gale_ryser, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
@@ -51,11 +55,46 @@ from .ryser import replay, ryser_sequence
 # ---------------------------------------------------------------------------
 
 
+class _Grid(NamedTuple):
+    """The m x m cycle-local grid of one length m, as lookup tables."""
+
+    rings: tuple      # rings[a][b]: the ring of cell (a, b)
+    chords: tuple     # the chord cells, in row-major order
+    cousins: tuple    # cousins[a][b]: cousins((a, b), m), None on the diagonals
+    down: tuple       # down[i]: down_line(i, m)
+    up: tuple         # up[i]: up_line(i, m)
+    near: tuple       # down_up_rings(m)
+
+
+@functools.lru_cache(maxsize=64)
+def _grid(m: int) -> _Grid:
+    """The grid tables of length m, a pure function of m, built once per
+    length and process; every table is immutable, as the cache shares it."""
+    rings = tuple(tuple((b - a) % m for b in range(m)) for a in range(m))
+    # one (a, b) tuple per cell, which every table below refers to
+    cell = [[(a, b) for b in range(m)] for a in range(m)]
+    chords = tuple(cell[a][b] for a in range(m) for b in range(m) if rings[a][b] >= 2)
+    cousins = [[None] * m for _ in range(m)]
+    for a, b in chords:
+        # the reflected 2x2 window: u-index in {b-1, b}, v-index in {a, a+1},
+        # four distinct cells (a chord needs m >= 3), diagonal cells dropped
+        u, v = (b - 1) % m, (a + 1) % m
+        window = sorted([cell[u][a], cell[u][v], cell[b][a], cell[b][v]])
+        cousins[a][b] = tuple([p for p in window if rings[p[0]][p[1]] >= 2])
+    down = tuple(tuple(cell[(i + s) % m][(i - s) % m] for s in range(1, _max_down_steps(m) + 1))
+                 for i in range(m))
+    up = tuple(tuple(cell[(i - s) % m][(i + s) % m] for s in range(1, _max_up_steps(m) + 1))
+               for i in range(m))
+    near = (tuple(cell[t][(t - 1) % m] for t in range(m)),
+            tuple(cell[t][(t + 2) % m] for t in range(m)))
+    return _Grid(rings, chords, tuple(map(tuple, cousins)), down, up, near)
+
+
 def ring(pos, ell: int) -> int:
     """Cyclic offset of a cell: 0 on the main diagonal, 1 on the small
     diagonal, 2..ell-1 on chords."""
     a, b = pos
-    return (b - a) % ell
+    return _grid(ell).rings[a % ell][b % ell]
 
 
 def is_chord(pos, ell: int) -> bool:
@@ -70,12 +109,11 @@ def cousins(pos, ell: int) -> tuple:
     cousin span a 2x2 submatrix whose other two corners both lie on the
     diagonals, which is what makes a same-type cousin a switch witness.
     """
-    if not is_chord(pos, ell):
-        raise DiagonalPosition(f"{pos} lies on a diagonal")
     a, b = pos
-    cands = {((b - 1) % ell, a), ((b - 1) % ell, (a + 1) % ell),
-             (b % ell, a), (b % ell, (a + 1) % ell)}
-    return tuple(sorted(p for p in cands if is_chord(p, ell)))
+    out = _grid(ell).cousins[a % ell][b % ell]
+    if out is None:
+        raise DiagonalPosition(f"{pos} lies on a diagonal")
+    return out
 
 
 def _orth_neighbors(pos, ell: int):
@@ -116,15 +154,13 @@ def _max_up_steps(ell: int) -> int:
 def down_line(i: int, ell: int) -> tuple:
     """Chord cells ((i+s) mod ell, (i-s) mod ell), s = 1.., walking from the
     main diagonal toward the small diagonal."""
-    return tuple(((i + s) % ell, (i - s) % ell)
-                 for s in range(1, _max_down_steps(ell) + 1))
+    return _grid(ell).down[i % ell]
 
 
 def up_line(i: int, ell: int) -> tuple:
     """Chord cells ((i-s) mod ell, (i+s) mod ell), s = 1.., walking from the
     small diagonal toward the main diagonal."""
-    return tuple(((i - s) % ell, (i + s) % ell)
-                 for s in range(1, _max_up_steps(ell) + 1))
+    return _grid(ell).up[i % ell]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +190,17 @@ class CycleFrame:
     def small_edge(self, t: int) -> tuple:
         return (self.u_ids[t], self.v_ids[(t + 1) % self.m])
 
+    def _cell_index(self, pos, l: int) -> int:
+        """Where ``cell_edge(pos)`` sits in the key of a graph with l columns."""
+        a, b = pos
+        return self.u_ids[a] * l + self.v_ids[b]
+
+    def _diagonal_indices(self, l: int) -> list:
+        """Per local index t, where ``main_edge(t)`` and ``small_edge(t)``
+        sit in the key of a graph with l columns."""
+        vs = self.v_ids
+        return [(u * l + v, u * l + w) for u, v, w in zip(self.u_ids, vs, vs[1:] + vs[:1])]
+
     def sub(self, arc) -> "CycleFrame":
         return CycleFrame(tuple(self.u_ids[t] for t in arc),
                           tuple(self.v_ids[t] for t in arc))
@@ -161,7 +208,8 @@ class CycleFrame:
     @classmethod
     def from_cycle(cls, cycle: AlternatingCycle, G: BipartiteGraph) -> "CycleFrame":
         """Orient the cycle so its edges inside G become the main diagonal."""
-        g_edges = {e for e in cycle.x_edges | cycle.y_edges if G.adj[e]}
+        key, l = G.key(), G.l
+        g_edges = {(u, v) for u, v in cycle.x_edges | cycle.y_edges if key[u * l + v]}
         o_edges = (cycle.x_edges | cycle.y_edges) - g_edges
         if len(g_edges) != len(o_edges):
             raise CycleMismatch("cycle does not alternate against the start graph")
@@ -204,10 +252,10 @@ class FMatrix:
         m = self.ell
         if len(self.cells) != m or any(len(r) != m for r in self.cells):
             raise ValueError("cells must form an ell x ell grid")
-        for a in range(m):
-            for b in range(m):
-                v = self.cells[a][b]
-                if ring((a, b), m) <= 1:
+        rings = _grid(m).rings
+        for a, (row, row_rings) in enumerate(zip(self.cells, rings)):
+            for b, (v, r) in enumerate(zip(row, row_rings)):
+                if r <= 1:
                     if v not in (0, 1):
                         raise ValueError(f"diagonal cell ({a},{b}) must be 0/1, got {v}")
                 elif v not in (0, 1, 2, 3):
@@ -223,9 +271,7 @@ class FMatrix:
         return 1 if self.cells[pos[0]][pos[1]] >= 2 else 0
 
     def chords(self) -> tuple:
-        m = self.ell
-        return tuple((a, b) for a in range(m) for b in range(m)
-                     if is_chord((a, b), m))
+        return _grid(self.ell).chords
 
     def is_friendly(self, pos) -> bool:
         t = self.type_of(pos)
@@ -245,28 +291,16 @@ class FMatrix:
         return cls(ell, tuple(tuple(r) for r in cells))
 
 
-def _frame_types(G: BipartiteGraph, frame: CycleFrame) -> dict:
-    types = {}
-    m = frame.m
-    for a in range(m):
-        for b in range(m):
-            if is_chord((a, b), m):
-                types[frame.cell_edge((a, b))] = int(G.adj[frame.cell_edge((a, b))])
-    return types
-
-
-def _local_f(Z: BipartiteGraph, frame: CycleFrame, types: dict) -> FMatrix:
-    m = frame.m
-    cells = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            e = frame.cell_edge((a, b))
-            r = ring((a, b), m)
-            if r <= 1:
-                cells[a][b] = int(Z.adj[e])
-            else:
-                cells[a][b] = 2 * types[e] + int(Z.adj[e])
-    return FMatrix(m, tuple(tuple(r) for r in cells))
+def _local_f(key: bytes, l: int, frame: CycleFrame, types: bytes) -> FMatrix:
+    """The F view of the realization with key ``key`` (l columns) on
+    ``frame``, each chord typed by its cell in ``types``, the start
+    realization's key."""
+    cells = []
+    for u, row_rings in zip(frame.u_ids, _grid(frame.m).rings):
+        base = u * l
+        cells.append(tuple(key[base + v] if r <= 1 else 2 * types[base + v] + key[base + v]
+                           for v, r in zip(frame.v_ids, row_rings)))
+    return FMatrix(frame.m, tuple(cells))
 
 
 def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
@@ -278,8 +312,7 @@ def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
         raise CycleMismatch("G and Gp do not differ in exactly this cycle")
     if not Z.same_margins(G):
         raise DegreeMismatch("Z does not realize the same degree sequence")
-    frame = CycleFrame.from_cycle(cycle, G)
-    return _local_f(Z, frame, _frame_types(G, frame))
+    return _local_f(Z.key(), Z.l, CycleFrame.from_cycle(cycle, G), G.key())
 
 
 def hat_matrix(X: BipartiteGraph, Y: BipartiteGraph, Z: BipartiteGraph) -> np.ndarray:
@@ -327,6 +360,12 @@ class SteinhausSet:
         for p in self.positions:
             out.update(cousins(p, self.ell))
         return frozenset(out)
+
+
+def _chord_types(F: FMatrix) -> dict:
+    """Every chord's ``F.type_of``, the chords read off the grid table."""
+    cells = F.cells
+    return {(a, b): 1 if cells[a][b] >= 2 else 0 for a, b in _grid(F.ell).chords}
 
 
 def _witness(F: FMatrix, pos):
@@ -402,9 +441,7 @@ def _blocks_all_rook_paths(block: set, ell: int) -> bool:
 
 def down_up_rings(ell: int):
     """The chord rings adjacent to the main diagonal and the small diagonal."""
-    near_main = tuple((t, (t - 1) % ell) for t in range(ell))
-    near_small = tuple((t, (t + 2) % ell) for t in range(ell))
-    return near_main, near_small
+    return _grid(ell).near
 
 
 def find_friendly_path(F: FMatrix):
@@ -420,8 +457,11 @@ def find_friendly_path(F: FMatrix):
     m = F.ell
     if m < 3:
         raise ValueError("the chord grid needs ell >= 3")
-    near_main, near_small = down_up_rings(m)
-    friendly = {p for p in F.chords() if F.is_friendly(p)}
+    grid = _grid(m)
+    near_main, near_small = grid.near
+    types = _chord_types(F)
+    friendly = {(a, b) for (a, b), t in types.items()
+                if any(types[q] == t for q in grid.cousins[a][b])}
     targets = {p for p in near_small if p in friendly}
     parent = {}
     frontier = sorted(p for p in near_main if p in friendly)
@@ -453,7 +493,7 @@ def find_friendly_path(F: FMatrix):
         pos.reverse()
         return FriendlyPath(tuple(pos), _adjusted(pos, F), len(pos) == 1)
 
-    unfriendly = set(F.chords()) - friendly
+    unfriendly = set(grid.chords) - friendly
     comps = []
     assigned = set()
     for p in sorted(unfriendly):
@@ -593,69 +633,77 @@ def _cyc_range(s, e, m):
     return out
 
 
-def _retarget(Z: BipartiteGraph, frame: CycleFrame, prev: OKKOSpec | None, mains, smalls,
+def _retarget(key: bytes, l: int, frame: CycleFrame, prev: OKKOSpec | None, mains, smalls,
               anchors: dict) -> tuple:
-    """``(target, cells)``: Z with the frame's main and small cells set to
-    ``mains`` and ``smalls`` and each cell of ``anchors`` (an anchor -> value
-    dict) set to its value, after the previous anchor is restored to its
-    type, every other cell inherited from Z; and the cells where the target
-    differs from Z."""
+    """``(target, cells)`` for the realization with key ``key`` and l
+    columns: the key of that realization with the frame's main and small
+    cells set to ``mains`` and ``smalls`` and each cell of ``anchors`` (an
+    anchor -> value dict) set to its value, after the previous anchor is
+    restored to its type, every other cell inherited; and the cells where
+    the target differs, as indices into the key, flipped in a copy of it."""
     want = {}
     if prev is not None:
-        want[frame.cell_edge(prev.anchor)] = prev.anchor_type()
-    for t in range(frame.m):
-        want[frame.main_edge(t)] = mains[t]
-        want[frame.small_edge(t)] = smalls[t]
+        want[frame._cell_index(prev.anchor, l)] = prev.anchor_type()
+    for (main, small), main_val, small_val in zip(frame._diagonal_indices(l), mains, smalls):
+        want[main] = main_val
+        want[small] = small_val
     for anchor, v in anchors.items():
-        want[frame.cell_edge(anchor)] = v
-    rem = [e for e, v in want.items() if v == 0 and Z.adj[e]]
-    add = [e for e, v in want.items() if v == 1 and not Z.adj[e]]
-    return Z.with_edges(rem, add), rem + add
+        want[frame._cell_index(anchor, l)] = v
+    cells = ([i for i, v in want.items() if v == 0 and key[i]]
+             + [i for i, v in want.items() if v == 1 and not key[i]])
+    target = bytearray(key)
+    for i in cells:
+        target[i] ^= 1
+    return bytes(target), cells
 
 
-def _spec_target(Z: BipartiteGraph, prev: OKKOSpec | None, spec: OKKOSpec) -> tuple:
-    """``(target, cells)``: the realization demanded by ``spec``, inheriting
-    everything the pattern leaves free from Z, with the previous anchor
-    restored to type, and the cells where it differs from Z."""
+def _spec_target(key: bytes, l: int, prev: OKKOSpec | None, spec: OKKOSpec) -> tuple:
+    """``(target, cells)``: the key of the realization demanded by ``spec``,
+    inheriting everything the pattern leaves free from the realization with
+    key ``key`` (l columns), with the previous anchor restored to type, and
+    the cells where the two differ."""
     mains, smalls, anchor_val = spec.pattern()
-    return _retarget(Z, spec.frame, prev, mains, smalls, {spec.anchor: anchor_val})
+    return _retarget(key, l, spec.frame, prev, mains, smalls, {spec.anchor: anchor_val})
 
 
 def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
     """Whether Z carries exactly the pattern cells demanded by the spec."""
+    return _key_matches(Z.key(), Z.l, spec)
+
+
+def _key_matches(key: bytes, l: int, spec: OKKOSpec) -> bool:
+    """``matches_spec`` for the realization with key ``key`` and l columns."""
     frame = spec.frame
     mains, smalls, anchor_val = spec.pattern()
-    for t in range(frame.m):
-        if Z.adj[frame.main_edge(t)] != mains[t]:
+    for (main, small), main_val, small_val in zip(frame._diagonal_indices(l), mains, smalls):
+        if key[main] != main_val or key[small] != small_val:
             return False
-        if Z.adj[frame.small_edge(t)] != smalls[t]:
-            return False
-    return Z.adj[frame.cell_edge(spec.anchor)] == anchor_val
+    return key[frame._cell_index(spec.anchor, l)] == anchor_val
 
 
-def _cycle_cells(Z: BipartiteGraph, flipped: list) -> list:
-    """The cells ``flipped`` in Z (as ``_retarget`` returns them), sorted and
+def _cycle_cells(key: bytes, l: int, flipped: list) -> list:
+    """The cells ``flipped`` in the realization with key ``key`` and l
+    columns (key indices, as ``_retarget`` returns them), sorted and
     verified to form one alternating cycle: two cells in each row and in
-    each column they meet, one of them an edge of Z, and a single cycle
-    through them all; raises ``SpecViolation`` otherwise."""
+    each column they meet, one of them an edge, and a single cycle through
+    them all; raises ``SpecViolation`` otherwise."""
     cells = sorted(flipped)
     if not cells:
         return []
     by_row, by_col = {}, {}
     for c in cells:
-        by_row.setdefault(c[0], []).append(c)
-        by_col.setdefault(c[1], []).append(c)
+        by_row.setdefault(c // l, []).append(c)
+        by_col.setdefault(c % l, []).append(c)
     for group in list(by_row.values()) + list(by_col.values()):
         if len(group) != 2:
             raise SpecViolation("pattern difference is not a disjoint cycle union")
-        vals = sorted(int(Z.adj[c]) for c in group)
-        if vals != [0, 1]:
+        if sorted([key[group[0]], key[group[1]]]) != [0, 1]:
             raise SpecViolation("pattern difference does not alternate")
     start = cells[0]
     seen = {start}
     cur, via_row = start, True
     while True:
-        group = by_row[cur[0]] if via_row else by_col[cur[1]]
+        group = by_row[cur // l] if via_row else by_col[cur % l]
         nxt = group[0] if group[1] == cur else group[1]
         if nxt == start:
             break
@@ -674,27 +722,27 @@ def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
-def _bridge(Za: BipartiteGraph, Zb: BipartiteGraph, cells: list, bridges: dict) -> list:
-    """Swaps carrying Za to Zb, which differ in ``cells``, one alternating
-    cycle as ``_cycle_cells`` checks it.
+def _bridge(l: int, key_a: bytes, key_b: bytes, cells: list, bridges: dict) -> list:
+    """Swaps carrying the realization with key ``key_a`` to the one with key
+    ``key_b`` (l columns each), which differ in ``cells`` (key indices), one
+    alternating cycle as ``_cycle_cells`` checks it.
 
     The difference cycle's rows and columns span a small subgraph in both
     graphs with equal margins; the constructive transformation on that
     subgraph is lifted back to global coordinates.
 
     ``bridges`` is the caller's memo of local solves, living for one
-    top-level call.  It is keyed by the subgraph's shape and the bytes of Za
-    and Zb on the sorted rows x columns.  ``ryser_sequence`` is a pure
-    function of those two local matrices, so a hit returns exactly the
+    top-level call.  It is keyed by the subgraph's shape and the bytes of
+    the two keys on the sorted rows x columns.  ``ryser_sequence`` is a
+    pure function of those two local matrices, so a hit returns exactly the
     local swaps a miss would solve; only the lift depends on rows and cols.
     """
     if not cells:
         return []
-    rows = sorted({u for u, _ in cells})
-    cols = sorted({v for _, v in cells})
+    rows = sorted({c // l for c in cells})
+    cols = sorted({c % l for c in cells})
     shape = (len(rows), len(cols))
-    key = (shape, _local_bytes(Za.key(), Za.l, rows, cols),
-           _local_bytes(Zb.key(), Zb.l, rows, cols))
+    key = (shape, _local_bytes(key_a, l, rows, cols), _local_bytes(key_b, l, rows, cols))
     local = bridges.get(key)
     if local is None:
         sub_a, sub_b = (BipartiteGraph._trusted(np.frombuffer(data, np.uint8).reshape(shape))
@@ -721,66 +769,92 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     the kind-changing case.  Each call solves its bridge with a fresh
     bridge memo (see ``_bridge``).
     """
-    return _ok_ko_move(L_prev, spec_prev, spec_next, {})[0]
+    return _ok_ko_move(L_prev.key(), L_prev.l, spec_prev, spec_next, {})[0]
 
 
-def _ok_ko_move(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec,
+def _ok_ko_move(key: bytes, l: int, spec_prev: OKKOSpec, spec_next: OKKOSpec,
                 bridges: dict) -> tuple:
-    """``(swaps, L_next)``: the swaps of ``ok_ko_step`` and the realization
-    they reach, built and traced once; the bridge goes through the
-    ``bridges`` memo."""
+    """``(swaps, next_key)``: the swaps of ``ok_ko_step`` from the
+    realization with key ``key`` (l columns) and the key they reach, built
+    and traced once; the bridge goes through the ``bridges`` memo."""
     if spec_prev.frame != spec_next.frame:
         raise SpecViolation("patterns live on different cycle frames")
     if spec_prev == spec_next:
-        return [], L_prev
-    if not matches_spec(L_prev, spec_prev):
+        return [], key
+    if not _key_matches(key, l, spec_prev):
         raise SpecViolation("graph does not match the claimed source pattern")
-    L_next, flipped = _spec_target(L_prev, spec_prev, spec_next)
-    cells = _cycle_cells(L_prev, flipped)
+    next_key, flipped = _spec_target(key, l, spec_prev, spec_next)
+    cells = _cycle_cells(key, l, flipped)
     dist = position_distance(_anchor_params(spec_prev), _anchor_params(spec_next),
                              spec_prev.frame.m)
     cap = (2 if spec_prev.kind == spec_next.kind else 4) + 2 * dist
     if len(cells) > cap:
         raise SpecViolation(
             f"difference cycle of {len(cells)} exceeds {cap} for anchor distance {dist}")
-    return _bridge(L_prev, L_next, cells, bridges), L_next
+    return _bridge(l, key, next_key, cells, bridges), next_key
 
 
 # ---------------------------------------------------------------------------
 # the path construction
 # ---------------------------------------------------------------------------
+#
+# The solver below holds each realization as its key (one byte per cell,
+# row stride l) and the chord types as the start realization's key: a
+# chord keeps its start value in every target the construction aims at.
 
 
-def _assert_right_form(Z: BipartiteGraph, frame: CycleFrame, types: dict):
-    m = frame.m
-    for t in range(m):
-        if not Z.adj[frame.main_edge(t)]:
+def _assert_right_form(key: bytes, l: int, frame: CycleFrame, types: bytes):
+    for t, (main, small) in enumerate(frame._diagonal_indices(l)):
+        if not key[main]:
             raise PreconditionViolation(f"main edge {t} missing at block entry")
-        if Z.adj[frame.small_edge(t)]:
+        if key[small]:
             raise PreconditionViolation(f"small edge {t} present at block entry")
-    for a in range(m):
-        for b in range(m):
-            if is_chord((a, b), m):
-                e = frame.cell_edge((a, b))
-                if int(Z.adj[e]) != types[e]:
-                    raise PreconditionViolation(f"chord {e} off its type at block entry")
+    us, vs = frame.u_ids, frame.v_ids
+    for a, b in _grid(frame.m).chords:
+        i = us[a] * l + vs[b]
+        if key[i] != types[i]:
+            raise PreconditionViolation(f"chord {(us[a], vs[b])} off its type at block entry")
 
 
-def _friendly_swaps(Z: BipartiteGraph, frame: CycleFrame, types: dict,
+def _apply(key: bytes, l: int, swaps) -> bytes:
+    """The key after ``swaps``, applied in order to a copy of ``key`` (l
+    columns), each after ``apply_swap``'s check that its four cells hold
+    the one-factor it removes."""
+    cur = bytearray(key)
+    for s in swaps:
+        if not _flip(cur, s.u1 * l, s.u2 * l, s.v1, s.v2, s.orientation):
+            raise SwapNotAllowed(f"{s} is not allowed in this graph")
+    return bytes(cur)
+
+
+def _flip(cur: bytearray, a: int, b: int, c: int, d: int, orientation: int) -> bool:
+    """Swap in place the 2x2 cells of ``cur`` in the rows starting at
+    offsets a < b and the columns c < d, if they hold the one-factor that
+    a swap of this orientation removes; False, with nothing flipped,
+    otherwise."""
+    cells = (a + c, b + d, a + d, b + c)
+    if [cur[i] for i in cells] != ([1, 1, 0, 0] if orientation == 1 else [0, 0, 1, 1]):
+        return False
+    for i in cells:
+        cur[i] ^= 1
+    return True
+
+
+def _friendly_swaps(key: bytes, l: int, frame: CycleFrame, types: bytes,
                     path: FriendlyPath, bridges: dict):
     specs = []
     for pos, anchor in zip(path.positions, path.adjusted):
-        t = types[frame.cell_edge(pos)]
+        t = types[frame._cell_index(pos, l)]
         specs.append(OKKOSpec("OK" if t == 1 else "KO", anchor, frame))
-    cur, flipped = _spec_target(Z, None, specs[0])
-    swaps = _bridge(Z, cur, _cycle_cells(Z, flipped), bridges)
+    cur, flipped = _spec_target(key, l, None, specs[0])
+    swaps = _bridge(l, key, cur, _cycle_cells(key, l, flipped), bridges)
     for prev, spec in zip(specs, specs[1:]):
-        step, cur = _ok_ko_move(cur, prev, spec, bridges)
+        step, cur = _ok_ko_move(cur, l, prev, spec, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
     m = frame.m
-    final, flipped = _retarget(cur, frame, specs[-1], [0] * m, [1] * m, {})
-    swaps.extend(_bridge(cur, final, _cycle_cells(cur, flipped), bridges))
+    final, flipped = _retarget(cur, l, frame, specs[-1], [0] * m, [1] * m, {})
+    swaps.extend(_bridge(l, cur, final, _cycle_cells(cur, l, flipped), bridges))
     return swaps, final
 
 
@@ -792,9 +866,11 @@ def _valid_patterns(F: FMatrix) -> list:
     out = []
     if _max_down_steps(m) < 1:      # ell < 4: no down-line, so no cut
         return out
+    grid = _grid(m)
+    types = _chord_types(F)
     for i in range(m):
-        down = [F.type_of(p) for p in down_line(i, m)]
-        up = [F.type_of(p) for p in up_line(i, m)]
+        down = [types[p] for p in grid.down[i]]
+        up = [types[p] for p in grid.up[i]]
         t = down[0]
         run = 1
         while run < len(down) and down[run] == t:
@@ -833,77 +909,84 @@ def _first_touch(swaps, edge) -> int:
     raise SpecViolation("a block sequence never touches its closing cell")
 
 
-def _solve_frame(Z: BipartiteGraph, frame: CycleFrame, types: dict, bridges: dict,
+def _solve_frame(key: bytes, l: int, frame: CycleFrame, types: bytes, bridges: dict,
                  expect_friendly: bool = False):
-    """Swaps flipping the framed cycle from its main side to its small side.
+    """Swaps flipping the framed cycle from its main side to its small side
+    in the realization with key ``key`` (l columns), chords typed by
+    ``types``.
 
-    Returns (swaps, final graph).  Every emitted swap touches only cells of
+    Returns (swaps, final key).  Every emitted swap touches only cells of
     this frame, so sequences of disjoint frames commute.  Bridges between
     OK/KO targets go through the ``bridges`` memo (see ``_bridge``).
     """
     m = frame.m
-    _assert_right_form(Z, frame, types)
+    _assert_right_form(key, l, frame, types)
     if m == 1:
         raise SpecViolation("a one-edge block cannot arise")
     if m == 2:
-        s = Swap.on(frame.u_ids[0], frame.u_ids[1],
-                    frame.v_ids[0], frame.v_ids[1], graph=Z)
-        return [s], apply_swap(Z, s)
-    F = _local_f(Z, frame, types)
+        s = _swap_on_cells(key, l, frame, 0, 1, 0, 1)
+        return [s], _apply(key, l, [s])
+    F = _local_f(key, l, frame, types)
     res = find_friendly_path(F)
     if isinstance(res, FriendlyPath):
-        return _friendly_swaps(Z, frame, types, res, bridges)
+        return _friendly_swaps(key, l, frame, types, res, bridges)
     if expect_friendly:
         raise SpecViolation("a block guaranteed friendly came out blocked")
     i, t, j, jp = _choose_pattern(_valid_patterns(F), m)
     if jp == 1:
-        return _first_possibility(Z, frame, types, i, t, bridges)
-    return _second_possibility(Z, frame, types, i, t, j, jp, bridges)
+        return _first_possibility(key, l, frame, types, i, t, bridges)
+    return _second_possibility(key, l, frame, types, i, t, j, jp, bridges)
 
 
-def _swap_on_cells(Z, frame, urow_a, urow_b, vcol_a, vcol_b) -> Swap:
-    return Swap.on(frame.u_ids[urow_a], frame.u_ids[urow_b],
-                   frame.v_ids[vcol_a], frame.v_ids[vcol_b], graph=Z)
+def _swap_on_cells(key: bytes, l: int, frame: CycleFrame, urow_a, urow_b, vcol_a,
+                   vcol_b) -> Swap:
+    """``Swap.on`` the frame's U-vertices at local indices urow_a, urow_b
+    and V-vertices at vcol_a, vcol_b, read from the key (l columns)."""
+    u1, u2 = sorted((frame.u_ids[urow_a], frame.u_ids[urow_b]))
+    v1, v2 = sorted((frame.v_ids[vcol_a], frame.v_ids[vcol_b]))
+    a, b = u1 * l, u2 * l
+    if key[a + v1] and key[b + v2]:
+        ori = 1
+    elif key[a + v2] and key[b + v1]:
+        ori = 2
+    else:
+        raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
+    return Swap(u1, u2, v1, v2, ori)
 
 
-def _first_possibility(Z, frame, types, i, t, bridges):
+def _first_possibility(key, l, frame, types, i, t, bridges):
     m = frame.m
     im1, ip1 = (i - 1) % m, (i + 1) % m
-    swaps = []
     if t == 1:
         # one swap settles index i and opens the chord (i-1, i+1) as the
         # closing cell of the remaining (m-1)-block
-        s1 = _swap_on_cells(Z, frame, im1, i, i, ip1)
-        swaps.append(s1)
-        cur = apply_swap(Z, s1)
+        s1 = _swap_on_cells(key, l, frame, im1, i, i, ip1)
         child = frame.sub([(i + 1 + t0) % m for t0 in range(m - 1)])
-        sub, cur = _solve_frame(cur, child, types, bridges)
-        return swaps + sub, cur
+        sub, cur = _solve_frame(_apply(key, l, [s1]), l, child, types, bridges)
+        return [s1] + sub, cur
     if m < 5:
         raise SpecViolation("type-0 adjacent pattern needs at least five indices")
     im2, ip2 = (i - 2) % m, (i + 2) % m
-    sA = _swap_on_cells(Z, frame, im1, ip1, im1, ip1)
-    cur = apply_swap(Z, sA)
-    sB = _swap_on_cells(cur, frame, im1, i, i, ip1)
-    cur = apply_swap(cur, sB)
-    swaps.extend([sA, sB])
+    sA = _swap_on_cells(key, l, frame, im1, ip1, im1, ip1)
+    cur = _apply(key, l, [sA])
+    sB = _swap_on_cells(cur, l, frame, im1, i, i, ip1)
+    cur = _apply(cur, l, [sB])
+    swaps = [sA, sB]
     child = frame.sub([(i + 2 + t0) % m for t0 in range(m - 3)])
-    x = types[frame.cell_edge((im2, ip2))]
+    x = types[frame._cell_index((im2, ip2), l)]
     if x == 1:
-        sC = _swap_on_cells(cur, frame, im2, ip1, im1, ip2)
-        cur = apply_swap(cur, sC)
+        sC = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
         swaps.append(sC)
-        sub, cur = _solve_frame(cur, child, types, bridges)
+        sub, cur = _solve_frame(_apply(cur, l, [sC]), l, child, types, bridges)
         return swaps + sub, cur
-    sub, cur = _solve_frame(cur, child, types, bridges)
+    sub, cur = _solve_frame(cur, l, child, types, bridges)
     swaps.extend(sub)
-    sC = _swap_on_cells(cur, frame, im2, ip1, im1, ip2)
-    cur = apply_swap(cur, sC)
+    sC = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
     swaps.append(sC)
-    return swaps, cur
+    return swaps, _apply(cur, l, [sC])
 
 
-def _second_possibility(Z, frame, types, i, t, j, jp, bridges):
+def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
     m = frame.m
     lo_u, hi_u = (i - jp) % m, (i + j) % m
     lo_v, hi_v = (i - j) % m, (i + jp) % m
@@ -913,23 +996,22 @@ def _second_possibility(Z, frame, types, i, t, j, jp, bridges):
     arc2 = [(i + jp + t0) % m for t0 in range(m - j - jp)]
     sub1, sub2 = frame.sub(arc1), frame.sub(arc2)
     swaps = []
-    cur = Z
+    cur = key
     if t == 1:
-        pre = _swap_on_cells(cur, frame, lo_u, hi_u, lo_v, hi_v)
+        pre = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(pre)
-        cur = apply_swap(cur, pre)
-    s1, _end1 = _solve_frame(cur, sub1, types, bridges, expect_friendly=True)
-    s2, _end2 = _solve_frame(cur, sub2, types, bridges)
+        cur = _apply(cur, l, [pre])
+    s1, _end1 = _solve_frame(cur, l, sub1, types, bridges, expect_friendly=True)
+    s2, _end2 = _solve_frame(cur, l, sub2, types, bridges)
     c1 = _first_touch(s1, frame.cell_edge(d_cell))
     c2 = _first_touch(s2, frame.cell_edge(u_cell))
     interleaved = s1[:c1] + s2[:c2] + s1[c1:] + s2[c2:]
-    for s in interleaved:
-        cur = apply_swap(cur, s)
+    cur = _apply(cur, l, interleaved)
     swaps.extend(interleaved)
     if t == 0:
-        post = _swap_on_cells(cur, frame, lo_u, hi_u, lo_v, hi_v)
+        post = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(post)
-        cur = apply_swap(cur, post)
+        cur = _apply(cur, l, [post])
     return swaps, cur
 
 
@@ -938,10 +1020,11 @@ def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
     """The swaps carrying G to Gp along ``cycle``, without re-checking that
     the two differ exactly in it, bridging through the call-scoped memo
     ``bridges`` (see ``_bridge``); raises ``SpecViolation`` if the
-    construction misses Gp."""
+    construction misses Gp.  The solve runs on G's key, which also types
+    the chords."""
     frame = CycleFrame.from_cycle(cycle, G)
-    swaps, end = _solve_frame(G, frame, _frame_types(G, frame), bridges)
-    if end != Gp:
+    swaps, end = _solve_frame(G.key(), G.l, frame, G.key(), bridges)
+    if end != Gp.key():
         raise SpecViolation("cycle construction missed its target")
     return tuple(swaps)
 
@@ -1022,13 +1105,9 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
     cur = bytearray(key)
     seg = []
     for s in swaps:
-        a, b = rows[s.u1] * l, rows[s.u2] * l
-        c, d = cols[s.v1], cols[s.v2]
-        cells = (a + c, b + d, a + d, b + c)
-        if [cur[i] for i in cells] != ([1, 1, 0, 0] if s.orientation == 1 else [0, 0, 1, 1]):
+        if not _flip(cur, rows[s.u1] * l, rows[s.u2] * l, cols[s.v1], cols[s.v2],
+                     s.orientation):
             raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
-        for i in cells:
-            cur[i] ^= 1
         seg.append(bytes(cur))
     end = bytearray(key)
     for u, v in cycle.x_edges:

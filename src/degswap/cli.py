@@ -141,8 +141,17 @@ def cmd_canonical_path(args) -> int:
 
 
 def _recover_swap(a: BipartiteGraph, b: BipartiteGraph):
-    us, vs = np.nonzero(a.adj != b.adj)
-    rows, cols = sorted(set(int(u) for u in us)), sorted(set(int(v) for v in vs))
+    # the keys read as little-endian integers put cell c = u*l+v at bit 8c,
+    # so their XOR has one bit per differing cell (as in pairings._number)
+    rest = int.from_bytes(a.key(), "little") ^ int.from_bytes(b.key(), "little")
+    rows, cols = set(), set()
+    while rest:
+        low = rest & -rest
+        u, v = divmod((low.bit_length() - 1) >> 3, a.l)
+        rows.add(u)
+        cols.add(v)
+        rest ^= low
+    rows, cols = sorted(rows), sorted(cols)
     return Swap.on(rows[0], rows[1], cols[0], cols[1], graph=a)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -373,36 +374,48 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
     Returns (new graph, list of swaps applied, in order).
     """
     if active_cols is None:
-        active_cols = list(range(G.l))
+        active_cols = range(G.l)
     active = sorted(active_cols)
     if v not in active:
         raise ValueError(f"column {v} is not active")
-    arr = G.adj.copy()
-    arr.setflags(write=True)
-    deg = arr[:, active].sum(axis=1).tolist()
-    d = int(arr[:, v].sum())
-    order = sorted(range(G.k), key=lambda u: (-deg[u], u))
+    rows = G.adj.tolist()
+    swaps = _push_up(rows, v, active)
+    return BipartiteGraph._trusted(np.array(rows, np.uint8).reshape(G.k, G.l)), swaps
+
+
+def _push_up(rows: list, v: int, active: list) -> list:
+    """``push_up`` on a matrix held as a list of row lists, rewired in
+    place; ``active`` is the sorted active columns, ``v`` among them.
+    Returns the swaps applied, in order."""
+    mask = [0] * (active[-1] + 1)      # mask[c]: whether column c is active
+    for c in active:
+        mask[c] = 1
+    deg = [sum(compress(row, mask)) for row in rows]
+    col = [row[v] for row in rows]
+    # a stable sort: equal degrees keep the lowest index first
+    order = sorted(range(len(rows)), key=deg.__getitem__, reverse=True)
+    d = sum(col)
     targets = order[:d]
     target_set = set(targets)
     swaps = []
     for _ in range(d + 1):
-        missing = [u for u in targets if not arr[u, v]]
+        missing = [u for u in targets if not col[u]]
         if not missing:
             break
         u = missing[0]
-        nbrs = [u2 for u2 in range(G.k) if arr[u2, v] and u2 not in target_set]
-        u_prime = min(nbrs)
-        v_prime = min(v2 for v2 in active
-                      if v2 != v and arr[u, v2] and not arr[u_prime, v2])
+        u_prime = min(u2 for u2, on in enumerate(col) if on and u2 not in target_set)
+        row, row_prime = rows[u], rows[u_prime]
+        v_prime = min(v2 for v2 in active if v2 != v and row[v2] and not row_prime[v2])
         # the 2x2 submatrix is a one-factor: (u, v_prime) and (u_prime, v) are on
         u1, u2 = sorted((u, u_prime))
         v1, v2 = sorted((v, v_prime))
-        swaps.append(Swap(u1, u2, v1, v2, 1 if arr[u1, v1] else 2))
-        arr[u, v], arr[u_prime, v] = 1, 0
-        arr[u, v_prime], arr[u_prime, v_prime] = 0, 1
+        swaps.append(Swap(u1, u2, v1, v2, 1 if rows[u1][v1] else 2))
+        row[v] = col[u] = 1
+        row_prime[v] = col[u_prime] = 0
+        row[v_prime], row_prime[v_prime] = 0, 1
     else:
         raise AssertionError("push_up failed to converge within d(v) swaps")
-    return BipartiteGraph._trusted(arr), swaps
+    return swaps
 
 
 # -- symmetric difference ------------------------------------------------------

@@ -805,12 +805,13 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     differ by a nonzero string of digits in [-3, 3], whose leading term
     outweighs everything below it, as 3 * (256^c - 1) / 255 < 256^c; so
     the integer names the matrix one-to-one, and ``hat_matrix`` is built
-    only on a miss.  The key is symmetric in X and Y, so one pass over the
-    states both directions visit certifies the pair.  All four caches live
-    for one call.  Loads are integer numerators over one common multiple of
-    the pairing counts, which both directions share; sums of integers and
-    the least common multiple do not depend on the order of the pairs, so
-    the report is that of a loop over ordered pairs.
+    only on a miss, from graphs of X and Y made once per pair, so their
+    margins are summed once.  The key is symmetric in X and Y, so one pass
+    over the states both directions visit certifies the pair.  All four
+    caches live for one call.  Loads are integer numerators over one common
+    multiple of the pairing counts, which both directions share; sums of
+    integers and the least common multiple do not depend on the order of
+    the pairs, so the report is that of a loop over ordered pairs.
     """
     n = space.n
     if n > max_states:
@@ -869,11 +870,14 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                         weight[e] = weight.get(e, 0) + w
             if certify:
                 xy = cells[xi] + cells[yi]
+                ends = None      # X and Y as graphs, built on the pair's first miss
                 for z in visited:
                     key = xy - cells[z]
                     sd = certs.get(key)
                     if sd is None:
-                        hat = hat_matrix(*map(space.graph, (xi, yi, z)))
+                        if ends is None:
+                            ends = space.graph(xi), space.graph(yi)
+                        hat = hat_matrix(*ends, space.graph(z))
                         sd = certs[key] = switch_distance(hat)
                     max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     # the load of edge e is load[e] / (n * scale * jump): one positive factor

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import BipartiteGraph, allowed_swaps, apply_swap, push_up
+from .core import BipartiteGraph, _push_up, allowed_swaps, apply_swap
 from .errors import DegreeMismatch, Unreachable
 
 
@@ -24,21 +24,20 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
     """Swaps transforming G1 into G2, at most 2e of them.
 
     Every prefix of the returned sequence is applicable in order, and each
-    intermediate graph realizes the same degree sequence.
+    intermediate graph realizes the same degree sequence.  The two matrices
+    are rewired as lists of row lists, by the routine behind ``push_up``.
     """
     _check_pair(G1, G2)
     forward = []
     backward = []
-    A, B = G1, G2
+    A, B = G1.adj.tolist(), G2.adj.tolist()
     # Process columns by non-increasing degree, lowest index first on ties.
     cols = sorted(range(G1.l), key=lambda j: (-G1.col_deg[j], j))
     active = sorted(range(G1.l))
     for v in cols:
-        if A.adj[:, v].tobytes() != B.adj[:, v].tobytes():
-            A, sA = push_up(A, v, active_cols=active)
-            B, sB = push_up(B, v, active_cols=active)
-            forward.extend(sA)
-            backward.extend(sB)
+        if any(a[v] != b[v] for a, b in zip(A, B)):
+            forward.extend(_push_up(A, v, active))
+            backward.extend(_push_up(B, v, active))
         active.remove(v)
     assert A == B, "column elimination did not converge"
     return forward + [s.inverse() for s in reversed(backward)]

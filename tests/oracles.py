@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from degswap import AlternatingCycle, BipartiteGraph
+from degswap import AlternatingCycle, BipartiteGraph, Swap
 from degswap.core import allowed_swaps, apply_swap
-from degswap.errors import NonAlternating
+from degswap.errors import DiagonalPosition, NonAlternating
 from degswap.pairings import CircuitDecomposition, _shared_vertex
 
 
@@ -70,6 +70,102 @@ def all_degree_pairs(max_k: int, max_l: int):
                 for sb in by_sum.get(sum(sa), []):
                     pairs.append((sa, sb))
     return sorted(pairs)
+
+
+# -- the cycle-local grid, cell by cell ----------------------------------------
+
+
+def naive_ring(pos, ell):
+    """The ring of a cell: its cyclic offset (b - a) mod ell."""
+    a, b = pos
+    return (b - a) % ell
+
+
+def naive_cousins(pos, ell):
+    """The chords in the reflected 2x2 window of chord ``pos``: u-index in
+    {b-1, b} and v-index in {a, a+1}, mod ell; ``DiagonalPosition`` for a
+    cell on either diagonal."""
+    if naive_ring(pos, ell) < 2:
+        raise DiagonalPosition(f"{pos} lies on a diagonal")
+    a, b = pos
+    cands = {((b - 1) % ell, a), ((b - 1) % ell, (a + 1) % ell),
+             (b % ell, a), (b % ell, (a + 1) % ell)}
+    return tuple(sorted(p for p in cands if naive_ring(p, ell) >= 2))
+
+
+def naive_down_line(i, ell):
+    """Cells ((i+s), (i-s)) mod ell for s = 1, 2, ... while on a chord ring
+    (ring ell - 2s >= 2)."""
+    return tuple(((i + s) % ell, (i - s) % ell) for s in range(1, (ell - 2) // 2 + 1))
+
+
+def naive_up_line(i, ell):
+    """Cells ((i-s), (i+s)) mod ell for s = 1, 2, ... while on a chord ring
+    (ring 2s <= ell - 1)."""
+    return tuple(((i - s) % ell, (i + s) % ell) for s in range(1, (ell - 1) // 2 + 1))
+
+
+def naive_down_up_rings(ell):
+    """The chord rings next to the main diagonal (ring ell - 1) and next to
+    the small diagonal (ring 2), one cell per row."""
+    return (tuple((t, (t - 1) % ell) for t in range(ell)),
+            tuple((t, (t + 2) % ell) for t in range(ell)))
+
+
+# -- column elimination on numpy matrices ---------------------------------------
+
+
+def naive_push_up(G, v, active_cols=None):
+    """``core.push_up`` on a numpy copy of the matrix, one cell at a time:
+    the d(v) rows of largest degree inside the active columns (ties by
+    lowest index) take column v, each missing one by the swap with the
+    lowest non-target row u' on v and the lowest active column v' that u
+    has and u' lacks.  Returns (graph, swaps)."""
+    if active_cols is None:
+        active_cols = list(range(G.l))
+    active = sorted(active_cols)
+    if v not in active:
+        raise ValueError(f"column {v} is not active")
+    arr = G.adj.copy()
+    deg = arr[:, active].sum(axis=1).tolist()
+    d = int(arr[:, v].sum())
+    targets = sorted(range(G.k), key=lambda u: (-deg[u], u))[:d]
+    swaps = []
+    for _ in range(d + 1):
+        missing = [u for u in targets if not arr[u, v]]
+        if not missing:
+            break
+        u = missing[0]
+        u_prime = min(u2 for u2 in range(G.k) if arr[u2, v] and u2 not in targets)
+        v_prime = min(v2 for v2 in active
+                      if v2 != v and arr[u, v2] and not arr[u_prime, v2])
+        u1, u2 = sorted((u, u_prime))
+        v1, v2 = sorted((v, v_prime))
+        swaps.append(Swap(u1, u2, v1, v2, 1 if arr[u1, v1] else 2))
+        arr[u, v], arr[u_prime, v] = 1, 0
+        arr[u, v_prime], arr[u_prime, v_prime] = 0, 1
+    else:
+        raise AssertionError("push_up failed to converge within d(v) swaps")
+    return BipartiteGraph(arr), swaps
+
+
+def naive_ryser_sequence(G1, G2):
+    """``ryser.ryser_sequence`` as a chain of ``naive_push_up`` calls on
+    graphs: columns by non-increasing degree (ties by lowest index), each
+    pushed up in both graphs while they differ on it, then deleted; the
+    second graph's swaps are undone in reverse."""
+    forward, backward = [], []
+    A, B = G1, G2
+    active = list(range(G1.l))
+    for v in sorted(range(G1.l), key=lambda j: (-G1.col_deg[j], j)):
+        if A.adj[:, v].tolist() != B.adj[:, v].tolist():
+            A, swaps = naive_push_up(A, v, active)
+            forward += swaps
+            B, swaps = naive_push_up(B, v, active)
+            backward += swaps
+        active.remove(v)
+    assert A == B
+    return forward + [s.inverse() for s in reversed(backward)]
 
 
 # -- independent friendly-path oracle ---------------------------------------
@@ -519,6 +615,21 @@ def naive_segment(G, cycle):
 
     target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
     return tuple(g.key() for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:])
+
+
+def spec_realization(G, spec):
+    """G with the cells an OK/KO spec pins (every main and small cell of its
+    frame, and its anchor) set to the spec's pattern, cell by cell: the
+    target ``canonical._spec_target`` aims at from G with no previous
+    anchor."""
+    mains, smalls, anchor_val = spec.pattern()
+    frame = spec.frame
+    adj = G.adj.copy()
+    for t in range(frame.m):
+        adj[frame.main_edge(t)] = mains[t]
+        adj[frame.small_edge(t)] = smalls[t]
+    adj[frame.cell_edge(spec.anchor)] = anchor_val
+    return BipartiteGraph(adj)
 
 
 def count_ryser(mp):

@@ -16,7 +16,7 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, FMatrix,
                      FriendlyPath, all_pairings, canonical_path,
                      find_friendly_path, hat_matrix, is_graphical,
                      random_pairing, ryser_sequence, sample, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
+from degswap.canonical import (CycleFrame, OKKOSpec, cycle_swaps,
                                matches_spec, verify_friendly_path,
                                verify_same_state, verify_steinhaus)
 from degswap.mixing import (build_kernel, congestion, enumerate_states,
@@ -25,7 +25,8 @@ from degswap.ryser import replay
 
 from oracles import (all_degree_pairs, brute_margin_count, cycle_graph_pair,
                      dense_kernel_rows, friendly_path_exists, graphs, kernel_rows,
-                     perturbed_environment, random_types, split_environment_pools)
+                     perturbed_environment, random_types, spec_realization,
+                     split_environment_pools)
 
 
 @contextmanager
@@ -143,7 +144,7 @@ def test_criterion_5_okko_constants():
             G = BipartiteGraph(adj)
             frame = CycleFrame(tuple(range(ell)), tuple(range(ell)))
             s1 = OKKOSpec("OK", (a, b), frame)
-            L1, _ = _spec_target(G, None, s1)
+            L1 = spec_realization(G, s1)
             assert matches_spec(L1, s1)
             if kind_change:
                 s2 = OKKOSpec("KO", ((b + 2) % ell, (a - 1) % ell), frame)

@@ -10,9 +10,9 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _spec_target, cycle_swaps,
-                               matches_spec, ring, verify_friendly_path,
-                               verify_same_state, verify_steinhaus)
+from degswap.canonical import (CycleFrame, OKKOSpec, cycle_swaps, down_line,
+                               down_up_rings, matches_spec, ring, up_line,
+                               verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
@@ -23,9 +23,10 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, ch
 from degswap.ryser import replay
 
 from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists, graphs,
-                     naive_switch_distance, never_memoize_bridges, perturbed_environment,
-                     random_types, reference_path, ring_blocker_types,
-                     sequence_margins_ok, split_environment_pools)
+                     naive_cousins, naive_down_line, naive_down_up_rings, naive_ring,
+                     naive_switch_distance, naive_up_line, never_memoize_bridges,
+                     perturbed_environment, random_types, reference_path, ring_blocker_types,
+                     sequence_margins_ok, spec_realization, split_environment_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,39 @@ class TestCousins:
                 for (ca, cb) in cousins((a, b), ell):
                     assert ring((a, cb), ell) in (0, 1)
                     assert ring((ca, b), ell) in (0, 1)
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("m", range(3, 17))
+    def test_tables_match_the_cell_formulas(self, m):
+        # the per-length tables, and the helpers that read them, against
+        # the per-cell formulas, a DiagonalPosition on every diagonal cell
+        from degswap.canonical import _grid
+
+        grid = _grid(m)
+        cells = [(a, b) for a in range(m) for b in range(m)]
+        assert grid.rings == tuple(tuple(naive_ring((a, b), m) for b in range(m))
+                                   for a in range(m))
+        assert grid.chords == tuple(p for p in cells if naive_ring(p, m) >= 2)
+        for p in cells:
+            assert ring(p, m) == naive_ring(p, m)
+            if naive_ring(p, m) >= 2:
+                assert cousins(p, m) == grid.cousins[p[0]][p[1]] == naive_cousins(p, m)
+                continue
+            assert grid.cousins[p[0]][p[1]] is None
+            for rule in (cousins, naive_cousins):
+                with pytest.raises(DiagonalPosition):
+                    rule(p, m)
+        for i in range(m):
+            assert down_line(i, m) == grid.down[i] == naive_down_line(i, m)
+            assert up_line(i, m) == grid.up[i] == naive_up_line(i, m)
+        assert down_up_rings(m) == grid.near == naive_down_up_rings(m)
+
+    def test_one_bounded_table_per_length(self):
+        from degswap.canonical import _grid
+
+        assert _grid(7) is _grid(7)
+        assert _grid.cache_info().maxsize == 64
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +272,13 @@ class TestOkKoStep:
     def test_identity(self):
         G, frame = _okko_environment(8, 0, {(2, 5): 1})
         spec = OKKOSpec("OK", (2, 5), frame)
-        L, _ = _spec_target(G, None, spec)
+        L = spec_realization(G, spec)
         assert ok_ko_step(L, spec, spec) == []
 
     def test_adjacent_ok_step_bound(self):
         G, frame = _okko_environment(10, 1, {(2, 6): 1, (1, 8): 1})
         s1, s2 = OKKOSpec("OK", (2, 6), frame), OKKOSpec("OK", (1, 8), frame)
-        L1, _ = _spec_target(G, None, s1)
+        L1 = spec_realization(G, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 24
         L2 = replay(L1, swaps)[-1]
@@ -254,7 +288,7 @@ class TestOkKoStep:
     def test_ok_to_ko_bound(self):
         G, frame = _okko_environment(10, 2, {(2, 6): 1, (8, 1): 0})
         s1, s2 = OKKOSpec("OK", (2, 6), frame), OKKOSpec("KO", (8, 1), frame)
-        L1, _ = _spec_target(G, None, s1)
+        L1 = spec_realization(G, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 40
         assert matches_spec(replay(L1, swaps)[-1], s2)
@@ -262,7 +296,7 @@ class TestOkKoStep:
     def test_ko_to_ko_step(self):
         G, frame = _okko_environment(10, 4, {(6, 2): 0, (8, 1): 0})
         s1, s2 = OKKOSpec("KO", (6, 2), frame), OKKOSpec("KO", (8, 1), frame)
-        L1, _ = _spec_target(G, None, s1)
+        L1 = spec_realization(G, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 24
         L2 = replay(L1, swaps)[-1]
@@ -272,7 +306,7 @@ class TestOkKoStep:
     def test_ko_to_ok_step(self):
         G, frame = _okko_environment(10, 5, {(6, 2): 0, (1, 7): 1})
         s1, s2 = OKKOSpec("KO", (6, 2), frame), OKKOSpec("OK", (1, 7), frame)
-        L1, _ = _spec_target(G, None, s1)
+        L1 = spec_realization(G, s1)
         swaps = ok_ko_step(L1, s1, s2)
         assert 0 < len(swaps) <= 40
         assert matches_spec(replay(L1, swaps)[-1], s2)
@@ -306,7 +340,7 @@ class TestSwitchDistance:
         G, Gp, cyc = _instance(6, 5, p=1.0)
         frame = CycleFrame.from_cycle(cyc, G)
         spec = OKKOSpec("OK", (1, 4), frame)
-        L, _ = _spec_target(G, None, spec)
+        L = spec_realization(G, spec)
         h = hat_matrix(G, Gp, L)
         assert h.max() == 2
         assert switch_distance(h) == 1

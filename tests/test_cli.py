@@ -158,6 +158,60 @@ def test_canonical_path_certify_golden(tmp_path, capsys, name, by_index):
     assert digest == (indexed if by_index else seeded)
 
 
+# 16 x 16 4-regular pairs.  X is chain.sample(ds, 1000, seed); Y is drawn
+# likewise, or is X with one alternating cycle flipped, its U- and
+# V-vertices listed in frame order (main edges (us[t], vs[t]) in X).  No
+# drawn pair among some 8,000 canonical paths met a blocked cycle, so the
+# two blocked branches come from such cycles: the first flips a 10-cycle
+# through canonical._first_possibility, the second a 12-cycle through
+# canonical._second_possibility.  Digests (sha256, first 16 hex digits) of
+# `canonical-path X Y --certify --seed 5` and of `transform X Y`, recorded
+# before the cycle solver ran on keys and Ryser on row lists.
+CANONICAL_PATH_GOLDEN_16 = {
+    # name: (X seed, Y seed or (us, vs), path digest, transform digest, blocked branch)
+    "drawn 100/101": (100, 101, "842ba95ebb41222f", "af22d2e081627378", None),
+    "drawn 102/103": (102, 103, "99d5c9d48e21cfa2", "69eead56e86ad24e", None),
+    "blocked, first possibility": (300, ((9, 10, 5, 8, 12), (14, 13, 6, 15, 12)),
+                                   "c788b2399960d659", "fcd9f909528e4eba",
+                                   "_first_possibility"),
+    "blocked, second possibility": (306, ((10, 5, 15, 3, 9, 11), (2, 4, 13, 9, 15, 11)),
+                                    "cb1dff092a6492b4", "a627279cc6834dbe",
+                                    "_second_possibility"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
+def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch, name):
+    from degswap import BipartiteDegreeSequence, canonical, chain
+
+    x_seed, y, path_digest, transform_digest, branch = CANONICAL_PATH_GOLDEN_16[name]
+    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+    X = chain.sample(ds, 1000, x_seed)
+    if isinstance(y, int):
+        Y = chain.sample(ds, 1000, y)
+    else:
+        us, vs = y
+        Y = X.with_edges(list(zip(us, vs)), list(zip(us, vs[1:] + vs[:1])))
+    x, y = write(tmp_path, "x.txt", X.to_text()), write(tmp_path, "y.txt", Y.to_text())
+    taken = set()
+
+    def recording(branch):
+        real = getattr(canonical, branch)
+
+        def wrapper(*args):
+            taken.add(branch)
+            return real(*args)
+        return wrapper
+
+    for b in ("_first_possibility", "_second_possibility"):
+        monkeypatch.setattr(canonical, b, recording(b))
+    digests = []
+    for argv in (["canonical-path", x, y, "--certify", "--seed", "5"], ["transform", x, y]):
+        assert main(argv) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
+    assert digests == [path_digest, transform_digest]
+    assert taken == ({branch} if branch else set())
+
 
 # Digests (sha256, first 16 hex digits) of `decompose X Y` stdout, recorded
 # while the command still traced circuits on the pairing's dicts instead of

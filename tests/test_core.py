@@ -8,7 +8,8 @@ from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap
                      push_up, symmetric_difference)
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
-from oracles import all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize
+from oracles import (all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize,
+                     naive_push_up)
 
 
 def bds(a, b):
@@ -168,6 +169,24 @@ class TestPushUp:
             order = sorted(range(4), key=lambda u: (-g.row_deg[u], u))
             assert {u for u in range(4) if h.adj[u, v]} == set(order[:d])
             assert h.row_deg == g.row_deg and h.col_deg == g.col_deg
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_row_lists_match_the_numpy_oracle(self, n):
+        # seeded n x n graphs of mixed density, random active column sets
+        # holding v: the same graph and the same swaps as the cell-by-cell
+        # numpy elimination, and the same refusal of an inactive v
+        rng = np.random.default_rng(40 + n)
+        for _ in range(6):
+            g = BipartiteGraph((rng.random((n, n)) < rng.uniform(0.2, 0.8)).astype(np.uint8))
+            v = int(rng.integers(n))
+            others = [c for c in range(n) if c != v]
+            active = [v] + [int(c) for c in rng.choice(others, int(rng.integers(n)),
+                                                       replace=False)]
+            for cols in (None, active):
+                assert push_up(g, v, cols) == naive_push_up(g, v, cols), (n, v, cols)
+            for rule in (push_up, naive_push_up):
+                with pytest.raises(ValueError):
+                    rule(g, v, others)
 
 
 class TestSwaps:

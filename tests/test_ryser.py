@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 
-from degswap import BipartiteDegreeSequence, BipartiteGraph, Unreachable, ryser_sequence, swap_distance
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, Unreachable, chain,
+                     ryser_sequence, swap_distance)
 from degswap.errors import DegreeMismatch
 from degswap.mixing import enumerate_states
 from degswap.ryser import replay
 
-from oracles import graphs
+from oracles import graphs, naive_ryser_sequence
 
 M1 = BipartiteGraph([[1, 0], [0, 1]])
 M2 = BipartiteGraph([[0, 1], [1, 0]])
@@ -57,3 +59,18 @@ def test_degree_mismatch():
         ryser_sequence(M1, BipartiteGraph([[1, 1], [0, 0]]))
     with pytest.raises(DegreeMismatch):
         swap_distance(M1, BipartiteGraph([[1, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_row_lists_match_the_numpy_push_up_chain(n):
+    # seeded pairs on the sorted margins of random n x n matrices: the same
+    # swap list as column elimination by numpy push-ups, landing on Y
+    rng = np.random.default_rng(60 + n)
+    for trial in range(3):
+        adj = rng.random((n, n)) < rng.uniform(0.2, 0.8)
+        ds = BipartiteDegreeSequence(tuple(sorted(adj.sum(axis=1).tolist(), reverse=True)),
+                                     tuple(sorted(adj.sum(axis=0).tolist(), reverse=True)))
+        X, Y = (chain.sample(ds, 300, 100 * n + 2 * trial + i) for i in (0, 1))
+        seq = ryser_sequence(X, Y)
+        assert seq == naive_ryser_sequence(X, Y), (n, trial)
+        assert replay(X, seq)[-1] == Y
