@@ -1169,18 +1169,36 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     passes through the partial targets X xor (first cycles) between them.
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y), capped at 6 switches
-    (``switch_distance``'s default).  The cycles are walked on keys by
-    ``_walk``, with segment, pattern and bridge memos made fresh for the
-    call (a hit is exact, see ``_bridge``); the visited keys become graphs
-    once, at the end.
+    (``switch_distance``'s default), from ``_certificates``.  The cycles are
+    walked on keys by ``_walk``, with segment, pattern and bridge memos made
+    fresh for the call (a hit is exact, see ``_bridge``); the visited keys
+    are stacked once into a read-only (n, k, l) array, and each state is a
+    view of its layer.
     """
     keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
-    states = [BipartiteGraph._trusted(np.frombuffer(key, np.uint8).reshape(X.k, X.l))
-              for key in keys]
+    stack = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
+    states = [BipartiteGraph._trusted(layer) for layer in stack]
     if certify:
-        certs = [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
-        return states, certs
+        return states, _certificates(X, Y, stack)
     return states
+
+
+def _certificates(X: BipartiteGraph, Y: BipartiteGraph, stack: np.ndarray) -> list:
+    """The switch distance of X + Y - Z for each layer Z of the (n, k, l)
+    0-1 ``stack``, as ``switch_distance(hat_matrix(X, Y, Z))`` gives it.
+
+    The layers' margins are checked against X's in one reduction
+    (``DegreeMismatch``), and the hats are formed in one broadcast.  A 0-1
+    hat with at least one cell is at distance 0, answered here; every other
+    hat goes to ``switch_distance``, which refuses an empty matrix
+    (``MarginMismatch``).
+    """
+    if not ((stack.sum(axis=2) == X.row_deg).all() and (stack.sum(axis=1) == X.col_deg).all()):
+        raise DegreeMismatch("a state on the path leaves X's margins")
+    hats = (X.adj + Y.adj).view(np.int8) - stack.view(np.int8)
+    # hats lie in [-1, 2], and -1 reads 255 as uint8
+    binary = (hats.view(np.uint8) <= 1).all(axis=(1, 2)) & bool(X.adj.size)
+    return [0 if done else switch_distance(hat) for done, hat in zip(binary.tolist(), hats)]
 
 
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .canonical import canonical_path
 from .chain import ChainState, _check_steps, advance
-from .core import BipartiteDegreeSequence, BipartiteGraph, Swap, greedy_realize
-from .errors import DegSwapError, NotGraphical
+from .core import BipartiteDegreeSequence, BipartiteGraph, _stack_text, greedy_realize
+from .errors import DegSwapError, NotGraphical, SpecViolation
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
 from .pairings import _vertex_walk, all_pairings, decompose, nth_pairing, random_pairing
 from .ryser import ryser_sequence
@@ -122,37 +122,40 @@ def cmd_canonical_path(args) -> int:
         pairing = nth_pairing(x, y, args.pairing_index)
     else:
         pairing = random_pairing(x, y, args.seed)
-    if args.certify:
-        states, certs = canonical_path(x, y, pairing, certify=True)
-    else:
+    if not args.certify:
         states = canonical_path(x, y, pairing)
-    sys.stdout.write("\n".join(g.to_text() for g in states))
-    if args.certify:
-        print("---")
-        print("step,swap,switch_distance")
-        prev = None
-        for i, (g, sd) in enumerate(zip(states, certs)):
-            sw = ""
-            if prev is not None:
-                sw = _swap_line(_recover_swap(prev, g))
-            print(f"{i},{sw},{sd}")
-            prev = g
+        sys.stdout.write(_stack_text(np.stack([g.adj for g in states])))
+        return 0
+    states, certs = canonical_path(x, y, pairing, certify=True)
+    stack = np.stack([g.adj for g in states])
+    swaps = [""] + _step_swaps(stack)
+    sys.stdout.write(_stack_text(stack))
+    print("---")
+    print("step,swap,switch_distance")
+    for i, (sw, sd) in enumerate(zip(swaps, certs)):
+        print(f"{i},{sw},{sd}")
     return 0
 
 
-def _recover_swap(a: BipartiteGraph, b: BipartiteGraph):
-    # the keys read as little-endian integers put cell c = u*l+v at bit 8c,
-    # so their XOR has one bit per differing cell (as in pairings._number)
-    rest = int.from_bytes(a.key(), "little") ^ int.from_bytes(b.key(), "little")
-    rows, cols = set(), set()
-    while rest:
-        low = rest & -rest
-        u, v = divmod((low.bit_length() - 1) >> 3, a.l)
-        rows.add(u)
-        cols.add(v)
-        rest ^= low
-    rows, cols = sorted(rows), sorted(cols)
-    return Swap.on(rows[0], rows[1], cols[0], cols[1], graph=a)
+def _step_swaps(stack: np.ndarray) -> list:
+    """The swap line of each step of a path held as an (n, k, l) 0-1 stack,
+    read off the XOR of consecutive layers.  Each step must change exactly
+    four cells, in 2 rows and 2 columns, that hold a one-factor before it
+    (``SpecViolation`` otherwise)."""
+    before = stack[:-1]
+    diff = stack[1:] ^ before
+    rows, cols = diff.any(axis=2), diff.any(axis=1)
+    if not ((diff.sum(axis=(1, 2)) == 4).all() and (rows.sum(axis=1) == 2).all()
+            and (cols.sum(axis=1) == 2).all()):
+        raise SpecViolation("a step of the path does not change one 2 x 2 submatrix")
+    u = rows.nonzero()[1].reshape(-1, 2)
+    v = cols.nonzero()[1].reshape(-1, 2)
+    step = np.arange(len(before))
+    a, b = before[step, u[:, 0], v[:, 0]], before[step, u[:, 0], v[:, 1]]
+    c, d = before[step, u[:, 1], v[:, 0]], before[step, u[:, 1], v[:, 1]]
+    if not ((a == d) & (b == c) & (a != b)).all():
+        raise SpecViolation("a step of the path exchanges no one-factor")
+    return [" ".join(map(str, quad)) for quad in (np.hstack([u, v]) + 1).tolist()]
 
 
 def cmd_mix_report(args) -> int:

@@ -246,12 +246,24 @@ class BipartiteGraph:
             body = [""] * k      # the k rows of a k x 0 matrix are blank lines
         if len(body) != k:
             raise ValueError(f"expected {k} matrix rows, found {len(body)}")
-        rows = []
         for ln in body:
             if len(ln) != l or set(ln) - {"0", "1"}:
                 raise ValueError(f"bad matrix row {ln!r}")
-            rows.append([int(c) for c in ln])
-        return cls(np.array(rows, dtype=np.uint8).reshape(k, l))
+        cells = np.frombuffer("".join(body).encode("ascii"), np.uint8) - ord("0")
+        return cls(cells.reshape(k, l))
+
+
+def _stack_text(stack: np.ndarray) -> str:
+    """The text forms (``BipartiteGraph.to_text``) of the layers of an
+    (n, k, l) 0-1 ``uint8`` stack, joined by newlines, rendered in one pass."""
+    n, k, l = stack.shape
+    head = np.frombuffer(f"{k} {l}\n".encode(), np.uint8)
+    rows = np.full((n, k, l + 1), ord("\n"), np.uint8)
+    rows[:, :, :l] = stack + ord("0")
+    text = np.full((n, len(head) + k * (l + 1) + 1), ord("\n"), np.uint8)
+    text[:, :len(head)] = head
+    text[:, len(head):-1] = rows.reshape(n, -1)
+    return text.tobytes()[:-1].decode()
 
 
 # -- realization --------------------------------------------------------------

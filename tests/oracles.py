@@ -605,6 +605,14 @@ def ordered_congestion(space, certify: bool = False):
         max_switch_distance=max_sd if certify else None)
 
 
+def recover_swap(a, b):
+    """The swap carrying graph a to graph b, read off the cells where their
+    matrices differ: their two rows and two columns, with the orientation
+    ``Swap.on`` reads from a."""
+    rows, cols = (sorted(set(ids.tolist())) for ids in np.nonzero(a.adj != b.adj))
+    return Swap.on(rows[0], rows[1], cols[0], cols[1], graph=a)
+
+
 def naive_segment(G, cycle):
     """The keys after each swap that flips ``cycle`` in G, the graph way:
     ``canonical._solve_cycle`` solves the cycle on the full realization

@@ -14,7 +14,7 @@ from degswap.canonical import (CycleFrame, OKKOSpec, cycle_swaps, down_line,
                                down_up_rings, matches_spec, ring, up_line,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
-from degswap.errors import (CycleMismatch, DiagonalPosition, MarginMismatch,
+from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             SwapNotAllowed, TooManyPairings)
 from degswap.mixing import enumerate_states
@@ -847,3 +847,65 @@ class TestCanonicalPath:
         states, certs = canonical_path(X, Y, s, certify=True)
         assert len(states) == len(certs)
         assert all(isinstance(c, int) and c <= 2 for c in certs)
+
+
+class TestCertifiedStack:
+    """``canonical_path(certify=True)`` stacks the walked keys once and
+    certifies every layer off that stack; it must give the states of the
+    uncertified call and the certificates ``switch_distance(hat_matrix)``
+    gives state by state."""
+
+    @staticmethod
+    def check(X, Y, pairing) -> list:
+        states, certs = canonical_path(X, Y, pairing, certify=True)
+        assert states == canonical_path(X, Y, pairing)
+        assert certs == [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
+        return certs
+
+    def test_seeded_16x16_pairs(self):
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        certs = []
+        for p in range(12):
+            X, Y = chain.sample(ds, 1000, 600 + 2 * p), chain.sample(ds, 1000, 601 + 2 * p)
+            certs += self.check(X, Y, random_pairing(X, Y, p))
+        assert {0, 1, 2} <= set(certs)
+
+    def test_every_pair_of_the_v_regular_space(self):
+        # the 48-state space 3 2 2 1 | 2 2 2 2, whose certificates reach 3,
+        # each ordered pair through its first pairing
+        space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
+        states = graphs(space)
+        certs = set()
+        for X in states:
+            for Y in states:
+                certs.update(self.check(X, Y, next(all_pairings(X, Y))))
+        assert certs == {0, 1, 2, 3}
+
+    def test_states_are_read_only(self):
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        X, Y = chain.sample(ds, 1000, 600), chain.sample(ds, 1000, 601)
+        for certify in (False, True):
+            path = canonical_path(X, Y, random_pairing(X, Y, 0), certify=certify)
+            states = path[0] if certify else path
+            assert len(states) > 2
+            for Z in states:
+                assert not Z.adj.flags.writeable
+                with pytest.raises(ValueError):
+                    Z.adj[0, 0] = 1 - Z.adj[0, 0]
+
+    def test_state_off_the_margins_raises(self, monkeypatch):
+        # a walk that leaves X's margins is refused when certified
+        from degswap import canonical
+
+        X, Y = BipartiteGraph([[1, 0], [0, 1]]), BipartiteGraph([[0, 1], [1, 0]])
+        pairing = next(all_pairings(X, Y))
+        real = canonical._walk
+
+        def off_margins(*args):
+            keys = real(*args)
+            return [keys[0], bytes([1, 1, 0, 1]), *keys[1:]]
+
+        monkeypatch.setattr(canonical, "_walk", off_margins)
+        assert len(canonical_path(X, Y, pairing)) == 3
+        with pytest.raises(DegreeMismatch):
+            canonical_path(X, Y, pairing, certify=True)

@@ -180,18 +180,25 @@ CANONICAL_PATH_GOLDEN_16 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
-def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch, name):
-    from degswap import BipartiteDegreeSequence, canonical, chain
+def pinned_pair(name):
+    """The graphs X and Y of a pair in ``CANONICAL_PATH_GOLDEN_16``."""
+    from degswap import BipartiteDegreeSequence, chain
 
-    x_seed, y, path_digest, transform_digest, branch = CANONICAL_PATH_GOLDEN_16[name]
+    x_seed, y = CANONICAL_PATH_GOLDEN_16[name][:2]
     ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
     X = chain.sample(ds, 1000, x_seed)
     if isinstance(y, int):
-        Y = chain.sample(ds, 1000, y)
-    else:
-        us, vs = y
-        Y = X.with_edges(list(zip(us, vs)), list(zip(us, vs[1:] + vs[:1])))
+        return X, chain.sample(ds, 1000, y)
+    us, vs = y
+    return X, X.with_edges(list(zip(us, vs)), list(zip(us, vs[1:] + vs[:1])))
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
+def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch, name):
+    from degswap import canonical
+
+    path_digest, transform_digest, branch = CANONICAL_PATH_GOLDEN_16[name][2:]
+    X, Y = pinned_pair(name)
     x, y = write(tmp_path, "x.txt", X.to_text()), write(tmp_path, "y.txt", Y.to_text())
     taken = set()
 
@@ -211,6 +218,114 @@ def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16])
     assert digests == [path_digest, transform_digest]
     assert taken == ({branch} if branch else set())
+
+
+def certified_output(tmp_path, capsys, X, Y, argv=("--seed", "5")):
+    """`canonical-path X Y --certify` run on graphs: the states it prints,
+    and its swap and certificate columns."""
+    from degswap import BipartiteGraph
+
+    assert main(["canonical-path", write(tmp_path, "x.txt", X.to_text()),
+                 write(tmp_path, "y.txt", Y.to_text()), "--certify", *argv]) == 0
+    text, table = capsys.readouterr().out.split("---\n")
+    states = [BipartiteGraph.from_text(t) for t in text.split("\n\n")]
+    rows = [line.split(",") for line in table.splitlines()[1:]]
+    assert [int(step) for step, _, _ in rows] == list(range(len(states)))
+    return states, [swap for _, swap, _ in rows], [int(sd) for _, _, sd in rows]
+
+
+def swap_lines(states) -> list:
+    """The swap column for a path's states, each swap read by the oracle."""
+    from degswap.cli import _swap_line
+    from oracles import recover_swap
+
+    return [""] + [_swap_line(recover_swap(a, b)) for a, b in zip(states, states[1:])]
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
+def test_certified_path_reads_the_stack_16x16(tmp_path, capsys, name):
+    # on the pinned pairs, two of them through a blocked branch: the CLI
+    # prints canonical_path's states, each swap as the oracle reads it off
+    # the two graphs, and each state's certificate as switch_distance gives
+    # it on hat_matrix
+    from degswap import canonical_path, hat_matrix, random_pairing, switch_distance
+
+    X, Y = pinned_pair(name)
+    pairing = random_pairing(X, Y, 5)
+    states, certs = canonical_path(X, Y, pairing, certify=True)
+    assert states == canonical_path(X, Y, pairing)
+    assert certs == [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
+    assert certified_output(tmp_path, capsys, X, Y) == (states, swap_lines(states), certs)
+
+
+def test_certified_swap_lines_match_the_oracle(tmp_path, capsys):
+    # drawn 16 x 16 pairs, and every pair into one state of the 48-state
+    # V-regular space through its first pairing
+    from degswap import BipartiteDegreeSequence, chain
+    from degswap.mixing import enumerate_states
+
+    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+    pairs = [(chain.sample(ds, 1000, 500 + 2 * p), chain.sample(ds, 1000, 501 + 2 * p))
+             for p in range(6)]
+    space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
+    pairs += [(space.graph(x), space.graph(30)) for x in range(space.n)]
+    steps = 0
+    for X, Y in pairs:
+        for argv in (("--seed", "5"), ("--pairing-index", "0")):
+            states, swaps, _ = certified_output(tmp_path, capsys, X, Y, argv)
+            assert states[0] == X and states[-1] == Y
+            assert swaps == swap_lines(states)
+            steps += len(swaps) - 1
+    assert steps > 500
+
+
+@pytest.mark.parametrize("before, after", [
+    ("2 2\n10\n01\n", "2 2\n00\n11\n"),                  # two cells
+    ("2 2\n11\n00\n", "2 2\n00\n11\n"),                  # 2 x 2, no one-factor
+    ("3 2\n10\n01\n00\n", "3 2\n01\n00\n10\n"),          # four cells in three rows
+    ("4 4\n1000\n0100\n0010\n0001\n",
+     "4 4\n0100\n1000\n0001\n0010\n"),                   # two swaps at once
+])
+def test_certified_step_that_is_no_swap(tmp_path, capsys, monkeypatch, before, after):
+    # the swap column is read off the XOR of consecutive states, and a step
+    # that is not one allowed swap is refused before anything is printed
+    from degswap import BipartiteGraph, cli
+
+    states = [BipartiteGraph.from_text(before), BipartiteGraph.from_text(after)]
+    monkeypatch.setattr(cli, "canonical_path", lambda *args, **kwargs: (states, [0, 0]))
+    monkeypatch.setattr(cli, "random_pairing", lambda *args: None)
+    x = write(tmp_path, "x.txt", before)
+    assert main(["canonical-path", x, x, "--certify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[SpecViolation]: ")
+
+
+@pytest.mark.parametrize("text", ["0 3\n", "2 0\n\n\n"])
+def test_canonical_path_empty_shapes(tmp_path, capsys, text):
+    # an empty matrix has no switch distance, so only --certify fails
+    x = write(tmp_path, "x.txt", text)
+    assert main(["canonical-path", x, x]) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(["canonical-path", x, x, "--certify"]) == 1
+    assert capsys.readouterr() == ("", "error[MarginMismatch]: margins admit no 0-1 matrix\n")
+
+
+def test_canonical_path_one_by_one(tmp_path, capsys):
+    x = write(tmp_path, "x.txt", "1 1\n1\n")
+    assert main(["canonical-path", x, x, "--certify"]) == 0
+    assert capsys.readouterr().out == "1 1\n1\n---\nstep,swap,switch_distance\n0,,0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n10\n1\n", "bad matrix row '1'"),                   # a short row
+    ("2 2\n10\n21\n", "bad matrix row '21'"),                 # a 2 cell
+    ("2 2\n10\n", "expected 2 matrix rows, found 1"),          # a missing row
+])
+@pytest.mark.parametrize("command", ["transform", "canonical-path"])
+def test_bad_graph_text(tmp_path, capsys, text, message, command):
+    bad, good = write(tmp_path, "bad.txt", text), write(tmp_path, "good.txt", M1)
+    assert main([command, bad, good]) == 1
+    assert capsys.readouterr() == ("", f"error[ValueError]: {message}\n")
 
 
 # Digests (sha256, first 16 hex digits) of `decompose X Y` stdout, recorded

@@ -293,6 +293,15 @@ class TestGraphText:
             assert g.to_text() == cell_text(g)
             assert BipartiteGraph.from_text(g.to_text()) == g
 
+    @pytest.mark.parametrize("k, l", [(1, 1), (3, 5), (16, 16), (0, 3), (2, 0)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stack_text_joins_each_layer_text(self, k, l, n):
+        from degswap.core import _stack_text
+
+        layers = [random_graph(seed, k, l) for seed in range(n)]
+        stack = np.stack([g.adj for g in layers])
+        assert _stack_text(stack) == "\n".join(g.to_text() for g in layers)
+
     def test_empty_shapes(self):
         assert BipartiteGraph(np.zeros((0, 3), dtype=np.uint8)).to_text() == "0 3\n"
         assert BipartiteGraph(np.zeros((2, 0), dtype=np.uint8)).to_text() == "2 0\n\n\n"
