@@ -1184,21 +1184,13 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
 
 
 def _certificates(X: BipartiteGraph, Y: BipartiteGraph, stack: np.ndarray) -> list:
-    """The switch distance of X + Y - Z for each layer Z of the (n, k, l)
-    0-1 ``stack``, as ``switch_distance(hat_matrix(X, Y, Z))`` gives it.
-
-    The layers' margins are checked against X's in one reduction
-    (``DegreeMismatch``), and the hats are formed in one broadcast.  A 0-1
-    hat with at least one cell is at distance 0, answered here; every other
-    hat goes to ``switch_distance``, which refuses an empty matrix
-    (``MarginMismatch``).
-    """
+    """``switch_distance(hat_matrix(X, Y, Z))`` for each layer Z of the
+    (n, k, l) 0-1 ``stack``, with the layers' margins checked against X's in
+    one reduction (``DegreeMismatch``) and the hats formed in one broadcast."""
     if not ((stack.sum(axis=2) == X.row_deg).all() and (stack.sum(axis=1) == X.col_deg).all()):
         raise DegreeMismatch("a state on the path leaves X's margins")
     hats = (X.adj + Y.adj).view(np.int8) - stack.view(np.int8)
-    # hats lie in [-1, 2], and -1 reads 255 as uint8
-    binary = (hats.view(np.uint8) <= 1).all(axis=(1, 2)) & bool(X.adj.size)
-    return [0 if done else switch_distance(hat) for done, hat in zip(binary.tolist(), hats)]
+    return [switch_distance(hat) for hat in hats]
 
 
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
@@ -1256,12 +1248,13 @@ def switch_distance(M, cap: int = 6):
     mat = np.array(M, dtype=np.int64)
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
-    if mat.size and ((mat == 0) | (mat == 1)).all():
+    if mat.size and not (mat & -2).any():      # every entry is 0 or 1
         return 0 if cap >= 0 else Exceeds(cap)
     if not _gale_ryser(mat.sum(axis=1).tolist(), mat.sum(axis=0).tolist()):
         raise MarginMismatch("margins admit no 0-1 matrix")
-    # at least 1: M holds an entry outside [0, 1]
-    deficiency = int(np.maximum(-mat, 0).sum() + np.maximum(mat - 1, 0).sum())
+    # at least 1: M holds an entry outside [0, 1]; an integer m lies
+    # (|2m - 1| - 1) / 2 from [0, 1]
+    deficiency = int(np.abs(2 * mat - 1).sum() - mat.size) // 2
     if deficiency > 4 * cap:
         return Exceeds(cap)
     lo = min(-1, int(mat.min())) - 1

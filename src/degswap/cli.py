@@ -122,18 +122,19 @@ def cmd_canonical_path(args) -> int:
         pairing = nth_pairing(x, y, args.pairing_index)
     else:
         pairing = random_pairing(x, y, args.seed)
-    if not args.certify:
+    if args.certify:
+        states, certs = canonical_path(x, y, pairing, certify=True)
+    else:
         states = canonical_path(x, y, pairing)
-        sys.stdout.write(_stack_text(np.stack([g.adj for g in states])))
-        return 0
-    states, certs = canonical_path(x, y, pairing, certify=True)
     stack = np.stack([g.adj for g in states])
-    swaps = [""] + _step_swaps(stack)
+    # every swap is read, and a bad step refused, before anything is printed
+    swaps = [""] + _step_swaps(stack) if args.certify else None
     sys.stdout.write(_stack_text(stack))
-    print("---")
-    print("step,swap,switch_distance")
-    for i, (sw, sd) in enumerate(zip(swaps, certs)):
-        print(f"{i},{sw},{sd}")
+    if args.certify:
+        print("---")
+        print("step,swap,switch_distance")
+        for i, (sw, sd) in enumerate(zip(swaps, certs)):
+            print(f"{i},{sw},{sd}")
     return 0
 
 

@@ -231,9 +231,9 @@ class BipartiteGraph:
     # -- text format ------------------------------------------------------
 
     def to_text(self) -> str:
-        rows = np.full((self.k, self.l + 1), ord("\n"), dtype=np.uint8)
-        rows[:, :-1] = self.adj + ord("0")
-        return f"{self.k} {self.l}\n" + rows.tobytes().decode()
+        """The header ``k l`` and the k matrix rows, each line ended by a
+        newline."""
+        return _stack_text(self.adj[None])
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
@@ -255,14 +255,16 @@ class BipartiteGraph:
 
 def _stack_text(stack: np.ndarray) -> str:
     """The text forms (``BipartiteGraph.to_text``) of the layers of an
-    (n, k, l) 0-1 ``uint8`` stack, joined by newlines, rendered in one pass."""
+    (n, k, l) 0-1 ``uint8`` stack, joined by newlines, written into one
+    buffer: each layer's header, its rows, and the newline that joins it to
+    the next."""
     n, k, l = stack.shape
-    head = np.frombuffer(f"{k} {l}\n".encode(), np.uint8)
-    rows = np.full((n, k, l + 1), ord("\n"), np.uint8)
-    rows[:, :, :l] = stack + ord("0")
-    text = np.full((n, len(head) + k * (l + 1) + 1), ord("\n"), np.uint8)
-    text[:, :len(head)] = head
-    text[:, len(head):-1] = rows.reshape(n, -1)
+    head = f"{k} {l}\n".encode()
+    h, w = len(head), k * (l + 1)
+    text = np.full((n, h + w + 1), ord("\n"), np.uint8)
+    text[:, :h] = np.frombuffer(head, np.uint8)
+    # the rows of each layer, viewed as k lines of l cells and a newline
+    np.add(stack, ord("0"), out=text[:, h:h + w].reshape(n, k, l + 1)[:, :, :l])
     return text.tobytes()[:-1].decode()
 
 

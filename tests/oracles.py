@@ -605,6 +605,35 @@ def ordered_congestion(space, certify: bool = False):
         max_switch_distance=max_sd if certify else None)
 
 
+# 16 x 16 4-regular pairs the tests pin.  X is chain.sample(ds, 1000, seed);
+# Y is drawn likewise, or is X with one alternating cycle flipped, its U- and
+# V-vertices listed in frame order (main edges (us[t], vs[t]) in X).  No
+# drawn pair among some 8,000 canonical paths met a blocked cycle, so the
+# two blocked branches come from such cycles: the first flips a 10-cycle
+# through canonical._first_possibility, the second a 12-cycle through
+# canonical._second_possibility (with the pairing random_pairing(X, Y, 5)).
+PINNED_16 = {
+    # name: (X seed, Y seed or (us, vs))
+    "drawn 100/101": (100, 101),
+    "drawn 102/103": (102, 103),
+    "blocked, first possibility": (300, ((9, 10, 5, 8, 12), (14, 13, 6, 15, 12))),
+    "blocked, second possibility": (306, ((10, 5, 15, 3, 9, 11), (2, 4, 13, 9, 15, 11))),
+}
+
+
+def pinned_pair(name):
+    """The graphs X and Y of the pair ``PINNED_16[name]``."""
+    from degswap import BipartiteDegreeSequence, chain
+
+    x_seed, y = PINNED_16[name]
+    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+    X = chain.sample(ds, 1000, x_seed)
+    if isinstance(y, int):
+        return X, chain.sample(ds, 1000, y)
+    us, vs = y
+    return X, X.with_edges(list(zip(us, vs)), list(zip(us, vs[1:] + vs[:1])))
+
+
 def recover_swap(a, b):
     """The swap carrying graph a to graph b, read off the cells where their
     matrices differ: their two rows and two columns, with the orientation

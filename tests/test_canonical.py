@@ -22,11 +22,12 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, ch
                      pairings, random_pairing)
 from degswap.ryser import replay
 
-from oracles import (count_ryser, cycle_graph_pair, friendly_path_exists, graphs,
+from oracles import (PINNED_16, count_ryser, cycle_graph_pair, friendly_path_exists, graphs,
                      naive_cousins, naive_down_line, naive_down_up_rings, naive_ring,
                      naive_switch_distance, naive_up_line, never_memoize_bridges,
-                     perturbed_environment, random_types, reference_path, ring_blocker_types,
-                     sequence_margins_ok, spec_realization, split_environment_pools)
+                     perturbed_environment, pinned_pair, random_types, reference_path,
+                     ring_blocker_types, sequence_margins_ok, spec_realization,
+                     split_environment_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -862,12 +863,16 @@ class TestCertifiedStack:
         assert certs == [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
         return certs
 
-    def test_seeded_16x16_pairs(self):
+    def test_drawn_and_pinned_16x16_pairs(self):
+        # two of the pinned pairs take a blocked branch
         ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
         certs = []
         for p in range(12):
             X, Y = chain.sample(ds, 1000, 600 + 2 * p), chain.sample(ds, 1000, 601 + 2 * p)
             certs += self.check(X, Y, random_pairing(X, Y, p))
+        for name in sorted(PINNED_16):
+            X, Y = pinned_pair(name)
+            certs += self.check(X, Y, random_pairing(X, Y, 5))
         assert {0, 1, 2} <= set(certs)
 
     def test_every_pair_of_the_v_regular_space(self):

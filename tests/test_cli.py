@@ -158,46 +158,27 @@ def test_canonical_path_certify_golden(tmp_path, capsys, name, by_index):
     assert digest == (indexed if by_index else seeded)
 
 
-# 16 x 16 4-regular pairs.  X is chain.sample(ds, 1000, seed); Y is drawn
-# likewise, or is X with one alternating cycle flipped, its U- and
-# V-vertices listed in frame order (main edges (us[t], vs[t]) in X).  No
-# drawn pair among some 8,000 canonical paths met a blocked cycle, so the
-# two blocked branches come from such cycles: the first flips a 10-cycle
-# through canonical._first_possibility, the second a 12-cycle through
-# canonical._second_possibility.  Digests (sha256, first 16 hex digits) of
-# `canonical-path X Y --certify --seed 5` and of `transform X Y`, recorded
-# before the cycle solver ran on keys and Ryser on row lists.
+# Digests (sha256, first 16 hex digits) of `canonical-path X Y --certify
+# --seed 5` and of `transform X Y` on the pinned 16 x 16 pairs of
+# ``oracles.PINNED_16``, recorded before the cycle solver ran on keys and
+# Ryser on row lists, and the blocked branch each pair takes.
 CANONICAL_PATH_GOLDEN_16 = {
-    # name: (X seed, Y seed or (us, vs), path digest, transform digest, blocked branch)
-    "drawn 100/101": (100, 101, "842ba95ebb41222f", "af22d2e081627378", None),
-    "drawn 102/103": (102, 103, "99d5c9d48e21cfa2", "69eead56e86ad24e", None),
-    "blocked, first possibility": (300, ((9, 10, 5, 8, 12), (14, 13, 6, 15, 12)),
-                                   "c788b2399960d659", "fcd9f909528e4eba",
+    # name: (path digest, transform digest, blocked branch)
+    "drawn 100/101": ("842ba95ebb41222f", "af22d2e081627378", None),
+    "drawn 102/103": ("99d5c9d48e21cfa2", "69eead56e86ad24e", None),
+    "blocked, first possibility": ("c788b2399960d659", "fcd9f909528e4eba",
                                    "_first_possibility"),
-    "blocked, second possibility": (306, ((10, 5, 15, 3, 9, 11), (2, 4, 13, 9, 15, 11)),
-                                    "cb1dff092a6492b4", "a627279cc6834dbe",
+    "blocked, second possibility": ("cb1dff092a6492b4", "a627279cc6834dbe",
                                     "_second_possibility"),
 }
-
-
-def pinned_pair(name):
-    """The graphs X and Y of a pair in ``CANONICAL_PATH_GOLDEN_16``."""
-    from degswap import BipartiteDegreeSequence, chain
-
-    x_seed, y = CANONICAL_PATH_GOLDEN_16[name][:2]
-    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
-    X = chain.sample(ds, 1000, x_seed)
-    if isinstance(y, int):
-        return X, chain.sample(ds, 1000, y)
-    us, vs = y
-    return X, X.with_edges(list(zip(us, vs)), list(zip(us, vs[1:] + vs[:1])))
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
 def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch, name):
     from degswap import canonical
+    from oracles import pinned_pair
 
-    path_digest, transform_digest, branch = CANONICAL_PATH_GOLDEN_16[name][2:]
+    path_digest, transform_digest, branch = CANONICAL_PATH_GOLDEN_16[name]
     X, Y = pinned_pair(name)
     x, y = write(tmp_path, "x.txt", X.to_text()), write(tmp_path, "y.txt", Y.to_text())
     taken = set()
@@ -242,31 +223,18 @@ def swap_lines(states) -> list:
     return [""] + [_swap_line(recover_swap(a, b)) for a, b in zip(states, states[1:])]
 
 
-@pytest.mark.parametrize("name", sorted(CANONICAL_PATH_GOLDEN_16))
-def test_certified_path_reads_the_stack_16x16(tmp_path, capsys, name):
-    # on the pinned pairs, two of them through a blocked branch: the CLI
-    # prints canonical_path's states, each swap as the oracle reads it off
-    # the two graphs, and each state's certificate as switch_distance gives
-    # it on hat_matrix
-    from degswap import canonical_path, hat_matrix, random_pairing, switch_distance
-
-    X, Y = pinned_pair(name)
-    pairing = random_pairing(X, Y, 5)
-    states, certs = canonical_path(X, Y, pairing, certify=True)
-    assert states == canonical_path(X, Y, pairing)
-    assert certs == [switch_distance(hat_matrix(X, Y, Z)) for Z in states]
-    assert certified_output(tmp_path, capsys, X, Y) == (states, swap_lines(states), certs)
-
-
 def test_certified_swap_lines_match_the_oracle(tmp_path, capsys):
-    # drawn 16 x 16 pairs, and every pair into one state of the 48-state
-    # V-regular space through its first pairing
+    # drawn 16 x 16 pairs, the pinned ones (two through a blocked branch),
+    # and every pair into one state of the 48-state V-regular space through
+    # its first pairing
     from degswap import BipartiteDegreeSequence, chain
     from degswap.mixing import enumerate_states
+    from oracles import PINNED_16, pinned_pair
 
     ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
     pairs = [(chain.sample(ds, 1000, 500 + 2 * p), chain.sample(ds, 1000, 501 + 2 * p))
              for p in range(6)]
+    pairs += [pinned_pair(name) for name in sorted(PINNED_16)]
     space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
     pairs += [(space.graph(x), space.graph(30)) for x in range(space.n)]
     steps = 0
