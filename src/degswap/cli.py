@@ -41,8 +41,8 @@ def _read_graph(path: str) -> BipartiteGraph:
         return BipartiteGraph.from_text(fh.read())
 
 
-def _swap_line(s) -> str:
-    return f"{s.u1 + 1} {s.u2 + 1} {s.v1 + 1} {s.v2 + 1}"
+def _swap_line(u1, u2, v1, v2) -> str:
+    return f"{u1 + 1} {u2 + 1} {v1 + 1} {v2 + 1}"
 
 
 def _vertex_label(w) -> str:
@@ -93,7 +93,7 @@ def cmd_sample(args) -> int:
 def cmd_transform(args) -> int:
     g1, g2 = _read_graph(args.g1), _read_graph(args.g2)
     for s in ryser_sequence(g1, g2):
-        print(_swap_line(s))
+        print(_swap_line(s.u1, s.u2, s.v1, s.v2))
     return 0
 
 
@@ -156,7 +156,7 @@ def _step_swaps(stack: np.ndarray) -> list:
     c, d = before[step, u[:, 1], v[:, 0]], before[step, u[:, 1], v[:, 1]]
     if not ((a == d) & (b == c) & (a != b)).all():
         raise SpecViolation("a step of the path exchanges no one-factor")
-    return [" ".join(map(str, quad)) for quad in (np.hstack([u, v]) + 1).tolist()]
+    return [_swap_line(*quad) for quad in np.hstack([u, v]).tolist()]
 
 
 def cmd_mix_report(args) -> int:

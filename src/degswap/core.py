@@ -255,17 +255,13 @@ class BipartiteGraph:
 
 def _stack_text(stack: np.ndarray) -> str:
     """The text forms (``BipartiteGraph.to_text``) of the layers of an
-    (n, k, l) 0-1 ``uint8`` stack, joined by newlines, written into one
-    buffer: each layer's header, its rows, and the newline that joins it to
-    the next."""
+    (n, k, l) 0-1 ``uint8`` stack, joined by newlines: every layer's rows
+    are rendered in one pass, and each gets its header."""
     n, k, l = stack.shape
-    head = f"{k} {l}\n".encode()
-    h, w = len(head), k * (l + 1)
-    text = np.full((n, h + w + 1), ord("\n"), np.uint8)
-    text[:, :h] = np.frombuffer(head, np.uint8)
-    # the rows of each layer, viewed as k lines of l cells and a newline
-    np.add(stack, ord("0"), out=text[:, h:h + w].reshape(n, k, l + 1)[:, :, :l])
-    return text.tobytes()[:-1].decode()
+    rows = np.full((n, k, l + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :, :l] = stack + ord("0")
+    body, head, w = rows.tobytes().decode(), f"{k} {l}\n", k * (l + 1)
+    return "\n".join([head + body[i * w:(i + 1) * w] for i in range(n)])
 
 
 # -- realization --------------------------------------------------------------

@@ -220,7 +220,8 @@ def swap_lines(states) -> list:
     from degswap.cli import _swap_line
     from oracles import recover_swap
 
-    return [""] + [_swap_line(recover_swap(a, b)) for a, b in zip(states, states[1:])]
+    swaps = [recover_swap(a, b) for a, b in zip(states, states[1:])]
+    return [""] + [_swap_line(s.u1, s.u2, s.v1, s.v2) for s in swaps]
 
 
 def test_certified_swap_lines_match_the_oracle(tmp_path, capsys):
