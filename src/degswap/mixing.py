@@ -15,11 +15,11 @@ put otherwise, so ``TransitionMatrix`` holds the kernel as that one
 denominator and the CSR move graph, and no dense table of it is ever built.
 Everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
-decomposes every pairing of each unordered pair once through the integer
-kernel of ``pairings``, with its circuit memo scoped to the pair's first
-state, counts the paths of both directions from that one decomposition,
-walks them on the states' keys (``canonical._walk``), and maps each
-distinct key path to state ids once, where it adds the path's loads.
+sums over one pair loop, ``_routes``, which decomposes each unordered pair
+once through the integer kernel of ``pairings``, counts the paths of both
+directions from that one decomposition, walks them on the states' keys
+(``canonical._walk``) and maps each distinct key path to state ids once;
+its certificates come from ``canonical._certificates``, as a path's do.
 
 The chain commutes with exchanging two vertices of equal degree.  On spaces
 large enough to pay for it, ``build_kernel`` stores such exchanges of
@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .canonical import _path_counts, hat_matrix, switch_distance
+from .canonical import _certificates, _path_counts
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
@@ -771,6 +771,47 @@ class CongestionReport:
     max_switch_distance: int | None
 
 
+def _routes(space: StateSpace):
+    """Every unordered pair xi < yi of the space's states with its canonical
+    paths: yields ``(xi, yi, total, paths)``, where ``total`` counts the
+    pairings of X xor Y and ``paths`` lists each distinct path of both
+    directions once as ``(ids, count)``: the state ids it visits, from xi or
+    from yi, and the number of pairings that select it.
+
+    Each pair is decomposed once, from X to Y, by the integer kernel
+    (``pairings._decompositions``; over 5000 pairings raise
+    ``TooManyPairings``).  ``canonical._path_counts``, as in
+    ``path_distribution``, walks the X -> Y cycle lists, and for Y -> X the
+    same lists with each cycle's classes exchanged (``pairings._exchanged``,
+    exact).  The circuit and exchange memos live for one source state, the
+    segment, pattern and bridge memos of ``canonical._walk`` for the whole
+    loop.  A distinct key path is mapped to state ids once, where a key off
+    the space or a step off the move graph raises ``SpecViolation``."""
+    n, l = space.n, space.ds.l
+    moves = set(zip(*(a.tolist() for a in _move_edges(space.indptr, space.indices))))
+    keys = [z.tobytes() for z in space.adj]
+    memos = ({}, {}, {})  # segments, patterns and bridges of canonical._walk
+    for xi in range(n):
+        circuits = {}    # the decomposition kernel's memo, for this source state
+        exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
+        for yi in range(xi + 1, n):
+            total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
+            forward = list(cycle_lists)
+            for cyc in itertools.chain.from_iterable(forward):
+                if cyc.edge_seq not in exchanged:
+                    exchanged[cyc.edge_seq] = _exchanged(cyc)
+            backward = [[exchanged[cyc.edge_seq] for cyc in cycles] for cycles in forward]
+            paths = []
+            for start, end, lists in ((keys[xi], keys[yi], forward),
+                                      (keys[yi], keys[xi], backward)):
+                for path, c in _path_counts(l, start, end, lists, memos).items():
+                    ids = tuple(map(space.index.get, path))    # None: a key off the space
+                    if not moves.issuperset(zip(ids, ids[1:])):
+                        raise SpecViolation("a canonical path step is not a move-graph edge")
+                    paths.append((ids, c))
+            yield xi, yi, total, paths
+
+
 def congestion(space: StateSpace, *, max_states: int = 120,
                certify: bool = False) -> CongestionReport:
     """The congestion constant of the full canonical path system.
@@ -782,107 +823,65 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     the swap chain has T = 1/(C(k,2)*C(l,2)), the kernel of ``build_kernel``,
     so the space alone fixes the constant.
 
-    Each unordered pair is decomposed once, and its paths are counted in
-    both directions from that one decomposition.  The integer decomposition
-    kernel (``pairings._decompositions``) runs from X to Y after its guard:
-    more than 5000 pairings raise ``TooManyPairings``.  Its circuit memo
-    lives for one source state X.
-    ``canonical._path_counts``, the routine ``path_distribution`` runs,
-    counts the X -> Y paths on those cycle lists and the Y -> X paths on
-    the same lists with each cycle's classes exchanged
-    (``pairings._exchanged``, exact, memoized by edge sequence for one
-    source state).  Each list is walked on the state keys by
-    ``canonical._walk``, the walk of ``canonical_path``.  Segments are
-    cached per call by start key and cycle, and the pattern and bridge
-    memos solve each local pattern (the cycle's submatrix and its cells)
-    and each local bridge problem once per call.  Each distinct key path is
-    mapped to state ids once, where its loads are added, and a step that is
-    not a move-graph edge raises ``SpecViolation`` there.  With ``certify``
-    the switch distances, capped at 6 switches, are cached per distinct
-    three-term matrix ``X + Y - Z``, keyed by the one integer ``x + y - z``
-    of the keys read as little-endian integers.  Its base-256 digits are
-    the matrix's cells, each in [-1, 2].  Two different digit strings
-    differ by a nonzero string of digits in [-3, 3], whose leading term
-    outweighs everything below it, as 3 * (256^c - 1) / 255 < 256^c; so
-    the integer names the matrix one-to-one, and ``hat_matrix`` is built
-    only on a miss, from graphs of X and Y made once per pair, so their
-    margins are summed once.  The key is symmetric in X and Y, so one pass
-    over the states both directions visit certifies the pair.  All four
-    caches live for one call.  Loads are integer numerators over one common
-    multiple of the pairing counts, which both directions share; sums of
-    integers and the least common multiple do not depend on the order of
-    the pairs, so the report is that of a loop over ordered pairs.
+    The paths come from one loop, ``_routes``, which decomposes each
+    unordered pair once and yields its paths of both directions as state
+    ids.  Loads are integer numerators over one common multiple of the
+    pairing counts, which both directions share; sums of integers and the
+    least common multiple do not depend on the order of the pairs, so the
+    report is that of a loop over ordered pairs.
+
+    With ``certify`` every state Z on a path of the pair (X, Y) is scored
+    by the switch distance of ``X + Y - Z``, capped at 6 switches, from
+    ``canonical._certificates``, the routine of ``canonical_path``.  A
+    matrix past the cap (``Exceeds(6)``) scores 7, so a
+    ``max_switch_distance`` of 7 means "more than 6".  Each distinct matrix
+    is certified once per call, keyed by the integer ``x + y - z`` of the
+    keys read as little-endian integers.  Its base-256 digits are the
+    matrix's cells, each in [-1, 2]; two different digit strings differ by
+    a nonzero string of digits in [-3, 3], whose leading term outweighs
+    everything below it (3 * (256^c - 1) / 255 < 256^c), so the integer
+    names the matrix one-to-one.  The key is symmetric in X and Y, so the
+    states a pair's paths visit in both directions and that are not yet
+    certified go to ``_certificates`` in one call.
     """
     n = space.n
     if n > max_states:
         raise TooLarge(f"{n} states exceed the congestion guard {max_states}")
     if n < 2:
         raise DegenerateChain("need at least two states")
-    memos = ({}, {}, {})  # segments, patterns and bridges of canonical._walk
-    certs = {}
     scale = 1            # a common multiple of the pairing counts seen so far
     load = {}            # edge -> sum of c * |edges| * scale / T
     weight = {}          # edge -> sum of c * scale / T
-    n_paths = 0
-    max_sd = 0
-    k, l = space.ds.k, space.ds.l
-    index = space.index
-    rows, cols = _move_edges(space.indptr, space.indices)
-    moves = {(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j}
-    data, size = space.adj.tobytes(), k * l
-    keys = [data[c:c + size] for c in range(0, n * size, size)]
-    cells = [int.from_bytes(key, "little") for key in keys]
-    for xi in range(n):
-        circuits = {}    # the decomposition kernel's memo, for this source state
-        exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
-        for yi in range(xi + 1, n):
-            t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
-            if scale % t_total:
-                grow = t_total // math.gcd(scale, t_total)
-                scale *= grow
-                load = {e: v * grow for e, v in load.items()}
-                weight = {e: v * grow for e, v in weight.items()}
-            per_pairing = scale // t_total
-            forward = list(cycle_lists)
-            backward = []
-            for cycles in forward:
-                back = []
-                for cyc in cycles:
-                    other = exchanged.get(cyc.edge_seq)
-                    if other is None:
-                        other = exchanged[cyc.edge_seq] = _exchanged(cyc)
-                    back.append(other)
-                backward.append(back)
-            visited = set()
-            for start, end, lists in ((keys[xi], keys[yi], forward),
-                                      (keys[yi], keys[xi], backward)):
-                for path, c in _path_counts(l, start, end, lists, memos).items():
-                    n_paths += 1
-                    ids = [index.get(key, -1) for key in path]    # -1: a key off the space
-                    edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
-                    if not edges <= moves:
-                        raise SpecViolation("a canonical path step is not a move-graph edge")
-                    visited.update(ids)
-                    w = c * per_pairing
-                    lw = w * len(edges)
-                    for e in edges:
-                        load[e] = load.get(e, 0) + lw
-                        weight[e] = weight.get(e, 0) + w
-            if certify:
-                xy = cells[xi] + cells[yi]
-                ends = None      # X and Y as graphs, built on the pair's first miss
-                for z in visited:
-                    key = xy - cells[z]
-                    sd = certs.get(key)
-                    if sd is None:
-                        if ends is None:
-                            ends = space.graph(xi), space.graph(yi)
-                        hat = hat_matrix(*ends, space.graph(z))
-                        sd = certs[key] = switch_distance(hat)
-                    max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+    n_paths = max_sd = 0
+    certified = set()    # the integer keys of the matrices certified so far
+    cells = [int.from_bytes(z.tobytes(), "little") for z in space.adj]
+    for xi, yi, total, paths in _routes(space):
+        if scale % total:
+            grow = total // math.gcd(scale, total)
+            scale *= grow
+            load = {e: v * grow for e, v in load.items()}
+            weight = {e: v * grow for e, v in weight.items()}
+        per_pairing = scale // total
+        n_paths += len(paths)
+        for ids, c in paths:
+            edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+            w = c * per_pairing
+            lw = w * len(edges)
+            for e in edges:
+                load[e] = load.get(e, 0) + lw
+                weight[e] = weight.get(e, 0) + w
+        if certify:
+            xy = cells[xi] + cells[yi]
+            visited = {z for ids, _ in paths for z in ids}
+            misses = [z for z in visited if xy - cells[z] not in certified]
+            if misses:
+                certified.update(xy - cells[z] for z in misses)
+                sds = _certificates(space.graph(xi), space.graph(yi), space.adj[misses])
+                max_sd = max(max_sd, *(sd if isinstance(sd, int) else sd.cap + 1 for sd in sds))
     # the load of edge e is load[e] / (n * scale * jump): one positive factor
     # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))
+    k, l = space.ds.k, space.ds.l
     return CongestionReport(
         kappa=Fraction(load[max_edge] * pair_count(k) * pair_count(l), n * scale),
         max_edge=max_edge,

@@ -667,21 +667,23 @@ class TestCanonicalPath:
                                                ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
         # path_distribution, with memos fresh for each pair, and congestion's
-        # route, _path_counts over the cycle lists of pairings._decompositions
-        # with its segment, pattern and bridge memos shared across the pairs
-        # and each key path mapped to state ids,
-        # give the distribution of the paths built cycle by cycle on the
-        # full graphs by path_along_cycle, one per pairing: every ordered
-        # pair of the 6-state space and seeded pairs of the 48-state space
-        from degswap.canonical import _path_counts
-        from degswap.pairings import _decompositions
+        # pair loop, mixing._routes, which walks both directions of each
+        # unordered pair with its memos shared across the pairs and maps
+        # each key path to state ids, give the distribution of the paths
+        # built cycle by cycle on the full graphs by path_along_cycle, one
+        # per pairing: every ordered pair of the 6-state space and seeded
+        # pairs of the 48-state space
+        from degswap.mixing import _routes
 
         space = enumerate_states(BipartiteDegreeSequence(a, b))
         pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
         if n_pairs is not None:
             rng = np.random.default_rng(18)
             pairs = [pairs[i] for i in rng.choice(len(pairs), n_pairs, replace=False)]
-        memos = ({}, {}, {})
+        by_ids = {}
+        for _, _, total, paths in _routes(space):
+            for ids, c in paths:
+                by_ids.setdefault((ids[0], ids[-1]), {})[ids] = Fraction(c, total)
         for xi, yi in pairs:
             X, Y = space.graph(xi), space.graph(yi)
             counts = {}
@@ -691,13 +693,8 @@ class TestCanonicalPath:
             total = sum(counts.values())
             reference = {gamma: Fraction(c, total) for gamma, c in counts.items()}
             assert path_distribution(X, Y) == reference, (xi, yi)
-            total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, 5000)
-            counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, memos)
-            by_ids = {tuple(space.index[key] for key in path): Fraction(c, total)
-                      for path, c in counts.items()}
             assert {tuple(space.graph(i).key() for i in ids): f
-                    for ids, f in by_ids.items()} == reference, (xi, yi)
-        assert all(memos)
+                    for ids, f in by_ids[xi, yi].items()} == reference, (xi, yi)
 
     @pytest.mark.parametrize("mangle", [lambda entries: entries + entries[:1],
                                         lambda entries: entries[1:]])

@@ -9,7 +9,7 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, BipartiteGraph, 
                      cli, mixing, pairings)
 from degswap.chain import pair_count
 from degswap.core import is_graphical
-from degswap.errors import (DegenerateChain, NonMixing, PreconditionViolation,
+from degswap.errors import (DegenerateChain, Exceeds, NonMixing, PreconditionViolation,
                             SpecViolation, TooLarge)
 from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             build_kernel, congestion, count_realizations,
@@ -701,6 +701,68 @@ class TestSamplerUniformity:
 # the certified congestion report of the 90-state 4 x 4 2-regular space
 REPORT_90 = CongestionReport(Fraction(539, 10), (84, 88), Fraction(417, 8), 33492, 1)
 
+# the spaces whose certified congestion the pinned-report and memo tests share
+SPACES = {"48U": ((2, 2, 2, 2), (3, 2, 2, 1)),
+          "48V": ((3, 2, 2, 1), (2, 2, 2, 2)),
+          "90": ((2, 2, 2, 2), (2, 2, 2, 2))}
+
+
+@pytest.fixture(scope="module")
+def certified_runs():
+    """Per space, certified congestion run once with every wrapper
+    recording, then (48-state spaces only) once more, then once with every
+    bridge a miss.  Holds the space; the reports and ``ryser_sequence``
+    counts of those calls, in order; and of the first call the
+    ``_solve_cycle`` calls, every segment it computed as (start key, cycle,
+    keys), the ``tobytes`` of each hat matrix passed to ``switch_distance``,
+    and the keys each ordered pair's paths visit."""
+    out = {}
+    real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
+    real_walk, real_distance = canonical._walk, canonical.switch_distance
+    for name, (a, b) in SPACES.items():
+        solves, segments, certified, visited = [0], [], [], {}
+
+        def counting(*args):
+            solves[0] += 1
+            return real_solve(*args)
+
+        def recording(patterns, bridges, l, key, cycle):
+            seg = real_segment(patterns, bridges, l, key, cycle)
+            segments.append((key, cycle, seg))
+            return seg
+
+        def walking(l, start, end, *args):
+            keys = real_walk(l, start, end, *args)
+            visited.setdefault((start, end), set()).update(keys)
+            return keys
+
+        def certifying(hat, **kwargs):
+            certified.append(hat.tobytes())
+            return real_distance(hat, **kwargs)
+
+        def run():
+            calls[0] = 0
+            reports.append(congestion(space, certify=True))
+            rysers.append(calls[0])
+
+        space = enumerate_states(bds(a, b))
+        reports, rysers = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_ryser(mp)
+            with pytest.MonkeyPatch.context() as recorders:
+                recorders.setattr(canonical, "_solve_cycle", counting)
+                recorders.setattr(canonical, "_key_segment", recording)
+                recorders.setattr(canonical, "_walk", walking)
+                recorders.setattr(canonical, "switch_distance", certifying)
+                run()
+            if space.n == 48:
+                run()
+            never_memoize_bridges(mp)
+            run()
+        out[name] = dict(space=space, reports=reports, rysers=rysers, solves=solves[0],
+                         segments=segments, certified=certified, visited=visited)
+    return out
+
 
 class TestCongestion:
     def test_two_state_closed_form(self):
@@ -764,12 +826,47 @@ class TestCongestion:
 
     @pytest.mark.parametrize("a, b", [((2, 2, 2), (2, 2, 2)), ((3, 3, 2, 1), (3, 2, 2, 2)),
                                       ((2, 2, 2, 2), (3, 2, 2, 1)),
-                                      ((3, 2, 2, 1), (2, 2, 2, 2))])
+                                      ((3, 2, 2, 1), (2, 2, 2, 2)),
+                                      pytest.param(None, None, id="4x4-2-to-12-states")])
     def test_matches_ordered_pair_oracle(self, a, b):
         # one decomposition per unordered pair, counted in both directions,
-        # reports what a loop over ordered pairs reports
-        space = enumerate_states(bds(a, b))
-        assert congestion(space, certify=True) == ordered_congestion(space, certify=True)
+        # reports what a loop over ordered pairs reports; a None pair stands
+        # for every graphical pair of all_degree_pairs(4, 4) with 2-12 states
+        if a is None:
+            sequences = [bds(*pair) for pair in all_degree_pairs(4, 4)]
+            sequences = [ds for ds in sequences
+                         if is_graphical(ds) and 2 <= count_realizations(ds) <= 12]
+            assert len(sequences) == 238
+        else:
+            sequences = [bds(a, b)]
+        for ds in sequences:
+            space = enumerate_states(ds)
+            assert (congestion(space, certify=True)
+                    == ordered_congestion(space, certify=True)), (ds.a, ds.b)
+
+    def test_matrix_past_the_cap_reads_7(self, monkeypatch, tmp_path, capsys):
+        # a three-term matrix whose switch distance exceeds the 6-switch cap
+        # is certified as 7, "more than 6", in the report and in mix-report's
+        # last column; here the matrix of state 1, which every pair with
+        # state 1 as an end meets at the other end, is taken past the cap
+        space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
+        past = space.adj[1].astype(np.int8).tobytes()
+        real = canonical.switch_distance
+        capped = []
+
+        def capping(hat, **kwargs):
+            if hat.tobytes() == past:
+                capped.append(hat)
+                return Exceeds(6)
+            return real(hat, **kwargs)
+
+        monkeypatch.setattr(canonical, "switch_distance", capping)
+        assert congestion(space, certify=True).max_switch_distance == 7
+        ds = tmp_path / "d.txt"
+        ds.write_text("2 2 2\n2 2 2\n")
+        assert cli.main(["mix-report", "--ds", str(ds)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "6,0.666666666667,3,9,15,4-5,7"
+        assert len(capped) == 2      # one matrix, certified once per call
 
     def test_repeated_calls_agree(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
@@ -784,15 +881,15 @@ class TestCongestion:
         ((3, 2, 2, 1), (2, 2, 2, 2),
          CongestionReport(Fraction(2787, 16), (44, 46), Fraction(45), 4008, 3)),
     ])
-    def test_pinned_48_state_reports(self, a, b, report):
-        space = enumerate_states(bds(a, b))
-        assert space.n == 48
-        assert congestion(space, certify=True) == report
+    def test_pinned_48_state_reports(self, certified_runs, a, b, report):
+        (run,) = (certified_runs[name] for name, ab in SPACES.items() if ab == (a, b))
+        assert run["space"].n == 48
+        assert run["reports"][0] == report
 
-    def test_pinned_90_state_report(self):
-        space = enumerate_states(bds((2, 2, 2, 2), (2, 2, 2, 2)))
-        assert space.n == 90
-        assert congestion(space, certify=True) == REPORT_90
+    def test_pinned_90_state_report(self, certified_runs):
+        run = certified_runs["90"]
+        assert run["space"].n == 90
+        assert run["reports"][0] == REPORT_90
 
     def test_segment_landing_checked(self):
         # a cycle whose X- and Y-edges are named the wrong way round flips
@@ -836,68 +933,24 @@ class TestSegmentMemo:
     """Certified congestion solves each cycle once per local pattern, and
     its byte-flip walk gives the segments of the graph walk."""
 
-    SPACES = {"48U": ((2, 2, 2, 2), (3, 2, 2, 1)),
-              "48V": ((3, 2, 2, 1), (2, 2, 2, 2)),
-              "90": ((2, 2, 2, 2), (2, 2, 2, 2))}
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        """Per space: the space, the ``_solve_cycle`` calls of one certified
-        congestion, every segment it computed as (start key, cycle, keys),
-        and its certificate work: the ``tobytes`` of each hat matrix passed
-        to ``switch_distance``, and the keys each ordered pair's paths
-        visit."""
-        out = {}
-        real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
-        real_walk, real_distance = canonical._walk, mixing.switch_distance
-        for name, (a, b) in self.SPACES.items():
-            calls, segments, certified, visited = [0], [], [], {}
-
-            def counting(*args):
-                calls[0] += 1
-                return real_solve(*args)
-
-            def recording(patterns, bridges, l, key, cycle):
-                seg = real_segment(patterns, bridges, l, key, cycle)
-                segments.append((key, cycle, seg))
-                return seg
-
-            def walking(l, start, end, *args):
-                keys = real_walk(l, start, end, *args)
-                visited.setdefault((start, end), set()).update(keys)
-                return keys
-
-            def certifying(hat, **kwargs):
-                certified.append(hat.tobytes())
-                return real_distance(hat, **kwargs)
-
-            space = enumerate_states(bds(a, b))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(canonical, "_solve_cycle", counting)
-                mp.setattr(canonical, "_key_segment", recording)
-                mp.setattr(canonical, "_walk", walking)
-                mp.setattr(mixing, "switch_distance", certifying)
-                congestion(space, certify=True)
-            out[name] = space, calls[0], segments, (certified, visited)
-        return out
-
     @pytest.mark.parametrize("name, solves, segments", [
         ("48U", 278, 1483), ("48V", 244, 1431), ("90", 508, 4092)])
-    def test_one_solve_per_local_pattern(self, runs, name, solves, segments):
-        _, calls, segs, _ = runs[name]
-        assert (calls, len(segs)) == (solves, segments)
+    def test_one_solve_per_local_pattern(self, certified_runs, name, solves, segments):
+        run = certified_runs[name]
+        assert (run["solves"], len(run["segments"])) == (solves, segments)
 
     @pytest.mark.parametrize("name", list(SPACES))
-    def test_segments_match_graph_walk(self, runs, name):
-        space, _, segs, _ = runs[name]
-        for key, cycle, seg in segs:
+    def test_segments_match_graph_walk(self, certified_runs, name):
+        space = certified_runs[name]["space"]
+        for key, cycle, seg in certified_runs[name]["segments"]:
             assert seg == naive_segment(space.graph(space.index[key]), cycle), cycle.edge_seq
 
     @pytest.mark.parametrize("name", list(SPACES))
-    def test_one_certificate_per_hat_matrix(self, runs, name):
+    def test_one_certificate_per_hat_matrix(self, certified_runs, name):
         # the integer key x + y - z splits the visited (X, Y, Z) exactly as
         # the hat matrix's bytes do: one switch_distance per distinct matrix
-        space, _, _, (certified, visited) = runs[name]
+        run = certified_runs[name]
+        space, certified, visited = run["space"], run["certified"], run["visited"]
         graph = {g.key(): g for g in graphs(space)}
         hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).tobytes()
                 for (x, y), zs in visited.items() for z in zs}
@@ -909,39 +962,16 @@ class TestBridgeMemo:
     """Certified congestion solves each local bridge problem once per call,
     and the memo changes no report."""
 
-    @pytest.fixture(scope="class")
-    def runs(self):
-        """Per space: the reports and ``ryser_sequence`` counts of two
-        certified congestion calls in one process (48-state spaces only; the
-        90-state report is pinned), then of one call whose every bridge
-        misses."""
-        out = {}
-        for name, (a, b) in TestSegmentMemo.SPACES.items():
-            space = enumerate_states(bds(a, b))
-            reports, solves = [], []
-            with pytest.MonkeyPatch.context() as mp:
-                calls = count_ryser(mp)
-                for _ in range(2 if space.n == 48 else 0):
-                    calls[0] = 0
-                    reports.append(congestion(space, certify=True))
-                    solves.append(calls[0])
-                never_memoize_bridges(mp)
-                calls[0] = 0
-                reports.append(congestion(space, certify=True))
-                solves.append(calls[0])
-            out[name] = reports, solves
-        return out
-
     @pytest.mark.parametrize("name, solves", [
-        ("48U", [12, 12, 692]), ("48V", [74, 74, 576]), ("90", [1368])])
-    def test_one_ryser_per_local_bridge(self, runs, name, solves):
+        ("48U", [12, 12, 692]), ("48V", [74, 74, 576]), ("90", [14, 1368])])
+    def test_one_ryser_per_local_bridge(self, certified_runs, name, solves):
         # the second call solves every bridge again: the memo is the call's
-        assert runs[name][1] == solves
+        assert certified_runs[name]["rysers"] == solves
 
-    @pytest.mark.parametrize("name", list(TestSegmentMemo.SPACES))
-    def test_reports_match_without_the_memo(self, runs, name):
-        reports, _ = runs[name]
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_reports_match_without_the_memo(self, certified_runs, name):
+        reports = certified_runs[name]["reports"]
         # the last report is the one that never hit a bridge
         assert all(r == reports[-1] for r in reports)
         if name == "90":
-            assert reports == [REPORT_90]
+            assert reports[-1] == REPORT_90
