@@ -126,7 +126,7 @@ def cmd_canonical_path(args) -> int:
         states, certs = canonical_path(x, y, pairing, certify=True)
     else:
         states = canonical_path(x, y, pairing)
-    stack = np.stack([g.adj for g in states])
+    stack = _layers(states)
     # every swap is read, and a bad step refused, before anything is printed
     swaps = [""] + _step_swaps(stack) if args.certify else None
     sys.stdout.write(_stack_text(stack))
@@ -136,6 +136,19 @@ def cmd_canonical_path(args) -> int:
         for i, (sw, sd) in enumerate(zip(swaps, certs)):
             print(f"{i},{sw},{sd}")
     return 0
+
+
+def _layers(states) -> np.ndarray:
+    """The states' matrices as one (n, k, l) stack.  ``canonical_path``
+    returns its states as the consecutive layers of one buffer, and then the
+    stack is a view of that buffer; any other states are copied into one."""
+    first = states[0].adj
+    if isinstance(first.base, np.ndarray) and first.base.size == len(states) * first.size:
+        stack = first.base.reshape(len(states), *first.shape)
+        if all(g.adj.__array_interface__ == layer.__array_interface__
+               for g, layer in zip(states, stack)):
+            return stack
+    return np.stack([g.adj for g in states])
 
 
 def _step_swaps(stack: np.ndarray) -> list:

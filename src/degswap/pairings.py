@@ -26,8 +26,8 @@ pairing of a pair as an odometer over per-vertex permutations of edge ids,
 without building a ``Pairing``, and yields the same cycles as
 ``decompose``, pairing by pairing, in ``all_pairings`` order.
 ``_exchanged`` turns a cycle of (X, Y) into the cycle the kernel cuts for
-(Y, X) at the same place, so ``congestion`` decomposes each unordered pair
-once.
+(Y, X) at the same place, so ``congestion`` never decomposes (Y, X) apart
+from (X, Y).
 """
 
 from __future__ import annotations

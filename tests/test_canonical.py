@@ -17,7 +17,7 @@ from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             SwapNotAllowed, TooManyPairings)
-from degswap.mixing import enumerate_states
+from degswap.mixing import _routes, enumerate_states
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, chain,
                      pairings, random_pairing)
 from degswap.ryser import replay
@@ -484,18 +484,17 @@ class TestSwitchDistanceMatchesRescan:
 
     def test_hats_of_certified_v_regular_congestion(self):
         # every three-term matrix the certified 48-state congestion scores,
-        # including the one at certificate 3
+        # including the one at certificate 3, read off the paths of both
+        # directions that its pair loop yields once per unordered pair: the
+        # hat X + Y - Z is symmetric in X and Y
         space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
         hats = {}
         all_states = graphs(space)
-        for X in all_states:
-            for Y in all_states:
-                if X == Y:
-                    continue
-                for path in path_distribution(X, Y):
-                    for key in path:
-                        hat = hat_matrix(X, Y, space.graph(space.index[key]))
-                        hats.setdefault(hat.tobytes(), hat)
+        for xi, yi, _, paths in _routes(space):
+            X, Y = all_states[xi], all_states[yi]
+            for z in {z for ids, _ in paths for z in ids}:
+                hat = hat_matrix(X, Y, all_states[z])
+                hats.setdefault(hat.tobytes(), hat)
         certs = []
         for hat in hats.values():
             got = switch_distance(hat, cap=6)
@@ -673,8 +672,6 @@ class TestCanonicalPath:
         # built cycle by cycle on the full graphs by path_along_cycle, one
         # per pairing: every ordered pair of the 6-state space and seeded
         # pairs of the 48-state space
-        from degswap.mixing import _routes
-
         space = enumerate_states(BipartiteDegreeSequence(a, b))
         pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
         if n_pairs is not None:

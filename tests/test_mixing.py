@@ -715,12 +715,17 @@ def certified_runs():
     counts of those calls, in order; and of the first call the
     ``_solve_cycle`` calls, every segment it computed as (start key, cycle,
     keys), the ``tobytes`` of each hat matrix passed to ``switch_distance``,
-    and the keys each ordered pair's paths visit."""
+    the keys each ordered pair's paths visit, the (X key, Y key) of each
+    ``_decompositions`` call, the ``_split`` calls (the circuit memo's
+    misses) and the pairs ``_routes`` yields, in order."""
     out = {}
     real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
     real_walk, real_distance = canonical._walk, canonical.switch_distance
+    real_decompositions, real_split = mixing._decompositions, pairings._split
+    real_routes = mixing._routes
     for name, (a, b) in SPACES.items():
         solves, segments, certified, visited = [0], [], [], {}
+        decomposed, splits, routed = [], [0], []
 
         def counting(*args):
             solves[0] += 1
@@ -740,6 +745,19 @@ def certified_runs():
             certified.append(hat.tobytes())
             return real_distance(hat, **kwargs)
 
+        def decomposing(x_key, y_key, *args):
+            decomposed.append((x_key, y_key))
+            return real_decompositions(x_key, y_key, *args)
+
+        def splitting(*args):
+            splits[0] += 1
+            return real_split(*args)
+
+        def routing(space):
+            for route in real_routes(space):
+                routed.append(route[:2])
+                yield route
+
         def run():
             calls[0] = 0
             reports.append(congestion(space, certify=True))
@@ -754,13 +772,17 @@ def certified_runs():
                 recorders.setattr(canonical, "_key_segment", recording)
                 recorders.setattr(canonical, "_walk", walking)
                 recorders.setattr(canonical, "switch_distance", certifying)
+                recorders.setattr(mixing, "_decompositions", decomposing)
+                recorders.setattr(pairings, "_split", splitting)
+                recorders.setattr(mixing, "_routes", routing)
                 run()
             if space.n == 48:
                 run()
             never_memoize_bridges(mp)
             run()
         out[name] = dict(space=space, reports=reports, rysers=rysers, solves=solves[0],
-                         segments=segments, certified=certified, visited=visited)
+                         segments=segments, certified=certified, visited=visited,
+                         decomposed=decomposed, splits=splits[0], routed=routed)
     return out
 
 
@@ -975,3 +997,60 @@ class TestBridgeMemo:
         assert all(r == reports[-1] for r in reports)
         if name == "90":
             assert reports[-1] == REPORT_90
+
+
+class TestDifferenceBuckets:
+    """Certified congestion decomposes each signed difference X - Y once
+    and still routes every unordered pair once."""
+
+    @pytest.mark.parametrize("name, decompositions, splits", [
+        ("48U", 645, 1602), ("48V", 645, 1614), ("90", 1185, 10368)])
+    def test_one_decomposition_per_signed_difference(self, certified_runs, name,
+                                                     decompositions, splits):
+        run = certified_runs[name]
+        assert (len(run["decomposed"]), run["splits"]) == (decompositions, splits)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_decomposed_pairs_have_every_difference_once(self, certified_runs, name):
+        run = certified_runs[name]
+        mats = run["space"].adj.astype(np.int8)
+        index = run["space"].index
+        diffs = [(mats[index[x]] - mats[index[y]]).tobytes() for x, y in run["decomposed"]]
+        every = {(mats[xi] - mats[yi]).tobytes()
+                 for xi, yi in itertools.combinations(range(run["space"].n), 2)}
+        assert len(set(diffs)) == len(diffs)
+        assert set(diffs) == every
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_every_pair_routed_once(self, certified_runs, name):
+        run = certified_runs[name]
+        n = run["space"].n
+        assert len(run["routed"]) == n * (n - 1) // 2
+        assert sorted(run["routed"]) == list(itertools.combinations(range(n), 2))
+
+    def test_buckets_do_not_lean_on_the_state_order(self, certified_runs):
+        # in key order the first cell where X < Y differ is X's 0, so a
+        # difference and its negation never both key a pair xi < yi there;
+        # with the 48U states relabelled by a seeded permutation they do,
+        # and each must still be decomposed apart
+        run = certified_runs["48U"]
+        space, report = run["space"], run["reports"][0]
+        new = np.random.default_rng(27).permutation(space.n)     # old id -> new id
+        old = np.argsort(new)
+        rows = neighbour_rows(space)
+        adj = space.adj[old]
+        shuffled = StateSpace(space.ds, adj, {z.tobytes(): i for i, z in enumerate(adj)},
+                              *csr([sorted(new[j] for j in rows[i]) for i in old]))
+        mats = adj.astype(np.int8)
+        signed = {(mats[xi] - mats[yi]).tobytes()
+                  for xi, yi in itertools.combinations(range(space.n), 2)}
+        assert len(signed) > 645
+        calls = []
+        real = mixing._decompositions
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixing, "_decompositions", lambda *args: calls.append(1) or real(*args))
+            got = congestion(shuffled, certify=True)
+        assert len(calls) == len(signed)
+        # every field but max_edge, whose ties among the heaviest edges break by id
+        assert (got.kappa, got.edge_loading_max, got.n_paths, got.max_switch_distance) == (
+            report.kappa, report.edge_loading_max, report.n_paths, report.max_switch_distance)

@@ -310,3 +310,67 @@ def test_exchange_matches_reverse_on_seeded_pairs():
         X, Y = space.graph(xi), space.graph(yi)
         totals.add(exchange_matches_reverse(X.key(), Y.key(), X.l, {}, {}))
     assert max(totals) == 256
+
+
+# -- the signed difference: equal X - Y, equal decompositions -----------------
+
+
+def kernel_output(x_key, y_key, l) -> tuple:
+    """The kernel's pairing count and every cycle list of (X, Y), each cycle
+    as its ``(edge_seq, x_edges, y_edges)``, with a fresh memo."""
+    total, lists = _decompositions(x_key, y_key, l, {}, 5000)
+    return total, [[(c.edge_seq, c.x_edges, c.y_edges) for c in cycles] for cycles in lists]
+
+
+@pytest.mark.parametrize("a, b, n, shared", [
+    ((2, 2, 2, 2), (3, 2, 2, 1), 48, 483),
+    ((3, 2, 2, 1), (2, 2, 2, 2), 48, 483),
+    ((2, 2, 2, 2), (2, 2, 2, 2), 90, 2820),
+])
+def test_equal_signed_differences_decompose_alike(a, b, n, shared):
+    # every unordered pair xi < yi whose X - Y an earlier pair has gets the
+    # kernel output of the first such pair; shared counts them, the
+    # decompositions congestion's pair loop skips
+    space = enumerate_states(BipartiteDegreeSequence(a, b))
+    assert space.n == n
+    mats = space.adj.astype(np.int8)
+    keys = [g.key() for g in graphs(space)]
+    first, repeats = {}, 0
+    for xi in range(n):
+        for yi in range(xi + 1, n):
+            diff = (mats[xi] - mats[yi]).tobytes()
+            out = kernel_output(keys[xi], keys[yi], space.ds.l)
+            if diff in first:
+                assert out == first[diff], (xi, yi)
+                repeats += 1
+            else:
+                first[diff] = out
+    assert repeats == shared
+
+
+def test_equal_signed_differences_decompose_alike_on_seeded_pairs():
+    # 200 seeded pairs (X, Y) of the 1,170-state 5 x 5 space, each with a
+    # second pair (X', Y') of the same difference: X' agrees with X wherever
+    # X and Y differ, and Y' = X' - (X - Y) has the same margins, so it is a
+    # state of the space
+    space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 2, 1), (2, 2, 2, 2, 2)))
+    assert space.n == 1170
+    mats = space.adj.reshape(space.n, -1).astype(np.int8)
+    rng = np.random.default_rng(27)
+    totals = []
+    while len(totals) < 200:
+        xi, yi = rng.choice(space.n, 2, replace=False)
+        diff = mats[xi] - mats[yi]
+        moved = diff != 0
+        others = np.flatnonzero((mats[:, moved] == mats[xi, moved]).all(axis=1))
+        others = others[others != xi]
+        if not len(others):
+            continue
+        xj = rng.choice(others)
+        yj = space.index[(mats[xj] - diff).astype(np.uint8).tobytes()]
+        assert (mats[xj] - mats[yj] == diff).all()
+        X, Y, Xp, Yp = (space.graph(i) for i in (xi, yi, xj, yj))
+        out = kernel_output(X.key(), Y.key(), 5)
+        assert out == kernel_output(Xp.key(), Yp.key(), 5), (xi, yi, xj, yj)
+        totals.append(out[0])
+    assert max(totals) == 32
