@@ -140,14 +140,15 @@ def cmd_canonical_path(args) -> int:
 
 def _layers(states) -> np.ndarray:
     """The states' matrices as one (n, k, l) stack.  ``canonical_path``
-    returns its states as the consecutive layers of one buffer, and then the
-    stack is a view of that buffer; any other states are copied into one."""
+    returns its states as the consecutive layers of one buffer that holds
+    exactly them; states that all view one such buffer are taken as its
+    layers, and the buffer is the stack, without a copy.  Any other states
+    are copied into one."""
     first = states[0].adj
-    if isinstance(first.base, np.ndarray) and first.base.size == len(states) * first.size:
-        stack = first.base.reshape(len(states), *first.shape)
-        if all(g.adj.__array_interface__ == layer.__array_interface__
-               for g, layer in zip(states, stack)):
-            return stack
+    buf = first.base
+    if (isinstance(buf, np.ndarray) and buf.size == len(states) * first.size
+            and all(g.adj.base is buf for g in states)):
+        return buf.reshape(len(states), *first.shape)
     return np.stack([g.adj for g in states])
 
 
