@@ -1169,28 +1169,32 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     passes through the partial targets X xor (first cycles) between them.
     With ``certify`` each visited realization also gets the switch distance
     of its three-term matrix against (X, Y), capped at 6 switches
-    (``switch_distance``'s default), from ``_certificates``.  The cycles are
-    walked on keys by ``_walk``, with segment, pattern and bridge memos made
-    fresh for the call (a hit is exact, see ``_bridge``); the visited keys
-    are stacked once into a read-only (n, k, l) array, and each state is a
-    view of its layer.
+    (``switch_distance``'s default), from ``_certificates``, which decides
+    the whole stack of matrices in one ``_switch_distances`` call.  The
+    cycles are walked on keys by ``_walk``, with segment, pattern and bridge
+    memos made fresh for the call (a hit is exact, see ``_bridge``); the
+    visited keys are stacked once into a read-only (n, k, l) array, and each
+    state is a view of its layer.
     """
     keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
     stack = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
     states = [BipartiteGraph._trusted(layer) for layer in stack]
     if certify:
-        return states, _certificates(X, Y, stack)
+        return states, _certificates(X.adj, Y.adj, stack)
     return states
 
 
-def _certificates(X: BipartiteGraph, Y: BipartiteGraph, stack: np.ndarray) -> list:
-    """``switch_distance(hat_matrix(X, Y, Z))`` for each layer Z of the
-    (n, k, l) 0-1 ``stack``, with the layers' margins checked against X's in
-    one reduction (``DegreeMismatch``) and the hats formed in one broadcast."""
-    if not ((stack.sum(axis=2) == X.row_deg).all() and (stack.sum(axis=1) == X.col_deg).all()):
+def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
+    """``switch_distance(x + y - z)`` for each layer of the (n, k, l) 0-1
+    ``uint8`` stack z, where x and y are 0-1 ``uint8`` matrices of z's shape
+    or stacks of them paired with its layers, realizations of one sequence.
+    Each layer's margins are checked against its x's in one reduction
+    (``DegreeMismatch``), so every hat has the margins of its y; the hats
+    are formed in one broadcast and decided together by
+    ``_switch_distances``."""
+    if not ((z.sum(axis=2) == x.sum(axis=-1)).all() and (z.sum(axis=1) == x.sum(axis=-2)).all()):
         raise DegreeMismatch("a state on the path leaves X's margins")
-    hats = (X.adj + Y.adj).view(np.int8) - stack.view(np.int8)
-    return [switch_distance(hat) for hat in hats]
+    return _switch_distances((x + y).view(np.int8) - z.view(np.int8))
 
 
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
@@ -1319,3 +1323,79 @@ def switch_distance(M, cap: int = 6):
         if deficiency <= 4 * d and dfs(d, deficiency):
             return d
     return Exceeds(cap)
+
+
+def _switch_distances(hats: np.ndarray) -> list:
+    """``[switch_distance(hat) for hat in hats]`` over an (n, k, l) ``int8``
+    stack of integer matrices that share one set of margins, with every
+    layer at distance 0 or 1 decided in numpy.
+
+    A layer with every entry in [0, 1] is at distance 0, as
+    ``switch_distance`` answers before its margin check; one reduction
+    finds them all.  Every other layer is checked by ``core._gale_ryser``
+    in ``switch_distance``, on margins that all layers share, so one check
+    on the first such layer raises ``MarginMismatch`` exactly when a
+    layer-by-layer loop would (an empty shape has no 0-1 layer, and fails
+    it).  Each remaining layer's deficiency, the summed distance of its
+    entries from [0, 1], comes from one more reduction.
+
+    ``switch_distance`` returns 1 exactly when the deficiency is at most 4
+    and its first search node, ``dfs(1)``, finds a child at deficiency 0,
+    among the switches on rows r, r2 and columns c, c2 (r2 != r, c2 != c)
+    that move the first out-of-range entry (r, c) one step toward range.
+    The broadcast below decides the same over every (r2, c2) of every layer
+    at deficiency <= 4.  One in row r or column c never passes: it names a
+    cell that would have to land in [0, 1] after a step of +1 and after a
+    step of -1.  For the others the switch leaves a 0-1 matrix iff its four
+    distinct cells land in [0, 1] and their old excesses add up to the whole
+    deficiency, so that no entry outside them is out of range.  Conversely,
+    every one-switch witness is one of these switches: it changes four
+    cells by one each and leaves a 0-1 matrix, so it moves every
+    out-of-range entry, the first included, one step toward range.  The
+    value band of ``switch_distance`` never binds here, since it contains
+    [0, 1] and the four cells land in [0, 1].  So a layer the broadcast
+    passes is at distance 1, and one it fails is at distance >= 2 or past
+    the cap; those layers, and those above deficiency 4, go to
+    ``switch_distance`` itself.
+    """
+    n, k, l = hats.shape
+    flat = hats.reshape(n, k * l)
+    out_of_range = (flat & -2) != 0
+    rest = np.flatnonzero(out_of_range.any(axis=1) | (k * l == 0))
+    out = [0] * n
+    if not len(rest):
+        return out
+    first = hats[rest[0]]
+    if not _gale_ryser(first.sum(axis=1).tolist(), first.sum(axis=0).tolist()):
+        raise MarginMismatch("margins admit no 0-1 matrix")
+    wide = flat[rest].astype(np.int16)
+    # an integer m lies (|2m - 1| - 1) / 2 from [0, 1]
+    excess = (np.abs(2 * wide - 1) - 1) // 2
+    deficiency = excess.sum(axis=1)
+    near = deficiency <= 4
+    m = int(near.sum())
+    at = np.arange(m)
+    mats, excess = wide[near].reshape(m, k, l), excess[near].reshape(m, k, l)
+    r, c = np.divmod(out_of_range[rest[near]].argmax(axis=1), l)   # the first out-of-range entry
+    v00 = mats[at, r, c]
+    sign = np.where(v00 < 0, 1, -1).astype(np.int16)
+    s = sign[:, None]
+
+    def fits(v):
+        return (v >= 0) & (v <= 1)
+
+    # the switch on rows r, r2 and columns c, c2 moves (r, c) and (r2, c2)
+    # by sign, (r, c2) and (r2, c) against it: ok[., r2, c2] when it leaves
+    # a 0-1 matrix.  No (r2, c2) in row r or column c passes, since one of
+    # its cells would have to land in [0, 1] both after +sign and -sign.
+    ok = (fits(mats + s[:, :, None])
+          & fits(mats[at, r] - s)[:, None, :]
+          & fits(mats[at, :, c] - s)[:, :, None]
+          & fits(v00 + sign)[:, None, None]
+          & (excess + excess[at, r][:, None, :] + excess[at, :, c][:, :, None]
+             + excess[at, r, c][:, None, None] == deficiency[near][:, None, None]))
+    one = np.zeros(len(rest), bool)
+    one[near] = ok.any(axis=(1, 2))
+    for i, is_one in zip(rest.tolist(), one.tolist()):
+        out[i] = 1 if is_one else switch_distance(hats[i])
+    return out

@@ -19,8 +19,10 @@ sums over one pair loop, ``_routes``, which decomposes each signed
 difference X - Y of its unordered pairs once through the integer kernel of
 ``pairings``, counts the paths of both directions of every pair with that
 difference from that one decomposition, walks them on the states' keys
-(``canonical._walk``) and maps each distinct key path to state ids once;
-its certificates come from ``canonical._certificates``, as a path's do.
+(``canonical._walk``) and maps each distinct key path to state ids once.
+Its certificates come from ``canonical._certificates``, as a path's do,
+which decides a whole stack of matrices at once; congestion queues each
+distinct matrix and certifies the queue in blocks of at most ``_CHUNK``.
 
 The chain commutes with exchanging two vertices of equal degree.  On spaces
 large enough to pay for it, ``build_kernel`` stores such exchanges of
@@ -157,7 +159,8 @@ def _row_choices(hist: tuple, r: int, room: list) -> list:
 
 
 # A frontier is taken about this many (row pair, column) cells, and then
-# this many moves, at a time, so a chunk's arrays stay small at every size.
+# this many moves, at a time, so a chunk's arrays stay small at every size;
+# congestion certifies at most this many matrices at a time, likewise.
 _CHUNK = 1 << 14
 
 # _BIT[i]: bit i of a key word, counted from its most significant bit
@@ -837,6 +840,16 @@ def _routes(space: StateSpace):
             yield xi, yi, total, paths
 
 
+def _certified_max(adj: np.ndarray, queue: list) -> int:
+    """The largest certificate among the matrices X + Y - Z of the queued
+    state ids (xi, yi, z) of the state array ``adj``, decided in one
+    ``canonical._certificates`` call; a matrix past the cap
+    (``Exceeds(cap)``) scores cap + 1."""
+    xi, yi, z = np.array(queue).T
+    sds = _certificates(adj[xi], adj[yi], adj[z])
+    return max(sd if isinstance(sd, int) else sd.cap + 1 for sd in sds)
+
+
 def congestion(space: StateSpace, *, max_states: int = 120,
                certify: bool = False) -> CongestionReport:
     """The congestion constant of the full canonical path system.
@@ -868,9 +881,14 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     matrix's cells, each in [-1, 2]; two different digit strings differ by
     a nonzero string of digits in [-3, 3], whose leading term outweighs
     everything below it (3 * (256^c - 1) / 255 < 256^c), so the integer
-    names the matrix one-to-one.  The key is symmetric in X and Y, so the
-    states a pair's paths visit in both directions and that are not yet
-    certified go to ``_certificates`` in one call.
+    names the matrix one-to-one.  The key is symmetric in X and Y, so each
+    state a pair's paths visit in both directions whose key is new is
+    queued once, as ``(xi, yi, z)``.  Most pairs bring one or two new
+    matrices, so the queue is certified in blocks (``_certified_max``):
+    whenever it holds ``_CHUNK`` matrices, and once after the last pair,
+    with one margin check (``DegreeMismatch``) and one
+    ``canonical._switch_distances`` call per block.  The maximum does not
+    depend on when a matrix is certified.
     """
     n = space.n
     if n > max_states:
@@ -881,7 +899,8 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     load = {}            # edge -> sum of c * |edges| * scale / T
     weight = {}          # edge -> sum of c * scale / T
     n_paths = max_sd = 0
-    certified = set()    # the integer keys of the matrices certified so far
+    certified = set()    # the integer keys of the matrices queued so far
+    queue = []           # (xi, yi, z) of each queued matrix not yet certified
     cells = [int.from_bytes(z.tobytes(), "little") for z in space.adj]
     for xi, yi, total, paths in _routes(space):
         if scale % total:
@@ -900,12 +919,16 @@ def congestion(space: StateSpace, *, max_states: int = 120,
                 weight[e] = weight.get(e, 0) + w
         if certify:
             xy = cells[xi] + cells[yi]
-            visited = {z for ids, _ in paths for z in ids}
-            misses = [z for z in visited if xy - cells[z] not in certified]
-            if misses:
-                certified.update(xy - cells[z] for z in misses)
-                sds = _certificates(space.graph(xi), space.graph(yi), space.adj[misses])
-                max_sd = max(max_sd, *(sd if isinstance(sd, int) else sd.cap + 1 for sd in sds))
+            for z in {z for ids, _ in paths for z in ids}:
+                key = xy - cells[z]
+                if key not in certified:
+                    certified.add(key)
+                    queue.append((xi, yi, z))
+                    if len(queue) == _CHUNK:
+                        max_sd = max(max_sd, _certified_max(space.adj, queue))
+                        queue.clear()
+    if queue:
+        max_sd = max(max_sd, _certified_max(space.adj, queue))
     # the load of edge e is load[e] / (n * scale * jump): one positive factor
     # for every edge, so the integer numerators order the edges as the loads do
     max_edge = max(load, key=lambda e: (load[e], e))

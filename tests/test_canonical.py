@@ -10,8 +10,8 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, cycle_swaps, down_line,
-                               down_up_rings, matches_spec, ring, up_line,
+from degswap.canonical import (CycleFrame, OKKOSpec, _switch_distances, cycle_swaps,
+                               down_line, down_up_rings, matches_spec, ring, up_line,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
@@ -501,6 +501,118 @@ class TestSwitchDistanceMatchesRescan:
             assert got == naive_switch_distance(hat, cap=6), hat.tolist()
             certs.append(got)
         assert max(certs) == 3
+
+
+class TestSwitchDistancesBatch:
+    """``canonical._switch_distances`` decides a stack of matrices that
+    share their margins; it must give ``switch_distance`` layer by layer,
+    and ``oracles.naive_switch_distance``, on every stack, and leave to
+    ``switch_distance`` only the layers at distance 2 or more."""
+
+    @staticmethod
+    def check(hats) -> list:
+        from degswap import canonical
+
+        searched = []
+
+        def searching(hat):
+            searched.append(hat.tobytes())
+            return switch_distance(hat)
+
+        stack = np.asarray(hats, np.int8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canonical, "switch_distance", searching)
+            got = _switch_distances(stack)
+        assert got == [switch_distance(h) for h in hats]
+        assert got == [naive_switch_distance(h, cap=6) for h in hats]
+        assert searched == [h.tobytes() for h, sd in zip(stack, got) if sd not in (0, 1)]
+        return got
+
+    @staticmethod
+    def switched(base, switches):
+        mat = np.array(base, np.int64)
+        for r, c, r2, c2, sign in switches:
+            mat[r, c] += sign
+            mat[r2, c2] += sign
+            mat[r, c2] -= sign
+            mat[r2, c] -= sign
+        return mat
+
+    def test_hats_of_certified_congestion(self, monkeypatch):
+        # every distinct hat that certified congestion scores on the 48U,
+        # 48V and 90-state spaces, as the stacks it passes
+        from degswap import canonical
+        from degswap.mixing import congestion
+
+        real, stacks = canonical._switch_distances, []
+
+        def recording(hats):
+            stacks.append(hats)
+            return real(hats)
+
+        monkeypatch.setattr(canonical, "_switch_distances", recording)
+        maxima, certs = [], set()
+        for a, b in [((2, 2, 2, 2), (3, 2, 2, 1)), ((3, 2, 2, 1), (2, 2, 2, 2)),
+                     ((2, 2, 2, 2), (2, 2, 2, 2))]:
+            stacks.clear()
+            congestion(enumerate_states(BipartiteDegreeSequence(a, b)), certify=True)
+            space_certs = self.check(np.concatenate(stacks))
+            maxima.append(max(space_certs))
+            certs.update(space_certs)
+        assert maxima == [2, 3, 1]
+        assert certs == {0, 1, 2, 3}
+
+    def test_hats_along_certified_16x16_paths(self):
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        certs = []
+        for p in range(20):
+            X, Y = chain.sample(ds, 1000, 900 + 2 * p), chain.sample(ds, 1000, 901 + 2 * p)
+            states, path_certs = canonical_path(X, Y, random_pairing(X, Y, p), certify=True)
+            assert self.check([hat_matrix(X, Y, Z) for Z in states]) == path_certs
+            certs += path_certs
+        assert {0, 1, 2} <= set(certs)
+
+    def test_planted_stacks(self):
+        # switches planted on one 8 x 8 0-1 matrix keep its margins: every
+        # stack below mixes 0-1 layers, layers at distance 1 and 2 (one of
+        # them at deficiency <= 4, which the broadcast refuses), layers above
+        # deficiency 4 and one past the cap
+        base = np.array([[int((c - r) % 8 < 3) for c in range(8)] for r in range(8)])
+        # four switches on disjoint rows, each made twice, that push 1s to 3
+        # and 0s to -2: deficiency 32 > 4 * 6
+        past = self.switched(base, [(r, r, r + 1, (r + 3) % 8, 1)
+                                    for r in (0, 2, 4, 6) for _ in range(2)])
+        rng = np.random.default_rng(2828)
+        seen = set()
+        for _ in range(60):
+            layers = [past]
+            for _ in range(int(rng.integers(4, 10))):
+                switches = []
+                for _ in range(int(rng.integers(0, 4))):
+                    r, r2 = rng.choice(8, size=2, replace=False).tolist()
+                    c, c2 = rng.choice(8, size=2, replace=False).tolist()
+                    switches.append((r, c, r2, c2, 1 if rng.random() < 0.5 else -1))
+                layers.append(self.switched(base, switches))
+            order = rng.permutation(len(layers))
+            hats = [layers[i] for i in order]
+            for hat, cert in zip(hats, self.check(hats)):
+                deficiency = int((np.abs(2 * hat - 1) - 1).sum()) // 2
+                seen.add((cert if isinstance(cert, int) else "past", deficiency <= 4))
+        assert {(0, True), (1, True), (2, True), (2, False), ("past", False)} <= seen
+
+    @pytest.mark.parametrize("hats", [
+        np.zeros((1, 0, 3), np.int8),
+        np.zeros((2, 3, 0), np.int8),
+        # rows (2, 0) and columns (2, 0) fail Gale-Ryser, in both layers
+        np.array([[[2, 0], [0, 0]], [[1, 1], [1, -1]]], np.int8),
+    ])
+    def test_empty_and_unrealizable_stacks_raise(self, hats):
+        with pytest.raises(MarginMismatch):
+            _switch_distances(hats)
+        for hat in hats:
+            for fn in (switch_distance, naive_switch_distance):
+                with pytest.raises(MarginMismatch):
+                    fn(hat)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,33 @@ def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch
     assert taken == ({branch} if branch else set())
 
 
+def test_certified_16x16_path_through_the_search(tmp_path, capsys, monkeypatch):
+    # X = chain.sample(16 x 16 4-regular, 1000 steps, seed 20259), Y likewise
+    # with seed 20272, through random_pairing seed 14: a 36-state path whose
+    # one hat at distance 2 is left by canonical._switch_distances to the
+    # switch_distance search; CI pins the same output's sha256
+    from degswap import BipartiteDegreeSequence, canonical, chain
+
+    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+    X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
+    real, searched = canonical.switch_distance, []
+
+    def searching(hat):
+        searched.append(hat)
+        return real(hat)
+
+    monkeypatch.setattr(canonical, "switch_distance", searching)
+    argv = ["canonical-path", write(tmp_path, "x.txt", X.to_text()),
+            write(tmp_path, "y.txt", Y.to_text()), "--certify", "--seed", "14"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "83e445390e75dfde"
+    certs = [int(row.rsplit(",", 1)[1]) for row in out.split("---\n")[1].splitlines()[1:]]
+    assert certs == [0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+                     0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0]
+    assert len(searched) == 1 and real(searched[0]) == 2
+
+
 def certified_output(tmp_path, capsys, X, Y, argv=("--seed", "5")):
     """`canonical-path X Y --certify` run on graphs: the states it prints,
     and its swap and certificate columns."""

@@ -714,13 +714,14 @@ def certified_runs():
     bridge a miss.  Holds the space; the reports and ``ryser_sequence``
     counts of those calls, in order; and of the first call the
     ``_solve_cycle`` calls, every segment it computed as (start key, cycle,
-    keys), the ``tobytes`` of each hat matrix passed to ``switch_distance``,
+    keys), the ``tobytes`` of each layer of the hat stacks passed to
+    ``canonical._switch_distances``,
     the keys each ordered pair's paths visit, the (X key, Y key) of each
     ``_decompositions`` call, the ``_split`` calls (the circuit memo's
     misses) and the pairs ``_routes`` yields, in order."""
     out = {}
     real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
-    real_walk, real_distance = canonical._walk, canonical.switch_distance
+    real_walk, real_distances = canonical._walk, canonical._switch_distances
     real_decompositions, real_split = mixing._decompositions, pairings._split
     real_routes = mixing._routes
     for name, (a, b) in SPACES.items():
@@ -741,9 +742,9 @@ def certified_runs():
             visited.setdefault((start, end), set()).update(keys)
             return keys
 
-        def certifying(hat, **kwargs):
-            certified.append(hat.tobytes())
-            return real_distance(hat, **kwargs)
+        def certifying(hats):
+            certified.extend(hat.tobytes() for hat in hats)
+            return real_distances(hats)
 
         def decomposing(x_key, y_key, *args):
             decomposed.append((x_key, y_key))
@@ -771,7 +772,7 @@ def certified_runs():
                 recorders.setattr(canonical, "_solve_cycle", counting)
                 recorders.setattr(canonical, "_key_segment", recording)
                 recorders.setattr(canonical, "_walk", walking)
-                recorders.setattr(canonical, "switch_distance", certifying)
+                recorders.setattr(canonical, "_switch_distances", certifying)
                 recorders.setattr(mixing, "_decompositions", decomposing)
                 recorders.setattr(pairings, "_split", splitting)
                 recorders.setattr(mixing, "_routes", routing)
@@ -873,22 +874,45 @@ class TestCongestion:
         # state 1 as an end meets at the other end, is taken past the cap
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
         past = space.adj[1].astype(np.int8).tobytes()
-        real = canonical.switch_distance
+        real = canonical._switch_distances
         capped = []
 
-        def capping(hat, **kwargs):
-            if hat.tobytes() == past:
-                capped.append(hat)
-                return Exceeds(6)
-            return real(hat, **kwargs)
+        def capping(hats):
+            sds = real(hats)
+            for i, hat in enumerate(hats):
+                if hat.tobytes() == past:
+                    capped.append(hat)
+                    sds[i] = Exceeds(6)
+            return sds
 
-        monkeypatch.setattr(canonical, "switch_distance", capping)
+        monkeypatch.setattr(canonical, "_switch_distances", capping)
         assert congestion(space, certify=True).max_switch_distance == 7
         ds = tmp_path / "d.txt"
         ds.write_text("2 2 2\n2 2 2\n")
         assert cli.main(["mix-report", "--ds", str(ds)]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "6,0.666666666667,3,9,15,4-5,7"
         assert len(capped) == 2      # one matrix, certified once per call
+
+    def test_certified_in_blocks_of_at_most_chunk(self, monkeypatch):
+        # the queue of matrices still to certify is flushed whenever it
+        # holds _CHUNK of them: with a chunk of 5 the report is unchanged,
+        # and the blocks hold every distinct matrix once
+        space = enumerate_states(bds((3, 3, 2, 1), (3, 2, 2, 2)))
+        report = congestion(space, certify=True)
+        real, blocks = canonical._switch_distances, []
+
+        def recording(hats):
+            blocks.append([hat.tobytes() for hat in hats])
+            return real(hats)
+
+        monkeypatch.setattr(canonical, "_switch_distances", recording)
+        monkeypatch.setattr(mixing, "_CHUNK", 5)
+        assert congestion(space, certify=True) == report
+        assert report.max_switch_distance == 2
+        assert len(blocks) > 2 and all(len(block) == 5 for block in blocks[:-1])
+        assert 1 <= len(blocks[-1]) <= 5
+        hats = [hat for block in blocks for hat in block]
+        assert len(hats) == len(set(hats))
 
     def test_repeated_calls_agree(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
@@ -970,7 +994,7 @@ class TestSegmentMemo:
     @pytest.mark.parametrize("name", list(SPACES))
     def test_one_certificate_per_hat_matrix(self, certified_runs, name):
         # the integer key x + y - z splits the visited (X, Y, Z) exactly as
-        # the hat matrix's bytes do: one switch_distance per distinct matrix
+        # the hat matrix's bytes do: one certificate per distinct matrix
         run = certified_runs[name]
         space, certified, visited = run["space"], run["certified"], run["visited"]
         graph = {g.key(): g for g in graphs(space)}
