@@ -1368,7 +1368,7 @@ def _switch_distances(hats: np.ndarray) -> list:
     first = hats[rest[0]]
     if not _gale_ryser(first.sum(axis=1).tolist(), first.sum(axis=0).tolist()):
         raise MarginMismatch("margins admit no 0-1 matrix")
-    wide = flat[rest].astype(np.int16)
+    wide = flat[rest].astype(np.int64)
     # an integer m lies (|2m - 1| - 1) / 2 from [0, 1]
     excess = (np.abs(2 * wide - 1) - 1) // 2
     deficiency = excess.sum(axis=1)
@@ -1378,7 +1378,7 @@ def _switch_distances(hats: np.ndarray) -> list:
     mats, excess = wide[near].reshape(m, k, l), excess[near].reshape(m, k, l)
     r, c = np.divmod(out_of_range[rest[near]].argmax(axis=1), l)   # the first out-of-range entry
     v00 = mats[at, r, c]
-    sign = np.where(v00 < 0, 1, -1).astype(np.int16)
+    sign = np.where(v00 < 0, 1, -1)
     s = sign[:, None]
 
     def fits(v):

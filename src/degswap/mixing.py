@@ -883,12 +883,12 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     everything below it (3 * (256^c - 1) / 255 < 256^c), so the integer
     names the matrix one-to-one.  The key is symmetric in X and Y, so each
     state a pair's paths visit in both directions whose key is new is
-    queued once, as ``(xi, yi, z)``.  Most pairs bring one or two new
-    matrices, so the queue is certified in blocks (``_certified_max``):
-    whenever it holds ``_CHUNK`` matrices, and once after the last pair,
-    with one margin check (``DegreeMismatch``) and one
-    ``canonical._switch_distances`` call per block.  The maximum does not
-    depend on when a matrix is certified.
+    queued once, as ``(xi, yi, z)``.  A pair brings few new matrices (342
+    over the 4,005 pairs of the 90-state space), so the queue is certified
+    in blocks (``_certified_max``): whenever it holds ``_CHUNK`` matrices,
+    and once after the last pair, with one margin check (``DegreeMismatch``)
+    and one ``canonical._switch_distances`` call per block.  The maximum
+    does not depend on when a matrix is certified.
     """
     n = space.n
     if n > max_states:
