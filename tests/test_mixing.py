@@ -715,10 +715,10 @@ def certified_runs():
     counts of those calls, in order; and of the first call the
     ``_solve_cycle`` calls, every segment it computed as (start key, cycle,
     keys), the ``tobytes`` of each layer of the hat stacks passed to
-    ``canonical._switch_distances``,
-    the keys each ordered pair's paths visit, the (X key, Y key) of each
-    ``_decompositions`` call, the ``_split`` calls (the circuit memo's
-    misses) and the pairs ``_routes`` yields, in order."""
+    ``canonical._switch_distances``, the keys each ordered pair's paths
+    visit, the (X key, Y key) of each ``_decompositions`` call, the
+    ``_split`` calls (the circuit memo's misses) and the pairs ``_routes``
+    yields, in order."""
     out = {}
     real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
     real_walk, real_distances = canonical._walk, canonical._switch_distances
