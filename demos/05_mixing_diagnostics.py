@@ -17,7 +17,7 @@ for a, b in (((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (3, 2, 1))):
     K = build_kernel(space)
     lam2, tau = spectral_gap(K)
     t = tv_mixing_time(K, 0.01)
-    rep = congestion(space, certify=True)
+    rep = congestion(space)
     print(f"{a} | {b}")
     print(f"  states {space.n}, jump probability {K.jump}")
     print(f"  lambda_2 = {lam2:.6f}, relaxation time = {tau:.4f}")

@@ -47,6 +47,7 @@ from .core import BipartiteGraph, Swap, _gale_ryser, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
+from . import pairings
 from .pairings import AlternatingCycle, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
@@ -1197,18 +1198,17 @@ def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
     return _switch_distances((x + y).view(np.int8) - z.view(np.int8))
 
 
-def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
-                      max_pairings: int = 5000) -> dict:
+def path_distribution(X: BipartiteGraph, Y: BipartiteGraph) -> dict:
     """Exact distribution over canonical paths, each path a tuple of the
     visited realizations' keys: its weight is the number of pairings
     selecting it over the total number of pairings.  The paths are counted
     by ``_path_counts`` on the key walk of ``canonical_path``, over the
     cycle lists of ``pairings._decompositions``, so more than
-    ``max_pairings`` pairings raise ``TooManyPairings`` as in
+    ``pairings._MAX_PAIRINGS`` pairings raise ``TooManyPairings`` as in
     ``congestion``.  Segments, patterns and bridges are memoized for the
     call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, max_pairings)
+    total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, pairings._MAX_PAIRINGS)
     counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, ({}, {}, {}))
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
@@ -1222,147 +1222,48 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph,
 
 def switch_distance(M, cap: int = 6):
     """Minimum number of 2x2 plus/minus switches carrying the integer matrix
-    M to a 0-1 matrix, or ``Exceeds(cap)``.
-
-    Switches commute, so some optimal sequence starts with a switch that
-    moves the first out-of-range entry toward range; the search branches
-    only over those, giving exact results whenever a witness exists with
-    intermediate entries inside the allowed band: the input's value range,
-    taken to cover at least [-1, 2], widened by one on each side.
-
-    The deficiency of a matrix, the summed distance of its entries from
-    [0, 1], falls by at most four per switch, so a node whose deficiency
-    exceeds four times its budget is hopeless.  The search deepens the
-    budget from 1 to ``cap`` and memoizes every node it decides, keyed by
-    the matrix and the budget.  A switch changes four cells, so a child's
-    deficiency is the parent's plus the change on those four cells, known
-    in O(1) before the child is entered: a child at deficiency 0 is a 0-1
-    matrix and ends the search, and a child above four times its budget is
-    skipped.  These are the first two tests a child would make, in the same
-    order and before it reads or writes the memo, so the search decides and
-    memoizes exactly the nodes of a search that entered every child and
-    rescanned its matrix.
-
-    A 0-1 matrix is at distance 0, and it realizes its own margins, so it
-    is answered before the margin check, which it cannot fail.  Every other
-    input must have margins that some 0-1 matrix realizes, decided by
-    ``core._gale_ryser`` on its row and column sums before any search
-    (``MarginMismatch`` otherwise, an empty matrix included).
-    """
+    M to a 0-1 matrix, or ``Exceeds(cap)``: ``_switch_distances`` on the
+    stack of one layer.  A 0-1 matrix is at distance 0; every other input
+    needs margins that some 0-1 matrix realizes (``MarginMismatch``
+    otherwise, an empty matrix and a non-matrix included)."""
     mat = np.array(M, dtype=np.int64)
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
-    if mat.size and not (mat & -2).any():      # every entry is 0 or 1
-        return 0 if cap >= 0 else Exceeds(cap)
-    if not _gale_ryser(mat.sum(axis=1).tolist(), mat.sum(axis=0).tolist()):
-        raise MarginMismatch("margins admit no 0-1 matrix")
-    # at least 1: M holds an entry outside [0, 1]; an integer m lies
-    # (|2m - 1| - 1) / 2 from [0, 1]
-    deficiency = int(np.abs(2 * mat - 1).sum() - mat.size) // 2
-    if deficiency > 4 * cap:
-        return Exceeds(cap)
-    lo = min(-1, int(mat.min())) - 1
-    hi = max(2, int(mat.max())) + 1
-    k, l = mat.shape
-    # entries are held shifted by offset, so the band is 0..span; excess[s]
-    # is the distance of the entry held as s from [0, 1]
-    offset = -lo
-    span = hi - lo
-    excess = [max(offset - s, s - offset - 1, 0) for s in range(span + 1)]
-    flat = (mat + offset).ravel().tolist()
-    memo = {}
-
-    def dfs(budget, deficiency):
-        # entered only with 0 < deficiency <= 4 * budget
-        key = (tuple(flat), budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        first = 0
-        while not excess[flat[first]]:
-            first += 1
-        r, c = divmod(first, l)
-        v00 = flat[first]
-        sign = 1 if v00 < offset else -1
-        # the first entry moves one step toward range
-        base = deficiency - 1
-        limit = 4 * (budget - 1)
-        found = False
-        for r2 in range(k):
-            if r2 == r:
-                continue
-            rb, r2b = r * l, r2 * l
-            for c2 in range(l):
-                if c2 == c:
-                    continue
-                i01, i10, i11 = rb + c2, r2b + c, r2b + c2
-                o11, o01, o10 = flat[i11], flat[i01], flat[i10]
-                v11 = o11 + sign
-                v01 = o01 - sign
-                v10 = o10 - sign
-                if not (0 <= v11 <= span and 0 <= v01 <= span and 0 <= v10 <= span):
-                    continue
-                child = (base + excess[v11] - excess[o11] + excess[v01] - excess[o01]
-                         + excess[v10] - excess[o10])
-                if child == 0:
-                    found = True
-                    break
-                if child > limit:
-                    continue
-                flat[first], flat[i11], flat[i01], flat[i10] = v00 + sign, v11, v01, v10
-                found = dfs(budget - 1, child)
-                flat[first], flat[i11], flat[i01], flat[i10] = v00, o11, o01, o10
-                if found:
-                    break
-            if found:
-                break
-        memo[key] = found
-        return found
-
-    for d in range(1, cap + 1):
-        if deficiency <= 4 * d and dfs(d, deficiency):
-            return d
-    return Exceeds(cap)
+    return _switch_distances(mat[None], cap)[0]
 
 
-def _switch_distances(hats: np.ndarray) -> list:
-    """``[switch_distance(hat) for hat in hats]`` over an (n, k, l) ``int8``
-    stack of integer matrices that share one set of margins, with every
-    layer at distance 0 or 1 decided in numpy.
+def _switch_distances(hats: np.ndarray, cap: int = 6) -> list:
+    """The switch distance of each layer of an (n, k, l) integer stack whose
+    layers share one set of margins, each capped at ``cap`` switches: an
+    int, or ``Exceeds(cap)``.  Layers at distance 0 or 1 are decided in
+    numpy; the others go to ``_search``.
 
-    A layer with every entry in [0, 1] is at distance 0, as
-    ``switch_distance`` answers before its margin check; one reduction
-    finds them all.  Every other layer is checked by ``core._gale_ryser``
-    in ``switch_distance``, on margins that all layers share, so one check
-    on the first such layer raises ``MarginMismatch`` exactly when a
-    layer-by-layer loop would (an empty shape has no 0-1 layer, and fails
-    it).  Each remaining layer's deficiency, the summed distance of its
-    entries from [0, 1], comes from one more reduction.
+    A layer with every entry in [0, 1] is at distance 0, and it realizes its
+    own margins, so one reduction answers these before any margin check.
+    Every other layer must have margins some 0-1 matrix realizes; all layers
+    share them, so one ``core._gale_ryser`` check raises ``MarginMismatch``
+    exactly when a check per layer would (an empty shape has no 0-1 layer,
+    and fails it).  One more reduction gives each remaining layer's
+    deficiency, the summed distance of its entries from [0, 1].  A switch
+    lowers it by at most four, so a layer above ``4 * cap`` is past the cap.
 
-    ``switch_distance`` returns 1 exactly when the deficiency is at most 4
-    and its first search node, ``dfs(1)``, finds a child at deficiency 0,
-    among the switches on rows r, r2 and columns c, c2 (r2 != r, c2 != c)
-    that move the first out-of-range entry (r, c) one step toward range.
-    The broadcast below decides the same over every (r2, c2) of every layer
-    at deficiency <= 4.  One in row r or column c never passes: it names a
-    cell that would have to land in [0, 1] after a step of +1 and after a
-    step of -1.  For the others the switch leaves a 0-1 matrix iff its four
-    distinct cells land in [0, 1] and their old excesses add up to the whole
-    deficiency, so that no entry outside them is out of range.  Conversely,
-    every one-switch witness is one of these switches: it changes four
-    cells by one each and leaves a 0-1 matrix, so it moves every
-    out-of-range entry, the first included, one step toward range.  The
-    value band of ``switch_distance`` never binds here, since it contains
-    [0, 1] and the four cells land in [0, 1].  So a layer the broadcast
-    passes is at distance 1, and one it fails is at distance >= 2 or past
-    the cap; those layers, and those above deficiency 4, go to
-    ``switch_distance`` itself.
+    A layer at deficiency <= 4 is at distance 1 exactly when some switch on
+    rows r, r2 and columns c, c2 (r2 != r, c2 != c) that moves its first
+    out-of-range entry (r, c) one step toward range leaves a 0-1 matrix.
+    Every one-switch witness is one of these: it changes four cells by one
+    each and leaves a 0-1 matrix, so it moves every out-of-range entry, the
+    first included, one step toward range.  The broadcast below decides this
+    over every (r2, c2) of every such layer: the switch leaves a 0-1 matrix
+    iff its four distinct cells land in [0, 1] and their old excesses add up
+    to the whole deficiency, so that no entry outside them is out of range.
+    A layer the broadcast fails is at distance >= 2, and goes to ``_search``
+    with its deficiency.
     """
     n, k, l = hats.shape
     flat = hats.reshape(n, k * l)
     out_of_range = (flat & -2) != 0
     rest = np.flatnonzero(out_of_range.any(axis=1) | (k * l == 0))
-    out = [0] * n
+    out = [0 if cap >= 0 else Exceeds(cap)] * n
     if not len(rest):
         return out
     first = hats[rest[0]]
@@ -1372,7 +1273,8 @@ def _switch_distances(hats: np.ndarray) -> list:
     # an integer m lies (|2m - 1| - 1) / 2 from [0, 1]
     excess = (np.abs(2 * wide - 1) - 1) // 2
     deficiency = excess.sum(axis=1)
-    near = deficiency <= 4
+    within = deficiency <= 4 * cap
+    near = within & (deficiency <= 4)
     m = int(near.sum())
     at = np.arange(m)
     mats, excess = wide[near].reshape(m, k, l), excess[near].reshape(m, k, l)
@@ -1382,7 +1284,7 @@ def _switch_distances(hats: np.ndarray) -> list:
     s = sign[:, None]
 
     def fits(v):
-        return (v >= 0) & (v <= 1)
+        return (v & -2) == 0
 
     # the switch on rows r, r2 and columns c, c2 moves (r, c) and (r2, c2)
     # by sign, (r, c2) and (r2, c) against it: ok[., r2, c2] when it leaves
@@ -1396,6 +1298,95 @@ def _switch_distances(hats: np.ndarray) -> list:
              + excess[at, r, c][:, None, None] == deficiency[near][:, None, None]))
     one = np.zeros(len(rest), bool)
     one[near] = ok.any(axis=(1, 2))
-    for i, is_one in zip(rest.tolist(), one.tolist()):
-        out[i] = 1 if is_one else switch_distance(hats[i])
+    for j, i in enumerate(rest.tolist()):
+        out[i] = (1 if one[j] else Exceeds(cap) if not within[j]
+                  else _search(wide[j].reshape(k, l), int(deficiency[j]), cap))
     return out
+
+
+def _search(mat: np.ndarray, deficiency: int, cap: int):
+    """The switch distance of the (k, l) int64 matrix ``mat``, known to be
+    at least 2, at ``deficiency`` <= 4 * cap: the first budget from 2 to
+    ``cap`` at which ``_descend`` reaches a 0-1 matrix, or ``Exceeds(cap)``.
+    Entries stay in a band, the input's value range taken to cover at least
+    [-1, 2] and widened by one on each side, so the answer is exact whenever
+    a witness stays in it.  Every node decided is memoized for the call,
+    keyed by the matrix and the budget."""
+    lo = min(-1, int(mat.min())) - 1
+    hi = max(2, int(mat.max())) + 1
+    # entries are held shifted by offset, so the band is 0..span; excess[s]
+    # is the distance of the entry held as s from [0, 1]
+    offset = -lo
+    span = hi - lo
+    excess = [max(offset - s, s - offset - 1, 0) for s in range(span + 1)]
+    flat = (mat + offset).ravel().tolist()
+    memo = {}
+    for budget in range(2, cap + 1):
+        if deficiency <= 4 * budget and _descend(flat, mat.shape[1], offset, span, excess,
+                                                 memo, budget, deficiency):
+            return budget
+    return Exceeds(cap)
+
+
+def _descend(flat: list, l: int, offset: int, span: int, excess: list, memo: dict,
+             budget: int, deficiency: int) -> bool:
+    """Whether the matrix held in ``flat`` (rows of l entries, each shifted
+    by ``offset`` into the band 0..span) reaches a 0-1 matrix within
+    ``budget`` switches, for 0 < ``deficiency`` <= 4 * ``budget``.
+
+    Switches commute, so some optimal sequence starts with a switch that
+    moves the first out-of-range entry toward range; the search branches
+    only over those.  A switch changes four cells, so a child's deficiency
+    is the parent's plus the change on those four cells, known in O(1)
+    before the child is entered: a child at deficiency 0 is a 0-1 matrix
+    and ends the search, and a child above four times its budget is
+    skipped.  These are the first two tests a child would make, in the same
+    order and before it reads or writes the memo, so the search decides and
+    memoizes exactly the nodes of a search that entered every child and
+    rescanned its matrix.  ``flat`` is restored before returning.
+    """
+    key = (tuple(flat), budget)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    first = 0
+    while not excess[flat[first]]:
+        first += 1
+    r, c = divmod(first, l)
+    k = len(flat) // l
+    v00 = flat[first]
+    sign = 1 if v00 < offset else -1
+    # the first entry moves one step toward range
+    base = deficiency - 1
+    limit = 4 * (budget - 1)
+    found = False
+    for r2 in range(k):
+        if r2 == r:
+            continue
+        rb, r2b = r * l, r2 * l
+        for c2 in range(l):
+            if c2 == c:
+                continue
+            i01, i10, i11 = rb + c2, r2b + c, r2b + c2
+            o11, o01, o10 = flat[i11], flat[i01], flat[i10]
+            v11 = o11 + sign
+            v01 = o01 - sign
+            v10 = o10 - sign
+            if not (0 <= v11 <= span and 0 <= v01 <= span and 0 <= v10 <= span):
+                continue
+            child = (base + excess[v11] - excess[o11] + excess[v01] - excess[o01]
+                     + excess[v10] - excess[o10])
+            if child == 0:
+                found = True
+                break
+            if child > limit:
+                continue
+            flat[first], flat[i11], flat[i01], flat[i10] = v00 + sign, v11, v01, v10
+            found = _descend(flat, l, offset, span, excess, memo, budget - 1, child)
+            flat[first], flat[i11], flat[i01], flat[i10] = v00, o11, o01, o10
+            if found:
+                break
+        if found:
+            break
+    memo[key] = found
+    return found

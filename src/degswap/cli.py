@@ -100,7 +100,7 @@ def cmd_transform(args) -> int:
 def cmd_decompose(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
     if args.all:
-        pairings = list(all_pairings(x, y))
+        pairings = all_pairings(x, y)       # printed as it yields, never held
     else:
         pairings = [random_pairing(x, y, args.seed)]
     for pi, s in enumerate(pairings):
@@ -183,7 +183,7 @@ def cmd_mix_report(args) -> int:
         tmix_str = str(tmix)
     except DegSwapError as exc:
         tmix_str = f"none({exc.code})"
-    rep = congestion(space, certify=True)
+    rep = congestion(space)
     print("n,lambda2,tau_rel,tv_mixing_time,kappa,max_edge,max_switch_distance")
     edge = f"{rep.max_edge[0]}-{rep.max_edge[1]}"
     print(f"{space.n},{lam2:.12g},{tau:.12g},{tmix_str},{rep.kappa}"

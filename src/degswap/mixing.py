@@ -20,9 +20,9 @@ difference X - Y of its unordered pairs once through the integer kernel of
 ``pairings``, counts the paths of both directions of every pair with that
 difference from that one decomposition, walks them on the states' keys
 (``canonical._walk``) and maps each distinct key path to state ids once.
-Its certificates come from ``canonical._certificates``, as a path's do,
-which decides a whole stack of matrices at once; congestion queues each
-distinct matrix and certifies the queue in blocks of at most ``_CHUNK``.
+Congestion always certifies: each distinct matrix X + Y - Z is queued and
+the queue decided in blocks of at most ``_CHUNK`` by
+``canonical._certificates``, as a path's certificates are.
 
 The chain commutes with exchanging two vertices of equal degree.  On spaces
 large enough to pay for it, ``build_kernel`` stores such exchanges of
@@ -62,6 +62,7 @@ from .canonical import _certificates, _path_counts
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
+from . import pairings
 from .pairings import _decompositions, _exchanged
 
 
@@ -768,11 +769,13 @@ def total_variation_time(P: TransitionMatrix, eps: float) -> int:
 
 @dataclass
 class CongestionReport:
+    """``congestion``'s result; a ``max_switch_distance`` of 7 means "more
+    than 6" switches."""
     kappa: Fraction
     max_edge: tuple
     edge_loading_max: Fraction
     n_paths: int
-    max_switch_distance: int | None
+    max_switch_distance: int
 
 
 def _routes(space: StateSpace):
@@ -783,19 +786,20 @@ def _routes(space: StateSpace):
     from yi, and the number of pairings that select it.  Each pair comes
     once, grouped by its signed difference X - Y.
 
-    The decomposition kernel (``pairings._decompositions``; over 5000
-    pairings raise ``TooManyPairings``) reads only X xor Y and the class of
-    each of its edges, so its output is a function of X - Y.  The pairs are
-    bucketed by the integer ``x - y`` of their keys read as little-endian
-    integers, in order of first appearance.  Its base-256 digits are the
-    cells of X - Y, each in {-1, 0, 1}; two different digit strings differ
-    by a nonzero string of digits in [-2, 2], whose leading term outweighs
-    everything below it (2 * (256^c - 1) / 255 < 256^c), so the integer
-    names the difference one-to-one.  Each bucket is decomposed once, from
-    its first pair, and its Y -> X cycle lists are the same lists with each
-    cycle's classes exchanged (``pairings._exchanged``, exact).
-    ``canonical._path_counts``, as in ``path_distribution``, walks every
-    pair of the bucket from its own X and Y on those lists.
+    The decomposition kernel (``pairings._decompositions``; over
+    ``pairings._MAX_PAIRINGS`` pairings raise ``TooManyPairings``) reads
+    only X xor Y and the class of each of its edges, so its output is a
+    function of X - Y.  The pairs are bucketed by the integer ``x - y`` of
+    their keys read as little-endian integers, in order of first
+    appearance.  Its base-256 digits are the cells of X - Y, each in
+    {-1, 0, 1}; two different digit strings differ by a nonzero string of
+    digits in [-2, 2], whose leading term outweighs everything below it
+    (2 * (256^c - 1) / 255 < 256^c), so the integer names the difference
+    one-to-one.  Each bucket is decomposed once, from its first pair, and
+    its Y -> X cycle lists are the same lists with each cycle's classes
+    exchanged (``pairings._exchanged``, exact).  ``canonical._path_counts``,
+    as in ``path_distribution``, walks every pair of the bucket from its own
+    X and Y on those lists.
 
     A bucket's cycle lists are dropped when it ends.  The circuit and
     exchange memos live for the buckets whose first pair has one source
@@ -822,7 +826,8 @@ def _routes(space: StateSpace):
             source = xi
             circuits = {}    # the decomposition kernel's memo, for this source state
             exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
-        total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
+        total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits,
+                                             pairings._MAX_PAIRINGS)
         forward = list(cycle_lists)
         for cyc in itertools.chain.from_iterable(forward):
             if cyc.edge_seq not in exchanged:
@@ -850,8 +855,7 @@ def _certified_max(adj: np.ndarray, queue: list) -> int:
     return max(sd if isinstance(sd, int) else sd.cap + 1 for sd in sds)
 
 
-def congestion(space: StateSpace, *, max_states: int = 120,
-               certify: bool = False) -> CongestionReport:
+def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     """The congestion constant of the full canonical path system.
 
     For every ordered pair (X, Y) and every pairing, the selected path is
@@ -871,8 +875,8 @@ def congestion(space: StateSpace, *, max_states: int = 120,
     multiple do not depend on the order of the pairs, so the report is that
     of a loop over ordered pairs, in any order.
 
-    With ``certify`` every state Z on a path of the pair (X, Y) is scored
-    by the switch distance of ``X + Y - Z``, capped at 6 switches, from
+    Every state Z on a path of the pair (X, Y) is certified: it is scored by
+    the switch distance of ``X + Y - Z``, capped at 6 switches, from
     ``canonical._certificates``, the routine of ``canonical_path``.  A
     matrix past the cap (``Exceeds(6)``) scores 7, so a
     ``max_switch_distance`` of 7 means "more than 6".  Each distinct matrix
@@ -917,16 +921,15 @@ def congestion(space: StateSpace, *, max_states: int = 120,
             for e in edges:
                 load[e] = load.get(e, 0) + lw
                 weight[e] = weight.get(e, 0) + w
-        if certify:
-            xy = cells[xi] + cells[yi]
-            for z in {z for ids, _ in paths for z in ids}:
-                key = xy - cells[z]
-                if key not in certified:
-                    certified.add(key)
-                    queue.append((xi, yi, z))
-                    if len(queue) == _CHUNK:
-                        max_sd = max(max_sd, _certified_max(space.adj, queue))
-                        queue.clear()
+        xy = cells[xi] + cells[yi]
+        for z in {z for ids, _ in paths for z in ids}:
+            key = xy - cells[z]
+            if key not in certified:
+                certified.add(key)
+                queue.append((xi, yi, z))
+                if len(queue) == _CHUNK:
+                    max_sd = max(max_sd, _certified_max(space.adj, queue))
+                    queue.clear()
     if queue:
         max_sd = max(max_sd, _certified_max(space.adj, queue))
     # the load of edge e is load[e] / (n * scale * jump): one positive factor
@@ -938,4 +941,4 @@ def congestion(space: StateSpace, *, max_states: int = 120,
         max_edge=max_edge,
         edge_loading_max=Fraction(max(weight.values()), scale),
         n_paths=n_paths,
-        max_switch_distance=max_sd if certify else None)
+        max_switch_distance=max_sd)

@@ -42,6 +42,9 @@ from .core import BipartiteGraph, symmetric_difference
 from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                      PreconditionViolation, TooManyPairings)
 
+# the most pairings congestion and path_distribution decompose for one pair
+_MAX_PAIRINGS = 5000
+
 
 def _incidences(part):
     """Per-vertex sorted lists of incident X-edges and Y-edges."""

@@ -483,11 +483,10 @@ def reference_path(X, Y, pairing) -> list:
     return states
 
 
-def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = False,
-                     switch_cap: int = 6):
+def naive_congestion(space, kernel, max_pairings: int = 5000, switch_cap: int = 6):
     """The congestion report built the direct way: every pairing's
-    ``reference_path`` mapped to state ids, and every load accumulated as a
-    ``Fraction``."""
+    ``reference_path`` mapped to state ids, every load accumulated as a
+    ``Fraction``, and every visited state certified by ``switch_distance``."""
     from fractions import Fraction
 
     from degswap.canonical import hat_matrix, switch_distance
@@ -513,13 +512,11 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
                 states = reference_path(X, Y, s)
                 ids = tuple(space.index[g.key()] for g in states)
                 counts[ids] = counts.get(ids, 0) + 1
-                if certify:
-                    for g in states:
-                        if g.key() not in sd_memo:
-                            sd_memo[g.key()] = switch_distance(
-                                hat_matrix(X, Y, g), cap=switch_cap)
-                        sd = sd_memo[g.key()]
-                        max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+                for g in states:
+                    if g.key() not in sd_memo:
+                        sd_memo[g.key()] = switch_distance(hat_matrix(X, Y, g), cap=switch_cap)
+                    sd = sd_memo[g.key()]
+                    max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
             for ids, c in counts.items():
                 n_paths += 1
                 prob = Fraction(c, t_total)
@@ -531,10 +528,10 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, certify: bool = Fa
     max_edge = max(load, key=lambda e: (load[e], e))
     return CongestionReport(kappa=load[max_edge], max_edge=max_edge,
                             edge_loading_max=max(weight.values()), n_paths=n_paths,
-                            max_switch_distance=max_sd if certify else None)
+                            max_switch_distance=max_sd)
 
 
-def ordered_congestion(space, certify: bool = False):
+def ordered_congestion(space):
     """The congestion report of a loop over ordered pairs: every (X, Y)
     decomposed on its own by ``pairings._decompositions`` and its
     paths counted by ``canonical._path_counts``, with the memos and integer
@@ -585,24 +582,23 @@ def ordered_congestion(space, certify: bool = False):
                 for e in edges:
                     load[e] = load.get(e, 0) + w * len(edges)
                     weight[e] = weight.get(e, 0) + w
-            if certify:
-                x, y = cells[xi], cells[yi]
-                both, either, odd = x & y, x | y, x ^ y
-                for z in visited:
-                    c = cells[z]
-                    key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
-                    sd = certs.get(key)
-                    if sd is None:
-                        hat = hat_matrix(X, Y, space.graph(z))
-                        sd = certs[key] = switch_distance(hat)
-                    max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
+            x, y = cells[xi], cells[yi]
+            both, either, odd = x & y, x | y, x ^ y
+            for z in visited:
+                c = cells[z]
+                key = (both & ~c, c & ~either, (odd ^ c) & (either | ~c))
+                sd = certs.get(key)
+                if sd is None:
+                    hat = hat_matrix(X, Y, space.graph(z))
+                    sd = certs[key] = switch_distance(hat)
+                max_sd = max(max_sd, sd if isinstance(sd, int) else sd.cap + 1)
     max_edge = max(load, key=lambda e: (load[e], e))
     return CongestionReport(
         kappa=Fraction(load[max_edge] * pair_count(k) * pair_count(l), n * scale),
         max_edge=max_edge,
         edge_loading_max=Fraction(max(weight.values()), scale),
         n_paths=n_paths,
-        max_switch_distance=max_sd if certify else None)
+        max_switch_distance=max_sd)
 
 
 # 16 x 16 4-regular pairs the tests pin.  X is chain.sample(ds, 1000, seed);

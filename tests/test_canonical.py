@@ -507,25 +507,27 @@ class TestSwitchDistancesBatch:
     """``canonical._switch_distances`` decides a stack of matrices that
     share their margins; it must give ``switch_distance`` layer by layer,
     and ``oracles.naive_switch_distance``, on every stack, and leave to
-    ``switch_distance`` only the layers at distance 2 or more."""
+    its search, ``canonical._search``, only the layers at distance 2 or
+    more whose deficiency is within four times the cap."""
 
     @staticmethod
     def check(hats) -> list:
         from degswap import canonical
 
-        searched = []
+        searched, real = [], canonical._search
 
-        def searching(hat):
-            searched.append(hat.tobytes())
-            return switch_distance(hat)
+        def searching(mat, deficiency, cap):
+            searched.append(mat.astype(np.int8).tobytes())
+            return real(mat, deficiency, cap)
 
         stack = np.asarray(hats, np.int8)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(canonical, "switch_distance", searching)
+            mp.setattr(canonical, "_search", searching)
             got = _switch_distances(stack)
         assert got == [switch_distance(h) for h in hats]
         assert got == [naive_switch_distance(h, cap=6) for h in hats]
-        assert searched == [h.tobytes() for h, sd in zip(stack, got) if sd not in (0, 1)]
+        assert searched == [h.tobytes() for h, sd in zip(stack, got)
+                            if sd not in (0, 1) and (np.abs(2 * h - 1) - 1).sum() // 2 <= 4 * 6]
         return got
 
     @staticmethod
@@ -546,16 +548,16 @@ class TestSwitchDistancesBatch:
 
         real, stacks = canonical._switch_distances, []
 
-        def recording(hats):
+        def recording(hats, *cap):
             stacks.append(hats)
-            return real(hats)
+            return real(hats, *cap)
 
         monkeypatch.setattr(canonical, "_switch_distances", recording)
         maxima, certs = [], set()
         for a, b in [((2, 2, 2, 2), (3, 2, 2, 1)), ((3, 2, 2, 1), (2, 2, 2, 2)),
                      ((2, 2, 2, 2), (2, 2, 2, 2))]:
             stacks.clear()
-            congestion(enumerate_states(BipartiteDegreeSequence(a, b)), certify=True)
+            congestion(enumerate_states(BipartiteDegreeSequence(a, b)))
             space_certs = self.check(np.concatenate(stacks))
             maxima.append(max(space_certs))
             certs.update(space_certs)
@@ -756,11 +758,13 @@ class TestCanonicalPath:
         for p in dist.values():
             assert p.denominator in (1, 2)
 
-    def test_too_many_pairings_guard(self):
+    def test_too_many_pairings_guard(self, monkeypatch):
+        from degswap import pairings
         X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         Y = BipartiteGraph([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
-        with pytest.raises(TooManyPairings):
-            path_distribution(X, Y, max_pairings=1)
+        monkeypatch.setattr(pairings, "_MAX_PAIRINGS", 1)
+        with pytest.raises(TooManyPairings, match="2 pairings exceed the guard 1"):
+            path_distribution(X, Y)
 
     def test_path_distribution_matches_single_paths(self):
         # path_distribution shares one segment cache across its pairings;
@@ -991,6 +995,35 @@ class TestCertifiedStack:
             for Y in states:
                 certs.update(self.check(X, Y, next(all_pairings(X, Y))))
         assert certs == {0, 1, 2, 3}
+
+    def test_certified_work_leaves_no_cyclic_garbage(self):
+        # certified 48V congestion and the certified 16 x 16 path whose one
+        # hat at 2 goes to the search (chain.sample seeds 20259 and 20272,
+        # pairing seed 14) free everything by reference counting: with the
+        # collector off and every unreachable object kept, it finds none
+        import gc
+
+        from degswap.mixing import congestion
+
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
+        space = enumerate_states(BipartiteDegreeSequence((3, 2, 2, 1), (2, 2, 2, 2)))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert congestion(space).max_switch_distance == 3
+            _, certs = canonical_path(X, Y, random_pairing(X, Y, 14), certify=True)
+            assert max(certs) == 2
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert garbage == []
 
     def test_states_are_read_only(self):
         ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)

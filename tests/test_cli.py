@@ -70,6 +70,29 @@ def test_decompose(tmp_path, capsys):
     assert "circuit 0:" in out and "cycle 0:" in out
 
 
+def test_decompose_all_prints_as_it_enumerates(tmp_path, capsys, monkeypatch):
+    # X and Y = chain.sample(16 x 16 4-regular, 1000 steps, seeds 20259 and
+    # 20272) have about 4.1e26 pairings: each is printed when it is drawn,
+    # so the first is on stdout before the second is asked for
+    from degswap import BipartiteDegreeSequence, chain, cli
+
+    ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+    X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
+    real = cli.all_pairings
+
+    def first_only(x, y):
+        yield next(real(x, y))
+        raise RuntimeError("asked for a second pairing")
+
+    monkeypatch.setattr(cli, "all_pairings", first_only)
+    argv = ["decompose", write(tmp_path, "x.txt", X.to_text()),
+            write(tmp_path, "y.txt", Y.to_text()), "--all"]
+    with pytest.raises(RuntimeError, match="a second pairing"):
+        main(argv)
+    out = capsys.readouterr().out
+    assert out.startswith("pairing 0\n  circuit 0: ") and "pairing 1" not in out
+
+
 def test_canonical_path_certify(tmp_path, capsys):
     g1, g2 = write(tmp_path, "a.txt", M1), write(tmp_path, "b.txt", M2)
     assert main(["canonical-path", g1, g2, "--pairing-index", "0", "--certify"]) == 0
@@ -204,19 +227,19 @@ def test_canonical_path_and_transform_golden_16x16(tmp_path, capsys, monkeypatch
 def test_certified_16x16_path_through_the_search(tmp_path, capsys, monkeypatch):
     # X = chain.sample(16 x 16 4-regular, 1000 steps, seed 20259), Y likewise
     # with seed 20272, through random_pairing seed 14: a 36-state path whose
-    # one hat at distance 2 is left by canonical._switch_distances to the
-    # switch_distance search; CI pins the same output's sha256
+    # one hat at distance 2 is left by canonical._switch_distances to its
+    # search, canonical._search; CI pins the same output's sha256
     from degswap import BipartiteDegreeSequence, canonical, chain
 
     ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
     X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
-    real, searched = canonical.switch_distance, []
+    real, searched = canonical._search, []
 
-    def searching(hat):
-        searched.append(hat)
-        return real(hat)
+    def searching(*args):
+        searched.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(canonical, "switch_distance", searching)
+    monkeypatch.setattr(canonical, "_search", searching)
     argv = ["canonical-path", write(tmp_path, "x.txt", X.to_text()),
             write(tmp_path, "y.txt", Y.to_text()), "--certify", "--seed", "14"]
     assert main(argv) == 0
@@ -225,7 +248,7 @@ def test_certified_16x16_path_through_the_search(tmp_path, capsys, monkeypatch):
     certs = [int(row.rsplit(",", 1)[1]) for row in out.split("---\n")[1].splitlines()[1:]]
     assert certs == [0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
                      0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0]
-    assert len(searched) == 1 and real(searched[0]) == 2
+    assert len(searched) == 1 and real(*searched[0]) == 2
 
 
 def certified_output(tmp_path, capsys, X, Y, argv=("--seed", "5")):

@@ -761,7 +761,7 @@ def certified_runs():
 
         def run():
             calls[0] = 0
-            reports.append(congestion(space, certify=True))
+            reports.append(congestion(space))
             rysers.append(calls[0])
 
         space = enumerate_states(bds(a, b))
@@ -841,9 +841,7 @@ class TestCongestion:
             if space.n < 2:
                 continue
             K = build_kernel(space)
-            for certify in (False, True):
-                assert (congestion(space, certify=certify)
-                        == naive_congestion(space, K, certify=certify)), (a, b, certify)
+            assert congestion(space) == naive_congestion(space, K), (a, b)
             checked += 1
         assert checked > 0
 
@@ -864,8 +862,7 @@ class TestCongestion:
             sequences = [bds(a, b)]
         for ds in sequences:
             space = enumerate_states(ds)
-            assert (congestion(space, certify=True)
-                    == ordered_congestion(space, certify=True)), (ds.a, ds.b)
+            assert congestion(space) == ordered_congestion(space), (ds.a, ds.b)
 
     def test_matrix_past_the_cap_reads_7(self, monkeypatch, tmp_path, capsys):
         # a three-term matrix whose switch distance exceeds the 6-switch cap
@@ -886,7 +883,7 @@ class TestCongestion:
             return sds
 
         monkeypatch.setattr(canonical, "_switch_distances", capping)
-        assert congestion(space, certify=True).max_switch_distance == 7
+        assert congestion(space).max_switch_distance == 7
         ds = tmp_path / "d.txt"
         ds.write_text("2 2 2\n2 2 2\n")
         assert cli.main(["mix-report", "--ds", str(ds)]) == 0
@@ -898,7 +895,7 @@ class TestCongestion:
         # holds _CHUNK of them: with a chunk of 5 the report is unchanged,
         # and the blocks hold every distinct matrix once
         space = enumerate_states(bds((3, 3, 2, 1), (3, 2, 2, 2)))
-        report = congestion(space, certify=True)
+        report = congestion(space)
         real, blocks = canonical._switch_distances, []
 
         def recording(hats):
@@ -907,7 +904,7 @@ class TestCongestion:
 
         monkeypatch.setattr(canonical, "_switch_distances", recording)
         monkeypatch.setattr(mixing, "_CHUNK", 5)
-        assert congestion(space, certify=True) == report
+        assert congestion(space) == report
         assert report.max_switch_distance == 2
         assert len(blocks) > 2 and all(len(block) == 5 for block in blocks[:-1])
         assert 1 <= len(blocks[-1]) <= 5
@@ -916,10 +913,8 @@ class TestCongestion:
 
     def test_repeated_calls_agree(self):
         space = enumerate_states(bds((2, 2, 2), (2, 2, 2)))
-        first = congestion(space, certify=True)
-        assert congestion(space, certify=True) == first
-        assert congestion(space) == CongestionReport(
-            first.kappa, first.max_edge, first.edge_loading_max, first.n_paths, None)
+        first = congestion(space)
+        assert congestion(space) == first
 
     @pytest.mark.parametrize("a, b, report", [
         ((2, 2, 2, 2), (3, 2, 2, 1),
@@ -1073,7 +1068,7 @@ class TestDifferenceBuckets:
         real = mixing._decompositions
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixing, "_decompositions", lambda *args: calls.append(1) or real(*args))
-            got = congestion(shuffled, certify=True)
+            got = congestion(shuffled)
         assert len(calls) == len(signed)
         # every field but max_edge, whose ties among the heaviest edges break by id
         assert (got.kappa, got.edge_loading_max, got.n_paths, got.max_switch_distance) == (
