@@ -47,7 +47,6 @@ from .core import BipartiteGraph, Swap, _gale_ryser, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
-from . import pairings
 from .pairings import AlternatingCycle, _decompositions, decompose
 from .ryser import replay, ryser_sequence
 
@@ -270,9 +269,6 @@ class FMatrix:
         if not is_chord(pos, self.ell):
             raise DiagonalPosition(f"{pos} lies on a diagonal")
         return 1 if self.cells[pos[0]][pos[1]] >= 2 else 0
-
-    def chords(self) -> tuple:
-        return _grid(self.ell).chords
 
     def is_friendly(self, pos) -> bool:
         t = self.type_of(pos)
@@ -1063,12 +1059,16 @@ def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
     ``rows[t]`` or ``cols[t]``.
 
     The construction reads only the cells of the cycle's rows x columns,
-    and its tie-breaks depend only on the order of vertex indices.  So its
-    swaps are a function of the local pattern: the m x m submatrix on
-    ``rows x cols`` (its bytes, read from ``key``) and the cycle relabelled
-    into it, which key ``memo``.  A miss runs ``_solve_cycle`` on the m x m
-    graph, flipping every cycle cell, with the call-scoped bridge memo
-    ``bridges``; ``_key_segment`` checks where the lifted swaps land.
+    and its tie-breaks depend only on the order of vertex indices.  It
+    takes the cycle's start side from the key, the cycle cells that are on
+    there, and reads no order or X/Y label of the cycle: a set of cells
+    with two in each of its rows and columns, forming one cycle, fixes the
+    cycle.  So its swaps are a function of the local pattern: the m x m
+    submatrix on ``rows x cols`` (its bytes, read from ``key``) and the
+    cycle's cells relabelled into it, which key ``memo``.  A miss runs
+    ``_solve_cycle`` on the m x m graph, flipping every cycle cell, with
+    the call-scoped bridge memo ``bridges``; ``_key_segment`` checks where
+    the lifted swaps land.
     """
     seq = cycle.edge_seq
     rows = sorted({u for u, _ in seq})
@@ -1076,16 +1076,16 @@ def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
     at_row = {u: a for a, u in enumerate(rows)}
     at_col = {v: b for b, v in enumerate(cols)}
     local_seq = tuple((at_row[u], at_col[v]) for u, v in seq)
-    pattern = (_local_bytes(key, l, rows, cols), local_seq)
+    cells = frozenset(local_seq)
+    pattern = (_local_bytes(key, l, rows, cols), cells)
     swaps = memo.get(pattern)
     if swaps is None:
         sub = np.frombuffer(pattern[0], np.uint8).reshape(len(rows), len(cols))
         local = BipartiteGraph._trusted(sub)
-        x_edges = frozenset(e for e in local_seq if sub[e])
-        y_edges = frozenset(local_seq) - x_edges
-        target = local.with_edges(sorted(x_edges), sorted(y_edges))
+        on = frozenset(e for e in cells if sub[e])
+        target = local.with_edges(sorted(on), sorted(cells - on))
         swaps = memo[pattern] = _solve_cycle(local, target,
-                                             AlternatingCycle(local_seq, x_edges, y_edges),
+                                             AlternatingCycle(local_seq, on, cells - on),
                                              bridges)
     return rows, cols, swaps
 
@@ -1100,7 +1100,8 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
     ``bridges``.  Each lifted swap flips its four bytes in a copy of the
     key, after a check that they hold the one-factor the swap removes (the
     check of ``apply_swap``).  Raises ``SpecViolation`` unless the segment
-    lands on the key with the cycle's X-edges removed and its Y-edges added.
+    lands on the key with exactly the cycle's cells flipped.  The cycle's
+    X/Y labels are not read: the cells on in the key are its start side.
     """
     rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
     cur = bytearray(key)
@@ -1111,10 +1112,8 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
             raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
         seg.append(bytes(cur))
     end = bytearray(key)
-    for u, v in cycle.x_edges:
-        end[u * l + v] = 0
-    for u, v in cycle.y_edges:
-        end[u * l + v] = 1
+    for u, v in cycle.edge_seq:
+        end[u * l + v] ^= 1
     if cur != end:
         raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
@@ -1127,8 +1126,10 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
 
     ``memos`` holds the caller's segment cache, pattern memo and bridge
     memo.  Each segment comes from ``_key_segment`` with the last two, once
-    per start key and cycle.  Raises ``SpecViolation`` unless the path
-    lands on ``end``.
+    per state key and set of cycle cells, everything it depends on: the
+    cycle's order and X/Y labels are not read, so the walks of X -> Y and
+    Y -> X share one cycle list and hit one memo.  Raises ``SpecViolation``
+    unless the path lands on ``end``.
 
     A decomposition's cycles, walked in order, meet every precondition
     ``cycle_swaps`` checks: each state on the way agrees with the start on
@@ -1140,7 +1141,7 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     path = [start]
     cur = start
     for cyc in cycles:
-        key = (cur, cyc.edge_seq)
+        key = (cur, frozenset(cyc.edge_seq))
         seg = segments.get(key)
         if seg is None:
             seg = segments[key] = _key_segment(patterns, bridges, l, cur, cyc)
@@ -1208,7 +1209,7 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph) -> dict:
     ``congestion``.  Segments, patterns and bridges are memoized for the
     call."""
     symmetric_difference(X, Y)      # the shape and margin checks
-    total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {}, pairings._MAX_PAIRINGS)
+    total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {})
     counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, ({}, {}, {}))
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1

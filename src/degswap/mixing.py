@@ -18,8 +18,9 @@ exact rationals; floating point only enters the eigensolver.  Congestion
 sums over one pair loop, ``_routes``, which decomposes each signed
 difference X - Y of its unordered pairs once through the integer kernel of
 ``pairings``, counts the paths of both directions of every pair with that
-difference from that one decomposition, walks them on the states' keys
-(``canonical._walk``) and maps each distinct key path to state ids once.
+difference on that one decomposition's cycle lists, walks them on the
+states' keys (``canonical._walk``, which reads a cycle as its cells against
+the current state) and maps each distinct key path to state ids once.
 Congestion always certifies: each distinct matrix X + Y - Z is queued and
 the queue decided in blocks of at most ``_CHUNK`` by
 ``canonical._certificates``, as a path's certificates are.
@@ -62,8 +63,7 @@ from .canonical import _certificates, _path_counts
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
-from . import pairings
-from .pairings import _decompositions, _exchanged
+from .pairings import _decompositions
 
 
 @dataclass(frozen=True)
@@ -126,37 +126,42 @@ def _row_choices(hist: tuple, r: int, room: list) -> list:
     histograms whose q largest demands sum to at most ``room[q]`` for every
     q (the Gale-Ryser condition for the rows after this one)."""
     out = []
-    after = list(hist)
     classes = [d for d in range(len(hist) - 1, 0, -1) if hist[d]]
     below = [0] * len(hist)        # below[d]: columns with demand in 1..d-1
     for d in range(2, len(hist)):
         below[d] = below[d - 1] + hist[d - 1]
-
-    def take(c: int, r: int, ways: int, q: int, s: int):
-        # the classes above classes[c] are settled: q columns with s demand.
-        # The q largest demands sum linearly in q across one class and room
-        # is concave, so checking at each class boundary checks every q.
-        if c == len(classes):
-            if r == 0:
-                out.append((tuple(after), ways))
-            return
-        d = classes[c]
-        for t in range(max(0, r - below[d]), min(hist[d], r) + 1):
-            after[d] -= t
-            after[d - 1] += t
-            q_d, s_d = q + after[d], s + d * after[d]
-            fits = s_d <= room[q_d]
-            if fits and not hist[d - 1]:
-                # no class of its own below: the t columns settle at d - 1
-                q_d, s_d = q_d + t, s_d + (d - 1) * t
-                fits = s_d <= room[q_d]
-            if fits:
-                take(c + 1, r - t, ways * math.comb(hist[d], t), q_d, s_d)
-            after[d] += t
-            after[d - 1] -= t
-
-    take(0, r, 1, 0, 0)
+    _take(hist, classes, below, room, list(hist), out, 0, r, 1, 0, 0)
     return out
+
+
+def _take(hist: tuple, classes: list, below: list, room: list, after: list, out: list,
+          c: int, r: int, ways: int, q: int, s: int) -> None:
+    """The recursion of ``_row_choices``: the classes above ``classes[c]``
+    are settled, as ``after`` holds them, with q columns of s demand among
+    them; r ones are still to place, in ``ways`` column sets so far.  Each
+    completed histogram is appended to ``out``, and ``after`` is restored
+    before returning.  The q largest demands sum linearly in q across one
+    class and room is concave, so checking at each class boundary checks
+    every q."""
+    if c == len(classes):
+        if r == 0:
+            out.append((tuple(after), ways))
+        return
+    d = classes[c]
+    for t in range(max(0, r - below[d]), min(hist[d], r) + 1):
+        after[d] -= t
+        after[d - 1] += t
+        q_d, s_d = q + after[d], s + d * after[d]
+        fits = s_d <= room[q_d]
+        if fits and not hist[d - 1]:
+            # no class of its own below: the t columns settle at d - 1
+            q_d, s_d = q_d + t, s_d + (d - 1) * t
+            fits = s_d <= room[q_d]
+        if fits:
+            _take(hist, classes, below, room, after, out, c + 1, r - t,
+                  ways * math.comb(hist[d], t), q_d, s_d)
+        after[d] += t
+        after[d - 1] -= t
 
 
 # A frontier is taken about this many (row pair, column) cells, and then
@@ -795,20 +800,21 @@ def _routes(space: StateSpace):
     {-1, 0, 1}; two different digit strings differ by a nonzero string of
     digits in [-2, 2], whose leading term outweighs everything below it
     (2 * (256^c - 1) / 255 < 256^c), so the integer names the difference
-    one-to-one.  Each bucket is decomposed once, from its first pair, and
-    its Y -> X cycle lists are the same lists with each cycle's classes
-    exchanged (``pairings._exchanged``, exact).  ``canonical._path_counts``,
-    as in ``path_distribution``, walks every pair of the bucket from its own
-    X and Y on those lists.
+    one-to-one.  Each bucket is decomposed once, from its first pair.  A
+    pairing of (X, Y) is also a pairing of (Y, X), with the same circuits
+    and the same cuts, and ``canonical._walk`` reads a cycle only as its
+    set of cells against the current state.  So ``canonical._path_counts``,
+    as in ``path_distribution``, walks every pair of the bucket from its
+    own X to its Y and from its Y to its X on the same cycle lists.
 
-    A bucket's cycle lists are dropped when it ends.  The circuit and
-    exchange memos live for the buckets whose first pair has one source
-    state, the segment, pattern and bridge memos of ``canonical._walk`` for
-    the whole loop.  A distinct key path is mapped to state ids once, where
-    a key off the space or a step off the move graph raises
-    ``SpecViolation``.  The bucket index holds every pair: on the 1,170
-    states of ``(3,2,2,2,1) | (2,2,2,2,2)``, 683,865 pairs in 229,705
-    buckets, it takes about 108 MB and 0.9 s."""
+    A bucket's cycle lists are dropped when it ends.  The circuit memo
+    lives for the buckets whose first pair has one source state, the
+    segment, pattern and bridge memos of ``canonical._walk`` for the whole
+    loop.  A distinct key path is mapped to state ids once, where a key off
+    the space or a step off the move graph raises ``SpecViolation``.  The
+    bucket index holds every pair: on the 1,170 states of
+    ``(3,2,2,2,1) | (2,2,2,2,2)``, 683,865 pairs in 229,705 buckets, it
+    takes about 108 MB and 0.9 s."""
     n, l = space.n, space.ds.l
     moves = set(zip(*(a.tolist() for a in _move_edges(space.indptr, space.indices))))
     keys = [z.tobytes() for z in space.adj]
@@ -825,18 +831,11 @@ def _routes(space: StateSpace):
         if xi != source:
             source = xi
             circuits = {}    # the decomposition kernel's memo, for this source state
-            exchanged = {}   # edge_seq -> the cycle with its classes exchanged, likewise
-        total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits,
-                                             pairings._MAX_PAIRINGS)
-        forward = list(cycle_lists)
-        for cyc in itertools.chain.from_iterable(forward):
-            if cyc.edge_seq not in exchanged:
-                exchanged[cyc.edge_seq] = _exchanged(cyc)
-        backward = [[exchanged[cyc.edge_seq] for cyc in cycles] for cycles in forward]
+        total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
+        lists = list(cycle_lists)
         for xi, yi in pairs:
             paths = []
-            for start, end, lists in ((keys[xi], keys[yi], forward),
-                                      (keys[yi], keys[xi], backward)):
+            for start, end in ((keys[xi], keys[yi]), (keys[yi], keys[xi])):
                 for path, c in _path_counts(l, start, end, lists, memos).items():
                     ids = tuple(map(space.index.get, path))    # None: a key off the space
                     if not moves.issuperset(zip(ids, ids[1:])):

@@ -24,10 +24,11 @@ the pairing's maps.  ``_decompositions``, which ``congestion`` and
 ``path_distribution`` run behind its pairing guard, enumerates every
 pairing of a pair as an odometer over per-vertex permutations of edge ids,
 without building a ``Pairing``, and yields the same cycles as
-``decompose``, pairing by pairing, in ``all_pairings`` order.
-``_exchanged`` turns a cycle of (X, Y) into the cycle the kernel cuts for
-(Y, X) at the same place, so ``congestion`` never decomposes (Y, X) apart
-from (X, Y).
+``decompose``, pairing by pairing, in ``all_pairings`` order.  A pairing
+of (X, Y) is also one of (Y, X), with the same circuits and the same cuts;
+only each cycle's X/Y labels differ.  The canonical walk reads a cycle as
+its set of cells against the current state, so ``congestion`` walks both
+directions of a pair on the cycle lists of (X, Y).
 """
 
 from __future__ import annotations
@@ -255,15 +256,16 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     return edges, cells, in_x, codes, bits, sum(bits)
 
 
-def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict, max_pairings: int):
+def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
     """The decomposition kernel: every pairing's cycles, in integers.
 
     X and Y are given by their keys, realizations with l V-vertices and
     equal margins.  Returns the number of pairings of X xor Y and an
     iterator over one cycle list per pairing, in ``all_pairings`` order;
     each list equals ``decompose(X, Y, s).cycles`` for the matching pairing
-    s, but no ``Pairing`` is built.  More than ``max_pairings`` pairings
-    raise ``TooManyPairings`` before any pairing is decomposed.
+    s, but no ``Pairing`` is built.  More than ``_MAX_PAIRINGS`` pairings
+    (read at call time) raise ``TooManyPairings`` before any pairing is
+    decomposed.
 
     Pairings run as an odometer over the per-vertex permutations of Y-edge
     ids; each fills a U-side and a V-side partner array, rewriting only the
@@ -282,8 +284,8 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict, max_pairings
         if len(xs) != len(ys):
             raise DegreeMismatch("X and Y do not share their degree vectors")
         total *= math.factorial(len(xs))
-    if total > max_pairings:
-        raise TooManyPairings(f"{total} pairings exceed the guard {max_pairings}")
+    if total > _MAX_PAIRINGS:
+        raise TooManyPairings(f"{total} pairings exceed the guard {_MAX_PAIRINGS}")
     vertices = [(side, *incid[side, w]) for side, w in sorted(incid)]
     return total, _cycle_lists(numbering, vertices, memo)
 
@@ -397,24 +399,6 @@ def _split(circuit, edges, codes, bits, in_x) -> tuple:
                                      frozenset(map(edges.__getitem__, ye))),
                     sum(map(bits.__getitem__, piece))))
     return tuple(out)
-
-
-def _exchanged(cycle: AlternatingCycle) -> AlternatingCycle:
-    """The cycle ``_split`` cuts for the pair (Y, X) where it cuts ``cycle``
-    for (X, Y): its classes exchanged, rotated to its smallest new X-edge.
-
-    This is exact.  A pairing of (X, Y) and a pairing of (Y, X) are the same
-    per-vertex bijections, and both number X xor Y in cell order, so
-    ``_trace`` gets the same partner arrays, traces the same circuits from
-    the same edges, and ``_split`` makes the same cuts in the same order.
-    Only the rotation differs: each piece starts at its smallest X-edge,
-    and the X-edges of (Y, X) are the Y-edges of (X, Y).  So the cycle list
-    of (Y, X) for a pairing is that of (X, Y) with each cycle exchanged, and
-    the two pairs have equal pairing counts and equal multisets of lists.
-    """
-    seq = cycle.edge_seq
-    start = seq.index(min(cycle.y_edges))
-    return AlternatingCycle(seq[start:] + seq[:start], cycle.y_edges, cycle.x_edges)
 
 
 def _cuts(reached) -> list:

@@ -562,7 +562,7 @@ def ordered_congestion(space):
         for yi, Y in enumerate(all_states):
             if xi == yi:
                 continue
-            t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits, 5000)
+            t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
             counts = _path_counts(l, keys[xi], keys[yi], cycle_lists, memos)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
@@ -640,13 +640,18 @@ def recover_swap(a, b):
 
 def naive_segment(G, cycle):
     """The keys after each swap that flips ``cycle`` in G, the graph way:
+    the cycle's X-side is read from G, the cycle cells that are on there,
     ``canonical._solve_cycle`` solves the cycle on the full realization
     with a fresh bridge memo, and ``ryser.replay`` applies its swaps one
     checked ``apply_swap`` at a time."""
     from degswap.canonical import _solve_cycle
+    from degswap.pairings import AlternatingCycle
     from degswap.ryser import replay
 
-    target = G.with_edges(sorted(cycle.x_edges), sorted(cycle.y_edges))
+    on = frozenset(e for e in cycle.edge_seq if G.adj[e])
+    off = frozenset(cycle.edge_seq) - on
+    target = G.with_edges(sorted(on), sorted(off))
+    cycle = AlternatingCycle(cycle.edge_seq, on, off)
     return tuple(g.key() for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:])
 
 

@@ -10,7 +10,7 @@ from degswap.core import allowed_swaps, apply_swap, is_graphical
 from degswap.errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                             TooManyPairings)
 from degswap.mixing import enumerate_states
-from degswap.pairings import _decompositions, _exchanged, nth_pairing
+from degswap.pairings import _decompositions, nth_pairing
 
 from oracles import all_degree_pairs, graphs, naive_decompose
 
@@ -173,7 +173,7 @@ def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> i
     ``all_pairings`` and ``naive_decompose`` read only X xor Y, so the
     dict ``oracle`` keeps their results by the shape and the cells of
     X - Y and Y - X, and pairs with the same difference share them."""
-    total, lists = _decompositions(X.key(), Y.key(), X.l, memo, 5000)
+    total, lists = _decompositions(X.key(), Y.key(), X.l, memo)
     oracle = {} if oracle is None else oracle
     x, y = int.from_bytes(X.key(), "little"), int.from_bytes(Y.key(), "little")
     key = (X.k, X.l, x & ~y, y & ~x)
@@ -250,31 +250,39 @@ def test_kernel_guard_fires_before_any_pairing_is_decomposed(monkeypatch):
         raise AssertionError("a pairing was decomposed past the guard")
 
     monkeypatch.setattr(pairings, "_trace", no_trace)
+    monkeypatch.setattr(pairings, "_MAX_PAIRINGS", 1)
     with pytest.raises(TooManyPairings, match="^2 pairings exceed the guard 1$"):
-        _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {}, 1)
+        _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {})
     monkeypatch.undo()
-    total, lists = _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {}, 2)
+    monkeypatch.setattr(pairings, "_MAX_PAIRINGS", 2)
+    total, lists = _decompositions(FIG8_X.key(), FIG8_Y.key(), 4, {})
     assert total == len(list(lists)) == 2
 
 
 def test_kernel_rejects_unequal_margins():
     with pytest.raises(DegreeMismatch):
-        _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {}, 5000)
+        _decompositions(M1.key(), BipartiteGraph([[1, 1], [0, 1]]).key(), 2, {})
 
 
-# -- the class exchange: (Y, X) from the decomposition of (X, Y) --------------
+# -- the reverse pair: (Y, X) cuts the cycles of (X, Y) ----------------------
 
 
 def exchange_matches_reverse(x_key, y_key, l, x_memo, y_memo) -> int:
     """Assert that the kernel gives (Y, X) the pairing count of (X, Y) and
-    its cycle lists with each cycle's classes exchanged, as equal multisets
-    of lists; return the number of pairings."""
-    total, lists = _decompositions(x_key, y_key, l, x_memo, 5000)
-    back_total, back = _decompositions(y_key, x_key, l, y_memo, 5000)
+    the same multiset of per-pairing lists of cycle cell sets: the two
+    directions differ only in each cycle's X/Y labels, which the canonical
+    walk does not read, so one cycle list serves both.  Return the number
+    of pairings."""
+    total, lists = _decompositions(x_key, y_key, l, x_memo)
+    back_total, back = _decompositions(y_key, x_key, l, y_memo)
     assert back_total == total
-    exchanged = Counter(tuple(map(_exchanged, cycles)) for cycles in lists)
-    assert exchanged == Counter(map(tuple, back))
-    assert sum(exchanged.values()) == total
+
+    def cell_sets(cycle_lists):
+        return Counter(tuple(frozenset(c.edge_seq) for c in cycles) for cycles in cycle_lists)
+
+    forward = cell_sets(lists)
+    assert forward == cell_sets(back)
+    assert sum(forward.values()) == total
     return total
 
 
@@ -318,7 +326,7 @@ def test_exchange_matches_reverse_on_seeded_pairs():
 def kernel_output(x_key, y_key, l) -> tuple:
     """The kernel's pairing count and every cycle list of (X, Y), each cycle
     as its ``(edge_seq, x_edges, y_edges)``, with a fresh memo."""
-    total, lists = _decompositions(x_key, y_key, l, {}, 5000)
+    total, lists = _decompositions(x_key, y_key, l, {})
     return total, [[(c.edge_seq, c.x_edges, c.y_edges) for c in cycles] for cycles in lists]
 
 
