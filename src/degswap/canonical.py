@@ -29,8 +29,8 @@ one byte per cell).  ``_walk`` flips a decomposition's cycles in order,
 each segment by ``_key_segment`` on the cycle's local m x m pattern, with
 segment, pattern and bridge memos the caller scopes; ``canonical_path``,
 ``path_distribution`` and ``mixing.congestion`` all walk through it.  The
-cycle solver works on keys too, and reads the grid's geometry from one
-table per cycle length, ``_grid``.
+cycle solver works on pattern bytes too, and reads the grid's geometry
+from one table per cycle length, ``_grid``.
 """
 
 from __future__ import annotations
@@ -208,9 +208,15 @@ class CycleFrame:
     @classmethod
     def from_cycle(cls, cycle: AlternatingCycle, G: BipartiteGraph) -> "CycleFrame":
         """Orient the cycle so its edges inside G become the main diagonal."""
-        key, l = G.key(), G.l
-        g_edges = {(u, v) for u, v in cycle.x_edges | cycle.y_edges if key[u * l + v]}
-        o_edges = (cycle.x_edges | cycle.y_edges) - g_edges
+        return cls._oriented(G.key(), G.l, cycle.x_edges | cycle.y_edges)
+
+    @classmethod
+    def _oriented(cls, key: bytes, l: int, cells: frozenset) -> "CycleFrame":
+        """``from_cycle`` for the cycle on the (u, v) ``cells`` against the
+        realization with key ``key`` (l columns): the cells on there become
+        the main diagonal, from the smallest (``CycleMismatch`` otherwise)."""
+        g_edges = {(u, v) for u, v in cells if key[u * l + v]}
+        o_edges = cells - g_edges
         if len(g_edges) != len(o_edges):
             raise CycleMismatch("cycle does not alternate against the start graph")
         next_v = {}
@@ -1018,7 +1024,7 @@ def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
     the two differ exactly in it, bridging through the call-scoped memo
     ``bridges`` (see ``_bridge``); raises ``SpecViolation`` if the
     construction misses Gp.  The solve runs on G's key, which also types
-    the chords."""
+    the chords.  The full-graph reference behind ``cycle_swaps``."""
     frame = CycleFrame.from_cycle(cycle, G)
     swaps, end = _solve_frame(G.key(), G.l, frame, G.key(), bridges)
     if end != Gp.key():
@@ -1065,28 +1071,23 @@ def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
     with two in each of its rows and columns, forming one cycle, fixes the
     cycle.  So its swaps are a function of the local pattern: the m x m
     submatrix on ``rows x cols`` (its bytes, read from ``key``) and the
-    cycle's cells relabelled into it, which key ``memo``.  A miss runs
-    ``_solve_cycle`` on the m x m graph, flipping every cycle cell, with
-    the call-scoped bridge memo ``bridges``; ``_key_segment`` checks where
-    the lifted swaps land.
+    cycle's cells relabelled into it, which key ``memo``.  A miss orients
+    the frame on those bytes (``CycleFrame._oriented``) and runs
+    ``_solve_frame`` on them, with the call-scoped bridge memo ``bridges``;
+    ``_key_segment`` makes the one end check.
     """
     seq = cycle.edge_seq
     rows = sorted({u for u, _ in seq})
     cols = sorted({v for _, v in seq})
     at_row = {u: a for a, u in enumerate(rows)}
     at_col = {v: b for b, v in enumerate(cols)}
-    local_seq = tuple((at_row[u], at_col[v]) for u, v in seq)
-    cells = frozenset(local_seq)
-    pattern = (_local_bytes(key, l, rows, cols), cells)
-    swaps = memo.get(pattern)
+    cells = frozenset((at_row[u], at_col[v]) for u, v in seq)
+    local = _local_bytes(key, l, rows, cols)
+    swaps = memo.get((local, cells))
     if swaps is None:
-        sub = np.frombuffer(pattern[0], np.uint8).reshape(len(rows), len(cols))
-        local = BipartiteGraph._trusted(sub)
-        on = frozenset(e for e in cells if sub[e])
-        target = local.with_edges(sorted(on), sorted(cells - on))
-        swaps = memo[pattern] = _solve_cycle(local, target,
-                                             AlternatingCycle(local_seq, on, cells - on),
-                                             bridges)
+        m = len(cols)
+        frame = CycleFrame._oriented(local, m, cells)
+        swaps = memo[local, cells] = tuple(_solve_frame(local, m, frame, local, bridges)[0])
     return rows, cols, swaps
 
 
@@ -1100,8 +1101,9 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
     ``bridges``.  Each lifted swap flips its four bytes in a copy of the
     key, after a check that they hold the one-factor the swap removes (the
     check of ``apply_swap``).  Raises ``SpecViolation`` unless the segment
-    lands on the key with exactly the cycle's cells flipped.  The cycle's
-    X/Y labels are not read: the cells on in the key are its start side.
+    lands on the key with exactly the cycle's cells flipped, the one end
+    check of a pattern's swaps, solved or memoized.  The cycle's X/Y labels
+    are not read: the cells on in the key are its start side.
     """
     rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
     cur = bytearray(key)
@@ -1173,17 +1175,21 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     of its three-term matrix against (X, Y), capped at 6 switches
     (``switch_distance``'s default), from ``_certificates``, which decides
     the whole stack of matrices in one ``_switch_distances`` call.  The
-    cycles are walked on keys by ``_walk``, with segment, pattern and bridge
-    memos made fresh for the call (a hit is exact, see ``_bridge``); the
-    visited keys are stacked once into a read-only (n, k, l) array, and each
-    state is a view of its layer.
+    path is ``_path_stack``'s, and each state is a view of its layer.
     """
-    keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
-    stack = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
+    stack = _path_stack(X, Y, pairing)
     states = [BipartiteGraph._trusted(layer) for layer in stack]
     if certify:
         return states, _certificates(X.adj, Y.adj, stack)
     return states
+
+
+def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, pairing) -> np.ndarray:
+    """``canonical_path``'s states as one read-only (n, k, l) ``uint8``
+    stack: the keys ``_walk`` visits, with memos fresh for the call (a hit
+    is exact, see ``_bridge``), stacked once."""
+    keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
+    return np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
 
 
 def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .canonical import canonical_path
+from .canonical import _certificates, _path_stack
 from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical, SpecViolation
@@ -122,13 +122,11 @@ def cmd_canonical_path(args) -> int:
         pairing = nth_pairing(x, y, args.pairing_index)
     else:
         pairing = random_pairing(x, y, args.seed)
+    stack = _path_stack(x, y, pairing)
     if args.certify:
-        states, certs = canonical_path(x, y, pairing, certify=True)
-    else:
-        states = canonical_path(x, y, pairing)
-    stack = _layers(states)
-    # every swap is read, and a bad step refused, before anything is printed
-    swaps = [""] + _step_swaps(stack) if args.certify else None
+        # all certified and every swap read (a bad step refused) before printing
+        certs = _certificates(x.adj, y.adj, stack)
+        swaps = [""] + _step_swaps(stack)
     sys.stdout.write(_stack_text(stack))
     if args.certify:
         print("---")
@@ -136,20 +134,6 @@ def cmd_canonical_path(args) -> int:
         for i, (sw, sd) in enumerate(zip(swaps, certs)):
             print(f"{i},{sw},{sd}")
     return 0
-
-
-def _layers(states) -> np.ndarray:
-    """The states' matrices as one (n, k, l) stack.  ``canonical_path``
-    returns its states as the consecutive layers of one buffer that holds
-    exactly them; states that all view one such buffer are taken as its
-    layers, and the buffer is the stack, without a copy.  Any other states
-    are copied into one."""
-    first = states[0].adj
-    buf = first.base
-    if (isinstance(buf, np.ndarray) and buf.size == len(states) * first.size
-            and all(g.adj.base is buf for g in states)):
-        return buf.reshape(len(states), *first.shape)
-    return np.stack([g.adj for g in states])
 
 
 def _step_swaps(stack: np.ndarray) -> list:

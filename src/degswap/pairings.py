@@ -11,24 +11,24 @@ first repeated vertex.
 The number of pairings is the product of d! over all vertices, where 2d is
 the vertex's degree in the symmetric difference.
 
-``Pairing``, ``all_pairings`` and ``random_pairing`` build pairings as
-objects, and ``nth_pairing`` builds the one ``all_pairings`` yields at an
-index by unranking it.  There is one decomposition implementation, the
-integer kernel: it reads the realizations' keys (``BipartiteGraph.key``, one
-byte per cell) as little-endian integers, numbers the difference edges in
-edge order, traces each pairing's circuits on partner arrays of edge ids
-(``_trace``), and takes each circuit's cycles from a memo the caller scopes,
-cutting them (``_split``) on a miss.  ``decompose`` is its single-pairing
-entry point: it fills the partner arrays from a ``Pairing`` after checking
-the pairing's maps.  ``_decompositions``, which ``congestion`` and
-``path_distribution`` run behind its pairing guard, enumerates every
-pairing of a pair as an odometer over per-vertex permutations of edge ids,
-without building a ``Pairing``, and yields the same cycles as
-``decompose``, pairing by pairing, in ``all_pairings`` order.  A pairing
-of (X, Y) is also one of (Y, X), with the same circuits and the same cuts;
-only each cycle's X/Y labels differ.  The canonical walk reads a cycle as
-its set of cells against the current state, so ``congestion`` walks both
-directions of a pair on the cycle lists of (X, Y).
+There is one incidence, ``_incidence``: it reads the realizations' keys
+(``BipartiteGraph.key``, one byte per cell) as little-endian integers,
+numbers the difference edges in edge order and gives each vertex its edge
+ids.  A pairing is two partner arrays of edge ids: ``random_pairing`` draws
+them, ``nth_pairing`` unranks them, and ``all_pairings`` runs the odometer
+``_partners``, each converting them into a ``Pairing`` (``_pairing``).
+There is one decomposition implementation, the integer kernel: it traces
+each pairing's circuits on its partner arrays (``_trace``), and takes each
+circuit's cycles from a memo the caller scopes, cutting them (``_split``)
+on a miss.  ``decompose`` is its single-pairing entry point: it fills the
+partner arrays from a ``Pairing`` after checking the pairing's maps.
+``_decompositions``, which ``congestion`` and ``path_distribution`` run
+behind its pairing guard, traces every state of the same odometer without
+building a ``Pairing``, in ``all_pairings`` order.  A pairing of (X, Y) is
+also one of (Y, X), with the same circuits and the same cuts; only each
+cycle's X/Y labels differ.  The canonical walk reads a cycle as its set of
+cells against the current state, so ``congestion`` walks both directions of
+a pair on the cycle lists of (X, Y).
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismat
 
 # the most pairings congestion and path_distribution decompose for one pair
 _MAX_PAIRINGS = 5000
-
-
-def _incidences(part):
-    """Per-vertex sorted lists of incident X-edges and Y-edges."""
-    by_vertex = {}
-    for e in sorted(part.x_edges):
-        u, v = e
-        by_vertex.setdefault(("u", u), ([], []))[0].append(e)
-        by_vertex.setdefault(("v", v), ([], []))[0].append(e)
-    for e in sorted(part.y_edges):
-        u, v = e
-        by_vertex.setdefault(("u", u), ([], []))[1].append(e)
-        by_vertex.setdefault(("v", v), ([], []))[1].append(e)
-    return by_vertex
 
 
 @dataclass(frozen=True)
@@ -80,51 +66,53 @@ class Pairing:
         return self.maps[w][e]
 
 
-def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
-    """The exact number of pairings: the product of (d_w)! over all vertices,
-    where the symmetric difference has degree 2*d_w at w."""
-    total = 1
-    for xs, ys in _incidences(symmetric_difference(X, Y)).values():
-        assert len(xs) == len(ys)
-        total *= math.factorial(len(xs))
-    return total
+def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
+    """``(part, edges, incid, total)``: the checked ``symmetric_difference``
+    of X and Y, the numbered edges of X xor Y and their ``_incidence``."""
+    part = symmetric_difference(X, Y)       # the shape and margin checks
+    numbering = _number(X.key(), Y.key(), X.l)
+    return part, numbering[0], *_incidence(numbering)
 
 
-def _build(part, incid, perm_choice) -> Pairing:
+def _pairing(part, edges, incid, pu, pv) -> Pairing:
+    """The ``Pairing`` of the partner arrays ``pu`` and ``pv`` over the
+    numbered ``edges`` of ``part``, at each vertex of ``incid``."""
     maps = {}
-    for w, (xs, ys) in incid.items():
-        image = perm_choice(w, xs, ys)
-        table = {}
-        for e, f in zip(xs, image):
-            table[e] = f
-            table[f] = e
-        maps[w] = table
+    for (side, w), (xs, ys) in incid.items():
+        partner = pv if side else pu
+        maps["v" if side else "u", w] = {edges[i]: edges[partner[i]] for i in xs + ys}
     return Pairing(maps, part.x_edges, part.y_edges)
 
 
+def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
+    """The exact number of pairings: the product of (d_w)! over all vertices,
+    where the symmetric difference has degree 2*d_w at w."""
+    return _incidence_of(X, Y)[3]
+
+
 def random_pairing(X: BipartiteGraph, Y: BipartiteGraph, seed: int) -> Pairing:
-    """A uniform pairing: an independent uniform bijection at every vertex."""
+    """A uniform pairing: an independent uniform bijection at every vertex,
+    a permutation of its Y-edges drawn per vertex in ``_incidence`` order."""
     rng = np.random.default_rng(seed)
-    part = symmetric_difference(X, Y)
-
-    def choose(w, xs, ys):
-        return [ys[i] for i in rng.permutation(len(ys))]
-
-    return _build(part, _incidences(part), choose)
+    part, edges, incid, _ = _incidence_of(X, Y)
+    pu, pv = [0] * len(edges), [0] * len(edges)
+    for (side, _), (xs, ys) in incid.items():
+        partner = pv if side else pu
+        for x, i in zip(xs, rng.permutation(len(ys)).tolist()):
+            partner[x], partner[ys[i]] = ys[i], x
+    return _pairing(part, edges, incid, pu, pv)
 
 
 def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     """Iterate all pairings in lexicographic order of per-vertex permutations.
 
     Vertices are visited U-side first, then V-side, by index; at each vertex
-    the images run through permutations of the sorted Y-edge list.
+    the images run through permutations of the sorted Y-edge list: the
+    kernel's own odometer, ``_partners``, unguarded.
     """
-    part = symmetric_difference(X, Y)
-    incid = _incidences(part)
-    keys = sorted(incid)
-    for images in product(*(permutations(incid[w][1]) for w in keys)):
-        assignment = dict(zip(keys, images))
-        yield _build(part, incid, lambda w, xs, ys: assignment[w])
+    part, edges, incid, _ = _incidence_of(X, Y)
+    for pu, pv in _partners(incid, len(edges)):
+        yield _pairing(part, edges, incid, pu, pv)
 
 
 def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
@@ -137,21 +125,19 @@ def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
     each digit is decoded as a Lehmer code into the permutation at that
     rank.  An index outside [0, count) raises ``DegSwapError``.
     """
-    part = symmetric_difference(X, Y)
-    incid = _incidences(part)
-    assignment = {}
+    part, edges, incid, _ = _incidence_of(X, Y)
+    pu, pv = [0] * len(edges), [0] * len(edges)
     rest = index
-    for w in sorted(incid, reverse=True):
-        ys = list(incid[w][1])
+    for (side, _), (xs, ys) in sorted(incid.items(), reverse=True):
+        ys, partner = list(ys), pv if side else pu
         rest, digit = divmod(rest, math.factorial(len(ys)))
-        image = []
-        while ys:
+        for x in xs:
             q, digit = divmod(digit, math.factorial(len(ys) - 1))
-            image.append(ys.pop(q))
-        assignment[w] = image
+            partner[x] = y = ys.pop(q)
+            partner[y] = x
     if index < 0 or rest:
         raise DegSwapError(f"pairing index {index} out of range")
-    return _build(part, incid, lambda w, xs, ys: assignment[w])
+    return _pairing(part, edges, incid, pu, pv)
 
 
 @dataclass(frozen=True)
@@ -267,16 +253,26 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
     (read at call time) raise ``TooManyPairings`` before any pairing is
     decomposed.
 
-    Pairings run as an odometer over the per-vertex permutations of Y-edge
-    ids; each fills a U-side and a V-side partner array, rewriting only the
-    vertices whose permutation changed, and ``_trace`` decomposes it with
+    ``_trace`` decomposes each pairing of the odometer ``_partners`` with
     the caller's ``memo``, which the caller owns and scopes.
     """
     numbering = _number(x_key, y_key, l)
+    incid, total = _incidence(numbering)
+    if total > _MAX_PAIRINGS:
+        raise TooManyPairings(f"{total} pairings exceed the guard {_MAX_PAIRINGS}")
+    return total, (_trace(pu, pv, numbering, memo)[1]
+                   for pu, pv in _partners(incid, len(numbering[0])))
+
+
+def _incidence(numbering) -> tuple:
+    """``(incid, total)`` for the numbered edges of X xor Y: each vertex,
+    (0, u) or (1, v), mapped to its increasing X-edge and Y-edge ids, in
+    order of first appearance among the X-edges; and the pairing count.
+    Unequal counts at a vertex raise ``DegreeMismatch``."""
     edges, _, in_x = numbering[:3]
-    # per vertex (side 0 for U, 1 for V): its X-edge ids and Y-edge ids
     incid = {}
-    for i, (u, v) in enumerate(edges):
+    for i in sorted(range(len(edges)), key=lambda i: not in_x[i]):     # X-edges first
+        u, v = edges[i]
         incid.setdefault((0, u), ([], []))[not in_x[i]].append(i)
         incid.setdefault((1, v), ([], []))[not in_x[i]].append(i)
     total = 1
@@ -284,21 +280,19 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
         if len(xs) != len(ys):
             raise DegreeMismatch("X and Y do not share their degree vectors")
         total *= math.factorial(len(xs))
-    if total > _MAX_PAIRINGS:
-        raise TooManyPairings(f"{total} pairings exceed the guard {_MAX_PAIRINGS}")
-    vertices = [(side, *incid[side, w]) for side, w in sorted(incid)]
-    return total, _cycle_lists(numbering, vertices, memo)
+    return incid, total
 
 
-def _cycle_lists(numbering, vertices, memo: dict):
-    """The odometer behind ``_decompositions``: one ``_trace`` cycle list
-    per pairing, in ``all_pairings`` order."""
-    m = len(numbering[0])
+def _partners(incid: dict, m: int):
+    """The pairing odometer: ``(pu, pv)`` for each pairing of the m edges
+    of ``incid``, in ``all_pairings`` order, the partners of each edge id
+    at its U end and at its V end, rewritten in place between pairings."""
     pu, pv = [0] * m, [0] * m
     # vertices with one Y-edge have one permutation: fill them once, and run
     # the odometer over the rest, in the same order
     wheel = []
-    for side, xs, ys in vertices:
+    for side, w in sorted(incid):
+        xs, ys = incid[side, w]
         partner = pv if side else pu
         if len(ys) == 1:
             partner[xs[0]], partner[ys[0]] = ys[0], xs[0]
@@ -313,7 +307,7 @@ def _cycle_lists(numbering, vertices, memo: dict):
                 for x, y in zip(xs, image):
                     partner[x] = y
                     partner[y] = x
-        yield _trace(pu, pv, numbering, memo)[1]
+        yield pu, pv
 
 
 def _trace(pu, pv, numbering, memo: dict) -> tuple:

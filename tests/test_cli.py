@@ -308,47 +308,18 @@ def test_certified_swap_lines_match_the_oracle(tmp_path, capsys):
 def test_certified_step_that_is_no_swap(tmp_path, capsys, monkeypatch, before, after):
     # the swap column is read off the XOR of consecutive states, and a step
     # that is not one allowed swap is refused before anything is printed
+    import numpy as np
+
     from degswap import BipartiteGraph, cli
 
-    states = [BipartiteGraph.from_text(before), BipartiteGraph.from_text(after)]
-    monkeypatch.setattr(cli, "canonical_path", lambda *args, **kwargs: (states, [0, 0]))
+    stack = np.stack([BipartiteGraph.from_text(text).adj for text in (before, after)])
+    monkeypatch.setattr(cli, "_path_stack", lambda *args: stack)
+    monkeypatch.setattr(cli, "_certificates", lambda *args: [0, 0])
     monkeypatch.setattr(cli, "random_pairing", lambda *args: None)
     x = write(tmp_path, "x.txt", before)
     assert main(["canonical-path", x, x, "--certify"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error[SpecViolation]: ")
-
-
-@pytest.mark.parametrize("certify", [False, True])
-def test_canonical_path_stacks_the_returned_states_without_a_copy(tmp_path, capsys,
-                                                                  monkeypatch, certify):
-    # canonical_path returns its states as the layers of one buffer, and the
-    # stack that the states' text and swaps are read off is a view of it
-    import numpy as np
-
-    from degswap import cli
-
-    returned, stacks = [], []
-    real_path, real_text = cli.canonical_path, cli._stack_text
-
-    def path(*args, **kwargs):
-        returned.append(real_path(*args, **kwargs))
-        return returned[-1]
-
-    def text(stack):
-        stacks.append(stack)
-        return real_text(stack)
-
-    monkeypatch.setattr(cli, "canonical_path", path)
-    monkeypatch.setattr(cli, "_stack_text", text)
-    x, y = write(tmp_path, "x.txt", circulant({0, 1, 2, 3})), write(
-        tmp_path, "y.txt", circulant({0, 1, 2, 5}))
-    assert main(["canonical-path", x, y, *(["--certify"] * certify)]) == 0
-    states = returned[0][0] if certify else returned[0]
-    (stack,) = stacks
-    assert len(states) > 2 and stack.shape == (len(states), 16, 16)
-    assert all(np.shares_memory(stack, g.adj) for g in states)
-    assert capsys.readouterr().out.startswith("\n".join(g.to_text() for g in states))
 
 
 @pytest.mark.parametrize("text", ["0 3\n", "2 0\n\n\n"])

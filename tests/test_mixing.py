@@ -734,15 +734,15 @@ def certified_runs():
     """Per space, certified congestion run once with every wrapper
     recording, then (48-state spaces only) once more, then once with every
     bridge a miss.  Holds the space; the reports and ``ryser_sequence``
-    counts of those calls, in order; and of the first call the
-    ``_solve_cycle`` calls, every segment it computed as (start key, cycle,
+    counts of those calls, in order; and of the first call the pattern
+    memo's misses, every segment it computed as (start key, cycle,
     keys), the ``tobytes`` of each layer of the hat stacks passed to
     ``canonical._switch_distances``, the keys each ordered pair's paths
     visit, the (X key, Y key) of each ``_decompositions`` call, the
     ``_split`` calls (the circuit memo's misses) and the pairs ``_routes``
     yields, in order."""
     out = {}
-    real_solve, real_segment = canonical._solve_cycle, canonical._key_segment
+    real_segment = canonical._key_segment
     real_walk, real_distances = canonical._walk, canonical._switch_distances
     real_decompositions, real_split = mixing._decompositions, pairings._split
     real_routes = mixing._routes
@@ -750,12 +750,11 @@ def certified_runs():
         solves, segments, certified, visited = [0], [], [], {}
         decomposed, splits, routed = [], [0], []
 
-        def counting(*args):
-            solves[0] += 1
-            return real_solve(*args)
-
         def recording(patterns, bridges, l, key, cycle):
+            # a miss of the pattern memo adds its one entry
+            before = len(patterns)
             seg = real_segment(patterns, bridges, l, key, cycle)
+            solves[0] += len(patterns) - before
             segments.append((key, cycle, seg))
             return seg
 
@@ -791,7 +790,6 @@ def certified_runs():
         with pytest.MonkeyPatch.context() as mp:
             calls = count_ryser(mp)
             with pytest.MonkeyPatch.context() as recorders:
-                recorders.setattr(canonical, "_solve_cycle", counting)
                 recorders.setattr(canonical, "_key_segment", recording)
                 recorders.setattr(canonical, "_walk", walking)
                 recorders.setattr(canonical, "_switch_distances", certifying)
@@ -1001,11 +999,14 @@ class TestSegmentMemo:
     """Certified congestion solves each cycle once per local pattern, and
     its byte-flip walk gives the segments of the graph walk."""
 
-    @pytest.mark.parametrize("name, solves, segments", [
-        ("48U", 218, 1104), ("48V", 218, 1104), ("90", 362, 2592)])
-    def test_one_solve_per_local_pattern(self, certified_runs, name, solves, segments):
+    # per space: the patterns solved (the pattern memo's misses) and the
+    # segments computed (the segment memo's misses)
+    SOLVED = {"48U": (218, 1104), "48V": (218, 1104), "90": (362, 2592)}
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_one_solve_per_local_pattern(self, certified_runs, name):
         run = certified_runs[name]
-        assert (run["solves"], len(run["segments"])) == (solves, segments)
+        assert (run["solves"], len(run["segments"])) == self.SOLVED[name]
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_segments_match_graph_walk(self, certified_runs, name):

@@ -1,10 +1,11 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, Pairing, pairings,
-                     advance, all_pairings, canonical_path, decompose,
+                     advance, all_pairings, canonical_path, chain, decompose,
                      enumerate_pairings_count, random_pairing, symmetric_difference)
 from degswap.core import allowed_swaps, apply_swap, is_graphical
 from degswap.errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
@@ -12,7 +13,7 @@ from degswap.errors import (DegreeMismatch, DegSwapError, NonAlternating, Pairin
 from degswap.mixing import enumerate_states
 from degswap.pairings import _decompositions, nth_pairing
 
-from oracles import all_degree_pairs, graphs, naive_decompose
+from oracles import all_degree_pairs, graphs, naive_decompose, pinned_pair
 
 # symmetric difference: two 4-cycles sharing U-vertex 0
 FIG8_X = BipartiteGraph([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -49,6 +50,34 @@ def test_random_pairing_deterministic():
     s1 = random_pairing(FIG8_X, FIG8_Y, seed=3)
     s2 = random_pairing(FIG8_X, FIG8_Y, seed=3)
     assert s1.maps == s2.maps
+
+
+# per pair: the pairing seed, and the sha256 of the drawn pairing's triples
+RANDOM_PAIRING_GOLDEN = {
+    "20259/20272": (14, "75d4b86c1af7857d8fa04ba9fcb99ce82ec21d6e0af5116e26084f13023f743f"),
+    "306": (5, "d5eb9772e0c4da7575666f91d5c816c3b7840c941a6e69802b40693c8010321e"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(RANDOM_PAIRING_GOLDEN))
+def test_random_pairing_draws_pinned(pair):
+    # the 16 x 16 pairs whose certified paths CI pins: X and Y drawn by
+    # chain.sample (seeds 20259 and 20272), and the pinned pair through
+    # canonical._second_possibility.  Different pairings can select one
+    # path, so a path digest can miss a changed draw order; the pairing
+    # itself is pinned here, as the sha256 of its sorted (vertex, edge,
+    # partner) triples, recorded before the pairing builders read the
+    # decomposition kernel's incidence
+    seed, digest = RANDOM_PAIRING_GOLDEN[pair]
+    if pair == "306":
+        X, Y = pinned_pair("blocked, second possibility")
+    else:
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
+    s = random_pairing(X, Y, seed)
+    triples = sorted((w, e, f) for w, table in s.maps.items() for e, f in table.items())
+    assert len(triples) == 2 * len(s.domain())
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
 
 def test_single_cycle_circuit():
