@@ -25,7 +25,9 @@ sub-sequences interleaved so that at most two temporarily wrong cells are
 live at any moment.
 
 A realization on a path is named by its key alone (``BipartiteGraph.key``,
-one byte per cell).  ``_walk`` flips a decomposition's cycles in order,
+one byte per cell), and a cycle on it by its cell mask, the int
+``sum(1 << (u * l + v))`` over its edges, as the decomposition kernel of
+``pairings`` gives it.  ``_walk`` flips a decomposition's cycles in order,
 each segment by ``_key_segment`` on the cycle's local m x m pattern, with
 segment, pattern and bridge memos the caller scopes; ``canonical_path``,
 ``path_distribution`` and ``mixing.congestion`` all walk through it.  The
@@ -36,7 +38,7 @@ from one table per cycle length, ``_grid``.
 from __future__ import annotations
 
 import functools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -47,7 +49,7 @@ from .core import BipartiteGraph, Swap, _gale_ryser, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
-from .pairings import AlternatingCycle, _decompositions, decompose
+from .pairings import AlternatingCycle, _bits, _decompositions, _pairing_partners, _trace
 from .ryser import replay, ryser_sequence
 
 # ---------------------------------------------------------------------------
@@ -1057,12 +1059,19 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
 
 
-def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
-                   bridges: dict) -> tuple:
-    """The swaps that flip ``cycle`` in the graph with l columns whose key
-    is ``key``, as ``(rows, cols, swaps)``: the cycle's U- and V-vertices in
-    increasing order, and swaps in local indices, where index t stands for
-    ``rows[t]`` or ``cols[t]``.
+def _decode(mask: int, l: int) -> tuple:
+    """``(cells, rows, cols)`` for the cycle whose cell mask is ``mask`` in
+    a graph with l columns: its cells (key indices) in increasing order,
+    and its U- and V-vertices in increasing order."""
+    cells = _bits(mask)
+    return cells, sorted({c // l for c in cells}), sorted({c % l for c in cells})
+
+
+def _pattern_swaps(key: bytes, l: int, cycle: tuple, memo: dict, bridges: dict) -> tuple:
+    """The swaps that flip the cycle ``(cells, rows, cols)`` (``_decode``)
+    in the graph with l columns whose key is ``key``, as ``(rows, cols,
+    swaps)``: swaps in local indices, where index t stands for ``rows[t]``
+    or ``cols[t]``.
 
     The construction reads only the cells of the cycle's rows x columns,
     and its tie-breaks depend only on the order of vertex indices.  It
@@ -1071,40 +1080,44 @@ def _pattern_swaps(key: bytes, l: int, cycle: AlternatingCycle, memo: dict,
     with two in each of its rows and columns, forming one cycle, fixes the
     cycle.  So its swaps are a function of the local pattern: the m x m
     submatrix on ``rows x cols`` (its bytes, read from ``key``) and the
-    cycle's cells relabelled into it, which key ``memo``.  A miss orients
-    the frame on those bytes (``CycleFrame._oriented``) and runs
-    ``_solve_frame`` on them, with the call-scoped bridge memo ``bridges``;
-    ``_key_segment`` makes the one end check.
+    cycle's local cell mask, bit ``a * m + b`` for its cell in local row a
+    and column b, which key ``memo``.  Only a miss builds the cycle's set of
+    local cells, orients the frame on those bytes (``CycleFrame._oriented``)
+    and runs ``_solve_frame`` on them, with the call-scoped bridge memo
+    ``bridges``; ``_key_segment`` makes the one end check.
     """
-    seq = cycle.edge_seq
-    rows = sorted({u for u, _ in seq})
-    cols = sorted({v for _, v in seq})
-    at_row = {u: a for a, u in enumerate(rows)}
+    cells, rows, cols = cycle
+    m = len(cols)
+    at_row = {u: a * m for a, u in enumerate(rows)}
     at_col = {v: b for b, v in enumerate(cols)}
-    cells = frozenset((at_row[u], at_col[v]) for u, v in seq)
+    local_mask = 0
+    for c in cells:
+        local_mask |= 1 << (at_row[c // l] + at_col[c % l])
     local = _local_bytes(key, l, rows, cols)
-    swaps = memo.get((local, cells))
+    swaps = memo.get((local, local_mask))
     if swaps is None:
-        m = len(cols)
-        frame = CycleFrame._oriented(local, m, cells)
-        swaps = memo[local, cells] = tuple(_solve_frame(local, m, frame, local, bridges)[0])
+        frame = CycleFrame._oriented(local, m, frozenset(divmod(b, m) for b in _bits(local_mask)))
+        swaps = memo[local, local_mask] = tuple(_solve_frame(local, m, frame, local, bridges)[0])
     return rows, cols, swaps
 
 
-def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
-                 cycle: AlternatingCycle) -> tuple:
-    """The keys after each swap of the canonical segment that flips
-    ``cycle`` in the graph with l columns whose key is ``key``.
+def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -> tuple:
+    """The keys after each swap of the canonical segment that flips the
+    cycle with cell mask ``mask`` in the graph with l columns whose key is
+    ``key``.
 
-    The swaps come from ``_pattern_swaps``, solved once per local pattern in
+    The mask is decoded once (``_decode``) into the cycle's cells, rows and
+    columns, which serve the pattern, the lift and the end check.  The
+    swaps come from ``_pattern_swaps``, solved once per local pattern in
     ``patterns``, with each bridge solved once per local problem in
     ``bridges``.  Each lifted swap flips its four bytes in a copy of the
     key, after a check that they hold the one-factor the swap removes (the
     check of ``apply_swap``).  Raises ``SpecViolation`` unless the segment
     lands on the key with exactly the cycle's cells flipped, the one end
-    check of a pattern's swaps, solved or memoized.  The cycle's X/Y labels
-    are not read: the cells on in the key are its start side.
+    check of a pattern's swaps, solved or memoized.  A mask has no X/Y
+    labels: the cells on in the key are the cycle's start side.
     """
+    cycle = _decode(mask, l)
     rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
     cur = bytearray(key)
     seg = []
@@ -1114,8 +1127,8 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
             raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
         seg.append(bytes(cur))
     end = bytearray(key)
-    for u, v in cycle.edge_seq:
-        end[u * l + v] ^= 1
+    for c in cycle[0]:
+        end[c] ^= 1
     if cur != end:
         raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
@@ -1123,15 +1136,15 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes,
 
 def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     """The keys of the path from ``start`` to ``end``, realizations with l
-    columns, that flips the given cycles in order: the start, then the key
-    after each swap.
+    columns, that flips the given cycles, cell masks, in order: the start,
+    then the key after each swap.
 
     ``memos`` holds the caller's segment cache, pattern memo and bridge
     memo.  Each segment comes from ``_key_segment`` with the last two, once
-    per state key and set of cycle cells, everything it depends on: the
-    cycle's order and X/Y labels are not read, so the walks of X -> Y and
-    Y -> X share one cycle list and hit one memo.  Raises ``SpecViolation``
-    unless the path lands on ``end``.
+    per ``(state key, cell mask)``, everything it depends on: a mask has no
+    order or X/Y labels, so the walks of X -> Y and Y -> X share one cycle
+    list and hit one memo.  Raises ``SpecViolation`` unless the path lands
+    on ``end``.
 
     A decomposition's cycles, walked in order, meet every precondition
     ``cycle_swaps`` checks: each state on the way agrees with the start on
@@ -1142,11 +1155,11 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     segments, patterns, bridges = memos
     path = [start]
     cur = start
-    for cyc in cycles:
-        key = (cur, frozenset(cyc.edge_seq))
+    for mask in cycles:
+        key = (cur, mask)
         seg = segments.get(key)
         if seg is None:
-            seg = segments[key] = _key_segment(patterns, bridges, l, cur, cyc)
+            seg = segments[key] = _key_segment(patterns, bridges, l, cur, mask)
         path += seg
         cur = seg[-1]
     if cur != end:
@@ -1154,15 +1167,16 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     return path
 
 
-def _path_counts(l: int, start: bytes, end: bytes, cycle_lists, memos: tuple) -> dict:
+def _path_counts(l: int, start: bytes, end: bytes, cycle_lists: dict, memos: tuple) -> dict:
     """For each distinct canonical path from ``start`` to ``end`` (l
-    columns), a tuple of keys, the number of the given cycle lists that
-    select it.  Each list is walked by ``_walk`` with the caller's
-    ``memos``."""
+    columns), a tuple of keys, the number of pairings that select it.
+    ``cycle_lists`` maps each distinct cycle list, a tuple of cell masks,
+    to the number of pairings that give it; each is walked once by
+    ``_walk`` with the caller's ``memos``, and adds that number."""
     counts = {}
-    for cycles in cycle_lists:
+    for cycles, c in cycle_lists.items():
         path = tuple(_walk(l, start, end, cycles, memos))
-        counts[path] = counts.get(path, 0) + 1
+        counts[path] = counts.get(path, 0) + c
     return counts
 
 
@@ -1175,20 +1189,24 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     of its three-term matrix against (X, Y), capped at 6 switches
     (``switch_distance``'s default), from ``_certificates``, which decides
     the whole stack of matrices in one ``_switch_distances`` call.  The
-    path is ``_path_stack``'s, and each state is a view of its layer.
+    pairing is checked as ``decompose`` checks it, the kernel traces its
+    cycles as cell masks (``pairings._trace``), the path is
+    ``_path_stack``'s, and each state is a view of its layer.
     """
-    stack = _path_stack(X, Y, pairing)
+    numbering, pu, pv = _pairing_partners(X, Y, pairing)
+    stack = _path_stack(X, Y, _trace(pu, pv, numbering, {})[2])
     states = [BipartiteGraph._trusted(layer) for layer in stack]
     if certify:
         return states, _certificates(X.adj, Y.adj, stack)
     return states
 
 
-def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, pairing) -> np.ndarray:
-    """``canonical_path``'s states as one read-only (n, k, l) ``uint8``
-    stack: the keys ``_walk`` visits, with memos fresh for the call (a hit
-    is exact, see ``_bridge``), stacked once."""
-    keys = _walk(X.l, X.key(), Y.key(), decompose(X, Y, pairing).cycles, ({}, {}, {}))
+def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, masks) -> np.ndarray:
+    """The keys ``_walk`` visits from X to Y flipping the cycles ``masks``,
+    cell masks from the decomposition kernel, with memos fresh for the call
+    (a hit is exact, see ``_bridge``), stacked once into a read-only
+    (n, k, l) ``uint8`` array."""
+    keys = _walk(X.l, X.key(), Y.key(), masks, ({}, {}, {}))
     return np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
 
 
@@ -1208,15 +1226,15 @@ def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
 def path_distribution(X: BipartiteGraph, Y: BipartiteGraph) -> dict:
     """Exact distribution over canonical paths, each path a tuple of the
     visited realizations' keys: its weight is the number of pairings
-    selecting it over the total number of pairings.  The paths are counted
-    by ``_path_counts`` on the key walk of ``canonical_path``, over the
-    cycle lists of ``pairings._decompositions``, so more than
-    ``pairings._MAX_PAIRINGS`` pairings raise ``TooManyPairings`` as in
-    ``congestion``.  Segments, patterns and bridges are memoized for the
-    call."""
+    selecting it over the total number of pairings.  The cycle lists of
+    ``pairings._decompositions`` (more than ``pairings._MAX_PAIRINGS``
+    pairings raise ``TooManyPairings``, as in ``congestion``) are collapsed
+    into ``{tuple of masks: number of pairings}``, and ``_path_counts``
+    walks each distinct list once on the key walk of ``canonical_path``.
+    Segments, patterns and bridges are memoized for the call."""
     symmetric_difference(X, Y)      # the shape and margin checks
     total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {})
-    counts = _path_counts(X.l, X.key(), Y.key(), cycle_lists, ({}, {}, {}))
+    counts = _path_counts(X.l, X.key(), Y.key(), Counter(cycle_lists), ({}, {}, {}))
     dist = {path: Fraction(c, total) for path, c in counts.items()}
     assert sum(dist.values()) == 1
     return dist

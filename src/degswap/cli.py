@@ -24,7 +24,8 @@ from .chain import ChainState, _check_steps, advance
 from .core import BipartiteDegreeSequence, BipartiteGraph, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical, SpecViolation
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import _vertex_walk, all_pairings, decompose, nth_pairing, random_pairing
+from .pairings import (_incidence_of, _nth_partners, _random_partners, _trace, _vertex_walk,
+                       all_pairings, decompose, random_pairing)
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
@@ -117,12 +118,15 @@ def cmd_decompose(args) -> int:
 
 def cmd_canonical_path(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
+    # X xor Y is numbered once: the partner arrays of random_pairing or
+    # nth_pairing go straight to the kernel, with no Pairing between
+    _, numbering, incid, _ = _incidence_of(x, y)
     if args.pairing_index is not None:
         # unranked: a pair can have too many pairings to walk
-        pairing = nth_pairing(x, y, args.pairing_index)
+        pu, pv = _nth_partners(incid, len(numbering[0]), args.pairing_index)
     else:
-        pairing = random_pairing(x, y, args.seed)
-    stack = _path_stack(x, y, pairing)
+        pu, pv = _random_partners(incid, len(numbering[0]), args.seed)
+    stack = _path_stack(x, y, _trace(pu, pv, numbering, {})[2])
     if args.certify:
         # all certified and every swap read (a bad step refused) before printing
         certs = _certificates(x.adj, y.adj, stack)

@@ -17,10 +17,12 @@ Everything that feeds an inequality check is computed in Python integers or
 exact rationals; floating point only enters the eigensolver.  Congestion
 sums over one pair loop, ``_routes``, which decomposes each signed
 difference X - Y of its unordered pairs once through the integer kernel of
-``pairings``, counts the paths of both directions of every pair with that
-difference on that one decomposition's cycle lists, walks them on the
-states' keys (``canonical._walk``, which reads a cycle as its cells against
-the current state) and maps each distinct key path to state ids once.
+``pairings``, collapses that decomposition's cycle lists, tuples of cell
+masks, to the distinct ones with their pairing counts, counts the paths of
+both directions of every pair with that difference on them, walking each
+distinct list once on the states' keys (``canonical._walk``, which reads a
+cycle as its cell mask against the current state), and maps each distinct
+key path to state ids once.
 Congestion always certifies: each distinct matrix X + Y - Z is queued and
 the queue decided in blocks of at most ``_CHUNK`` by
 ``canonical._certificates``, as a path's certificates are.
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -800,12 +803,16 @@ def _routes(space: StateSpace):
     {-1, 0, 1}; two different digit strings differ by a nonzero string of
     digits in [-2, 2], whose leading term outweighs everything below it
     (2 * (256^c - 1) / 255 < 256^c), so the integer names the difference
-    one-to-one.  Each bucket is decomposed once, from its first pair.  A
+    one-to-one.  Each bucket is decomposed once, from its first pair, and
+    its cycle lists, each a tuple of cell masks, are collapsed into
+    ``{cycle list: number of pairings giving it}``: on 48U 1,674 distinct
+    lists of 2,076, on 48V 1,440 and on 90 states 10,068 of 18,240.  A
     pairing of (X, Y) is also a pairing of (Y, X), with the same circuits
     and the same cuts, and ``canonical._walk`` reads a cycle only as its
-    set of cells against the current state.  So ``canonical._path_counts``,
-    as in ``path_distribution``, walks every pair of the bucket from its
-    own X to its Y and from its Y to its X on the same cycle lists.
+    cell mask against the current state.  So ``canonical._path_counts``,
+    as in ``path_distribution``, walks every distinct list once for each
+    pair of the bucket from its own X to its Y and once from its Y to its
+    X, and weights its path by the list's pairing count.
 
     A bucket's cycle lists are dropped when it ends.  The circuit memo
     lives for the buckets whose first pair has one source state, the
@@ -832,7 +839,7 @@ def _routes(space: StateSpace):
             source = xi
             circuits = {}    # the decomposition kernel's memo, for this source state
         total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
-        lists = list(cycle_lists)
+        lists = Counter(cycle_lists)
         for xi, yi in pairs:
             paths = []
             for start, end in ((keys[xi], keys[yi]), (keys[yi], keys[xi])):
@@ -872,7 +879,12 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     are integer numerators over one common multiple of the pairing counts,
     which both directions share; sums of integers and the least common
     multiple do not depend on the order of the pairs, so the report is that
-    of a loop over ordered pairs, in any order.
+    of a loop over ordered pairs, in any order.  ``load`` and ``weight``
+    are keyed by the integer code ``a * n + b`` of the move-graph edge
+    between states a < b.  For a, b < n the codes order exactly as the
+    pairs (a, b) do, so the heaviest edge, ties broken by the largest code,
+    is the one a tie-break on (a, b) picks, and ``max_edge`` is
+    ``divmod(code, n)``.
 
     Every state Z on a path of the pair (X, Y) is certified: it is scored by
     the switch distance of ``X + Y - Z``, capped at 6 switches, from
@@ -899,8 +911,8 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     if n < 2:
         raise DegenerateChain("need at least two states")
     scale = 1            # a common multiple of the pairing counts seen so far
-    load = {}            # edge -> sum of c * |edges| * scale / T
-    weight = {}          # edge -> sum of c * scale / T
+    load = {}            # edge code -> sum of c * |edges| * scale / T
+    weight = {}          # edge code -> sum of c * scale / T
     n_paths = max_sd = 0
     certified = set()    # the integer keys of the matrices queued so far
     queue = []           # (xi, yi, z) of each queued matrix not yet certified
@@ -914,7 +926,7 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
         per_pairing = scale // total
         n_paths += len(paths)
         for ids, c in paths:
-            edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}
+            edges = {a * n + b if a < b else b * n + a for a, b in zip(ids, ids[1:])}
             w = c * per_pairing
             lw = w * len(edges)
             for e in edges:
@@ -933,11 +945,11 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
         max_sd = max(max_sd, _certified_max(space.adj, queue))
     # the load of edge e is load[e] / (n * scale * jump): one positive factor
     # for every edge, so the integer numerators order the edges as the loads do
-    max_edge = max(load, key=lambda e: (load[e], e))
+    top = max(load, key=lambda e: (load[e], e))
     k, l = space.ds.k, space.ds.l
     return CongestionReport(
-        kappa=Fraction(load[max_edge] * pair_count(k) * pair_count(l), n * scale),
-        max_edge=max_edge,
+        kappa=Fraction(load[top] * pair_count(k) * pair_count(l), n * scale),
+        max_edge=divmod(top, n),
         edge_loading_max=Fraction(max(weight.values()), scale),
         n_paths=n_paths,
         max_switch_distance=max_sd)

@@ -15,20 +15,26 @@ There is one incidence, ``_incidence``: it reads the realizations' keys
 (``BipartiteGraph.key``, one byte per cell) as little-endian integers,
 numbers the difference edges in edge order and gives each vertex its edge
 ids.  A pairing is two partner arrays of edge ids: ``random_pairing`` draws
-them, ``nth_pairing`` unranks them, and ``all_pairings`` runs the odometer
-``_partners``, each converting them into a ``Pairing`` (``_pairing``).
+them (``_random_partners``), ``nth_pairing`` unranks them
+(``_nth_partners``), and ``all_pairings`` runs the odometer ``_partners``,
+each converting them into a ``Pairing`` (``_pairing``).
 There is one decomposition implementation, the integer kernel: it traces
 each pairing's circuits on its partner arrays (``_trace``), and takes each
 circuit's cycles from a memo the caller scopes, cutting them (``_split``)
-on a miss.  ``decompose`` is its single-pairing entry point: it fills the
-partner arrays from a ``Pairing`` after checking the pairing's maps.
+on a miss.  A cycle is held as two things only: its walk-order cell
+sequence, each cell ``u * l + v`` of an edge (u, v), and its cell mask, the
+int ``sum(1 << (u * l + v))`` over its edges; the memo holds these.
+``decompose`` is its single-pairing entry point: it fills the partner
+arrays from a ``Pairing`` after checking the pairing's maps, and it alone
+builds ``AlternatingCycle`` objects, from the sequences.
 ``_decompositions``, which ``congestion`` and ``path_distribution`` run
 behind its pairing guard, traces every state of the same odometer without
-building a ``Pairing``, in ``all_pairings`` order.  A pairing of (X, Y) is
-also one of (Y, X), with the same circuits and the same cuts; only each
-cycle's X/Y labels differ.  The canonical walk reads a cycle as its set of
-cells against the current state, so ``congestion`` walks both directions of
-a pair on the cycle lists of (X, Y).
+building a ``Pairing``, in ``all_pairings`` order, and yields each
+pairing's cycles as a tuple of masks.  A pairing of (X, Y) is also one of
+(Y, X), with the same circuits and the same cuts; only each cycle's X/Y
+labels differ, and a mask has none.  The canonical walk reads a cycle as
+its mask against the current state, so ``congestion`` walks both
+directions of a pair on the cycle lists of (X, Y).
 """
 
 from __future__ import annotations
@@ -67,11 +73,12 @@ class Pairing:
 
 
 def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
-    """``(part, edges, incid, total)``: the checked ``symmetric_difference``
-    of X and Y, the numbered edges of X xor Y and their ``_incidence``."""
+    """``(part, numbering, incid, total)``: the checked
+    ``symmetric_difference`` of X and Y, the ``_number``ing of X xor Y and
+    its ``_incidence``."""
     part = symmetric_difference(X, Y)       # the shape and margin checks
     numbering = _number(X.key(), Y.key(), X.l)
-    return part, numbering[0], *_incidence(numbering)
+    return part, numbering, *_incidence(numbering)
 
 
 def _pairing(part, edges, incid, pu, pv) -> Pairing:
@@ -93,14 +100,21 @@ def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
 def random_pairing(X: BipartiteGraph, Y: BipartiteGraph, seed: int) -> Pairing:
     """A uniform pairing: an independent uniform bijection at every vertex,
     a permutation of its Y-edges drawn per vertex in ``_incidence`` order."""
+    part, numbering, incid, _ = _incidence_of(X, Y)
+    edges = numbering[0]
+    return _pairing(part, edges, incid, *_random_partners(incid, len(edges), seed))
+
+
+def _random_partners(incid: dict, m: int, seed: int) -> tuple:
+    """``random_pairing``'s partner arrays ``(pu, pv)`` over the m edges of
+    ``incid``, drawn from ``numpy.random.default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    part, edges, incid, _ = _incidence_of(X, Y)
-    pu, pv = [0] * len(edges), [0] * len(edges)
+    pu, pv = [0] * m, [0] * m
     for (side, _), (xs, ys) in incid.items():
         partner = pv if side else pu
         for x, i in zip(xs, rng.permutation(len(ys)).tolist()):
             partner[x], partner[ys[i]] = ys[i], x
-    return _pairing(part, edges, incid, pu, pv)
+    return pu, pv
 
 
 def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
@@ -110,7 +124,8 @@ def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     the images run through permutations of the sorted Y-edge list: the
     kernel's own odometer, ``_partners``, unguarded.
     """
-    part, edges, incid, _ = _incidence_of(X, Y)
+    part, numbering, incid, _ = _incidence_of(X, Y)
+    edges = numbering[0]
     for pu, pv in _partners(incid, len(edges)):
         yield _pairing(part, edges, incid, pu, pv)
 
@@ -125,8 +140,15 @@ def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
     each digit is decoded as a Lehmer code into the permutation at that
     rank.  An index outside [0, count) raises ``DegSwapError``.
     """
-    part, edges, incid, _ = _incidence_of(X, Y)
-    pu, pv = [0] * len(edges), [0] * len(edges)
+    part, numbering, incid, _ = _incidence_of(X, Y)
+    edges = numbering[0]
+    return _pairing(part, edges, incid, *_nth_partners(incid, len(edges), index))
+
+
+def _nth_partners(incid: dict, m: int, index: int) -> tuple:
+    """``nth_pairing``'s partner arrays ``(pu, pv)`` over the m edges of
+    ``incid``, unranked from ``index``."""
+    pu, pv = [0] * m, [0] * m
     rest = index
     for (side, _), (xs, ys) in sorted(incid.items(), reverse=True):
         ys, partner = list(ys), pv if side else pu
@@ -137,7 +159,7 @@ def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
             partner[y] = x
     if index < 0 or rest:
         raise DegSwapError(f"pairing index {index} out of range")
-    return _pairing(part, edges, incid, pu, pv)
+    return pu, pv
 
 
 @dataclass(frozen=True)
@@ -186,9 +208,28 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
     """The pairing's circuits, each a tuple of edges in traversal order, and
     their refinement into ordered cycles.
 
-    The single-pairing entry point of the decomposition kernel: the edges of
-    X xor Y are numbered as ``_decompositions`` numbers them, the pairing's
-    maps fill the partner arrays, and ``_trace`` runs with a fresh memo.
+    The single-pairing entry point of the decomposition kernel: the pairing
+    fills the partner arrays (``_pairing_partners``, which raises
+    ``PairingMismatch`` or ``NonAlternating`` for a pairing that is not one
+    of X xor Y) and ``_trace`` runs with a fresh memo.  Each
+    ``AlternatingCycle`` is built here, from the kernel's walk-order cell
+    sequence, whose even positions hold its X-edges.
+    """
+    numbering, pu, pv = _pairing_partners(X, Y, pairing)
+    circuits, seqs, _ = _trace(pu, pv, numbering, {})
+    edges = numbering[0]
+    cycles = []
+    for seq in seqs:
+        walk = tuple(divmod(c, X.l) for c in seq)
+        cycles.append(AlternatingCycle(walk, frozenset(walk[::2]), frozenset(walk[1::2])))
+    return CircuitDecomposition(tuple(tuple(map(edges.__getitem__, c)) for c in circuits),
+                                tuple(cycles))
+
+
+def _pairing_partners(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> tuple:
+    """``(numbering, pu, pv)``: the ``_number``ing of X xor Y and the
+    pairing's partner arrays over it, as ``_trace`` reads them.
+
     The pairing must split as X xor Y does (``PairingMismatch``), and every
     map must be an involution that pairs each edge, at each of its ends,
     with an edge of the other class there: ``NonAlternating`` for a partner
@@ -213,9 +254,17 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
             if in_x[j] == in_x[i]:
                 raise NonAlternating(f"pairing sends {e} to same-class {f}")
             partner[i] = j
-    circuits, cycles = _trace(pu, pv, numbering, {})
-    return CircuitDecomposition(tuple(tuple(map(edges.__getitem__, c)) for c in circuits),
-                                tuple(cycles))
+    return numbering, pu, pv
+
+
+def _bits(n: int) -> list:
+    """The positions of the set bits of the int n >= 0, increasing."""
+    out = []
+    while n:
+        low = n & -n
+        out.append(low.bit_length() - 1)
+        n ^= low
+    return out
 
 
 def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
@@ -226,19 +275,15 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     ``(edges, cells, in_x, codes, bits, full)``: edge i is ``edges[i]`` in
     cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
     ``codes[i]`` gives its U end as 2u and its V end as 2v+1, ``bits[i]``
-    is its bit 2*cell + (1 for a Y-edge), and ``full`` is the sum of
-    ``bits``.
+    is ``1 << cells[i]``, and ``full``, the sum of ``bits``, is the cell
+    mask of X xor Y.
     """
-    cells = []
-    rest = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
-    while rest:
-        low = rest & -rest
-        cells.append((low.bit_length() - 1) >> 3)
-        rest ^= low
+    cells = [b >> 3 for b in _bits(int.from_bytes(x_key, "little")
+                                   ^ int.from_bytes(y_key, "little"))]
     edges = [divmod(c, l) for c in cells]
     in_x = [x_key[c] == 1 for c in cells]
     codes = [(2 * u, 2 * v + 1) for u, v in edges]
-    bits = [1 << (2 * c + (not x)) for c, x in zip(cells, in_x)]
+    bits = [1 << c for c in cells]
     return edges, cells, in_x, codes, bits, sum(bits)
 
 
@@ -247,11 +292,12 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
 
     X and Y are given by their keys, realizations with l V-vertices and
     equal margins.  Returns the number of pairings of X xor Y and an
-    iterator over one cycle list per pairing, in ``all_pairings`` order;
-    each list equals ``decompose(X, Y, s).cycles`` for the matching pairing
-    s, but no ``Pairing`` is built.  More than ``_MAX_PAIRINGS`` pairings
-    (read at call time) raise ``TooManyPairings`` before any pairing is
-    decomposed.
+    iterator over one cycle list per pairing, in ``all_pairings`` order:
+    the tuple of its cycles' cell masks, in the order of
+    ``decompose(X, Y, s).cycles`` for the matching pairing s, but no
+    ``Pairing`` or ``AlternatingCycle`` is built.  More than
+    ``_MAX_PAIRINGS`` pairings (read at call time) raise ``TooManyPairings``
+    before any pairing is decomposed.
 
     ``_trace`` decomposes each pairing of the odometer ``_partners`` with
     the caller's ``memo``, which the caller owns and scopes.
@@ -260,7 +306,7 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
     incid, total = _incidence(numbering)
     if total > _MAX_PAIRINGS:
         raise TooManyPairings(f"{total} pairings exceed the guard {_MAX_PAIRINGS}")
-    return total, (_trace(pu, pv, numbering, memo)[1]
+    return total, (_trace(pu, pv, numbering, memo)[2]
                    for pu, pv in _partners(incid, len(numbering[0])))
 
 
@@ -311,7 +357,9 @@ def _partners(incid: dict, m: int):
 
 
 def _trace(pu, pv, numbering, memo: dict) -> tuple:
-    """One pairing's circuits, as lists of edge ids, and its cycles.
+    """One pairing's circuits, as lists of edge ids, and its cycles, as
+    ``(circuits, seqs, masks)``: each cycle's walk-order cell sequence in
+    the list ``seqs`` and its cell mask in the tuple ``masks``.
 
     ``pu[i]`` and ``pv[i]`` are the partners of edge i at its U end and at
     its V end.  Circuits are traced from the smallest unseen id, leaving
@@ -320,13 +368,13 @@ def _trace(pu, pv, numbering, memo: dict) -> tuple:
     they depend on; on a miss ``_split`` cuts the circuit.
 
     Checked once per pairing: the circuits visit every edge id exactly
-    once, and the cycles are pairwise edge-disjoint and cover X xor Y, each
-    edge in its class there.
+    once, and the cycles are pairwise edge-disjoint and cover X xor Y.
     """
     edges, cells, in_x, codes, bits, full = numbering
     seen = bytearray(len(pu))
     circuits = []
-    cycles = []
+    seqs = []
+    masks = []
     covered = 0
     for e0 in range(len(pu)):
         if seen[e0]:
@@ -346,20 +394,22 @@ def _trace(pu, pv, numbering, memo: dict) -> tuple:
         key = (in_x[e0], tuple(map(cells.__getitem__, circuit)))
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = _split(circuit, edges, codes, bits, in_x)
-        for c, mask in entry:
+            entry = memo[key] = _split(circuit, cells, codes, bits, in_x)
+        for seq, mask in entry:
             if covered & mask:
                 raise PreconditionViolation("two cycles of the decomposition overlap")
             covered |= mask
-            cycles.append(c)
+            seqs.append(seq)
+            masks.append(mask)
     if covered != full:
         raise PreconditionViolation("the cycles do not cover the symmetric difference")
-    return circuits, cycles
+    return circuits, seqs, tuple(masks)
 
 
-def _split(circuit, edges, codes, bits, in_x) -> tuple:
-    """A traced circuit's simple alternating cycles, each with its mask, the
-    sum of ``bits`` over its edges.
+def _split(circuit, cells, codes, bits, in_x) -> tuple:
+    """A traced circuit's simple alternating cycles, each as ``(seq,
+    mask)``: its walk-order tuple of ``cells`` and its cell mask, the sum of
+    ``bits`` over its edges.
 
     The circuit is walked edge by edge; whenever the walk returns to a
     vertex that is still open, the edges since its previous visit come off
@@ -380,18 +430,17 @@ def _split(circuit, edges, codes, bits, in_x) -> tuple:
         n = len(piece)
         if n % 2 or n < 4:
             raise NonAlternating(f"cycle length {n} is not an even number >= 4")
-        if len(set(map(reached.__getitem__, piece))) != n:
+        if len({reached[t] for t in piece}) != n:
             raise NonAlternating("cycle repeats a vertex")
-        piece = list(map(circuit.__getitem__, piece))
+        piece = [circuit[t] for t in piece]
         start = piece.index(min(piece[0::2] if in_x[piece[0]] else piece[1::2]))
-        piece = piece[start:] + piece[:start]
-        xe, ye = piece[::2], piece[1::2]
-        if not all(map(in_x.__getitem__, xe)) or any(map(in_x.__getitem__, ye)):
-            raise NonAlternating("consecutive edges in one class")
-        out.append((AlternatingCycle(tuple(map(edges.__getitem__, piece)),
-                                     frozenset(map(edges.__getitem__, xe)),
-                                     frozenset(map(edges.__getitem__, ye))),
-                    sum(map(bits.__getitem__, piece))))
+        seq, mask = [], 0
+        for t, e in enumerate(piece[start:] + piece[:start]):
+            if in_x[e] == t % 2:        # X-edges belong at even positions
+                raise NonAlternating("consecutive edges in one class")
+            seq.append(cells[e])
+            mask |= bits[e]
+        out.append((tuple(seq), mask))
     return tuple(out)
 
 

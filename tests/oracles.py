@@ -533,11 +533,12 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, switch_cap: int = 
 
 def ordered_congestion(space):
     """The congestion report of a loop over ordered pairs: every (X, Y)
-    decomposed on its own by ``pairings._decompositions`` and its
-    paths counted by ``canonical._path_counts``, with the memos and integer
-    loads of ``congestion``.  The oracle of its one decomposition per
-    unordered pair."""
+    decomposed on its own by ``pairings._decompositions`` and the paths of
+    its distinct cycle lists counted by ``canonical._path_counts``, with the
+    memos and integer loads of ``congestion``.  The oracle of its one
+    decomposition per unordered pair."""
     import math
+    from collections import Counter
     from fractions import Fraction
 
     from degswap.canonical import _path_counts, hat_matrix, switch_distance
@@ -563,7 +564,7 @@ def ordered_congestion(space):
             if xi == yi:
                 continue
             t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
-            counts = _path_counts(l, keys[xi], keys[yi], cycle_lists, memos)
+            counts = _path_counts(l, keys[xi], keys[yi], Counter(cycle_lists), memos)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
                 scale *= grow
@@ -638,9 +639,12 @@ def recover_swap(a, b):
     return Swap.on(rows[0], rows[1], cols[0], cols[1], graph=a)
 
 
-def naive_segment(G, cycle):
-    """The keys after each swap that flips ``cycle`` in G, the graph way:
-    the cycle's X-side is read from G, the cycle cells that are on there,
+def naive_segment(G, mask):
+    """The keys after each swap that flips the cycle with cell mask ``mask``
+    in G, the graph way: its edges are the set bits of the mask, bit
+    u * l + v for edge (u, v) of G's l columns, walked from the smallest
+    edge on in G along its row, then along a column, and so on; its X-side
+    is read from G, the cycle cells that are on there;
     ``canonical._solve_cycle`` solves the cycle on the full realization
     with a fresh bridge memo, and ``ryser.replay`` applies its swaps one
     checked ``apply_swap`` at a time."""
@@ -648,10 +652,18 @@ def naive_segment(G, cycle):
     from degswap.pairings import AlternatingCycle
     from degswap.ryser import replay
 
-    on = frozenset(e for e in cycle.edge_seq if G.adj[e])
-    off = frozenset(cycle.edge_seq) - on
+    cells = {divmod(i, G.l) for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"}
+    on = frozenset(e for e in cells if G.adj[e])
+    off = frozenset(cells) - on
+    seq = [min(on)]
+    while len(seq) < len(cells):
+        u, v = seq[-1]
+        along_row = len(seq) % 2
+        (e,) = [e for e in (off if along_row else on)
+                if (e[0] == u if along_row else e[1] == v) and e not in seq]
+        seq.append(e)
     target = G.with_edges(sorted(on), sorted(off))
-    cycle = AlternatingCycle(cycle.edge_seq, on, off)
+    cycle = AlternatingCycle(tuple(seq), on, off)
     return tuple(g.key() for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:])
 
 

@@ -10,7 +10,7 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _switch_distances, cycle_swaps,
+from degswap.canonical import (CycleFrame, OKKOSpec, _decode, _switch_distances, cycle_swaps,
                                down_line, down_up_rings, matches_spec, ring, up_line,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
@@ -28,6 +28,12 @@ from oracles import (PINNED_16, count_ryser, cycle_graph_pair, friendly_path_exi
                      perturbed_environment, pinned_pair, random_types, reference_path,
                      ring_blocker_types, sequence_margins_ok, spec_realization,
                      split_environment_pools)
+
+
+def decoded(cycle, l):
+    """``canonical._decode`` of the cell mask of an ``AlternatingCycle`` in a
+    graph with l columns: the cycle in the form ``_pattern_swaps`` takes."""
+    return _decode(sum(1 << (u * l + v) for u, v in cycle.edge_seq), l)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +864,7 @@ class TestCanonicalPath:
 
         X = BipartiteGraph([[1, 0], [0, 1]])
         Y = BipartiteGraph([[0, 1], [1, 0]])
-        (cyc,) = pairings.decompose(X, Y, next(all_pairings(X, Y))).cycles
+        (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 2, {})[1])
         patterns = {}
         assert _key_segment(patterns, {}, 2, X.key(), cyc) == (Y.key(),)
         ((pattern, swaps),) = patterns.items()
@@ -884,7 +890,7 @@ class TestCanonicalPath:
             reference = [X]
             for cyc in pairings.decompose(X, Y, pairing).cycles:
                 target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-                rows, cols, local = _pattern_swaps(G.key(), G.l, cyc, memo, {})
+                rows, cols, local = _pattern_swaps(G.key(), G.l, decoded(cyc, G.l), memo, {})
                 lifted = tuple(Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2],
                                     s.orientation) for s in local)
                 assert lifted == _solve_cycle(G, target, cyc, {}), (p, cyc.edge_seq)
@@ -919,7 +925,7 @@ class TestCanonicalPath:
             adj = np.frombuffer(layout, np.uint8).reshape(m, m)
             G, H, cyc = cycle_graph_pair(m, {(a, b): int(adj[a, b]) for a in range(m)
                                              for b in range(m) if ring((a, b), m) >= 2})
-            rows, cols, local = _pattern_swaps(G.key(), G.l, cyc, memo, {})
+            rows, cols, local = _pattern_swaps(G.key(), G.l, decoded(cyc, G.l), memo, {})
             assert rows == cols == list(range(m))
             assert local == _solve_cycle(G, H, cyc, {}), adj.tolist()
             by_rows.setdefault(tuple(sorted(map(bytes, adj))), set()).add(local)

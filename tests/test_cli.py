@@ -315,7 +315,6 @@ def test_certified_step_that_is_no_swap(tmp_path, capsys, monkeypatch, before, a
     stack = np.stack([BipartiteGraph.from_text(text).adj for text in (before, after)])
     monkeypatch.setattr(cli, "_path_stack", lambda *args: stack)
     monkeypatch.setattr(cli, "_certificates", lambda *args: [0, 0])
-    monkeypatch.setattr(cli, "random_pairing", lambda *args: None)
     x = write(tmp_path, "x.txt", before)
     assert main(["canonical-path", x, x, "--certify"]) == 1
     out, err = capsys.readouterr()

@@ -1,12 +1,12 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from degswap import (AlternatingCycle, BipartiteDegreeSequence, BipartiteGraph, canonical,
-                     cli, mixing, pairings)
+from degswap import BipartiteDegreeSequence, BipartiteGraph, canonical, cli, mixing, pairings
 from degswap.chain import pair_count
 from degswap.core import is_graphical
 from degswap.errors import (DegenerateChain, Exceeds, NonMixing, PreconditionViolation,
@@ -739,8 +739,8 @@ def certified_runs():
     keys), the ``tobytes`` of each layer of the hat stacks passed to
     ``canonical._switch_distances``, the keys each ordered pair's paths
     visit, the (X key, Y key) of each ``_decompositions`` call, the
-    ``_split`` calls (the circuit memo's misses) and the pairs ``_routes``
-    yields, in order."""
+    ``_split`` calls (the circuit memo's misses), the pairs ``_routes``
+    yields, in order, and the number of ``canonical._walk`` calls."""
     out = {}
     real_segment = canonical._key_segment
     real_walk, real_distances = canonical._walk, canonical._switch_distances
@@ -748,7 +748,7 @@ def certified_runs():
     real_routes = mixing._routes
     for name, (a, b) in SPACES.items():
         solves, segments, certified, visited = [0], [], [], {}
-        decomposed, splits, routed = [], [0], []
+        decomposed, splits, routed, walks = [], [0], [], [0]
 
         def recording(patterns, bridges, l, key, cycle):
             # a miss of the pattern memo adds its one entry
@@ -759,6 +759,7 @@ def certified_runs():
             return seg
 
         def walking(l, start, end, *args):
+            walks[0] += 1
             keys = real_walk(l, start, end, *args)
             visited.setdefault((start, end), set()).update(keys)
             return keys
@@ -803,7 +804,8 @@ def certified_runs():
             run()
         out[name] = dict(space=space, reports=reports, rysers=rysers, solves=solves[0],
                          segments=segments, certified=certified, visited=visited,
-                         decomposed=decomposed, splits=splits[0], routed=routed)
+                         decomposed=decomposed, splits=splits[0], routed=routed,
+                         walks=walks[0])
     return out
 
 
@@ -955,15 +957,17 @@ class TestCongestion:
     def test_segment_landing_checked(self):
         # the segment must land on the key with exactly the cycle's cells
         # flipped: a pattern memo whose entry for the cycle holds no swaps
-        # leaves the key as it is, and is refused.  The cycle's X/Y labels
-        # are not read, so a cycle named the wrong way round flips alike.
+        # leaves the key as it is, and is refused.  A cell mask carries no
+        # X/Y labels, so the cycle as the reverse pair (Y, X) decomposes it
+        # is the same mask and flips alike.
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         X, Y = space.graph(0), space.graph(neighbour_rows(space)[0][0])
         (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 3, {})[1])
         patterns = {}
         assert canonical._key_segment(patterns, {}, 3, X.key(), cyc) == (Y.key(),)
-        wrong = AlternatingCycle(cyc.edge_seq, cyc.y_edges, cyc.x_edges)
-        assert canonical._key_segment({}, {}, 3, X.key(), wrong) == (Y.key(),)
+        (back,) = next(pairings._decompositions(Y.key(), X.key(), 3, {})[1])
+        assert back == cyc
+        assert canonical._key_segment({}, {}, 3, X.key(), back) == (Y.key(),)
         (pattern,) = patterns
         with pytest.raises(SpecViolation):
             canonical._key_segment({pattern: ()}, {}, 3, X.key(), cyc)
@@ -1012,7 +1016,7 @@ class TestSegmentMemo:
     def test_segments_match_graph_walk(self, certified_runs, name):
         space = certified_runs[name]["space"]
         for key, cycle, seg in certified_runs[name]["segments"]:
-            assert seg == naive_segment(space.graph(space.index[key]), cycle), cycle.edge_seq
+            assert seg == naive_segment(space.graph(space.index[key]), cycle), cycle
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_one_certificate_per_hat_matrix(self, certified_runs, name):
@@ -1074,6 +1078,45 @@ class TestDifferenceBuckets:
         n = run["space"].n
         assert len(run["routed"]) == n * (n - 1) // 2
         assert sorted(run["routed"]) == list(itertools.combinations(range(n), 2))
+
+    # per space: the distinct cycle lists of all buckets, and all their lists
+    LISTS = {"48U": (1674, 2076), "48V": (1440, 2076), "90": (10068, 18240)}
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_each_distinct_cycle_list_walked_once(self, certified_runs, name):
+        # every bucket's cycle lists collapse to {tuple of masks: pairings},
+        # whose counts add up to the bucket's pairing count; in both
+        # directions of every pair, _path_counts over the collapsed lists
+        # counts the paths a walk of every raw list counts; and congestion
+        # walks each distinct list once per pair and direction
+        run = certified_runs[name]
+        space = run["space"]
+        l = space.ds.l
+        mats = space.adj.astype(np.int8)
+        keys = [g.key() for g in graphs(space)]
+        buckets = {}
+        for xi, yi in itertools.combinations(range(space.n), 2):
+            buckets.setdefault((mats[xi] - mats[yi]).tobytes(), []).append((xi, yi))
+        memos = ({}, {}, {})
+        distinct = raw = walks = 0
+        for pairs in buckets.values():
+            xi, yi = pairs[0]
+            total, lists = pairings._decompositions(keys[xi], keys[yi], l, {})
+            lists = list(lists)
+            collapsed = Counter(lists)
+            assert sum(collapsed.values()) == len(lists) == total
+            distinct += len(collapsed)
+            raw += total
+            walks += 2 * len(pairs) * len(collapsed)
+            for xi, yi in pairs:
+                for start, end in ((keys[xi], keys[yi]), (keys[yi], keys[xi])):
+                    every = {}
+                    for cycles in lists:
+                        path = tuple(canonical._walk(l, start, end, cycles, memos))
+                        every[path] = every.get(path, 0) + 1
+                    assert canonical._path_counts(l, start, end, collapsed, memos) == every
+        assert (distinct, raw) == self.LISTS[name]
+        assert run["walks"] == walks
 
     def test_buckets_do_not_lean_on_the_state_order(self, certified_runs):
         # in key order the first cell where X < Y differ is X's 0, so a

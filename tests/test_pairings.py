@@ -193,16 +193,42 @@ def test_nth_pairing_unranks_all_pairings(x, y):
 # -- the integer decomposition kernel ----------------------------------------
 
 
+def kernel_cycles(x_key, y_key, l, memo) -> tuple:
+    """The kernel's pairing count and, per pairing in ``all_pairings``
+    order, each cycle as its ``(walk-order cell sequence, cell mask)``.
+    The masks are the lists ``_decompositions`` yields with ``memo``; the
+    sequences come from ``_trace`` over the same odometer and memo, whose
+    masks must be the same."""
+    total, lists = _decompositions(x_key, y_key, l, memo)
+    lists = list(lists)
+    numbering = pairings._number(x_key, y_key, l)
+    incid, _ = pairings._incidence(numbering)
+    traced = [pairings._trace(pu, pv, numbering, memo)[1:]
+              for pu, pv in pairings._partners(incid, len(numbering[0]))]
+    assert [masks for _, masks in traced] == lists
+    return total, [list(zip(seqs, masks)) for seqs, masks in traced]
+
+
+def cell_cycles(cycles, l) -> list:
+    """Each ``AlternatingCycle`` as its ``(walk-order cell sequence, cell
+    mask)``, cell u * l + v for edge (u, v)."""
+    out = []
+    for c in cycles:
+        seq = tuple(u * l + v for u, v in c.edge_seq)
+        out.append((seq, sum(1 << cell for cell in seq)))
+    return out
+
+
 def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> int:
     """Assert that the kernel yields ``naive_decompose``'s cycles for every
-    pairing in ``all_pairings`` order, and with ``public`` that
-    ``decompose`` gives its circuits and cycles too; return the number of
-    pairings.
+    pairing in ``all_pairings`` order, each cycle's walk-order cell sequence
+    and cell mask, and with ``public`` that ``decompose`` gives its
+    circuits and cycles too; return the number of pairings.
 
     ``all_pairings`` and ``naive_decompose`` read only X xor Y, so the
     dict ``oracle`` keeps their results by the shape and the cells of
     X - Y and Y - X, and pairs with the same difference share them."""
-    total, lists = _decompositions(X.key(), Y.key(), X.l, memo)
+    total, lists = kernel_cycles(X.key(), Y.key(), X.l, memo)
     oracle = {} if oracle is None else oracle
     x, y = int.from_bytes(X.key(), "little"), int.from_bytes(Y.key(), "little")
     key = (X.k, X.l, x & ~y, y & ~x)
@@ -210,7 +236,7 @@ def kernel_matches_decompose(X, Y, memo, public: bool = False, oracle=None) -> i
         pairings = list(all_pairings(X, Y))
         oracle[key] = pairings, [naive_decompose(X, Y, s) for s in pairings]
     pairings, want = oracle[key]
-    assert [tuple(cycles) for cycles in lists] == [dec.cycles for dec in want]
+    assert lists == [cell_cycles(dec.cycles, X.l) for dec in want]
     assert total == len(want)
     if public:
         assert [decompose(X, Y, s) for s in pairings] == want
@@ -298,19 +324,15 @@ def test_kernel_rejects_unequal_margins():
 
 def exchange_matches_reverse(x_key, y_key, l, x_memo, y_memo) -> int:
     """Assert that the kernel gives (Y, X) the pairing count of (X, Y) and
-    the same multiset of per-pairing lists of cycle cell sets: the two
-    directions differ only in each cycle's X/Y labels, which the canonical
-    walk does not read, so one cycle list serves both.  Return the number
-    of pairings."""
+    the same multiset of per-pairing lists of cycle cell masks: the two
+    directions differ only in each cycle's X/Y labels, which a mask does
+    not carry, so one cycle list serves both.  Return the number of
+    pairings."""
     total, lists = _decompositions(x_key, y_key, l, x_memo)
     back_total, back = _decompositions(y_key, x_key, l, y_memo)
     assert back_total == total
-
-    def cell_sets(cycle_lists):
-        return Counter(tuple(frozenset(c.edge_seq) for c in cycles) for cycles in cycle_lists)
-
-    forward = cell_sets(lists)
-    assert forward == cell_sets(back)
+    forward = Counter(lists)
+    assert forward == Counter(back)
     assert sum(forward.values()) == total
     return total
 
@@ -354,9 +376,8 @@ def test_exchange_matches_reverse_on_seeded_pairs():
 
 def kernel_output(x_key, y_key, l) -> tuple:
     """The kernel's pairing count and every cycle list of (X, Y), each cycle
-    as its ``(edge_seq, x_edges, y_edges)``, with a fresh memo."""
-    total, lists = _decompositions(x_key, y_key, l, {})
-    return total, [[(c.edge_seq, c.x_edges, c.y_edges) for c in cycles] for cycles in lists]
+    as its ``(walk-order cell sequence, cell mask)``, with a fresh memo."""
+    return kernel_cycles(x_key, y_key, l, {})
 
 
 @pytest.mark.parametrize("a, b, n, shared", [
