@@ -30,9 +30,19 @@ one byte per cell), and a cycle on it by its cell mask, the int
 ``pairings`` gives it.  ``_walk`` flips a decomposition's cycles in order,
 each segment by ``_key_segment`` on the cycle's local m x m pattern, with
 segment, pattern and bridge memos the caller scopes; ``canonical_path``,
-``path_distribution`` and ``mixing.congestion`` all walk through it.  The
-cycle solver works on pattern bytes too, and reads the grid's geometry
-from one table per cycle length, ``_grid``.
+``path_distribution`` and ``mixing.congestion`` all walk through it.
+
+The cycle solver holds each realization as one int, its key read
+little-endian (``_int``: cell c at bit 8c, as the kernel's and
+congestion's keys are read), and reads the grid's geometry from one table
+per cycle length, ``_grid``, whose cells are grid indices and whose cell
+sets are ints.  A frame's cells are masks built once per frame solve
+(``_Masks``, m * m + 4m + 3 ints, dropped with the solve); an OK/KO target
+is a (care, want) mask pair (``_Target``), so matching a spec is one AND
+and one compare, a target is inherited by one AND-NOT and one OR, the
+difference cycle between two targets is the XOR of their ints, and a swap
+is a one-factor check on one 4-cell mask and then one XOR (``_flip``).
+``_pattern_swaps`` and ``_solve_cycle`` convert at their boundary.
 """
 
 from __future__ import annotations
@@ -58,45 +68,63 @@ from .ryser import replay, ryser_sequence
 
 
 class _Grid(NamedTuple):
-    """The m x m cycle-local grid of one length m, as lookup tables."""
+    """The m x m cycle-local grid of one length m, as lookup tables.  Cell
+    (a, b) is named by its grid index a * m + b, so index order is the
+    cells' lexicographic order, and a set of cells is the int with bit p
+    set for each index p in it."""
 
-    rings: tuple      # rings[a][b]: the ring of cell (a, b)
-    chords: tuple     # the chord cells, in row-major order
-    cousins: tuple    # cousins[a][b]: cousins((a, b), m), None on the diagonals
+    rings: tuple      # rings[p]: the ring of cell p
+    chords: tuple     # the chord cells, increasing
+    cousins: tuple    # cousins[p]: the set cousins(p); None on the diagonals
+    orth: tuple       # orth[p]: the set of the four cells one unit step from p
+    open: int         # the set of cells off the main diagonal
     down: tuple       # down[i]: down_line(i, m)
     up: tuple         # up[i]: up_line(i, m)
-    near: tuple       # down_up_rings(m)
+    near: tuple       # down_up_rings(m), as two sets
 
 
 @functools.lru_cache(maxsize=64)
 def _grid(m: int) -> _Grid:
     """The grid tables of length m, a pure function of m, built once per
     length and process; every table is immutable, as the cache shares it."""
-    rings = tuple(tuple((b - a) % m for b in range(m)) for a in range(m))
-    # one (a, b) tuple per cell, which every table below refers to
-    cell = [[(a, b) for b in range(m)] for a in range(m)]
-    chords = tuple(cell[a][b] for a in range(m) for b in range(m) if rings[a][b] >= 2)
-    cousins = [[None] * m for _ in range(m)]
-    for a, b in chords:
+    rings = tuple((b - a) % m for a in range(m) for b in range(m))
+    chords = tuple(p for p in range(m * m) if rings[p] >= 2)
+    cousins = [None] * (m * m)
+    for p in chords:
         # the reflected 2x2 window: u-index in {b-1, b}, v-index in {a, a+1},
         # four distinct cells (a chord needs m >= 3), diagonal cells dropped
+        a, b = divmod(p, m)
         u, v = (b - 1) % m, (a + 1) % m
-        window = sorted([cell[u][a], cell[u][v], cell[b][a], cell[b][v]])
-        cousins[a][b] = tuple([p for p in window if rings[p[0]][p[1]] >= 2])
-    down = tuple(tuple(cell[(i + s) % m][(i - s) % m] for s in range(1, _max_down_steps(m) + 1))
+        cousins[p] = sum(1 << q for q in {u * m + a, u * m + v, b * m + a, b * m + v}
+                         if rings[q] >= 2)
+    orth = tuple(sum(1 << q for q in {((a - 1) % m) * m + b, ((a + 1) % m) * m + b,
+                                      a * m + (b - 1) % m, a * m + (b + 1) % m})
+                 for a in range(m) for b in range(m))
+    down = tuple(tuple(((i + s) % m) * m + (i - s) % m for s in range(1, _max_down_steps(m) + 1))
                  for i in range(m))
-    up = tuple(tuple(cell[(i - s) % m][(i + s) % m] for s in range(1, _max_up_steps(m) + 1))
+    up = tuple(tuple(((i - s) % m) * m + (i + s) % m for s in range(1, _max_up_steps(m) + 1))
                for i in range(m))
-    near = (tuple(cell[t][(t - 1) % m] for t in range(m)),
-            tuple(cell[t][(t + 2) % m] for t in range(m)))
-    return _Grid(rings, chords, tuple(map(tuple, cousins)), down, up, near)
+    near = (sum(1 << (t * m + (t - 1) % m) for t in range(m)),
+            sum(1 << (t * m + (t + 2) % m) for t in range(m)))
+    return _Grid(rings, chords, tuple(cousins), orth,
+                 sum(1 << p for p in range(m * m) if rings[p]), down, up, near)
+
+
+def _cells(ids, m: int) -> tuple:
+    """The (a, b) cells of the grid indices ``ids`` of length m."""
+    return tuple(divmod(p, m) for p in ids)
+
+
+def _lowest(cells: int) -> int:
+    """The least grid index in the nonempty set of cells ``cells``."""
+    return (cells & -cells).bit_length() - 1
 
 
 def ring(pos, ell: int) -> int:
     """Cyclic offset of a cell: 0 on the main diagonal, 1 on the small
     diagonal, 2..ell-1 on chords."""
     a, b = pos
-    return _grid(ell).rings[a % ell][b % ell]
+    return _grid(ell).rings[(a % ell) * ell + b % ell]
 
 
 def is_chord(pos, ell: int) -> bool:
@@ -112,10 +140,10 @@ def cousins(pos, ell: int) -> tuple:
     diagonals, which is what makes a same-type cousin a switch witness.
     """
     a, b = pos
-    out = _grid(ell).cousins[a % ell][b % ell]
+    out = _grid(ell).cousins[(a % ell) * ell + b % ell]
     if out is None:
         raise DiagonalPosition(f"{pos} lies on a diagonal")
-    return out
+    return _cells(_bits(out), ell)
 
 
 def _orth_neighbors(pos, ell: int):
@@ -127,19 +155,20 @@ def _orth_neighbors(pos, ell: int):
 def position_distance(p, q, ell: int) -> int:
     """Grid metric: unit horizontal or vertical steps, rows and columns wrap
     around, and main-diagonal cells cannot be entered."""
-    if p == q:
-        return 0
-    dist = {p: 0}
-    queue = deque([p])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _orth_neighbors(cur, ell):
-            if ring(nxt, ell) == 0 or nxt in dist:
-                continue
-            dist[nxt] = dist[cur] + 1
-            if nxt == q:
-                return dist[nxt]
-            queue.append(nxt)
+    grid = _grid(ell)
+    target = (q[0] % ell) * ell + q[1] % ell
+    # breadth-first, one layer of cells at a time
+    seen = layer = 1 << ((p[0] % ell) * ell + p[1] % ell)
+    dist = 0
+    while layer:
+        if layer >> target & 1:
+            return dist
+        reach = 0
+        for cur in _bits(layer):
+            reach |= grid.orth[cur]
+        layer = reach & grid.open & ~seen
+        seen |= layer
+        dist += 1
     raise ValueError(f"{q} unreachable from {p}")
 
 
@@ -156,13 +185,13 @@ def _max_up_steps(ell: int) -> int:
 def down_line(i: int, ell: int) -> tuple:
     """Chord cells ((i+s) mod ell, (i-s) mod ell), s = 1.., walking from the
     main diagonal toward the small diagonal."""
-    return _grid(ell).down[i % ell]
+    return _cells(_grid(ell).down[i % ell], ell)
 
 
 def up_line(i: int, ell: int) -> tuple:
     """Chord cells ((i-s) mod ell, (i+s) mod ell), s = 1.., walking from the
     small diagonal toward the main diagonal."""
-    return _grid(ell).up[i % ell]
+    return _cells(_grid(ell).up[i % ell], ell)
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +220,6 @@ class CycleFrame:
 
     def small_edge(self, t: int) -> tuple:
         return (self.u_ids[t], self.v_ids[(t + 1) % self.m])
-
-    def _cell_index(self, pos, l: int) -> int:
-        """Where ``cell_edge(pos)`` sits in the key of a graph with l columns."""
-        a, b = pos
-        return self.u_ids[a] * l + self.v_ids[b]
-
-    def _diagonal_indices(self, l: int) -> list:
-        """Per local index t, where ``main_edge(t)`` and ``small_edge(t)``
-        sit in the key of a graph with l columns."""
-        vs = self.v_ids
-        return [(u * l + v, u * l + w) for u, v, w in zip(self.u_ids, vs, vs[1:] + vs[:1])]
 
     def sub(self, arc) -> "CycleFrame":
         return CycleFrame(tuple(self.u_ids[t] for t in arc),
@@ -261,9 +279,9 @@ class FMatrix:
         if len(self.cells) != m or any(len(r) != m for r in self.cells):
             raise ValueError("cells must form an ell x ell grid")
         rings = _grid(m).rings
-        for a, (row, row_rings) in enumerate(zip(self.cells, rings)):
-            for b, (v, r) in enumerate(zip(row, row_rings)):
-                if r <= 1:
+        for a, row in enumerate(self.cells):
+            for b, v in enumerate(row):
+                if rings[a * m + b] <= 1:
                     if v not in (0, 1):
                         raise ValueError(f"diagonal cell ({a},{b}) must be 0/1, got {v}")
                 elif v not in (0, 1, 2, 3):
@@ -296,16 +314,15 @@ class FMatrix:
         return cls(ell, tuple(tuple(r) for r in cells))
 
 
-def _local_f(key: bytes, l: int, frame: CycleFrame, types: bytes) -> FMatrix:
-    """The F view of the realization with key ``key`` (l columns) on
-    ``frame``, each chord typed by its cell in ``types``, the start
-    realization's key."""
-    cells = []
-    for u, row_rings in zip(frame.u_ids, _grid(frame.m).rings):
-        base = u * l
-        cells.append(tuple(key[base + v] if r <= 1 else 2 * types[base + v] + key[base + v]
-                           for v, r in zip(frame.v_ids, row_rings)))
-    return FMatrix(frame.m, tuple(cells))
+def _local_f(key: int, masks: "_Masks", types: int) -> FMatrix:
+    """The F view of the realization with key ``key`` on the frame of
+    ``masks``, each chord typed by its cell in ``types``, the start
+    realization's key; keys are read as ints (``_int``)."""
+    m = len(masks.main) // 2
+    rings = _grid(m).rings
+    cells = [(1 if key & bit else 0) + (2 if r >= 2 and types & bit else 0)
+             for bit, r in zip(masks.at, rings)]
+    return FMatrix(m, tuple(tuple(cells[a * m:a * m + m]) for a in range(m)))
 
 
 def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
@@ -317,7 +334,8 @@ def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
         raise CycleMismatch("G and Gp do not differ in exactly this cycle")
     if not Z.same_margins(G):
         raise DegreeMismatch("Z does not realize the same degree sequence")
-    return _local_f(Z.key(), Z.l, CycleFrame.from_cycle(cycle, G), G.key())
+    masks = _frame_masks(CycleFrame.from_cycle(cycle, G), G.l)
+    return _local_f(_int(Z.key()), masks, _int(G.key()))
 
 
 def hat_matrix(X: BipartiteGraph, Y: BipartiteGraph, Z: BipartiteGraph) -> np.ndarray:
@@ -367,37 +385,36 @@ class SteinhausSet:
         return frozenset(out)
 
 
-def _chord_types(F: FMatrix) -> dict:
-    """Every chord's ``F.type_of``, the chords read off the grid table."""
-    cells = F.cells
-    return {(a, b): 1 if cells[a][b] >= 2 else 0 for a, b in _grid(F.ell).chords}
+def _types(F: FMatrix) -> int:
+    """F's chord types as the solver reads them: the set of cells (``_Grid``)
+    that read 2 or 3, the type-1 chords."""
+    return sum(1 << p for p, v in enumerate(v for row in F.cells for v in row) if v >= 2)
 
 
-def _witness(F: FMatrix, pos):
-    t = F.type_of(pos)
-    for q in cousins(pos, F.ell):
-        if F.type_of(q) == t:
-            return q
-    return None
-
-
-def _adjusted(positions, F: FMatrix) -> tuple:
+def _anchors(path, m: int, types: int) -> tuple:
+    """The anchor of each grid index on ``path``: the index itself for a
+    type-0 chord, its lowest type-1 cousin for a type-1 chord, where
+    ``types`` is the set of type-1 chords."""
+    grid = _grid(m)
     out = []
-    for pos in positions:
-        if F.type_of(pos) == 0:
-            out.append(pos)
+    for p in path:
+        near = grid.cousins[p]
+        if near is None:
+            raise DiagonalPosition(f"{divmod(p, m)} lies on a diagonal")
+        if not types >> p & 1:
+            out.append(p)
+        elif near & types:
+            out.append(_lowest(near & types))
         else:
-            w = _witness(F, pos)
-            if w is None:
-                raise NoCousinWitness(f"{pos} has no same-type cousin")
-            out.append(w)
+            raise NoCousinWitness(f"{divmod(p, m)} has no same-type cousin")
     return tuple(out)
 
 
 def adjusted_positions(path: FriendlyPath, F: FMatrix) -> tuple:
     """Anchor sequence: type-0 positions stay, type-1 positions are replaced
     by their lowest same-type cousin."""
-    return _adjusted(path.positions, F)
+    m = F.ell
+    return _cells(_anchors([(a % m) * m + b % m for a, b in path.positions], m, _types(F)), m)
 
 
 def _king_neighbors(pos, ell):
@@ -446,7 +463,7 @@ def _blocks_all_rook_paths(block: set, ell: int) -> bool:
 
 def down_up_rings(ell: int):
     """The chord rings adjacent to the main diagonal and the small diagonal."""
-    return _grid(ell).near
+    return tuple(_cells(_bits(cells), ell) for cells in _grid(ell).near)
 
 
 def find_friendly_path(F: FMatrix):
@@ -459,46 +476,42 @@ def find_friendly_path(F: FMatrix):
     existence is the combinatorial guarantee behind the construction and a
     missing one raises loudly.
     """
-    m = F.ell
-    if m < 3:
+    if F.ell < 3:
         raise ValueError("the chord grid needs ell >= 3")
-    grid = _grid(m)
-    near_main, near_small = grid.near
-    types = _chord_types(F)
-    friendly = {(a, b) for (a, b), t in types.items()
-                if any(types[q] == t for q in grid.cousins[a][b])}
-    targets = {p for p in near_small if p in friendly}
-    parent = {}
-    frontier = sorted(p for p in near_main if p in friendly)
-    seen = set(frontier)
-    for p in frontier:
-        parent[p] = None
-    found = None
-    while frontier and found is None:
-        for p in frontier:
-            if p in targets:
-                found = p
-                break
-        if found is not None:
-            break
-        nxt_frontier = []
-        for p in frontier:
-            for q in sorted(_orth_neighbors(p, m)):
-                if q in friendly and q not in seen:
-                    seen.add(q)
-                    parent[q] = p
-                    nxt_frontier.append(q)
-        frontier = sorted(nxt_frontier)
-    if found is not None:
-        pos = []
-        cur = found
-        while cur is not None:
-            pos.append(cur)
-            cur = parent[cur]
-        pos.reverse()
-        return FriendlyPath(tuple(pos), _adjusted(pos, F), len(pos) == 1)
+    return _friendly_search(F.ell, _types(F))
 
-    unfriendly = set(grid.chords) - friendly
+
+def _friendly_search(m: int, types: int) -> "FriendlyPath | SteinhausSet":
+    """``find_friendly_path`` on an m x m grid (m >= 3) whose type-1 chords
+    are the set ``types`` (``_Grid``).  The search runs on sets of cells: a
+    breadth-first layer is one int, so the lowest target of a layer is its
+    lowest set bit, and a cell's parent, the first cell of the layer before
+    it that reaches it, is the lowest bit of that layer among its unit
+    steps."""
+    grid = _grid(m)
+    friendly = 0
+    for p in grid.chords:
+        if grid.cousins[p] & (types if types >> p & 1 else ~types):
+            friendly |= 1 << p
+    layers = []
+    seen = layer = grid.near[0] & friendly
+    while layer:
+        hit = layer & grid.near[1]
+        if hit:
+            path = [_lowest(hit)]
+            for before in reversed(layers):
+                path.append(_lowest(before & grid.orth[path[-1]]))
+            path.reverse()
+            return FriendlyPath(_cells(path, m), _cells(_anchors(path, m, types), m),
+                                len(path) == 1)
+        layers.append(layer)
+        reach = 0
+        for p in _bits(layer):
+            reach |= grid.orth[p]
+        layer = reach & friendly & ~seen
+        seen |= layer
+
+    unfriendly = {divmod(p, m) for p in grid.chords if not friendly >> p & 1}
     comps = []
     assigned = set()
     for p in sorted(unfriendly):
@@ -570,7 +583,7 @@ def verify_steinhaus(ss: SteinhausSet, F: FMatrix):
 
 def verify_same_state(F: FMatrix):
     """When no friendly path exists, every index must admit a cut pattern."""
-    pats = _valid_patterns(F)
+    pats = _valid_patterns(F.ell, _types(F))
     have = {i for (i, *_rest) in pats}
     missing = set(range(F.ell)) - have
     if missing:
@@ -638,87 +651,111 @@ def _cyc_range(s, e, m):
     return out
 
 
-def _retarget(key: bytes, l: int, frame: CycleFrame, prev: OKKOSpec | None, mains, smalls,
-              anchors: dict) -> tuple:
-    """``(target, cells)`` for the realization with key ``key`` and l
-    columns: the key of that realization with the frame's main and small
-    cells set to ``mains`` and ``smalls`` and each cell of ``anchors`` (an
-    anchor -> value dict) set to its value, after the previous anchor is
-    restored to its type, every other cell inherited; and the cells where
-    the target differs, as indices into the key, flipped in a copy of it."""
-    want = {}
-    if prev is not None:
-        want[frame._cell_index(prev.anchor, l)] = prev.anchor_type()
-    for (main, small), main_val, small_val in zip(frame._diagonal_indices(l), mains, smalls):
-        want[main] = main_val
-        want[small] = small_val
-    for anchor, v in anchors.items():
-        want[frame._cell_index(anchor, l)] = v
-    cells = ([i for i, v in want.items() if v == 0 and key[i]]
-             + [i for i, v in want.items() if v == 1 and not key[i]])
-    target = bytearray(key)
-    for i in cells:
-        target[i] ^= 1
-    return bytes(target), cells
+def _int(key: bytes) -> int:
+    """A key read as the solver holds it: one int, cell c at bit 8c, as the
+    kernel's and congestion's keys read it."""
+    return int.from_bytes(key, "little")
 
 
-def _spec_target(key: bytes, l: int, prev: OKKOSpec | None, spec: OKKOSpec) -> tuple:
-    """``(target, cells)``: the key of the realization demanded by ``spec``,
-    inheriting everything the pattern leaves free from the realization with
-    key ``key`` (l columns), with the previous anchor restored to type, and
-    the cells where the two differ."""
-    mains, smalls, anchor_val = spec.pattern()
-    return _retarget(key, l, spec.frame, prev, mains, smalls, {spec.anchor: anchor_val})
+class _Masks(NamedTuple):
+    """One frame's cells in keys held as ints (``_int``), built once per
+    frame: ``at[p]`` is the bit of the frame's cell at grid index p
+    (``_Grid``), ``main`` and ``small`` the bits of the main and small cells
+    t = 0..m-1 listed twice over, so that a cyclic run is one slice, and the
+    masks of all main, small and chord cells.  m * m + 4m + 3 ints, dropped
+    with the frame."""
+
+    at: tuple
+    main: tuple
+    small: tuple
+    mains: int
+    smalls: int
+    chords: int
+
+
+def _frame_masks(frame: CycleFrame, l: int) -> _Masks:
+    """The ``_Masks`` of ``frame`` in keys of realizations with l columns."""
+    m = frame.m
+    shifts = [8 * v for v in frame.v_ids]
+    at = tuple([1 << (8 * u * l + s) for u in frame.u_ids for s in shifts])
+    main = at[::m + 1]
+    small = tuple(at[t * m + (t + 1) % m] for t in range(m))
+    mains, smalls = sum(main), sum(small)
+    return _Masks(at, main + main, small + small, mains, smalls, sum(at) & ~(mains | smalls))
+
+
+class _Target(NamedTuple):
+    """An OK/KO spec on its frame's masks: the cells its pattern pins
+    (``care``, the frame's main and small cells and the anchor) and the
+    values it pins them to (``want``); the anchor's bit, and that bit again
+    if the anchor's type is 1, else 0 (``restore``)."""
+
+    spec: "OKKOSpec"
+    care: int
+    want: int
+    anchor: int
+    restore: int
+
+
+def _target(masks: _Masks, spec: "OKKOSpec") -> _Target:
+    """``spec.pattern()`` as a ``_Target`` on ``masks``, the masks of the
+    spec's frame: the main cells of one cyclic run are off and the small
+    cells of another on, each run one slice of the doubled bit lists."""
+    m = len(masks.main) // 2
+    a, b = spec.anchor
+    anchor = masks.at[a * m + b]
+    if spec.kind == "OK":
+        # mains (a+1)..(b-1) off, smalls a..(b-1) on, anchor off
+        s = (a + 1) % m
+        off = sum(masks.main[s:s + (b - s) % m])
+        on = sum(masks.small[a:a + (b - a) % m])
+        restore = anchor
+    else:
+        # mains b..a off, smalls b..(a-1) on, anchor on
+        off = sum(masks.main[b:b + (a + 1 - b) % m])
+        on = sum(masks.small[b:b + (a - b) % m]) + anchor
+        restore = 0
+    return _Target(spec, masks.mains | masks.smalls | anchor, masks.mains - off + on, anchor,
+                   restore)
 
 
 def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
     """Whether Z carries exactly the pattern cells demanded by the spec."""
-    return _key_matches(Z.key(), Z.l, spec)
+    target = _target(_frame_masks(spec.frame, Z.l), spec)
+    return _int(Z.key()) & target.care == target.want
 
 
-def _key_matches(key: bytes, l: int, spec: OKKOSpec) -> bool:
-    """``matches_spec`` for the realization with key ``key`` and l columns."""
-    frame = spec.frame
-    mains, smalls, anchor_val = spec.pattern()
-    for (main, small), main_val, small_val in zip(frame._diagonal_indices(l), mains, smalls):
-        if key[main] != main_val or key[small] != small_val:
-            return False
-    return key[frame._cell_index(spec.anchor, l)] == anchor_val
-
-
-def _cycle_cells(key: bytes, l: int, flipped: list) -> list:
-    """The cells ``flipped`` in the realization with key ``key`` and l
-    columns (key indices, as ``_retarget`` returns them), sorted and
-    verified to form one alternating cycle: two cells in each row and in
-    each column they meet, one of them an edge, and a single cycle through
-    them all; raises ``SpecViolation`` otherwise."""
-    cells = sorted(flipped)
-    if not cells:
-        return []
-    by_row, by_col = {}, {}
-    for c in cells:
-        by_row.setdefault(c // l, []).append(c)
-        by_col.setdefault(c % l, []).append(c)
-    for group in list(by_row.values()) + list(by_col.values()):
-        if len(group) != 2:
-            raise SpecViolation("pattern difference is not a disjoint cycle union")
-        if sorted([key[group[0]], key[group[1]]]) != [0, 1]:
-            raise SpecViolation("pattern difference does not alternate")
-    start = cells[0]
-    seen = {start}
-    cur, via_row = start, True
-    while True:
-        group = by_row[cur // l] if via_row else by_col[cur % l]
-        nxt = group[0] if group[1] == cur else group[1]
-        if nxt == start:
-            break
-        if nxt in seen:
-            raise SpecViolation("pattern difference revisits a cell")
-        seen.add(nxt)
-        cur, via_row = nxt, not via_row
-    if len(seen) != len(cells):
-        raise SpecViolation("pattern difference splits into several cycles")
-    return cells
+def _cycle_span(key: int, l: int, diff: int) -> tuple:
+    """``(rows, cols)``, each increasing: the rows and columns of the cells
+    of ``diff``, a mask of the key ``key`` of a realization with l columns,
+    verified to form one alternating cycle, of twice as many cells as rows.
+    In each row and each column they meet, one cell must be on in the key
+    and one off, and a single cycle must run through them all; raises
+    ``SpecViolation`` otherwise."""
+    on_v, on_u, off_v, off_u = {}, {}, {}, {}
+    for cells, to_v, to_u in ((key & diff, on_v, on_u), (diff & ~key, off_v, off_u)):
+        for b in _bits(cells):
+            u = (b >> 3) // l
+            v = (b >> 3) - u * l
+            if u in to_v or v in to_u:
+                raise SpecViolation("pattern difference does not alternate")
+            to_v[u] = v
+            to_u[v] = u
+    if on_v.keys() != off_v.keys() or on_u.keys() != off_u.keys():
+        raise SpecViolation("pattern difference is not a disjoint cycle union")
+    if on_v:
+        # from a row, its off cell's column, then that column's on cell's
+        # row: a permutation of the rows, one cycle when one orbit holds all
+        first = u = min(on_v)
+        steps = 0
+        while True:
+            u = on_u[off_v[u]]
+            steps += 1
+            if u == first:
+                break
+        if steps != len(on_v):
+            raise SpecViolation("pattern difference splits into several cycles")
+    return sorted(on_v), sorted(on_u)
 
 
 def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
@@ -727,10 +764,11 @@ def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
-def _bridge(l: int, key_a: bytes, key_b: bytes, cells: list, bridges: dict) -> list:
+def _bridge(l: int, key_a: int, key_b: int, rows: list, cols: list, bridges: dict) -> list:
     """Swaps carrying the realization with key ``key_a`` to the one with key
-    ``key_b`` (l columns each), which differ in ``cells`` (key indices), one
-    alternating cycle as ``_cycle_cells`` checks it.
+    ``key_b`` (l columns each, keys held as ints), which differ in one
+    alternating cycle, as ``_cycle_span`` checks it, through the rows and
+    columns ``rows`` and ``cols``, each increasing.
 
     The difference cycle's rows and columns span a small subgraph in both
     graphs with equal margins; the constructive transformation on that
@@ -742,12 +780,14 @@ def _bridge(l: int, key_a: bytes, key_b: bytes, cells: list, bridges: dict) -> l
     pure function of those two local matrices, so a hit returns exactly the
     local swaps a miss would solve; only the lift depends on rows and cols.
     """
-    if not cells:
+    if not rows:
         return []
-    rows = sorted({c // l for c in cells})
-    cols = sorted({c % l for c in cells})
     shape = (len(rows), len(cols))
-    key = (shape, _local_bytes(key_a, l, rows, cols), _local_bytes(key_b, l, rows, cols))
+    # the keys' bytes up to the end of the last row the cycle meets
+    n = (rows[-1] + 1) * l
+    window = (1 << 8 * n) - 1
+    key = (shape, _local_bytes((key_a & window).to_bytes(n, "little"), l, rows, cols),
+           _local_bytes((key_b & window).to_bytes(n, "little"), l, rows, cols))
     local = bridges.get(key)
     if local is None:
         sub_a, sub_b = (BipartiteGraph._trusted(np.frombuffer(data, np.uint8).reshape(shape))
@@ -774,108 +814,117 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     the kind-changing case.  Each call solves its bridge with a fresh
     bridge memo (see ``_bridge``).
     """
-    return _ok_ko_move(L_prev.key(), L_prev.l, spec_prev, spec_next, {})[0]
+    l = L_prev.l
+    prev, nxt = (_target(_frame_masks(spec.frame, l), spec) for spec in (spec_prev, spec_next))
+    return _ok_ko_move(_int(L_prev.key()), l, prev, nxt, {})[0]
 
 
-def _ok_ko_move(key: bytes, l: int, spec_prev: OKKOSpec, spec_next: OKKOSpec,
-                bridges: dict) -> tuple:
+def _ok_ko_move(key: int, l: int, prev: _Target, nxt: _Target, bridges: dict) -> tuple:
     """``(swaps, next_key)``: the swaps of ``ok_ko_step`` from the
-    realization with key ``key`` (l columns) and the key they reach, built
-    and traced once; the bridge goes through the ``bridges`` memo."""
+    realization with key ``key`` (l columns, held as an int) matching
+    ``prev`` to the target ``nxt``, with ``prev``'s anchor restored to its
+    type and every other cell inherited, and the key they reach; the bridge
+    goes through the ``bridges`` memo."""
+    spec_prev, spec_next = prev.spec, nxt.spec
     if spec_prev.frame != spec_next.frame:
         raise SpecViolation("patterns live on different cycle frames")
     if spec_prev == spec_next:
         return [], key
-    if not _key_matches(key, l, spec_prev):
+    if key & prev.care != prev.want:
         raise SpecViolation("graph does not match the claimed source pattern")
-    next_key, flipped = _spec_target(key, l, spec_prev, spec_next)
-    cells = _cycle_cells(key, l, flipped)
+    next_key = (key & ~(nxt.care | prev.anchor)) | nxt.want | (prev.restore & ~nxt.care)
+    rows, cols = _cycle_span(key, l, key ^ next_key)
     dist = position_distance(_anchor_params(spec_prev), _anchor_params(spec_next),
                              spec_prev.frame.m)
     cap = (2 if spec_prev.kind == spec_next.kind else 4) + 2 * dist
-    if len(cells) > cap:
+    if 2 * len(rows) > cap:
         raise SpecViolation(
-            f"difference cycle of {len(cells)} exceeds {cap} for anchor distance {dist}")
-    return _bridge(l, key, next_key, cells, bridges), next_key
+            f"difference cycle of {2 * len(rows)} exceeds {cap} for anchor distance {dist}")
+    return _bridge(l, key, next_key, rows, cols, bridges), next_key
 
 
 # ---------------------------------------------------------------------------
 # the path construction
 # ---------------------------------------------------------------------------
 #
-# The solver below holds each realization as its key (one byte per cell,
-# row stride l) and the chord types as the start realization's key: a
-# chord keeps its start value in every target the construction aims at.
+# The solver below holds each realization as its key read as one int
+# (``_int``: cell c at bit 8c, row stride l) and the chord types as the
+# start realization's key: a chord keeps its start value in every target
+# the construction aims at.  Each frame's cells are masks (``_Masks``),
+# built once per frame solve.
 
 
-def _assert_right_form(key: bytes, l: int, frame: CycleFrame, types: bytes):
-    for t, (main, small) in enumerate(frame._diagonal_indices(l)):
-        if not key[main]:
-            raise PreconditionViolation(f"main edge {t} missing at block entry")
-        if key[small]:
-            raise PreconditionViolation(f"small edge {t} present at block entry")
-    us, vs = frame.u_ids, frame.v_ids
-    for a, b in _grid(frame.m).chords:
-        i = us[a] * l + vs[b]
-        if key[i] != types[i]:
-            raise PreconditionViolation(f"chord {(us[a], vs[b])} off its type at block entry")
+def _assert_right_form(key: int, masks: _Masks, frame: CycleFrame, types: int):
+    m = frame.m
+    if key & masks.mains != masks.mains or key & masks.smalls:
+        for t in range(m):
+            if not key & masks.main[t]:
+                raise PreconditionViolation(f"main edge {t} missing at block entry")
+            if key & masks.small[t]:
+                raise PreconditionViolation(f"small edge {t} present at block entry")
+    off = (key ^ types) & masks.chords
+    if off:
+        a, b = next(divmod(p, m) for p in _grid(m).chords if off & masks.at[p])
+        raise PreconditionViolation(
+            f"chord {(frame.u_ids[a], frame.v_ids[b])} off its type at block entry")
 
 
-def _apply(key: bytes, l: int, swaps) -> bytes:
-    """The key after ``swaps``, applied in order to a copy of ``key`` (l
-    columns), each after ``apply_swap``'s check that its four cells hold
+def _flip(key: int, a: int, b: int, c: int, d: int, orientation: int):
+    """``key`` (a key held as an int) with the 2x2 cells in the rows
+    starting at cell offsets a < b and the columns c < d swapped, if they
+    hold the one-factor that a swap of this orientation removes: one mask
+    check, then one XOR; None otherwise."""
+    first = 1 << 8 * (a + c) | 1 << 8 * (b + d)
+    second = 1 << 8 * (a + d) | 1 << 8 * (b + c)
+    quad = first | second
+    if key & quad != (first if orientation == 1 else second):
+        return None
+    return key ^ quad
+
+
+def _apply(key: int, l: int, swaps) -> int:
+    """The key after ``swaps``, applied in order to ``key`` (l columns, held
+    as an int), each after ``apply_swap``'s check that its four cells hold
     the one-factor it removes."""
-    cur = bytearray(key)
     for s in swaps:
-        if not _flip(cur, s.u1 * l, s.u2 * l, s.v1, s.v2, s.orientation):
+        nxt = _flip(key, s.u1 * l, s.u2 * l, s.v1, s.v2, s.orientation)
+        if nxt is None:
             raise SwapNotAllowed(f"{s} is not allowed in this graph")
-    return bytes(cur)
+        key = nxt
+    return key
 
 
-def _flip(cur: bytearray, a: int, b: int, c: int, d: int, orientation: int) -> bool:
-    """Swap in place the 2x2 cells of ``cur`` in the rows starting at
-    offsets a < b and the columns c < d, if they hold the one-factor that
-    a swap of this orientation removes; False, with nothing flipped,
-    otherwise."""
-    cells = (a + c, b + d, a + d, b + c)
-    if [cur[i] for i in cells] != ([1, 1, 0, 0] if orientation == 1 else [0, 0, 1, 1]):
-        return False
-    for i in cells:
-        cur[i] ^= 1
-    return True
-
-
-def _friendly_swaps(key: bytes, l: int, frame: CycleFrame, types: bytes,
+def _friendly_swaps(key: int, l: int, masks: _Masks, frame: CycleFrame, type1: int,
                     path: FriendlyPath, bridges: dict):
-    specs = []
-    for pos, anchor in zip(path.positions, path.adjusted):
-        t = types[frame._cell_index(pos, l)]
-        specs.append(OKKOSpec("OK" if t == 1 else "KO", anchor, frame))
-    cur, flipped = _spec_target(key, l, None, specs[0])
-    swaps = _bridge(l, key, cur, _cycle_cells(key, l, flipped), bridges)
-    for prev, spec in zip(specs, specs[1:]):
-        step, cur = _ok_ko_move(cur, l, prev, spec, bridges)
+    m = frame.m
+    targets = [_target(masks, OKKOSpec("OK" if type1 >> (a * m + b) & 1 else "KO", anchor,
+                                       frame))
+               for (a, b), anchor in zip(path.positions, path.adjusted)]
+    first = targets[0]
+    cur = (key & ~first.care) | first.want
+    swaps = _bridge(l, key, cur, *_cycle_span(key, l, key ^ cur), bridges)
+    for prev, nxt in zip(targets, targets[1:]):
+        step, cur = _ok_ko_move(cur, l, prev, nxt, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
-    m = frame.m
-    final, flipped = _retarget(cur, l, frame, specs[-1], [0] * m, [1] * m, {})
-    swaps.extend(_bridge(l, cur, final, _cycle_cells(cur, l, flipped), bridges))
+    last = targets[-1]
+    final = (cur & ~(masks.mains | masks.smalls | last.anchor)) | masks.smalls | last.restore
+    swaps.extend(_bridge(l, cur, final, *_cycle_span(cur, l, cur ^ final), bridges))
     return swaps, final
 
 
-def _valid_patterns(F: FMatrix) -> list:
-    """Cut patterns (i, t, j, jp): the first j down-line cells at index i
+def _valid_patterns(m: int, types: int) -> list:
+    """Cut patterns (i, t, j, jp) of an m x m grid whose type-1 chords are
+    the set ``types`` (``_Grid``): the first j down-line cells at index i
     share type t, the first jp-1 up-line cells share 1-t, and up-line cell
     jp has type t again, with jp = j + 1 whenever jp >= 2."""
-    m = F.ell
     out = []
     if _max_down_steps(m) < 1:      # ell < 4: no down-line, so no cut
         return out
     grid = _grid(m)
-    types = _chord_types(F)
     for i in range(m):
-        down = [types[p] for p in grid.down[i]]
-        up = [types[p] for p in grid.up[i]]
+        down = [types >> p & 1 for p in grid.down[i]]
+        up = [types >> p & 1 for p in grid.up[i]]
         t = down[0]
         run = 1
         while run < len(down) and down[run] == t:
@@ -914,84 +963,98 @@ def _first_touch(swaps, edge) -> int:
     raise SpecViolation("a block sequence never touches its closing cell")
 
 
-def _solve_frame(key: bytes, l: int, frame: CycleFrame, types: bytes, bridges: dict,
+def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
                  expect_friendly: bool = False):
     """Swaps flipping the framed cycle from its main side to its small side
     in the realization with key ``key`` (l columns), chords typed by
-    ``types``.
+    ``types``, both keys held as ints (``_int``).
 
     Returns (swaps, final key).  Every emitted swap touches only cells of
     this frame, so sequences of disjoint frames commute.  Bridges between
-    OK/KO targets go through the ``bridges`` memo (see ``_bridge``).
+    OK/KO targets go through the ``bridges`` memo (see ``_bridge``).  The
+    frame's masks are built once here and live for this solve.
     """
     m = frame.m
-    _assert_right_form(key, l, frame, types)
+    masks = _frame_masks(frame, l)
+    _assert_right_form(key, masks, frame, types)
     if m == 1:
         raise SpecViolation("a one-edge block cannot arise")
     if m == 2:
-        s = _swap_on_cells(key, l, frame, 0, 1, 0, 1)
-        return [s], _apply(key, l, [s])
-    F = _local_f(key, l, frame, types)
-    res = find_friendly_path(F)
+        s, end = _swap_on_cells(key, masks, frame, 0, 1, 0, 1)
+        return [s], end
+    # the set of type-1 chords, in grid indices
+    type1 = 0
+    for p in _grid(m).chords:
+        if types & masks.at[p]:
+            type1 |= 1 << p
+    res = _friendly_search(m, type1)
     if isinstance(res, FriendlyPath):
-        return _friendly_swaps(key, l, frame, types, res, bridges)
+        return _friendly_swaps(key, l, masks, frame, type1, res, bridges)
     if expect_friendly:
         raise SpecViolation("a block guaranteed friendly came out blocked")
-    i, t, j, jp = _choose_pattern(_valid_patterns(F), m)
+    i, t, j, jp = _choose_pattern(_valid_patterns(m, type1), m)
     if jp == 1:
-        return _first_possibility(key, l, frame, types, i, t, bridges)
-    return _second_possibility(key, l, frame, types, i, t, j, jp, bridges)
+        return _first_possibility(key, l, masks, frame, types, type1, i, t, bridges)
+    return _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges)
 
 
-def _swap_on_cells(key: bytes, l: int, frame: CycleFrame, urow_a, urow_b, vcol_a,
-                   vcol_b) -> Swap:
-    """``Swap.on`` the frame's U-vertices at local indices urow_a, urow_b
-    and V-vertices at vcol_a, vcol_b, read from the key (l columns)."""
-    u1, u2 = sorted((frame.u_ids[urow_a], frame.u_ids[urow_b]))
-    v1, v2 = sorted((frame.v_ids[vcol_a], frame.v_ids[vcol_b]))
-    a, b = u1 * l, u2 * l
-    if key[a + v1] and key[b + v2]:
-        ori = 1
-    elif key[a + v2] and key[b + v1]:
-        ori = 2
+def _swap_on_cells(key: int, masks: _Masks, frame: CycleFrame, urow_a, urow_b, vcol_a,
+                   vcol_b) -> tuple:
+    """``(swap, key after it)``: ``Swap.on`` the frame's U-vertices at local
+    indices urow_a, urow_b and V-vertices at vcol_a, vcol_b, read from the
+    key (held as an int, cells as in ``masks``), then applied after the
+    one-factor check of ``_apply``."""
+    us, vs, at = frame.u_ids, frame.v_ids, masks.at
+    if us[urow_a] > us[urow_b]:
+        urow_a, urow_b = urow_b, urow_a
+    if vs[vcol_a] > vs[vcol_b]:
+        vcol_a, vcol_b = vcol_b, vcol_a
+    u1, u2, v1, v2 = us[urow_a], us[urow_b], vs[vcol_a], vs[vcol_b]
+    a, b = urow_a * len(us), urow_b * len(us)
+    first = at[a + vcol_a] | at[b + vcol_b]       # (u1, v1) and (u2, v2)
+    second = at[a + vcol_b] | at[b + vcol_a]
+    if key & first == first:
+        ori, on = 1, first
+    elif key & second == second:
+        ori, on = 2, second
     else:
         raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
-    return Swap(u1, u2, v1, v2, ori)
+    s = Swap(u1, u2, v1, v2, ori)
+    if key & (first | second) != on:
+        raise SwapNotAllowed(f"{s} is not allowed in this graph")
+    return s, key ^ first ^ second
 
 
-def _first_possibility(key, l, frame, types, i, t, bridges):
+def _first_possibility(key, l, masks, frame, types, type1, i, t, bridges):
     m = frame.m
     im1, ip1 = (i - 1) % m, (i + 1) % m
     if t == 1:
         # one swap settles index i and opens the chord (i-1, i+1) as the
         # closing cell of the remaining (m-1)-block
-        s1 = _swap_on_cells(key, l, frame, im1, i, i, ip1)
+        s1, cur = _swap_on_cells(key, masks, frame, im1, i, i, ip1)
         child = frame.sub([(i + 1 + t0) % m for t0 in range(m - 1)])
-        sub, cur = _solve_frame(_apply(key, l, [s1]), l, child, types, bridges)
+        sub, cur = _solve_frame(cur, l, child, types, bridges)
         return [s1] + sub, cur
     if m < 5:
         raise SpecViolation("type-0 adjacent pattern needs at least five indices")
     im2, ip2 = (i - 2) % m, (i + 2) % m
-    sA = _swap_on_cells(key, l, frame, im1, ip1, im1, ip1)
-    cur = _apply(key, l, [sA])
-    sB = _swap_on_cells(cur, l, frame, im1, i, i, ip1)
-    cur = _apply(cur, l, [sB])
+    sA, cur = _swap_on_cells(key, masks, frame, im1, ip1, im1, ip1)
+    sB, cur = _swap_on_cells(cur, masks, frame, im1, i, i, ip1)
     swaps = [sA, sB]
     child = frame.sub([(i + 2 + t0) % m for t0 in range(m - 3)])
-    x = types[frame._cell_index((im2, ip2), l)]
-    if x == 1:
-        sC = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
+    if type1 >> (im2 * m + ip2) & 1:
+        sC, cur = _swap_on_cells(cur, masks, frame, im2, ip1, im1, ip2)
         swaps.append(sC)
-        sub, cur = _solve_frame(_apply(cur, l, [sC]), l, child, types, bridges)
+        sub, cur = _solve_frame(cur, l, child, types, bridges)
         return swaps + sub, cur
     sub, cur = _solve_frame(cur, l, child, types, bridges)
     swaps.extend(sub)
-    sC = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
+    sC, cur = _swap_on_cells(cur, masks, frame, im2, ip1, im1, ip2)
     swaps.append(sC)
-    return swaps, _apply(cur, l, [sC])
+    return swaps, cur
 
 
-def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
+def _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges):
     m = frame.m
     lo_u, hi_u = (i - jp) % m, (i + j) % m
     lo_v, hi_v = (i - j) % m, (i + jp) % m
@@ -1003,9 +1066,8 @@ def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
     swaps = []
     cur = key
     if t == 1:
-        pre = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
+        pre, cur = _swap_on_cells(cur, masks, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(pre)
-        cur = _apply(cur, l, [pre])
     s1, _end1 = _solve_frame(cur, l, sub1, types, bridges, expect_friendly=True)
     s2, _end2 = _solve_frame(cur, l, sub2, types, bridges)
     c1 = _first_touch(s1, frame.cell_edge(d_cell))
@@ -1014,9 +1076,8 @@ def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
     cur = _apply(cur, l, interleaved)
     swaps.extend(interleaved)
     if t == 0:
-        post = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
+        post, cur = _swap_on_cells(cur, masks, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(post)
-        cur = _apply(cur, l, [post])
     return swaps, cur
 
 
@@ -1025,11 +1086,13 @@ def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
     """The swaps carrying G to Gp along ``cycle``, without re-checking that
     the two differ exactly in it, bridging through the call-scoped memo
     ``bridges`` (see ``_bridge``); raises ``SpecViolation`` if the
-    construction misses Gp.  The solve runs on G's key, which also types
-    the chords.  The full-graph reference behind ``cycle_swaps``."""
+    construction misses Gp.  The solve runs on G's key read as an int,
+    which also types the chords.  The full-graph reference behind
+    ``cycle_swaps``."""
     frame = CycleFrame.from_cycle(cycle, G)
-    swaps, end = _solve_frame(G.key(), G.l, frame, G.key(), bridges)
-    if end != Gp.key():
+    start = _int(G.key())
+    swaps, end = _solve_frame(start, G.l, frame, start, bridges)
+    if end != _int(Gp.key()):
         raise SpecViolation("cycle construction missed its target")
     return tuple(swaps)
 
@@ -1097,7 +1160,8 @@ def _pattern_swaps(key: bytes, l: int, cycle: tuple, memo: dict, bridges: dict) 
     swaps = memo.get((local, local_mask))
     if swaps is None:
         frame = CycleFrame._oriented(local, m, frozenset(divmod(b, m) for b in _bits(local_mask)))
-        swaps = memo[local, local_mask] = tuple(_solve_frame(local, m, frame, local, bridges)[0])
+        start = _int(local)
+        swaps = memo[local, local_mask] = tuple(_solve_frame(start, m, frame, start, bridges)[0])
     return rows, cols, swaps
 
 
@@ -1110,26 +1174,25 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     columns, which serve the pattern, the lift and the end check.  The
     swaps come from ``_pattern_swaps``, solved once per local pattern in
     ``patterns``, with each bridge solved once per local problem in
-    ``bridges``.  Each lifted swap flips its four bytes in a copy of the
-    key, after a check that they hold the one-factor the swap removes (the
-    check of ``apply_swap``).  Raises ``SpecViolation`` unless the segment
+    ``bridges``.  The key is read once as an int (``_int``); each lifted
+    swap flips its four cells there by ``_flip``, after a check that they
+    hold the one-factor the swap removes (the check of ``apply_swap``).
+    Raises ``SpecViolation`` unless the segment
     lands on the key with exactly the cycle's cells flipped, the one end
     check of a pattern's swaps, solved or memoized.  A mask has no X/Y
     labels: the cells on in the key are the cycle's start side.
     """
     cycle = _decode(mask, l)
     rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
-    cur = bytearray(key)
+    start = cur = _int(key)
+    n = len(key)
     seg = []
     for s in swaps:
-        if not _flip(cur, rows[s.u1] * l, rows[s.u2] * l, cols[s.v1], cols[s.v2],
-                     s.orientation):
+        cur = _flip(cur, rows[s.u1] * l, rows[s.u2] * l, cols[s.v1], cols[s.v2], s.orientation)
+        if cur is None:
             raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
-        seg.append(bytes(cur))
-    end = bytearray(key)
-    for c in cycle[0]:
-        end[c] ^= 1
-    if cur != end:
+        seg.append(cur.to_bytes(n, "little"))
+    if cur != start ^ sum(1 << 8 * c for c in cycle[0]):
         raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
 

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import compress, permutations, product
+from operator import not_
 
 import numpy as np
 
@@ -317,10 +318,19 @@ def _incidence(numbering) -> tuple:
     Unequal counts at a vertex raise ``DegreeMismatch``."""
     edges, _, in_x = numbering[:3]
     incid = {}
-    for i in sorted(range(len(edges)), key=lambda i: not in_x[i]):     # X-edges first
-        u, v = edges[i]
-        incid.setdefault((0, u), ([], []))[not in_x[i]].append(i)
-        incid.setdefault((1, v), ([], []))[not in_x[i]].append(i)
+    ids = range(len(edges))
+    # the X-edge ids, then the Y-edge ids, each pass in increasing order
+    for side, pass_ids in ((0, compress(ids, in_x)), (1, compress(ids, map(not_, in_x)))):
+        for i in pass_ids:
+            u, v = edges[i]
+            at = incid.get((0, u))
+            if at is None:
+                at = incid[0, u] = ([], [])
+            at[side].append(i)
+            at = incid.get((1, v))
+            if at is None:
+                at = incid[1, v] = ([], [])
+            at[side].append(i)
     total = 1
     for xs, ys in incid.values():
         if len(xs) != len(ys):

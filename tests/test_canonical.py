@@ -82,27 +82,38 @@ class TestGridTables:
     @pytest.mark.parametrize("m", range(3, 17))
     def test_tables_match_the_cell_formulas(self, m):
         # the per-length tables, and the helpers that read them, against
-        # the per-cell formulas, a DiagonalPosition on every diagonal cell
+        # the per-cell formulas, a DiagonalPosition on every diagonal cell;
+        # the tables name cell (a, b) by its grid index a * m + b, and a set
+        # of cells by the int with the bits of their indices set
         from degswap.canonical import _grid
 
         grid = _grid(m)
         cells = [(a, b) for a in range(m) for b in range(m)]
-        assert grid.rings == tuple(tuple(naive_ring((a, b), m) for b in range(m))
-                                   for a in range(m))
-        assert grid.chords == tuple(p for p in cells if naive_ring(p, m) >= 2)
-        for p in cells:
+
+        def at(ids):
+            if isinstance(ids, int):
+                ids = [i for i in range(m * m) if ids >> i & 1]
+            return tuple(cells[i] for i in ids)
+
+        assert grid.rings == tuple(naive_ring(p, m) for p in cells)
+        assert at(grid.chords) == tuple(p for p in cells if naive_ring(p, m) >= 2)
+        assert at(grid.open) == tuple(p for p in cells if naive_ring(p, m))
+        for i, (a, b) in enumerate(cells):
+            p = (a, b)
             assert ring(p, m) == naive_ring(p, m)
+            steps = {((a - 1) % m, b), ((a + 1) % m, b), (a, (b - 1) % m), (a, (b + 1) % m)}
+            assert at(grid.orth[i]) == tuple(sorted(steps))
             if naive_ring(p, m) >= 2:
-                assert cousins(p, m) == grid.cousins[p[0]][p[1]] == naive_cousins(p, m)
+                assert cousins(p, m) == at(grid.cousins[i]) == naive_cousins(p, m)
                 continue
-            assert grid.cousins[p[0]][p[1]] is None
+            assert grid.cousins[i] is None
             for rule in (cousins, naive_cousins):
                 with pytest.raises(DiagonalPosition):
                     rule(p, m)
         for i in range(m):
-            assert down_line(i, m) == grid.down[i] == naive_down_line(i, m)
-            assert up_line(i, m) == grid.up[i] == naive_up_line(i, m)
-        assert down_up_rings(m) == grid.near == naive_down_up_rings(m)
+            assert down_line(i, m) == at(grid.down[i]) == naive_down_line(i, m)
+            assert up_line(i, m) == at(grid.up[i]) == naive_up_line(i, m)
+        assert down_up_rings(m) == tuple(map(at, grid.near)) == naive_down_up_rings(m)
 
     def test_one_bounded_table_per_length(self):
         from degswap.canonical import _grid

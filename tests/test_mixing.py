@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
@@ -6,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from degswap import BipartiteDegreeSequence, BipartiteGraph, canonical, cli, mixing, pairings
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, canonical, canonical_path, chain,
+                     cli, mixing, pairings)
 from degswap.chain import pair_count
 from degswap.core import is_graphical
 from degswap.errors import (DegenerateChain, Exceeds, NonMixing, PreconditionViolation,
@@ -16,10 +18,11 @@ from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             distance_profile, enumerate_states, spectral_gap,
                             total_variation, total_variation_time, tv_mixing_time)
 
-from oracles import (all_degree_pairs, brute_margin_count, count_ryser, csr,
+from oracles import (PINNED_16, all_degree_pairs, brute_margin_count, count_ryser, csr,
                      dense_distance_profile, dense_kernel_rows, dense_total_variation,
                      full_deviations, graphs, kernel_rows, naive_congestion, naive_enumerate,
-                     naive_segment, neighbour_rows, never_memoize_bridges, ordered_congestion)
+                     naive_segment, neighbour_rows, never_memoize_bridges, ordered_congestion,
+                     pinned_pair)
 
 
 def bds(a, b):
@@ -1048,6 +1051,55 @@ class TestBridgeMemo:
         assert all(r == reports[-1] for r in reports)
         if name == "90":
             assert reports[-1] == REPORT_90
+
+
+class TestSolverDigest:
+    """The cycle solver's output over a fixed sweep, pinned by digest: every
+    ``canonical._pattern_swaps`` result ``(rows, cols, swaps)`` for each
+    segment certified congestion computes on 48U, 48V and 90 states, each
+    space with fresh memos, so each distinct local pattern is solved once;
+    then every frame the certified ``canonical_path`` walks on the pinned
+    16 x 16 pairs, which reach both blocked branches.  No benchmark workload
+    reaches those branches."""
+
+    # sha256 of the sweep's lines, recorded while the solver ran on bytes
+    DIGEST = (4844, "8ecdc4b34c5753357a6f502379f12636e6d1c45ad7c2480091810d4ef419ce30")
+
+    def test_pattern_swaps_digest(self, certified_runs):
+        lines = []
+
+        def line(out):
+            rows, cols, swaps = out
+            lines.append(f"{rows} {cols} "
+                         + " ".join(f"{s.u1},{s.u2},{s.v1},{s.v2},{s.orientation}" for s in swaps))
+            return out
+
+        for name in SPACES:
+            run = certified_runs[name]
+            l = run["space"].graph(0).l
+            memo, bridges = {}, {}
+            for key, mask, _ in run["segments"]:
+                line(canonical._pattern_swaps(key, l, canonical._decode(mask, l), memo, bridges))
+        ds = bds((4,) * 16, (4,) * 16)
+        pairs = [(*pinned_pair(name), 5) for name in sorted(PINNED_16)]
+        pairs.append((chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272), 14))
+        branches = Counter()
+        real = canonical._pattern_swaps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canonical, "_pattern_swaps", lambda *args: line(real(*args)))
+            for branch in ("_first_possibility", "_second_possibility"):
+                taken = getattr(canonical, branch)
+
+                def counting(*args, branch=branch, taken=taken):
+                    branches[branch] += 1
+                    return taken(*args)
+
+                mp.setattr(canonical, branch, counting)
+            for X, Y, seed in pairs:
+                canonical_path(X, Y, pairings.random_pairing(X, Y, seed), certify=True)
+        assert set(branches) == {"_first_possibility", "_second_possibility"}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.DIGEST
 
 
 class TestDifferenceBuckets:
