@@ -32,13 +32,19 @@ each segment by ``_key_segment`` on the cycle's local m x m pattern, with
 segment, pattern and bridge memos the caller scopes; ``canonical_path``,
 ``path_distribution`` and ``mixing.congestion`` all walk through it.
 
+The m x m grid has one form, one table per length (``_grid``): a cell is
+its grid index a * m + b, a set of cells one int.  Every search on it is
+one breadth-first routine whose layers are ints (``_flood``): the grid
+metric, the friendly-path search, the king components of the unfriendly
+chords and the rook-path cut test.  Only ``find_friendly_path`` and the
+public helpers build (a, b) cells, and only ``ok_ko_step`` and
+``matches_spec`` read an ``OKKOSpec``; the solver stays on indices.
+
 The cycle solver holds each realization as one int, its key read
 little-endian (``_int``: cell c at bit 8c, as the kernel's and
-congestion's keys are read), and reads the grid's geometry from one table
-per cycle length, ``_grid``, whose cells are grid indices and whose cell
-sets are ints.  A frame's cells are masks built once per frame solve
-(``_Masks``, m * m + 4m + 3 ints, dropped with the solve); an OK/KO target
-is a (care, want) mask pair (``_Target``), so matching a spec is one AND
+congestion's keys are read).  A frame's cells are masks built once per
+frame solve (``_Masks``, m * m + 4m + 3 ints, dropped with the solve); an
+OK/KO target is a (care, want) mask pair, so matching a spec is one AND
 and one compare, a target is inherited by one AND-NOT and one OR, the
 difference cycle between two targets is the XOR of their ints, and a swap
 is a one-factor check on one 4-cell mask and then one XOR (``_flip``).
@@ -48,7 +54,7 @@ is a one-factor check on one 4-cell mask and then one XOR (``_flip``).
 from __future__ import annotations
 
 import functools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -60,7 +66,7 @@ from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
 from .pairings import AlternatingCycle, _bits, _decompositions, _pairing_partners, _trace
-from .ryser import replay, ryser_sequence
+from .ryser import _eliminate, replay
 
 # ---------------------------------------------------------------------------
 # positions on the cycle-local grid
@@ -74,9 +80,10 @@ class _Grid(NamedTuple):
     set for each index p in it."""
 
     rings: tuple      # rings[p]: the ring of cell p
-    chords: tuple     # the chord cells, increasing
+    chords: int       # the set of chord cells
     cousins: tuple    # cousins[p]: the set cousins(p); None on the diagonals
     orth: tuple       # orth[p]: the set of the four cells one unit step from p
+    king: tuple       # king[p]: the set of the eight cells one king step from p
     open: int         # the set of cells off the main diagonal
     down: tuple       # down[i]: down_line(i, m)
     up: tuple         # up[i]: up_line(i, m)
@@ -88,7 +95,7 @@ def _grid(m: int) -> _Grid:
     """The grid tables of length m, a pure function of m, built once per
     length and process; every table is immutable, as the cache shares it."""
     rings = tuple((b - a) % m for a in range(m) for b in range(m))
-    chords = tuple(p for p in range(m * m) if rings[p] >= 2)
+    chords = [p for p in range(m * m) if rings[p] >= 2]
     cousins = [None] * (m * m)
     for p in chords:
         # the reflected 2x2 window: u-index in {b-1, b}, v-index in {a, a+1},
@@ -97,17 +104,45 @@ def _grid(m: int) -> _Grid:
         u, v = (b - 1) % m, (a + 1) % m
         cousins[p] = sum(1 << q for q in {u * m + a, u * m + v, b * m + a, b * m + v}
                          if rings[q] >= 2)
-    orth = tuple(sum(1 << q for q in {((a - 1) % m) * m + b, ((a + 1) % m) * m + b,
-                                      a * m + (b - 1) % m, a * m + (b + 1) % m})
-                 for a in range(m) for b in range(m))
-    down = tuple(tuple(((i + s) % m) * m + (i - s) % m for s in range(1, _max_down_steps(m) + 1))
+
+    def steps(moves):
+        return tuple(sum(1 << q for q in {((a + da) % m) * m + (b + db) % m for da, db in moves})
+                     for a in range(m) for b in range(m))
+
+    orth = ((-1, 0), (1, 0), (0, -1), (0, 1))
+    king = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1) if da or db]
+    # cell ((i+s), (i-s)) sits on ring m - 2s and cell ((i-s), (i+s)) on ring
+    # 2s; chords need rings 2..m-1
+    down = tuple(tuple(((i + s) % m) * m + (i - s) % m for s in range(1, m // 2))
                  for i in range(m))
-    up = tuple(tuple(((i - s) % m) * m + (i + s) % m for s in range(1, _max_up_steps(m) + 1))
+    up = tuple(tuple(((i - s) % m) * m + (i + s) % m for s in range(1, (m + 1) // 2))
                for i in range(m))
     near = (sum(1 << (t * m + (t - 1) % m) for t in range(m)),
             sum(1 << (t * m + (t + 2) % m) for t in range(m)))
-    return _Grid(rings, chords, tuple(cousins), orth,
+    return _Grid(rings, sum(1 << p for p in chords), tuple(cousins), steps(orth), steps(king),
                  sum(1 << p for p in range(m * m) if rings[p]), down, up, near)
+
+
+def _flood(steps: tuple, seed: int, allowed: int):
+    """The breadth-first layers from the set of cells ``seed`` through the
+    set ``allowed``, each layer a set of cells (``_Grid``): ``seed`` first,
+    then the cells of ``allowed`` one step of the table ``steps`` (``orth``
+    or ``king``) from the layer before and in no earlier layer.  The layers
+    are disjoint, so their sum is the set of cells reached."""
+    seen = layer = seed
+    while layer:
+        yield layer
+        reach = 0
+        for p in _bits(layer):
+            reach |= steps[p]
+        layer = reach & allowed & ~seen
+        seen |= layer
+
+
+def _index(pos, m: int) -> int:
+    """The grid index of the cell ``pos``, its coordinates read mod m."""
+    a, b = pos
+    return (a % m) * m + b % m
 
 
 def _cells(ids, m: int) -> tuple:
@@ -123,8 +158,7 @@ def _lowest(cells: int) -> int:
 def ring(pos, ell: int) -> int:
     """Cyclic offset of a cell: 0 on the main diagonal, 1 on the small
     diagonal, 2..ell-1 on chords."""
-    a, b = pos
-    return _grid(ell).rings[(a % ell) * ell + b % ell]
+    return _grid(ell).rings[_index(pos, ell)]
 
 
 def is_chord(pos, ell: int) -> bool:
@@ -139,47 +173,27 @@ def cousins(pos, ell: int) -> tuple:
     cousin span a 2x2 submatrix whose other two corners both lie on the
     diagonals, which is what makes a same-type cousin a switch witness.
     """
-    a, b = pos
-    out = _grid(ell).cousins[(a % ell) * ell + b % ell]
+    out = _grid(ell).cousins[_index(pos, ell)]
     if out is None:
         raise DiagonalPosition(f"{pos} lies on a diagonal")
     return _cells(_bits(out), ell)
 
 
-def _orth_neighbors(pos, ell: int):
-    a, b = pos
-    return (((a - 1) % ell, b), ((a + 1) % ell, b),
-            (a, (b - 1) % ell), (a, (b + 1) % ell))
-
-
 def position_distance(p, q, ell: int) -> int:
     """Grid metric: unit horizontal or vertical steps, rows and columns wrap
     around, and main-diagonal cells cannot be entered."""
-    grid = _grid(ell)
-    target = (q[0] % ell) * ell + q[1] % ell
-    # breadth-first, one layer of cells at a time
-    seen = layer = 1 << ((p[0] % ell) * ell + p[1] % ell)
-    dist = 0
-    while layer:
-        if layer >> target & 1:
+    return _distance(ell, _index(p, ell), _index(q, ell))
+
+
+def _distance(m: int, p: int, q: int) -> int:
+    """``position_distance`` between the grid indices p and q of length m:
+    the first layer of ``_flood`` over the cells off the main diagonal that
+    holds q; ``ValueError`` when none does."""
+    grid = _grid(m)
+    for dist, layer in enumerate(_flood(grid.orth, 1 << p, grid.open)):
+        if layer >> q & 1:
             return dist
-        reach = 0
-        for cur in _bits(layer):
-            reach |= grid.orth[cur]
-        layer = reach & grid.open & ~seen
-        seen |= layer
-        dist += 1
-    raise ValueError(f"{q} unreachable from {p}")
-
-
-def _max_down_steps(ell: int) -> int:
-    # cell ((i+s), (i-s)) sits on ring ell - 2s; chords need ring >= 2
-    return (ell - 2) // 2
-
-
-def _max_up_steps(ell: int) -> int:
-    # cell ((i-s), (i+s)) sits on ring 2s; chords need ring <= ell - 1
-    return (ell - 1) // 2
+    raise ValueError(f"{divmod(q, m)} unreachable from {divmod(p, m)}")
 
 
 def down_line(i: int, ell: int) -> tuple:
@@ -414,56 +428,21 @@ def adjusted_positions(path: FriendlyPath, F: FMatrix) -> tuple:
     """Anchor sequence: type-0 positions stay, type-1 positions are replaced
     by their lowest same-type cousin."""
     m = F.ell
-    return _cells(_anchors([(a % m) * m + b % m for a, b in path.positions], m, _types(F)), m)
-
-
-def _king_neighbors(pos, ell):
-    a, b = pos
-    out = []
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            if da == db == 0:
-                continue
-            out.append(((a + da) % ell, (b + db) % ell))
-    return out
-
-
-def _king_component(seed, cells, ell: int) -> set:
-    """The cells of ``cells`` king-connected to ``seed``, which is one of
-    them, by breadth-first search."""
-    comp = {seed}
-    queue = deque([seed])
-    while queue:
-        cur = queue.popleft()
-        for q in _king_neighbors(cur, ell):
-            if q in cells and q not in comp:
-                comp.add(q)
-                queue.append(q)
-    return comp
-
-
-def _blocks_all_rook_paths(block: set, ell: int) -> bool:
-    """True when every orthogonal chord path from the main-diagonal ring to
-    the small-diagonal ring meets ``block``."""
-    starts = [p for p in down_up_rings(ell)[0] if p not in block]
-    targets = {p for p in down_up_rings(ell)[1] if p not in block}
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        cur = queue.popleft()
-        if cur in targets:
-            return False
-        for nxt in _orth_neighbors(cur, ell):
-            if nxt in seen or not is_chord(nxt, ell) or nxt in block:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return True
+    return _cells(_anchors([_index(p, m) for p in path.positions], m, _types(F)), m)
 
 
 def down_up_rings(ell: int):
     """The chord rings adjacent to the main diagonal and the small diagonal."""
     return tuple(_cells(_bits(cells), ell) for cells in _grid(ell).near)
+
+
+def _cuts(grid: _Grid, block: int) -> bool:
+    """Whether the set of cells ``block`` meets every orthogonal chord path
+    from the ring next to the main diagonal to the ring next to the small
+    diagonal: whether the chords off it, flooded from that first ring, never
+    reach the second."""
+    free = grid.chords & ~block
+    return not any(layer & grid.near[1] for layer in _flood(grid.orth, grid.near[0] & free, free))
 
 
 def find_friendly_path(F: FMatrix):
@@ -476,53 +455,51 @@ def find_friendly_path(F: FMatrix):
     existence is the combinatorial guarantee behind the construction and a
     missing one raises loudly.
     """
-    if F.ell < 3:
+    m = F.ell
+    if m < 3:
         raise ValueError("the chord grid needs ell >= 3")
-    return _friendly_search(F.ell, _types(F))
+    res = _friendly_search(m, _types(F))
+    if isinstance(res, tuple):
+        path, anchors = res
+        return FriendlyPath(_cells(path, m), _cells(anchors, m), len(path) == 1)
+    return SteinhausSet(frozenset(_cells(_bits(res), m)), m)
 
 
-def _friendly_search(m: int, types: int) -> "FriendlyPath | SteinhausSet":
+def _friendly_search(m: int, types: int):
     """``find_friendly_path`` on an m x m grid (m >= 3) whose type-1 chords
-    are the set ``types`` (``_Grid``).  The search runs on sets of cells: a
-    breadth-first layer is one int, so the lowest target of a layer is its
-    lowest set bit, and a cell's parent, the first cell of the layer before
-    it that reaches it, is the lowest bit of that layer among its unit
-    steps."""
+    are the set ``types`` (``_Grid``), in grid indices: the path and its
+    anchors (``_anchors``), a pair of tuples, or the blocking set, an int.
+
+    The friendly chords are flooded (``_flood``) from those of the ring next
+    to the main diagonal.  The first layer to meet the ring next to the
+    small diagonal ends the path at its lowest cell there, and a cell's
+    parent, the first cell of the layer before it that reaches it, is the
+    lowest cell of that layer among its unit steps.  Failing that, the
+    king-connected components of the unfriendly chords are flooded in the
+    order of their least cells, and the first that cuts every rook path
+    (``_cuts``) is the blocking set."""
     grid = _grid(m)
     friendly = 0
-    for p in grid.chords:
+    for p in _bits(grid.chords):
         if grid.cousins[p] & (types if types >> p & 1 else ~types):
             friendly |= 1 << p
     layers = []
-    seen = layer = grid.near[0] & friendly
-    while layer:
+    for layer in _flood(grid.orth, grid.near[0] & friendly, friendly):
         hit = layer & grid.near[1]
         if hit:
             path = [_lowest(hit)]
             for before in reversed(layers):
                 path.append(_lowest(before & grid.orth[path[-1]]))
             path.reverse()
-            return FriendlyPath(_cells(path, m), _cells(_anchors(path, m, types), m),
-                                len(path) == 1)
+            return tuple(path), _anchors(path, m, types)
         layers.append(layer)
-        reach = 0
-        for p in _bits(layer):
-            reach |= grid.orth[p]
-        layer = reach & friendly & ~seen
-        seen |= layer
-
-    unfriendly = {divmod(p, m) for p in grid.chords if not friendly >> p & 1}
-    comps = []
-    assigned = set()
-    for p in sorted(unfriendly):
-        if p not in assigned:
-            comps.append(_king_component(p, unfriendly, m))
-            assigned |= comps[-1]
-    blocking = [c for c in comps if _blocks_all_rook_paths(c, m)]
-    if not blocking:
-        raise SpecViolation("no friendly path and no single blocking component")
-    best = min(blocking, key=lambda c: min(c))
-    return SteinhausSet(frozenset(best), m)
+    unfriendly = rest = grid.chords & ~friendly
+    while rest:
+        block = sum(_flood(grid.king, rest & -rest, unfriendly))
+        if _cuts(grid, block):
+            return block
+        rest &= ~block
+    raise SpecViolation("no friendly path and no single blocking component")
 
 
 def verify_friendly_path(path: FriendlyPath, F: FMatrix):
@@ -563,21 +540,26 @@ def verify_steinhaus(ss: SteinhausSet, F: FMatrix):
     for p in T:
         if F.is_friendly(p):
             raise SpecViolation(f"{p} in the blocking set is friendly")
-    if _king_component(min(T), T, m) != set(T):
+    grid, types = _grid(m), _types(F)
+    block = near = 0        # the set and its cousin set
+    for q in T:
+        p = _index(q, m)
+        block |= 1 << p
+        near |= grid.cousins[p]
+    if sum(_flood(grid.king, block & -block, block)) != block:
         raise SpecViolation("blocking set is not king-connected")
-    if not _blocks_all_rook_paths(set(T), m):
+    if not _cuts(grid, block):
         raise SpecViolation("blocking set misses a rook path")
-    ctypes = {F.type_of(q) for q in ss.cousin_set()}
+    ctypes = {types >> p & 1 for p in _bits(near)}
     if len(ctypes) != 1:
         raise SpecViolation("cousin set carries both types")
-    ttypes = {F.type_of(p) for p in T}
+    ttypes = {types >> p & 1 for p in _bits(block)}
     if len(ttypes) != 1 or ttypes == ctypes:
         raise SpecViolation("blocking set is not uniformly opposite-typed")
-    cs = ss.cousin_set()
     for i in range(m):
-        if not (cs & set(down_line(i, m))):
+        if not any(near >> p & 1 for p in grid.down[i]):
             raise SpecViolation(f"cousin set misses down-line {i}")
-        if not (cs & set(up_line(i, m))):
+        if not any(near >> p & 1 for p in grid.up[i]):
             raise SpecViolation(f"cousin set misses up-line {i}")
 
 
@@ -685,26 +667,30 @@ def _frame_masks(frame: CycleFrame, l: int) -> _Masks:
 
 
 class _Target(NamedTuple):
-    """An OK/KO spec on its frame's masks: the cells its pattern pins
-    (``care``, the frame's main and small cells and the anchor) and the
-    values it pins them to (``want``); the anchor's bit, and that bit again
-    if the anchor's type is 1, else 0 (``restore``)."""
+    """An OK/KO pattern on its frame's masks: its kind ("OK" or "KO"), its
+    anchor's grid index (``cell``), the cells it pins (``care``, the frame's
+    main and small cells and the anchor) and the values it pins them to
+    (``want``); the anchor's bit, and that bit again if the anchor's type is
+    1, else 0 (``restore``).  Two targets on one frame's masks are the same
+    pattern exactly when they are equal."""
 
-    spec: "OKKOSpec"
+    kind: str
+    cell: int
     care: int
     want: int
     anchor: int
     restore: int
 
 
-def _target(masks: _Masks, spec: "OKKOSpec") -> _Target:
-    """``spec.pattern()`` as a ``_Target`` on ``masks``, the masks of the
-    spec's frame: the main cells of one cyclic run are off and the small
-    cells of another on, each run one slice of the doubled bit lists."""
+def _target(masks: _Masks, kind: str, cell: int) -> _Target:
+    """``OKKOSpec(kind, anchor, frame).pattern()`` as a ``_Target`` on
+    ``masks``, the masks of the frame, for the anchor at grid index
+    ``cell``: the main cells of one cyclic run are off and the small cells
+    of another on, each run one slice of the doubled bit lists."""
     m = len(masks.main) // 2
-    a, b = spec.anchor
-    anchor = masks.at[a * m + b]
-    if spec.kind == "OK":
+    a, b = divmod(cell, m)
+    anchor = masks.at[cell]
+    if kind == "OK":
         # mains (a+1)..(b-1) off, smalls a..(b-1) on, anchor off
         s = (a + 1) % m
         off = sum(masks.main[s:s + (b - s) % m])
@@ -715,13 +701,14 @@ def _target(masks: _Masks, spec: "OKKOSpec") -> _Target:
         off = sum(masks.main[b:b + (a + 1 - b) % m])
         on = sum(masks.small[b:b + (a - b) % m]) + anchor
         restore = 0
-    return _Target(spec, masks.mains | masks.smalls | anchor, masks.mains - off + on, anchor,
+    return _Target(kind, cell, masks.mains | masks.smalls | anchor, masks.mains - off + on, anchor,
                    restore)
 
 
 def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
     """Whether Z carries exactly the pattern cells demanded by the spec."""
-    target = _target(_frame_masks(spec.frame, Z.l), spec)
+    m = spec.frame.m
+    target = _target(_frame_masks(spec.frame, Z.l), spec.kind, _index(spec.anchor, m))
     return _int(Z.key()) & target.care == target.want
 
 
@@ -771,13 +758,14 @@ def _bridge(l: int, key_a: int, key_b: int, rows: list, cols: list, bridges: dic
     columns ``rows`` and ``cols``, each increasing.
 
     The difference cycle's rows and columns span a small subgraph in both
-    graphs with equal margins; the constructive transformation on that
-    subgraph is lifted back to global coordinates.
+    graphs with equal margins; ``ryser_sequence``'s column elimination on
+    it (``ryser._eliminate``, on the local bytes as row lists, without the
+    margin check) is lifted back to global coordinates.
 
     ``bridges`` is the caller's memo of local solves, living for one
     top-level call.  It is keyed by the subgraph's shape and the bytes of
-    the two keys on the sorted rows x columns.  ``ryser_sequence`` is a
-    pure function of those two local matrices, so a hit returns exactly the
+    the two keys on the sorted rows x columns.  The elimination is a pure
+    function of those two local matrices, so a hit returns exactly the
     local swaps a miss would solve; only the lift depends on rows and cols.
     """
     if not rows:
@@ -790,17 +778,11 @@ def _bridge(l: int, key_a: int, key_b: int, rows: list, cols: list, bridges: dic
            _local_bytes((key_b & window).to_bytes(n, "little"), l, rows, cols))
     local = bridges.get(key)
     if local is None:
-        sub_a, sub_b = (BipartiteGraph._trusted(np.frombuffer(data, np.uint8).reshape(shape))
-                        for data in key[1:])
-        local = bridges[key] = tuple(ryser_sequence(sub_a, sub_b))
+        c = shape[1]
+        a, b = ([list(data[i:i + c]) for i in range(0, len(data), c)] for data in key[1:])
+        local = bridges[key] = tuple(_eliminate(a, b))
     return [Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2], s.orientation)
             for s in local]
-
-
-def _anchor_params(spec: OKKOSpec):
-    # a KO pattern's bookkeeping parameters are the transposed anchor indices
-    a, b = spec.anchor
-    return spec.anchor if spec.kind == "OK" else (b, a)
 
 
 def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> list:
@@ -814,29 +796,32 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     the kind-changing case.  Each call solves its bridge with a fresh
     bridge memo (see ``_bridge``).
     """
-    l = L_prev.l
-    prev, nxt = (_target(_frame_masks(spec.frame, l), spec) for spec in (spec_prev, spec_next))
-    return _ok_ko_move(_int(L_prev.key()), l, prev, nxt, {})[0]
+    frame = spec_prev.frame
+    if frame != spec_next.frame:
+        raise SpecViolation("patterns live on different cycle frames")
+    masks = _frame_masks(frame, L_prev.l)
+    prev, nxt = (_target(masks, spec.kind, _index(spec.anchor, frame.m))
+                 for spec in (spec_prev, spec_next))
+    return _ok_ko_move(_int(L_prev.key()), L_prev.l, frame.m, prev, nxt, {})[0]
 
 
-def _ok_ko_move(key: int, l: int, prev: _Target, nxt: _Target, bridges: dict) -> tuple:
+def _ok_ko_move(key: int, l: int, m: int, prev: _Target, nxt: _Target, bridges: dict) -> tuple:
     """``(swaps, next_key)``: the swaps of ``ok_ko_step`` from the
     realization with key ``key`` (l columns, held as an int) matching
-    ``prev`` to the target ``nxt``, with ``prev``'s anchor restored to its
-    type and every other cell inherited, and the key they reach; the bridge
-    goes through the ``bridges`` memo."""
-    spec_prev, spec_next = prev.spec, nxt.spec
-    if spec_prev.frame != spec_next.frame:
-        raise SpecViolation("patterns live on different cycle frames")
-    if spec_prev == spec_next:
+    ``prev`` to the target ``nxt``, both on the masks of one frame of length
+    m, with ``prev``'s anchor restored to its type and every other cell
+    inherited, and the key they reach; the bridge goes through the
+    ``bridges`` memo."""
+    if prev == nxt:
         return [], key
     if key & prev.care != prev.want:
         raise SpecViolation("graph does not match the claimed source pattern")
     next_key = (key & ~(nxt.care | prev.anchor)) | nxt.want | (prev.restore & ~nxt.care)
     rows, cols = _cycle_span(key, l, key ^ next_key)
-    dist = position_distance(_anchor_params(spec_prev), _anchor_params(spec_next),
-                             spec_prev.frame.m)
-    cap = (2 if spec_prev.kind == spec_next.kind else 4) + 2 * dist
+    # a KO pattern's bookkeeping parameters are its anchor's transposed indices
+    ends = [t.cell if t.kind == "OK" else t.cell % m * m + t.cell // m for t in (prev, nxt)]
+    dist = _distance(m, *ends)
+    cap = (2 if prev.kind == nxt.kind else 4) + 2 * dist
     if 2 * len(rows) > cap:
         raise SpecViolation(
             f"difference cycle of {2 * len(rows)} exceeds {cap} for anchor distance {dist}")
@@ -864,7 +849,7 @@ def _assert_right_form(key: int, masks: _Masks, frame: CycleFrame, types: int):
                 raise PreconditionViolation(f"small edge {t} present at block entry")
     off = (key ^ types) & masks.chords
     if off:
-        a, b = next(divmod(p, m) for p in _grid(m).chords if off & masks.at[p])
+        a, b = next(divmod(p, m) for p in _bits(_grid(m).chords) if off & masks.at[p])
         raise PreconditionViolation(
             f"chord {(frame.u_ids[a], frame.v_ids[b])} off its type at block entry")
 
@@ -894,17 +879,18 @@ def _apply(key: int, l: int, swaps) -> int:
     return key
 
 
-def _friendly_swaps(key: int, l: int, masks: _Masks, frame: CycleFrame, type1: int,
-                    path: FriendlyPath, bridges: dict):
-    m = frame.m
-    targets = [_target(masks, OKKOSpec("OK" if type1 >> (a * m + b) & 1 else "KO", anchor,
-                                       frame))
-               for (a, b), anchor in zip(path.positions, path.adjusted)]
+def _friendly_swaps(key: int, l: int, masks: _Masks, type1: int, path: tuple, anchors: tuple,
+                    bridges: dict):
+    """``_solve_frame`` along the friendly ``path`` and its ``anchors``
+    (``_friendly_search``): an OK target per type-1 chord, KO per type-0."""
+    m = len(masks.main) // 2
+    targets = [_target(masks, "OK" if type1 >> p & 1 else "KO", anchor)
+               for p, anchor in zip(path, anchors)]
     first = targets[0]
     cur = (key & ~first.care) | first.want
     swaps = _bridge(l, key, cur, *_cycle_span(key, l, key ^ cur), bridges)
     for prev, nxt in zip(targets, targets[1:]):
-        step, cur = _ok_ko_move(cur, l, prev, nxt, bridges)
+        step, cur = _ok_ko_move(cur, l, m, prev, nxt, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
     last = targets[-1]
@@ -919,7 +905,7 @@ def _valid_patterns(m: int, types: int) -> list:
     share type t, the first jp-1 up-line cells share 1-t, and up-line cell
     jp has type t again, with jp = j + 1 whenever jp >= 2."""
     out = []
-    if _max_down_steps(m) < 1:      # ell < 4: no down-line, so no cut
+    if m < 4:       # no down-line, so no cut
         return out
     grid = _grid(m)
     for i in range(m):
@@ -984,12 +970,12 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
         return [s], end
     # the set of type-1 chords, in grid indices
     type1 = 0
-    for p in _grid(m).chords:
+    for p in _bits(_grid(m).chords):
         if types & masks.at[p]:
             type1 |= 1 << p
     res = _friendly_search(m, type1)
-    if isinstance(res, FriendlyPath):
-        return _friendly_swaps(key, l, masks, frame, type1, res, bridges)
+    if isinstance(res, tuple):
+        return _friendly_swaps(key, l, masks, type1, *res, bridges)
     if expect_friendly:
         raise SpecViolation("a block guaranteed friendly came out blocked")
     i, t, j, jp = _choose_pattern(_valid_patterns(m, type1), m)

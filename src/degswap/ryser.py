@@ -28,12 +28,18 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
     are rewired as lists of row lists, by the routine behind ``push_up``.
     """
     _check_pair(G1, G2)
-    forward = []
-    backward = []
-    A, B = G1.adj.tolist(), G2.adj.tolist()
+    return _eliminate(G1.adj.tolist(), G2.adj.tolist())
+
+
+def _eliminate(A: list, B: list) -> list:
+    """The swaps of ``ryser_sequence`` between two matrices of equal margins
+    held as lists of row lists, which are rewired in place to one matrix,
+    column by column.  The margins are not checked."""
+    forward, backward = [], []
+    col_deg = [sum(col) for col in zip(*A)]
     # Process columns by non-increasing degree, lowest index first on ties.
-    cols = sorted(range(G1.l), key=lambda j: (-G1.col_deg[j], j))
-    active = sorted(range(G1.l))
+    cols = sorted(range(len(col_deg)), key=lambda j: (-col_deg[j], j))
+    active = list(range(len(col_deg)))
     for v in cols:
         if any(a[v] != b[v] for a, b in zip(A, B)):
             forward.extend(_push_up(A, v, active))

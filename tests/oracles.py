@@ -670,8 +670,8 @@ def naive_segment(G, mask):
 def spec_realization(G, spec):
     """G with the cells an OK/KO spec pins (every main and small cell of its
     frame, and its anchor) set to the spec's pattern, cell by cell: the
-    target ``canonical._spec_target`` aims at from G with no previous
-    anchor."""
+    realization ``canonical.matches_spec`` accepts that agrees with G
+    everywhere else, the target ``canonical._target`` pins."""
     mains, smalls, anchor_val = spec.pattern()
     frame = spec.frame
     adj = G.adj.copy()
@@ -683,18 +683,19 @@ def spec_realization(G, spec):
 
 
 def count_ryser(mp):
-    """Wrap the cycle solver's ``ryser_sequence`` through the monkeypatch
-    ``mp``; returns a one-item list that counts its calls."""
+    """Wrap the column elimination the cycle solver's bridges run,
+    ``ryser._eliminate`` (the one behind ``ryser_sequence``), through the
+    monkeypatch ``mp``; returns a one-item list that counts its calls."""
     from degswap import canonical
 
     calls = [0]
-    real = canonical.ryser_sequence
+    real = canonical._eliminate
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    mp.setattr(canonical, "ryser_sequence", counting)
+    mp.setattr(canonical, "_eliminate", counting)
     return calls
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _decode, _switch_distances, cycle_swaps,
-                               down_line, down_up_rings, matches_spec, ring, up_line,
-                               verify_friendly_path, verify_same_state, verify_steinhaus)
+                               down_line, down_up_rings, matches_spec, position_distance, ring,
+                               up_line, verify_friendly_path, verify_same_state,
+                               verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
@@ -103,6 +105,9 @@ class TestGridTables:
             assert ring(p, m) == naive_ring(p, m)
             steps = {((a - 1) % m, b), ((a + 1) % m, b), (a, (b - 1) % m), (a, (b + 1) % m)}
             assert at(grid.orth[i]) == tuple(sorted(steps))
+            king = {((a + da) % m, (b + db) % m)
+                    for da in (-1, 0, 1) for db in (-1, 0, 1) if da or db}
+            assert at(grid.king[i]) == tuple(sorted(king))
             if naive_ring(p, m) >= 2:
                 assert cousins(p, m) == at(grid.cousins[i]) == naive_cousins(p, m)
                 continue
@@ -121,10 +126,62 @@ class TestGridTables:
         assert _grid(7) is _grid(7)
         assert _grid.cache_info().maxsize == 64
 
+    def test_grid_layer_digest(self):
+        # sha256 of what the grid layer answers, recorded while the blocking
+        # set was still searched on tuple cells: find_friendly_path on 100
+        # seeded typings of each ell = 3..11 and on the 55 ring-blocker
+        # typings with ell <= 12 (the 40 blocking sets among them as sorted
+        # cells), and position_distance on every cell pair with ell <= 8,
+        # "x" where it raises ValueError
+        def lines():
+            def dichotomy(ell, types):
+                res = find_friendly_path(FMatrix.from_types(ell, types))
+                if isinstance(res, FriendlyPath):
+                    return f"F {ell} {res.positions} {res.adjusted} {res.length_one}"
+                return f"S {ell} {sorted(res.positions)}"
+
+            rng = np.random.default_rng(34)
+            for ell in range(3, 12):
+                for _ in range(100):
+                    yield dichotomy(ell, random_types(ell, rng, float(rng.choice([0.2, 0.5, 0.8]))))
+            for ell in range(3, 13):
+                for r0 in range(2, ell):
+                    yield dichotomy(ell, ring_blocker_types(ell, r0))
+            for ell in range(1, 9):
+                cells = [(a, b) for a in range(ell) for b in range(ell)]
+                for p in cells:
+                    row = []
+                    for q in cells:
+                        try:
+                            row.append(str(position_distance(p, q, ell)))
+                        except ValueError:
+                            row.append("x")
+                    yield f"d {ell} {p} {' '.join(row)}"
+
+        text = "\n".join(lines())
+        assert (text.count("\nS "), text.count(" x")) == (40, 1262)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8adbc5df7c050a869b2fad1d1bf7e7c309db5890a9c19d330aff5bfae7240bc1")
+
 
 # ---------------------------------------------------------------------------
 # cycle-local views
 # ---------------------------------------------------------------------------
+
+
+# The ring-blocker typings (``oracles.ring_blocker_types``) with ell <= 12
+# that block: ring r0 is unfriendly when no cousin of its cells lies on it
+# (cousins of a ring-r chord lie on rings -r, 1 - r and 2 - r), that is when
+# 2 * r0 is none of ell, ell + 1 and ell + 2, and then it cuts every rook
+# path once ell >= 5.  40 of the 55 typings.
+RING_BLOCKERS = [(ell, r0) for ell in range(5, 13) for r0 in range(2, ell)
+                 if 2 * r0 - ell not in (0, 1, 2)]
+
+# The blocking rings next but one to the main diagonal, r0 = ell - 2 for
+# ell >= 7, admit no cut pattern: their down-lines start on a type-0 cell
+# followed by type-1 cells, and their up-lines hold no type-0 cell within
+# reach, so the construction raises SpecViolation there.
+NO_CUT_PATTERN = [(ell, ell - 2) for ell in range(7, 13)]
 
 
 def _instance(ell, seed, p=0.5):
@@ -233,12 +290,61 @@ class TestFriendlyDichotomy:
                 assert isinstance(res, FriendlyPath) == friendly_path_exists(types, ell)
 
     def test_ring_blockers(self):
-        for ell, r0 in ((7, 3), (8, 3), (9, 3), (9, 6)):
-            F = FMatrix.from_types(ell, ring_blocker_types(ell, r0))
-            res = find_friendly_path(F)
-            assert isinstance(res, SteinhausSet)
-            verify_steinhaus(res, F)
-            verify_same_state(F)
+        # every ring-blocker typing with ell <= 12: the blocking ones give
+        # their ring as the blocking set, the others a friendly path
+        assert len(RING_BLOCKERS) == 40
+        for ell in range(3, 13):
+            for r0 in range(2, ell):
+                F = FMatrix.from_types(ell, ring_blocker_types(ell, r0))
+                res = find_friendly_path(F)
+                if (ell, r0) not in RING_BLOCKERS:
+                    verify_friendly_path(res, F)
+                    continue
+                assert res == SteinhausSet(frozenset((a, (a + r0) % ell) for a in range(ell)), ell)
+                verify_steinhaus(res, F)
+                if (ell, r0) not in NO_CUT_PATTERN:
+                    verify_same_state(F)
+
+    @pytest.mark.xfail(raises=SpecViolation, strict=True,
+                       reason="blocking rings at ell - 2 admit no cut pattern")
+    @pytest.mark.parametrize("ell, r0", NO_CUT_PATTERN)
+    def test_ring_blockers_without_a_cut_pattern(self, ell, r0):
+        verify_same_state(FMatrix.from_types(ell, ring_blocker_types(ell, r0)))
+
+    def test_verify_friendly_path_rejects_tampering(self):
+        # all chords type 0 at ell = 6: every chord is friendly, and the
+        # shortest path runs through rings 5, 4, 3 and 2, one cell each
+        ell = 6
+        F = FMatrix.from_types(ell, {(a, b): 0 for a in range(ell) for b in range(ell)
+                                     if ring((a, b), ell) >= 2})
+        res = find_friendly_path(F)
+        P = res.positions
+        assert [ring(p, ell) for p in P] == [5, 4, 3, 2]
+        verify_friendly_path(res, F)
+        for positions, adjusted, clause in [
+                (P[:1] + P[2:], res.adjusted, "is not a unit step"),
+                (P + P[-2:-1], res.adjusted, "repeats a chord"),
+                (P[1:], res.adjusted, "does not start next to the main diagonal"),
+                (P[:-1], res.adjusted, "does not end next to the small diagonal"),
+                (P, res.adjusted[::-1], "anchor sequence disagrees")]:
+            with pytest.raises(SpecViolation, match=clause):
+                verify_friendly_path(FriendlyPath(positions, adjusted, False), F)
+
+    def test_verify_steinhaus_rejects_tampering(self):
+        # ring 3 of ell = 9 blocks; a friendly chord added, two cells taken
+        # out (two king components), or one taken out (a rook path through
+        # the gap) each break one clause
+        ell = 9
+        F = FMatrix.from_types(ell, ring_blocker_types(ell, 3))
+        res = find_friendly_path(F)
+        T = res.positions
+        verify_steinhaus(res, F)
+        friendly = next(p for p in sorted(ring_blocker_types(ell, 3)) if F.is_friendly(p))
+        for positions, clause in [(T | {friendly}, "is friendly"),
+                                  (T - {(0, 3), (3, 6)}, "not king-connected"),
+                                  (T - {(0, 3)}, "misses a rook path")]:
+            with pytest.raises(SpecViolation, match=clause):
+                verify_steinhaus(SteinhausSet(positions, ell), F)
 
     def test_all_type_one_dichotomy_only(self):
         # every chord type 1: asserted through the dichotomy, not hard-coded
@@ -657,10 +763,21 @@ class TestPathAlongCycle:
                     assert g.row_deg == G.row_deg and g.col_deg == G.col_deg
 
     def test_blocked_instances_replay(self):
-        for ell, r0 in ((7, 3), (8, 3), (9, 3), (9, 6)):
+        # every blocking ring-blocker typing with ell <= 12 that admits a
+        # cut pattern (RING_BLOCKERS, NO_CUT_PATTERN)
+        for ell, r0 in RING_BLOCKERS:
+            if (ell, r0) in NO_CUT_PATTERN:
+                continue
             G, Gp, cyc = cycle_graph_pair(ell, ring_blocker_types(ell, r0))
             states = path_along_cycle(G, Gp, G, Gp, cyc)
             assert states[-1] == Gp
+
+    @pytest.mark.xfail(raises=SpecViolation, strict=True,
+                       reason="blocking rings at ell - 2 admit no cut pattern")
+    @pytest.mark.parametrize("ell, r0", NO_CUT_PATTERN)
+    def test_blocked_instances_without_a_cut_pattern_replay(self, ell, r0):
+        G, Gp, cyc = cycle_graph_pair(ell, ring_blocker_types(ell, r0))
+        assert path_along_cycle(G, Gp, G, Gp, cyc)[-1] == Gp
 
     def test_nested_blocked_instance(self):
         # two unfriendly rings force a split whose second block is itself
