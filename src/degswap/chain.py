@@ -6,11 +6,15 @@ them when the induced 2x2 submatrix is a one-factor, and stays put
 otherwise.  The kernel is symmetric with the uniform distribution as its
 stationary law.
 
-Randomness discipline: each step consumes exactly one integer draw from the
-state's generator, so runs are reproducible from the seed alone.  A walk
+Randomness discipline: each step consumes exactly one integer draw from its
+chain's generator, so runs are reproducible from the seed alone.  A chain
 draws its steps in one vectorized call (one per block of 65,536 steps) that
 reproduces the stream of one scalar draw per step, so a seed gives the same
-trajectory as stepping one move at a time.
+trajectory as stepping one move at a time.  Chains are walked in groups: each
+chain of a group draws from its own generator as above, and the group's draws
+are unranked in one pass and walked in one loop over a buffer holding every
+chain's cells, so a group's trajectories are those of its chains walked one
+by one.
 """
 
 from __future__ import annotations
@@ -33,15 +37,25 @@ def pair_count(n: int) -> int:
 # Steps drawn and unranked per generator call; bounds a walk's memory.
 _BLOCK = 1 << 16
 
+# Draws unranked in one pass for a group of chains.  On 3 x 3 chains of 200
+# steps (2-vCPU Xeon, numpy 2.4) a chain costs 74 us in groups of 200 draws,
+# 56 us at 4,096 and 72 us at 16,384, where the position lists outgrow the
+# cache; the pass peaks near 100 bytes per draw (tracemalloc), so a group
+# holds about 0.4 MB.  A group's cell buffer is held to 64 bytes per draw of
+# this bound (256 KB): 100 x 100 chains group by 20 at 200 steps.
+_GROUP = _BLOCK // 16
+
 
 @lru_cache(maxsize=32)
 def _row_starts(n: int):
-    """For each row i of the lexicographic order on the pairs of n items: the
-    rank i*(2n-i-1)/2 of its first pair (i, i+1), and that rank minus i+1, so
-    that the pair of rank r in row i is (i, r - shift[i])."""
+    """For the rows i of the lexicographic order on the pairs of n items, row
+    i being the pairs (i, j): the rank i*(2n-i-1)/2 of the first pair of
+    each row after the first, and for each row that rank minus i+1, so that
+    the pair of rank r in row i is (i, r - shift[i])."""
     i = np.arange(n - 1, dtype=np.int64)
     starts = i * (2 * n - i - 1) // 2
     shift = starts - i - 1
+    starts = starts[1:]
     starts.setflags(write=False)
     shift.setflags(write=False)
     return starts, shift
@@ -49,9 +63,10 @@ def _row_starts(n: int):
 
 def _unrank_pairs(r: np.ndarray, n: int):
     """The r-th pairs (i, j) with i < j, in lexicographic order, for an int64
-    array of ranks."""
+    array of ranks: i counts the rows after the first that start at or
+    before r."""
     starts, shift = _row_starts(n)
-    i = np.searchsorted(starts, r, side="right") - 1
+    i = np.searchsorted(starts, r, side="right")
     return i, r - shift[i]
 
 
@@ -101,30 +116,46 @@ class ChainState:
         return cls(greedy_realize(ds), np.random.default_rng(seed))
 
 
-def advance(state: ChainState, steps: int) -> ChainState:
-    """Run the chain ``steps`` moves from ``state``: the package's one
-    swap-attempt routine, which ``step`` and ``sample`` run.
+def _group_size(steps: int, cells: int) -> int:
+    """The number of chains of ``steps`` moves on ``cells`` cells walked as
+    one group: at most ``_GROUP`` draws and ``64 * _GROUP`` cells, and at
+    least one chain."""
+    return max(1, min(_GROUP // max(steps, 1), 64 * _GROUP // max(cells, 1)))
 
-    Step t draws r_t uniformly below C(k,2)*C(l,2), takes the U-pair of rank
-    r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and exchanges the 2x2
-    submatrix on them when it is a one-factor (x11 == x22 != x12 == x21).
-    The draws come from one ``integers(denom, size=...)`` call per block,
-    the same stream as one scalar draw per step.  The cells are walked in a
-    flat byte buffer; the returned state shares ``state.rng``.
+
+def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
+    """Run one chain ``steps`` moves from ``start`` under each generator of
+    ``rngs``, and return their cells as one buffer, chain i's ``start.key()``
+    layout at offset i*k*l: the package's one swap-attempt routine, which
+    ``advance`` runs as a group of one.
+
+    Step t of a chain draws r_t uniformly below C(k,2)*C(l,2), takes the
+    U-pair of rank r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and
+    exchanges the 2x2 submatrix on them when it is a one-factor (x11 == x22
+    != x12 == x21).  Each chain draws from its own generator, in one
+    ``integers(denom, size=...)`` call per block, the same stream as one
+    scalar draw per step; nothing is drawn when ``steps`` or C(k,2)*C(l,2)
+    is 0.  Per block the group's draws are unranked in one pass, each
+    chain's cell positions offset by its layer, and walked in one loop over
+    a flat byte buffer holding every chain's cells.
     """
-    _check_steps(steps)
-    G = state.graph
-    k, l = G.k, G.l
+    k, l = start.k, start.l
     cl = pair_count(l)
     denom = pair_count(k) * cl
-    if denom == 0 or steps == 0:
-        return ChainState(G, state.rng)
-    cells = bytearray(G.key())
-    moved = False
-    for done in range(0, steps, _BLOCK):
-        iu, il = np.divmod(state.rng.integers(denom, size=min(_BLOCK, steps - done)), cl)
+    g = len(rngs)
+    cells = bytearray(start.key() * g)
+    for done in range(0, steps if denom else 0, _BLOCK):
+        n = min(_BLOCK, steps - done)
+        draws = (rngs[0].integers(denom, size=n) if g == 1
+                 else np.concatenate([rng.integers(denom, size=n) for rng in rngs]))
+        iu, il = np.divmod(draws, cl)
         u1, u2 = _unrank_pairs(iu, k)
         v1, v2 = _unrank_pairs(il, l)
+        if g > 1:
+            # chain i's rows are rows i*k .. i*k + k-1 of the buffer
+            layer = np.repeat(np.arange(0, g * k, k), n)
+            u1 += layer
+            u2 += layer
         u1 *= l
         u2 *= l
         for p11, p12, p21, p22 in zip((u1 + v1).tolist(), (u1 + v2).tolist(),
@@ -133,9 +164,34 @@ def advance(state: ChainState, steps: int) -> ChainState:
             if x11 == cells[p22] and x12 == cells[p21] and x11 != x12:
                 cells[p11] = cells[p22] = x12
                 cells[p12] = cells[p21] = x11
-                moved = True
-    if moved:
-        G = BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(k, l))
+    return cells
+
+
+def _walk_seeds(start: BipartiteGraph, seeds: range, steps: int):
+    """Yield, group by group, the cells of one chain per seed of ``seeds``
+    walked ``steps`` moves from ``start``, each driven by
+    ``np.random.default_rng(seed)``, as a read-only (g, k, l) ``uint8``
+    stack.  A group's generators are made when it is walked, so no more than
+    one group's are held at a time."""
+    k, l = start.k, start.l
+    size = _group_size(steps, k * l)
+    for lo in range(0, len(seeds), size):
+        rngs = [np.random.default_rng(s) for s in seeds[lo:lo + size]]
+        stack = np.frombuffer(_walk(start, rngs, steps), np.uint8).reshape(len(rngs), k, l)
+        stack.setflags(write=False)
+        yield stack
+
+
+def advance(state: ChainState, steps: int) -> ChainState:
+    """Run the chain ``steps`` moves from ``state``: ``_walk`` with a group
+    of one, which ``step`` and ``sample`` run.  The draws come from
+    ``state.rng``, which the returned state shares, and leave it where one
+    scalar draw per step would."""
+    _check_steps(steps)
+    G = state.graph
+    cells = _walk(G, [state.rng], steps)
+    if cells != G.key():
+        G = BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(G.k, G.l))
     return ChainState(G, state.rng)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import _certificates, _path_stack
-from .chain import ChainState, _check_steps, advance
+from .chain import _check_steps, _walk_seeds
 from .core import BipartiteDegreeSequence, BipartiteGraph, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical, SpecViolation
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
@@ -71,23 +71,27 @@ def cmd_sample(args) -> int:
     ds = _read_ds(args.ds)
     if args.count < 0:
         raise ValueError("count must be non-negative")
-    graphs = []
+    stacks = ()
     if args.count > 0:
         # one realization per command; --count 0 neither realizes nor validates
         _check_steps(args.steps)
-        start = greedy_realize(ds)
-        graphs = (advance(ChainState(start, np.random.default_rng(args.seed + i)),
-                          args.steps).graph for i in range(args.count))
+        stacks = _walk_seeds(greedy_realize(ds), range(args.seed, args.seed + args.count),
+                             args.steps)
     if args.stats:
         hist = {}
-        for g in graphs:
-            hist[g.key()] = hist.get(g.key(), 0) + 1
+        for stack in stacks:
+            cells, n = stack.tobytes(), stack[0].size
+            for i in range(len(stack)):
+                key = cells[i * n:(i + 1) * n]
+                hist[key] = hist.get(key, 0) + 1
         print("state,count")
         # keys are the raw 0/1 cell bytes, so they sort as the bit strings do
         for key in sorted(hist):
             print(f"{key.translate(_BITS).decode()},{hist[key]}")
         return 0
-    sys.stdout.write("\n".join(g.to_text() for g in graphs))
+    # each group's graphs are printed as it is walked, joined as to_text's are
+    for i, stack in enumerate(stacks):
+        sys.stdout.write(("\n" if i else "") + _stack_text(stack))
     return 0
 
 

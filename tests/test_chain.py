@@ -169,3 +169,68 @@ def test_negative_steps_rejected_before_realizing():
         sample(BipartiteDegreeSequence((2, 2), (1, 1)), -1, seed=0)
     with pytest.raises(NotGraphical):
         sample(BipartiteDegreeSequence((2, 2), (1, 1)), 0, seed=0)
+
+
+GROUP_GRAPHS = {
+    "1x3, denom 0": BipartiteGraph([[1, 1, 0]]),
+    "2x2, denom 1": BipartiteGraph([[1, 0], [0, 1]]),
+    "3x3, denom 9": greedy_realize(DS),
+    "5x4, denom 60": greedy_realize(BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2))),
+}
+
+
+@pytest.mark.parametrize("bound", [1, 7, 20])
+@pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
+def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
+    # 23 chains; with _BLOCK at 4 a walk of 9 steps draws in blocks of 4, 4, 1
+    monkeypatch.setattr(chain, "_GROUP", bound)
+    monkeypatch.setattr(chain, "_BLOCK", 4)
+    graph, seeds = GROUP_GRAPHS[name], range(40, 63)
+    for steps in (0, 1, 2, 9):
+        size = chain._group_size(steps, graph.k * graph.l)
+        stacks = list(chain._walk_seeds(graph, seeds, steps))
+        assert [len(s) for s in stacks] == [min(size, len(seeds) - lo)
+                                            for lo in range(0, len(seeds), size)]
+        layers = [layer for stack in stacks for layer in stack]
+        assert len(layers) == len(seeds)
+        for stack in stacks:
+            assert stack.shape[1:] == (graph.k, graph.l) and not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1
+        for seed, layer in zip(seeds, layers):
+            walked = advance(ChainState(graph, np.random.default_rng(seed)), steps).graph
+            assert BipartiteGraph(layer) == walked
+            assert walked == scalar_walk(graph, np.random.default_rng(seed), steps)
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
+def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, name):
+    monkeypatch.setattr(chain, "_BLOCK", 4)
+    graph = GROUP_GRAPHS[name]
+    denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
+    for steps in (0, 1, 9):
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        refs = [np.random.default_rng(seed) for seed in range(5)]
+        cells = chain._walk(graph, rngs, steps)
+        stack = np.frombuffer(cells, np.uint8).reshape(len(rngs), graph.k, graph.l)
+        for layer, rng, ref in zip(stack, rngs, refs):
+            assert BipartiteGraph(layer) == scalar_walk(graph, ref, steps)
+            assert rng.random() == ref.random()
+        # advance, the group of one, leaves state.rng where the scalar draws do
+        st, ref = ChainState(graph, np.random.default_rng(9)), np.random.default_rng(9)
+        after = advance(st, steps)
+        assert after.graph == scalar_walk(graph, ref, steps)
+        assert after.rng is st.rng and st.rng.integers(max(denom, 1)) == ref.integers(max(denom, 1))
+        assert not after.graph.adj.flags.writeable
+
+
+def test_group_bound_holds_draws_and_cells():
+    assert chain._GROUP == chain._BLOCK // 16 == 4096
+    # the benchmark's shapes: 3 x 3 and 100 x 100 chains of 200 steps
+    assert chain._group_size(200, 9) == 20
+    assert chain._group_size(200, 100 * 100) == 20
+    assert chain._group_size(0, 100 * 100) == 26
+    for steps, cells in ((200, 9), (1, 9), (0, 10_000), (57, 10_000), (0, 10 ** 6),
+                         (10 ** 6, 9), (4096, 9), (4097, 9)):
+        size = chain._group_size(steps, cells)
+        assert size == 1 or (size * steps <= chain._GROUP and size * cells <= 64 * chain._GROUP)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from degswap import chain
 from degswap.cli import main
 
 DS_OK = "2 2 2\n3 2 1\n"
@@ -475,6 +476,32 @@ def test_sample_golden_output(tmp_path, capsys, name, stats):
     assert digest == (with_stats if stats else plain)
 
 
+# Digests (sha256, first 16 hex digits) of `sample --steps 57 --seed 11
+# --count 200` stdout, recorded while every chain was walked on its own; at
+# the default group bound the 200 chains are walked in at least three groups.
+SAMPLE_GROUP_GOLDEN = {
+    # name: (degree sequence, plain digest, --stats digest)
+    "3x3": ("2 2 2\n3 2 1\n", "8f04542f27e11af9", "8322499f100e3ef5"),
+    "4x5": ("3 2 2 1\n2 2 2 1 1\n", "593dcc2eb7725918", "2242c8fe17acaf8c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GROUP_GOLDEN))
+@pytest.mark.parametrize("stats", [False, True])
+def test_sample_golden_across_groups(tmp_path, capsys, name, stats):
+    ds_text, plain, with_stats = SAMPLE_GROUP_GOLDEN[name]
+    assert -(-200 // chain._group_size(57, len(ds_text.split()) ** 2)) >= 3
+    argv = ["sample", "--ds", write(tmp_path, "d.txt", ds_text), "--steps", "57",
+            "--seed", "11", "--count", "200"]
+    if stats:
+        argv.append("--stats")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+    assert digest == (with_stats if stats else plain)
+
+
 @pytest.mark.parametrize("extra, code, out, err", [
     # --count 0 never realizes, so neither graphicality nor the step count is checked
     (["--count", "0"], 0, "", ""),
@@ -493,6 +520,16 @@ def test_sample_exit_behaviour(tmp_path, capsys, extra, code, out, err):
     assert main(["sample", "--ds", write(tmp_path, "d.txt", DS_BAD)] + extra) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+@pytest.mark.parametrize("count", ["5", "500"])
+@pytest.mark.parametrize("stats", [False, True])
+def test_sample_negative_seed(tmp_path, capsys, count, stats):
+    # numpy rejects the first chain's seed; nothing is printed, in either mode
+    argv = ["sample", "--ds", write(tmp_path, "d.txt", DS_OK), "--seed", "-3", "--count", count]
+    assert main(argv + (["--stats"] if stats else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error[ValueError]:")
 
 
 def test_sample_negative_steps_on_graphical_sequence(tmp_path, capsys):
