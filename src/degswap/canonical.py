@@ -27,10 +27,13 @@ live at any moment.
 A realization on a path is named by its key alone (``BipartiteGraph.key``,
 one byte per cell), and a cycle on it by its cell mask, the int
 ``sum(1 << (u * l + v))`` over its edges, as the decomposition kernel of
-``pairings`` gives it.  ``_walk`` flips a decomposition's cycles in order,
-each segment by ``_key_segment`` on the cycle's local m x m pattern, with
-segment, pattern and bridge memos the caller scopes; ``canonical_path``,
-``path_distribution`` and ``mixing.congestion`` all walk through it.
+``pairings`` gives it.  One walker, ``_path_counts``, flips a
+decomposition's cycles in order, each by a segment from a table the caller
+scopes, keyed by state and cell mask.  A segment is lifted once, by
+``_key_segment`` on the cycle's local m x m pattern, with pattern and
+bridge memos that live as long as the table: ``canonical_path`` and
+``path_distribution`` walk keys (``_key_lift``), and ``mixing.congestion``
+walks state ids with a lift of its own.
 
 The m x m grid has one form, one table per length (``_grid``): a cell is
 its grid index a * m + b, a set of cells one int.  Every search on it is
@@ -1183,17 +1186,29 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     return tuple(seg)
 
 
-def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
-    """The keys of the path from ``start`` to ``end``, realizations with l
-    columns, that flips the given cycles, cell masks, in order: the start,
-    then the key after each swap.
+def _key_lift(l: int):
+    """The lift of a segment table on the keys of realizations with l
+    columns: ``(key, mask)`` -> the 1-tuple of ``_key_segment``'s keys, with
+    pattern and bridge memos that live as long as the lift (a hit is exact,
+    see ``_bridge``)."""
+    patterns, bridges = {}, {}
+    return lambda key, mask: (_key_segment(patterns, bridges, l, key, mask),)
 
-    ``memos`` holds the caller's segment cache, pattern memo and bridge
-    memo.  Each segment comes from ``_key_segment`` with the last two, once
-    per ``(state key, cell mask)``, everything it depends on: a mask has no
-    order or X/Y labels, so the walks of X -> Y and Y -> X share one cycle
-    list and hit one memo.  Raises ``SpecViolation`` unless the path lands
-    on ``end``.
+
+def _path_counts(start, end, cycle_lists: dict, segments: dict, lift) -> dict:
+    """The canonical walk: for each distinct path from the state ``start``
+    to ``end``, the tuple of the states it visits, mapped to ``[count,
+    segs]``, the number of pairings that select it and the segments of one
+    walk along it.
+
+    ``cycle_lists`` maps each distinct cycle list, a tuple of cell masks,
+    to the number of pairings that give it.  Each is walked once, flipping
+    its cycles in order, and adds that number to its path.  The caller's
+    table ``segments`` maps ``(state, mask)``, everything a segment depends
+    on, to the segment, a tuple whose first item holds the states after
+    each of its swaps; ``lift(state, mask)`` makes a missing one.  A mask
+    has no order or X/Y labels, so the walks of X -> Y and Y -> X share one
+    table.  Raises ``SpecViolation`` unless every path lands on ``end``.
 
     A decomposition's cycles, walked in order, meet every precondition
     ``cycle_swaps`` checks: each state on the way agrees with the start on
@@ -1201,31 +1216,24 @@ def _walk(l: int, start: bytes, end: bytes, cycles, memos: tuple) -> list:
     cycle is exactly where it differs from its target, and the three
     symmetric differences never overlap.
     """
-    segments, patterns, bridges = memos
-    path = [start]
-    cur = start
-    for mask in cycles:
-        key = (cur, mask)
-        seg = segments.get(key)
-        if seg is None:
-            seg = segments[key] = _key_segment(patterns, bridges, l, cur, mask)
-        path += seg
-        cur = seg[-1]
-    if cur != end:
-        raise SpecViolation("path did not land on Y")
-    return path
-
-
-def _path_counts(l: int, start: bytes, end: bytes, cycle_lists: dict, memos: tuple) -> dict:
-    """For each distinct canonical path from ``start`` to ``end`` (l
-    columns), a tuple of keys, the number of pairings that select it.
-    ``cycle_lists`` maps each distinct cycle list, a tuple of cell masks,
-    to the number of pairings that give it; each is walked once by
-    ``_walk`` with the caller's ``memos``, and adds that number."""
     counts = {}
     for cycles, c in cycle_lists.items():
-        path = tuple(_walk(l, start, end, cycles, memos))
-        counts[path] = counts.get(path, 0) + c
+        path = (start,)
+        segs = []
+        for mask in cycles:
+            key = path[-1], mask
+            seg = segments.get(key)
+            if seg is None:
+                seg = segments[key] = lift(*key)
+            segs.append(seg)
+            path += seg[0]
+        if path[-1] != end:
+            raise SpecViolation("path did not land on Y")
+        entry = counts.get(path)
+        if entry is None:
+            counts[path] = [c, segs]
+        else:
+            entry[0] += c
     return counts
 
 
@@ -1251,12 +1259,12 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
 
 
 def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, masks) -> np.ndarray:
-    """The keys ``_walk`` visits from X to Y flipping the cycles ``masks``,
-    cell masks from the decomposition kernel, with memos fresh for the call
-    (a hit is exact, see ``_bridge``), stacked once into a read-only
-    (n, k, l) ``uint8`` array."""
-    keys = _walk(X.l, X.key(), Y.key(), masks, ({}, {}, {}))
-    return np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), X.k, X.l)
+    """The keys the canonical walk (``_path_counts``) visits from X to Y
+    flipping the cycles ``masks``, cell masks from the decomposition
+    kernel, on a segment table fresh for the call (``_key_lift``), stacked
+    once into a read-only (n, k, l) ``uint8`` array."""
+    (path,) = _path_counts(X.key(), Y.key(), {tuple(masks): 1}, {}, _key_lift(X.l))
+    return np.frombuffer(b"".join(path), np.uint8).reshape(len(path), X.k, X.l)
 
 
 def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:
@@ -1279,12 +1287,13 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph) -> dict:
     ``pairings._decompositions`` (more than ``pairings._MAX_PAIRINGS``
     pairings raise ``TooManyPairings``, as in ``congestion``) are collapsed
     into ``{tuple of masks: number of pairings}``, and ``_path_counts``
-    walks each distinct list once on the key walk of ``canonical_path``.
-    Segments, patterns and bridges are memoized for the call."""
+    walks each distinct list once on the key walk of ``canonical_path``,
+    with one segment table (``_key_lift``) and one shape memo for the
+    call."""
     symmetric_difference(X, Y)      # the shape and margin checks
     total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {})
-    counts = _path_counts(X.l, X.key(), Y.key(), Counter(cycle_lists), ({}, {}, {}))
-    dist = {path: Fraction(c, total) for path, c in counts.items()}
+    counts = _path_counts(X.key(), Y.key(), Counter(cycle_lists), {}, _key_lift(X.l))
+    dist = {path: Fraction(c, total) for path, (c, _) in counts.items()}
     assert sum(dist.values()) == 1
     return dist
 

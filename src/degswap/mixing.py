@@ -18,11 +18,11 @@ exact rationals; floating point only enters the eigensolver.  Congestion
 sums over one pair loop, ``_routes``, which decomposes each signed
 difference X - Y of its unordered pairs once through the integer kernel of
 ``pairings``, collapses that decomposition's cycle lists, tuples of cell
-masks, to the distinct ones with their pairing counts, counts the paths of
-both directions of every pair with that difference on them, walking each
-distinct list once on the states' keys (``canonical._walk``, which reads a
-cycle as its cell mask against the current state), and maps each distinct
-key path to state ids once.
+masks, to the distinct ones with their pairing counts, and counts the paths
+of both directions of every pair with that difference on them, walking
+each distinct list once (``canonical._path_counts``, which reads a cycle as
+its cell mask against the current state) on state ids, each segment lifted
+from keys to ids and edge codes once.
 Congestion always certifies: each distinct matrix X + Y - Z is queued and
 the queue decided in blocks of at most ``_CHUNK`` by
 ``canonical._certificates``, as a path's certificates are.
@@ -59,10 +59,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
-from .canonical import _certificates, _path_counts
+from .canonical import _certificates, _key_segment, _path_counts
 from .chain import pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
@@ -789,10 +790,12 @@ class CongestionReport:
 def _routes(space: StateSpace):
     """Every unordered pair xi < yi of the space's states with its canonical
     paths: yields ``(xi, yi, total, paths)``, where ``total`` counts the
-    pairings of X xor Y and ``paths`` lists each distinct path of both
-    directions once as ``(ids, count)``: the state ids it visits, from xi or
-    from yi, and the number of pairings that select it.  Each pair comes
-    once, grouped by its signed difference X - Y.
+    pairings of X xor Y and ``paths`` maps each distinct path of both
+    directions, the tuple of state ids it visits from xi or from yi, to
+    ``[count, segs]``: the number of pairings that select it and its
+    segments, each ``(ids, codes)``, the state ids after each of its swaps
+    and the codes ``a * n + b`` (a < b) of the move-graph edges it steps
+    along.  Each pair comes once, grouped by its signed difference X - Y.
 
     The decomposition kernel (``pairings._decompositions``; over
     ``pairings._MAX_PAIRINGS`` pairings raise ``TooManyPairings``) reads
@@ -803,27 +806,30 @@ def _routes(space: StateSpace):
     {-1, 0, 1}; two different digit strings differ by a nonzero string of
     digits in [-2, 2], whose leading term outweighs everything below it
     (2 * (256^c - 1) / 255 < 256^c), so the integer names the difference
-    one-to-one.  Each bucket is decomposed once, from its first pair, and
-    its cycle lists, each a tuple of cell masks, are collapsed into
-    ``{cycle list: number of pairings giving it}``: on 48U 1,674 distinct
-    lists of 2,076, on 48V 1,440 and on 90 states 10,068 of 18,240.  A
-    pairing of (X, Y) is also a pairing of (Y, X), with the same circuits
-    and the same cuts, and ``canonical._walk`` reads a cycle only as its
-    cell mask against the current state.  So ``canonical._path_counts``,
-    as in ``path_distribution``, walks every distinct list once for each
-    pair of the bucket from its own X to its Y and once from its Y to its
-    X, and weights its path by the list's pairing count.
+    one-to-one.  Each bucket is decomposed once, from its first pair, with
+    the call's circuit-shape memo, and its cycle lists, each a tuple of
+    cell masks, are collapsed into ``{cycle list: number of pairings
+    giving it}``: on 48U 1,674 distinct lists of 2,076, on 48V 1,440 and
+    on 90 states 10,068 of 18,240.  A pairing of (X, Y) is also a pairing
+    of (Y, X), with the same circuits and the same cuts, and the walk
+    reads a cycle only as its cell mask against the current state.  So
+    ``canonical._path_counts``, as in ``path_distribution``, walks every
+    distinct list once for each pair of the bucket from its own X to its
+    Y and once from its Y to its X, and weights its path by the list's
+    pairing count.
 
-    A bucket's cycle lists are dropped when it ends.  The circuit memo
-    lives for the buckets whose first pair has one source state, the
-    segment, pattern and bridge memos of ``canonical._walk`` for the whole
-    loop.  A distinct key path is mapped to state ids once, where a key off
-    the space or a step off the move graph raises ``SpecViolation``.  The
+    The walk runs on state ids with one segment table for the call: a miss
+    lifts the segment through ``canonical._key_segment``, with the call's
+    pattern and bridge memos, maps it to state ids and checks every step
+    against the move graph (``SpecViolation`` otherwise, a key off the
+    space included).  A bucket's cycle lists are dropped when it ends.  The
     bucket index holds every pair: on the 1,170 states of
     ``(3,2,2,2,1) | (2,2,2,2,2)``, 683,865 pairs in 229,705 buckets, it
     takes about 108 MB and 0.9 s."""
     n, l = space.n, space.ds.l
-    moves = set(zip(*(a.tolist() for a in _move_edges(space.indptr, space.indices))))
+    # each directed move (a, b) -> the code of its edge, made once
+    moves = {(a, b): a * n + b if a < b else b * n + a
+             for a, b in zip(*(x.tolist() for x in _move_edges(space.indptr, space.indices)))}
     keys = [z.tobytes() for z in space.adj]
     cells = [int.from_bytes(key, "little") for key in keys]
     buckets = {}          # x - y -> its pairs (xi, yi), in order
@@ -831,23 +837,25 @@ def _routes(space: StateSpace):
         x = cells[xi]
         for yi in range(xi + 1, n):
             buckets.setdefault(x - cells[yi], []).append((xi, yi))
-    memos = ({}, {}, {})  # segments, patterns and bridges of canonical._walk
-    source = None
+    patterns, bridges = {}, {}
+
+    def lift(i, mask):
+        ids = tuple(map(space.index.get, _key_segment(patterns, bridges, l, keys[i], mask)))
+        # None: a key off the space, or a step off the move graph
+        codes = tuple(map(moves.get, zip((i,) + ids, ids)))
+        if None in codes:
+            raise SpecViolation("a canonical path step is not a move-graph edge")
+        return ids, codes
+
+    segments = {}         # (state id, cell mask) -> its segment
+    circuits = {}         # the decomposition kernel's shape memo
     for pairs in buckets.values():
         xi, yi = pairs[0]
-        if xi != source:
-            source = xi
-            circuits = {}    # the decomposition kernel's memo, for this source state
         total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
         lists = Counter(cycle_lists)
         for xi, yi in pairs:
-            paths = []
-            for start, end in ((keys[xi], keys[yi]), (keys[yi], keys[xi])):
-                for path, c in _path_counts(l, start, end, lists, memos).items():
-                    ids = tuple(map(space.index.get, path))    # None: a key off the space
-                    if not moves.issuperset(zip(ids, ids[1:])):
-                        raise SpecViolation("a canonical path step is not a move-graph edge")
-                    paths.append((ids, c))
+            paths = _path_counts(xi, yi, lists, segments, lift)
+            paths.update(_path_counts(yi, xi, lists, segments, lift))
             yield xi, yi, total, paths
 
 
@@ -872,19 +880,21 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     so the space alone fixes the constant.
 
     The paths come from one loop, ``_routes``, which yields each unordered
-    pair once with its paths of both directions as state ids.  It
-    decomposes once per signed difference X - Y, since the decomposition
-    reads nothing else: 645 times for the 1,128 pairs of either 48-state
-    space, 1,185 times for the 4,005 pairs of the 90-state space.  Loads
-    are integer numerators over one common multiple of the pairing counts,
-    which both directions share; sums of integers and the least common
-    multiple do not depend on the order of the pairs, so the report is that
-    of a loop over ordered pairs, in any order.  ``load`` and ``weight``
-    are keyed by the integer code ``a * n + b`` of the move-graph edge
-    between states a < b.  For a, b < n the codes order exactly as the
-    pairs (a, b) do, so the heaviest edge, ties broken by the largest code,
-    is the one a tie-break on (a, b) picks, and ``max_edge`` is
-    ``divmod(code, n)``.
+    pair once with its paths of both directions as state ids and their
+    segments.  It decomposes once per signed difference X - Y, since the
+    decomposition reads nothing else: 645 times for the 1,128 pairs of
+    either 48-state space, 1,185 times for the 4,005 pairs of the 90-state
+    space, cutting 47, 31 and 166 circuit shapes.  Loads are integer
+    numerators over one common multiple of the pairing counts, which both
+    directions share; sums of integers and the least common multiple do
+    not depend on the order of the pairs, so the report is that of a loop
+    over ordered pairs, in any order.  A path's edges are the union of its
+    segments' edge codes, so a path that crosses an edge twice counts it
+    once.  ``load`` and ``weight`` are keyed by the integer code
+    ``a * n + b`` of the move-graph edge between states a < b.  For
+    a, b < n the codes order exactly as the pairs (a, b) do, so the
+    heaviest edge, ties broken by the largest code, is the one a tie-break
+    on (a, b) picks, and ``max_edge`` is ``divmod(code, n)``.
 
     Every state Z on a path of the pair (X, Y) is certified: it is scored by
     the switch distance of ``X + Y - Z``, capped at 6 switches, from
@@ -917,6 +927,7 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     certified = set()    # the integer keys of the matrices queued so far
     queue = []           # (xi, yi, z) of each queued matrix not yet certified
     cells = [int.from_bytes(z.tobytes(), "little") for z in space.adj]
+    codes_of = itemgetter(1)    # a segment's edge codes
     for xi, yi, total, paths in _routes(space):
         if scale % total:
             grow = total // math.gcd(scale, total)
@@ -925,15 +936,15 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
             weight = {e: v * grow for e, v in weight.items()}
         per_pairing = scale // total
         n_paths += len(paths)
-        for ids, c in paths:
-            edges = {a * n + b if a < b else b * n + a for a, b in zip(ids, ids[1:])}
+        for c, segs in paths.values():
+            edges = set().union(*map(codes_of, segs))
             w = c * per_pairing
             lw = w * len(edges)
             for e in edges:
                 load[e] = load.get(e, 0) + lw
                 weight[e] = weight.get(e, 0) + w
         xy = cells[xi] + cells[yi]
-        for z in {z for ids, _ in paths for z in ids}:
+        for z in set().union(*paths):
             key = xy - cells[z]
             if key not in certified:
                 certified.add(key)

@@ -19,14 +19,15 @@ them (``_random_partners``), ``nth_pairing`` unranks them
 (``_nth_partners``), and ``all_pairings`` runs the odometer ``_partners``,
 each converting them into a ``Pairing`` (``_pairing``).
 There is one decomposition implementation, the integer kernel: it traces
-each pairing's circuits on its partner arrays (``_trace``), and takes each
-circuit's cycles from a memo the caller scopes, cutting them (``_split``)
-on a miss.  A cycle is held as two things only: its walk-order cell
-sequence, each cell ``u * l + v`` of an edge (u, v), and its cell mask, the
-int ``sum(1 << (u * l + v))`` over its edges; the memo holds these.
-``decompose`` is its single-pairing entry point: it fills the partner
-arrays from a ``Pairing`` after checking the pairing's maps, and it alone
-builds ``AlternatingCycle`` objects, from the sequences.
+each pairing's circuits on its partner arrays (``_trace``) and cuts each
+circuit into simple cycles by its shape alone: the first-occurrence
+pattern of the vertices it reaches and the X/Y class of each of its edges.
+A shape memo the caller scopes maps each shape to its cuts, made by
+``_cut`` on a miss, and each cycle's edge ids and its cell mask, the int
+``sum(1 << (u * l + v))`` over its edges (u, v), are read off the circuit
+through them.  ``decompose`` is its single-pairing entry point: it fills
+the partner arrays from a ``Pairing`` after checking the pairing's maps,
+and it alone builds ``AlternatingCycle`` objects, from the edge ids.
 ``_decompositions``, which ``congestion`` and ``path_distribution`` run
 behind its pairing guard, traces every state of the same odometer without
 building a ``Pairing``, in ``all_pairings`` order, and yields each
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, permutations, product
-from operator import not_
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -213,15 +214,17 @@ def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> Circuit
     fills the partner arrays (``_pairing_partners``, which raises
     ``PairingMismatch`` or ``NonAlternating`` for a pairing that is not one
     of X xor Y) and ``_trace`` runs with a fresh memo.  Each
-    ``AlternatingCycle`` is built here, from the kernel's walk-order cell
-    sequence, whose even positions hold its X-edges.
+    ``AlternatingCycle`` is built here, from the kernel's walk-order edge
+    ids, rotated to the smallest X-edge id, which is its lexicographically
+    smallest X-edge, so that even positions hold its X-edges.
     """
     numbering, pu, pv = _pairing_partners(X, Y, pairing)
-    circuits, seqs, _ = _trace(pu, pv, numbering, {})
-    edges = numbering[0]
+    circuits, ids, _ = _trace(pu, pv, numbering, {})
+    edges, _, in_x = numbering[:3]
     cycles = []
-    for seq in seqs:
-        walk = tuple(divmod(c, X.l) for c in seq)
+    for cycle in ids:
+        start = cycle.index(min(cycle[0::2] if in_x[cycle[0]] else cycle[1::2]))
+        walk = tuple(map(edges.__getitem__, cycle[start:] + cycle[:start]))
         cycles.append(AlternatingCycle(walk, frozenset(walk[::2]), frozenset(walk[1::2])))
     return CircuitDecomposition(tuple(tuple(map(edges.__getitem__, c)) for c in circuits),
                                 tuple(cycles))
@@ -273,19 +276,20 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
 
     X and Y are given by their keys, realizations with l V-vertices; read
     as little-endian integers, cell c = u*l+v sits at bit 8c.  Returns
-    ``(edges, cells, in_x, codes, bits, full)``: edge i is ``edges[i]`` in
-    cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
-    ``codes[i]`` gives its U end as 2u and its V end as 2v+1, ``bits[i]``
-    is ``1 << cells[i]``, and ``full``, the sum of ``bits``, is the cell
-    mask of X xor Y.
+    ``(edges, cells, in_x, us, vs, bits, full)``: edge i is ``edges[i]``
+    in cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
+    ``us[i]`` codes its U end as 2u and ``vs[i]`` its V end as 2v+1,
+    ``bits[i]`` is ``1 << cells[i]``, and ``full``, the sum of ``bits``,
+    is the cell mask of X xor Y.
     """
     cells = [b >> 3 for b in _bits(int.from_bytes(x_key, "little")
                                    ^ int.from_bytes(y_key, "little"))]
     edges = [divmod(c, l) for c in cells]
     in_x = [x_key[c] == 1 for c in cells]
-    codes = [(2 * u, 2 * v + 1) for u, v in edges]
+    us = [2 * u for u, _ in edges]
+    vs = [2 * v + 1 for _, v in edges]
     bits = [1 << c for c in cells]
-    return edges, cells, in_x, codes, bits, sum(bits)
+    return edges, cells, in_x, us, vs, bits, sum(bits)
 
 
 def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
@@ -301,7 +305,7 @@ def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):
     before any pairing is decomposed.
 
     ``_trace`` decomposes each pairing of the odometer ``_partners`` with
-    the caller's ``memo``, which the caller owns and scopes.
+    the caller's shape memo ``memo``, which the caller owns and scopes.
     """
     numbering = _number(x_key, y_key, l)
     incid, total = _incidence(numbering)
@@ -368,28 +372,32 @@ def _partners(incid: dict, m: int):
 
 def _trace(pu, pv, numbering, memo: dict) -> tuple:
     """One pairing's circuits, as lists of edge ids, and its cycles, as
-    ``(circuits, seqs, masks)``: each cycle's walk-order cell sequence in
-    the list ``seqs`` and its cell mask in the tuple ``masks``.
+    ``(circuits, cycles, masks)``: each cycle's edge ids in walk order in
+    the list ``cycles`` and its cell mask in the tuple ``masks``.
 
     ``pu[i]`` and ``pv[i]`` are the partners of edge i at its U end and at
     its V end.  Circuits are traced from the smallest unseen id, leaving
-    through its U end.  A circuit's cycles come from ``memo``, keyed by the
-    class of its first edge and the cells of its edges, which is everything
-    they depend on; on a miss ``_split`` cuts the circuit.
+    through its U end.  Where a circuit is cut, and every check of the
+    cut, reads only its shape: the first-occurrence pattern of the
+    vertices it reaches and the class of each of its edges.  So ``memo``,
+    which the caller scopes, maps a shape to its cuts, which ``_cut``
+    makes on a miss, and each cycle's edges and mask are read off the
+    circuit through them.
 
     Checked once per pairing: the circuits visit every edge id exactly
     once, and the cycles are pairwise edge-disjoint and cover X xor Y.
     """
-    edges, cells, in_x, codes, bits, full = numbering
+    in_x, us, vs, bits, full = numbering[2:]
     seen = bytearray(len(pu))
     circuits = []
-    seqs = []
+    cycles = []
     masks = []
     covered = 0
-    for e0 in range(len(pu)):
-        if seen[e0]:
-            continue
+    e0 = seen.find(0)
+    while e0 >= 0:
         circuit = []
+        pattern = []
+        first = {}      # vertex code -> its index in order of first visit
         e = e0
         while True:
             f = pu[e]
@@ -397,81 +405,67 @@ def _trace(pu, pv, numbering, memo: dict) -> tuple:
                 raise PreconditionViolation("a circuit visits an edge twice")
             seen[e] = seen[f] = 1
             circuit += (e, f)
+            # e and f meet at e's U end, f and the next edge at f's V end
+            pattern += (first.setdefault(us[e], len(first)),
+                        first.setdefault(vs[f], len(first)))
             e = pv[f]
             if e == e0:
                 break
         circuits.append(circuit)
-        key = (in_x[e0], tuple(map(cells.__getitem__, circuit)))
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _split(circuit, cells, codes, bits, in_x)
-        for seq, mask in entry:
+        shape = (tuple(pattern), bytes(map(in_x.__getitem__, circuit)))
+        cuts = memo.get(shape)
+        if cuts is None:
+            cuts = memo[shape] = tuple(itemgetter(*piece) for piece in _cut(*shape))
+        for cut in cuts:
+            cycle = cut(circuit)
+            mask = sum(map(bits.__getitem__, cycle))
             if covered & mask:
                 raise PreconditionViolation("two cycles of the decomposition overlap")
             covered |= mask
-            seqs.append(seq)
+            cycles.append(cycle)
             masks.append(mask)
+        e0 = seen.find(0, e0 + 1)
     if covered != full:
         raise PreconditionViolation("the cycles do not cover the symmetric difference")
-    return circuits, seqs, tuple(masks)
+    return circuits, cycles, tuple(masks)
 
 
-def _split(circuit, cells, codes, bits, in_x) -> tuple:
-    """A traced circuit's simple alternating cycles, each as ``(seq,
-    mask)``: its walk-order tuple of ``cells`` and its cell mask, the sum of
-    ``bits`` over its edges.
+def _cut(pattern, classes) -> list:
+    """The simple alternating cycles of a traced circuit of the given
+    shape, each as the tuple of its positions on the circuit, in the order
+    they come off: position t reaches vertex ``pattern[t]``, numbered in
+    order of first visit, where its edge meets the next, and holds an
+    X-edge where ``classes[t]`` is 1.
 
-    The circuit is walked edge by edge; whenever the walk returns to a
-    vertex that is still open, the edges since its previous visit come off
-    as one cycle (``_cuts``).  Edges t and t+1 of a traced circuit share
-    their U end for even t and their V end for odd t; ``codes`` gives each
-    id's U end as 2u and V end as 2v+1.  Each cycle is rotated to its
-    smallest X-edge and checked to have even length >= 4, no repeated
-    vertex, and alternating classes (``NonAlternating`` otherwise).
+    The circuit is walked position by position; whenever the walk returns
+    to a vertex that is still open, the positions since its previous visit
+    come off as one cycle.  Each cycle is checked to have even length >=
+    4, no repeated vertex, and alternating classes (``NonAlternating``
+    otherwise).
     """
-    n = len(circuit)
-    reached = [0] * n
-    reached[::2] = [codes[e][0] for e in circuit[::2]]
-    reached[1::2] = [codes[e][1] for e in circuit[1::2]]
-    # with no vertex met twice the circuit is one cycle
-    pieces = [range(n)] if len(set(reached)) == n else _cuts(reached)
-    out = []
-    for piece in pieces:
-        n = len(piece)
-        if n % 2 or n < 4:
-            raise NonAlternating(f"cycle length {n} is not an even number >= 4")
-        if len({reached[t] for t in piece}) != n:
-            raise NonAlternating("cycle repeats a vertex")
-        piece = [circuit[t] for t in piece]
-        start = piece.index(min(piece[0::2] if in_x[piece[0]] else piece[1::2]))
-        seq, mask = [], 0
-        for t, e in enumerate(piece[start:] + piece[:start]):
-            if in_x[e] == t % 2:        # X-edges belong at even positions
-                raise NonAlternating("consecutive edges in one class")
-            seq.append(cells[e])
-            mask |= bits[e]
-        out.append((tuple(seq), mask))
-    return tuple(out)
-
-
-def _cuts(reached) -> list:
-    """The positions of each cycle ``_split`` cuts from a circuit whose edge
-    t reaches vertex ``reached[t]``, in the order they come off."""
-    open_at = {reached[-1]: 0}
+    open_at = {pattern[-1]: 0}
     stack = []
     pieces = []
-    for t, w in enumerate(reached):
+    for t, w in enumerate(pattern):
         stack.append(t)
         cut = open_at.get(w)
         if cut is None:
             open_at[w] = len(stack)
             continue
-        piece = stack[cut:]
+        piece = tuple(stack[cut:])
         del stack[cut:]
         # close the vertices the piece opened; w itself stays open
         for p in piece[:-1]:
-            del open_at[reached[p]]
+            del open_at[pattern[p]]
         pieces.append(piece)
     if stack:
         raise NonAlternating("circuit walk did not close at its start vertex")
+    for piece in pieces:
+        n = len(piece)
+        if n % 2 or n < 4:
+            raise NonAlternating(f"cycle length {n} is not an even number >= 4")
+        if len({pattern[t] for t in piece}) != n:
+            raise NonAlternating("cycle repeats a vertex")
+        if any(classes[s] == classes[t] for s, t in zip(piece, piece[1:] + piece[:1])):
+            raise NonAlternating("consecutive edges in one class")
     return pieces

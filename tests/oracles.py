@@ -534,21 +534,22 @@ def naive_congestion(space, kernel, max_pairings: int = 5000, switch_cap: int = 
 def ordered_congestion(space):
     """The congestion report of a loop over ordered pairs: every (X, Y)
     decomposed on its own by ``pairings._decompositions`` and the paths of
-    its distinct cycle lists counted by ``canonical._path_counts``, with the
-    memos and integer loads of ``congestion``.  The oracle of its one
+    its distinct cycle lists counted by ``canonical._path_counts`` on key
+    segments, with one segment table for the loop and the integer loads of
+    ``congestion``.  The oracle of its one
     decomposition per unordered pair."""
     import math
     from collections import Counter
     from fractions import Fraction
 
-    from degswap.canonical import _path_counts, hat_matrix, switch_distance
+    from degswap.canonical import _key_lift, _path_counts, hat_matrix, switch_distance
     from degswap.chain import pair_count
     from degswap.errors import SpecViolation
     from degswap.mixing import CongestionReport
     from degswap.pairings import _decompositions
 
     n = space.n
-    memos = ({}, {}, {})
+    segments, lift = {}, _key_lift(space.ds.l)
     certs = {}
     scale = 1
     load, weight = {}, {}
@@ -564,7 +565,7 @@ def ordered_congestion(space):
             if xi == yi:
                 continue
             t_total, cycle_lists = _decompositions(keys[xi], keys[yi], l, circuits)
-            counts = _path_counts(l, keys[xi], keys[yi], Counter(cycle_lists), memos)
+            counts = _path_counts(keys[xi], keys[yi], Counter(cycle_lists), segments, lift)
             if scale % t_total:
                 grow = t_total // math.gcd(scale, t_total)
                 scale *= grow
@@ -572,7 +573,7 @@ def ordered_congestion(space):
                 weight = {e: v * grow for e, v in weight.items()}
             per_pairing = scale // t_total
             visited = set()
-            for path, c in counts.items():
+            for path, (c, _) in counts.items():
                 n_paths += 1
                 ids = [space.index.get(key, -1) for key in path]
                 edges = {(a, b) if a < b else (b, a) for a, b in zip(ids, ids[1:])}

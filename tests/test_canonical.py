@@ -615,7 +615,7 @@ class TestSwitchDistanceMatchesRescan:
         all_states = graphs(space)
         for xi, yi, _, paths in _routes(space):
             X, Y = all_states[xi], all_states[yi]
-            for z in {z for ids, _ in paths for z in ids}:
+            for z in set().union(*paths):
                 hat = hat_matrix(X, Y, all_states[z])
                 hats.setdefault(hat.tobytes(), hat)
         certs = []
@@ -917,8 +917,8 @@ class TestCanonicalPath:
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
         # path_distribution, with memos fresh for each pair, and congestion's
         # pair loop, mixing._routes, which walks both directions of each
-        # unordered pair with its memos shared across the pairs and maps
-        # each key path to state ids, give the distribution of the paths
+        # unordered pair on state ids, with one segment table shared across
+        # the pairs, give the distribution of the paths
         # built cycle by cycle on the full graphs by path_along_cycle, one
         # per pairing: every ordered pair of the 6-state space and seeded
         # pairs of the 48-state space
@@ -929,7 +929,7 @@ class TestCanonicalPath:
             pairs = [pairs[i] for i in rng.choice(len(pairs), n_pairs, replace=False)]
         by_ids = {}
         for _, _, total, paths in _routes(space):
-            for ids, c in paths:
+            for ids, (c, _) in paths.items():
                 by_ids.setdefault((ids[0], ids[-1]), {})[ids] = Fraction(c, total)
         for xi, yi in pairs:
             X, Y = space.graph(xi), space.graph(yi)
@@ -951,38 +951,37 @@ class TestCanonicalPath:
         X = BipartiteGraph([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         Y = BipartiteGraph([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         s = next(all_pairings(X, Y))
-        real = pairings._split
-        monkeypatch.setattr(pairings, "_split", lambda *args: mangle(real(*args)))
+        real = pairings._cut
+        monkeypatch.setattr(pairings, "_cut", lambda *args: mangle(real(*args)))
         with pytest.raises(PreconditionViolation):
             canonical_path(X, Y, s)
         with pytest.raises(PreconditionViolation):
             path_distribution(X, Y)
 
-    def test_walk_caches_segments_and_checks_landing(self, monkeypatch):
-        # the one walker: one _key_segment per (key, cycle), with the
-        # caller's pattern and bridge memos, and a path that misses its end
-        # is refused
+    def test_walk_caches_segments_and_checks_landing(self):
+        # the one walker, _path_counts: one lift per (state, cycle) of its
+        # segment table, each distinct path once with the pairings that
+        # select it, and a path that misses its end is refused
         from degswap import canonical
 
-        a, b = (AlternatingCycle((e,), frozenset(), frozenset()) for e in ((0, 0), (1, 1)))
-        segments, patterns, bridges = {}, {}, {}
-        memos = (segments, patterns, bridges)
+        a, b = 1, 2         # two cell masks
         calls = []
 
-        def segment(pattern_memo, bridge_memo, l, key, cycle):
-            assert (pattern_memo is patterns, bridge_memo is bridges, l) == (True, True, 3)
-            calls.append((key, cycle.edge_seq))
-            return (bytes([key[0] + 1]), bytes([key[0] + 2]))
+        def lift(state, mask):
+            calls.append((state, mask))
+            return (state + 1, state + 2), "codes"
 
-        monkeypatch.setattr(canonical, "_key_segment", segment)
-        path = [bytes([i]) for i in range(5)]
-        assert canonical._walk(3, path[0], path[4], [a, b], memos) == path
-        assert canonical._walk(3, path[0], path[4], [a, b], memos) == path
-        assert canonical._walk(3, path[0], path[4], [b, b], memos) == path
-        assert calls == [(path[0], ((0, 0),)), (path[2], ((1, 1),)), (path[0], ((1, 1),))]
-        assert len(segments) == 3
+        segments = {}
+        lists = {(a, b): 2, (b, b): 3, (a, a): 1}
+        path = (0, 1, 2, 3, 4)
+        counts = canonical._path_counts(0, 4, lists, segments, lift)
+        assert counts == {path: [6, [segments[0, a], segments[2, b]]]}
+        assert canonical._path_counts(0, 4, {(a, b): 1}, segments, lift) == {
+            path: [1, counts[path][1]]}
+        assert calls == [(0, a), (2, b), (0, b), (2, a)]
+        assert segments[0, b] == ((1, 2), "codes") and len(segments) == 4
         with pytest.raises(SpecViolation):
-            canonical._walk(3, path[0], path[3], [a, b], memos)
+            canonical._path_counts(0, 3, {(a, b): 1}, segments, lift)
 
     def test_key_segment_checks_each_swap(self):
         # a memoized swap whose cells do not hold the one-factor it removes
@@ -1177,13 +1176,13 @@ class TestCertifiedStack:
 
         X, Y = BipartiteGraph([[1, 0], [0, 1]]), BipartiteGraph([[0, 1], [1, 0]])
         pairing = next(all_pairings(X, Y))
-        real = canonical._walk
+        real = canonical._path_counts
 
         def off_margins(*args):
-            keys = real(*args)
-            return [keys[0], bytes([1, 1, 0, 1]), *keys[1:]]
+            ((keys, entry),) = real(*args).items()
+            return {(keys[0], bytes([1, 1, 0, 1]), *keys[1:]): entry}
 
-        monkeypatch.setattr(canonical, "_walk", off_margins)
+        monkeypatch.setattr(canonical, "_path_counts", off_margins)
         assert len(canonical_path(X, Y, pairing)) == 3
         with pytest.raises(DegreeMismatch):
             canonical_path(X, Y, pairing, certify=True)

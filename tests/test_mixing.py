@@ -732,26 +732,37 @@ SPACES = {"48U": ((2, 2, 2, 2), (3, 2, 2, 1)),
           "90": ((2, 2, 2, 2), (2, 2, 2, 2))}
 
 
+def route_line(xi, yi, total, paths) -> str:
+    """One line of what ``_routes`` yields for a pair: the pair, its
+    pairing count and each distinct path as its state ids and the number
+    of pairings that select it, the paths sorted."""
+    paths = sorted((ids, c) for ids, (c, _) in paths.items())
+    return f"{xi} {yi} {total} " + " ".join(f"{','.join(map(str, ids))}:{c}"
+                                            for ids, c in paths) + "\n"
+
+
 @pytest.fixture(scope="module")
 def certified_runs():
     """Per space, certified congestion run once with every wrapper
     recording, then (48-state spaces only) once more, then once with every
     bridge a miss.  Holds the space; the reports and ``ryser_sequence``
     counts of those calls, in order; and of the first call the pattern
-    memo's misses, every segment it computed as (start key, cycle,
-    keys), the ``tobytes`` of each layer of the hat stacks passed to
-    ``canonical._switch_distances``, the keys each ordered pair's paths
-    visit, the (X key, Y key) of each ``_decompositions`` call, the
-    ``_split`` calls (the circuit memo's misses), the pairs ``_routes``
-    yields, in order, and the number of ``canonical._walk`` calls."""
+    memo's misses, every segment it lifted as (start key, cycle, keys),
+    the ``tobytes`` of each layer of the hat stacks passed to
+    ``canonical._switch_distances``, the state ids each ordered pair's
+    paths visit, the (X key, Y key) of each ``_decompositions`` call, the
+    ``_cut`` calls (the shape memo's misses), the pairs ``_routes``
+    yields, in order, the sha256 of everything it yields (``route_line``)
+    and the number of cycle lists walked."""
     out = {}
-    real_segment = canonical._key_segment
-    real_walk, real_distances = canonical._walk, canonical._switch_distances
-    real_decompositions, real_split = mixing._decompositions, pairings._split
+    real_segment, real_walk = mixing._key_segment, mixing._path_counts
+    real_distances = canonical._switch_distances
+    real_decompositions, real_cut = mixing._decompositions, pairings._cut
     real_routes = mixing._routes
     for name, (a, b) in SPACES.items():
         solves, segments, certified, visited = [0], [], [], {}
-        decomposed, splits, routed, walks = [], [0], [], [0]
+        decomposed, cuts, routed, walks = [], [0], [], [0]
+        digest = hashlib.sha256()
 
         def recording(patterns, bridges, l, key, cycle):
             # a miss of the pattern memo adds its one entry
@@ -761,11 +772,11 @@ def certified_runs():
             segments.append((key, cycle, seg))
             return seg
 
-        def walking(l, start, end, *args):
-            walks[0] += 1
-            keys = real_walk(l, start, end, *args)
-            visited.setdefault((start, end), set()).update(keys)
-            return keys
+        def walking(start, end, cycle_lists, *args):
+            walks[0] += len(cycle_lists)
+            counts = real_walk(start, end, cycle_lists, *args)
+            visited.setdefault((start, end), set()).update(*counts)
+            return counts
 
         def certifying(hats):
             certified.extend(hat.tobytes() for hat in hats)
@@ -775,13 +786,14 @@ def certified_runs():
             decomposed.append((x_key, y_key))
             return real_decompositions(x_key, y_key, *args)
 
-        def splitting(*args):
-            splits[0] += 1
-            return real_split(*args)
+        def cutting(*args):
+            cuts[0] += 1
+            return real_cut(*args)
 
         def routing(space):
             for route in real_routes(space):
                 routed.append(route[:2])
+                digest.update(route_line(*route).encode())
                 yield route
 
         def run():
@@ -794,11 +806,11 @@ def certified_runs():
         with pytest.MonkeyPatch.context() as mp:
             calls = count_ryser(mp)
             with pytest.MonkeyPatch.context() as recorders:
-                recorders.setattr(canonical, "_key_segment", recording)
-                recorders.setattr(canonical, "_walk", walking)
+                recorders.setattr(mixing, "_key_segment", recording)
+                recorders.setattr(mixing, "_path_counts", walking)
                 recorders.setattr(canonical, "_switch_distances", certifying)
                 recorders.setattr(mixing, "_decompositions", decomposing)
-                recorders.setattr(pairings, "_split", splitting)
+                recorders.setattr(pairings, "_cut", cutting)
                 recorders.setattr(mixing, "_routes", routing)
                 run()
             if space.n == 48:
@@ -807,8 +819,8 @@ def certified_runs():
             run()
         out[name] = dict(space=space, reports=reports, rysers=rysers, solves=solves[0],
                          segments=segments, certified=certified, visited=visited,
-                         decomposed=decomposed, splits=splits[0], routed=routed,
-                         walks=walks[0])
+                         decomposed=decomposed, cuts=cuts[0], routed=routed,
+                         routes=digest.hexdigest(), walks=walks[0])
     return out
 
 
@@ -976,17 +988,12 @@ class TestCongestion:
             canonical._key_segment({pattern: ()}, {}, 3, X.key(), cyc)
 
     def test_path_key_off_the_space_rejected(self, monkeypatch):
-        # a key path through a key that is no state of the space is refused
-        # where congestion maps it to state ids, as a step along a non-edge
+        # a segment through a key that is no state of the space is refused
+        # where congestion lifts it to state ids, as a step along a non-edge
         # is (test_path_step_off_the_move_graph_rejected)
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
-        real = mixing._path_counts
-
-        def detour(l, start, end, cycle_lists, memos):
-            counts = real(l, start, end, cycle_lists, memos)
-            return {(start, bytes(9), end): sum(counts.values())}
-
-        monkeypatch.setattr(mixing, "_path_counts", detour)
+        real = mixing._key_segment
+        monkeypatch.setattr(mixing, "_key_segment", lambda *args: (bytes(9),) + real(*args))
         with pytest.raises(SpecViolation):
             congestion(space)
 
@@ -995,8 +1002,8 @@ class TestCongestion:
     def test_kernel_decomposition_checked_once_per_pairing(self, monkeypatch, mangle):
         # a kernel cycle list whose cycles overlap, or miss part of X xor Y,
         # is refused before any cycle is walked
-        real = pairings._split
-        monkeypatch.setattr(pairings, "_split", lambda *args: mangle(real(*args)))
+        real = pairings._cut
+        monkeypatch.setattr(pairings, "_cut", lambda *args: mangle(real(*args)))
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         with pytest.raises(PreconditionViolation):
             congestion(space)
@@ -1027,7 +1034,7 @@ class TestSegmentMemo:
         # the hat matrix's bytes do: one certificate per distinct matrix
         run = certified_runs[name]
         space, certified, visited = run["space"], run["certified"], run["visited"]
-        graph = {g.key(): g for g in graphs(space)}
+        graph = graphs(space)
         hats = {canonical.hat_matrix(graph[x], graph[y], graph[z]).tobytes()
                 for (x, y), zs in visited.items() for z in zs}
         assert len(certified) == len(set(certified)) == len(hats)
@@ -1106,12 +1113,13 @@ class TestDifferenceBuckets:
     """Certified congestion decomposes each signed difference X - Y once
     and still routes every unordered pair once."""
 
-    @pytest.mark.parametrize("name, decompositions, splits", [
-        ("48U", 645, 1602), ("48V", 645, 1614), ("90", 1185, 10368)])
+    @pytest.mark.parametrize("name, decompositions, shapes", [
+        ("48U", 645, 47), ("48V", 645, 31), ("90", 1185, 166)])
     def test_one_decomposition_per_signed_difference(self, certified_runs, name,
-                                                     decompositions, splits):
+                                                     decompositions, shapes):
+        # and one cut per circuit shape: the shape memo lives for the call
         run = certified_runs[name]
-        assert (len(run["decomposed"]), run["splits"]) == (decompositions, splits)
+        assert (len(run["decomposed"]), run["cuts"]) == (decompositions, shapes)
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_decomposed_pairs_have_every_difference_once(self, certified_runs, name):
@@ -1123,6 +1131,17 @@ class TestDifferenceBuckets:
                  for xi, yi in itertools.combinations(range(run["space"].n), 2)}
         assert len(set(diffs)) == len(diffs)
         assert set(diffs) == every
+
+    # per space: the sha256 of the route_line of every pair _routes
+    # yields, in order; recorded while _routes still walked keys and mapped
+    # each path's keys to state ids
+    ROUTES = {"48U": "4e5c6fd30b7937b531814cddd6d4681b30b350b3177d9b9f3e28dfa657c203c9",
+              "48V": "3d309f4513e4e50fd804593a4f4d91d9bd69a2a419b7e60910a2d4cd95e95866",
+              "90": "1d25db5668ca9a248f0da34915627abe279495d358f6dd6603dd14e212dd59c0"}
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_routes_digest(self, certified_runs, name):
+        assert certified_runs[name]["routes"] == self.ROUTES[name]
 
     @pytest.mark.parametrize("name", list(SPACES))
     def test_every_pair_routed_once(self, certified_runs, name):
@@ -1149,7 +1168,7 @@ class TestDifferenceBuckets:
         buckets = {}
         for xi, yi in itertools.combinations(range(space.n), 2):
             buckets.setdefault((mats[xi] - mats[yi]).tobytes(), []).append((xi, yi))
-        memos = ({}, {}, {})
+        segments, lift = {}, canonical._key_lift(l)
         distinct = raw = walks = 0
         for pairs in buckets.values():
             xi, yi = pairs[0]
@@ -1162,11 +1181,13 @@ class TestDifferenceBuckets:
             walks += 2 * len(pairs) * len(collapsed)
             for xi, yi in pairs:
                 for start, end in ((keys[xi], keys[yi]), (keys[yi], keys[xi])):
-                    every = {}
+                    every = Counter()
                     for cycles in lists:
-                        path = tuple(canonical._walk(l, start, end, cycles, memos))
-                        every[path] = every.get(path, 0) + 1
-                    assert canonical._path_counts(l, start, end, collapsed, memos) == every
+                        ((path, _),) = canonical._path_counts(start, end, {cycles: 1},
+                                                              segments, lift).items()
+                        every[path] += 1
+                    counts = canonical._path_counts(start, end, collapsed, segments, lift)
+                    assert {path: c for path, (c, _) in counts.items()} == every
         assert (distinct, raw) == self.LISTS[name]
         assert run["walks"] == walks
 

@@ -196,17 +196,34 @@ def test_nth_pairing_unranks_all_pairings(x, y):
 def kernel_cycles(x_key, y_key, l, memo) -> tuple:
     """The kernel's pairing count and, per pairing in ``all_pairings``
     order, each cycle as its ``(walk-order cell sequence, cell mask)``.
-    The masks are the lists ``_decompositions`` yields with ``memo``; the
-    sequences come from ``_trace`` over the same odometer and memo, whose
-    masks must be the same."""
-    total, lists = _decompositions(x_key, y_key, l, memo)
-    lists = list(lists)
-    numbering = pairings._number(x_key, y_key, l)
-    incid, _ = pairings._incidence(numbering)
-    traced = [pairings._trace(pu, pv, numbering, memo)[1:]
-              for pu, pv in pairings._partners(incid, len(numbering[0]))]
-    assert [masks for _, masks in traced] == lists
-    return total, [list(zip(seqs, masks)) for seqs, masks in traced]
+    ``_decompositions`` runs with ``memo`` and traces each pairing once;
+    each ``_trace`` result is kept as it passes, and its masks must be the
+    list ``_decompositions`` yields.  A sequence is the cycle's edge ids
+    in the kernel's walk order, rotated to its smallest X-edge id as
+    ``decompose`` rotates them, read as cells."""
+    traced = []
+    real = pairings._trace
+
+    def keep(*args):
+        traced.append(real(*args))
+        return traced[-1]
+
+    pairings._trace = keep
+    try:
+        total, lists = _decompositions(x_key, y_key, l, memo)
+        lists = list(lists)
+    finally:
+        pairings._trace = real
+    assert [masks for _, _, masks in traced] == lists
+    _, cells, in_x = pairings._number(x_key, y_key, l)[:3]
+    out = []
+    for _, cycles, masks in traced:
+        seqs = []
+        for cycle in cycles:
+            start = cycle.index(min(cycle[0::2] if in_x[cycle[0]] else cycle[1::2]))
+            seqs.append(tuple(map(cells.__getitem__, cycle[start:] + cycle[:start])))
+        out.append(list(zip(seqs, masks)))
+    return total, out
 
 
 def cell_cycles(cycles, l) -> list:
@@ -250,9 +267,9 @@ PUBLIC_CHECKED = {((2, 2, 2, 2), (3, 2, 2, 1)), ((3, 2, 2, 1), (2, 2, 2, 2))}
 def test_kernel_matches_decompose_on_small_spaces():
     # every ordered pair of every space of a graphical pair with k, l <= 4
     # (the 48-state U- and V-regular spaces and the 90-state space among
-    # them), with one circuit memo per source state as congestion keeps it;
-    # the public ``decompose`` on the spaces with k, l <= 3 and the 48-state
-    # ones
+    # them), with one shape memo per space as congestion keeps one per
+    # call; the public ``decompose`` on the spaces with k, l <= 3 and the
+    # 48-state ones
     spaces = pairings = 0
     sizes = set()
     public_spaces = public_pairings = 0
@@ -266,8 +283,8 @@ def test_kernel_matches_decompose_on_small_spaces():
             continue
         public = max(len(a), len(b)) <= 3 or (a, b) in PUBLIC_CHECKED
         all_states = graphs(space)
+        memo = {}
         for X in all_states:
-            memo = {}
             for Y in all_states:
                 if X is not Y:
                     total = kernel_matches_decompose(X, Y, memo, public, oracle)
@@ -296,6 +313,53 @@ def test_kernel_matches_decompose_on_higher_degree_differences():
         if max(deg.values(), default=0) >= 3 and enumerate_pairings_count(g, h) <= 2000:
             kernel_matches_decompose(g, h, {}, public=True)
             checked += 1
+
+
+def test_shape_memo_keeps_vertex_and_class_patterns_apart(monkeypatch):
+    # the figure-eight's edge ids in cell order: 0 (0,0) X, 1 (0,1) Y,
+    # 2 (0,2) X, 3 (0,3) Y, 4 (1,0) Y, 5 (1,1) X, 6 (2,2) Y, 7 (2,3) X.
+    # Pairing "short" has two 4-cycle circuits of one shape, so the second
+    # is a hit; "long" meets u0 twice on one circuit, which is cut into two
+    # 4-cycles, and a second trace of it hits.  The reverse pair (Y, X)
+    # traces the long circuit with every class exchanged: a second entry,
+    # cut alike.  With edge 7 read as a Y-edge, edges 3 and 7 are
+    # same-class partners at v3: the long circuit's vertex pattern, whose
+    # entry the memo holds, with other classes, so it misses and is
+    # refused, as it is with a fresh memo.
+    def partners(u_pairs):
+        pu, pv = [0] * 8, [0] * 8
+        for partner, pairs in ((pu, u_pairs + ((5, 4), (7, 6))),
+                               (pv, ((0, 4), (5, 1), (2, 6), (7, 3)))):
+            for a, b in pairs:
+                partner[a], partner[b] = b, a
+        return pu, pv
+
+    short, long = partners(((0, 1), (2, 3))), partners(((0, 3), (2, 1)))
+    forward = pairings._number(FIG8_X.key(), FIG8_Y.key(), 4)
+    backward = pairings._number(FIG8_Y.key(), FIG8_X.key(), 4)
+    in_x = list(forward[2])
+    in_x[7] = False
+    same_class = forward[:2] + (in_x,) + forward[3:]
+    misses = []
+    real = pairings._cut
+    monkeypatch.setattr(pairings, "_cut", lambda *shape: misses.append(shape) or real(*shape))
+    memo = {}
+    assert len(pairings._trace(*short, forward, memo)[1]) == 2
+    assert len(misses) == 1
+    _, cycles, masks = pairings._trace(*long, forward, memo)
+    assert cycles == [(3, 7, 6, 2), (0, 1, 5, 4)] and len(misses) == 2
+    assert pairings._trace(*long, forward, memo)[1:] == (cycles, masks)
+    assert len(misses) == 2
+    assert pairings._trace(*long, backward, memo)[1:] == (cycles, masks)
+    assert len(misses) == len(memo) == 3
+    for memo in (memo, {}):
+        with pytest.raises(NonAlternating, match="consecutive edges in one class"):
+            pairings._trace(*long, same_class, memo)
+    long_pattern = (0, 1, 2, 3, 0, 4, 5, 6)
+    assert [pattern for pattern, _ in misses[1:]] == [long_pattern] * 4
+    assert [classes for _, classes in misses[1:]] == [
+        bytes([1, 0] * 4), bytes([0, 1] * 4), bytes([1, 0, 0, 0, 1, 0, 1, 0]),
+        bytes([1, 0, 0, 0, 1, 0, 1, 0])]
 
 
 def test_kernel_guard_fires_before_any_pairing_is_decomposed(monkeypatch):
@@ -344,16 +408,16 @@ def exchange_matches_reverse(x_key, y_key, l, x_memo, y_memo) -> int:
     ((2, 2, 2, 2), (2, 2, 2, 2), 90, 4005),
 ])
 def test_exchange_matches_reverse_on_every_pair(a, b, n, pairs):
-    # every unordered pair, with one circuit memo per state as congestion
-    # keeps it for its source state
+    # every unordered pair, both directions on one shape memo, as congestion
+    # keeps one per call
     space = enumerate_states(BipartiteDegreeSequence(a, b))
     assert space.n == n
     keys = [g.key() for g in graphs(space)]
-    memos = [{} for _ in keys]
+    memo = {}
     checked = 0
     for xi in range(n):
         for yi in range(xi + 1, n):
-            exchange_matches_reverse(keys[xi], keys[yi], space.ds.l, memos[xi], memos[yi])
+            exchange_matches_reverse(keys[xi], keys[yi], space.ds.l, memo, memo)
             checked += 1
     assert checked == pairs
 
