@@ -27,7 +27,7 @@ live at any moment.
 A realization on a path is named by its key alone (``BipartiteGraph.key``,
 one byte per cell), and a cycle on it by its cell mask, the int
 ``sum(1 << (u * l + v))`` over its edges, as the decomposition kernel of
-``pairings`` gives it.  One walker, ``_path_counts``, flips a
+``pairings`` gives it.  The canonical walk, ``_path_counts``, flips a
 decomposition's cycles in order, each by a segment from a table the caller
 scopes, keyed by state and cell mask.  A segment is lifted once, by
 ``_key_segment`` on the cycle's local m x m pattern, with pattern and
@@ -45,13 +45,21 @@ public helpers build (a, b) cells, and only ``ok_ko_step`` and
 
 The cycle solver holds each realization as one int, its key read
 little-endian (``_int``: cell c at bit 8c, as the kernel's and
-congestion's keys are read).  A frame's cells are masks built once per
-frame solve (``_Masks``, m * m + 4m + 3 ints, dropped with the solve); an
-OK/KO target is a (care, want) mask pair, so matching a spec is one AND
-and one compare, a target is inherited by one AND-NOT and one OR, the
-difference cycle between two targets is the XOR of their ints, and a swap
-is a one-factor check on one 4-cell mask and then one XOR (``_flip``).
-``_pattern_swaps`` and ``_solve_cycle`` convert at their boundary.
+congestion's keys are read).  One walker, ``_cycle_walk``, reads every
+alternating cycle: a cell mask in that form, against a key, gives the
+frame order from the least cell that is on, and ``CycleMismatch`` unless
+the cells are one cycle alternating against the key.  Frames
+(``CycleFrame.from_cycle`` and ``_pattern_swaps``' misses) are built from
+it, and each bridge sorts its rows and columns from it; against the key
+with the cycle flipped it reads the same cells the other way.  A frame's
+cells are masks built once per frame solve (``_Masks``, m * m + 4m + 3
+ints, dropped with the solve); an OK/KO target is a (care, want) mask
+pair, so matching a spec is one AND and one compare, a target is
+inherited by one AND-NOT and one OR, the difference cycle between two
+targets is the XOR of their ints, and every swap, lifted or placed on the
+frame, is a one-factor check on one 4-cell mask and then one XOR
+(``_flip``).  ``_pattern_swaps`` and ``_solve_cycle`` convert at their
+boundary.
 """
 
 from __future__ import annotations
@@ -244,39 +252,46 @@ class CycleFrame:
 
     @classmethod
     def from_cycle(cls, cycle: AlternatingCycle, G: BipartiteGraph) -> "CycleFrame":
-        """Orient the cycle so its edges inside G become the main diagonal."""
-        return cls._oriented(G.key(), G.l, cycle.x_edges | cycle.y_edges)
+        """Orient the cycle so its edges inside G become the main diagonal,
+        from the smallest (``_cycle_walk``).  Raises ``CycleMismatch`` unless
+        the cycle's cells form one cycle alternating against G; a union of
+        several cycles is refused."""
+        l = G.l
+        cells = sum(1 << 8 * (u * l + v) for u, v in cycle.x_edges | cycle.y_edges)
+        return cls(*_cycle_walk(_int(G.key()), l, cells))
 
-    @classmethod
-    def _oriented(cls, key: bytes, l: int, cells: frozenset) -> "CycleFrame":
-        """``from_cycle`` for the cycle on the (u, v) ``cells`` against the
-        realization with key ``key`` (l columns): the cells on there become
-        the main diagonal, from the smallest (``CycleMismatch`` otherwise)."""
-        g_edges = {(u, v) for u, v in cells if key[u * l + v]}
-        o_edges = cells - g_edges
-        if len(g_edges) != len(o_edges):
-            raise CycleMismatch("cycle does not alternate against the start graph")
-        next_v = {}
-        for (u, v) in o_edges:
-            if u in next_v:
-                raise CycleMismatch("a U-vertex carries two target-side cycle edges")
-            next_v[u] = v
-        next_u = {}
-        for (u, v) in g_edges:
-            if v in next_u:
-                raise CycleMismatch("a V-vertex carries two start-side cycle edges")
-            next_u[v] = u
-        u0, v0 = min(g_edges)
-        us, vs = [u0], [v0]
-        m = len(g_edges)
-        for _ in range(m - 1):
-            v_next = next_v[us[-1]]
-            u_next = next_u[v_next]
-            us.append(u_next)
-            vs.append(v_next)
-        if next_v[us[-1]] != v0:
-            raise CycleMismatch("cycle traversal did not close")
-        return cls(tuple(us), tuple(vs))
+
+def _cycle_walk(key: int, l: int, cells: int) -> tuple:
+    """``(us, vs)``, the frame order of the alternating cycle on the cells
+    ``cells`` (a mask, cell c at bit 8c) against the realization with key
+    ``key`` (l columns, held as an int, ``_int``): the cells on in the key
+    are ``(us[t], vs[t])`` and those off ``(us[t], vs[t + 1])``, indices mod
+    the length, from the least cell that is on.  Raises ``CycleMismatch``
+    unless every row and column the cells meet holds one cell on and one
+    off and a single cycle runs through them all."""
+    on_v, on_u, off_v, off_u = {}, {}, {}, {}
+    for part, to_v, to_u in ((cells & key, on_v, on_u), (cells & ~key, off_v, off_u)):
+        for b in _bits(part):
+            u, v = divmod(b >> 3, l)
+            if u in to_v or v in to_u:
+                raise CycleMismatch("a row or column meets two cycle cells on one side")
+            to_v[u] = v
+            to_u[v] = u
+    if not on_v or on_v.keys() != off_v.keys() or on_u.keys() != off_u.keys():
+        raise CycleMismatch("the cells on and off do not meet the same rows and columns")
+    # from a row, its off cell's column, then that column's on cell's row: a
+    # permutation of the rows, one cycle when one orbit holds them all
+    u = first = min(on_v)
+    us, vs = [], []
+    while True:
+        us.append(u)
+        vs.append(on_v[u])
+        u = on_u[off_v[u]]
+        if u == first:
+            break
+    if len(us) != len(on_v):
+        raise CycleMismatch("the cells form several cycles")
+    return tuple(us), tuple(vs)
 
 
 @dataclass(frozen=True)
@@ -715,55 +730,22 @@ def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
     return _int(Z.key()) & target.care == target.want
 
 
-def _cycle_span(key: int, l: int, diff: int) -> tuple:
-    """``(rows, cols)``, each increasing: the rows and columns of the cells
-    of ``diff``, a mask of the key ``key`` of a realization with l columns,
-    verified to form one alternating cycle, of twice as many cells as rows.
-    In each row and each column they meet, one cell must be on in the key
-    and one off, and a single cycle must run through them all; raises
-    ``SpecViolation`` otherwise."""
-    on_v, on_u, off_v, off_u = {}, {}, {}, {}
-    for cells, to_v, to_u in ((key & diff, on_v, on_u), (diff & ~key, off_v, off_u)):
-        for b in _bits(cells):
-            u = (b >> 3) // l
-            v = (b >> 3) - u * l
-            if u in to_v or v in to_u:
-                raise SpecViolation("pattern difference does not alternate")
-            to_v[u] = v
-            to_u[v] = u
-    if on_v.keys() != off_v.keys() or on_u.keys() != off_u.keys():
-        raise SpecViolation("pattern difference is not a disjoint cycle union")
-    if on_v:
-        # from a row, its off cell's column, then that column's on cell's
-        # row: a permutation of the rows, one cycle when one orbit holds all
-        first = u = min(on_v)
-        steps = 0
-        while True:
-            u = on_u[off_v[u]]
-            steps += 1
-            if u == first:
-                break
-        if steps != len(on_v):
-            raise SpecViolation("pattern difference splits into several cycles")
-    return sorted(on_v), sorted(on_u)
-
-
 def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
     """``G.adj[np.ix_(rows, cols)].tobytes()`` for the graph G with l
     columns whose key is ``key``, without building the array."""
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
-def _bridge(l: int, key_a: int, key_b: int, rows: list, cols: list, bridges: dict) -> list:
+def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
     """Swaps carrying the realization with key ``key_a`` to the one with key
     ``key_b`` (l columns each, keys held as ints), which differ in one
-    alternating cycle, as ``_cycle_span`` checks it, through the rows and
-    columns ``rows`` and ``cols``, each increasing.
+    alternating cycle (``_cycle_walk``, which raises ``CycleMismatch``
+    otherwise).
 
-    The difference cycle's rows and columns span a small subgraph in both
-    graphs with equal margins; ``ryser_sequence``'s column elimination on
-    it (``ryser._eliminate``, on the local bytes as row lists, without the
-    margin check) is lifted back to global coordinates.
+    The difference cycle's rows and columns, each sorted, span a small
+    subgraph in both graphs with equal margins; ``ryser_sequence``'s column
+    elimination on it (``ryser._eliminate``, on the local bytes as row
+    lists, without the margin check) is lifted back to global coordinates.
 
     ``bridges`` is the caller's memo of local solves, living for one
     top-level call.  It is keyed by the subgraph's shape and the bytes of
@@ -771,8 +753,7 @@ def _bridge(l: int, key_a: int, key_b: int, rows: list, cols: list, bridges: dic
     function of those two local matrices, so a hit returns exactly the
     local swaps a miss would solve; only the lift depends on rows and cols.
     """
-    if not rows:
-        return []
+    rows, cols = map(sorted, _cycle_walk(key_a, l, key_a ^ key_b))
     shape = (len(rows), len(cols))
     # the keys' bytes up to the end of the last row the cycle meets
     n = (rows[-1] + 1) * l
@@ -820,15 +801,14 @@ def _ok_ko_move(key: int, l: int, m: int, prev: _Target, nxt: _Target, bridges: 
     if key & prev.care != prev.want:
         raise SpecViolation("graph does not match the claimed source pattern")
     next_key = (key & ~(nxt.care | prev.anchor)) | nxt.want | (prev.restore & ~nxt.care)
-    rows, cols = _cycle_span(key, l, key ^ next_key)
     # a KO pattern's bookkeeping parameters are its anchor's transposed indices
     ends = [t.cell if t.kind == "OK" else t.cell % m * m + t.cell // m for t in (prev, nxt)]
     dist = _distance(m, *ends)
     cap = (2 if prev.kind == nxt.kind else 4) + 2 * dist
-    if 2 * len(rows) > cap:
-        raise SpecViolation(
-            f"difference cycle of {2 * len(rows)} exceeds {cap} for anchor distance {dist}")
-    return _bridge(l, key, next_key, rows, cols, bridges), next_key
+    size = (key ^ next_key).bit_count()
+    if size > cap:
+        raise SpecViolation(f"difference cycle of {size} exceeds {cap} for anchor distance {dist}")
+    return _bridge(l, key, next_key, bridges), next_key
 
 
 # ---------------------------------------------------------------------------
@@ -891,14 +871,14 @@ def _friendly_swaps(key: int, l: int, masks: _Masks, type1: int, path: tuple, an
                for p, anchor in zip(path, anchors)]
     first = targets[0]
     cur = (key & ~first.care) | first.want
-    swaps = _bridge(l, key, cur, *_cycle_span(key, l, key ^ cur), bridges)
+    swaps = _bridge(l, key, cur, bridges)
     for prev, nxt in zip(targets, targets[1:]):
         step, cur = _ok_ko_move(cur, l, m, prev, nxt, bridges)
         swaps.extend(step)
     # closing target: every main edge gone, every small edge in, anchor restored
     last = targets[-1]
     final = (cur & ~(masks.mains | masks.smalls | last.anchor)) | masks.smalls | last.restore
-    swaps.extend(_bridge(l, cur, final, *_cycle_span(cur, l, cur ^ final), bridges))
+    swaps.extend(_bridge(l, cur, final, bridges))
     return swaps, final
 
 
@@ -969,7 +949,7 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
     if m == 1:
         raise SpecViolation("a one-edge block cannot arise")
     if m == 2:
-        s, end = _swap_on_cells(key, masks, frame, 0, 1, 0, 1)
+        s, end = _swap_on_cells(key, l, frame, 0, 1, 0, 1)
         return [s], end
     # the set of type-1 chords, in grid indices
     type1 = 0
@@ -983,67 +963,54 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
         raise SpecViolation("a block guaranteed friendly came out blocked")
     i, t, j, jp = _choose_pattern(_valid_patterns(m, type1), m)
     if jp == 1:
-        return _first_possibility(key, l, masks, frame, types, type1, i, t, bridges)
-    return _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges)
+        return _first_possibility(key, l, frame, types, type1, i, t, bridges)
+    return _second_possibility(key, l, frame, types, i, t, j, jp, bridges)
 
 
-def _swap_on_cells(key: int, masks: _Masks, frame: CycleFrame, urow_a, urow_b, vcol_a,
-                   vcol_b) -> tuple:
+def _swap_on_cells(key: int, l: int, frame: CycleFrame, urow_a, urow_b, vcol_a, vcol_b) -> tuple:
     """``(swap, key after it)``: ``Swap.on`` the frame's U-vertices at local
-    indices urow_a, urow_b and V-vertices at vcol_a, vcol_b, read from the
-    key (held as an int, cells as in ``masks``), then applied after the
-    one-factor check of ``_apply``."""
-    us, vs, at = frame.u_ids, frame.v_ids, masks.at
-    if us[urow_a] > us[urow_b]:
-        urow_a, urow_b = urow_b, urow_a
-    if vs[vcol_a] > vs[vcol_b]:
-        vcol_a, vcol_b = vcol_b, vcol_a
-    u1, u2, v1, v2 = us[urow_a], us[urow_b], vs[vcol_a], vs[vcol_b]
-    a, b = urow_a * len(us), urow_b * len(us)
-    first = at[a + vcol_a] | at[b + vcol_b]       # (u1, v1) and (u2, v2)
-    second = at[a + vcol_b] | at[b + vcol_a]
-    if key & first == first:
-        ori, on = 1, first
-    elif key & second == second:
-        ori, on = 2, second
-    else:
-        raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
-    s = Swap(u1, u2, v1, v2, ori)
-    if key & (first | second) != on:
+    indices urow_a, urow_b and V-vertices at vcol_a, vcol_b, its orientation
+    read from the key (l columns, held as an int) at its first corner, then
+    applied by ``_flip``, the one-factor check of ``_apply``."""
+    u1, u2 = sorted((frame.u_ids[urow_a], frame.u_ids[urow_b]))
+    v1, v2 = sorted((frame.v_ids[vcol_a], frame.v_ids[vcol_b]))
+    s = Swap(u1, u2, v1, v2, 1 if key >> 8 * (u1 * l + v1) & 1 else 2)
+    nxt = _flip(key, u1 * l, u2 * l, v1, v2, s.orientation)
+    if nxt is None:
         raise SwapNotAllowed(f"{s} is not allowed in this graph")
-    return s, key ^ first ^ second
+    return s, nxt
 
 
-def _first_possibility(key, l, masks, frame, types, type1, i, t, bridges):
+def _first_possibility(key, l, frame, types, type1, i, t, bridges):
     m = frame.m
     im1, ip1 = (i - 1) % m, (i + 1) % m
     if t == 1:
         # one swap settles index i and opens the chord (i-1, i+1) as the
         # closing cell of the remaining (m-1)-block
-        s1, cur = _swap_on_cells(key, masks, frame, im1, i, i, ip1)
+        s1, cur = _swap_on_cells(key, l, frame, im1, i, i, ip1)
         child = frame.sub([(i + 1 + t0) % m for t0 in range(m - 1)])
         sub, cur = _solve_frame(cur, l, child, types, bridges)
         return [s1] + sub, cur
     if m < 5:
         raise SpecViolation("type-0 adjacent pattern needs at least five indices")
     im2, ip2 = (i - 2) % m, (i + 2) % m
-    sA, cur = _swap_on_cells(key, masks, frame, im1, ip1, im1, ip1)
-    sB, cur = _swap_on_cells(cur, masks, frame, im1, i, i, ip1)
+    sA, cur = _swap_on_cells(key, l, frame, im1, ip1, im1, ip1)
+    sB, cur = _swap_on_cells(cur, l, frame, im1, i, i, ip1)
     swaps = [sA, sB]
     child = frame.sub([(i + 2 + t0) % m for t0 in range(m - 3)])
     if type1 >> (im2 * m + ip2) & 1:
-        sC, cur = _swap_on_cells(cur, masks, frame, im2, ip1, im1, ip2)
+        sC, cur = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
         swaps.append(sC)
         sub, cur = _solve_frame(cur, l, child, types, bridges)
         return swaps + sub, cur
     sub, cur = _solve_frame(cur, l, child, types, bridges)
     swaps.extend(sub)
-    sC, cur = _swap_on_cells(cur, masks, frame, im2, ip1, im1, ip2)
+    sC, cur = _swap_on_cells(cur, l, frame, im2, ip1, im1, ip2)
     swaps.append(sC)
     return swaps, cur
 
 
-def _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges):
+def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
     m = frame.m
     lo_u, hi_u = (i - jp) % m, (i + j) % m
     lo_v, hi_v = (i - j) % m, (i + jp) % m
@@ -1055,7 +1022,7 @@ def _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges):
     swaps = []
     cur = key
     if t == 1:
-        pre, cur = _swap_on_cells(cur, masks, frame, lo_u, hi_u, lo_v, hi_v)
+        pre, cur = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(pre)
     s1, _end1 = _solve_frame(cur, l, sub1, types, bridges, expect_friendly=True)
     s2, _end2 = _solve_frame(cur, l, sub2, types, bridges)
@@ -1065,7 +1032,7 @@ def _second_possibility(key, l, masks, frame, types, i, t, j, jp, bridges):
     cur = _apply(cur, l, interleaved)
     swaps.extend(interleaved)
     if t == 0:
-        post, cur = _swap_on_cells(cur, masks, frame, lo_u, hi_u, lo_v, hi_v)
+        post, cur = _swap_on_cells(cur, l, frame, lo_u, hi_u, lo_v, hi_v)
         swaps.append(post)
     return swaps, cur
 
@@ -1133,10 +1100,11 @@ def _pattern_swaps(key: bytes, l: int, cycle: tuple, memo: dict, bridges: dict) 
     cycle.  So its swaps are a function of the local pattern: the m x m
     submatrix on ``rows x cols`` (its bytes, read from ``key``) and the
     cycle's local cell mask, bit ``a * m + b`` for its cell in local row a
-    and column b, which key ``memo``.  Only a miss builds the cycle's set of
-    local cells, orients the frame on those bytes (``CycleFrame._oriented``)
-    and runs ``_solve_frame`` on them, with the call-scoped bridge memo
-    ``bridges``; ``_key_segment`` makes the one end check.
+    and column b, which key ``memo``.  Only a miss spreads that mask to the
+    solver's form (bit 8p for cell p), orients the frame on those bytes
+    (``_cycle_walk``) and runs ``_solve_frame`` on them, with the
+    call-scoped bridge memo ``bridges``; ``_key_segment`` makes the one end
+    check.
     """
     cells, rows, cols = cycle
     m = len(cols)
@@ -1148,8 +1116,8 @@ def _pattern_swaps(key: bytes, l: int, cycle: tuple, memo: dict, bridges: dict) 
     local = _local_bytes(key, l, rows, cols)
     swaps = memo.get((local, local_mask))
     if swaps is None:
-        frame = CycleFrame._oriented(local, m, frozenset(divmod(b, m) for b in _bits(local_mask)))
         start = _int(local)
+        frame = CycleFrame(*_cycle_walk(start, m, sum(1 << 8 * p for p in _bits(local_mask))))
         swaps = memo[local, local_mask] = tuple(_solve_frame(start, m, frame, start, bridges)[0])
     return rows, cols, swaps
 

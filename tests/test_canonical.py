@@ -11,10 +11,10 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _decode, _switch_distances, cycle_swaps,
-                               down_line, down_up_rings, matches_spec, position_distance, ring,
-                               up_line, verify_friendly_path, verify_same_state,
-                               verify_steinhaus)
+from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _decode, _int,
+                               _switch_distances, cycle_swaps, down_line, down_up_rings,
+                               matches_spec, position_distance, ring, up_line,
+                               verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import Swap, allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
@@ -216,6 +216,114 @@ class TestFMatrix:
         G2, Gp2, cyc2 = _instance(6, 3)
         with pytest.raises(CycleMismatch):
             f_matrix(G, Gp, G, cyc2)
+
+
+# ---------------------------------------------------------------------------
+# the alternating-cycle walker
+# ---------------------------------------------------------------------------
+
+
+def _cell_mask(cells, l) -> int:
+    """The cells (u, v) of a graph with l columns as the walker reads them:
+    cell c at bit 8c."""
+    return sum(1 << 8 * (u * l + v) for u, v in cells)
+
+
+def _two_by_two_blocks(n):
+    """G, the n x n identity; Gp, G with rows 2i and 2i + 1 exchanged for
+    each i; and one ``AlternatingCycle`` listing all n / 2 of their 4-cycles."""
+    G = BipartiteGraph(np.eye(n, dtype=np.uint8))
+    Gp = BipartiteGraph(np.eye(n, dtype=np.uint8)[[i ^ 1 for i in range(n)]])
+    seq = tuple(e for i in range(0, n, 2)
+                for e in ((i, i), (i, i + 1), (i + 1, i + 1), (i + 1, i)))
+    return G, Gp, AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
+
+
+# name: (l, cells on, cells off, message) for cell sets that are not one
+# alternating cycle against the key that holds the cells on
+NOT_ONE_CYCLE = {
+    "a row with two cells on": (3, [(0, 0), (0, 1)], [(1, 0), (1, 1)], "on one side"),
+    "a column with two cells off": (3, [(0, 1), (1, 2)], [(0, 0), (1, 0)], "on one side"),
+    "on and off in different rows": (3, [(0, 0), (1, 1)], [(1, 0), (2, 1)], "same rows"),
+    "on and off in different columns": (3, [(0, 0), (1, 1)], [(0, 1), (1, 2)], "same rows"),
+    "no cells": (3, [], [], "same rows"),
+    "two cycles of one length": (4, [(0, 0), (1, 1), (2, 2), (3, 3)],
+                                 [(0, 1), (1, 0), (2, 3), (3, 2)], "several cycles"),
+    "two cycles of different lengths": (5, [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)],
+                                        [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)],
+                                        "several cycles"),
+}
+
+
+class TestCycleWalk:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_union_of_cycles_refused_at_the_frame(self, n):
+        # n / 2 disjoint 4-cycles listed as one cycle: the frame refuses
+        # them, so f_matrix builds no F view and cycle_swaps fails before
+        # any bridge
+        G, Gp, cyc = _two_by_two_blocks(n)
+        with pytest.raises(CycleMismatch, match="several cycles"):
+            CycleFrame.from_cycle(cyc, G)
+        with pytest.raises(CycleMismatch, match="several cycles"):
+            f_matrix(G, Gp, G, cyc)
+        with pytest.raises(CycleMismatch, match="several cycles"):
+            cycle_swaps(G, Gp, G, Gp, cyc)
+
+    @pytest.mark.parametrize("name", sorted(NOT_ONE_CYCLE))
+    def test_every_defect_rejected(self, name):
+        # the walker refuses the cells, and so do the frame and a bridge
+        # that read a cycle through it; the key holds one more edge, off
+        # the cells, which the walker must ignore
+        l, on, off, message = NOT_ONE_CYCLE[name]
+        adj = np.zeros((l, l), dtype=np.uint8)
+        for u, v in on + [(l - 1, 0)]:
+            adj[u, v] = 1
+        G = BipartiteGraph(adj)
+        key, cells = _int(G.key()), _cell_mask(on + off, l)
+        with pytest.raises(CycleMismatch, match=message):
+            _cycle_walk(key, l, cells)
+        with pytest.raises(CycleMismatch, match=message):
+            _bridge(l, key, key ^ cells, {})
+        cyc = AlternatingCycle(tuple(on + off), frozenset(on), frozenset(off))
+        with pytest.raises(CycleMismatch, match=message):
+            CycleFrame.from_cycle(cyc, G)
+
+    def test_other_side_reads_the_cycle_backwards(self):
+        # every cycle decompose gives for every pairing of 800 seeded pairs
+        # of the 90-state space, 16,321 cycles, walked in decomposition
+        # order: against the key with the cycle flipped the walker reads the
+        # same cells in the opposite direction, and each frame's main cells
+        # are on and its small cells off in its own key
+        space = enumerate_states(BipartiteDegreeSequence((2,) * 4, (2,) * 4))
+        assert space.n == 90
+        rng = np.random.default_rng(37)
+        l, walked = 4, 0
+
+        def cells_in_order(us, vs):
+            m = len(us)
+            return [c for t in range(m) for c in ((us[t], vs[t]), (us[t], vs[(t + 1) % m]))]
+
+        for _ in range(800):
+            x, y = rng.choice(space.n, size=2, replace=False)
+            X, Y = space.graph(int(x)), space.graph(int(y))
+            for pairing in all_pairings(X, Y):
+                key = _int(X.key())
+                for cyc in pairings.decompose(X, Y, pairing).cycles:
+                    cells = _cell_mask(cyc.edge_seq, l)
+                    ahead = cells_in_order(*_cycle_walk(key, l, cells))
+                    key ^= cells
+                    back = cells_in_order(*_cycle_walk(key, l, cells))
+                    assert set(ahead) == set(cyc.edge_seq) and len(ahead) == len(cyc)
+                    back.reverse()
+                    start = back.index(ahead[0])
+                    assert back[start:] + back[:start] == ahead
+                    for order, side in ((ahead, key ^ cells), (back[::-1], key)):
+                        # even positions are the frame's main cells
+                        assert all(bool(side >> 8 * (u * l + v) & 1) == (i % 2 == 0)
+                                   for i, (u, v) in enumerate(order))
+                    walked += 1
+                assert key == _int(Y.key())
+        assert walked == 16321
 
 
 class TestHatMatrix:

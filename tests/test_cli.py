@@ -18,10 +18,10 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def circulant(offsets):
-    """The 16 x 16 circulant with a 1 where (v - u) mod 16 is in ``offsets``."""
-    return "16 16\n" + "".join("".join("1" if (v - u) % 16 in offsets else "0"
-                                        for v in range(16)) + "\n" for u in range(16))
+def circulant(offsets, n=16):
+    """The n x n circulant with a 1 where (v - u) mod n is in ``offsets``."""
+    return f"{n} {n}\n" + "".join("".join("1" if (v - u) % n in offsets else "0"
+                                          for v in range(n)) + "\n" for u in range(n))
 
 
 def test_check_graphical(tmp_path, capsys):
@@ -250,6 +250,33 @@ def test_certified_16x16_path_through_the_search(tmp_path, capsys, monkeypatch):
     assert certs == [0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
                      0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0]
     assert len(searched) == 1 and real(*searched[0]) == 2
+
+
+# The 7 x 7 5-regular circulants whose row a holds the columns a + s mod 7
+# for s in {0, 2, 3, 4, 6} (X) and s in {1, 2, 3, 4, 6} (Y).  X xor Y is one
+# 14-cycle, so every pairing seed selects the same path.  X -> Y reaches a
+# blocked frame with no cut pattern; Y -> X solves, its certificates
+# climbing to 3.  Both recorded while frames and bridges still read a cycle
+# with two walkers; CI pins the reverse output's sha256.
+CIRCULANT_7 = (circulant({0, 2, 3, 4, 6}, 7), circulant({1, 2, 3, 4, 6}, 7))
+
+
+def test_canonical_path_7x7_circulant_without_a_cut_pattern(tmp_path, capsys):
+    x, y = (write(tmp_path, name, text) for name, text in zip("xy", CIRCULANT_7))
+    assert main(["canonical-path", x, y, "--certify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error[SpecViolation]: no feasible cut pattern on this block\n"
+
+
+def test_canonical_path_7x7_circulant_reversed(tmp_path, capsys):
+    x, y = (write(tmp_path, name, text) for name, text in zip("xy", CIRCULANT_7))
+    assert main(["canonical-path", y, x, "--certify"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e9aa105dfb50f1c2d6d1163a192a56cb64fb36b84ca9edd459c5473d48a18658")
+    certs = [int(row.rsplit(",", 1)[1]) for row in out.split("---\n")[1].splitlines()[1:]]
+    assert certs == [0, 1, 2, 3, 2, 1, 0]
 
 
 def certified_output(tmp_path, capsys, X, Y, argv=("--seed", "5")):
