@@ -72,11 +72,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BipartiteGraph, Swap, _gale_ryser, symmetric_difference
+from .core import BipartiteGraph, Swap, _DIGITS, _bits, _gale_ryser, symmetric_difference
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
-from .pairings import AlternatingCycle, _bits, _decompositions, _pairing_partners, _trace
+from .pairings import AlternatingCycle, _decompositions, _pairing_partners, _trace
 from .ryser import _eliminate, replay
 
 # ---------------------------------------------------------------------------
@@ -744,8 +744,9 @@ def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
 
     The difference cycle's rows and columns, each sorted, span a small
     subgraph in both graphs with equal margins; ``ryser_sequence``'s column
-    elimination on it (``ryser._eliminate``, on the local bytes as row
-    lists, without the margin check) is lifted back to global coordinates.
+    elimination on it (``ryser._eliminate``, on the local bytes read as row
+    bitmasks, without the margin check) is lifted back to global
+    coordinates.
 
     ``bridges`` is the caller's memo of local solves, living for one
     top-level call.  It is keyed by the subgraph's shape and the bytes of
@@ -763,10 +764,11 @@ def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
     local = bridges.get(key)
     if local is None:
         c = shape[1]
-        a, b = ([list(data[i:i + c]) for i in range(0, len(data), c)] for data in key[1:])
-        local = bridges[key] = tuple(_eliminate(a, b))
-    return [Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2], s.orientation)
-            for s in local]
+        # each row's 0/1 bytes, last column first, read as a base-2 bitmask
+        a, b = ([int(data[i:i + c][::-1].translate(_DIGITS), 2) for i in range(0, len(data), c)]
+                for data in key[1:])
+        local = bridges[key] = tuple(_eliminate(a, b, c))
+    return [Swap(rows[u1], rows[u2], cols[v1], cols[v2], ori) for u1, u2, v1, v2, ori in local]
 
 
 def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> list:

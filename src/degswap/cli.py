@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .canonical import _certificates, _path_stack
 from .chain import _check_steps, _walk_seeds
-from .core import BipartiteDegreeSequence, BipartiteGraph, _stack_text, greedy_realize
+from .core import BipartiteDegreeSequence, BipartiteGraph, _DIGITS, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical, SpecViolation
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
 from .pairings import (_incidence_of, _nth_partners, _random_partners, _trace, _vertex_walk,
@@ -29,7 +29,6 @@ from .pairings import (_incidence_of, _nth_partners, _random_partners, _trace, _
 from .ryser import ryser_sequence
 
 DEFAULT_SEED = 20259
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _read_ds(path: str) -> BipartiteDegreeSequence:
@@ -87,7 +86,7 @@ def cmd_sample(args) -> int:
         print("state,count")
         # keys are the raw 0/1 cell bytes, so they sort as the bit strings do
         for key in sorted(hist):
-            print(f"{key.translate(_BITS).decode()},{hist[key]}")
+            print(f"{key.translate(_DIGITS).decode()},{hist[key]}")
         return 0
     # each group's graphs are printed as it is walked, joined as to_text's are
     for i, stack in enumerate(stacks):
@@ -97,8 +96,8 @@ def cmd_sample(args) -> int:
 
 def cmd_transform(args) -> int:
     g1, g2 = _read_graph(args.g1), _read_graph(args.g2)
-    for s in ryser_sequence(g1, g2):
-        print(_swap_line(s.u1, s.u2, s.v1, s.v2))
+    sys.stdout.write("".join(_swap_line(s.u1, s.u2, s.v1, s.v2) + "\n"
+                             for s in ryser_sequence(g1, g2)))
     return 0
 
 

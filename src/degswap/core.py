@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .errors import DegreeMismatch, NotGraphical, ShapeMismatch, SwapNotAllowed
+
+# cell bytes 0 and 1 to the characters "0" and "1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -237,10 +239,20 @@ class BipartiteGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
+        """Read the text ``to_text`` writes.  The header must be two
+        non-negative integers and every row l characters 0 or 1;
+        ``ValueError`` otherwise.  Those checks are the whole validation:
+        the matrix is built from the checked rows and not checked again."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty graph text")
-        k, l = (int(t) for t in lines[0].split())
+        try:
+            k, l = map(int, lines[0].split())
+        except ValueError:
+            k = l = -1
+        if k < 0 or l < 0:
+            raise ValueError(f"bad graph header {lines[0]!r}: expected two non-negative "
+                             "integers k l")
         body = lines[1:]
         if l == 0 and not body:
             body = [""] * k      # the k rows of a k x 0 matrix are blank lines
@@ -250,7 +262,7 @@ class BipartiteGraph:
             if len(ln) != l or set(ln) - {"0", "1"}:
                 raise ValueError(f"bad matrix row {ln!r}")
         cells = np.frombuffer("".join(body).encode("ascii"), np.uint8) - ord("0")
-        return cls(cells.reshape(k, l))
+        return cls._trusted(cells.reshape(k, l))
 
 
 def _stack_text(stack: np.ndarray) -> str:
@@ -379,53 +391,99 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
     Ties in the U ordering break by lowest index.  ``active_cols`` restricts
     the columns the pigeonhole witness may come from (used by the recursive
     transformation, which deletes columns as it goes); degrees are counted
-    inside the active columns only.
+    inside the active columns only.  Every active column must lie in
+    ``range(G.l)``, duplicates counting once, and ``v`` must be among them;
+    ``ValueError`` otherwise.  The matrix is rewired as row bitmasks by
+    ``_push_up``, the kernel of ``ryser_sequence``.
 
     Returns (new graph, list of swaps applied, in order).
     """
-    if active_cols is None:
-        active_cols = range(G.l)
-    active = sorted(active_cols)
-    if v not in active:
+    v = operator.index(v)
+    active = (1 << G.l) - 1
+    if active_cols is not None:
+        active = 0
+        for c in map(operator.index, active_cols):
+            if not 0 <= c < G.l:
+                raise ValueError(f"active column {c} is outside range({G.l})")
+            active |= 1 << c
+    if not (0 <= v < G.l and active >> v & 1):
         raise ValueError(f"column {v} is not active")
-    rows = G.adj.tolist()
-    swaps = _push_up(rows, v, active)
-    return BipartiteGraph._trusted(np.array(rows, np.uint8).reshape(G.k, G.l)), swaps
+    rows = _pack(G.adj)
+    cols = _columns(rows, G.l)
+    targets = _targets([(row & active).bit_count() for row in rows], cols[v].bit_count())
+    swaps = _push_up(rows, cols, v, active, targets)
+    return BipartiteGraph._trusted(_unpack(rows, G.l)), [Swap(*s) for s in swaps]
 
 
-def _push_up(rows: list, v: int, active: list) -> list:
-    """``push_up`` on a matrix held as a list of row lists, rewired in
-    place; ``active`` is the sorted active columns, ``v`` among them.
-    Returns the swaps applied, in order."""
-    mask = [0] * (active[-1] + 1)      # mask[c]: whether column c is active
-    for c in active:
-        mask[c] = 1
-    deg = [sum(compress(row, mask)) for row in rows]
-    col = [row[v] for row in rows]
+def _targets(deg: list, d: int) -> list:
+    """The d rows of largest degree ``deg[u]``, ties by lowest index, in that
+    order: the rows ``push_up`` brings onto a column of degree d."""
     # a stable sort: equal degrees keep the lowest index first
-    order = sorted(range(len(rows)), key=deg.__getitem__, reverse=True)
-    d = sum(col)
-    targets = order[:d]
-    target_set = set(targets)
+    return sorted(range(len(deg)), key=deg.__getitem__, reverse=True)[:d]
+
+
+def _push_up(rows: list, cols: list, v: int, active: int, targets: list) -> list:
+    """``push_up`` on a matrix held as bitmasks, rewired in place: bit v of
+    ``rows[u]`` and bit u of ``cols[v]`` are cell (u, v), and ``active`` is
+    the mask of the active columns, v among them.  ``targets`` is
+    ``_targets`` of the row degrees inside the active columns, which no swap
+    here changes.  Returns the swaps applied, in order, each as the fields
+    ``(u1, u2, v1, v2, orientation)`` of its ``Swap``."""
+    col = cols[v]
+    # the non-target rows on v, which leave it lowest first
+    leaving = col & ~sum(1 << u for u in targets)
     swaps = []
-    for _ in range(d + 1):
-        missing = [u for u in targets if not col[u]]
-        if not missing:
-            break
-        u = missing[0]
-        u_prime = min(u2 for u2, on in enumerate(col) if on and u2 not in target_set)
-        row, row_prime = rows[u], rows[u_prime]
-        v_prime = min(v2 for v2 in active if v2 != v and row[v2] and not row_prime[v2])
-        # the 2x2 submatrix is a one-factor: (u, v_prime) and (u_prime, v) are on
-        u1, u2 = sorted((u, u_prime))
-        v1, v2 = sorted((v, v_prime))
-        swaps.append(Swap(u1, u2, v1, v2, 1 if rows[u1][v1] else 2))
-        row[v] = col[u] = 1
-        row_prime[v] = col[u_prime] = 0
-        row[v_prime], row_prime[v_prime] = 0, 1
-    else:
-        raise AssertionError("push_up failed to converge within d(v) swaps")
+    for u in targets:
+        if col >> u & 1:
+            continue
+        low = leaving & -leaving
+        leaving ^= low
+        u_prime = low.bit_length() - 1
+        # the lowest active column u has and u' lacks (v is not on row u)
+        wit = rows[u] & ~rows[u_prime] & active
+        v_prime = (wit & -wit).bit_length() - 1
+        # the 2x2 submatrix is a one-factor: (u, v_prime) and (u_prime, v)
+        # are on, so (u1, v1) is on when exactly one of u, v comes first
+        u1, u2 = (u, u_prime) if u < u_prime else (u_prime, u)
+        v1, v2 = (v, v_prime) if v < v_prime else (v_prime, v)
+        swaps.append((u1, u2, v1, v2, 1 if (u1 == u) != (v1 == v) else 2))
+        rows[u] ^= (1 << v) | (1 << v_prime)
+        rows[u_prime] ^= (1 << v) | (1 << v_prime)
+        col ^= low | (1 << u)
+        cols[v_prime] ^= low | (1 << u)
+    cols[v] = col
     return swaps
+
+
+def _pack(adj: np.ndarray) -> list:
+    """The rows of a 0-1 matrix as bitmasks, bit v of row u being cell (u, v)."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    data, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[u * w:(u + 1) * w], "little") for u in range(len(packed))]
+
+
+def _unpack(rows: list, l: int) -> np.ndarray:
+    """The len(rows) x l 0-1 ``uint8`` matrix whose rows are the bitmasks
+    ``rows`` (``_pack``'s inverse)."""
+    w = (l + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(w, "little") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), w), axis=1, count=l, bitorder="little")
+
+
+def _columns(rows: list, l: int) -> list:
+    """The l column bitmasks of the matrix with row bitmasks ``rows``: bit u
+    of column v is cell (u, v)."""
+    return _pack(_unpack(rows, l).T)
+
+
+def _bits(n: int) -> list:
+    """The positions of the set bits of the int n >= 0, increasing."""
+    out = []
+    while n:
+        low = n & -n
+        out.append(low.bit_length() - 1)
+        n ^= low
+    return out
 
 
 # -- symmetric difference ------------------------------------------------------

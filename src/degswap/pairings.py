@@ -47,7 +47,7 @@ from operator import itemgetter, not_
 
 import numpy as np
 
-from .core import BipartiteGraph, symmetric_difference
+from .core import BipartiteGraph, _bits, symmetric_difference
 from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                      PreconditionViolation, TooManyPairings)
 
@@ -259,16 +259,6 @@ def _pairing_partners(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) ->
                 raise NonAlternating(f"pairing sends {e} to same-class {f}")
             partner[i] = j
     return numbering, pu, pv
-
-
-def _bits(n: int) -> list:
-    """The positions of the set bits of the int n >= 0, increasing."""
-    out = []
-    while n:
-        low = n & -n
-        out.append(low.bit_length() - 1)
-        n ^= low
-    return out
 
 
 def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:

@@ -4,14 +4,17 @@ Any two realizations of the same degree sequence pair are connected by a
 sequence of at most 2e swaps, where e is the number of edges.  The
 construction rewires the highest-degree V-vertex in both graphs to the same
 canonical neighborhood, removes it, and recurses; the second graph's swaps
-are then undone in reverse order.
+are then undone in reverse order.  Both matrices are held as row bitmasks
+(bit v of row u is cell (u, v)) and rewired by ``core._push_up``, the kernel
+behind ``push_up``, column by column.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .core import BipartiteGraph, _push_up, allowed_swaps, apply_swap
+from .core import (BipartiteGraph, Swap, _bits, _columns, _pack, _push_up, _targets,
+                   allowed_swaps, apply_swap)
 from .errors import DegreeMismatch, Unreachable
 
 
@@ -24,29 +27,41 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
     """Swaps transforming G1 into G2, at most 2e of them.
 
     Every prefix of the returned sequence is applicable in order, and each
-    intermediate graph realizes the same degree sequence.  The two matrices
-    are rewired as lists of row lists, by the routine behind ``push_up``.
+    intermediate graph realizes the same degree sequence.  Both matrices are
+    packed once into row bitmasks and eliminated by ``_eliminate``.
     """
     _check_pair(G1, G2)
-    return _eliminate(G1.adj.tolist(), G2.adj.tolist())
+    return [Swap(*s) for s in _eliminate(_pack(G1.adj), _pack(G2.adj), G1.l)]
 
 
-def _eliminate(A: list, B: list) -> list:
-    """The swaps of ``ryser_sequence`` between two matrices of equal margins
-    held as lists of row lists, which are rewired in place to one matrix,
-    column by column.  The margins are not checked."""
+def _eliminate(rows_a: list, rows_b: list, l: int) -> list:
+    """The swaps of ``ryser_sequence``, each as the fields ``(u1, u2, v1,
+    v2, orientation)`` of its ``Swap``, between two matrices of equal
+    margins with l columns held as row bitmasks (bit v of row u is cell
+    (u, v)), which are rewired in place to one matrix.  The margins are not
+    checked.
+
+    Each column is pushed up in both matrices by ``core._push_up`` while they
+    differ on it, then retired from the active mask.  The row degrees inside
+    the active columns are kept, not recounted: a swap inside the active
+    columns changes none of them, so retiring a column subtracts its rows,
+    which by then are the same in both matrices."""
+    cols_a, cols_b = _columns(rows_a, l), _columns(rows_b, l)
+    deg = [row.bit_count() for row in rows_a]
+    active = (1 << l) - 1
     forward, backward = [], []
-    col_deg = [sum(col) for col in zip(*A)]
     # Process columns by non-increasing degree, lowest index first on ties.
-    cols = sorted(range(len(col_deg)), key=lambda j: (-col_deg[j], j))
-    active = list(range(len(col_deg)))
-    for v in cols:
-        if any(a[v] != b[v] for a, b in zip(A, B)):
-            forward.extend(_push_up(A, v, active))
-            backward.extend(_push_up(B, v, active))
-        active.remove(v)
-    assert A == B, "column elimination did not converge"
-    return forward + [s.inverse() for s in reversed(backward)]
+    for v in sorted(range(l), key=lambda j: (-cols_a[j].bit_count(), j)):
+        if cols_a[v] != cols_b[v]:
+            targets = _targets(deg, cols_a[v].bit_count())
+            forward += _push_up(rows_a, cols_a, v, active, targets)
+            backward += _push_up(rows_b, cols_b, v, active, targets)
+        active ^= 1 << v
+        for u in _bits(cols_a[v]):
+            deg[u] -= 1
+    assert rows_a == rows_b, "column elimination did not converge"
+    # the second matrix's swaps, undone in reverse
+    return forward + [(u1, u2, v1, v2, 3 - ori) for u1, u2, v1, v2, ori in reversed(backward)]
 
 
 def replay(G: BipartiteGraph, swaps) -> list:

@@ -369,6 +369,8 @@ def test_canonical_path_one_by_one(tmp_path, capsys):
     ("2 2\n10\n1\n", "bad matrix row '1'"),                   # a short row
     ("2 2\n10\n21\n", "bad matrix row '21'"),                 # a 2 cell
     ("2 2\n10\n", "expected 2 matrix rows, found 1"),          # a missing row
+    ("-1 2\n10\n01\n", "bad graph header '-1 2': expected two non-negative integers k l"),
+    ("2 2 2\n10\n01\n", "bad graph header '2 2 2': expected two non-negative integers k l"),
 ])
 @pytest.mark.parametrize("command", ["transform", "canonical-path"])
 def test_bad_graph_text(tmp_path, capsys, text, message, command):

@@ -188,6 +188,25 @@ class TestPushUp:
                 with pytest.raises(ValueError):
                     rule(g, v, others)
 
+    def test_active_columns_outside_the_matrix_are_refused(self):
+        # column 0's targets are rows 0 and 1; a -1 must not wrap to column
+        # 2 and a 3 must not be skipped, either of which left column 0 on
+        # rows 1 and 2 with no swap
+        g = BipartiteGraph([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
+        for cols in ([-1, 0], [0, 3], [0, 1, 2, 3], [-3, 0, 1]):
+            with pytest.raises(ValueError, match="outside range"):
+                push_up(g, 0, cols)
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="not active"):
+                push_up(g, v)
+        h, swaps = push_up(g, 0, [0, 1, 2])
+        assert h.adj[:, 0].tolist() == [1, 1, 0] and len(swaps) == 1
+
+    def test_duplicate_active_columns_count_once(self):
+        g = BipartiteGraph([[0, 1, 1], [1, 1, 0], [1, 0, 1]])
+        for v, cols in ((0, [0, 0, 1, 2, 1]), (0, [2, 0, 2]), (1, (1, 1, 0))):
+            assert push_up(g, v, cols) == naive_push_up(g, v, sorted(set(cols))), (v, cols)
+
 
 class TestSwaps:
     def test_complete_graph_has_none(self):
@@ -311,3 +330,32 @@ class TestGraphText:
             BipartiteGraph.from_text("1 2\n12\n")
         with pytest.raises(ValueError):
             BipartiteGraph.from_text("0 3\n101\n")
+
+    @pytest.mark.parametrize("char", ["2", " ", "\u0661", "\uff11", "x", "-"])
+    def test_every_non_binary_character_names_its_row(self, char):
+        # the rows are the only check on graph text: ASCII 2, an inner
+        # space, Arabic-Indic one and fullwidth one are all refused
+        for row in (f"1{char}0", f"{char}01", f"10{char}"):
+            with pytest.raises(ValueError, match="bad matrix row"):
+                BipartiteGraph.from_text(f"2 3\n101\n{row}\n")
+
+    @pytest.mark.parametrize("rows", [["10", "011"], ["101", "01"], ["1010", "0101"],
+                                      ["1", "101"], ["101", "1011"]])
+    def test_ragged_rows_name_their_row(self, rows):
+        with pytest.raises(ValueError, match="bad matrix row"):
+            BipartiteGraph.from_text("2 3\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("header", ["-1 2", "2 -1", "2 2 2", "2", "a 2", "2.0 2", "2 x"])
+    def test_bad_header_is_named(self, header):
+        with pytest.raises(ValueError, match="bad graph header") as info:
+            BipartiteGraph.from_text(f"{header}\n10\n01\n")
+        assert repr(header) in str(info.value)
+
+    @pytest.mark.parametrize("k, l", [(3, 5), (0, 3), (2, 0)])
+    def test_read_matrix_is_read_only_uint8(self, k, l):
+        g = BipartiteGraph.from_text(random_graph(1, k, l).to_text())
+        assert g.adj.dtype == np.uint8 and g.adj.shape == (k, l)
+        assert not g.adj.flags.writeable
+        with pytest.raises(ValueError):
+            g.adj[...] = 0
+        assert g == random_graph(1, k, l)

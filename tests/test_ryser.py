@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, Unreachable, chain,
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, Unreachable, chain, push_up,
                      ryser_sequence, swap_distance)
 from degswap.errors import DegreeMismatch
 from degswap.mixing import enumerate_states
 from degswap.ryser import replay
 
-from oracles import graphs, naive_ryser_sequence
+from oracles import graphs, naive_push_up, naive_ryser_sequence
 
 M1 = BipartiteGraph([[1, 0], [0, 1]])
 M2 = BipartiteGraph([[0, 1], [1, 0]])
@@ -74,3 +74,36 @@ def test_row_lists_match_the_numpy_push_up_chain(n):
         seq = ryser_sequence(X, Y)
         assert seq == naive_ryser_sequence(X, Y), (n, trial)
         assert replay(X, seq)[-1] == Y
+
+
+@pytest.mark.parametrize("k, l", [(1, 7), (7, 1), (3, 8), (8, 3), (5, 12)])
+def test_rectangular_elimination_matches_the_numpy_push_up_chain(k, l):
+    # seeded k x l margins, one trial with a full and an empty row, one with
+    # a full and an empty column, two plain: the same swap list as column
+    # elimination by numpy push-ups, landing on Y; and push_up itself agrees
+    # with the numpy oracle on every column, for all and for seeded active
+    # column sets
+    rng = np.random.default_rng(70 + 10 * k + l)
+    moved = 0
+    for trial in range(4):
+        adj = (rng.random((k, l)) < rng.uniform(0.3, 0.7)).astype(np.uint8)
+        if trial == 0:
+            adj[0], adj[-1] = 1, 0
+        elif trial == 1:
+            adj[:, 0], adj[:, -1] = 1, 0
+        ds = BipartiteDegreeSequence(tuple(sorted(adj.sum(axis=1).tolist(), reverse=True)),
+                                     tuple(sorted(adj.sum(axis=0).tolist(), reverse=True)))
+        X, Y = (chain.sample(ds, 200, 1000 * k + 10 * l + 2 * trial + i) for i in (0, 1))
+        seq = ryser_sequence(X, Y)
+        assert seq == naive_ryser_sequence(X, Y), (k, l, trial)
+        assert replay(X, seq)[-1] == Y
+        moved += X != Y
+        for v in range(l):
+            assert push_up(X, v) == naive_push_up(X, v), (k, l, trial, v)
+            others = [c for c in range(l) if c != v]
+            active = [v] + rng.choice(others, int(rng.integers(l)), replace=False).tolist()
+            assert push_up(X, v, active) == naive_push_up(X, v, active), (k, l, trial, active)
+    # one row or one column leaves a single realization; otherwise some pair
+    # differs
+    if min(k, l) > 1:
+        assert moved, (k, l)
