@@ -25,15 +25,16 @@ sub-sequences interleaved so that at most two temporarily wrong cells are
 live at any moment.
 
 A realization on a path is named by its key alone (``BipartiteGraph.key``,
-one byte per cell), and a cycle on it by its cell mask, the int
-``sum(1 << (u * l + v))`` over its edges, as the decomposition kernel of
-``pairings`` gives it.  The canonical walk, ``_path_counts``, flips a
-decomposition's cycles in order, each by a segment from a table the caller
-scopes, keyed by state and cell mask.  A segment is lifted once, by
-``_key_segment`` on the cycle's local m x m pattern, with pattern and
-bridge memos that live as long as the table: ``canonical_path`` and
-``path_distribution`` walk keys (``_key_lift``), and ``mixing.congestion``
-walks state ids with a lift of its own.
+one byte per cell), and a set of cells, a cycle's included, by its cell
+mask: the key's own form read as an int (``_int``), cell c = u * l + v at
+bit 8c, as the decomposition kernel of ``pairings`` gives it.  So the key
+with a cycle flipped is the key XOR the cycle's mask.  The canonical walk,
+``_path_counts``, flips a decomposition's cycles in order, each by a
+segment from a table the caller scopes, keyed by state and cell mask.  A
+segment is lifted once, by ``_key_segment`` on the cycle's local m x m
+pattern, with pattern and bridge memos that live as long as the table:
+``canonical_path`` and ``path_distribution`` walk keys (``_key_lift``),
+and ``mixing.congestion`` walks state ids with a lift of its own.
 
 The m x m grid has one form, one table per length (``_grid``): a cell is
 its grid index a * m + b, a set of cells one int.  Every search on it is
@@ -43,23 +44,27 @@ chords and the rook-path cut test.  Only ``find_friendly_path`` and the
 public helpers build (a, b) cells, and only ``ok_ko_step`` and
 ``matches_spec`` read an ``OKKOSpec``; the solver stays on indices.
 
-The cycle solver holds each realization as one int, its key read
-little-endian (``_int``: cell c at bit 8c, as the kernel's and
-congestion's keys are read).  One walker, ``_cycle_walk``, reads every
-alternating cycle: a cell mask in that form, against a key, gives the
-frame order from the least cell that is on, and ``CycleMismatch`` unless
-the cells are one cycle alternating against the key.  Frames
-(``CycleFrame.from_cycle`` and ``_pattern_swaps``' misses) are built from
-it, and each bridge sorts its rows and columns from it; against the key
-with the cycle flipped it reads the same cells the other way.  A frame's
-cells are masks built once per frame solve (``_Masks``, m * m + 4m + 3
-ints, dropped with the solve); an OK/KO target is a (care, want) mask
-pair, so matching a spec is one AND and one compare, a target is
-inherited by one AND-NOT and one OR, the difference cycle between two
-targets is the XOR of their ints, and every swap, lifted or placed on the
-frame, is a one-factor check on one 4-cell mask and then one XOR
-(``_flip``).  ``_pattern_swaps`` and ``_solve_cycle`` convert at their
-boundary.
+The cycle solver holds each realization as one int, its key read the same
+way.  One walker, ``_cycle_walk``, reads every alternating cycle: a cell
+mask against a key gives the frame order from the least cell that is on,
+and ``CycleMismatch`` unless the cells are one cycle alternating against
+the key; against the key with the cycle flipped it reads the same cells
+the other way.  A pattern (a cycle to flip on the walk) and a bridge (the
+cycle between two OK/KO targets) are one kind of problem, local to the
+cycle's rows x columns, and take one route, ``_local_swaps``: the local
+key and local mask, read in the same form, key a memo the caller scopes,
+and only a miss walks the local cycle and solves it, by ``_solve_frame``
+for a pattern and by ``ryser._eliminate`` for a bridge.  The caller lifts
+the local swaps through the rows and columns.  A frame's cells are masks
+built once per frame solve (``_Masks``, m * m + 4m + 3 ints, dropped with
+the solve); an OK/KO target is a (care, want) mask pair, so matching a
+spec is one AND and one compare, a target is inherited by one AND-NOT and
+one OR, the difference cycle between two targets is the XOR of their
+ints, and every swap, lifted or placed on the frame, is a one-factor check
+on one 4-cell mask and then one XOR (``_flip``).  The solver carries each
+swap as its fields ``(u1, u2, v1, v2, orientation)``, as ``core._push_up``
+and ``ryser._eliminate`` emit them; ``Swap`` objects are built only at the
+graph entry points ``cycle_swaps`` and ``ok_ko_step``.
 """
 
 from __future__ import annotations
@@ -319,9 +324,6 @@ class FMatrix:
                 elif v not in (0, 1, 2, 3):
                     raise ValueError(f"chord cell ({a},{b}) out of range: {v}")
 
-    def value(self, pos) -> int:
-        return self.cells[pos[0]][pos[1]]
-
     def type_of(self, pos) -> int:
         """Chord type: the chord's value in the start (= end) realization."""
         if not is_chord(pos, self.ell):
@@ -409,12 +411,6 @@ class SteinhausSet:
 
     positions: frozenset
     ell: int
-
-    def cousin_set(self) -> frozenset:
-        out = set()
-        for p in self.positions:
-            out.update(cousins(p, self.ell))
-        return frozenset(out)
 
 
 def _types(F: FMatrix) -> int:
@@ -616,9 +612,6 @@ class OKKOSpec:
         if not is_chord(self.anchor, self.frame.m):
             raise DiagonalPosition(f"anchor {self.anchor} lies on a diagonal")
 
-    def anchor_type(self) -> int:
-        return 1 if self.kind == "OK" else 0
-
     def pattern(self):
         """Target values for every main cell, small cell, and the anchor."""
         m = self.frame.m
@@ -736,39 +729,61 @@ def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
+def _local_swaps(key: int, l: int, mask: int, memo: dict, solve) -> tuple:
+    """``(rows, cols, swaps)``: the swaps that flip the alternating cycle
+    on the cells ``mask`` in the realization with key ``key`` (l columns,
+    both held as ints, ``_int``), made by ``solve`` on the cycle's local
+    problem and given in its indices: index t stands for ``rows[t]`` or
+    ``cols[t]``, the U- and V-vertices the cells meet, each in increasing
+    order.  The caller lifts them.
+
+    The local problem is the submatrix on rows x cols: its shape, its bytes
+    read from the key (``_local_bytes``) and the cycle's cells there, the
+    local mask, in the same form as ``mask``.  ``memo``, which the caller
+    scopes, maps it to the swaps.  Only a miss walks the cycle on the local
+    key (``_cycle_walk``, which raises ``CycleMismatch`` unless the cells
+    are one cycle alternating against it) and calls ``solve(start, cells,
+    frame)`` on the local key, the local mask and the frame the walk
+    orients.  The walk and ``solve`` read nothing but the local problem,
+    and the rows and columns keep their order, so a hit returns exactly
+    the swaps a miss would, and passes the check a miss would make."""
+    ids = [b >> 3 for b in _bits(mask)]
+    rows, cols = sorted({c // l for c in ids}), sorted({c % l for c in ids})
+    # the bytes of key and mask up to the end of the last row the cycle meets
+    n = (rows[-1] + 1) * l if rows else 0
+    local = _local_bytes((key & ((1 << 8 * n) - 1)).to_bytes(n, "little"), l, rows, cols)
+    cells = _int(_local_bytes(mask.to_bytes(n, "little"), l, rows, cols))
+    problem = (len(rows), len(cols)), local, cells
+    swaps = memo.get(problem)
+    if swaps is None:
+        start = _int(local)
+        frame = CycleFrame(*_cycle_walk(start, len(cols), cells))
+        swaps = memo[problem] = tuple(solve(start, cells, frame))
+    return rows, cols, swaps
+
+
 def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
     """Swaps carrying the realization with key ``key_a`` to the one with key
     ``key_b`` (l columns each, keys held as ints), which differ in one
-    alternating cycle (``_cycle_walk``, which raises ``CycleMismatch``
-    otherwise).
+    alternating cycle (``CycleMismatch`` otherwise), through
+    ``_local_swaps`` with the caller's memo ``bridges``, which lives for
+    one top-level call, lifted to global vertices.  A miss runs
+    ``_eliminate_cycle`` on the local problem."""
+    rows, cols, local = _local_swaps(key_a, l, key_a ^ key_b, bridges, _eliminate_cycle)
+    return [(rows[u1], rows[u2], cols[v1], cols[v2], ori) for u1, u2, v1, v2, ori in local]
 
-    The difference cycle's rows and columns, each sorted, span a small
-    subgraph in both graphs with equal margins; ``ryser_sequence``'s column
-    elimination on it (``ryser._eliminate``, on the local bytes read as row
-    bitmasks, without the margin check) is lifted back to global
-    coordinates.
 
-    ``bridges`` is the caller's memo of local solves, living for one
-    top-level call.  It is keyed by the subgraph's shape and the bytes of
-    the two keys on the sorted rows x columns.  The elimination is a pure
-    function of those two local matrices, so a hit returns exactly the
-    local swaps a miss would solve; only the lift depends on rows and cols.
-    """
-    rows, cols = map(sorted, _cycle_walk(key_a, l, key_a ^ key_b))
-    shape = (len(rows), len(cols))
-    # the keys' bytes up to the end of the last row the cycle meets
-    n = (rows[-1] + 1) * l
-    window = (1 << 8 * n) - 1
-    key = (shape, _local_bytes((key_a & window).to_bytes(n, "little"), l, rows, cols),
-           _local_bytes((key_b & window).to_bytes(n, "little"), l, rows, cols))
-    local = bridges.get(key)
-    if local is None:
-        c = shape[1]
-        # each row's 0/1 bytes, last column first, read as a base-2 bitmask
-        a, b = ([int(data[i:i + c][::-1].translate(_DIGITS), 2) for i in range(0, len(data), c)]
-                for data in key[1:])
-        local = bridges[key] = tuple(_eliminate(a, b, c))
-    return [Swap(rows[u1], rows[u2], cols[v1], cols[v2], ori) for u1, u2, v1, v2, ori in local]
+def _eliminate_cycle(start: int, cells: int, frame: CycleFrame) -> list:
+    """``ryser_sequence``'s column elimination (``ryser._eliminate``) from
+    the m x m key ``start`` to ``start ^ cells`` (held as ints), m the
+    length of the frame of the cycle ``cells``, each read as row bitmasks.
+    One alternating cycle leaves the margins equal, so they are not
+    checked."""
+    m = frame.m
+    # each row's 0/1 bytes, last column first, read as a base-2 bitmask
+    a, b = ([int(data[i:i + m][::-1].translate(_DIGITS), 2) for i in range(0, m * m, m)]
+            for data in (key.to_bytes(m * m, "little") for key in (start, start ^ cells)))
+    return _eliminate(a, b, m)
 
 
 def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> list:
@@ -788,11 +803,11 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     masks = _frame_masks(frame, L_prev.l)
     prev, nxt = (_target(masks, spec.kind, _index(spec.anchor, frame.m))
                  for spec in (spec_prev, spec_next))
-    return _ok_ko_move(_int(L_prev.key()), L_prev.l, frame.m, prev, nxt, {})[0]
+    return [Swap(*s) for s in _ok_ko_move(_int(L_prev.key()), L_prev.l, frame.m, prev, nxt, {})[0]]
 
 
 def _ok_ko_move(key: int, l: int, m: int, prev: _Target, nxt: _Target, bridges: dict) -> tuple:
-    """``(swaps, next_key)``: the swaps of ``ok_ko_step`` from the
+    """``(swaps, next_key)``: the swaps of ``ok_ko_step``, as fields, from the
     realization with key ``key`` (l columns, held as an int) matching
     ``prev`` to the target ``nxt``, both on the masks of one frame of length
     m, with ``prev``'s anchor restored to its type and every other cell
@@ -853,13 +868,14 @@ def _flip(key: int, a: int, b: int, c: int, d: int, orientation: int):
 
 
 def _apply(key: int, l: int, swaps) -> int:
-    """The key after ``swaps``, applied in order to ``key`` (l columns, held
-    as an int), each after ``apply_swap``'s check that its four cells hold
-    the one-factor it removes."""
+    """The key after ``swaps``, each given by its fields, applied in order
+    to ``key`` (l columns, held as an int), each after ``apply_swap``'s
+    check that its four cells hold the one-factor it removes."""
     for s in swaps:
-        nxt = _flip(key, s.u1 * l, s.u2 * l, s.v1, s.v2, s.orientation)
+        u1, u2, v1, v2, ori = s
+        nxt = _flip(key, u1 * l, u2 * l, v1, v2, ori)
         if nxt is None:
-            raise SwapNotAllowed(f"{s} is not allowed in this graph")
+            raise SwapNotAllowed(f"swap {s} is not allowed in this graph")
         key = nxt
     return key
 
@@ -928,8 +944,8 @@ def _choose_pattern(patterns, m):
 
 def _first_touch(swaps, edge) -> int:
     u, v = edge
-    for idx, s in enumerate(swaps):
-        if s.touches(u, v):
+    for idx, (u1, u2, v1, v2, _) in enumerate(swaps):
+        if u in (u1, u2) and v in (v1, v2):
             return idx
     raise SpecViolation("a block sequence never touches its closing cell")
 
@@ -940,7 +956,8 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
     in the realization with key ``key`` (l columns), chords typed by
     ``types``, both keys held as ints (``_int``).
 
-    Returns (swaps, final key).  Every emitted swap touches only cells of
+    Returns (swaps, final key), each swap as its fields ``(u1, u2, v1, v2,
+    orientation)``.  Every emitted swap touches only cells of
     this frame, so sequences of disjoint frames commute.  Bridges between
     OK/KO targets go through the ``bridges`` memo (see ``_bridge``).  The
     frame's masks are built once here and live for this solve.
@@ -970,16 +987,17 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
 
 
 def _swap_on_cells(key: int, l: int, frame: CycleFrame, urow_a, urow_b, vcol_a, vcol_b) -> tuple:
-    """``(swap, key after it)``: ``Swap.on`` the frame's U-vertices at local
-    indices urow_a, urow_b and V-vertices at vcol_a, vcol_b, its orientation
-    read from the key (l columns, held as an int) at its first corner, then
-    applied by ``_flip``, the one-factor check of ``_apply``."""
+    """``(swap, key after it)``: the fields of ``Swap.on`` the frame's
+    U-vertices at local indices urow_a, urow_b and V-vertices at vcol_a,
+    vcol_b, its orientation read from the key (l columns, held as an int)
+    at its first corner, then applied by ``_flip``, the one-factor check of
+    ``_apply``."""
     u1, u2 = sorted((frame.u_ids[urow_a], frame.u_ids[urow_b]))
     v1, v2 = sorted((frame.v_ids[vcol_a], frame.v_ids[vcol_b]))
-    s = Swap(u1, u2, v1, v2, 1 if key >> 8 * (u1 * l + v1) & 1 else 2)
-    nxt = _flip(key, u1 * l, u2 * l, v1, v2, s.orientation)
+    s = (u1, u2, v1, v2, 1 if key >> 8 * (u1 * l + v1) & 1 else 2)
+    nxt = _flip(key, u1 * l, u2 * l, v1, v2, s[4])
     if nxt is None:
-        raise SwapNotAllowed(f"{s} is not allowed in this graph")
+        raise SwapNotAllowed(f"swap {s} is not allowed in this graph")
     return s, nxt
 
 
@@ -1041,12 +1059,12 @@ def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
 
 def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
                  bridges: dict) -> tuple:
-    """The swaps carrying G to Gp along ``cycle``, without re-checking that
-    the two differ exactly in it, bridging through the call-scoped memo
-    ``bridges`` (see ``_bridge``); raises ``SpecViolation`` if the
-    construction misses Gp.  The solve runs on G's key read as an int,
-    which also types the chords.  The full-graph reference behind
-    ``cycle_swaps``."""
+    """The swaps carrying G to Gp along ``cycle``, each as its fields,
+    without re-checking that the two differ exactly in it, bridging through
+    the call-scoped memo ``bridges`` (see ``_bridge``); raises
+    ``SpecViolation`` if the construction misses Gp.  The solve runs on G's
+    key read as an int, which also types the chords.  The full-graph
+    reference behind ``cycle_swaps``."""
     frame = CycleFrame.from_cycle(cycle, G)
     start = _int(G.key())
     swaps, end = _solve_frame(start, G.l, frame, start, bridges)
@@ -1070,7 +1088,7 @@ def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     side_y = dgy.x_edges | dgy.y_edges
     if side_x & cyc_cells or side_y & cyc_cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
-    return _solve_cycle(G, Gp, cycle, {})
+    return tuple(Swap(*s) for s in _solve_cycle(G, Gp, cycle, {}))
 
 
 def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
@@ -1080,48 +1098,24 @@ def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
 
 
-def _decode(mask: int, l: int) -> tuple:
-    """``(cells, rows, cols)`` for the cycle whose cell mask is ``mask`` in
-    a graph with l columns: its cells (key indices) in increasing order,
-    and its U- and V-vertices in increasing order."""
-    cells = _bits(mask)
-    return cells, sorted({c // l for c in cells}), sorted({c % l for c in cells})
-
-
-def _pattern_swaps(key: bytes, l: int, cycle: tuple, memo: dict, bridges: dict) -> tuple:
-    """The swaps that flip the cycle ``(cells, rows, cols)`` (``_decode``)
-    in the graph with l columns whose key is ``key``, as ``(rows, cols,
-    swaps)``: swaps in local indices, where index t stands for ``rows[t]``
-    or ``cols[t]``.
+def _pattern_swaps(key: int, l: int, mask: int, memo: dict, bridges: dict) -> tuple:
+    """``_local_swaps`` of the canonical construction: the swaps that flip
+    the cycle with cell mask ``mask`` in the realization with key ``key``
+    (l columns, both held as ints), as ``(rows, cols, swaps)``, solved once
+    per local problem in ``memo``.
 
     The construction reads only the cells of the cycle's rows x columns,
     and its tie-breaks depend only on the order of vertex indices.  It
     takes the cycle's start side from the key, the cycle cells that are on
     there, and reads no order or X/Y label of the cycle: a set of cells
     with two in each of its rows and columns, forming one cycle, fixes the
-    cycle.  So its swaps are a function of the local pattern: the m x m
-    submatrix on ``rows x cols`` (its bytes, read from ``key``) and the
-    cycle's local cell mask, bit ``a * m + b`` for its cell in local row a
-    and column b, which key ``memo``.  Only a miss spreads that mask to the
-    solver's form (bit 8p for cell p), orients the frame on those bytes
-    (``_cycle_walk``) and runs ``_solve_frame`` on them, with the
-    call-scoped bridge memo ``bridges``; ``_key_segment`` makes the one end
-    check.
+    cycle.  So its swaps are a function of the local problem.  A miss runs
+    ``_solve_frame`` on the local key, which also types the chords, with
+    the call-scoped bridge memo ``bridges``; ``_key_segment`` makes the one
+    end check.
     """
-    cells, rows, cols = cycle
-    m = len(cols)
-    at_row = {u: a * m for a, u in enumerate(rows)}
-    at_col = {v: b for b, v in enumerate(cols)}
-    local_mask = 0
-    for c in cells:
-        local_mask |= 1 << (at_row[c // l] + at_col[c % l])
-    local = _local_bytes(key, l, rows, cols)
-    swaps = memo.get((local, local_mask))
-    if swaps is None:
-        start = _int(local)
-        frame = CycleFrame(*_cycle_walk(start, m, sum(1 << 8 * p for p in _bits(local_mask))))
-        swaps = memo[local, local_mask] = tuple(_solve_frame(start, m, frame, start, bridges)[0])
-    return rows, cols, swaps
+    return _local_swaps(key, l, mask, memo, lambda start, cells, frame: _solve_frame(
+        start, frame.m, frame, start, bridges)[0])
 
 
 def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -> tuple:
@@ -1129,29 +1123,28 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     cycle with cell mask ``mask`` in the graph with l columns whose key is
     ``key``.
 
-    The mask is decoded once (``_decode``) into the cycle's cells, rows and
-    columns, which serve the pattern, the lift and the end check.  The
-    swaps come from ``_pattern_swaps``, solved once per local pattern in
-    ``patterns``, with each bridge solved once per local problem in
-    ``bridges``.  The key is read once as an int (``_int``); each lifted
-    swap flips its four cells there by ``_flip``, after a check that they
-    hold the one-factor the swap removes (the check of ``apply_swap``).
-    Raises ``SpecViolation`` unless the segment
-    lands on the key with exactly the cycle's cells flipped, the one end
-    check of a pattern's swaps, solved or memoized.  A mask has no X/Y
-    labels: the cells on in the key are the cycle's start side.
+    The swaps come from ``_pattern_swaps``, solved once per local problem
+    in ``patterns``, with each bridge solved once per local problem in
+    ``bridges``, and are lifted through the cycle's rows and columns.  The
+    key is read once as an int (``_int``); each lifted swap flips its four
+    cells there by ``_flip``, after a check that they hold the one-factor
+    the swap removes (the check of ``apply_swap``).  Raises
+    ``SpecViolation`` unless the segment lands on the key XOR the mask,
+    the key with exactly the cycle's cells flipped: the one end check of a
+    pattern's swaps, solved or memoized.  A mask has no X/Y labels: the
+    cells on in the key are the cycle's start side.
     """
-    cycle = _decode(mask, l)
-    rows, cols, swaps = _pattern_swaps(key, l, cycle, patterns, bridges)
     start = cur = _int(key)
+    rows, cols, swaps = _pattern_swaps(start, l, mask, patterns, bridges)
     n = len(key)
     seg = []
     for s in swaps:
-        cur = _flip(cur, rows[s.u1] * l, rows[s.u2] * l, cols[s.v1], cols[s.v2], s.orientation)
+        u1, u2, v1, v2, ori = s
+        cur = _flip(cur, rows[u1] * l, rows[u2] * l, cols[v1], cols[v2], ori)
         if cur is None:
-            raise SwapNotAllowed(f"{s} in rows {rows} and columns {cols} is not allowed")
+            raise SwapNotAllowed(f"swap {s} in rows {rows} and columns {cols} is not allowed")
         seg.append(cur.to_bytes(n, "little"))
-    if cur != start ^ sum(1 << 8 * c for c in cycle[0]):
+    if cur != start ^ mask:
         raise SpecViolation("a canonical segment missed its flipped state")
     return tuple(seg)
 
@@ -1160,7 +1153,7 @@ def _key_lift(l: int):
     """The lift of a segment table on the keys of realizations with l
     columns: ``(key, mask)`` -> the 1-tuple of ``_key_segment``'s keys, with
     pattern and bridge memos that live as long as the lift (a hit is exact,
-    see ``_bridge``)."""
+    see ``_local_swaps``)."""
     patterns, bridges = {}, {}
     return lambda key, mask: (_key_segment(patterns, bridges, l, key, mask),)
 

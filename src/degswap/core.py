@@ -125,9 +125,6 @@ class Swap:
     def inverse(self) -> "Swap":
         return Swap(self.u1, self.u2, self.v1, self.v2, 3 - self.orientation)
 
-    def touches(self, u: int, v: int) -> bool:
-        return u in (self.u1, self.u2) and v in (self.v1, self.v2)
-
 
 @dataclass(frozen=True)
 class EdgePartition:

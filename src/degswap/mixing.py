@@ -18,11 +18,13 @@ exact rationals; floating point only enters the eigensolver.  Congestion
 sums over one pair loop, ``_routes``, which decomposes each signed
 difference X - Y of its unordered pairs once through the integer kernel of
 ``pairings``, collapses that decomposition's cycle lists, tuples of cell
-masks, to the distinct ones with their pairing counts, and counts the paths
-of both directions of every pair with that difference on them, walking
-each distinct list once (``canonical._path_counts``, which reads a cycle as
-its cell mask against the current state) on state ids, each segment lifted
-from keys to ids and edge codes once.
+masks (a key's own form read as an int, cell c at bit 8c), to the distinct
+ones with their pairing counts, and counts the paths of both directions of
+every pair with that difference on them, walking each distinct list once
+(``canonical._path_counts``, which reads a cycle as its cell mask against
+the current state) on state ids, each segment lifted from keys to ids and
+edge codes once.  A segment is solved by ``canonical._key_segment``, whose
+patterns and bridges take one local route, memoized for the call.
 Congestion always certifies: each distinct matrix X + Y - Z is queued and
 the queue decided in blocks of at most ``_CHUNK`` by
 ``canonical._certificates``, as a path's certificates are.

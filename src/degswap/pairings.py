@@ -23,9 +23,10 @@ each pairing's circuits on its partner arrays (``_trace``) and cuts each
 circuit into simple cycles by its shape alone: the first-occurrence
 pattern of the vertices it reaches and the X/Y class of each of its edges.
 A shape memo the caller scopes maps each shape to its cuts, made by
-``_cut`` on a miss, and each cycle's edge ids and its cell mask, the int
-``sum(1 << (u * l + v))`` over its edges (u, v), are read off the circuit
-through them.  ``decompose`` is its single-pairing entry point: it fills
+``_cut`` on a miss, and each cycle's edge ids and its cell mask are read
+off the circuit through them.  A cell mask is a set of cells in the keys'
+own form, read as an int: cell c = u * l + v at bit 8c, so the mask of
+X xor Y is the XOR of the two keys' ints.  ``decompose`` is its single-pairing entry point: it fills
 the partner arrays from a ``Pairing`` after checking the pairing's maps,
 and it alone builds ``AlternatingCycle`` objects, from the edge ids.
 ``_decompositions``, which ``congestion`` and ``path_distribution`` run
@@ -269,17 +270,17 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     ``(edges, cells, in_x, us, vs, bits, full)``: edge i is ``edges[i]``
     in cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
     ``us[i]`` codes its U end as 2u and ``vs[i]`` its V end as 2v+1,
-    ``bits[i]`` is ``1 << cells[i]``, and ``full``, the sum of ``bits``,
-    is the cell mask of X xor Y.
+    ``bits[i]`` is ``1 << 8 * cells[i]``, and ``full``, the XOR of the two
+    keys' ints, is the cell mask of X xor Y.
     """
-    cells = [b >> 3 for b in _bits(int.from_bytes(x_key, "little")
-                                   ^ int.from_bytes(y_key, "little"))]
+    full = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
+    at = _bits(full)
+    cells = [b >> 3 for b in at]
     edges = [divmod(c, l) for c in cells]
     in_x = [x_key[c] == 1 for c in cells]
     us = [2 * u for u, _ in edges]
     vs = [2 * v + 1 for _, v in edges]
-    bits = [1 << c for c in cells]
-    return edges, cells, in_x, us, vs, bits, sum(bits)
+    return edges, cells, in_x, us, vs, [1 << b for b in at], full
 
 
 def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):

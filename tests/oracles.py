@@ -642,18 +642,17 @@ def recover_swap(a, b):
 
 def naive_segment(G, mask):
     """The keys after each swap that flips the cycle with cell mask ``mask``
-    in G, the graph way: its edges are the set bits of the mask, bit
-    u * l + v for edge (u, v) of G's l columns, walked from the smallest
-    edge on in G along its row, then along a column, and so on; its X-side
-    is read from G, the cycle cells that are on there;
-    ``canonical._solve_cycle`` solves the cycle on the full realization
-    with a fresh bridge memo, and ``ryser.replay`` applies its swaps one
-    checked ``apply_swap`` at a time."""
-    from degswap.canonical import _solve_cycle
+    in G, the graph way: its edges are the nonzero bytes of the mask, held
+    as G's key is, byte u * l + v for edge (u, v) of G's l columns, walked
+    from the smallest edge on in G along its row, then along a column, and
+    so on; its X-side is read from G, the cycle cells that are on there;
+    ``path_along_cycle`` solves the cycle on the full realization with a
+    fresh bridge memo and applies its swaps one checked ``apply_swap`` at a
+    time."""
+    from degswap.canonical import path_along_cycle
     from degswap.pairings import AlternatingCycle
-    from degswap.ryser import replay
 
-    cells = {divmod(i, G.l) for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"}
+    cells = {divmod(c, G.l) for c, byte in enumerate(mask.to_bytes(G.k * G.l, "little")) if byte}
     on = frozenset(e for e in cells if G.adj[e])
     off = frozenset(cells) - on
     seq = [min(on)]
@@ -665,7 +664,7 @@ def naive_segment(G, mask):
         seq.append(e)
     target = G.with_edges(sorted(on), sorted(off))
     cycle = AlternatingCycle(tuple(seq), on, off)
-    return tuple(g.key() for g in replay(G, _solve_cycle(G, target, cycle, {}))[1:])
+    return tuple(g.key() for g in path_along_cycle(G, target, G, target, cycle)[1:])
 
 
 def spec_realization(G, spec):

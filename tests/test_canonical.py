@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,11 @@ from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSe
                      adjusted_positions, canonical_path, cousins, f_matrix,
                      find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
                      path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _decode, _int,
+from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _int,
                                _switch_distances, cycle_swaps, down_line, down_up_rings,
                                matches_spec, position_distance, ring, up_line,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
-from degswap.core import Swap, allowed_swaps, apply_swap
+from degswap.core import allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
                             PairingMismatch, PreconditionViolation, SpecViolation,
                             SwapNotAllowed, TooManyPairings)
@@ -30,12 +31,6 @@ from oracles import (PINNED_16, count_ryser, cycle_graph_pair, friendly_path_exi
                      perturbed_environment, pinned_pair, random_types, reference_path,
                      ring_blocker_types, sequence_margins_ok, spec_realization,
                      split_environment_pools)
-
-
-def decoded(cycle, l):
-    """``canonical._decode`` of the cell mask of an ``AlternatingCycle`` in a
-    graph with l columns: the cycle in the form ``_pattern_swaps`` takes."""
-    return _decode(sum(1 << (u * l + v) for u, v in cycle.edge_seq), l)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +189,8 @@ class TestFMatrix:
         G, Gp, cyc = _instance(5, 0)
         F = f_matrix(G, Gp, G, cyc)
         for t in range(5):
-            assert F.value((t, t)) == 1
-            assert F.value((t, (t + 1) % 5)) == 0
+            assert F.cells[t][t] == 1
+            assert F.cells[t][(t + 1) % 5] == 0
 
     def test_parity_rule(self):
         rng = np.random.default_rng(2)
@@ -209,7 +204,7 @@ class TestFMatrix:
         for a in range(6):
             for b in range(6):
                 if ring((a, b), 6) >= 2:
-                    assert F.value((a, b)) % 2 == int(Z.adj[frame.cell_edge((a, b))])
+                    assert F.cells[a][b] % 2 == int(Z.adj[frame.cell_edge((a, b))])
 
     def test_wrong_cycle_rejected(self):
         G, Gp, cyc = _instance(5, 3)
@@ -1021,7 +1016,9 @@ class TestCanonicalPath:
         assert path_distribution(X, Y) == {g: Fraction(c, total) for g, c in counts.items()}
 
     @pytest.mark.parametrize("a, b, n_pairs", [((2, 2, 2), (2, 2, 2), None),
-                                               ((2, 2, 2, 2), (3, 2, 2, 1), 300)])
+                                               ((2, 2, 2, 2), (3, 2, 2, 1), 300),
+                                               ((3, 3, 2), (2, 2, 2, 1, 1), 300),
+                                               ((2, 2, 2, 1, 1), (3, 3, 2), 300)])
     def test_path_distribution_and_id_walk_match_the_reference(self, a, b, n_pairs):
         # path_distribution, with memos fresh for each pair, and congestion's
         # pair loop, mixing._routes, which walks both directions of each
@@ -1029,7 +1026,9 @@ class TestCanonicalPath:
         # the pairs, give the distribution of the paths
         # built cycle by cycle on the full graphs by path_along_cycle, one
         # per pairing: every ordered pair of the 6-state space and seeded
-        # pairs of the 48-state space
+        # pairs of the 48-state space and of the 31-state 3 x 5 space and
+        # its 5 x 3 transpose, where a cell's row c // l and column c % l
+        # differ from a square space's
         space = enumerate_states(BipartiteDegreeSequence(a, b))
         pairs = [(x, y) for x in range(space.n) for y in range(space.n) if x != y]
         if n_pairs is not None:
@@ -1103,7 +1102,7 @@ class TestCanonicalPath:
         patterns = {}
         assert _key_segment(patterns, {}, 2, X.key(), cyc) == (Y.key(),)
         ((pattern, swaps),) = patterns.items()
-        patterns[pattern] = tuple(s.inverse() for s in swaps)
+        patterns[pattern] = tuple((u1, u2, v1, v2, 3 - ori) for u1, u2, v1, v2, ori in swaps)
         with pytest.raises(SwapNotAllowed):
             _key_segment(patterns, {}, 2, X.key(), cyc)
 
@@ -1125,9 +1124,10 @@ class TestCanonicalPath:
             reference = [X]
             for cyc in pairings.decompose(X, Y, pairing).cycles:
                 target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
-                rows, cols, local = _pattern_swaps(G.key(), G.l, decoded(cyc, G.l), memo, {})
-                lifted = tuple(Swap(rows[s.u1], rows[s.u2], cols[s.v1], cols[s.v2],
-                                    s.orientation) for s in local)
+                rows, cols, local = _pattern_swaps(_int(G.key()), G.l,
+                                                   _cell_mask(cyc.edge_seq, G.l), memo, {})
+                lifted = tuple((rows[u1], rows[u2], cols[v1], cols[v2], ori)
+                               for u1, u2, v1, v2, ori in local)
                 assert lifted == _solve_cycle(G, target, cyc, {}), (p, cyc.edge_seq)
                 reference += path_along_cycle(G, target, X, Y, cyc)[1:]
                 sizes.append(len(rows))
@@ -1160,7 +1160,8 @@ class TestCanonicalPath:
             adj = np.frombuffer(layout, np.uint8).reshape(m, m)
             G, H, cyc = cycle_graph_pair(m, {(a, b): int(adj[a, b]) for a in range(m)
                                              for b in range(m) if ring((a, b), m) >= 2})
-            rows, cols, local = _pattern_swaps(G.key(), G.l, decoded(cyc, G.l), memo, {})
+            rows, cols, local = _pattern_swaps(_int(G.key()), G.l, _cell_mask(cyc.edge_seq, G.l),
+                                               memo, {})
             assert rows == cols == list(range(m))
             assert local == _solve_cycle(G, H, cyc, {}), adj.tolist()
             by_rows.setdefault(tuple(sorted(map(bytes, adj))), set()).add(local)
@@ -1191,6 +1192,29 @@ class TestCanonicalPath:
         # the pattern memo still serves every cycle whose local pattern
         # repeats within the call, so such a hit skips that cycle's bridges
         assert [n for _, n in unmemoized] == [28, 28, 34, 28, 30, 22, 19, 35]
+        # of those 224 bridges per call, a miss (the memo grows by one)
+        # walks its one cycle, and a hit walks none
+        from degswap import canonical
+
+        walks, per_bridge = [0], Counter()
+        real_walk, real_bridge = canonical._cycle_walk, canonical._bridge
+
+        def walking(*args):
+            walks[0] += 1
+            return real_walk(*args)
+
+        def bridging(l, key_a, key_b, bridges):
+            size, before = len(bridges), walks[0]
+            out = real_bridge(l, key_a, key_b, bridges)
+            per_bridge[len(bridges) - size, walks[0] - before] += 1
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(canonical, "_cycle_walk", walking)
+            mp.setattr(canonical, "_bridge", bridging)
+            for p, (X, Y) in enumerate(pairs):
+                canonical_path(X, Y, random_pairing(X, Y, p))
+        assert per_bridge == {(1, 1): 31, (0, 0): 193}
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -1078,7 +1078,7 @@ class TestSolverDigest:
         def line(out):
             rows, cols, swaps = out
             lines.append(f"{rows} {cols} "
-                         + " ".join(f"{s.u1},{s.u2},{s.v1},{s.v2},{s.orientation}" for s in swaps))
+                         + " ".join(",".join(map(str, s)) for s in swaps))
             return out
 
         for name in SPACES:
@@ -1086,7 +1086,7 @@ class TestSolverDigest:
             l = run["space"].graph(0).l
             memo, bridges = {}, {}
             for key, mask, _ in run["segments"]:
-                line(canonical._pattern_swaps(key, l, canonical._decode(mask, l), memo, bridges))
+                line(canonical._pattern_swaps(canonical._int(key), l, mask, memo, bridges))
         ds = bds((4,) * 16, (4,) * 16)
         pairs = [(*pinned_pair(name), 5) for name in sorted(PINNED_16)]
         pairs.append((chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272), 14))

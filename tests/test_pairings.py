@@ -228,11 +228,12 @@ def kernel_cycles(x_key, y_key, l, memo) -> tuple:
 
 def cell_cycles(cycles, l) -> list:
     """Each ``AlternatingCycle`` as its ``(walk-order cell sequence, cell
-    mask)``, cell u * l + v for edge (u, v)."""
+    mask)``, cell u * l + v for edge (u, v), at bit 8 * (u * l + v) of its
+    mask."""
     out = []
     for c in cycles:
         seq = tuple(u * l + v for u, v in c.edge_seq)
-        out.append((seq, sum(1 << cell for cell in seq)))
+        out.append((seq, sum(1 << 8 * cell for cell in seq)))
     return out
 
 
