@@ -54,10 +54,12 @@ cycle between two OK/KO targets) are one kind of problem, local to the
 cycle's rows x columns, and take one route, ``_local_swaps``: the local
 key and local mask, read in the same form, key a memo the caller scopes,
 and only a miss walks the local cycle and solves it, by ``_solve_frame``
-for a pattern and by ``ryser._eliminate`` for a bridge.  The caller lifts
-the local swaps through the rows and columns.  A frame's cells are masks
-built once per frame solve (``_Masks``, m * m + 4m + 3 ints, dropped with
-the solve); an OK/KO target is a (care, want) mask pair, so matching a
+for a pattern and by ``ryser._eliminate`` for a bridge.  A 4-cycle, a 2 x 2
+one-factor, is flipped by one swap: its local problem is read off its four
+cells, and a miss stores that swap without a walk or a solve.  The caller
+lifts the local swaps through the rows and columns.  A frame's cells are
+masks built once per frame solve (``_Masks``, m * m + 4m + 3 ints, dropped
+with the solve); an OK/KO target is a (care, want) mask pair, so matching a
 spec is one AND and one compare, a target is inherited by one AND-NOT and
 one OR, the difference cycle between two targets is the XOR of their
 ints, and every swap, lifted or placed on the frame, is a one-factor check
@@ -77,7 +79,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BipartiteGraph, Swap, _DIGITS, _bits, _gale_ryser, symmetric_difference
+from .core import (BipartiteGraph, Swap, _DIGITS, _bits, _check_margins, _gale_ryser, _key_cells,
+                   symmetric_difference)
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
                      ShapeMismatch, SpecViolation, SwapNotAllowed)
@@ -276,8 +279,8 @@ def _cycle_walk(key: int, l: int, cells: int) -> tuple:
     off and a single cycle runs through them all."""
     on_v, on_u, off_v, off_u = {}, {}, {}, {}
     for part, to_v, to_u in ((cells & key, on_v, on_u), (cells & ~key, off_v, off_u)):
-        for b in _bits(part):
-            u, v = divmod(b >> 3, l)
+        for c in _key_cells(part):
+            u, v = divmod(c, l)
             if u in to_v or v in to_u:
                 raise CycleMismatch("a row or column meets two cycle cells on one side")
             to_v[u] = v
@@ -729,6 +732,13 @@ def _local_bytes(key: bytes, l: int, rows, cols) -> bytes:
     return bytes([key[u * l + v] for u in rows for v in cols])
 
 
+# the local problem of a 4-cycle, a 2 x 2 one-factor, as ``_local_swaps``
+# keys it, and its one swap, by the orientation of that swap: 1 when the
+# cells on are (0, 0) and (1, 1), 2 when they are (0, 1) and (1, 0)
+_SQUARES = {1: (((2, 2), b"\x01\x00\x00\x01", 0x01010101), ((0, 1, 0, 1, 1),)),
+            2: (((2, 2), b"\x00\x01\x01\x00", 0x01010101), ((0, 1, 0, 1, 2),))}
+
+
 def _local_swaps(key: int, l: int, mask: int, memo: dict, solve) -> tuple:
     """``(rows, cols, swaps)``: the swaps that flip the alternating cycle
     on the cells ``mask`` in the realization with key ``key`` (l columns,
@@ -739,15 +749,36 @@ def _local_swaps(key: int, l: int, mask: int, memo: dict, solve) -> tuple:
 
     The local problem is the submatrix on rows x cols: its shape, its bytes
     read from the key (``_local_bytes``) and the cycle's cells there, the
-    local mask, in the same form as ``mask``.  ``memo``, which the caller
-    scopes, maps it to the swaps.  Only a miss walks the cycle on the local
-    key (``_cycle_walk``, which raises ``CycleMismatch`` unless the cells
-    are one cycle alternating against it) and calls ``solve(start, cells,
+    local mask, in the same form as ``mask``, whose cells are read by a
+    byte scan (``core._key_cells``).  ``memo``, which the caller scopes,
+    maps it to the swaps.  Only a miss walks the cycle on the local key
+    (``_cycle_walk``, which raises ``CycleMismatch`` unless the cells are
+    one cycle alternating against it) and calls ``solve(start, cells,
     frame)`` on the local key, the local mask and the frame the walk
     orients.  The walk and ``solve`` read nothing but the local problem,
     and the rows and columns keep their order, so a hit returns exactly
-    the swaps a miss would, and passes the check a miss would make."""
-    ids = [b >> 3 for b in _bits(mask)]
+    the swaps a miss would, and passes the check a miss would make.
+
+    Four cells that hold a 2 x 2 one-factor of the key are a 4-cycle, and
+    take a direct route: their local problem is one of the two 2 x 2 ones
+    (``_SQUARES``), read off the four cells, and a miss stores its
+    one swap, ``(0, 1, 0, 1, orientation)``, with no walk and no ``solve``.
+    That is the swap each solver gives a 4-cycle: ``_solve_frame``'s
+    m == 2 branch for a pattern and ``_eliminate_cycle`` for a bridge.  Any
+    other set of four cells takes the general route, which refuses it."""
+    ids = _key_cells(mask)
+    if len(ids) == 4:
+        c0, c1, c2, c3 = ids
+        width = c1 - c0
+        # a 2 x 2 block: c0, c1 share a row, as do c2, c3, and c2 lies a
+        # whole number of rows below c0
+        if c3 - c2 == width and (c2 - c0) % l == 0 and c0 % l + width < l:
+            on = key & mask
+            main = 1 << 8 * c0 | 1 << 8 * c3
+            ori = 1 if on == main else 2 if on == mask ^ main else 0
+            if ori:
+                problem, swaps = _SQUARES[ori]
+                return [c0 // l, c2 // l], [c0 % l, c1 % l], memo.setdefault(problem, swaps)
     rows, cols = sorted({c // l for c in ids}), sorted({c % l for c in ids})
     # the bytes of key and mask up to the end of the last row the cycle meets
     n = (rows[-1] + 1) * l if rows else 0
@@ -768,7 +799,8 @@ def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
     alternating cycle (``CycleMismatch`` otherwise), through
     ``_local_swaps`` with the caller's memo ``bridges``, which lives for
     one top-level call, lifted to global vertices.  A miss runs
-    ``_eliminate_cycle`` on the local problem."""
+    ``_eliminate_cycle`` on the local problem, unless the keys differ in a
+    4-cycle: ``_local_swaps`` gives its one swap directly."""
     rows, cols, local = _local_swaps(key_a, l, key_a ^ key_b, bridges, _eliminate_cycle)
     return [(rows[u1], rows[u2], cols[v1], cols[v2], ori) for u1, u2, v1, v2, ori in local]
 
@@ -778,7 +810,8 @@ def _eliminate_cycle(start: int, cells: int, frame: CycleFrame) -> list:
     the m x m key ``start`` to ``start ^ cells`` (held as ints), m the
     length of the frame of the cycle ``cells``, each read as row bitmasks.
     One alternating cycle leaves the margins equal, so they are not
-    checked."""
+    checked.  ``_local_swaps`` calls it on cycles of six cells or more: a
+    4-cycle takes its direct route, with the one swap this gives it."""
     m = frame.m
     # each row's 0/1 bytes, last column first, read as a base-2 bitmask
     a, b = ([int(data[i:i + m][::-1].translate(_DIGITS), 2) for i in range(0, m * m, m)]
@@ -1111,7 +1144,8 @@ def _pattern_swaps(key: int, l: int, mask: int, memo: dict, bridges: dict) -> tu
     with two in each of its rows and columns, forming one cycle, fixes the
     cycle.  So its swaps are a function of the local problem.  A miss runs
     ``_solve_frame`` on the local key, which also types the chords, with
-    the call-scoped bridge memo ``bridges``; ``_key_segment`` makes the one
+    the call-scoped bridge memo ``bridges``, except on a 4-cycle, whose one
+    swap ``_local_swaps`` gives directly; ``_key_segment`` makes the one
     end check.
     """
     return _local_swaps(key, l, mask, memo, lambda start, cells, frame: _solve_frame(
@@ -1131,8 +1165,9 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     the swap removes (the check of ``apply_swap``).  Raises
     ``SpecViolation`` unless the segment lands on the key XOR the mask,
     the key with exactly the cycle's cells flipped: the one end check of a
-    pattern's swaps, solved or memoized.  A mask has no X/Y labels: the
-    cells on in the key are the cycle's start side.
+    pattern's swaps, solved, memoized or, for a 4-cycle, given by
+    ``_local_swaps``' direct route.  A mask has no X/Y labels: the cells on
+    in the key are the cycle's start side.
     """
     start = cur = _int(key)
     rows, cols, swaps = _pattern_swaps(start, l, mask, patterns, bridges)
@@ -1253,7 +1288,7 @@ def path_distribution(X: BipartiteGraph, Y: BipartiteGraph) -> dict:
     walks each distinct list once on the key walk of ``canonical_path``,
     with one segment table (``_key_lift``) and one shape memo for the
     call."""
-    symmetric_difference(X, Y)      # the shape and margin checks
+    _check_margins(X, Y)
     total, cycle_lists = _decompositions(X.key(), Y.key(), X.l, {})
     counts = _path_counts(X.key(), Y.key(), Counter(cycle_lists), {}, _key_lift(X.l))
     dist = {path: Fraction(c, total) for path, (c, _) in counts.items()}

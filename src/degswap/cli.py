@@ -24,9 +24,9 @@ from .chain import _check_steps, _walk_seeds
 from .core import BipartiteDegreeSequence, BipartiteGraph, _DIGITS, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical, SpecViolation
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import (_incidence_of, _nth_partners, _random_partners, _trace, _vertex_walk,
+from .pairings import (_nth_partners, _numbered, _random_partners, _trace, _vertex_walk,
                        all_pairings, decompose, random_pairing)
-from .ryser import ryser_sequence
+from .ryser import _sequence
 
 DEFAULT_SEED = 20259
 
@@ -96,8 +96,8 @@ def cmd_sample(args) -> int:
 
 def cmd_transform(args) -> int:
     g1, g2 = _read_graph(args.g1), _read_graph(args.g2)
-    sys.stdout.write("".join(_swap_line(s.u1, s.u2, s.v1, s.v2) + "\n"
-                             for s in ryser_sequence(g1, g2)))
+    # ryser_sequence's swaps as fields: no Swap is built to be printed
+    sys.stdout.write("".join(_swap_line(*s[:4]) + "\n" for s in _sequence(g1, g2)))
     return 0
 
 
@@ -123,7 +123,7 @@ def cmd_canonical_path(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
     # X xor Y is numbered once: the partner arrays of random_pairing or
     # nth_pairing go straight to the kernel, with no Pairing between
-    _, numbering, incid, _ = _incidence_of(x, y)
+    numbering, incid, _ = _numbered(x, y)
     if args.pairing_index is not None:
         # unranked: a pair can have too many pairings to walk
         pu, pv = _nth_partners(incid, len(numbering[0]), args.pairing_index)

@@ -483,19 +483,43 @@ def _bits(n: int) -> list:
     return out
 
 
+def _key_cells(mask: int) -> list:
+    """The cells of the cell mask ``mask``, increasing: a set of cells in
+    the form of a key (``BipartiteGraph.key``) read as a little-endian int,
+    cell c at bit 8c.  The mask's bytes are scanned for the ones that hold
+    1; a mask with a bit off a multiple of 8 holds some other byte, so its
+    bit count tells it apart, and it raises ``ValueError``."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    cells = []
+    c = data.find(1)
+    while c >= 0:
+        cells.append(c)
+        c = data.find(1, c + 1)
+    if len(cells) != mask.bit_count():
+        raise ValueError("a cell mask sets a bit off a multiple of 8")
+    return cells
+
+
 # -- symmetric difference ------------------------------------------------------
+
+
+def _check_margins(X: BipartiteGraph, Y: BipartiteGraph):
+    """The checks of ``symmetric_difference``, without its edge sets:
+    ``ShapeMismatch`` unless X and Y have one shape, ``DegreeMismatch``
+    unless they have one degree vector on each side."""
+    if (X.k, X.l) != (Y.k, Y.l):
+        raise ShapeMismatch(f"{X.k}x{X.l} vs {Y.k}x{Y.l}")
+    if not X.same_margins(Y):
+        raise DegreeMismatch("graphs do not share their degree vectors")
 
 
 def symmetric_difference(X: BipartiteGraph, Y: BipartiteGraph) -> EdgePartition:
     """Split E(X) xor E(Y) into X-edges and Y-edges.
 
-    Requires equal shapes and equal per-vertex margins; under that condition
-    every vertex touches as many X-edges as Y-edges.
+    Requires equal shapes and equal per-vertex margins (``_check_margins``);
+    under that condition every vertex touches as many X-edges as Y-edges.
     """
-    if (X.k, X.l) != (Y.k, Y.l):
-        raise ShapeMismatch(f"{X.k}x{X.l} vs {Y.k}x{Y.l}")
-    if not X.same_margins(Y):
-        raise DegreeMismatch("graphs do not share their degree vectors")
+    _check_margins(X, Y)
     x_only = np.nonzero((X.adj == 1) & (Y.adj == 0))
     y_only = np.nonzero((X.adj == 0) & (Y.adj == 1))
     x_edges = frozenset((int(u), int(v)) for u, v in zip(*x_only))

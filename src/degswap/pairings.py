@@ -14,7 +14,11 @@ the vertex's degree in the symmetric difference.
 There is one incidence, ``_incidence``: it reads the realizations' keys
 (``BipartiteGraph.key``, one byte per cell) as little-endian integers,
 numbers the difference edges in edge order and gives each vertex its edge
-ids.  A pairing is two partner arrays of edge ids: ``random_pairing`` draws
+ids.  ``_numbered`` builds it for two graphs after the shape and margin
+checks alone, for ``enumerate_pairings_count`` and ``degswap
+canonical-path``; only the entry points that build a ``Pairing`` take
+``symmetric_difference``'s edge sets too (``_incidence_of``).  A pairing
+is two partner arrays of edge ids: ``random_pairing`` draws
 them (``_random_partners``), ``nth_pairing`` unranks them
 (``_nth_partners``), and ``all_pairings`` runs the odometer ``_partners``,
 each converting them into a ``Pairing`` (``_pairing``).
@@ -48,7 +52,7 @@ from operator import itemgetter, not_
 
 import numpy as np
 
-from .core import BipartiteGraph, _bits, symmetric_difference
+from .core import BipartiteGraph, _check_margins, _key_cells, symmetric_difference
 from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                      PreconditionViolation, TooManyPairings)
 
@@ -75,13 +79,21 @@ class Pairing:
         return self.maps[w][e]
 
 
-def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
-    """``(part, numbering, incid, total)``: the checked
-    ``symmetric_difference`` of X and Y, the ``_number``ing of X xor Y and
-    its ``_incidence``."""
-    part = symmetric_difference(X, Y)       # the shape and margin checks
+def _numbered(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
+    """``(numbering, incid, total)``: the ``_number``ing of X xor Y and its
+    ``_incidence``, after the shape and margin checks of
+    ``symmetric_difference`` (``core._check_margins``), which builds no edge
+    set."""
+    _check_margins(X, Y)
     numbering = _number(X.key(), Y.key(), X.l)
-    return part, numbering, *_incidence(numbering)
+    return numbering, *_incidence(numbering)
+
+
+def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
+    """``(part, numbering, incid, total)``: ``_numbered`` with the
+    ``symmetric_difference`` of X and Y, whose edge sets a ``Pairing``
+    carries."""
+    return symmetric_difference(X, Y), *_numbered(X, Y)
 
 
 def _pairing(part, edges, incid, pu, pv) -> Pairing:
@@ -97,7 +109,7 @@ def _pairing(part, edges, incid, pu, pv) -> Pairing:
 def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
     """The exact number of pairings: the product of (d_w)! over all vertices,
     where the symmetric difference has degree 2*d_w at w."""
-    return _incidence_of(X, Y)[3]
+    return _numbered(X, Y)[2]
 
 
 def random_pairing(X: BipartiteGraph, Y: BipartiteGraph, seed: int) -> Pairing:
@@ -274,13 +286,12 @@ def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
     keys' ints, is the cell mask of X xor Y.
     """
     full = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
-    at = _bits(full)
-    cells = [b >> 3 for b in at]
+    cells = _key_cells(full)
     edges = [divmod(c, l) for c in cells]
     in_x = [x_key[c] == 1 for c in cells]
     us = [2 * u for u, _ in edges]
     vs = [2 * v + 1 for _, v in edges]
-    return edges, cells, in_x, us, vs, [1 << b for b in at], full
+    return edges, cells, in_x, us, vs, [1 << 8 * c for c in cells], full
 
 
 def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):

@@ -28,10 +28,18 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
 
     Every prefix of the returned sequence is applicable in order, and each
     intermediate graph realizes the same degree sequence.  Both matrices are
-    packed once into row bitmasks and eliminated by ``_eliminate``.
+    packed once into row bitmasks and eliminated by ``_eliminate``
+    (``_sequence``).
     """
+    return [Swap(*s) for s in _sequence(G1, G2)]
+
+
+def _sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
+    """The swaps of ``ryser_sequence``, each as the fields ``(u1, u2, v1, v2,
+    orientation)`` of its ``Swap``, after its margin check; ``degswap
+    transform`` prints them as they are."""
     _check_pair(G1, G2)
-    return [Swap(*s) for s in _eliminate(_pack(G1.adj), _pack(G2.adj), G1.l)]
+    return _eliminate(_pack(G1.adj), _pack(G2.adj), G1.l)
 
 
 def _eliminate(rows_a: list, rows_b: list, l: int) -> list:

@@ -321,6 +321,99 @@ class TestCycleWalk:
         assert walked == 16321
 
 
+def _squares(k, l):
+    """Every 2 x 2 one-factor of a k x l key, both ways round: its rows, its
+    columns and its two cells that are on."""
+    for u1, u2 in itertools.combinations(range(k), 2):
+        for v1, v2 in itertools.combinations(range(l), 2):
+            for on in (((u1, v1), (u2, v2)), ((u1, v2), (u2, v1))):
+                yield [u1, u2], [v1, v2], on
+
+
+class TestSquareRoute:
+    """A 4-cycle, a 2 x 2 one-factor of the key, takes the direct route of
+    ``_local_swaps``: its local problem is read off its four cells, and a
+    miss stores its one swap without walking the cycle or solving it."""
+
+    def test_direct_route_matches_both_solvers(self):
+        # every one-factor of keys up to 16 x 16, the other cells drawn
+        # once per shape: the route's rows, columns, swaps and memo entry
+        # are the general route's, run by hand, with either solver
+        from degswap.canonical import _eliminate_cycle, _local_bytes, _local_swaps, _solve_frame
+
+        rng = np.random.default_rng(40)
+        checked = 0
+        for k, l in [(2, 2), (2, 16), (16, 2), (5, 7), (16, 16)]:
+            rest = _int(rng.integers(0, 2, k * l, dtype=np.uint8).tobytes())
+            for rows, cols, on in _squares(k, l):
+                mask = _cell_mask([(u, v) for u in rows for v in cols], l)
+                key = rest & ~mask | _cell_mask(on, l)
+                memo = {}
+                got = _local_swaps(key, l, mask, memo, None)
+                local = _local_bytes(key.to_bytes(k * l, "little"), l, rows, cols)
+                cells = _int(_local_bytes(mask.to_bytes(k * l, "little"), l, rows, cols))
+                start = _int(local)
+                frame = CycleFrame(*_cycle_walk(start, 2, cells))
+                pattern = tuple(_solve_frame(start, 2, frame, start, {})[0])
+                assert tuple(_eliminate_cycle(start, cells, frame)) == pattern
+                assert got == (rows, cols, pattern)
+                assert memo == {((2, 2), local, cells): pattern}
+                checked += 1
+        assert checked == 2 + 240 + 240 + 420 + 28800
+
+    def test_direct_route_never_walks_or_solves(self, tmp_path, capsys):
+        # no 4-cycle, as a bridge, a pattern or a bare local problem, walks
+        # or solves; on the CI rows, x3 -> y3 bridges two 4-cycles and runs
+        # no elimination, and v13 -> v30 (pairing 0) still eliminates one
+        # 8-cell bridge
+        from degswap import canonical
+        from degswap.cli import main
+
+        calls, sizes = Counter(), Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        real_bridge = canonical._bridge
+
+        def sizing(l, key_a, key_b, bridges):
+            sizes[(key_a ^ key_b).bit_count()] += 1
+            return real_bridge(l, key_a, key_b, bridges)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_cycle_walk", "_solve_frame", "_eliminate"):
+                mp.setattr(canonical, name, counting(name, getattr(canonical, name)))
+            solve = counting("solve", lambda *args: ())
+            k, l = 4, 5
+            for rows, cols, on in _squares(k, l):
+                mask = _cell_mask([(u, v) for u in rows for v in cols], l)
+                key = _cell_mask(on, l)
+                ori = 1 if on[0] == (rows[0], cols[0]) else 2
+                assert _bridge(l, key, key ^ mask, {}) == [(*rows, *cols, ori)]
+                seg = canonical._key_segment({}, {}, l, key.to_bytes(k * l, "little"), mask)
+                assert seg == ((key ^ mask).to_bytes(k * l, "little"),)
+                assert canonical._local_swaps(key, l, mask, {}, solve)[2] == ((0, 1, 0, 1, ori),)
+            assert calls == {}
+            mp.setattr(canonical, "_bridge", sizing)
+            ci_rows = {"x3": ("3 3\n110\n011\n101\n", "3 3\n101\n110\n011\n", [],
+                              {4: 2}, {"_cycle_walk": 1, "_solve_frame": 1}),
+                       "v13": ("4 4\n1011\n0101\n0110\n1000\n", "4 4\n1101\n0110\n1010\n0001\n",
+                               ["--pairing-index", "0"], {4: 2, 8: 1},
+                               {"_cycle_walk": 2, "_solve_frame": 1, "_eliminate": 1})}
+            for name, (x, y, extra, bridged, solved) in ci_rows.items():
+                calls.clear()
+                sizes.clear()
+                (tmp_path / "x").write_text(x)
+                (tmp_path / "y").write_text(y)
+                argv = ["canonical-path", str(tmp_path / "x"), str(tmp_path / "y"), "--certify"]
+                assert main(argv + extra) == 0, name
+                capsys.readouterr()
+                assert (sizes, calls) == (bridged, solved), name
+
+
 class TestHatMatrix:
     def test_cancellation(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))
@@ -1188,12 +1281,13 @@ class TestCanonicalPath:
             unmemoized = [solve(p) for p in range(8)]
         assert [path for path, _ in memoized] == [path for path, _ in unmemoized
                                                   for _ in range(2)]
-        assert [n for _, n in memoized] == [3, 3, 3, 3, 4, 4, 5, 5, 4, 4, 4, 4, 3, 3, 5, 5]
+        assert [n for _, n in memoized] == [1, 1, 1, 1, 2, 2, 3, 3, 2, 2, 2, 2, 1, 1, 3, 3]
         # the pattern memo still serves every cycle whose local pattern
-        # repeats within the call, so such a hit skips that cycle's bridges
-        assert [n for _, n in unmemoized] == [28, 28, 34, 28, 30, 22, 19, 35]
+        # repeats within the call, so such a hit skips that cycle's bridges;
+        # 208 of the 224 bridges differ in four cells and eliminate nothing
+        assert [n for _, n in unmemoized] == [1, 2, 2, 3, 2, 2, 1, 3]
         # of those 224 bridges per call, a miss (the memo grows by one)
-        # walks its one cycle, and a hit walks none
+        # walks its one cycle unless it is a 4-cycle, and a hit walks none
         from degswap import canonical
 
         walks, per_bridge = [0], Counter()
@@ -1214,7 +1308,7 @@ class TestCanonicalPath:
             mp.setattr(canonical, "_bridge", bridging)
             for p, (X, Y) in enumerate(pairs):
                 canonical_path(X, Y, random_pairing(X, Y, p))
-        assert per_bridge == {(1, 1): 31, (0, 0): 193}
+        assert per_bridge == {(1, 1): 15, (1, 0): 16, (0, 0): 193}
 
     def test_certified_path(self):
         space = enumerate_states(BipartiteDegreeSequence((2, 2, 2), (3, 2, 1)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap,
                      allowed_swaps, apply_swap, greedy_realize, is_graphical,
                      push_up, symmetric_difference)
+from degswap.core import _bits, _key_cells
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
 from oracles import (all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize,
@@ -297,6 +298,22 @@ class TestSymmetricDifference:
         with pytest.raises(DegreeMismatch):
             symmetric_difference(BipartiteGraph([[1, 0], [0, 0]]),
                                  BipartiteGraph([[0, 0], [0, 1]]))
+
+
+class TestKeyCells:
+    def test_byte_scan_reads_the_cells(self):
+        # a cell mask in key form (cell c at bit 8c) has the cells of its
+        # nonzero bytes; any bit off a multiple of 8 is refused
+        rng = np.random.default_rng(40)
+        for n in (0, 1, 7, 64, 256):
+            data = (rng.random(n) < 0.3).astype(np.uint8).tobytes()
+            mask = int.from_bytes(data, "little")
+            cells = np.flatnonzero(np.frombuffer(data, np.uint8)).tolist()
+            assert _key_cells(mask) == [b >> 3 for b in _bits(mask)] == cells
+            for shift in range(1, 8):
+                for stray in (1 << shift, 1 << 8 * n + shift):
+                    with pytest.raises(ValueError, match="off a multiple of 8"):
+                        _key_cells(mask | stray)
 
 
 class TestGraphText:
