@@ -1153,9 +1153,10 @@ def _pattern_swaps(key: int, l: int, mask: int, memo: dict, bridges: dict) -> tu
 
 
 def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -> tuple:
-    """The keys after each swap of the canonical segment that flips the
-    cycle with cell mask ``mask`` in the graph with l columns whose key is
-    ``key``.
+    """The canonical segment that flips the cycle with cell mask ``mask``
+    in the graph with l columns whose key is ``key``, as ``(keys, swaps)``:
+    the key after each swap and the swap's fields ``(u1, u2, v1, v2,
+    orientation)``.
 
     The swaps come from ``_pattern_swaps``, solved once per local problem
     in ``patterns``, with each bridge solved once per local problem in
@@ -1170,27 +1171,28 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     in the key are the cycle's start side.
     """
     start = cur = _int(key)
-    rows, cols, swaps = _pattern_swaps(start, l, mask, patterns, bridges)
+    rows, cols, local = _pattern_swaps(start, l, mask, patterns, bridges)
     n = len(key)
-    seg = []
-    for s in swaps:
-        u1, u2, v1, v2, ori = s
-        cur = _flip(cur, rows[u1] * l, rows[u2] * l, cols[v1], cols[v2], ori)
+    keys, swaps = [], []
+    for u1, u2, v1, v2, ori in local:
+        s = rows[u1], rows[u2], cols[v1], cols[v2], ori
+        cur = _flip(cur, s[0] * l, s[1] * l, s[2], s[3], ori)
         if cur is None:
-            raise SwapNotAllowed(f"swap {s} in rows {rows} and columns {cols} is not allowed")
-        seg.append(cur.to_bytes(n, "little"))
+            raise SwapNotAllowed(f"swap {s} is not allowed")
+        keys.append(cur.to_bytes(n, "little"))
+        swaps.append(s)
     if cur != start ^ mask:
         raise SpecViolation("a canonical segment missed its flipped state")
-    return tuple(seg)
+    return tuple(keys), tuple(swaps)
 
 
 def _key_lift(l: int):
     """The lift of a segment table on the keys of realizations with l
-    columns: ``(key, mask)`` -> the 1-tuple of ``_key_segment``'s keys, with
+    columns: ``(key, mask)`` -> ``_key_segment``'s ``(keys, swaps)``, with
     pattern and bridge memos that live as long as the lift (a hit is exact,
     see ``_local_swaps``)."""
     patterns, bridges = {}, {}
-    return lambda key, mask: (_key_segment(patterns, bridges, l, key, mask),)
+    return lambda key, mask: _key_segment(patterns, bridges, l, key, mask)
 
 
 def _path_counts(start, end, cycle_lists: dict, segments: dict, lift) -> dict:
@@ -1249,20 +1251,23 @@ def canonical_path(X: BipartiteGraph, Y: BipartiteGraph, pairing, certify: bool 
     ``_path_stack``'s, and each state is a view of its layer.
     """
     numbering, pu, pv = _pairing_partners(X, Y, pairing)
-    stack = _path_stack(X, Y, _trace(pu, pv, numbering, {})[2])
+    stack, _ = _path_stack(X, Y, _trace(pu, pv, numbering, {})[2])
     states = [BipartiteGraph._trusted(layer) for layer in stack]
     if certify:
         return states, _certificates(X.adj, Y.adj, stack)
     return states
 
 
-def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, masks) -> np.ndarray:
-    """The keys the canonical walk (``_path_counts``) visits from X to Y
-    flipping the cycles ``masks``, cell masks from the decomposition
-    kernel, on a segment table fresh for the call (``_key_lift``), stacked
-    once into a read-only (n, k, l) ``uint8`` array."""
-    (path,) = _path_counts(X.key(), Y.key(), {tuple(masks): 1}, {}, _key_lift(X.l))
-    return np.frombuffer(b"".join(path), np.uint8).reshape(len(path), X.k, X.l)
+def _path_stack(X: BipartiteGraph, Y: BipartiteGraph, masks) -> tuple:
+    """The canonical walk (``_path_counts``) from X to Y flipping the
+    cycles ``masks``, cell masks from the decomposition kernel, on a
+    segment table fresh for the call (``_key_lift``), as ``(stack,
+    swaps)``: the keys it visits stacked into a read-only (n, k, l)
+    ``uint8`` array, and the n - 1 field tuples its segments applied."""
+    ((path, (_, segs)),) = _path_counts(X.key(), Y.key(), {tuple(masks): 1}, {},
+                                        _key_lift(X.l)).items()
+    stack = np.frombuffer(b"".join(path), np.uint8).reshape(len(path), X.k, X.l)
+    return stack, [s for _, swaps in segs for s in swaps]
 
 
 def _certificates(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> list:

@@ -25,9 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (BipartiteDegreeSequence, BipartiteGraph, allowed_swaps, greedy_realize,
-                   symmetric_difference)
-from .errors import DegreeMismatch
+from .core import (BipartiteDegreeSequence, BipartiteGraph, _check_margins, allowed_swaps,
+                   greedy_realize, symmetric_difference)
 
 
 def pair_count(n: int) -> int:
@@ -79,10 +78,10 @@ def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
     """Exact one-step probability of moving from G to H.
 
     For H one swap away this is 1/(C(k,2)*C(l,2)); for H = G it is the
-    complementary holding probability; otherwise zero.
+    complementary holding probability; otherwise zero.  ``core._check_margins``
+    checks the pair.
     """
-    if not G.same_margins(H):
-        raise DegreeMismatch("graphs do not realize the same degree sequence")
+    _check_margins(G, H)
     denom = pair_count(G.k) * pair_count(G.l)
     if G == H:
         if denom == 0:

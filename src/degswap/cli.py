@@ -7,7 +7,8 @@ randomized subcommand takes --seed and defaults to DEFAULT_SEED, so equal
 invocations produce byte-identical output.
 
 Vertices in textual output are 1-based; a swap prints as "u1 u2 v1 v2",
-listing the two U-vertices and then the two V-vertices.
+listing the two U-vertices and then the two V-vertices.  Each command
+prints the swaps its construction applied, never ones read off matrices.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import __version__
 from .canonical import _certificates, _path_stack
 from .chain import _check_steps, _walk_seeds
 from .core import BipartiteDegreeSequence, BipartiteGraph, _DIGITS, _stack_text, greedy_realize
-from .errors import DegSwapError, NotGraphical, SpecViolation
+from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
 from .pairings import (_nth_partners, _numbered, _random_partners, _trace, _vertex_walk,
                        all_pairings, decompose, random_pairing)
@@ -129,39 +128,18 @@ def cmd_canonical_path(args) -> int:
         pu, pv = _nth_partners(incid, len(numbering[0]), args.pairing_index)
     else:
         pu, pv = _random_partners(incid, len(numbering[0]), args.seed)
-    stack = _path_stack(x, y, _trace(pu, pv, numbering, {})[2])
+    # the walk checks each swap it applies: all is checked before printing
+    stack, swaps = _path_stack(x, y, _trace(pu, pv, numbering, {})[2])
     if args.certify:
-        # all certified and every swap read (a bad step refused) before printing
         certs = _certificates(x.adj, y.adj, stack)
-        swaps = [""] + _step_swaps(stack)
     sys.stdout.write(_stack_text(stack))
     if args.certify:
         print("---")
         print("step,swap,switch_distance")
-        for i, (sw, sd) in enumerate(zip(swaps, certs)):
+        lines = [""] + [_swap_line(*s[:4]) for s in swaps]
+        for i, (sw, sd) in enumerate(zip(lines, certs)):
             print(f"{i},{sw},{sd}")
     return 0
-
-
-def _step_swaps(stack: np.ndarray) -> list:
-    """The swap line of each step of a path held as an (n, k, l) 0-1 stack,
-    read off the XOR of consecutive layers.  Each step must change exactly
-    four cells, in 2 rows and 2 columns, that hold a one-factor before it
-    (``SpecViolation`` otherwise)."""
-    before = stack[:-1]
-    diff = stack[1:] ^ before
-    rows, cols = diff.any(axis=2), diff.any(axis=1)
-    if not ((diff.sum(axis=(1, 2)) == 4).all() and (rows.sum(axis=1) == 2).all()
-            and (cols.sum(axis=1) == 2).all()):
-        raise SpecViolation("a step of the path does not change one 2 x 2 submatrix")
-    u = rows.nonzero()[1].reshape(-1, 2)
-    v = cols.nonzero()[1].reshape(-1, 2)
-    step = np.arange(len(before))
-    a, b = before[step, u[:, 0], v[:, 0]], before[step, u[:, 0], v[:, 1]]
-    c, d = before[step, u[:, 1], v[:, 0]], before[step, u[:, 1], v[:, 1]]
-    if not ((a == d) & (b == c) & (a != b)).all():
-        raise SpecViolation("a step of the path exchanges no one-factor")
-    return [_swap_line(*quad) for quad in np.hstack([u, v]).tolist()]
 
 
 def cmd_mix_report(args) -> int:

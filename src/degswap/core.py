@@ -10,12 +10,16 @@ Conventions used throughout the package:
 * A swap exchanges a 2x2 one-factor of the biadjacency matrix for the
   complementary one-factor.  It is the elementary move of the Markov chain
   and preserves every vertex degree.
+* X xor Y is read one way, ``_difference``: the XOR of the two keys read
+  as little-endian ints (cell c = u*l+v at bit 8c), its edges in cell
+  order; ``_number`` adds the decomposition kernel's codes.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -518,10 +522,41 @@ def symmetric_difference(X: BipartiteGraph, Y: BipartiteGraph) -> EdgePartition:
 
     Requires equal shapes and equal per-vertex margins (``_check_margins``);
     under that condition every vertex touches as many X-edges as Y-edges.
+    The edge sets are read off ``_difference`` (``_partition``).
     """
     _check_margins(X, Y)
-    x_only = np.nonzero((X.adj == 1) & (Y.adj == 0))
-    y_only = np.nonzero((X.adj == 0) & (Y.adj == 1))
-    x_edges = frozenset((int(u), int(v)) for u, v in zip(*x_only))
-    y_edges = frozenset((int(u), int(v)) for u, v in zip(*y_only))
-    return EdgePartition(x_edges, y_edges)
+    return _partition(_difference(X.key(), Y.key(), X.l))
+
+
+def _difference(x_key: bytes, y_key: bytes, l: int) -> tuple:
+    """The edges of X xor Y in cell order, which is edge order.
+
+    X and Y are given by their keys, realizations with l V-vertices; read
+    as little-endian integers, cell c = u*l+v sits at bit 8c.  Returns
+    ``(edges, cells, in_x, full)``: edge i is ``edges[i]`` in cell
+    ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge, and ``full``,
+    the XOR of the two keys' ints, is the cell mask of X xor Y.
+    """
+    full = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
+    cells = _key_cells(full)
+    return [divmod(c, l) for c in cells], cells, [x_key[c] == 1 for c in cells], full
+
+
+def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
+    """``_difference`` with the codes of the decomposition kernel, as
+    ``(edges, cells, in_x, us, vs, bits, full)``: ``us[i]`` codes the U end
+    of edge i as 2u and ``vs[i]`` its V end as 2v+1, and ``bits[i]`` is
+    ``1 << 8 * cells[i]``, a big int on a large matrix, which only the
+    kernel's cycle masks need."""
+    edges, cells, in_x, full = _difference(x_key, y_key, l)
+    us = [2 * u for u, _ in edges]
+    vs = [2 * v + 1 for _, v in edges]
+    return edges, cells, in_x, us, vs, [1 << 8 * c for c in cells], full
+
+
+def _partition(numbering) -> EdgePartition:
+    """The ``EdgePartition`` of the edges of X xor Y, read off the first
+    three items of ``_difference`` or ``_number``."""
+    edges, _, in_x = numbering[:3]
+    return EdgePartition(frozenset(compress(edges, in_x)),
+                         frozenset(compress(edges, map(operator.not_, in_x))))

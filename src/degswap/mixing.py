@@ -842,7 +842,7 @@ def _routes(space: StateSpace):
     patterns, bridges = {}, {}
 
     def lift(i, mask):
-        ids = tuple(map(space.index.get, _key_segment(patterns, bridges, l, keys[i], mask)))
+        ids = tuple(map(space.index.get, _key_segment(patterns, bridges, l, keys[i], mask)[0]))
         # None: a key off the space, or a step off the move graph
         codes = tuple(map(moves.get, zip((i,) + ids, ids)))
         if None in codes:

@@ -11,17 +11,20 @@ first repeated vertex.
 The number of pairings is the product of d! over all vertices, where 2d is
 the vertex's degree in the symmetric difference.
 
-There is one incidence, ``_incidence``: it reads the realizations' keys
-(``BipartiteGraph.key``, one byte per cell) as little-endian integers,
-numbers the difference edges in edge order and gives each vertex its edge
-ids.  ``_numbered`` builds it for two graphs after the shape and margin
-checks alone, for ``enumerate_pairings_count`` and ``degswap
-canonical-path``; only the entry points that build a ``Pairing`` take
-``symmetric_difference``'s edge sets too (``_incidence_of``).  A pairing
-is two partner arrays of edge ids: ``random_pairing`` draws
-them (``_random_partners``), ``nth_pairing`` unranks them
-(``_nth_partners``), and ``all_pairings`` runs the odometer ``_partners``,
-each converting them into a ``Pairing`` (``_pairing``).
+X xor Y is read one way, ``core._difference``: the realizations' keys
+(``BipartiteGraph.key``, one byte per cell) read as little-endian
+integers and XORed, its edges numbered in edge order; ``core._number``
+adds the codes the kernel traces on.  There is one
+incidence, ``_incidence``, which gives each vertex its edge ids in that
+numbering.  ``_numbered`` builds both for two graphs after the shape and
+margin checks (``core._check_margins``), for ``enumerate_pairings_count``
+and ``degswap canonical-path``; the entry points that build a ``Pairing``
+also read its edge sets off the same numbering (``_incidence_of``,
+``core._partition``, as ``symmetric_difference`` does).  A pairing is two
+partner arrays of edge ids: ``random_pairing`` draws them
+(``_random_partners``), ``nth_pairing`` unranks them (``_nth_partners``),
+and ``all_pairings`` runs the odometer ``_partners``, each converting them
+into a ``Pairing`` (``_pairing``).
 There is one decomposition implementation, the integer kernel: it traces
 each pairing's circuits on its partner arrays (``_trace``) and cuts each
 circuit into simple cycles by its shape alone: the first-occurrence
@@ -52,7 +55,7 @@ from operator import itemgetter, not_
 
 import numpy as np
 
-from .core import BipartiteGraph, _check_margins, _key_cells, symmetric_difference
+from .core import BipartiteGraph, _check_margins, _number, _partition
 from .errors import (DegreeMismatch, DegSwapError, NonAlternating, PairingMismatch,
                      PreconditionViolation, TooManyPairings)
 
@@ -82,18 +85,17 @@ class Pairing:
 def _numbered(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
     """``(numbering, incid, total)``: the ``_number``ing of X xor Y and its
     ``_incidence``, after the shape and margin checks of
-    ``symmetric_difference`` (``core._check_margins``), which builds no edge
-    set."""
+    ``symmetric_difference`` (``core._check_margins``)."""
     _check_margins(X, Y)
     numbering = _number(X.key(), Y.key(), X.l)
     return numbering, *_incidence(numbering)
 
 
 def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
-    """``(part, numbering, incid, total)``: ``_numbered`` with the
-    ``symmetric_difference`` of X and Y, whose edge sets a ``Pairing``
-    carries."""
-    return symmetric_difference(X, Y), *_numbered(X, Y)
+    """``(part, numbering, incid, total)``: ``_numbered`` with the edge
+    sets a ``Pairing`` carries, read off the numbering (``core._partition``)."""
+    numbering, incid, total = _numbered(X, Y)
+    return _partition(numbering), numbering, incid, total
 
 
 def _pairing(part, edges, incid, pu, pv) -> Pairing:
@@ -252,10 +254,11 @@ def _pairing_partners(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) ->
     with an edge of the other class there: ``NonAlternating`` for a partner
     of the same class, ``PairingMismatch`` for any other defect.
     """
-    part = symmetric_difference(X, Y)       # the shape and margin checks
+    _check_margins(X, Y)
+    numbering = _number(X.key(), Y.key(), X.l)
+    part = _partition(numbering)
     if pairing.x_edges != part.x_edges or pairing.y_edges != part.y_edges:
         raise PairingMismatch("pairing does not belong to this realization pair")
-    numbering = _number(X.key(), Y.key(), X.l)
     edges, _, in_x = numbering[:3]
     ids = {e: i for i, e in enumerate(edges)}
     pu, pv = [0] * len(edges), [0] * len(edges)
@@ -272,26 +275,6 @@ def _pairing_partners(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) ->
                 raise NonAlternating(f"pairing sends {e} to same-class {f}")
             partner[i] = j
     return numbering, pu, pv
-
-
-def _number(x_key: bytes, y_key: bytes, l: int) -> tuple:
-    """The edges of X xor Y numbered in cell order, which is edge order.
-
-    X and Y are given by their keys, realizations with l V-vertices; read
-    as little-endian integers, cell c = u*l+v sits at bit 8c.  Returns
-    ``(edges, cells, in_x, us, vs, bits, full)``: edge i is ``edges[i]``
-    in cell ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge,
-    ``us[i]`` codes its U end as 2u and ``vs[i]`` its V end as 2v+1,
-    ``bits[i]`` is ``1 << 8 * cells[i]``, and ``full``, the XOR of the two
-    keys' ints, is the cell mask of X xor Y.
-    """
-    full = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
-    cells = _key_cells(full)
-    edges = [divmod(c, l) for c in cells]
-    in_x = [x_key[c] == 1 for c in cells]
-    us = [2 * u for u, _ in edges]
-    vs = [2 * v + 1 for _, v in edges]
-    return edges, cells, in_x, us, vs, [1 << 8 * c for c in cells], full
 
 
 def _decompositions(x_key: bytes, y_key: bytes, l: int, memo: dict):

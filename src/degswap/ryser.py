@@ -13,14 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import (BipartiteGraph, Swap, _bits, _columns, _pack, _push_up, _targets,
-                   allowed_swaps, apply_swap)
-from .errors import DegreeMismatch, Unreachable
-
-
-def _check_pair(G1: BipartiteGraph, G2: BipartiteGraph):
-    if not G1.same_margins(G2):
-        raise DegreeMismatch("graphs do not realize the same degree sequence")
+from .core import (BipartiteGraph, Swap, _bits, _check_margins, _columns, _pack, _push_up,
+                   _targets, allowed_swaps, apply_swap)
+from .errors import Unreachable
 
 
 def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
@@ -36,9 +31,9 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
 
 def _sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
     """The swaps of ``ryser_sequence``, each as the fields ``(u1, u2, v1, v2,
-    orientation)`` of its ``Swap``, after its margin check; ``degswap
+    orientation)`` of its ``Swap``, after ``core._check_margins``; ``degswap
     transform`` prints them as they are."""
-    _check_pair(G1, G2)
+    _check_margins(G1, G2)
     return _eliminate(_pack(G1.adj), _pack(G2.adj), G1.l)
 
 
@@ -87,7 +82,7 @@ def swap_distance(G1: BipartiteGraph, G2: BipartiteGraph, cap: int | None = None
     desk-scale oracle.  Returns the integer distance, or ``Unreachable(cap)``
     when the distance exceeds ``cap``.
     """
-    _check_pair(G1, G2)
+    _check_margins(G1, G2)
     target = G2.key()
     if G1.key() == target:
         return 0

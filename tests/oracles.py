@@ -279,6 +279,16 @@ def split_environment_pools(ell: int, cycle_cells, rng):
 # against.
 
 
+def numpy_symmetric_difference(X, Y):
+    """``(x_edges, y_edges)`` of X xor Y for graphs of one shape, read off
+    the 0-1 matrices with ``np.nonzero``: the cells on in X and off in Y,
+    and the cells off in X and on in Y.  No margin is checked."""
+    x_only = np.nonzero((X.adj == 1) & (Y.adj == 0))
+    y_only = np.nonzero((X.adj == 0) & (Y.adj == 1))
+    return (frozenset((int(u), int(v)) for u, v in zip(*x_only)),
+            frozenset((int(u), int(v)) for u, v in zip(*y_only)))
+
+
 def circuits_of(pairing) -> list:
     """Trace the 2-regular auxiliary graph into alternating circuits.
 
@@ -641,15 +651,16 @@ def recover_swap(a, b):
 
 
 def naive_segment(G, mask):
-    """The keys after each swap that flips the cycle with cell mask ``mask``
-    in G, the graph way: its edges are the nonzero bytes of the mask, held
-    as G's key is, byte u * l + v for edge (u, v) of G's l columns, walked
-    from the smallest edge on in G along its row, then along a column, and
-    so on; its X-side is read from G, the cycle cells that are on there;
-    ``path_along_cycle`` solves the cycle on the full realization with a
-    fresh bridge memo and applies its swaps one checked ``apply_swap`` at a
-    time."""
-    from degswap.canonical import path_along_cycle
+    """The canonical segment that flips the cycle with cell mask ``mask`` in
+    G, as ``(keys, swaps)``, the graph way: its edges are the nonzero bytes
+    of the mask, held as G's key is, byte u * l + v for edge (u, v) of G's
+    l columns, walked from the smallest edge on in G along its row, then
+    along a column, and so on; its X-side is read from G, the cycle cells
+    that are on there.  The swaps are ``_solve_cycle``'s, the solve on the
+    full realization with a fresh bridge memo, as field tuples; the keys
+    are those of ``path_along_cycle``, which applies them one checked
+    ``apply_swap`` at a time."""
+    from degswap.canonical import _solve_cycle, path_along_cycle
     from degswap.pairings import AlternatingCycle
 
     cells = {divmod(c, G.l) for c, byte in enumerate(mask.to_bytes(G.k * G.l, "little")) if byte}
@@ -664,7 +675,8 @@ def naive_segment(G, mask):
         seq.append(e)
     target = G.with_edges(sorted(on), sorted(off))
     cycle = AlternatingCycle(tuple(seq), on, off)
-    return tuple(g.key() for g in path_along_cycle(G, target, G, target, cycle)[1:])
+    return (tuple(g.key() for g in path_along_cycle(G, target, G, target, cycle)[1:]),
+            _solve_cycle(G, target, cycle, {}))
 
 
 def spec_realization(G, spec):

@@ -394,7 +394,7 @@ class TestSquareRoute:
                 ori = 1 if on[0] == (rows[0], cols[0]) else 2
                 assert _bridge(l, key, key ^ mask, {}) == [(*rows, *cols, ori)]
                 seg = canonical._key_segment({}, {}, l, key.to_bytes(k * l, "little"), mask)
-                assert seg == ((key ^ mask).to_bytes(k * l, "little"),)
+                assert seg == (((key ^ mask).to_bytes(k * l, "little"),), ((*rows, *cols, ori),))
                 assert canonical._local_swaps(key, l, mask, {}, solve)[2] == ((0, 1, 0, 1, ori),)
             assert calls == {}
             mp.setattr(canonical, "_bridge", sizing)
@@ -1193,7 +1193,7 @@ class TestCanonicalPath:
         Y = BipartiteGraph([[0, 1], [1, 0]])
         (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 2, {})[1])
         patterns = {}
-        assert _key_segment(patterns, {}, 2, X.key(), cyc) == (Y.key(),)
+        assert _key_segment(patterns, {}, 2, X.key(), cyc) == ((Y.key(),), ((0, 1, 0, 1, 1),))
         ((pattern, swaps),) = patterns.items()
         patterns[pattern] = tuple((u1, u2, v1, v2, 3 - ori) for u1, u2, v1, v2, ori in swaps)
         with pytest.raises(SwapNotAllowed):

@@ -326,27 +326,39 @@ def test_certified_swap_lines_match_the_oracle(tmp_path, capsys):
     assert steps > 500
 
 
-@pytest.mark.parametrize("before, after", [
-    ("2 2\n10\n01\n", "2 2\n00\n11\n"),                  # two cells
-    ("2 2\n11\n00\n", "2 2\n00\n11\n"),                  # 2 x 2, no one-factor
-    ("3 2\n10\n01\n00\n", "3 2\n01\n00\n10\n"),          # four cells in three rows
-    ("4 4\n1000\n0100\n0010\n0001\n",
-     "4 4\n0100\n1000\n0001\n0010\n"),                   # two swaps at once
-])
-def test_certified_step_that_is_no_swap(tmp_path, capsys, monkeypatch, before, after):
-    # the swap column is read off the XOR of consecutive states, and a step
-    # that is not one allowed swap is refused before anything is printed
-    import numpy as np
+@pytest.mark.parametrize("command", ["canonical-path", "decompose", "transform"])
+def test_pair_commands_check_shape_then_margins(tmp_path, capsys, command):
+    # one pair check, core._check_margins, behind every pair command
+    x2 = write(tmp_path, "x2.txt", "2 2\n10\n01\n")
+    x3 = write(tmp_path, "x3.txt", "3 3\n100\n010\n001\n")
+    y2 = write(tmp_path, "y2.txt", "2 2\n11\n00\n")
+    assert main([command, x2, x3]) == 1
+    assert capsys.readouterr() == ("", "error[ShapeMismatch]: 2x2 vs 3x3\n")
+    assert main([command, x2, y2]) == 1
+    assert capsys.readouterr() == (
+        "", "error[DegreeMismatch]: graphs do not share their degree vectors\n")
 
-    from degswap import BipartiteGraph, cli
 
-    stack = np.stack([BipartiteGraph.from_text(text).adj for text in (before, after)])
-    monkeypatch.setattr(cli, "_path_stack", lambda *args: stack)
-    monkeypatch.setattr(cli, "_certificates", lambda *args: [0, 0])
-    x = write(tmp_path, "x.txt", before)
-    assert main(["canonical-path", x, x, "--certify"]) == 1
+@pytest.mark.parametrize("certify", [False, True])
+def test_inverted_memo_swap_refused(tmp_path, capsys, monkeypatch, certify):
+    # the printed swaps are the ones the walk applied: a pattern memo that
+    # hands the walk a swap with its orientation inverted is refused where
+    # the walk applies it, before anything is printed
+    from degswap import canonical
+
+    real = canonical._pattern_swaps
+
+    def inverted(*args):
+        rows, cols, swaps = real(*args)
+        return rows, cols, tuple((u1, u2, v1, v2, 3 - ori) for u1, u2, v1, v2, ori in swaps)
+
+    monkeypatch.setattr(canonical, "_pattern_swaps", inverted)
+    x = write(tmp_path, "x.txt", "3 3\n110\n011\n101\n")
+    y = write(tmp_path, "y.txt", "3 3\n101\n110\n011\n")
+    argv = ["canonical-path", x, y] + (["--certify"] if certify else [])
+    assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error[SpecViolation]: ")
+    assert out == "" and err.startswith("error[SwapNotAllowed]: ")
 
 
 @pytest.mark.parametrize("text", ["0 3\n", "2 0\n\n\n"])

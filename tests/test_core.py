@@ -10,7 +10,7 @@ from degswap.core import _bits, _key_cells
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
 from oracles import (all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize,
-                     naive_push_up)
+                     naive_push_up, numpy_symmetric_difference)
 
 
 def bds(a, b):
@@ -298,6 +298,48 @@ class TestSymmetricDifference:
         with pytest.raises(DegreeMismatch):
             symmetric_difference(BipartiteGraph([[1, 0], [0, 0]]),
                                  BipartiteGraph([[0, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("a, b", [((4,) * 16, (4,) * 16),
+                                      ((6, 5, 4, 3, 2), (3, 3, 3, 2, 2, 2, 2, 2, 1))])
+    def test_matches_the_numpy_formula(self, a, b):
+        # seeded pairs of realizations, each pair also against itself: the
+        # edge sets read off the kernel's numbering are the cells on in one
+        # matrix and off in the other
+        from degswap import chain
+
+        ds = bds(a, b)
+        for seed in range(4):
+            X, Y = chain.sample(ds, 300, 2 * seed), chain.sample(ds, 300, 2 * seed + 1)
+            for G, H in ((X, Y), (Y, X), (X, X)):
+                part = symmetric_difference(G, H)
+                assert (part.x_edges, part.y_edges) == numpy_symmetric_difference(G, H)
+            assert part.x_edges == part.y_edges == frozenset()
+            assert symmetric_difference(X, Y).x_edges
+
+    @pytest.mark.parametrize("text", ["0 3\n", "2 0\n\n\n"])
+    def test_empty_shapes(self, text):
+        g = BipartiteGraph.from_text(text)
+        part = symmetric_difference(g, g)
+        assert (part.x_edges, part.y_edges) == numpy_symmetric_difference(g, g)
+        assert part.x_edges == part.y_edges == frozenset()
+
+    def test_shape_checked_before_margins(self):
+        # the pair entry points raise ShapeMismatch for two shapes, even
+        # where the degree vectors differ too, and DegreeMismatch for one
+        # shape with other margins
+        from degswap.chain import transition_prob
+        from degswap.ryser import ryser_sequence, swap_distance
+
+        eye2, eye3 = BipartiteGraph(np.eye(2)), BipartiteGraph(np.eye(3))
+        empty03 = BipartiteGraph.from_text("0 3\n")
+        empty30 = BipartiteGraph.from_text("3 0\n\n\n\n")
+        for check in (symmetric_difference, ryser_sequence, swap_distance, transition_prob):
+            for G, H in ((eye2, eye3), (eye3, eye2), (random_graph(0, 2, 2), eye3),
+                         (empty03, empty30)):
+                with pytest.raises(ShapeMismatch):
+                    check(G, H)
+            with pytest.raises(DegreeMismatch):
+                check(eye2, BipartiteGraph([[1, 1], [0, 0]]))
 
 
 class TestKeyCells:

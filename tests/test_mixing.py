@@ -747,8 +747,8 @@ def certified_runs():
     recording, then (48-state spaces only) once more, then once with every
     bridge a miss.  Holds the space; the reports and ``ryser_sequence``
     counts of those calls, in order; and of the first call the pattern
-    memo's misses, every segment it lifted as (start key, cycle, keys),
-    the ``tobytes`` of each layer of the hat stacks passed to
+    memo's misses, every segment it lifted as (start key, cycle, (keys,
+    swaps)), the ``tobytes`` of each layer of the hat stacks passed to
     ``canonical._switch_distances``, the state ids each ordered pair's
     paths visit, the (X key, Y key) of each ``_decompositions`` call, the
     ``_cut`` calls (the shape memo's misses), the pairs ``_routes``
@@ -979,10 +979,11 @@ class TestCongestion:
         X, Y = space.graph(0), space.graph(neighbour_rows(space)[0][0])
         (cyc,) = next(pairings._decompositions(X.key(), Y.key(), 3, {})[1])
         patterns = {}
-        assert canonical._key_segment(patterns, {}, 3, X.key(), cyc) == (Y.key(),)
+        segment = ((Y.key(),), ((1, 2, 0, 1, 2),))
+        assert canonical._key_segment(patterns, {}, 3, X.key(), cyc) == segment
         (back,) = next(pairings._decompositions(Y.key(), X.key(), 3, {})[1])
         assert back == cyc
-        assert canonical._key_segment({}, {}, 3, X.key(), back) == (Y.key(),)
+        assert canonical._key_segment({}, {}, 3, X.key(), back) == segment
         (pattern,) = patterns
         with pytest.raises(SpecViolation):
             canonical._key_segment({pattern: ()}, {}, 3, X.key(), cyc)
@@ -993,7 +994,12 @@ class TestCongestion:
         # is (test_path_step_off_the_move_graph_rejected)
         space = enumerate_states(bds((1, 1, 1), (1, 1, 1)))
         real = mixing._key_segment
-        monkeypatch.setattr(mixing, "_key_segment", lambda *args: (bytes(9),) + real(*args))
+
+        def off_the_space(*args):
+            keys, swaps = real(*args)
+            return (bytes(9),) + keys, swaps
+
+        monkeypatch.setattr(mixing, "_key_segment", off_the_space)
         with pytest.raises(SpecViolation):
             congestion(space)
 
