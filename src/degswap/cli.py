@@ -4,7 +4,9 @@ Subcommands: check, realize, sample, transform, decompose, canonical-path,
 mix-report.  Exit codes: 0 success, 1 domain error, 2 usage error.  Domain
 errors print one line to stderr as ``error[Code]: message``.  Every
 randomized subcommand takes --seed and defaults to DEFAULT_SEED, so equal
-invocations produce byte-identical output.
+invocations produce byte-identical output; decompose's --all and
+canonical-path's --pairing-index each exclude --seed.  Both pair commands
+run the kernel on a pairing's partner arrays and build no ``Pairing``.
 
 Vertices in textual output are 1-based; a swap prints as "u1 u2 v1 v2",
 listing the two U-vertices and then the two V-vertices.  Each command
@@ -23,8 +25,8 @@ from .chain import _check_steps, _walk_seeds
 from .core import BipartiteDegreeSequence, BipartiteGraph, _DIGITS, _stack_text, greedy_realize
 from .errors import DegSwapError, NotGraphical
 from .mixing import build_kernel, congestion, enumerate_states, spectral_gap, tv_mixing_time
-from .pairings import (_nth_partners, _numbered, _random_partners, _trace, _vertex_walk,
-                       all_pairings, decompose, random_pairing)
+from .pairings import (_decomposition, _nth_partners, _numbered, _partners, _random_partners,
+                       _trace, _vertex_walk)
 from .ryser import _sequence
 
 DEFAULT_SEED = 20259
@@ -102,12 +104,13 @@ def cmd_transform(args) -> int:
 
 def cmd_decompose(args) -> int:
     x, y = _read_graph(args.x), _read_graph(args.y)
-    if args.all:
-        pairings = all_pairings(x, y)       # printed as it yields, never held
-    else:
-        pairings = [random_pairing(x, y, args.seed)]
-    for pi, s in enumerate(pairings):
-        dec = decompose(x, y, s)
+    # as canonical-path does: X xor Y numbered once, partner arrays straight
+    # to the kernel, one shape memo for the command and no Pairing between
+    numbering, incid, _ = _numbered(x, y)
+    m, memo = len(numbering[0]), {}
+    partners = _partners(incid, m) if args.all else [_random_partners(incid, m, args.seed)]
+    for pi, (pu, pv) in enumerate(partners):    # printed as it runs, never held
+        dec = _decomposition(numbering, pu, pv, memo)
         print(f"pairing {pi}")
         for ci, circ in enumerate(dec.circuits):
             verts = " ".join(_vertex_label(w) for w in _vertex_walk(circ))
@@ -194,15 +197,17 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("decompose", help="circuits and cycles of a pairing")
     q.add_argument("x")
     q.add_argument("y")
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--all", action="store_true")
+    pick = q.add_mutually_exclusive_group()
+    pick.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pick.add_argument("--all", action="store_true")
     q.set_defaults(func=cmd_decompose)
 
     q = sub.add_parser("canonical-path", help="the canonical path for one pairing")
     q.add_argument("x")
     q.add_argument("y")
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--pairing-index", type=int, default=None)
+    pick = q.add_mutually_exclusive_group()
+    pick.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pick.add_argument("--pairing-index", type=int, default=None)
     q.add_argument("--certify", action="store_true")
     q.set_defaults(func=cmd_canonical_path)
 

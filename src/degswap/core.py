@@ -106,25 +106,23 @@ class Swap:
     orientation: int
 
     def __post_init__(self):
-        if not (self.u1 < self.u2 and self.v1 < self.v2):
-            raise ValueError("swap indices must satisfy u1 < u2 and v1 < v2")
+        if not (0 <= self.u1 < self.u2 and 0 <= self.v1 < self.v2):
+            raise ValueError("swap indices must satisfy 0 <= u1 < u2 and 0 <= v1 < v2")
         if self.orientation not in (1, 2):
             raise ValueError("orientation must be 1 or 2")
 
     @classmethod
     def on(cls, ua: int, ub: int, va: int, vb: int, graph: "BipartiteGraph") -> "Swap":
         """The canonical swap on the four given vertices of ``graph``, its
-        orientation read off the biadjacency matrix (the diagonal holding
-        the edges); ``SwapNotAllowed`` when neither diagonal holds both."""
+        orientation the diagonal holding the edges; ``SwapNotAllowed``
+        unless the 2x2 is a one-factor of ``graph``."""
         u1, u2 = sorted((ua, ub))
         v1, v2 = sorted((va, vb))
-        if graph.adj[u1, v1] and graph.adj[u2, v2]:
-            ori = 1
-        elif graph.adj[u1, v2] and graph.adj[u2, v1]:
-            ori = 2
-        else:
-            raise SwapNotAllowed(f"no diagonal of ({u1},{u2};{v1},{v2}) carries both edges")
-        return cls(u1, u2, v1, v2, ori)
+        for ori in (1, 2):
+            s = cls(u1, u2, v1, v2, ori)
+            if graph.swap_is_allowed(s):
+                return s
+        raise SwapNotAllowed(f"({u1},{u2};{v1},{v2}) is not a one-factor of this graph")
 
     def inverse(self) -> "Swap":
         return Swap(self.u1, self.u2, self.v1, self.v2, 3 - self.orientation)
@@ -213,6 +211,8 @@ class BipartiteGraph:
                 and self.row_deg == other.row_deg and self.col_deg == other.col_deg)
 
     def swap_is_allowed(self, s: Swap) -> bool:
+        if s.u2 >= self.k or s.v2 >= self.l:
+            return False
         a = self.adj
         if s.orientation == 1:
             return bool(a[s.u1, s.v1] and a[s.u2, s.v2]

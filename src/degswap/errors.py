@@ -76,27 +76,23 @@ class NonMixing(DegSwapError):
     """The chain never reaches the requested distance from stationarity."""
 
 
-class Unreachable:
+class _Capped:
+    """A capped search's sentinel: the cap it hit, equal only to a sentinel
+    of the same type and cap."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(cap={self.cap})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.cap == self.cap
+
+
+class Unreachable(_Capped):
     """Sentinel returned by the swap-distance oracle when the cap is hit."""
 
-    def __init__(self, cap: int):
-        self.cap = cap
 
-    def __repr__(self) -> str:
-        return f"Unreachable(cap={self.cap})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Unreachable) and other.cap == self.cap
-
-
-class Exceeds:
+class Exceeds(_Capped):
     """Sentinel returned by the switch-distance oracle when the cap is hit."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-
-    def __repr__(self) -> str:
-        return f"Exceeds(cap={self.cap})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Exceeds) and other.cap == self.cap

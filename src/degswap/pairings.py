@@ -14,17 +14,15 @@ the vertex's degree in the symmetric difference.
 X xor Y is read one way, ``core._difference``: the realizations' keys
 (``BipartiteGraph.key``, one byte per cell) read as little-endian
 integers and XORed, its edges numbered in edge order; ``core._number``
-adds the codes the kernel traces on.  There is one
-incidence, ``_incidence``, which gives each vertex its edge ids in that
-numbering.  ``_numbered`` builds both for two graphs after the shape and
-margin checks (``core._check_margins``), for ``enumerate_pairings_count``
-and ``degswap canonical-path``; the entry points that build a ``Pairing``
-also read its edge sets off the same numbering (``_incidence_of``,
-``core._partition``, as ``symmetric_difference`` does).  A pairing is two
-partner arrays of edge ids: ``random_pairing`` draws them
-(``_random_partners``), ``nth_pairing`` unranks them (``_nth_partners``),
-and ``all_pairings`` runs the odometer ``_partners``, each converting them
-into a ``Pairing`` (``_pairing``).
+adds the codes the kernel traces on.  ``_numbered`` numbers two graphs
+after the shape and margin checks (``core._check_margins``), with the one
+incidence, ``_incidence``, which gives each vertex its edge ids.  Inside
+the package a pairing is two partner arrays of edge ids: drawn
+(``_random_partners``), unranked (``_nth_partners``) or run by the
+odometer ``_partners``.  A ``Pairing`` exists only at the public
+boundary: ``_pairings`` alone builds one, from partner arrays over one
+numbering, for ``random_pairing``, ``nth_pairing`` and ``all_pairings``,
+and ``_pairing_partners`` alone reads one back, checking its maps.
 There is one decomposition implementation, the integer kernel: it traces
 each pairing's circuits on its partner arrays (``_trace``) and cuts each
 circuit into simple cycles by its shape alone: the first-occurrence
@@ -33,17 +31,17 @@ A shape memo the caller scopes maps each shape to its cuts, made by
 ``_cut`` on a miss, and each cycle's edge ids and its cell mask are read
 off the circuit through them.  A cell mask is a set of cells in the keys'
 own form, read as an int: cell c = u * l + v at bit 8c, so the mask of
-X xor Y is the XOR of the two keys' ints.  ``decompose`` is its single-pairing entry point: it fills
-the partner arrays from a ``Pairing`` after checking the pairing's maps,
-and it alone builds ``AlternatingCycle`` objects, from the edge ids.
-``_decompositions``, which ``congestion`` and ``path_distribution`` run
-behind its pairing guard, traces every state of the same odometer without
-building a ``Pairing``, in ``all_pairings`` order, and yields each
-pairing's cycles as a tuple of masks.  A pairing of (X, Y) is also one of
-(Y, X), with the same circuits and the same cuts; only each cycle's X/Y
-labels differ, and a mask has none.  The canonical walk reads a cycle as
-its mask against the current state, so ``congestion`` walks both
-directions of a pair on the cycle lists of (X, Y).
+X xor Y is the XOR of the two keys' ints.  ``_decomposition`` reads one
+pairing's partner arrays and alone builds ``AlternatingCycle`` objects;
+``decompose`` and ``degswap decompose`` run it.  ``_decompositions``,
+which ``congestion`` and ``path_distribution`` run behind its pairing
+guard, traces every state of the same odometer, in ``all_pairings``
+order, and yields each pairing's cycles as a tuple of masks.  A pairing
+of (X, Y) is also one of (Y, X), with the same circuits and the same
+cuts; only each cycle's X/Y labels differ, and a mask has none.  The
+canonical walk reads a cycle as its mask against the current state, so
+``congestion`` walks both directions of a pair on the cycle lists of
+(X, Y).
 """
 
 from __future__ import annotations
@@ -91,21 +89,20 @@ def _numbered(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
     return numbering, *_incidence(numbering)
 
 
-def _incidence_of(X: BipartiteGraph, Y: BipartiteGraph) -> tuple:
-    """``(part, numbering, incid, total)``: ``_numbered`` with the edge
-    sets a ``Pairing`` carries, read off the numbering (``core._partition``)."""
-    numbering, incid, total = _numbered(X, Y)
-    return _partition(numbering), numbering, incid, total
-
-
-def _pairing(part, edges, incid, pu, pv) -> Pairing:
-    """The ``Pairing`` of the partner arrays ``pu`` and ``pv`` over the
-    numbered ``edges`` of ``part``, at each vertex of ``incid``."""
-    maps = {}
-    for (side, w), (xs, ys) in incid.items():
-        partner = pv if side else pu
-        maps["v" if side else "u", w] = {edges[i]: edges[partner[i]] for i in xs + ys}
-    return Pairing(maps, part.x_edges, part.y_edges)
+def _pairings(X: BipartiteGraph, Y: BipartiteGraph, partners):
+    """The ``Pairing`` of each partner array pair ``(pu, pv)`` that
+    ``partners(incid, m)`` gives over the m edges of X xor Y, numbered
+    once (``_numbered``): the one place a ``Pairing`` is built.  Its edge
+    sets are read off the numbering (``core._partition``)."""
+    numbering, incid, _ = _numbered(X, Y)
+    edges = numbering[0]
+    part = _partition(numbering)
+    for pu, pv in partners(incid, len(edges)):
+        maps = {}
+        for (side, w), (xs, ys) in incid.items():
+            partner = pv if side else pu
+            maps["v" if side else "u", w] = {edges[i]: edges[partner[i]] for i in xs + ys}
+        yield Pairing(maps, part.x_edges, part.y_edges)
 
 
 def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
@@ -117,9 +114,7 @@ def enumerate_pairings_count(X: BipartiteGraph, Y: BipartiteGraph) -> int:
 def random_pairing(X: BipartiteGraph, Y: BipartiteGraph, seed: int) -> Pairing:
     """A uniform pairing: an independent uniform bijection at every vertex,
     a permutation of its Y-edges drawn per vertex in ``_incidence`` order."""
-    part, numbering, incid, _ = _incidence_of(X, Y)
-    edges = numbering[0]
-    return _pairing(part, edges, incid, *_random_partners(incid, len(edges), seed))
+    return next(_pairings(X, Y, lambda incid, m: [_random_partners(incid, m, seed)]))
 
 
 def _random_partners(incid: dict, m: int, seed: int) -> tuple:
@@ -141,10 +136,7 @@ def all_pairings(X: BipartiteGraph, Y: BipartiteGraph):
     the images run through permutations of the sorted Y-edge list: the
     kernel's own odometer, ``_partners``, unguarded.
     """
-    part, numbering, incid, _ = _incidence_of(X, Y)
-    edges = numbering[0]
-    for pu, pv in _partners(incid, len(edges)):
-        yield _pairing(part, edges, incid, pu, pv)
+    return _pairings(X, Y, _partners)
 
 
 def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
@@ -157,9 +149,7 @@ def nth_pairing(X: BipartiteGraph, Y: BipartiteGraph, index: int) -> Pairing:
     each digit is decoded as a Lehmer code into the permutation at that
     rank.  An index outside [0, count) raises ``DegSwapError``.
     """
-    part, numbering, incid, _ = _incidence_of(X, Y)
-    edges = numbering[0]
-    return _pairing(part, edges, incid, *_nth_partners(incid, len(edges), index))
+    return next(_pairings(X, Y, lambda incid, m: [_nth_partners(incid, m, index)]))
 
 
 def _nth_partners(incid: dict, m: int, index: int) -> tuple:
@@ -223,18 +213,20 @@ def _vertex_walk(edges) -> tuple:
 
 def decompose(X: BipartiteGraph, Y: BipartiteGraph, pairing: Pairing) -> CircuitDecomposition:
     """The pairing's circuits, each a tuple of edges in traversal order, and
-    their refinement into ordered cycles.
+    their refinement into ordered cycles: its partner arrays
+    (``_pairing_partners``, which raises ``PairingMismatch`` or
+    ``NonAlternating`` for a pairing that is not one of X xor Y), read by
+    ``_decomposition`` with a fresh memo."""
+    return _decomposition(*_pairing_partners(X, Y, pairing), {})
 
-    The single-pairing entry point of the decomposition kernel: the pairing
-    fills the partner arrays (``_pairing_partners``, which raises
-    ``PairingMismatch`` or ``NonAlternating`` for a pairing that is not one
-    of X xor Y) and ``_trace`` runs with a fresh memo.  Each
+
+def _decomposition(numbering, pu, pv, memo: dict) -> CircuitDecomposition:
+    """The decomposition of the partner arrays ``pu`` and ``pv`` over
+    ``numbering``, traced with the caller's shape memo (``_trace``).  Each
     ``AlternatingCycle`` is built here, from the kernel's walk-order edge
     ids, rotated to the smallest X-edge id, which is its lexicographically
-    smallest X-edge, so that even positions hold its X-edges.
-    """
-    numbering, pu, pv = _pairing_partners(X, Y, pairing)
-    circuits, ids, _ = _trace(pu, pv, numbering, {})
+    smallest X-edge, so that even positions hold its X-edges."""
+    circuits, ids, _ = _trace(pu, pv, numbering, memo)
     edges, _, in_x = numbering[:3]
     cycles = []
     for cycle in ids:

@@ -79,13 +79,13 @@ def test_decompose_all_prints_as_it_enumerates(tmp_path, capsys, monkeypatch):
 
     ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
     X, Y = chain.sample(ds, 1000, 20259), chain.sample(ds, 1000, 20272)
-    real = cli.all_pairings
+    real = cli._partners
 
-    def first_only(x, y):
-        yield next(real(x, y))
+    def first_only(incid, m):
+        yield next(real(incid, m))
         raise RuntimeError("asked for a second pairing")
 
-    monkeypatch.setattr(cli, "all_pairings", first_only)
+    monkeypatch.setattr(cli, "_partners", first_only)
     argv = ["decompose", write(tmp_path, "x.txt", X.to_text()),
             write(tmp_path, "y.txt", Y.to_text()), "--all"]
     with pytest.raises(RuntimeError, match="a second pairing"):
@@ -115,7 +115,7 @@ def test_canonical_path_pairing_index_bounds(tmp_path, capsys, monkeypatch):
         advanced.append(args)
         yield from ()
 
-    monkeypatch.setattr(cli, "all_pairings", recording)
+    monkeypatch.setattr(cli, "_partners", recording)
     for index in (-1, 24 ** 32):
         argv = ["canonical-path", write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y),
                 "--pairing-index", str(index)]
@@ -394,7 +394,14 @@ def test_bad_graph_text(tmp_path, capsys, text, message, command):
 # Digests (sha256, first 16 hex digits) of `decompose X Y` stdout, recorded
 # while the command still traced circuits on the pairing's dicts instead of
 # running the integer kernel, on the pairs above and the figure-eight (two
-# 4-cycles sharing U-vertex 0).
+# 4-cycles sharing U-vertex 0).  The 8 x 8 4-regular pair, X =
+# chain.sample(8 x 8 4-regular, 300 steps, seed 31) and Y likewise with seed
+# 1031, has 4,608 pairings; recorded while the command still built a
+# Pairing for each and read it back.
+X8 = ("8 8\n00101011\n01010101\n10101100\n10011010\n11000110\n01010101\n10101001\n"
+      "01110010\n")
+Y8 = ("8 8\n11000011\n10001110\n10101100\n00011110\n11101000\n00110101\n01010011\n"
+      "01110001\n")
 DECOMPOSE_GOLDEN = {
     # name: (X, Y, --all digest, --seed 5 digest)
     "4x4 2-regular": ("4 4\n0011\n0011\n1100\n1100\n", "4 4\n1100\n1100\n0011\n0011\n",
@@ -406,6 +413,7 @@ DECOMPOSE_GOLDEN = {
                   "7f78430cea7c282f", "2b7a1b8117f9d02c"),
     "figure-eight": ("3 4\n1010\n0100\n0001\n", "3 4\n0101\n1000\n0010\n",
                      "bfad4849bbf76737", "7450b57cb394d145"),
+    "8x8 4-regular": (X8, Y8, "a646a11fcd3b815f", "93093b783fc2da58"),
 }
 
 
@@ -418,6 +426,67 @@ def test_decompose_golden(tmp_path, capsys, name, every):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     assert digest == (all_digest if every else seeded)
+
+
+def test_pair_commands_build_no_pairing(tmp_path, capsys, monkeypatch):
+    # a Pairing exists only at the public boundary: with it refused, both
+    # pair commands still print their pinned output
+    from degswap import pairings
+
+    def refused(*args):
+        raise AssertionError("a Pairing was built")
+
+    monkeypatch.setattr(pairings, "Pairing", refused)
+    for golden, name, argv, digest in [
+            (DECOMPOSE_GOLDEN, "8x8 4-regular", ["decompose", "--all"], 2),
+            (DECOMPOSE_GOLDEN, "8x8 4-regular", ["decompose", "--seed", "5"], 3),
+            (CANONICAL_PATH_GOLDEN, "U-regular",
+             ["canonical-path", "--certify", "--seed", "5"], 3)]:
+        x, y = golden[name][:2]
+        argv[1:1] = [write(tmp_path, "x.txt", x), write(tmp_path, "y.txt", y)]
+        assert main(argv) == 0
+        assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+                == golden[name][digest])
+
+
+@pytest.mark.parametrize("flags", [["--all"], ["--seed", "5"]])
+def test_decompose_numbers_the_pair_once(tmp_path, capsys, monkeypatch, flags):
+    # X xor Y is numbered once per command, and one shape memo serves the
+    # whole command: _cut runs at most once per distinct circuit shape
+    from degswap import pairings
+
+    numbered, cut = [], []
+    real_number, real_cut = pairings._number, pairings._cut
+
+    def number(*args):
+        numbered.append(args)
+        return real_number(*args)
+
+    def cutting(*shape):
+        cut.append(shape)
+        return real_cut(*shape)
+
+    monkeypatch.setattr(pairings, "_number", number)
+    monkeypatch.setattr(pairings, "_cut", cutting)
+    assert main(["decompose", write(tmp_path, "x.txt", X8), write(tmp_path, "y.txt", Y8),
+                 *flags]) == 0
+    assert capsys.readouterr().out.startswith("pairing 0\n")
+    assert len(numbered) == 1
+    assert cut and len(cut) == len(set(cut))
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("decompose", ["--all", "--seed", "5"]),
+    ("canonical-path", ["--seed", "5", "--pairing-index", "0"]),
+])
+def test_conflicting_pairing_flags_are_a_usage_error(tmp_path, capsys, command, flags):
+    # --seed draws a pairing, so --all and --pairing-index exclude it
+    argv = [command, write(tmp_path, "x.txt", M1), write(tmp_path, "y.txt", M2), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
 
 def test_parser_built_once():

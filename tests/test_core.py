@@ -238,6 +238,34 @@ class TestSwaps:
         with pytest.raises(SwapNotAllowed):
             apply_swap(BipartiteGraph([[1, 1], [1, 1]]), Swap(0, 1, 0, 1, 1))
 
+    def test_negative_indices_refused(self):
+        # a negative index would address row or column k - 1 from the end
+        for fields in ((-1, 0, 0, 1, 2), (0, 1, -1, 0, 1), (-2, -1, -2, -1, 1)):
+            with pytest.raises(ValueError, match="0 <= u1 < u2"):
+                Swap(*fields)
+
+    def test_swap_outside_the_graph_not_allowed(self):
+        from degswap.ryser import replay
+
+        g = BipartiteGraph([[1, 0, 1], [0, 1, 0]])
+        for s in (Swap(0, 2, 0, 1, 1), Swap(0, 1, 2, 3, 2), Swap(5, 6, 7, 8, 1)):
+            assert not g.swap_is_allowed(s)
+            with pytest.raises(SwapNotAllowed):
+                apply_swap(g, s)
+            with pytest.raises(SwapNotAllowed):
+                replay(g, [s])
+
+    def test_on_needs_a_one_factor(self):
+        # both diagonals full, both empty, one cell short: none is a swap
+        for rows in ([[1, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 1], [0, 1]]):
+            with pytest.raises(SwapNotAllowed):
+                Swap.on(0, 1, 0, 1, BipartiteGraph(rows))
+        g = BipartiteGraph([[1, 0, 1], [0, 1, 0]])
+        with pytest.raises(SwapNotAllowed):
+            Swap.on(0, 2, 0, 1, g)
+        assert Swap.on(1, 0, 1, 0, g) == Swap(0, 1, 0, 1, 1)
+        assert Swap.on(0, 1, 2, 1, g) == Swap(0, 1, 1, 2, 2)
+
     def test_derived_graphs_equal_validated_ones(self):
         # entries are checked before the uint8 cast, which would truncate
         # fractions and wrap 256 and -1

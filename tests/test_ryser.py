@@ -54,6 +54,16 @@ def test_unreachable_cap():
     assert swap_distance(M1, M2, cap=0) == Unreachable(0)
 
 
+def test_capped_sentinels_keep_their_names():
+    # the two capped-search sentinels share one body but stay distinct
+    from degswap import Exceeds
+
+    assert (repr(Unreachable(3)), repr(Exceeds(3))) == ("Unreachable(cap=3)", "Exceeds(cap=3)")
+    assert Unreachable(3) == Unreachable(3) and Exceeds(3) == Exceeds(3)
+    assert Unreachable(3) != Exceeds(3) and Exceeds(3) != Unreachable(3)
+    assert Unreachable(3) != Unreachable(4) and Exceeds(3) != 3
+
+
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         ryser_sequence(M1, BipartiteGraph([[1, 1], [0, 0]]))
