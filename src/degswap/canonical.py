@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BipartiteGraph, Swap, _DIGITS, _bits, _check_margins, _gale_ryser, _key_cells,
+from .core import (BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _key_cells,
                    symmetric_difference)
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
@@ -808,15 +808,13 @@ def _bridge(l: int, key_a: int, key_b: int, bridges: dict) -> list:
 def _eliminate_cycle(start: int, cells: int, frame: CycleFrame) -> list:
     """``ryser_sequence``'s column elimination (``ryser._eliminate``) from
     the m x m key ``start`` to ``start ^ cells`` (held as ints), m the
-    length of the frame of the cycle ``cells``, each read as row bitmasks.
+    length of the frame of the cycle ``cells``, each read as a byte key.
     One alternating cycle leaves the margins equal, so they are not
     checked.  ``_local_swaps`` calls it on cycles of six cells or more: a
     4-cycle takes its direct route, with the one swap this gives it."""
     m = frame.m
-    # each row's 0/1 bytes, last column first, read as a base-2 bitmask
-    a, b = ([int(data[i:i + m][::-1].translate(_DIGITS), 2) for i in range(0, m * m, m)]
-            for data in (key.to_bytes(m * m, "little") for key in (start, start ^ cells)))
-    return _eliminate(a, b, m)
+    key_a, key_b = (key.to_bytes(m * m, "little") for key in (start, start ^ cells))
+    return _eliminate(key_a, key_b, m, m)
 
 
 def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec) -> list:

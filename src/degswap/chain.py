@@ -8,7 +8,7 @@ stationary law.
 
 Randomness discipline: each step consumes exactly one integer draw from its
 chain's generator, so runs are reproducible from the seed alone.  A chain
-draws its steps in one vectorized call (one per block of 65,536 steps) that
+draws its steps in one vectorized call per pass of at most 4,096 draws, which
 reproduces the stream of one scalar draw per step, so a seed gives the same
 trajectory as stepping one move at a time.  Chains are walked in groups: each
 chain of a group draws from its own generator as above, and the group's draws
@@ -19,6 +19,7 @@ by one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,45 +34,37 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# Steps drawn and unranked per generator call; bounds a walk's memory.
-_BLOCK = 1 << 16
-
-# Draws unranked in one pass for a group of chains.  On 3 x 3 chains of 200
-# steps (2-vCPU Xeon, numpy 2.4) a chain costs 74 us in groups of 200 draws,
-# 56 us at 4,096 and 72 us at 16,384, where the position lists outgrow the
-# cache; the pass peaks near 100 bytes per draw (tracemalloc), so a group
-# holds about 0.4 MB.  A group's cell buffer is held to 64 bytes per draw of
-# this bound (256 KB): 100 x 100 chains group by 20 at 200 steps.
-_GROUP = _BLOCK // 16
+# Draws walked in one pass, by a single chain or by a group.  On 3 x 3 chains
+# of 200 steps (2-vCPU Xeon, numpy 2.4) a chain costs 74 us in groups of 200
+# draws, 56 us at 4,096 and 72 us at 16,384, where the position lists outgrow
+# the cache; the pass peaks near 100 bytes per draw (tracemalloc), so a pass
+# holds about 0.4 MB.  A single chain gains too: 200,000 steps of one 100 x
+# 100 50-regular chain took 82.3 ms in passes of 65,536 draws and 55.9 ms in
+# passes of 4,096.  A group's cell buffer is held to 64 bytes per draw of this
+# bound (256 KB): 100 x 100 chains group by 20 at 200 steps.
+_GROUP = 1 << 12
 
 
 @lru_cache(maxsize=32)
-def _row_starts(n: int):
-    """For the rows i of the lexicographic order on the pairs of n items, row
-    i being the pairs (i, j): the rank i*(2n-i-1)/2 of the first pair of
-    each row after the first, and for each row that rank minus i+1, so that
-    the pair of rank r in row i is (i, r - shift[i])."""
-    i = np.arange(n - 1, dtype=np.int64)
-    starts = i * (2 * n - i - 1) // 2
-    shift = starts - i - 1
-    starts = starts[1:]
-    starts.setflags(write=False)
-    shift.setflags(write=False)
-    return starts, shift
+def _pairs(n: int):
+    """The pairs (i, j), i < j, of n items in lexicographic order, as two
+    read-only int64 arrays: the pair of rank r is (i[r], j[r])."""
+    i, j = (a.astype(np.int64, copy=False) for a in np.triu_indices(n, 1))
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
-def _unrank_pairs(r: np.ndarray, n: int):
-    """The r-th pairs (i, j) with i < j, in lexicographic order, for an int64
-    array of ranks: i counts the rows after the first that start at or
-    before r."""
-    starts, shift = _row_starts(n)
-    i = np.searchsorted(starts, r, side="right")
-    return i, r - shift[i]
-
-
-def _check_steps(steps: int):
+def _check_steps(steps: int) -> int:
+    """``steps`` as an int, read by ``operator.index``: ``TypeError`` for
+    any other type and ``ValueError`` when it is negative."""
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise TypeError(f"steps must be an integer, not {type(steps).__name__}") from None
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    return steps
 
 
 def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
@@ -131,25 +124,27 @@ def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
     Step t of a chain draws r_t uniformly below C(k,2)*C(l,2), takes the
     U-pair of rank r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and
     exchanges the 2x2 submatrix on them when it is a one-factor (x11 == x22
-    != x12 == x21).  Each chain draws from its own generator, in one
-    ``integers(denom, size=...)`` call per block, the same stream as one
-    scalar draw per step; nothing is drawn when ``steps`` or C(k,2)*C(l,2)
-    is 0.  Per block the group's draws are unranked in one pass, each
-    chain's cell positions offset by its layer, and walked in one loop over
-    a flat byte buffer holding every chain's cells.
+    != x12 == x21).  A pass walks at most ``_GROUP`` draws, ``_GROUP // g``
+    steps of each of the g chains (at least one).  Each chain draws from its
+    own generator, in one ``integers(denom, size=...)`` call per pass, the
+    same stream as one scalar draw per step; nothing is drawn when ``steps``
+    or C(k,2)*C(l,2) is 0.  Per pass the group's draws are read off the pair
+    tables ``_pairs``, each chain's cell positions offset by its layer, and
+    walked in one loop over a flat byte buffer holding every chain's cells.
     """
     k, l = start.k, start.l
     cl = pair_count(l)
     denom = pair_count(k) * cl
     g = len(rngs)
+    per = max(1, _GROUP // g)
+    (ua, ub), (va, vb) = _pairs(k), _pairs(l)
     cells = bytearray(start.key() * g)
-    for done in range(0, steps if denom else 0, _BLOCK):
-        n = min(_BLOCK, steps - done)
+    for done in range(0, steps if denom else 0, per):
+        n = min(per, steps - done)
         draws = (rngs[0].integers(denom, size=n) if g == 1
                  else np.concatenate([rng.integers(denom, size=n) for rng in rngs]))
         iu, il = np.divmod(draws, cl)
-        u1, u2 = _unrank_pairs(iu, k)
-        v1, v2 = _unrank_pairs(il, l)
+        u1, u2, v1, v2 = ua[iu], ub[iu], va[il], vb[il]
         if g > 1:
             # chain i's rows are rows i*k .. i*k + k-1 of the buffer
             layer = np.repeat(np.arange(0, g * k, k), n)
@@ -186,7 +181,7 @@ def advance(state: ChainState, steps: int) -> ChainState:
     of one, which ``step`` and ``sample`` run.  The draws come from
     ``state.rng``, which the returned state shares, and leave it where one
     scalar draw per step would."""
-    _check_steps(steps)
+    steps = _check_steps(steps)
     G = state.graph
     cells = _walk(G, [state.rng], steps)
     if cells != G.key():
@@ -203,7 +198,8 @@ def sample(ds: BipartiteDegreeSequence, steps: int, seed: int) -> BipartiteGraph
     """Run the chain for ``steps`` moves from the greedy realization.
 
     Deterministic in ``seed``.  No burn-in heuristics: the caller chooses
-    the step count.  A negative count is rejected before ``ds`` is realized.
+    the step count.  A count that is not an integer, or is negative, is
+    rejected before ``ds`` is realized.
     """
     _check_steps(steps)
     return advance(ChainState.start(ds, seed), steps).graph

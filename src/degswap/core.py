@@ -409,8 +409,7 @@ def push_up(G: BipartiteGraph, v: int, active_cols=None):
             active |= 1 << c
     if not (0 <= v < G.l and active >> v & 1):
         raise ValueError(f"column {v} is not active")
-    rows = _pack(G.adj)
-    cols = _columns(rows, G.l)
+    rows, cols = _masks(G.key(), G.k, G.l)
     targets = _targets([(row & active).bit_count() for row in rows], cols[v].bit_count())
     swaps = _push_up(rows, cols, v, active, targets)
     return BipartiteGraph._trusted(_unpack(rows, G.l)), [Swap(*s) for s in swaps]
@@ -456,25 +455,24 @@ def _push_up(rows: list, cols: list, v: int, active: int, targets: list) -> list
     return swaps
 
 
-def _pack(adj: np.ndarray) -> list:
-    """The rows of a 0-1 matrix as bitmasks, bit v of row u being cell (u, v)."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    data, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[u * w:(u + 1) * w], "little") for u in range(len(packed))]
+def _masks(key: bytes, k: int, l: int) -> tuple:
+    """The row and the column bitmasks of the k x l matrix with the byte key
+    ``key`` (``BipartiteGraph.key``): bit v of ``rows[u]`` and bit u of
+    ``cols[v]`` are cell (u, v).  The key is reversed once into "0"/"1"
+    digits, most significant cell first; row u is one slice of them and
+    column v a strided slice, each read in base 2, and an empty one is 0."""
+    digits = key[::-1].translate(_DIGITS)       # cell c at digit k*l-1-c
+    rows = [int(digits[(k - 1 - u) * l:(k - u) * l] or b"0", 2) for u in range(k)]
+    cols = [int(digits[l - 1 - v::l] or b"0", 2) for v in range(l)]
+    return rows, cols
 
 
 def _unpack(rows: list, l: int) -> np.ndarray:
     """The len(rows) x l 0-1 ``uint8`` matrix whose rows are the bitmasks
-    ``rows`` (``_pack``'s inverse)."""
+    ``rows`` (bit v of row u is cell (u, v))."""
     w = (l + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(w, "little") for row in rows), np.uint8)
     return np.unpackbits(packed.reshape(len(rows), w), axis=1, count=l, bitorder="little")
-
-
-def _columns(rows: list, l: int) -> list:
-    """The l column bitmasks of the matrix with row bitmasks ``rows``: bit u
-    of column v is cell (u, v)."""
-    return _pack(_unpack(rows, l).T)
 
 
 def _bits(n: int) -> list:

@@ -66,7 +66,7 @@ from operator import itemgetter
 import numpy as np
 
 from .canonical import _certificates, _key_segment, _path_counts
-from .chain import pair_count
+from .chain import _pairs, pair_count
 from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
 from .pairings import _decompositions
@@ -260,7 +260,7 @@ def enumerate_states(ds: BipartiteDegreeSequence, max_states: int = 10000) -> St
     raw = np.zeros(8 * words, np.uint8)
     raw[:-(-k * l // 8)] = np.packbits(start.adj)
     frontier = raw.view(">u8").astype(np.uint64)[None]
-    pa, pb = np.triu_indices(k, 1)                  # the row pairs a < b
+    pa, pb = _pairs(k)                              # the row pairs a < b
     id_type = np.int32 if max_states < 2**31 else np.int64
     seen, seen_ids = _sortable(frontier), np.zeros(1, id_type)   # sorted keys, their ids
     levels, degrees, targets = [], [], []   # keys, swap counts and targets, in id order

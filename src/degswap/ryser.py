@@ -4,8 +4,9 @@ Any two realizations of the same degree sequence pair are connected by a
 sequence of at most 2e swaps, where e is the number of edges.  The
 construction rewires the highest-degree V-vertex in both graphs to the same
 canonical neighborhood, removes it, and recurses; the second graph's swaps
-are then undone in reverse order.  Both matrices are held as row bitmasks
-(bit v of row u is cell (u, v)) and rewired by ``core._push_up``, the kernel
+are then undone in reverse order.  Both matrices are held as row and column
+bitmasks (bit v of row u and bit u of column v are cell (u, v)), read from
+their keys by ``core._masks``, and rewired by ``core._push_up``, the kernel
 behind ``push_up``, column by column.
 """
 
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import (BipartiteGraph, Swap, _bits, _check_margins, _columns, _pack, _push_up,
-                   _targets, allowed_swaps, apply_swap)
+from .core import (BipartiteGraph, Swap, _bits, _check_margins, _masks, _push_up, _targets,
+                   allowed_swaps, apply_swap)
 from .errors import Unreachable
 
 
@@ -23,7 +24,7 @@ def ryser_sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
 
     Every prefix of the returned sequence is applicable in order, and each
     intermediate graph realizes the same degree sequence.  Both matrices are
-    packed once into row bitmasks and eliminated by ``_eliminate``
+    read from their keys as bitmasks and eliminated by ``_eliminate``
     (``_sequence``).
     """
     return [Swap(*s) for s in _sequence(G1, G2)]
@@ -34,22 +35,23 @@ def _sequence(G1: BipartiteGraph, G2: BipartiteGraph) -> list:
     orientation)`` of its ``Swap``, after ``core._check_margins``; ``degswap
     transform`` prints them as they are."""
     _check_margins(G1, G2)
-    return _eliminate(_pack(G1.adj), _pack(G2.adj), G1.l)
+    return _eliminate(G1.key(), G2.key(), G1.k, G1.l)
 
 
-def _eliminate(rows_a: list, rows_b: list, l: int) -> list:
+def _eliminate(key_a: bytes, key_b: bytes, k: int, l: int) -> list:
     """The swaps of ``ryser_sequence``, each as the fields ``(u1, u2, v1,
-    v2, orientation)`` of its ``Swap``, between two matrices of equal
-    margins with l columns held as row bitmasks (bit v of row u is cell
-    (u, v)), which are rewired in place to one matrix.  The margins are not
-    checked.
+    v2, orientation)`` of its ``Swap``, between two k x l matrices of equal
+    margins given by their byte keys (``BipartiteGraph.key``), each read
+    into row and column bitmasks by ``core._masks`` and rewired to one
+    matrix.  The margins are not checked.
 
     Each column is pushed up in both matrices by ``core._push_up`` while they
     differ on it, then retired from the active mask.  The row degrees inside
     the active columns are kept, not recounted: a swap inside the active
     columns changes none of them, so retiring a column subtracts its rows,
     which by then are the same in both matrices."""
-    cols_a, cols_b = _columns(rows_a, l), _columns(rows_b, l)
+    rows_a, cols_a = _masks(key_a, k, l)
+    rows_b, cols_b = _masks(key_b, k, l)
     deg = [row.bit_count() for row in rows_a]
     active = (1 << l) - 1
     forward, backward = [], []

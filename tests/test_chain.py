@@ -110,10 +110,17 @@ def test_sample_margins():
     assert g.row_deg == (2, 2, 2) and g.col_deg == (3, 2, 1)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(13))
 def test_unrank_lists_pairs_in_combinations_order(n):
-    i, j = chain._unrank_pairs(np.arange(math.comb(n, 2), dtype=np.int64), n)
+    # the pair table: rank r is the pair (i[r], j[r])
+    i, j = chain._pairs(n)
+    assert i.dtype == j.dtype == np.int64 and len(i) == math.comb(n, 2)
     assert list(zip(i.tolist(), j.tolist())) == list(combinations(range(n), 2))
+    for a in (i, j):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+    assert chain._pairs(n) is chain._pairs(n)
 
 
 def _stepwise(graph, seed, n):
@@ -144,7 +151,8 @@ def test_advance_reproduces_the_stepwise_stream(graph, denom):
 
 
 def test_advance_blocks_continue_the_stream(monkeypatch):
-    monkeypatch.setattr(chain, "_BLOCK", 7)
+    # a single chain walks passes of _GROUP draws: 40 steps in passes of 7
+    monkeypatch.setattr(chain, "_GROUP", 7)
     graph = greedy_realize(BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2)))
     one = _stepwise(graph, 17, 40)
     batch = advance(ChainState(graph, np.random.default_rng(17)), 40)
@@ -160,6 +168,26 @@ def test_advance_keeps_the_state_and_margins():
     assert after.rng is st.rng and st.graph == greedy_realize(DS)
     assert after.graph.row_deg == (2, 2, 2) and after.graph.col_deg == (3, 2, 1)
     assert not after.graph.adj.flags.writeable
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", None, 3.0, np.float64(2)])
+@pytest.mark.parametrize("graph", [BipartiteGraph([[1, 1, 0]]), greedy_realize(DS)],
+                         ids=["1x3", "3x3"])
+def test_steps_that_are_not_integers_rejected_before_drawing(graph, steps):
+    st, ref = ChainState(graph, np.random.default_rng(6)), np.random.default_rng(6)
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        advance(st, steps)
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        sample(BipartiteDegreeSequence((2, 2), (1, 1)), steps, seed=0)
+    assert st.rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("steps", [np.int64(7), True, False, 7])
+def test_integer_step_counts_accepted(steps):
+    graph = greedy_realize(DS)
+    after = advance(ChainState(graph, np.random.default_rng(6)), steps)
+    assert after.graph == scalar_walk(graph, np.random.default_rng(6), int(steps))
+    assert sample(DS, steps, seed=6) == after.graph
 
 
 def test_negative_steps_rejected_before_realizing():
@@ -182,9 +210,9 @@ GROUP_GRAPHS = {
 @pytest.mark.parametrize("bound", [1, 7, 20])
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
 def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
-    # 23 chains; with _BLOCK at 4 a walk of 9 steps draws in blocks of 4, 4, 1
+    # 23 chains; at a bound of 1 or 7 a walk of 9 steps is walked alone, in
+    # passes of 1 or of 7 and 2 draws, and so is each chain's own advance
     monkeypatch.setattr(chain, "_GROUP", bound)
-    monkeypatch.setattr(chain, "_BLOCK", 4)
     graph, seeds = GROUP_GRAPHS[name], range(40, 63)
     for steps in (0, 1, 2, 9):
         size = chain._group_size(steps, graph.k * graph.l)
@@ -205,7 +233,9 @@ def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
 
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
 def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, name):
-    monkeypatch.setattr(chain, "_BLOCK", 4)
+    # 5 chains of 9 steps walk 9 passes of one step each, and the group of
+    # one passes of 4, 4 and 1
+    monkeypatch.setattr(chain, "_GROUP", 4)
     graph = GROUP_GRAPHS[name]
     denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
     for steps in (0, 1, 9):
@@ -224,8 +254,20 @@ def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, na
         assert not after.graph.adj.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["3x3, denom 9", "5x4, denom 60"])
+def test_a_long_chain_crosses_passes_at_the_real_bound(name):
+    # 10,000 steps are two passes of 4,096 draws and one of 1,808
+    graph = GROUP_GRAPHS[name]
+    denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
+    st, ref = ChainState(graph, np.random.default_rng(23)), np.random.default_rng(23)
+    after = advance(st, 10_000)
+    assert after.graph == scalar_walk(graph, ref, 10_000)
+    assert st.rng.integers(denom) == ref.integers(denom)
+    assert st.rng.random() == ref.random()
+
+
 def test_group_bound_holds_draws_and_cells():
-    assert chain._GROUP == chain._BLOCK // 16 == 4096
+    assert chain._GROUP == 4096
     # the benchmark's shapes: 3 x 3 and 100 x 100 chains of 200 steps
     assert chain._group_size(200, 9) == 20
     assert chain._group_size(200, 100 * 100) == 20

@@ -64,6 +64,14 @@ def test_transform(tmp_path, capsys):
     assert lines == ["1 2 1 2"]
 
 
+@pytest.mark.parametrize("text", ["0 3\n", "2 0\n\n\n"])
+def test_transform_empty_shapes(tmp_path, capsys, text):
+    # no row or column to eliminate: no swap, nothing printed
+    x = write(tmp_path, "x.txt", text)
+    assert main(["transform", x, x]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_decompose(tmp_path, capsys):
     g1, g2 = write(tmp_path, "a.txt", M1), write(tmp_path, "b.txt", M2)
     assert main(["decompose", g1, g2, "--all"]) == 0
@@ -610,6 +618,30 @@ def test_sample_golden_across_groups(tmp_path, capsys, name, stats):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
     assert digest == (with_stats if stats else plain)
+
+
+# Digests (sha256) of `sample --steps 70000` stdout, recorded while a single
+# chain drew in blocks of 65,536 steps: each chain is walked alone, across
+# passes of 4,096 draws.
+SAMPLE_LONG_GOLDEN = {
+    # name: (degree sequence, seed, count, digest)
+    "3x3": ("2 2 2\n3 2 1\n", "11", "3",
+            "a96c0d5bfbe8f8cf5c2de35064a2f0c3a2b6115eaeb5cbb3204ed34a753946a9"),
+    "16x16": ("4 " * 16 + "\n" + "4 " * 16 + "\n", "5", "2",
+              "4500255d0c58c6afa973545804deccac32f60e825688ed7e047a78bb668c1cdc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_LONG_GOLDEN))
+def test_sample_golden_for_long_single_chains(tmp_path, capsys, name):
+    ds_text, seed, count, digest = SAMPLE_LONG_GOLDEN[name]
+    assert chain._group_size(70_000, 1) == 1         # each chain is walked alone
+    argv = ["sample", "--ds", write(tmp_path, "d.txt", ds_text), "--steps", "70000",
+            "--seed", seed, "--count", count]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("extra, code, out, err", [

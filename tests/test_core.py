@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap,
                      allowed_swaps, apply_swap, greedy_realize, is_graphical,
                      push_up, symmetric_difference)
-from degswap.core import _bits, _key_cells
+from degswap.core import _bits, _key_cells, _masks
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
 from oracles import (all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize,
@@ -384,6 +384,32 @@ class TestKeyCells:
                 for stray in (1 << shift, 1 << 8 * n + shift):
                     with pytest.raises(ValueError, match="off a multiple of 8"):
                         _key_cells(mask | stray)
+
+
+class TestKeyMasks:
+    @pytest.mark.parametrize("k, l", [(0, 3), (3, 0), (1, 65), (5, 5), (4, 9), (9, 4),
+                                      (16, 16), (33, 17)])
+    def test_rows_and_columns_are_the_packed_bits(self, k, l):
+        # seeded graphs of mixed density: row u is row u of the matrix and
+        # column v row v of its transpose, each packed little-endian
+        rng = np.random.default_rng(10 * k + l)
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = BipartiteGraph((rng.random((k, l)) < p).astype(np.uint8))
+            rows, cols = _masks(g.key(), k, l)
+            for masks, adj in ((rows, g.adj), (cols, g.adj.T)):
+                packed = np.packbits(adj, axis=1, bitorder="little")
+                assert masks == [int.from_bytes(r.tobytes(), "little") for r in packed], (k, l, p)
+
+    @pytest.mark.parametrize("text", ["0 3\n", "3 0\n\n\n\n"])
+    def test_empty_shapes_through_push_up_and_ryser(self, text):
+        from degswap.ryser import ryser_sequence
+
+        g = BipartiteGraph.from_text(text)
+        assert ryser_sequence(g, g) == []
+        for v in range(g.l):
+            assert push_up(g, v) == (g, [])
+        with pytest.raises(ValueError, match="not active"):
+            push_up(g, g.l)
 
 
 class TestGraphText:
