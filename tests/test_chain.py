@@ -1,6 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -207,14 +208,22 @@ GROUP_GRAPHS = {
 }
 
 
+# crossovers that walk every group in lockstep, a group of one too, and
+# every group in the scalar loop
+BOTH_LOOPS = (1, 1 << 30)
+
+
 @pytest.mark.parametrize("bound", [1, 7, 20])
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
 def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
-    # 23 chains; at a bound of 1 or 7 a walk of 9 steps is walked alone, in
-    # passes of 1 or of 7 and 2 draws, and so is each chain's own advance
+    # 23 chains; at a bound of 1 a walk of 9 steps is walked alone in passes
+    # of one draw, as each chain's own advance is; at 7 it groups by 6, in
+    # passes of 7 and 2 steps and sub-blocks of one step; at 20 by 17 and 6,
+    # the 6 in sub-blocks of 3 steps; each in both inner loops
     monkeypatch.setattr(chain, "_GROUP", bound)
     graph, seeds = GROUP_GRAPHS[name], range(40, 63)
-    for steps in (0, 1, 2, 9):
+    for lockstep, steps in product(BOTH_LOOPS, (0, 1, 2, 9)):
+        monkeypatch.setattr(chain, "_LOCKSTEP", lockstep)
         size = chain._group_size(steps, graph.k * graph.l)
         stacks = list(chain._walk_seeds(graph, seeds, steps))
         assert [len(s) for s in stacks] == [min(size, len(seeds) - lo)
@@ -233,12 +242,14 @@ def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
 
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
 def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, name):
-    # 5 chains of 9 steps walk 9 passes of one step each, and the group of
-    # one passes of 4, 4 and 1
+    # 5 chains of 9 steps walk passes of 4, 4 and 1 steps in sub-blocks of
+    # one step, and the group of one passes of 4, 4 and 1; both in each
+    # inner loop
     monkeypatch.setattr(chain, "_GROUP", 4)
     graph = GROUP_GRAPHS[name]
     denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
-    for steps in (0, 1, 9):
+    for lockstep, steps in product(BOTH_LOOPS, (0, 1, 9)):
+        monkeypatch.setattr(chain, "_LOCKSTEP", lockstep)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
         refs = [np.random.default_rng(seed) for seed in range(5)]
         cells = chain._walk(graph, rngs, steps)
@@ -266,13 +277,96 @@ def test_a_long_chain_crosses_passes_at_the_real_bound(name):
     assert st.rng.random() == ref.random()
 
 
-def test_group_bound_holds_draws_and_cells():
+class _Counted:
+    """A generator that records the size of each of its draw calls."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, high, size):
+        self.sizes.append(math.prod(np.atleast_1d(size)))
+        return self.rng.integers(high, size=size)
+
+
+class _Blocks:
+    """numpy, with each divmod's size recorded: ``_walk`` reads one sub-block
+    of draws into positions per divmod."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divmod(self, draws, denom):
+        self.sizes.append(draws.size)
+        return np.divmod(draws, denom)
+
+
+def test_group_bound_holds_draws_and_cells(monkeypatch):
     assert chain._GROUP == 4096
-    # the benchmark's shapes: 3 x 3 and 100 x 100 chains of 200 steps
-    assert chain._group_size(200, 9) == 20
-    assert chain._group_size(200, 100 * 100) == 20
+    # the benchmark's shapes: 3 x 3 chains of 200 steps group by 163 and walk
+    # in lockstep, sample b's 10 chains of 100 x 100 in the scalar loop
+    assert chain._group_size(200, 9) == 163 >= chain._LOCKSTEP > 10
+    assert chain._group_size(200, 100 * 100) == 26
     assert chain._group_size(0, 100 * 100) == 26
     for steps, cells in ((200, 9), (1, 9), (0, 10_000), (57, 10_000), (0, 10 ** 6),
-                         (10 ** 6, 9), (4096, 9), (4097, 9)):
+                         (10 ** 6, 9), (4096, 9), (4097, 9), (2000, 128 * 128)):
         size = chain._group_size(steps, cells)
-        assert size == 1 or (size * steps <= chain._GROUP and size * cells <= 64 * chain._GROUP)
+        # at most _GROUP chains, so one step of each, a sub-block's least, is
+        # at most _GROUP draws
+        assert 1 <= size <= chain._GROUP
+        assert size == 1 or (size * steps <= 8 * chain._GROUP
+                             and size * cells <= 64 * chain._GROUP)
+    # walked: every pass draws at most _GROUP per chain and 8 * _GROUP in
+    # all, and every sub-block reads at most _GROUP draws into positions
+    graph = GROUP_GRAPHS["3x3, denom 9"]
+    for g, steps in ((163, 200), (1, 10_000), (chain._GROUP, 1), (30, 5_000), (1000, 40)):
+        rngs, blocks = [_Counted(seed) for seed in range(g)], _Blocks()
+        with monkeypatch.context() as m:
+            m.setattr(chain, "np", blocks)
+            chain._walk(graph, rngs, steps)
+        passes = list(zip(*(rng.sizes for rng in rngs)))
+        assert sum(map(sum, passes)) == sum(blocks.sizes) == g * steps
+        assert all(max(p) <= chain._GROUP and sum(p) <= 8 * chain._GROUP for p in passes)
+        assert max(blocks.sizes) <= chain._GROUP
+
+
+@pytest.mark.parametrize("ds, g", [(DS, 163), (BipartiteDegreeSequence((50,) * 100, (50,) * 100), 26)],
+                         ids=["3x3 lockstep", "100x100 scalar"])
+def test_a_pass_holds_its_transient_arrays_to_the_bound(ds, g):
+    # a full group of 200 steps, one pass: its draws at 8 bytes each, and one
+    # sub-block's positions, under 256 bytes per draw of _GROUP (the scalar
+    # loop reads them from lists of ints)
+    graph = greedy_realize(ds)
+    assert chain._group_size(200, graph.k * graph.l) == g
+    rngs = [np.random.default_rng(seed) for seed in range(g)]
+    chain._walk(graph, rngs[:1], 1)                 # the pair tables, cached
+    tracemalloc.start()
+    try:
+        cells = chain._walk(graph, rngs, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - len(cells) <= 8 * g * 200 + 256 * chain._GROUP
+
+
+def test_both_inner_loops_at_the_real_bounds():
+    # 180 3 x 3 chains of 200 steps: a lockstep group of 163, then a scalar
+    # one of 17, in one _walk_seeds call
+    graph, seeds = GROUP_GRAPHS["3x3, denom 9"], range(180)
+    stacks = list(chain._walk_seeds(graph, seeds, 200))
+    assert [len(s) for s in stacks] == [163, 17] and 17 < chain._LOCKSTEP <= 163
+    layers = [layer for stack in stacks for layer in stack]
+    for seed, layer in zip(seeds, layers):
+        assert BipartiteGraph(layer) == scalar_walk(graph, np.random.default_rng(seed), 200)
+    # 40 16 x 16 4-regular chains of 300 steps: one lockstep pass, read into
+    # positions in sub-blocks of 102, 102 and 96 steps
+    graph = greedy_realize(BipartiteDegreeSequence((4,) * 16, (4,) * 16))
+    assert chain._group_size(300, 256) >= 40 >= chain._LOCKSTEP
+    rngs = [np.random.default_rng(seed) for seed in range(40)]
+    refs = [np.random.default_rng(seed) for seed in range(40)]
+    stack = np.frombuffer(chain._walk(graph, rngs, 300), np.uint8).reshape(40, 16, 16)
+    for layer, rng, ref in zip(stack, rngs, refs):
+        assert BipartiteGraph(layer) == scalar_walk(graph, ref, 300)
+        assert rng.random() == ref.random()

@@ -595,8 +595,9 @@ def test_sample_golden_output(tmp_path, capsys, name, stats):
 
 
 # Digests (sha256, first 16 hex digits) of `sample --steps 57 --seed 11
-# --count 200` stdout, recorded while every chain was walked on its own; at
-# the default group bound the 200 chains are walked in at least three groups.
+# --count 200` stdout, recorded while every chain was walked on its own; at a
+# group bound of 240 the 200 chains are walked in seven groups, six of 33 in
+# lockstep and one of 2 in the scalar loop.
 SAMPLE_GROUP_GOLDEN = {
     # name: (degree sequence, plain digest, --stats digest)
     "3x3": ("2 2 2\n3 2 1\n", "8f04542f27e11af9", "8322499f100e3ef5"),
@@ -606,9 +607,12 @@ SAMPLE_GROUP_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_GROUP_GOLDEN))
 @pytest.mark.parametrize("stats", [False, True])
-def test_sample_golden_across_groups(tmp_path, capsys, name, stats):
+def test_sample_golden_across_groups(monkeypatch, tmp_path, capsys, name, stats):
     ds_text, plain, with_stats = SAMPLE_GROUP_GOLDEN[name]
-    assert -(-200 // chain._group_size(57, len(ds_text.split()) ** 2)) >= 3
+    monkeypatch.setattr(chain, "_GROUP", 240)
+    k, l = (len(side.split()) for side in ds_text.splitlines())
+    size = chain._group_size(57, k * l)
+    assert -(-200 // size) >= 3 and 200 % size < chain._LOCKSTEP <= size
     argv = ["sample", "--ds", write(tmp_path, "d.txt", ds_text), "--steps", "57",
             "--seed", "11", "--count", "200"]
     if stats:
@@ -622,7 +626,7 @@ def test_sample_golden_across_groups(tmp_path, capsys, name, stats):
 
 # Digests (sha256) of `sample --steps 70000` stdout, recorded while a single
 # chain drew in blocks of 65,536 steps: each chain is walked alone, across
-# passes of 4,096 draws.
+# passes of _GROUP = 4,096 draws.
 SAMPLE_LONG_GOLDEN = {
     # name: (degree sequence, seed, count, digest)
     "3x3": ("2 2 2\n3 2 1\n", "11", "3",
@@ -635,7 +639,9 @@ SAMPLE_LONG_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SAMPLE_LONG_GOLDEN))
 def test_sample_golden_for_long_single_chains(tmp_path, capsys, name):
     ds_text, seed, count, digest = SAMPLE_LONG_GOLDEN[name]
-    assert chain._group_size(70_000, 1) == 1         # each chain is walked alone
+    k, l = (len(side.split()) for side in ds_text.splitlines())
+    # each chain is walked alone, in more than one pass
+    assert chain._group_size(70_000, k * l) == 1 and chain._GROUP < 70_000
     argv = ["sample", "--ds", write(tmp_path, "d.txt", ds_text), "--steps", "70000",
             "--seed", seed, "--count", count]
     assert main(argv) == 0
