@@ -26,8 +26,8 @@ live at any moment.
 
 A realization on a path is named by its key alone (``BipartiteGraph.key``,
 one byte per cell), and a set of cells, a cycle's included, by its cell
-mask: the key's own form read as an int (``_int``), cell c = u * l + v at
-bit 8c, as the decomposition kernel of ``pairings`` gives it.  So the key
+mask: the key's own form read as an int (``core._int``), cell c = u * l +
+v at bit 8c, as the decomposition kernel of ``pairings`` gives it.  So the key
 with a cycle flipped is the key XOR the cycle's mask.  The canonical walk,
 ``_path_counts``, flips a decomposition's cycles in order, each by a
 segment from a table the caller scopes, keyed by state and cell mask.  A
@@ -62,11 +62,15 @@ masks built once per frame solve (``_Masks``, m * m + 4m + 3 ints, dropped
 with the solve); an OK/KO target is a (care, want) mask pair, so matching a
 spec is one AND and one compare, a target is inherited by one AND-NOT and
 one OR, the difference cycle between two targets is the XOR of their
-ints, and every swap, lifted or placed on the frame, is a one-factor check
-on one 4-cell mask and then one XOR (``_flip``).  The solver carries each
-swap as its fields ``(u1, u2, v1, v2, orientation)``, as ``core._push_up``
-and ``ryser._eliminate`` emit them; ``Swap`` objects are built only at the
-graph entry points ``cycle_swaps`` and ``ok_ko_step``.
+ints, and every swap, lifted or placed on the frame, is one step of
+``core._step``: the one one-factor check of the graph layer, ``core._flip``
+(one 4-cell mask test, then one XOR), which raises ``SwapNotAllowed``
+where it fails.  The solver carries each swap as its fields ``(u1, u2, v1,
+v2, orientation)``, as ``core._push_up`` and ``ryser._eliminate`` emit
+them; ``Swap`` objects are built only at the graph entry points
+``cycle_swaps`` and ``ok_ko_step``.  Both entry points that take an
+``OKKOSpec``, ``ok_ko_step`` and ``matches_spec``, refuse a frame that does
+not lie in the graph (``_check_frame``).
 """
 
 from __future__ import annotations
@@ -79,11 +83,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _key_cells,
-                   symmetric_difference)
+from .core import (BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _int, _key_cells,
+                   _step, symmetric_difference)
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, NoCousinWitness, PreconditionViolation,
-                     ShapeMismatch, SpecViolation, SwapNotAllowed)
+                     ShapeMismatch, SpecViolation)
 from .pairings import AlternatingCycle, _decompositions, _pairing_partners, _trace
 from .ryser import _eliminate, replay
 
@@ -647,12 +651,6 @@ def _cyc_range(s, e, m):
     return out
 
 
-def _int(key: bytes) -> int:
-    """A key read as the solver holds it: one int, cell c at bit 8c, as the
-    kernel's and congestion's keys read it."""
-    return int.from_bytes(key, "little")
-
-
 class _Masks(NamedTuple):
     """One frame's cells in keys held as ints (``_int``), built once per
     frame: ``at[p]`` is the bit of the frame's cell at grid index p
@@ -719,8 +717,19 @@ def _target(masks: _Masks, kind: str, cell: int) -> _Target:
                    restore)
 
 
+def _check_frame(frame: CycleFrame, G: BipartiteGraph):
+    """``ShapeMismatch`` unless the frame's ids are m distinct U-vertices
+    and m distinct V-vertices of G: a V-id past l would read a cell of the
+    next row, and a repeated id would make the frame's mask sums carry."""
+    us, vs = set(range(G.k)).intersection(frame.u_ids), set(range(G.l)).intersection(frame.v_ids)
+    if not len(us) == len(vs) == len(frame.v_ids) == frame.m:
+        raise ShapeMismatch(f"{frame} is not {frame.m} rows and columns of a {G.k}x{G.l} graph")
+
+
 def matches_spec(Z: BipartiteGraph, spec: OKKOSpec) -> bool:
-    """Whether Z carries exactly the pattern cells demanded by the spec."""
+    """Whether Z carries exactly the pattern cells demanded by the spec,
+    whose frame must lie in Z (``_check_frame``)."""
+    _check_frame(spec.frame, Z)
     m = spec.frame.m
     target = _target(_frame_masks(spec.frame, Z.l), spec.kind, _index(spec.anchor, m))
     return _int(Z.key()) & target.care == target.want
@@ -826,11 +835,13 @@ def ok_ko_step(L_prev: BipartiteGraph, spec_prev: OKKOSpec, spec_next: OKKOSpec)
     that is asserted.  The swap count is bounded by twice the edge count of
     the spanned subgraph: 24 for the adjacent same-kind case and 40 for
     the kind-changing case.  Each call solves its bridge with a fresh
-    bridge memo (see ``_bridge``).
+    bridge memo (see ``_bridge``).  The frame must lie in ``L_prev``
+    (``_check_frame``).
     """
     frame = spec_prev.frame
     if frame != spec_next.frame:
         raise SpecViolation("patterns live on different cycle frames")
+    _check_frame(frame, L_prev)
     masks = _frame_masks(frame, L_prev.l)
     prev, nxt = (_target(masks, spec.kind, _index(spec.anchor, frame.m))
                  for spec in (spec_prev, spec_next))
@@ -885,29 +896,11 @@ def _assert_right_form(key: int, masks: _Masks, frame: CycleFrame, types: int):
             f"chord {(frame.u_ids[a], frame.v_ids[b])} off its type at block entry")
 
 
-def _flip(key: int, a: int, b: int, c: int, d: int, orientation: int):
-    """``key`` (a key held as an int) with the 2x2 cells in the rows
-    starting at cell offsets a < b and the columns c < d swapped, if they
-    hold the one-factor that a swap of this orientation removes: one mask
-    check, then one XOR; None otherwise."""
-    first = 1 << 8 * (a + c) | 1 << 8 * (b + d)
-    second = 1 << 8 * (a + d) | 1 << 8 * (b + c)
-    quad = first | second
-    if key & quad != (first if orientation == 1 else second):
-        return None
-    return key ^ quad
-
-
 def _apply(key: int, l: int, swaps) -> int:
     """The key after ``swaps``, each given by its fields, applied in order
-    to ``key`` (l columns, held as an int), each after ``apply_swap``'s
-    check that its four cells hold the one-factor it removes."""
+    to ``key`` (l columns, held as an int), each by ``core._step``."""
     for s in swaps:
-        u1, u2, v1, v2, ori = s
-        nxt = _flip(key, u1 * l, u2 * l, v1, v2, ori)
-        if nxt is None:
-            raise SwapNotAllowed(f"swap {s} is not allowed in this graph")
-        key = nxt
+        key = _step(key, l, s)
     return key
 
 
@@ -1020,16 +1013,12 @@ def _solve_frame(key: int, l: int, frame: CycleFrame, types: int, bridges: dict,
 def _swap_on_cells(key: int, l: int, frame: CycleFrame, urow_a, urow_b, vcol_a, vcol_b) -> tuple:
     """``(swap, key after it)``: the fields of ``Swap.on`` the frame's
     U-vertices at local indices urow_a, urow_b and V-vertices at vcol_a,
-    vcol_b, its orientation read from the key (l columns, held as an int)
-    at its first corner, then applied by ``_flip``, the one-factor check of
-    ``_apply``."""
+    vcol_b, its orientation read as ``Swap.on`` reads it, from the key (l
+    columns, held as an int) at (u1, v1), then applied by ``core._step``."""
     u1, u2 = sorted((frame.u_ids[urow_a], frame.u_ids[urow_b]))
     v1, v2 = sorted((frame.v_ids[vcol_a], frame.v_ids[vcol_b]))
     s = (u1, u2, v1, v2, 1 if key >> 8 * (u1 * l + v1) & 1 else 2)
-    nxt = _flip(key, u1 * l, u2 * l, v1, v2, s[4])
-    if nxt is None:
-        raise SwapNotAllowed(f"swap {s} is not allowed in this graph")
-    return s, nxt
+    return s, _step(key, l, s)
 
 
 def _first_possibility(key, l, frame, types, type1, i, t, bridges):
@@ -1159,9 +1148,8 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     The swaps come from ``_pattern_swaps``, solved once per local problem
     in ``patterns``, with each bridge solved once per local problem in
     ``bridges``, and are lifted through the cycle's rows and columns.  The
-    key is read once as an int (``_int``); each lifted swap flips its four
-    cells there by ``_flip``, after a check that they hold the one-factor
-    the swap removes (the check of ``apply_swap``).  Raises
+    key is read once as an int (``core._int``); each lifted swap flips its
+    four cells there by ``core._step``, the check of ``apply_swap``.  Raises
     ``SpecViolation`` unless the segment lands on the key XOR the mask,
     the key with exactly the cycle's cells flipped: the one end check of a
     pattern's swaps, solved, memoized or, for a 4-cycle, given by
@@ -1174,9 +1162,7 @@ def _key_segment(patterns: dict, bridges: dict, l: int, key: bytes, mask: int) -
     keys, swaps = [], []
     for u1, u2, v1, v2, ori in local:
         s = rows[u1], rows[u2], cols[v1], cols[v2], ori
-        cur = _flip(cur, s[0] * l, s[1] * l, s[2], s[3], ori)
-        if cur is None:
-            raise SwapNotAllowed(f"swap {s} is not allowed")
+        cur = _step(cur, l, s)
         keys.append(cur.to_bytes(n, "little"))
         swaps.append(s)
     if cur != start ^ mask:
@@ -1309,8 +1295,15 @@ def switch_distance(M, cap: int = 6):
     M to a 0-1 matrix, or ``Exceeds(cap)``: ``_switch_distances`` on the
     stack of one layer.  A 0-1 matrix is at distance 0; every other input
     needs margins that some 0-1 matrix realizes (``MarginMismatch``
-    otherwise, an empty matrix and a non-matrix included)."""
-    mat = np.array(M, dtype=np.int64)
+    otherwise, an empty matrix and a non-matrix included).  Entries must be
+    integers, ``ValueError`` otherwise."""
+    arr = np.array(M)
+    with np.errstate(invalid="ignore"):
+        # strings are refused before the cast, which would read "1" as 1, and
+        # an entry the cast changes (1.5, nan, 1e30) after it
+        mat = arr.astype(np.int64) if arr.dtype.kind in "biufO" else None
+    if mat is None or not (mat == arr).all():
+        raise ValueError("switch distance entries must be integers")
     if mat.ndim != 2:
         raise MarginMismatch("switch distance needs a matrix")
     return _switch_distances(mat[None], cap)[0]

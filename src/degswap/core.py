@@ -9,7 +9,15 @@ Conventions used throughout the package:
   both non-increasing.
 * A swap exchanges a 2x2 one-factor of the biadjacency matrix for the
   complementary one-factor.  It is the elementary move of the Markov chain
-  and preserves every vertex degree.
+  and preserves every vertex degree.  One check decides it: ``_flip`` on
+  the key read as an int (``_int``), one mask test and one XOR, and
+  ``_step`` raises ``SwapNotAllowed`` where it fails.  ``swap_is_allowed``,
+  ``apply_swap``, ``Swap.on``, ``ryser.swap_distance`` and the cycle solver
+  of ``canonical`` all step through it; ``_allowed`` lists a graph's swaps
+  off its row bitmasks for ``allowed_swaps`` and ``swap_distance``.  Three
+  measured kernels keep one-factor tests of their own: the sampler's walk
+  (``chain._walk``), ``mixing._swap_targets`` and the 4-cycle route of
+  ``canonical._local_swaps``.
 * X xor Y is read one way, ``_difference``: the XOR of the two keys read
   as little-endian ints (cell c = u*l+v at bit 8c), its edges in cell
   order; ``_number`` adds the decomposition kernel's codes.
@@ -106,6 +114,11 @@ class Swap:
     orientation: int
 
     def __post_init__(self):
+        try:
+            for name in ("u1", "u2", "v1", "v2", "orientation"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ValueError("swap fields must be integers") from None
         if not (0 <= self.u1 < self.u2 and 0 <= self.v1 < self.v2):
             raise ValueError("swap indices must satisfy 0 <= u1 < u2 and 0 <= v1 < v2")
         if self.orientation not in (1, 2):
@@ -114,15 +127,14 @@ class Swap:
     @classmethod
     def on(cls, ua: int, ub: int, va: int, vb: int, graph: "BipartiteGraph") -> "Swap":
         """The canonical swap on the four given vertices of ``graph``, its
-        orientation the diagonal holding the edges; ``SwapNotAllowed``
-        unless the 2x2 is a one-factor of ``graph``."""
-        u1, u2 = sorted((ua, ub))
-        v1, v2 = sorted((va, vb))
-        for ori in (1, 2):
-            s = cls(u1, u2, v1, v2, ori)
-            if graph.swap_is_allowed(s):
-                return s
-        raise SwapNotAllowed(f"({u1},{u2};{v1},{v2}) is not a one-factor of this graph")
+        orientation read from the key at (u1, v1): 1 when that cell is on;
+        ``SwapNotAllowed`` unless the 2x2 is a one-factor of ``graph``."""
+        s = cls(*sorted((ua, ub)), *sorted((va, vb)), 1)
+        if not _int(graph.key()) >> 8 * (s.u1 * graph.l + s.v1) & 1:
+            s = s.inverse()
+        if not graph.swap_is_allowed(s):
+            raise SwapNotAllowed(f"({s.u1},{s.u2};{s.v1},{s.v2}) is not a one-factor of this graph")
+        return s
 
     def inverse(self) -> "Swap":
         return Swap(self.u1, self.u2, self.v1, self.v2, 3 - self.orientation)
@@ -211,14 +223,15 @@ class BipartiteGraph:
                 and self.row_deg == other.row_deg and self.col_deg == other.col_deg)
 
     def swap_is_allowed(self, s: Swap) -> bool:
+        return self._swapped(s) is not None
+
+    def _swapped(self, s: Swap):
+        """The key read as an int (``_int``) with ``s`` applied by ``_flip``,
+        or None unless ``s`` is allowed.  Its indices are checked against
+        the shape first: a column past l would alias into the next row."""
         if s.u2 >= self.k or s.v2 >= self.l:
-            return False
-        a = self.adj
-        if s.orientation == 1:
-            return bool(a[s.u1, s.v1] and a[s.u2, s.v2]
-                        and not a[s.u1, s.v2] and not a[s.u2, s.v1])
-        return bool(a[s.u1, s.v2] and a[s.u2, s.v1]
-                    and not a[s.u1, s.v1] and not a[s.u2, s.v2])
+            return None
+        return _flip(_int(self._key), s.u1 * self.l, s.u2 * self.l, s.v1, s.v2, s.orientation)
 
     # -- construction -----------------------------------------------------
 
@@ -355,34 +368,66 @@ def _gale_ryser(a, b) -> bool:
 
 def apply_swap(G: BipartiteGraph, s: Swap) -> BipartiteGraph:
     """Apply an allowed swap, returning the new realization."""
-    if not G.swap_is_allowed(s):
+    key = G._swapped(s)
+    if key is None:
         raise SwapNotAllowed(f"{s} is not allowed in this graph")
-    if s.orientation == 1:
-        rem = [(s.u1, s.v1), (s.u2, s.v2)]
-        add = [(s.u1, s.v2), (s.u2, s.v1)]
-    else:
-        rem = [(s.u1, s.v2), (s.u2, s.v1)]
-        add = [(s.u1, s.v1), (s.u2, s.v2)]
-    return G.with_edges(rem, add)
+    cells = np.frombuffer(key.to_bytes(G.k * G.l, "little"), np.uint8)
+    return BipartiteGraph._trusted(cells.reshape(G.k, G.l))
 
 
 def allowed_swaps(G: BipartiteGraph) -> list:
-    """All swaps allowed in G, in canonical (u1, u2, v1, v2) order."""
+    """All swaps allowed in G, in canonical (u1, u2, v1, v2) order
+    (``_allowed``)."""
+    return [Swap(*s) for s in _allowed(G.key(), G.k, G.l)]
+
+
+def _allowed(key: bytes, k: int, l: int) -> list:
+    """The fields ``(u1, u2, v1, v2, orientation)`` of every swap allowed in
+    the k x l matrix with the byte key ``key``, in (u1, u2, v1, v2) order,
+    read off its row bitmasks (``_masks``): on rows u1 < u2, each column a
+    that only u1 holds pairs with each column b that only u2 holds, and the
+    orientation is 1 when a < b, so that u1 holds v1."""
+    rows = _masks(key, k, l)[0]
     out = []
-    a = G.adj
-    for u1 in range(G.k):
-        for u2 in range(u1 + 1, G.k):
-            diff = a[u1] ^ a[u2]
-            cols = np.nonzero(diff)[0]
-            ones = [int(v) for v in cols if a[u1, v]]
-            zeros = [int(v) for v in cols if not a[u1, v]]
-            for v_one in ones:
-                for v_zero in zeros:
-                    v1, v2 = sorted((v_one, v_zero))
-                    ori = 1 if a[u1, v1] else 2
-                    out.append(Swap(u1, u2, v1, v2, ori))
-    out.sort(key=lambda s: (s.u1, s.u2, s.v1, s.v2))
+    for u1, r1 in enumerate(rows):
+        for u2 in range(u1 + 1, k):
+            r2 = rows[u2]
+            out += sorted((u1, u2, min(a, b), max(a, b), 1 if a < b else 2)
+                          for a in _bits(r1 & ~r2) for b in _bits(r2 & ~r1))
     return out
+
+
+def _int(key: bytes) -> int:
+    """A key (``BipartiteGraph.key``) read as one int, cell c = u*l+v at
+    bit 8c: the form of every cell mask and of the keys the cycle solver,
+    the decomposition kernel and congestion hold."""
+    return int.from_bytes(key, "little")
+
+
+def _flip(key: int, a: int, b: int, c: int, d: int, orientation: int):
+    """``key`` (a key held as an int) with the 2x2 cells in the rows
+    starting at cell offsets a < b and the columns c < d swapped, if they
+    hold the one-factor that a swap of this orientation removes: one mask
+    check, then one XOR; None otherwise.  The one one-factor check outside
+    the three measured kernels named in the module docstring."""
+    first = 1 << 8 * (a + c) | 1 << 8 * (b + d)
+    second = 1 << 8 * (a + d) | 1 << 8 * (b + c)
+    quad = first | second
+    if key & quad != (first if orientation == 1 else second):
+        return None
+    return key ^ quad
+
+
+def _step(key: int, l: int, swap) -> int:
+    """The key (l columns, held as an int) after the swap with the fields
+    ``swap``, ``(u1, u2, v1, v2, orientation)``, by ``_flip``;
+    ``SwapNotAllowed`` unless its four cells hold the one-factor it
+    removes.  The indices are not checked against the shape."""
+    u1, u2, v1, v2, ori = swap
+    nxt = _flip(key, u1 * l, u2 * l, v1, v2, ori)
+    if nxt is None:
+        raise SwapNotAllowed(f"swap {swap} is not allowed in this graph")
+    return nxt
 
 
 def push_up(G: BipartiteGraph, v: int, active_cols=None):
@@ -535,7 +580,7 @@ def _difference(x_key: bytes, y_key: bytes, l: int) -> tuple:
     ``cells[i]``, ``in_x[i]`` tells whether it is an X-edge, and ``full``,
     the XOR of the two keys' ints, is the cell mask of X xor Y.
     """
-    full = int.from_bytes(x_key, "little") ^ int.from_bytes(y_key, "little")
+    full = _int(x_key) ^ _int(y_key)
     cells = _key_cells(full)
     return [divmod(c, l) for c in cells], cells, [x_key[c] == 1 for c in cells], full
 

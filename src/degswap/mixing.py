@@ -67,7 +67,7 @@ import numpy as np
 
 from .canonical import _certificates, _key_segment, _path_counts
 from .chain import _pairs, pair_count
-from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
+from .core import BipartiteDegreeSequence, BipartiteGraph, _int, greedy_realize
 from .errors import DegenerateChain, NonMixing, SpecViolation, TooLarge
 from .pairings import _decompositions
 
@@ -833,7 +833,7 @@ def _routes(space: StateSpace):
     moves = {(a, b): a * n + b if a < b else b * n + a
              for a, b in zip(*(x.tolist() for x in _move_edges(space.indptr, space.indices)))}
     keys = [z.tobytes() for z in space.adj]
-    cells = [int.from_bytes(key, "little") for key in keys]
+    cells = list(map(_int, keys))
     buckets = {}          # x - y -> its pairs (xi, yi), in order
     for xi in range(n):
         x = cells[xi]
@@ -928,7 +928,7 @@ def congestion(space: StateSpace, *, max_states: int = 120) -> CongestionReport:
     n_paths = max_sd = 0
     certified = set()    # the integer keys of the matrices queued so far
     queue = []           # (xi, yi, z) of each queued matrix not yet certified
-    cells = [int.from_bytes(z.tobytes(), "little") for z in space.adj]
+    cells = [_int(z.tobytes()) for z in space.adj]
     codes_of = itemgetter(1)    # a segment's edge codes
     for xi, yi, total, paths in _routes(space):
         if scale % total:

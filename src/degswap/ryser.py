@@ -8,14 +8,19 @@ are then undone in reverse order.  Both matrices are held as row and column
 bitmasks (bit v of row u and bit u of column v are cell (u, v)), read from
 their keys by ``core._masks``, and rewired by ``core._push_up``, the kernel
 behind ``push_up``, column by column.
+
+The distance oracle ``swap_distance`` runs its breadth-first search on keys
+held as ints (``core._int``): a node's swaps are listed off its row
+bitmasks by ``core._allowed`` and taken by ``core._step``, the one-factor
+check of ``apply_swap``, so no graph is built per node.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .core import (BipartiteGraph, Swap, _bits, _check_margins, _masks, _push_up, _targets,
-                   allowed_swaps, apply_swap)
+from .core import (BipartiteGraph, Swap, _allowed, _bits, _check_margins, _int, _masks, _push_up,
+                   _step, _targets, apply_swap)
 from .errors import Unreachable
 
 
@@ -80,27 +85,28 @@ def replay(G: BipartiteGraph, swaps) -> list:
 def swap_distance(G1: BipartiteGraph, G2: BipartiteGraph, cap: int | None = None):
     """Exact distance between two realizations in the swap move graph.
 
-    Breadth-first search; exponential in the worst case and meant as a
-    desk-scale oracle.  Returns the integer distance, or ``Unreachable(cap)``
-    when the distance exceeds ``cap``.
+    Breadth-first search on keys held as ints; exponential in the worst
+    case and meant as a desk-scale oracle.  Each neighbour is compared with
+    the target as it is reached.  Returns the integer distance, or
+    ``Unreachable(cap)`` when the distance exceeds ``cap``.
     """
     _check_margins(G1, G2)
-    target = G2.key()
-    if G1.key() == target:
+    k, l = G1.k, G1.l
+    start, target = _int(G1.key()), _int(G2.key())
+    if start == target:
         return 0
-    dist = {G1.key(): 0}
-    queue = deque([G1])
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
-        g = queue.popleft()
-        d = dist[g.key()]
+        key = queue.popleft()
+        d = dist[key]
         if cap is not None and d >= cap:
             return Unreachable(cap)
-        for s in allowed_swaps(g):
-            h = apply_swap(g, s)
-            key = h.key()
-            if key == target:
+        for s in _allowed(key.to_bytes(k * l, "little"), k, l):
+            nxt = _step(key, l, s)
+            if nxt == target:
                 return d + 1
-            if key not in dist:
-                dist[key] = d + 1
-                queue.append(h)
+            if nxt not in dist:
+                dist[nxt] = d + 1
+                queue.append(nxt)
     return Unreachable(cap if cap is not None else -1)

@@ -8,13 +8,14 @@ relation, and instances are assembled cell by cell.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
-from degswap import AlternatingCycle, BipartiteGraph, Swap
-from degswap.core import allowed_swaps, apply_swap
-from degswap.errors import DiagonalPosition, NonAlternating
+from degswap import AlternatingCycle, BipartiteGraph, Swap, Unreachable
+from degswap.core import _check_margins, allowed_swaps, apply_swap
+from degswap.errors import DiagonalPosition, NonAlternating, SwapNotAllowed
 from degswap.pairings import CircuitDecomposition, _shared_vertex
 
 
@@ -270,6 +271,92 @@ def split_environment_pools(ell: int, cycle_cells, rng):
     pool_x = {c for c, m in zip(rest, mask) if m}
     pool_y = set(rest) - pool_x
     return pool_x, pool_y
+
+
+# -- swaps on numpy cells ------------------------------------------------------
+#
+# The graph layer's swap check, listing and distance as they read numpy cells
+# and built a graph per BFS node, before all of them stepped through one
+# one-factor check on the key read as an int (``core._flip``).
+
+
+def numpy_swap_is_allowed(G, s) -> bool:
+    """``swap_is_allowed`` on G's numpy cells: indices inside the shape,
+    the orientation's diagonal on and the other diagonal off."""
+    if s.u2 >= G.k or s.v2 >= G.l:
+        return False
+    a = G.adj
+    if s.orientation == 1:
+        return bool(a[s.u1, s.v1] and a[s.u2, s.v2]
+                    and not a[s.u1, s.v2] and not a[s.u2, s.v1])
+    return bool(a[s.u1, s.v2] and a[s.u2, s.v1]
+                and not a[s.u1, s.v1] and not a[s.u2, s.v2])
+
+
+def numpy_apply_swap(G, s):
+    """``apply_swap`` by ``numpy_swap_is_allowed`` and a copy of the matrix
+    with the four cells exchanged (``with_edges``)."""
+    if not numpy_swap_is_allowed(G, s):
+        raise SwapNotAllowed(f"{s} is not allowed in this graph")
+    first = [(s.u1, s.v1), (s.u2, s.v2)]
+    second = [(s.u1, s.v2), (s.u2, s.v1)]
+    return G.with_edges(*((first, second) if s.orientation == 1 else (second, first)))
+
+
+def numpy_swap_on(ua, ub, va, vb, graph):
+    """``Swap.on`` by trying both orientations with
+    ``numpy_swap_is_allowed``."""
+    u1, u2 = sorted((ua, ub))
+    v1, v2 = sorted((va, vb))
+    for ori in (1, 2):
+        s = Swap(u1, u2, v1, v2, ori)
+        if numpy_swap_is_allowed(graph, s):
+            return s
+    raise SwapNotAllowed(f"({u1},{u2};{v1},{v2}) is not a one-factor of this graph")
+
+
+def numpy_allowed_swaps(G) -> list:
+    """``allowed_swaps`` by a scan of numpy rows: for rows u1 < u2, each
+    column only u1 holds paired with each column only u2 holds, sorted."""
+    out = []
+    a = G.adj
+    for u1 in range(G.k):
+        for u2 in range(u1 + 1, G.k):
+            cols = np.nonzero(a[u1] ^ a[u2])[0]
+            ones = [int(v) for v in cols if a[u1, v]]
+            zeros = [int(v) for v in cols if not a[u1, v]]
+            for v_one in ones:
+                for v_zero in zeros:
+                    v1, v2 = sorted((v_one, v_zero))
+                    out.append(Swap(u1, u2, v1, v2, 1 if a[u1, v1] else 2))
+    out.sort(key=lambda s: (s.u1, s.u2, s.v1, s.v2))
+    return out
+
+
+def graph_bfs_swap_distance(G1, G2, cap=None):
+    """``swap_distance`` by a breadth-first search that builds a graph per
+    node, through ``numpy_allowed_swaps`` and ``numpy_apply_swap``; each
+    neighbour is compared with the target as it is reached."""
+    _check_margins(G1, G2)
+    target = G2.key()
+    if G1.key() == target:
+        return 0
+    dist = {G1.key(): 0}
+    queue = deque([G1])
+    while queue:
+        g = queue.popleft()
+        d = dist[g.key()]
+        if cap is not None and d >= cap:
+            return Unreachable(cap)
+        for s in numpy_allowed_swaps(g):
+            h = numpy_apply_swap(g, s)
+            key = h.key()
+            if key == target:
+                return d + 1
+            if key not in dist:
+                dist[key] = d + 1
+                queue.append(h)
+    return Unreachable(cap if cap is not None else -1)
 
 
 # -- the object-level decomposition -------------------------------------------

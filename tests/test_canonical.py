@@ -18,8 +18,8 @@ from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _int,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
-                            PairingMismatch, PreconditionViolation, SpecViolation,
-                            SwapNotAllowed, TooManyPairings)
+                            PairingMismatch, PreconditionViolation, ShapeMismatch,
+                            SpecViolation, SwapNotAllowed, TooManyPairings)
 from degswap.mixing import _routes, enumerate_states
 from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, chain,
                      pairings, random_pairing)
@@ -637,6 +637,51 @@ class TestOkKoStep:
         with pytest.raises(SpecViolation):
             ok_ko_step(G, s1, s2)  # G is the start state, not the OK pattern
 
+    def test_frame_outside_the_graph_refused(self):
+        # V-id 3 or 4 of a 3-column graph would read a cell of the next row,
+        # and a repeated id would make the frame's mask sums carry
+        G = BipartiteGraph([[1, 1, 1], [0, 1, 1], [1, 0, 0], [1, 0, 0]])
+        bad = [CycleFrame((0, 1, 2), (2, 4, 3)), CycleFrame((0, 1, 4), (0, 1, 2)),
+               CycleFrame((0, 0, 2), (0, 1, 2)), CycleFrame((0, 1, 2), (1, 1, 2)),
+               CycleFrame((0, 1, 2), (0, 1)), CycleFrame((0, 1, -1), (0, 1, 2))]
+        for frame in bad:
+            spec = OKKOSpec("OK", (0, 2), frame)
+            with pytest.raises(ShapeMismatch):
+                matches_spec(G, spec)
+            with pytest.raises(ShapeMismatch):
+                ok_ko_step(G, spec, OKKOSpec("KO", (1, 0), frame))
+
+    def test_matches_spec_reads_the_pattern_cells(self):
+        # seeded 4 x 3 graphs against 3-frames, half of them drawn with ids
+        # up to 4: a frame in the graph answers as the pattern read cell by
+        # cell, and the graph set to the pattern matches; any other frame is
+        # refused
+        rng = np.random.default_rng(45)
+        answered = refused = 0
+        for trial in range(1000):
+            G = BipartiteGraph((rng.random((4, 3)) < 0.5).astype(np.uint8))
+            if trial % 2:
+                us, vs = rng.permutation(4)[:3], rng.permutation(3)
+            else:
+                us, vs = rng.integers(0, 5, 3), rng.integers(0, 5, 3)
+            frame = CycleFrame(tuple(us.tolist()), tuple(vs.tolist()))
+            spec = OKKOSpec(("OK", "KO")[trial % 4 // 2], ((0, 2), (1, 0), (2, 1))[trial % 3],
+                            frame)
+            if not (len(set(frame.u_ids)) == len(set(frame.v_ids)) == 3
+                    and max(frame.u_ids) < 4 and max(frame.v_ids) < 3):
+                with pytest.raises(ShapeMismatch):
+                    matches_spec(G, spec)
+                refused += 1
+                continue
+            mains, smalls, anchor_val = spec.pattern()
+            want = (all(G.adj[frame.main_edge(t)] == mains[t] for t in range(3))
+                    and all(G.adj[frame.small_edge(t)] == smalls[t] for t in range(3))
+                    and G.adj[frame.cell_edge(spec.anchor)] == anchor_val)
+            assert matches_spec(G, spec) == want, (G.adj.tolist(), spec)
+            assert matches_spec(spec_realization(G, spec), spec)
+            answered += 1
+        assert answered > 400 and refused > 400
+
 
 # ---------------------------------------------------------------------------
 # switch distance
@@ -664,6 +709,20 @@ class TestSwitchDistance:
         h = hat_matrix(G, Gp, L)
         assert h.max() == 2
         assert switch_distance(h) == 1
+
+    def test_non_integer_entries_refused(self):
+        # checked before the int64 cast, which would truncate 1.5 and read
+        # "1" as 1: both came out at distance 0
+        for bad in ([[1.5, 0], [0, 1]], [["1", "0"], ["0", "1"]],
+                    [[Fraction(3, 2), 0], [0, 1]], [[float("nan"), 0], [0, 1]],
+                    [[1e30, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="must be integers"):
+                switch_distance(bad)
+        # integer, bool and integral entries keep their answers
+        assert switch_distance([[True, False], [False, True]]) == 0
+        assert switch_distance(np.array([[2, 0], [0, 1]], np.uint8)) == 1
+        assert switch_distance([[2.0, 0.0], [0.0, 1.0]]) == 1
+        assert switch_distance([[Fraction(2), 0], [0, 1]]) == 1
 
     def test_exceeds_cap(self):
         assert switch_distance([[2, 0], [0, 1]], cap=0) == Exceeds(0)

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap,
                      allowed_swaps, apply_swap, greedy_realize, is_graphical,
-                     push_up, symmetric_difference)
+                     push_up, sample, swap_distance, symmetric_difference)
 from degswap.core import _bits, _key_cells, _masks
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
-from oracles import (all_degree_pairs, brute_margin_count, cell_text, naive_greedy_realize,
-                     naive_push_up, numpy_symmetric_difference)
+from oracles import (all_degree_pairs, brute_margin_count, brute_margin_matrices, cell_text,
+                     graph_bfs_swap_distance, naive_greedy_realize, naive_push_up,
+                     numpy_allowed_swaps, numpy_apply_swap, numpy_swap_is_allowed,
+                     numpy_swap_on, numpy_symmetric_difference)
 
 
 def bds(a, b):
@@ -290,6 +292,63 @@ class TestSwaps:
             h = apply_swap(g, s)
             assert h.row_deg == g.row_deg and h.col_deg == g.col_deg
             assert apply_swap(h, s.inverse()) == g
+
+    def test_fields_are_python_ints(self):
+        # fields read through operator.index: numpy ints are stored as ints,
+        # and a swap built from a numpy row applies as one built from ints
+        s = Swap(*np.array([0, 1, 0, 1, 1]))
+        assert all(type(x) is int for x in (s.u1, s.u2, s.v1, s.v2, s.orientation))
+        assert s == Swap(0, 1, 0, 1, 1) and hash(s) == hash(Swap(0, 1, 0, 1, 1))
+        g = BipartiteGraph([[1, 0], [0, 1]])
+        assert g.swap_is_allowed(s)
+        assert apply_swap(g, s).adj.tolist() == [[0, 1], [1, 0]]
+        for fields in ((0.5, 1, 0, 1, 1), (0, 1, 0, 1, 1.0), ("0", 1, 0, 1, 1),
+                       (0, 1, 0, "1", 2), (0, 1, 0, 1, None)):
+            with pytest.raises(ValueError, match="swap fields must be integers"):
+                Swap(*fields)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives: its value, or the type and text of the
+    ``SwapNotAllowed`` it raises."""
+    try:
+        return f(*args)
+    except SwapNotAllowed as e:
+        return type(e), str(e)
+
+
+class TestOneSwapCheck:
+    """The graph layer's swap check, listing and distance, all stepping
+    through ``core._flip`` on the key read as an int, against the numpy
+    cell readings and the graph-per-node BFS they replaced."""
+
+    def test_sweep_against_numpy_references(self):
+        from itertools import combinations
+
+        rng = np.random.default_rng(45)
+        shapes = [(1, 1), (2, 2), (1, 5), (3, 5), (5, 9)]
+        cases = [BipartiteGraph((rng.random(shape) < p).astype(np.uint8))
+                 for shape in shapes for p in (0.3, 0.5, 0.7)]
+        cases.append(sample(bds((4,) * 16, (4,) * 16), 300, 5))
+        for g in cases:
+            assert allowed_swaps(g) == numpy_allowed_swaps(g), g
+            # every index tuple up to k and l, so one past the shape too
+            for u1, u2 in combinations(range(g.k + 1), 2):
+                for v1, v2 in combinations(range(g.l + 1), 2):
+                    for ori in (1, 2):
+                        s = Swap(u1, u2, v1, v2, ori)
+                        assert g.swap_is_allowed(s) == numpy_swap_is_allowed(g, s), (g, s)
+                        assert outcome(apply_swap, g, s) == outcome(numpy_apply_swap, g, s), s
+                    for args in ((u1, u2, v1, v2), (u2, u1, v2, v1)):
+                        assert (outcome(Swap.on, *args, g)
+                                == outcome(numpy_swap_on, *args, g)), (g, args)
+        states = brute_margin_matrices((2, 2, 2), (2, 2, 2))
+        assert len(states) == 6
+        for x in states:
+            for y in states:
+                for cap in (None, 0, 1, 2):
+                    assert (swap_distance(x, y, cap)
+                            == graph_bfs_swap_distance(x, y, cap)), (x.key(), y.key(), cap)
 
 
 class TestSymmetricDifference:
