@@ -7,28 +7,34 @@ otherwise.  The kernel is symmetric with the uniform distribution as its
 stationary law.
 
 Randomness discipline: each step consumes exactly one integer draw from its
-chain's generator, so runs are reproducible from the seed alone.  A chain
-draws its steps in one vectorized call per pass of at most 4,096 draws, which
+chain's stream, so runs are reproducible from the seed alone.  A chain draws
+its steps in one vectorized call per pass of at most 4,096 draws, which
 reproduces the stream of one scalar draw per step, so a seed gives the same
-trajectory as stepping one move at a time.  Chains are walked in groups: each
-chain of a group draws from its own generator as above, and the group's draws
-are unranked together and walked over one buffer holding every chain's cells.
-A small group is walked by a scalar loop, draw by draw; from ``_LOCKSTEP``
-chains on, the group is walked in lockstep, one vectorized move of every
-chain per step.  Chains own disjoint cells, so either way a group's
-trajectories are those of its chains walked one by one.
+trajectory as stepping one move at a time.  ``advance`` draws from its
+state's generator.  ``degswap sample`` walks chains in groups, and chain i of
+a group draws exactly ``np.random.default_rng(seed_i).integers(denom)``'s
+stream without a generator per chain: ``_seeded`` runs numpy's
+``SeedSequence`` hash on every seed of the group at once, seeds PCG64 from
+it, and reads the group's bounded draws off each chain's raw 64-bit outputs
+with Lemire's rejection test, vectorized.  The group's draws are unranked
+together and walked over one buffer holding every chain's cells.  A small
+group is walked by a scalar loop, draw by draw; from ``_LOCKSTEP`` chains on,
+the group is walked in lockstep, one vectorized move of every chain per step.
+Chains own disjoint cells, so either way a group's trajectories are those of
+its chains walked one by one.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .core import (BipartiteDegreeSequence, BipartiteGraph, _check_margins, allowed_swaps,
+from .core import (BipartiteDegreeSequence, BipartiteGraph, _allowed, _check_margins,
                    greedy_realize, symmetric_difference)
 
 
@@ -93,14 +99,15 @@ def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
 
     For H one swap away this is 1/(C(k,2)*C(l,2)); for H = G it is the
     complementary holding probability; otherwise zero.  ``core._check_margins``
-    checks the pair.
+    checks the pair.  The allowed swaps are counted off ``core._allowed``'s
+    field tuples, with no ``Swap`` built.
     """
     _check_margins(G, H)
     denom = pair_count(G.k) * pair_count(G.l)
     if G == H:
         if denom == 0:
             return Fraction(1)
-        return 1 - Fraction(len(allowed_swaps(G)), denom)
+        return 1 - Fraction(len(_allowed(G.key(), G.k, G.l)), denom)
     if denom == 0:
         return Fraction(0)
     part = symmetric_difference(G, H)
@@ -138,23 +145,222 @@ def _group_size(steps: int, cells: int) -> int:
     return max(1, min(_GROUP, 8 * _GROUP // max(steps, 1), 64 * _GROUP // max(cells, 1)))
 
 
-def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
-    """Run one chain ``steps`` moves from ``start`` under each generator of
-    ``rngs``, and return their cells as one buffer, chain i's ``start.key()``
-    layout at offset i*k*l: the package's one swap-attempt routine, which
-    ``advance`` runs as a group of one.
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# (numpy/random/bit_generator.pyx and pcg64.h), under numpy's
+# stream-compatibility policy for SeedSequence and PCG64
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_LOW = int(sys.byteorder != "little")          # a uint64's low half in its uint32 view
+
+
+@lru_cache(maxsize=8)
+def _hash_consts(init: int, mult: int, calls: int) -> tuple:
+    """A SeedSequence hash constant over ``calls`` hash calls: call c xors
+    with entry c and multiplies by entry c + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _M32)
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _lanes(g: int) -> tuple:
+    """1, 2^32 - 1, 2^16 - 1 and 2^32 in each of g 64-bit lanes of an int."""
+    ones = ((1 << 64 * g) - 1) // ((1 << 64) - 1)
+    return ones, _M32 * ones, 0xFFFF * ones, ones << 32
+
+
+def _pcg_states(seeds) -> tuple:
+    """PCG64's (state, inc) pairs, as two lists of ints, of
+    ``np.random.default_rng(seed)`` for every seed of ``seeds``.
+
+    numpy's ``SeedSequence`` hash runs on every seed at once: a pool word,
+    and each of the seeds' 32-bit words (low first; a seed of at most four
+    words hashes as if padded with zero words), is one int holding seed i's
+    value in 64-bit lane i.  Each step of the hash is a xor, a product by a
+    32-bit constant or a shift, so it stays in its lane once masked back to
+    32 bits, and a difference is taken lane by lane with 2^32 added first.
+    That is about 260 int operations a group, where the same hash on a
+    (words, g) uint32 array is about 60 numpy calls: on a 2-vCPU Xeon
+    (numpy 2.4) this function took 34 against 64 us on 10 seeds, sample b's
+    group, 136 against 116 us on 100 and 212 against 156 us on 163.
+    PCG64's seeding step then runs per chain.  A negative seed raises
+    numpy's ``ValueError``."""
+    g = len(seeds)
+    if g and min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    width = max(4, -(-int(max(seeds, default=0)).bit_length() // 32))
+    # row i seed i's words, low first; then column j as one int, seed i in lane i
+    rows = np.frombuffer(b"".join(int(s).to_bytes(4 * width, "little") for s in seeds), "<u4")
+    words = [int.from_bytes(col.astype("<u8").tobytes(), "little")
+             for col in rows.reshape(g, width).T]
+    ones, m32, m16, c32 = _lanes(g)
+
+    def hashmix(v, h, c):
+        v = (v ^ h[c] * ones) * h[c + 1] & m32
+        return v ^ v >> 16 & m16
+
+    def mix(x, y):
+        r = (x * _MIX_L & m32) + c32 - (y * _MIX_R & m32) & m32
+        return r ^ r >> 16 & m16
+
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
+    pool = [hashmix(words[i], a, i) for i in range(4)]
+    c = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], a, c))
+                c += 1
+    # words past the pool's four, in the lanes of the seeds that have them
+    for src in range(4, width):
+        has = sum(_M32 << 64 * i for i, s in enumerate(seeds) if int(s) >> 32 * src)
+        for dst in range(4):
+            pool[dst] = pool[dst] & ~has | mix(pool[dst], hashmix(words[src], a, c)) & has
+            c += 1
+    # generate_state(4, uint64): 8 words off the pool, paired low word first
+    b = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = [hashmix(pool[i % 4], b, i) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (
+        np.frombuffer((out[j] | out[j + 1] << 32).to_bytes(8 * g, "little"), "<u8").tolist()
+        for j in (0, 2, 4, 6))
+    states, incs = [], []
+    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((ih << 64 | il) << 1 | 1) & _M128
+        states.append(((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _M128)
+        incs.append(inc)
+    return states, incs
+
+
+@lru_cache(maxsize=64)
+def _jump(t: int) -> tuple:
+    """(M^t, 1 + M + ... + M^(t-1)) mod 2^128 for PCG64's multiplier M:
+    t steps take the state s to s * M^t + inc * (1 + ... + M^(t-1))."""
+    power = pow(_PCG_MULT, t, (_PCG_MULT - 1) << 128)
+    return power & _M128, (power - 1) // (_PCG_MULT - 1) & _M128
+
+
+def _seeded(seeds, denom: int, bits=None):
+    """The draws of a group of seeded chains: ``draw(n)`` gives the next
+    (g, n) int64 draws below ``denom`` of every seed, pass after pass exactly
+    ``np.random.default_rng(seed).integers(denom, size=n)``, with no
+    ``Generator`` per chain.  ``bits``, a ``PCG64`` made once per caller,
+    gives each chain's raw outputs (``random_raw``) from its state, which
+    is held as an int and advanced by ``_jump``.
+
+    numpy's bounded draw is Lemire's: up to 2^32, each draw reads 32-bit
+    words, the low half of an output first, and takes ``(w * denom) >> 32``,
+    rejecting w while ``(w * denom) mod 2^32 < (2^32 - denom) mod denom``;
+    above 2^32 the same test runs on whole outputs at 64 bits, and a
+    denominator of at most 1 reads nothing.  A pass reads words for every
+    chain at once, with a few spare ones for rejections (and reads again
+    with more when a chain runs short), and each chain's state then moves
+    past the outputs it used.  A chain whose pass ended on a low half
+    carries the high half into its next pass.  A negative seed raises
+    numpy's ``ValueError`` here, before anything is drawn.
+    """
+    states, incs = _pcg_states(seeds)
+    g = len(states)
+    if denom <= 1:
+        return lambda n: np.zeros((g, n), np.int64)
+    bits = np.random.PCG64(0) if bits is None else bits
+    wide = denom > 1 << 32                      # numpy's 64-bit branch
+    per = 1 if wide else 2                      # words per raw output
+    span = 1 << (64 if wide else 32)
+    threshold = (span - denom) % denom
+    reject = threshold / (span - threshold)     # rejections per accepted word
+    setter = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    carry = [None] * g                          # a chain's carried high half, if any
+
+    def read(width):
+        """At least ``width`` words of every chain, as (raw outputs, lead,
+        draws, accepted): ``draws`` holds each word's ``(w * denom) >> 32``
+        (>> 64 when wide), with the carried halves in a lead column when a
+        chain has one; ``accepted`` is None when every word is."""
+        lead = int(any(c is not None for c in carry))
+        m = -(-(width - lead) // per)
+        raws = np.empty((g, m), np.uint64)
+        inner = setter["state"]
+        for i, (s, inc) in enumerate(zip(states, incs)):
+            inner["state"], inner["inc"] = s, inc
+            bits.state = setter
+            raws[i] = bits.random_raw(m)
+        if wide:
+            vals, low = _mul64(raws, denom)
+            return raws, 0, vals, low >= threshold if threshold else None
+        vals = np.empty((g, lead + 2 * m), np.uint64)
+        if lead:
+            vals[:, 0] = [c or 0 for c in carry]
+        np.bitwise_and(raws, np.uint64(_M32), out=vals[:, lead::2])
+        np.right_shift(raws, np.uint64(32), out=vals[:, lead + 1::2])
+        vals *= np.uint64(denom)
+        # the low 32 bits of each product, read in place
+        ok = vals.view(np.uint32)[:, _LOW::2] >= threshold if threshold else None
+        if lead and None in carry:
+            # only a rejection leaves chains out of step, so ok is an array
+            ok[:, 0] &= [c is not None for c in carry]
+        vals >>= np.uint64(32)
+        return raws, lead, vals, ok
+
+    def draw(n):
+        spare = int(n * reject + 3 * (n * reject) ** 0.5 + 0.5)
+        while True:
+            raws, lead, vals, ok = read(n + spare)
+            if ok is None or ok[:, :n].all():
+                draws, used = vals[:, :n], [n - lead] * g
+                break
+            count = ok.cumsum(1, dtype=np.int32)
+            if count[:, -1].min() >= n:
+                draws = vals[ok & (count <= n)].reshape(g, n)
+                # each chain's words up to its n-th accepted one, past the lead
+                used = ((count < n).sum(1) + 1 - lead).tolist()
+                break
+            spare += n                          # a chain ran short
+        # each chain moves past the outputs it used; an odd count of words
+        # leaves the last output's high half
+        for i, u in enumerate(used):
+            t = -(-u // per)
+            a, c = _jump(t)
+            states[i] = (states[i] * a + incs[i] * c) & _M128
+            carry[i] = int(raws[i, t - 1]) >> 32 if u % per else None
+        return draws.view(np.int64)
+
+    return draw
+
+
+def _mul64(w, d: int) -> tuple:
+    """The high and low 64 bits of the uint64 array ``w`` times ``d`` < 2^64,
+    on 32-bit halves."""
+    m32, sh = np.uint64(_M32), np.uint64(32)
+    dl, dh = np.uint64(d & _M32), np.uint64(d >> 32)
+    wl, wh = w & m32, w >> sh
+    ll, lh, hl = wl * dl, wl * dh, wh * dl
+    mid = (ll >> sh) + (lh & m32) + (hl & m32)
+    lo = mid << sh | ll & m32
+    hi = wh * dh + (lh >> sh) + (hl >> sh) + (mid >> sh)
+    return hi, lo
+
+
+def _walk(start: BipartiteGraph, g: int, steps: int, draw) -> bytearray:
+    """Run g chains ``steps`` moves from ``start``, each on its own row of
+    draws from ``draw``, and return their cells as one buffer, chain i's
+    ``start.key()`` layout at offset i*k*l: the package's one swap-attempt
+    routine, which ``advance`` runs as a group of one.
 
     Step t of a chain draws r_t uniformly below C(k,2)*C(l,2), takes the
     U-pair of rank r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and
     exchanges the 2x2 submatrix on them when it is a one-factor (x11 == x22
     != x12 == x21).  A pass walks ``min(_GROUP, 8 * _GROUP // g)`` steps of
-    each of the g chains (at least one).  Each chain draws from its own
-    generator, in one ``integers(denom, size=...)`` call per pass, the same
-    stream as one scalar draw per step; nothing is drawn when ``steps`` or
-    C(k,2)*C(l,2) is 0.  A pass's draws are read off the pair tables
-    ``_pairs`` into cell positions, each chain's offset by its layer, in
-    sub-blocks of ``max(1, _GROUP // g)`` steps of every chain, so at most
-    ``_GROUP`` draws as ``_group_size`` holds g to ``_GROUP``.
+    each of the g chains (at least one), whose draws come from one call
+    ``draw(n)``: a (g, n) array, row i chain i's next n draws.  ``advance``
+    passes its generator's ``integers``, ``_walk_seeds`` the ``_seeded``
+    kernel; nothing is drawn when ``steps`` or C(k,2)*C(l,2) is 0.  A pass's
+    draws are read off the pair tables ``_pairs`` into cell positions, each
+    chain's offset by its layer, in sub-blocks of ``max(1, _GROUP // g)``
+    steps of every chain, so at most ``_GROUP`` draws as ``_group_size``
+    holds g to ``_GROUP``.
 
     Only the inner loop depends on g.  Below ``_LOCKSTEP`` chains a scalar
     loop walks the sub-block draw by draw on the byte buffer.  From
@@ -167,7 +373,6 @@ def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
     k, l = start.k, start.l
     cl = pair_count(l)
     denom = pair_count(k) * cl
-    g = len(rngs)
     per = min(_GROUP, max(1, 8 * _GROUP // g))
     sub = max(1, _GROUP // g)
     (ua, ub), (va, vb) = _pairs(k), _pairs(l)
@@ -176,13 +381,7 @@ def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
     flat = np.frombuffer(cells, np.uint8)      # the same buffer, for the lockstep loop
     for done in range(0, steps if denom else 0, per):
         n = min(per, steps - done)
-        # row i holds chain i's draws
-        if g == 1:
-            draws = rngs[0].integers(denom, size=(1, n))
-        else:
-            draws = np.empty((g, n), np.int64)
-            for row, rng in zip(draws, rngs):
-                row[:] = rng.integers(denom, size=n)
+        draws = draw(n)                         # row i holds chain i's draws
         for lo in range(0, n, sub):
             iu, il = np.divmod(draws[:, lo:lo + sub], cl)
             u1, u2, v1, v2 = ua[iu], ub[iu], va[il], vb[il]
@@ -211,17 +410,22 @@ def _walk(start: BipartiteGraph, rngs: list, steps: int) -> bytearray:
 
 def _walk_seeds(start: BipartiteGraph, seeds: range, steps: int):
     """Yield, group by group, the cells of one chain per seed of ``seeds``
-    walked ``steps`` moves from ``start``, each driven by
-    ``np.random.default_rng(seed)``, as a read-only (g, k, l) ``uint8``
-    stack.  Groups hold ``_group_size(steps, k * l)`` chains, the last one
-    what is left: 1,000 3 x 3 chains of 200 steps walk as six groups of 163,
-    in lockstep, and one of 22 in the scalar loop.  A group's generators are
-    made when it is walked, so no more than one group's are held at a time."""
+    walked ``steps`` moves from ``start``, each on
+    ``np.random.default_rng(seed)``'s stream, as a read-only (g, k, l)
+    ``uint8`` stack.  Groups hold ``_group_size(steps, k * l)`` chains, the
+    last one what is left: 1,000 3 x 3 chains of 200 steps walk as six groups
+    of 163, in lockstep, and one of 22 in the scalar loop.  Each group draws
+    through one ``_seeded`` kernel, which hashes its seeds when the group is
+    reached, so a negative seed raises before the group is walked; one
+    ``PCG64`` serves every group."""
     k, l = start.k, start.l
+    denom = pair_count(k) * pair_count(l)
     size = _group_size(steps, k * l)
+    bits = np.random.PCG64(0)
     for lo in range(0, len(seeds), size):
-        rngs = [np.random.default_rng(s) for s in seeds[lo:lo + size]]
-        stack = np.frombuffer(_walk(start, rngs, steps), np.uint8).reshape(len(rngs), k, l)
+        group = seeds[lo:lo + size]
+        cells = _walk(start, len(group), steps, _seeded(group, denom, bits))
+        stack = np.frombuffer(cells, np.uint8).reshape(len(group), k, l)
         stack.setflags(write=False)
         yield stack
 
@@ -232,11 +436,12 @@ def advance(state: ChainState, steps: int) -> ChainState:
     ``state.rng``, which the returned state shares, and leave it where one
     scalar draw per step would."""
     steps = _check_steps(steps)
-    G = state.graph
-    cells = _walk(G, [state.rng], steps)
+    G, rng = state.graph, state.rng
+    denom = pair_count(G.k) * pair_count(G.l)
+    cells = _walk(G, 1, steps, lambda n: rng.integers(denom, size=(1, n)))
     if cells != G.key():
         G = BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(G.k, G.l))
-    return ChainState(G, state.rng)
+    return ChainState(G, rng)
 
 
 def step(state: ChainState) -> ChainState:

@@ -837,6 +837,18 @@ def scalar_walk(g, rng, steps: int):
     return BipartiteGraph(a)
 
 
+def generator_draws(rngs, denom: int):
+    """A ``draw`` callable for ``chain._walk`` over a list of generators:
+    ``draw(n)`` is the (len(rngs), n) array whose row i is
+    ``rngs[i].integers(denom, size=n)``, each generator's own stream."""
+    def draw(n):
+        out = np.empty((len(rngs), n), np.int64)
+        for row, rng in zip(out, rngs):
+            row[:] = rng.integers(denom, size=n)
+        return out
+    return draw
+
+
 # -- graph-object walks -------------------------------------------------------
 
 

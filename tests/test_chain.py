@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, advance,
-                     greedy_realize, sample, step, transition_prob)
+                     allowed_swaps, greedy_realize, sample, step, transition_prob)
 from degswap import chain
 from degswap.errors import DegreeMismatch, NotGraphical
 from degswap.mixing import enumerate_states
 
-from oracles import graphs, scalar_walk
+from oracles import generator_draws, graphs, scalar_walk
 
 DS = BipartiteDegreeSequence((2, 2, 2), (3, 2, 1))
 
@@ -252,7 +252,7 @@ def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, na
         monkeypatch.setattr(chain, "_LOCKSTEP", lockstep)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
         refs = [np.random.default_rng(seed) for seed in range(5)]
-        cells = chain._walk(graph, rngs, steps)
+        cells = chain._walk(graph, len(rngs), steps, generator_draws(rngs, denom))
         stack = np.frombuffer(cells, np.uint8).reshape(len(rngs), graph.k, graph.l)
         for layer, rng, ref in zip(stack, rngs, refs):
             assert BipartiteGraph(layer) == scalar_walk(graph, ref, steps)
@@ -325,7 +325,7 @@ def test_group_bound_holds_draws_and_cells(monkeypatch):
         rngs, blocks = [_Counted(seed) for seed in range(g)], _Blocks()
         with monkeypatch.context() as m:
             m.setattr(chain, "np", blocks)
-            chain._walk(graph, rngs, steps)
+            chain._walk(graph, g, steps, generator_draws(rngs, 9))
         passes = list(zip(*(rng.sizes for rng in rngs)))
         assert sum(map(sum, passes)) == sum(blocks.sizes) == g * steps
         assert all(max(p) <= chain._GROUP and sum(p) <= 8 * chain._GROUP for p in passes)
@@ -337,18 +337,24 @@ def test_group_bound_holds_draws_and_cells(monkeypatch):
 def test_a_pass_holds_its_transient_arrays_to_the_bound(ds, g):
     # a full group of 200 steps, one pass: its draws at 8 bytes each, and one
     # sub-block's positions, under 256 bytes per draw of _GROUP (the scalar
-    # loop reads them from lists of ints)
+    # loop reads them from lists of ints); on generators' draws, and on the
+    # seeded kernel's, whose words and rejection masks are the pass's too
     graph = greedy_realize(ds)
+    denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
     assert chain._group_size(200, graph.k * graph.l) == g
     rngs = [np.random.default_rng(seed) for seed in range(g)]
-    chain._walk(graph, rngs[:1], 1)                 # the pair tables, cached
-    tracemalloc.start()
-    try:
-        cells = chain._walk(graph, rngs, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - len(cells) <= 8 * g * 200 + 256 * chain._GROUP
+    chain._walk(graph, 1, 1, generator_draws(rngs[:1], denom))   # the pair tables, cached
+    for walk in (lambda: chain._walk(graph, g, 200, generator_draws(rngs, denom)),
+                 lambda: next(chain._walk_seeds(graph, range(g), 200))):
+        tracemalloc.start()
+        try:
+            cells = walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = memoryview(cells).nbytes
+        assert size == g * graph.k * graph.l
+        assert peak - size <= 8 * g * 200 + 256 * chain._GROUP, peak - size
 
 
 def test_both_inner_loops_at_the_real_bounds():
@@ -366,7 +372,57 @@ def test_both_inner_loops_at_the_real_bounds():
     assert chain._group_size(300, 256) >= 40 >= chain._LOCKSTEP
     rngs = [np.random.default_rng(seed) for seed in range(40)]
     refs = [np.random.default_rng(seed) for seed in range(40)]
-    stack = np.frombuffer(chain._walk(graph, rngs, 300), np.uint8).reshape(40, 16, 16)
+    cells = chain._walk(graph, 40, 300, generator_draws(rngs, 120 * 120))
+    stack = np.frombuffer(cells, np.uint8).reshape(40, 16, 16)
     for layer, rng, ref in zip(stack, rngs, refs):
         assert BipartiteGraph(layer) == scalar_walk(graph, ref, 300)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("ds", [BipartiteDegreeSequence((2, 2, 2, 2), (3, 2, 2, 1)),
+                                BipartiteDegreeSequence((2,) * 4, (2,) * 4)],
+                         ids=["48U", "90"])
+def test_holding_probability_counts_the_allowed_swaps(ds):
+    # transition_prob counts core._allowed's field tuples; allowed_swaps
+    # builds a Swap for each
+    space = enumerate_states(ds)
+    graphs_ = graphs(space) + [sample(BipartiteDegreeSequence((4,) * 16, (4,) * 16), 300, 5)]
+    for G in graphs_:
+        denom = chain.pair_count(G.k) * chain.pair_count(G.l)
+        assert transition_prob(G, G) == 1 - Fraction(len(allowed_swaps(G)), denom)
+    assert len(allowed_swaps(graphs_[-1])) == 1292
+
+
+# seeds one word wide, and seeds on each side of 2^32, 2^64 and 2^128 (numpy
+# hashes the four-word pool, then each word past it) and past 2^160
+SEEDS = (list(range(200)) + [b + d for b in (1 << 32, 1 << 64, 1 << 128) for d in range(-3, 4)]
+         + [1 << 160])
+# a denominator of 1 reads no word; 3 * 2^30 rejects a quarter of the
+# words; 2^32 - 1 and 2^32 end the 32-bit branch, whose word is the low half
+# of an output first; 2^32 + 1 and 2^40 + 3 draw whole outputs at 64 bits
+DENOMS = (1, 2, 9, 60, 14_400, 24_502_500, 3 << 30, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
+          (1 << 40) + 3)
+
+
+@pytest.mark.parametrize("denom", DENOMS)
+@pytest.mark.parametrize("seeds", [range(200), SEEDS], ids=["range", "wide"])
+def test_seeded_draws_are_numpys_streams(seeds, denom):
+    # odd pass sizes end a pass on a low half, which the next pass reads first
+    draw = chain._seeded(seeds, denom)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for n in (1, 7, 3, 200, 4096, 2):
+        got = draw(n)
+        assert got.shape == (len(seeds), n) and got.dtype == np.int64
+        want = np.array([rng.integers(denom, size=n) for rng in rngs])
+        assert np.array_equal(got, want), (denom, n)
+
+
+@pytest.mark.parametrize("denom", [0, 9])
+@pytest.mark.parametrize("seeds", [[3, -1], range(-3, 4), [-(1 << 70)]])
+def test_seeded_negative_seed_raises_numpys_error(seeds, denom):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as ours:
+        chain._seeded(seeds, denom)
+    assert str(ours.value) == str(numpy_error.value) == "expected non-negative integer"
+

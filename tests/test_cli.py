@@ -677,7 +677,20 @@ def test_sample_negative_seed(tmp_path, capsys, count, stats):
     argv = ["sample", "--ds", write(tmp_path, "d.txt", DS_OK), "--seed", "-3", "--count", count]
     assert main(argv + (["--stats"] if stats else [])) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error[ValueError]:")
+    assert (captured.out, captured.err) == ("", "error[ValueError]: expected non-negative integer\n")
+
+
+@pytest.mark.parametrize("stats", [False, True])
+@pytest.mark.parametrize("ds, steps", [(DS_OK, "0"), ("2\n1 1\n", "0"), ("2\n1 1\n", "50")],
+                         ids=["3x3, 0 steps", "1x2, 0 steps", "1x2, denom 0"])
+def test_sample_negative_seed_draws_nothing_first(tmp_path, capsys, ds, steps, stats):
+    # the seed is refused as numpy refuses it even when no step is drawn:
+    # at --steps 0, and on a 1 x 2 sequence, which has no swap to draw
+    argv = ["sample", "--ds", write(tmp_path, "d.txt", ds), "--seed", "-3", "--count", "5",
+            "--steps", steps]
+    assert main(argv + (["--stats"] if stats else [])) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error[ValueError]: expected non-negative integer\n")
 
 
 def test_sample_negative_steps_on_graphical_sequence(tmp_path, capsys):
