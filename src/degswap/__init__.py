@@ -13,14 +13,14 @@ from .canonical import (FMatrix, FriendlyPath, OKKOSpec, SteinhausSet,
                         adjusted_positions, canonical_path, cousins, f_matrix,
                         find_friendly_path, hat_matrix, ok_ko_step,
                         path_along_cycle, path_distribution, switch_distance)
-from .chain import ChainState, advance, sample, step, transition_prob
+from .chain import sample
 from .core import (BipartiteDegreeSequence, BipartiteGraph, EdgePartition, Swap,
                    allowed_swaps, apply_swap, greedy_realize, is_graphical,
-                   push_up, symmetric_difference)
+                   symmetric_difference)
 from .errors import DegSwapError, Exceeds, NotGraphical, Unreachable
 from .mixing import (StateSpace, TransitionMatrix, build_kernel, congestion,
                      count_realizations, enumerate_states, spectral_gap,
-                     total_variation, total_variation_time, tv_mixing_time)
+                     total_variation_time, tv_mixing_time)
 from .pairings import (AlternatingCycle, CircuitDecomposition, Pairing, all_pairings,
                        decompose, enumerate_pairings_count, random_pairing)
 from .ryser import ryser_sequence, swap_distance

@@ -1,19 +1,20 @@
-"""The swap Markov chain: exact transition kernel and the step sampler.
+"""The swap Markov chain and its sampler.
 
 One step draws an unordered pair of U-vertices and an unordered pair of
 V-vertices uniformly among the C(k,2)*C(l,2) outcomes, performs the swap on
 them when the induced 2x2 submatrix is a one-factor, and stays put
 otherwise.  The kernel is symmetric with the uniform distribution as its
-stationary law.
+stationary law; ``mixing.TransitionMatrix`` holds it exactly.
 
 Randomness discipline: each step consumes exactly one integer draw from its
 chain's stream, so runs are reproducible from the seed alone.  A chain draws
 its steps in one vectorized call per pass of at most 4,096 draws, which
 reproduces the stream of one scalar draw per step, so a seed gives the same
-trajectory as stepping one move at a time.  ``advance`` draws from its
-state's generator.  ``degswap sample`` walks chains in groups, and chain i of
-a group draws exactly ``np.random.default_rng(seed_i).integers(denom)``'s
-stream without a generator per chain: ``_seeded`` runs numpy's
+trajectory as stepping one move at a time.  ``sample`` walks one chain on
+``np.random.default_rng(seed)``.  ``degswap sample`` walks chains in groups,
+and chain i of a group draws exactly
+``np.random.default_rng(seed_i).integers(denom)``'s stream without a
+generator per chain: ``_seeded`` runs numpy's
 ``SeedSequence`` hash on every seed of the group at once, seeds PCG64 from
 it, and reads the group's bounded draws off each chain's raw 64-bit outputs
 with Lemire's rejection test, vectorized.  The group's draws are unranked
@@ -28,14 +29,11 @@ from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .core import (BipartiteDegreeSequence, BipartiteGraph, _allowed, _check_margins,
-                   greedy_realize, symmetric_difference)
+from .core import BipartiteDegreeSequence, BipartiteGraph, greedy_realize
 
 
 def pair_count(n: int) -> int:
@@ -92,48 +90,6 @@ def _check_steps(steps: int) -> int:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     return steps
-
-
-def transition_prob(G: BipartiteGraph, H: BipartiteGraph) -> Fraction:
-    """Exact one-step probability of moving from G to H.
-
-    For H one swap away this is 1/(C(k,2)*C(l,2)); for H = G it is the
-    complementary holding probability; otherwise zero.  ``core._check_margins``
-    checks the pair.  The allowed swaps are counted off ``core._allowed``'s
-    field tuples, with no ``Swap`` built.
-    """
-    _check_margins(G, H)
-    denom = pair_count(G.k) * pair_count(G.l)
-    if G == H:
-        if denom == 0:
-            return Fraction(1)
-        return 1 - Fraction(len(_allowed(G.key(), G.k, G.l)), denom)
-    if denom == 0:
-        return Fraction(0)
-    part = symmetric_difference(G, H)
-    if len(part.x_edges) != 2 or len(part.y_edges) != 2:
-        return Fraction(0)
-    rows = {u for u, _ in part.x_edges} | {u for u, _ in part.y_edges}
-    cols = {v for _, v in part.x_edges} | {v for _, v in part.y_edges}
-    if len(rows) != 2 or len(cols) != 2:
-        return Fraction(0)
-    return Fraction(1, denom)
-
-
-@dataclass
-class ChainState:
-    """A realization plus the generator that drives its walk.
-
-    The generator is owned by the state; advancing a state advances the
-    stream in place, so a state should have a single consumer.
-    """
-
-    graph: BipartiteGraph
-    rng: np.random.Generator
-
-    @classmethod
-    def start(cls, ds: BipartiteDegreeSequence, seed: int) -> "ChainState":
-        return cls(greedy_realize(ds), np.random.default_rng(seed))
 
 
 def _group_size(steps: int, cells: int) -> int:
@@ -347,14 +303,14 @@ def _walk(start: BipartiteGraph, g: int, steps: int, draw) -> bytearray:
     """Run g chains ``steps`` moves from ``start``, each on its own row of
     draws from ``draw``, and return their cells as one buffer, chain i's
     ``start.key()`` layout at offset i*k*l: the package's one swap-attempt
-    routine, which ``advance`` runs as a group of one.
+    routine, which ``sample`` runs as a group of one.
 
     Step t of a chain draws r_t uniformly below C(k,2)*C(l,2), takes the
     U-pair of rank r_t // C(l,2) and the V-pair of rank r_t % C(l,2), and
     exchanges the 2x2 submatrix on them when it is a one-factor (x11 == x22
     != x12 == x21).  A pass walks ``min(_GROUP, 8 * _GROUP // g)`` steps of
     each of the g chains (at least one), whose draws come from one call
-    ``draw(n)``: a (g, n) array, row i chain i's next n draws.  ``advance``
+    ``draw(n)``: a (g, n) array, row i chain i's next n draws.  ``sample``
     passes its generator's ``integers``, ``_walk_seeds`` the ``_seeded``
     kernel; nothing is drawn when ``steps`` or C(k,2)*C(l,2) is 0.  A pass's
     draws are read off the pair tables ``_pairs`` into cell positions, each
@@ -430,31 +386,24 @@ def _walk_seeds(start: BipartiteGraph, seeds: range, steps: int):
         yield stack
 
 
-def advance(state: ChainState, steps: int) -> ChainState:
-    """Run the chain ``steps`` moves from ``state``: ``_walk`` with a group
-    of one, which ``step`` and ``sample`` run.  The draws come from
-    ``state.rng``, which the returned state shares, and leave it where one
-    scalar draw per step would."""
-    steps = _check_steps(steps)
-    G, rng = state.graph, state.rng
-    denom = pair_count(G.k) * pair_count(G.l)
-    cells = _walk(G, 1, steps, lambda n: rng.integers(denom, size=(1, n)))
-    if cells != G.key():
-        G = BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(G.k, G.l))
-    return ChainState(G, rng)
-
-
-def step(state: ChainState) -> ChainState:
-    """Advance the chain by one step."""
-    return advance(state, 1)
-
-
 def sample(ds: BipartiteDegreeSequence, steps: int, seed: int) -> BipartiteGraph:
-    """Run the chain for ``steps`` moves from the greedy realization.
+    """Run the chain for ``steps`` moves from the greedy realization, on
+    ``np.random.default_rng(seed)``'s draws: ``_walk`` with a group of one.
 
     Deterministic in ``seed``.  No burn-in heuristics: the caller chooses
-    the step count.  A count that is not an integer, or is negative, is
-    rejected before ``ds`` is realized.
+    the step count.  A step count or a seed that is not an integer raises
+    ``TypeError``, and a negative one ``ValueError`` (numpy's, for the
+    seed), before ``ds`` is realized.
     """
-    _check_steps(steps)
-    return advance(ChainState.start(ds, seed), steps).graph
+    steps = _check_steps(steps)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
+    rng = np.random.default_rng(seed)
+    G = greedy_realize(ds)
+    denom = pair_count(G.k) * pair_count(G.l)
+    cells = _walk(G, 1, steps, lambda n: rng.integers(denom, size=(1, n)))
+    if cells == G.key():
+        return G
+    return BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(G.k, G.l))

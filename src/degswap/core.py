@@ -94,9 +94,20 @@ class BipartiteDegreeSequence:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 2:
             raise ValueError("degree sequence text needs exactly two non-empty lines")
-        a = tuple(int(t) for t in lines[0].split())
-        b = tuple(int(t) for t in lines[1].split())
+        a = tuple(map(_read_int, lines[0].split()))
+        b = tuple(map(_read_int, lines[1].split()))
         return cls(a, b)
+
+
+def _read_int(token: str) -> int:
+    """A text token as an int: ASCII digits with an optional leading "-",
+    so that a negative degree or size meets its own check; ``ValueError``
+    naming any other token, such as "+2", "1_1" or non-ASCII digits, which
+    ``int`` would read."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -254,14 +265,15 @@ class BipartiteGraph:
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
         """Read the text ``to_text`` writes.  The header must be two
-        non-negative integers and every row l characters 0 or 1;
-        ``ValueError`` otherwise.  Those checks are the whole validation:
-        the matrix is built from the checked rows and not checked again."""
+        non-negative integers in ASCII digits and every row l characters 0
+        or 1; ``ValueError`` otherwise.  Those checks are the whole
+        validation: the matrix is built from the checked rows and not
+        checked again."""
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty graph text")
         try:
-            k, l = map(int, lines[0].split())
+            k, l = map(_read_int, lines[0].split())
         except ValueError:
             k = l = -1
         if k < 0 or l < 0:
@@ -430,47 +442,20 @@ def _step(key: int, l: int, swap) -> int:
     return nxt
 
 
-def push_up(G: BipartiteGraph, v: int, active_cols=None):
-    """Rewire so the neighborhood of V-vertex ``v`` is the d(v) largest-degree
-    U-vertices, using at most d(v) swaps.
-
-    Ties in the U ordering break by lowest index.  ``active_cols`` restricts
-    the columns the pigeonhole witness may come from (used by the recursive
-    transformation, which deletes columns as it goes); degrees are counted
-    inside the active columns only.  Every active column must lie in
-    ``range(G.l)``, duplicates counting once, and ``v`` must be among them;
-    ``ValueError`` otherwise.  The matrix is rewired as row bitmasks by
-    ``_push_up``, the kernel of ``ryser_sequence``.
-
-    Returns (new graph, list of swaps applied, in order).
-    """
-    v = operator.index(v)
-    active = (1 << G.l) - 1
-    if active_cols is not None:
-        active = 0
-        for c in map(operator.index, active_cols):
-            if not 0 <= c < G.l:
-                raise ValueError(f"active column {c} is outside range({G.l})")
-            active |= 1 << c
-    if not (0 <= v < G.l and active >> v & 1):
-        raise ValueError(f"column {v} is not active")
-    rows, cols = _masks(G.key(), G.k, G.l)
-    targets = _targets([(row & active).bit_count() for row in rows], cols[v].bit_count())
-    swaps = _push_up(rows, cols, v, active, targets)
-    return BipartiteGraph._trusted(_unpack(rows, G.l)), [Swap(*s) for s in swaps]
-
-
 def _targets(deg: list, d: int) -> list:
     """The d rows of largest degree ``deg[u]``, ties by lowest index, in that
-    order: the rows ``push_up`` brings onto a column of degree d."""
+    order: the rows ``_push_up`` brings onto a column of degree d."""
     # a stable sort: equal degrees keep the lowest index first
     return sorted(range(len(deg)), key=deg.__getitem__, reverse=True)[:d]
 
 
 def _push_up(rows: list, cols: list, v: int, active: int, targets: list) -> list:
-    """``push_up`` on a matrix held as bitmasks, rewired in place: bit v of
-    ``rows[u]`` and bit u of ``cols[v]`` are cell (u, v), and ``active`` is
-    the mask of the active columns, v among them.  ``targets`` is
+    """Ryser's push-up, the kernel of ``ryser_sequence``: rewire a matrix
+    held as bitmasks in place so that column v holds the rows ``targets``,
+    with at most one swap per target.  Bit v of ``rows[u]`` and bit u of
+    ``cols[v]`` are cell (u, v), and ``active`` is the mask of the active
+    columns, v among them, from which each swap's witness column comes.
+    ``targets`` is
     ``_targets`` of the row degrees inside the active columns, which no swap
     here changes.  Returns the swaps applied, in order, each as the fields
     ``(u1, u2, v1, v2, orientation)`` of its ``Swap``."""
@@ -510,14 +495,6 @@ def _masks(key: bytes, k: int, l: int) -> tuple:
     rows = [int(digits[(k - 1 - u) * l:(k - u) * l] or b"0", 2) for u in range(k)]
     cols = [int(digits[l - 1 - v::l] or b"0", 2) for v in range(l)]
     return rows, cols
-
-
-def _unpack(rows: list, l: int) -> np.ndarray:
-    """The len(rows) x l 0-1 ``uint8`` matrix whose rows are the bitmasks
-    ``rows`` (bit v of row u is cell (u, v))."""
-    w = (l + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(w, "little") for row in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), w), axis=1, count=l, bitorder="little")
 
 
 def _bits(n: int) -> list:

@@ -45,10 +45,10 @@ commutes with the chain, so ``P^t`` from a start x is ``P^t`` from any
 state of x's orbit, relabelled.  ``_representatives`` finds one start per
 orbit by union-find over the adjacent transpositions inside each degree
 class, each checked in integers to map the move graph onto itself, and
-``distance_profile``, ``tv_mixing_time``, ``total_variation`` and
-``total_variation_time`` advance only those columns of ``A^t``, still in
-exact integers.  Both distances never increase with t, so both mixing times
-stop at the first t within eps (``_first_hit``).  The chain is ergodic
+``tv_mixing_time`` and ``total_variation_time`` advance only those columns
+of ``A^t``, still in exact integers, in one scan (``_decay``) that yields
+every t.  Both distances never increase with t, so both mixing times stop
+at the first t within eps (``_first_hit``).  The chain is ergodic
 exactly when ``A^(2N-2)`` has no zero entry, so a scan still beyond eps at
 t = 2N - 2 raises ``NonMixing`` only if it finds one there; no spectrum
 bounds the scan.
@@ -56,7 +56,6 @@ bounds the scan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -337,8 +336,8 @@ class TransitionMatrix:
     ``diag[i] / denom``, where ``diag[i]`` is ``denom`` less the row's
     length.  So ``A = denom*I - L`` with ``L`` the Laplacian of the move
     graph; for the swap chain ``denom = C(k,2)*C(l,2)``, one outcome per
-    pair of rows and pair of columns.  ``chain.transition_prob`` derives the
-    same entries pair by pair from the graphs.
+    pair of rows and pair of columns.  The tests derive the same entries
+    pair by pair from the graphs (``tests/oracles.py::transition_prob``).
 
     The constructor checks the CSR form and the kernel laws in integers.
     ``indptr`` starts at 0, never decreases and ends at ``len(indices)``,
@@ -694,25 +693,6 @@ def _decay(P: TransitionMatrix, measure):
         scale *= denom
 
 
-def distance_profile(P: TransitionMatrix, t: int) -> Fraction:
-    """Half the largest entrywise deviation of ``P^t`` from uniform,
-    ``(1/2) max_{x,y} |P^t(y, x) - 1/N|``, as an exact rational.
-
-    This is not the total-variation distance, which sums the deviations of
-    a whole row before halving; ``total_variation`` gives that one.
-    """
-    dev, scale, _ = next(itertools.islice(_decay(P, _entrywise), t, None))
-    return Fraction(dev, 2 * P.n * scale)
-
-
-def total_variation(P: TransitionMatrix, t: int) -> Fraction:
-    """The worst-start total-variation distance of ``P^t`` from uniform,
-    ``max_x (1/2) sum_y |P^t(x, y) - 1/N|``, as an exact rational (Levin,
-    Peres & Wilmer, "Markov Chains and Mixing Times", section 4.1)."""
-    dev, scale, _ = next(itertools.islice(_decay(P, _total), t, None))
-    return Fraction(dev, 2 * P.n * scale)
-
-
 def _first_hit(P: TransitionMatrix, eps, measure, name: str) -> int:
     """The first t whose distance ``dev / (2 * N * D^t)`` from ``_decay``
     is at most eps, decided in integers.
@@ -749,11 +729,12 @@ def _first_hit(P: TransitionMatrix, eps, measure, name: str) -> int:
 
 
 def tv_mixing_time(P: TransitionMatrix, eps: float) -> int:
-    """Smallest t with ``distance_profile(P, t) <= eps``.
+    """Smallest t with ``(1/2) max_{x,y} |P^t(y, x) - 1/N| <= eps``.
 
-    The profile is half the largest entrywise deviation of ``P^t`` from
-    uniform, not the total-variation distance (``total_variation_time``
-    gives the mixing time in that).  It never increases with t: each entry
+    That distance is half the largest entrywise deviation of ``P^t`` from
+    uniform, not the total-variation distance, which sums a whole row's
+    deviations before halving (``total_variation_time`` gives the mixing
+    time in that).  It never increases with t: each entry
     of ``P^(t+1) = P P^t`` averages a column of ``P^t``.  So the scan stops
     at the first t within eps, checking that law in integers at each step,
     and advances only the columns of ``P^t`` at one start per symmetry
@@ -765,8 +746,9 @@ def tv_mixing_time(P: TransitionMatrix, eps: float) -> int:
 
 
 def total_variation_time(P: TransitionMatrix, eps: float) -> int:
-    """Smallest t with ``total_variation(P, t) <= eps``: the mixing time in
-    worst-start total variation.
+    """Smallest t with ``max_x (1/2) sum_y |P^t(x, y) - 1/N| <= eps``: the
+    mixing time in worst-start total variation (Levin, Peres & Wilmer,
+    "Markov Chains and Mixing Times", section 4.1).
 
     Worst-start total variation never increases with t (Levin, Peres &
     Wilmer, exercise 4.2): each row of ``P^(t+1) = P^t P`` is a row of

@@ -6,8 +6,9 @@ construction rewires the highest-degree V-vertex in both graphs to the same
 canonical neighborhood, removes it, and recurses; the second graph's swaps
 are then undone in reverse order.  Both matrices are held as row and column
 bitmasks (bit v of row u and bit u of column v are cell (u, v)), read from
-their keys by ``core._masks``, and rewired by ``core._push_up``, the kernel
-behind ``push_up``, column by column.
+their keys by ``core._masks``, and rewired column by column by
+``core._push_up``, the kernel that every OK/KO bridge of six cells or more
+runs too (``_eliminate``).
 
 The distance oracle ``swap_distance`` runs its breadth-first search on keys
 held as ints (``core._int``): a node's swaps are listed off its row

@@ -8,13 +8,15 @@ relation, and instances are assembled cell by cell.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
 from degswap import AlternatingCycle, BipartiteGraph, Swap, Unreachable
-from degswap.core import _check_margins, allowed_swaps, apply_swap
+from degswap.core import (_allowed, _check_margins, _masks, _push_up, _targets, allowed_swaps,
+                          apply_swap, symmetric_difference)
 from degswap.errors import DiagonalPosition, NonAlternating, SwapNotAllowed
 from degswap.pairings import CircuitDecomposition, _shared_vertex
 
@@ -116,8 +118,38 @@ def naive_down_up_rings(ell):
 # -- column elimination on numpy matrices ---------------------------------------
 
 
+def push_up(G, v, active_cols=None):
+    """Rewire so the neighborhood of V-vertex ``v`` is the d(v) largest-degree
+    U-vertices, using at most d(v) swaps: ``core._push_up``, the kernel of
+    ``ryser_sequence``, on one graph's row and column bitmasks.
+
+    Ties in the U ordering break by lowest index.  ``active_cols`` restricts
+    the columns the pigeonhole witness may come from, and degrees are counted
+    inside them only.  Every active column must lie in ``range(G.l)``,
+    duplicates counting once, and ``v`` must be among them; ``ValueError``
+    otherwise.  Returns (new graph, list of swaps applied, in order)."""
+    v = operator.index(v)
+    active = (1 << G.l) - 1
+    if active_cols is not None:
+        active = 0
+        for c in map(operator.index, active_cols):
+            if not 0 <= c < G.l:
+                raise ValueError(f"active column {c} is outside range({G.l})")
+            active |= 1 << c
+    if not (0 <= v < G.l and active >> v & 1):
+        raise ValueError(f"column {v} is not active")
+    rows, cols = _masks(G.key(), G.k, G.l)
+    targets = _targets([(row & active).bit_count() for row in rows], cols[v].bit_count())
+    swaps = _push_up(rows, cols, v, active, targets)
+    # row u's bitmask little-endian, bit v cell (u, v)
+    w = (G.l + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(w, "little") for row in rows), np.uint8)
+    adj = np.unpackbits(packed.reshape(G.k, w), axis=1, count=G.l, bitorder="little")
+    return BipartiteGraph(adj), [Swap(*s) for s in swaps]
+
+
 def naive_push_up(G, v, active_cols=None):
-    """``core.push_up`` on a numpy copy of the matrix, one cell at a time:
+    """``push_up`` on a numpy copy of the matrix, one cell at a time:
     the d(v) rows of largest degree inside the active columns (ties by
     lowest index) take column v, each missing one by the swap with the
     lowest non-target row u' on v and the lowest active column v' that u
@@ -511,11 +543,39 @@ def kernel_rows(K):
     return rows
 
 
+def transition_prob(G, H):
+    """Exact one-step probability of the swap chain moving from G to H.
+
+    For H one swap away this is 1/(C(k,2)*C(l,2)); for H = G it is the
+    complementary holding probability; otherwise zero.  ``core._check_margins``
+    checks the pair.  The allowed swaps are counted off ``core._allowed``'s
+    field tuples, with no ``Swap`` built.
+    """
+    from fractions import Fraction
+
+    from degswap.chain import pair_count
+
+    _check_margins(G, H)
+    denom = pair_count(G.k) * pair_count(G.l)
+    if G == H:
+        if denom == 0:
+            return Fraction(1)
+        return 1 - Fraction(len(_allowed(G.key(), G.k, G.l)), denom)
+    if denom == 0:
+        return Fraction(0)
+    part = symmetric_difference(G, H)
+    if len(part.x_edges) != 2 or len(part.y_edges) != 2:
+        return Fraction(0)
+    rows = {u for u, _ in part.x_edges} | {u for u, _ in part.y_edges}
+    cols = {v for _, v in part.x_edges} | {v for _, v in part.y_edges}
+    if len(rows) != 2 or len(cols) != 2:
+        return Fraction(0)
+    return Fraction(1, denom)
+
+
 def dense_kernel_rows(space):
     """The kernel of the swap chain as dense ``Fraction`` rows, one
     ``transition_prob`` per ordered pair of states."""
-    from degswap.chain import transition_prob
-
     all_states = graphs(space)
     return [[transition_prob(X, Y) for Y in all_states] for X in all_states]
 

@@ -6,15 +6,24 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, ChainState, advance,
-                     allowed_swaps, greedy_realize, sample, step, transition_prob)
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, allowed_swaps, greedy_realize,
+                     sample)
 from degswap import chain
 from degswap.errors import DegreeMismatch, NotGraphical
 from degswap.mixing import enumerate_states
 
-from oracles import generator_draws, graphs, scalar_walk
+from oracles import generator_draws, graphs, scalar_walk, transition_prob
 
 DS = BipartiteDegreeSequence((2, 2, 2), (3, 2, 1))
+
+
+def walked(graph, rngs, steps):
+    """``chain._walk`` of one chain per generator of ``rngs`` from ``graph``,
+    each on its own stream, as graphs."""
+    denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
+    cells = chain._walk(graph, len(rngs), steps, generator_draws(rngs, denom))
+    stack = np.frombuffer(cells, np.uint8).reshape(len(rngs), graph.k, graph.l)
+    return [BipartiteGraph(layer) for layer in stack]
 
 
 def test_degenerate_two_matchings():
@@ -53,42 +62,38 @@ def test_mismatch_raises():
 
 
 def test_step_complete_graph_stays():
-    st = ChainState(BipartiteGraph([[1, 1], [1, 1]]), np.random.default_rng(0))
-    for _ in range(20):
-        st = step(st)
-        assert st.graph.adj.sum() == 4
+    ds = BipartiteDegreeSequence((2, 2), (2, 2))
+    for steps in range(21):
+        assert sample(ds, steps, 0) == BipartiteGraph([[1, 1], [1, 1]])
 
 
 def test_step_degenerate_always_moves():
-    st = ChainState(BipartiteGraph([[1, 0], [0, 1]]), np.random.default_rng(0))
-    prev = st.graph
-    for _ in range(10):
-        st = step(st)
-        assert st.graph != prev
-        prev = st.graph
+    # one outcome per step, always a swap: the walk alternates
+    ds = BipartiteDegreeSequence((1, 1), (1, 1))
+    walks = [sample(ds, steps, 0) for steps in range(11)]
+    assert walks[0] != walks[1]
+    assert walks == [walks[steps % 2] for steps in range(11)]
 
 
 def test_step_frequencies_match_kernel():
+    # one step from each of the three states, one chain per seed, 98,364
+    # chains in all: per state eight groups of _GROUP chains in lockstep and
+    # one of 20 in the scalar loop
     space = enumerate_states(DS)
-    all_states = graphs(space)
-    kernel = {(i, j): float(transition_prob(X, Y))
-              for i, X in enumerate(all_states)
-              for j, Y in enumerate(all_states)}
-    n_steps = 100_000
-    st = ChainState(space.graph(0), np.random.default_rng(123))
-    counts = {}
-    visits = {}
-    for _ in range(n_steps):
-        i = space.index[st.graph.key()]
-        st = step(st)
-        j = space.index[st.graph.key()]
-        visits[i] = visits.get(i, 0) + 1
-        counts[(i, j)] = counts.get((i, j), 0) + 1
-    for (i, j), c in counts.items():
-        p = kernel[(i, j)]
-        n = visits[i]
-        sigma = math.sqrt(n * p * (1 - p)) if 0 < p < 1 else 0.0
-        assert abs(c - n * p) <= 3 * sigma + 1, (i, j, c, n * p)
+    all_states, size = graphs(space), DS.k * DS.l
+    n = 8 * chain._GROUP + 20
+    for i, X in enumerate(all_states):
+        stacks = list(chain._walk_seeds(X, range(i * n, (i + 1) * n), 1))
+        assert [len(s) for s in stacks] == [chain._GROUP] * 8 + [20] and 20 < chain._LOCKSTEP
+        counts = [0] * space.n
+        for stack in stacks:
+            data = stack.tobytes()
+            for c in range(0, len(data), size):
+                counts[space.index[data[c:c + size]]] += 1
+        for j, Y in enumerate(all_states):
+            p = float(transition_prob(X, Y))
+            sigma = math.sqrt(n * p * (1 - p))
+            assert abs(counts[j] - n * p) <= 3 * sigma + 1, (i, j, counts[j], n * p)
 
 
 def test_sample_zero_steps_is_greedy():
@@ -96,10 +101,13 @@ def test_sample_zero_steps_is_greedy():
 
 
 def test_sample_matches_stepwise_walk():
-    st = ChainState(greedy_realize(DS), np.random.default_rng(99))
-    for _ in range(137):
-        st = step(st)
-    assert st.graph == sample(DS, 137, seed=99)
+    # on 3 x 3, 5 x 4 and 16 x 16; 4,097 and 10,000 steps cross the passes
+    # of 4,096 draws
+    for ds in (DS, BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2)),
+               BipartiteDegreeSequence((4,) * 16, (4,) * 16)):
+        for seed, steps in ((0, 1), (99, 137), (7, 4097), (1 << 64, 10_000)):
+            want = scalar_walk(greedy_realize(ds), np.random.default_rng(seed), steps)
+            assert sample(ds, steps, seed) == want, (ds, seed, steps)
 
 
 def test_sample_deterministic():
@@ -109,6 +117,7 @@ def test_sample_deterministic():
 def test_sample_margins():
     g = sample(DS, 300, seed=7)
     assert g.row_deg == (2, 2, 2) and g.col_deg == (3, 2, 1)
+    assert not g.adj.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -124,13 +133,6 @@ def test_unrank_lists_pairs_in_combinations_order(n):
     assert chain._pairs(n) is chain._pairs(n)
 
 
-def _stepwise(graph, seed, n):
-    st = ChainState(graph, np.random.default_rng(seed))
-    for _ in range(n):
-        st = step(st)
-    return st
-
-
 @pytest.mark.parametrize("graph, denom", [
     (BipartiteGraph([[1, 1, 0, 1]]), 0),
     (BipartiteGraph([[1, 0], [0, 1]]), 1),
@@ -139,65 +141,84 @@ def _stepwise(graph, seed, n):
     (greedy_realize(BipartiteDegreeSequence((200,) * 400, (200,) * 400)), 79_800 ** 2),
 ])
 def test_advance_reproduces_the_stepwise_stream(graph, denom):
+    # a walk of one chain on a generator, as sample walks
     assert chain.pair_count(graph.k) * chain.pair_count(graph.l) == denom
     for seed, n in ((3, 0), (5, 1), (8, 150)):
-        one = _stepwise(graph, seed, n)
-        batch = advance(ChainState(graph, np.random.default_rng(seed)), n)
-        ref_rng = np.random.default_rng(seed)
-        assert batch.graph == one.graph == scalar_walk(graph, ref_rng, n)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert walked(graph, [rng], n) == [scalar_walk(graph, ref, n)]
         # the generator is left where the scalar draws leave it
-        nxt = batch.rng.integers(max(denom, 1))
-        assert nxt == one.rng.integers(max(denom, 1)) == ref_rng.integers(max(denom, 1))
-        assert batch.rng.random() == one.rng.random() == ref_rng.random()
+        assert rng.integers(max(denom, 1)) == ref.integers(max(denom, 1))
+        assert rng.random() == ref.random()
 
 
 def test_advance_blocks_continue_the_stream(monkeypatch):
-    # a single chain walks passes of _GROUP draws: 40 steps in passes of 7
+    # a single chain walks passes of _GROUP draws: 40 steps in passes of 7,
+    # and 9 then 31 steps on one generator
     monkeypatch.setattr(chain, "_GROUP", 7)
     graph = greedy_realize(BipartiteDegreeSequence((3, 3, 2, 2, 1), (3, 3, 3, 2)))
-    one = _stepwise(graph, 17, 40)
-    batch = advance(ChainState(graph, np.random.default_rng(17)), 40)
-    assert batch.graph == one.graph
-    assert batch.rng.random() == one.rng.random()
-    split = advance(advance(ChainState(graph, np.random.default_rng(17)), 9), 31)
-    assert split.graph == one.graph
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    [one] = walked(graph, [rng], 40)
+    assert one == scalar_walk(graph, ref, 40)
+    assert rng.random() == ref.random()
+    rng = np.random.default_rng(17)
+    [nine] = walked(graph, [rng], 9)
+    assert walked(nine, [rng], 31) == [one]
 
 
 def test_advance_keeps_the_state_and_margins():
-    st = ChainState(greedy_realize(DS), np.random.default_rng(4))
-    after = advance(st, 300)
-    assert after.rng is st.rng and st.graph == greedy_realize(DS)
-    assert after.graph.row_deg == (2, 2, 2) and after.graph.col_deg == (3, 2, 1)
-    assert not after.graph.adj.flags.writeable
+    # the walk reads its start's key and writes only its own buffer
+    start = greedy_realize(DS)
+    before = start.key()
+    [after] = walked(start, [np.random.default_rng(4)], 300)
+    assert start.key() == before and after != start
+    assert after.row_deg == (2, 2, 2) and after.col_deg == (3, 2, 1)
 
 
 @pytest.mark.parametrize("steps", [2.5, "3", None, 3.0, np.float64(2)])
 @pytest.mark.parametrize("graph", [BipartiteGraph([[1, 1, 0]]), greedy_realize(DS)],
                          ids=["1x3", "3x3"])
 def test_steps_that_are_not_integers_rejected_before_drawing(graph, steps):
-    st, ref = ChainState(graph, np.random.default_rng(6)), np.random.default_rng(6)
-    with pytest.raises(TypeError, match="steps must be an integer"):
-        advance(st, steps)
-    with pytest.raises(TypeError, match="steps must be an integer"):
-        sample(BipartiteDegreeSequence((2, 2), (1, 1)), steps, seed=0)
-    assert st.rng.random() == ref.random()
+    # on the graph's own degree sequence, and before a sequence with no
+    # realization is realized
+    ds = BipartiteDegreeSequence(tuple(sorted(graph.row_deg, reverse=True)),
+                                 tuple(sorted(graph.col_deg, reverse=True)))
+    for ds in (ds, BipartiteDegreeSequence((2, 2), (1, 1))):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            sample(ds, steps, seed=0)
 
 
 @pytest.mark.parametrize("steps", [np.int64(7), True, False, 7])
 def test_integer_step_counts_accepted(steps):
-    graph = greedy_realize(DS)
-    after = advance(ChainState(graph, np.random.default_rng(6)), steps)
-    assert after.graph == scalar_walk(graph, np.random.default_rng(6), int(steps))
-    assert sample(DS, steps, seed=6) == after.graph
+    want = scalar_walk(greedy_realize(DS), np.random.default_rng(6), int(steps))
+    assert sample(DS, steps, seed=6) == want
 
 
 def test_negative_steps_rejected_before_realizing():
     with pytest.raises(ValueError):
-        advance(ChainState(greedy_realize(DS), np.random.default_rng(0)), -1)
-    with pytest.raises(ValueError):
         sample(BipartiteDegreeSequence((2, 2), (1, 1)), -1, seed=0)
     with pytest.raises(NotGraphical):
         sample(BipartiteDegreeSequence((2, 2), (1, 1)), 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, 3.0, np.float64(2), "3", [1, 2], (5,)])
+def test_seeds_that_are_not_integers_rejected_before_realizing(seed):
+    # a seed of None would draw fresh entropy, and a sequence would seed
+    # numpy's SeedSequence with its words: neither is one integer seed
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        sample(BipartiteDegreeSequence((2, 2), (1, 1)), 50, seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        sample(DS, 50, seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), True, False, 1 << 70])
+def test_integer_seeds_accepted(seed):
+    want = scalar_walk(greedy_realize(DS), np.random.default_rng(int(seed)), 50)
+    assert sample(DS, 50, seed) == want
+
+
+def test_negative_seed_raises_numpys_error_before_realizing():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sample(BipartiteDegreeSequence((2, 2), (1, 1)), 5, -1)
 
 
 GROUP_GRAPHS = {
@@ -217,7 +238,7 @@ BOTH_LOOPS = (1, 1 << 30)
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
 def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
     # 23 chains; at a bound of 1 a walk of 9 steps is walked alone in passes
-    # of one draw, as each chain's own advance is; at 7 it groups by 6, in
+    # of one draw, as a walk of one is; at 7 it groups by 6, in
     # passes of 7 and 2 steps and sub-blocks of one step; at 20 by 17 and 6,
     # the 6 in sub-blocks of 3 steps; each in both inner loops
     monkeypatch.setattr(chain, "_GROUP", bound)
@@ -235,9 +256,9 @@ def test_grouped_chains_match_their_own_walks(monkeypatch, bound, name):
             with pytest.raises(ValueError):
                 stack[0, 0, 0] = 1
         for seed, layer in zip(seeds, layers):
-            walked = advance(ChainState(graph, np.random.default_rng(seed)), steps).graph
-            assert BipartiteGraph(layer) == walked
-            assert walked == scalar_walk(graph, np.random.default_rng(seed), steps)
+            [one] = walked(graph, [np.random.default_rng(seed)], steps)
+            assert BipartiteGraph(layer) == one
+            assert one == scalar_walk(graph, np.random.default_rng(seed), steps)
 
 
 @pytest.mark.parametrize("name", sorted(GROUP_GRAPHS))
@@ -257,12 +278,10 @@ def test_a_group_leaves_each_generator_where_its_scalar_draws_do(monkeypatch, na
         for layer, rng, ref in zip(stack, rngs, refs):
             assert BipartiteGraph(layer) == scalar_walk(graph, ref, steps)
             assert rng.random() == ref.random()
-        # advance, the group of one, leaves state.rng where the scalar draws do
-        st, ref = ChainState(graph, np.random.default_rng(9)), np.random.default_rng(9)
-        after = advance(st, steps)
-        assert after.graph == scalar_walk(graph, ref, steps)
-        assert after.rng is st.rng and st.rng.integers(max(denom, 1)) == ref.integers(max(denom, 1))
-        assert not after.graph.adj.flags.writeable
+        # a group of one leaves its generator where the scalar draws do
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        assert walked(graph, [rng], steps) == [scalar_walk(graph, ref, steps)]
+        assert rng.integers(max(denom, 1)) == ref.integers(max(denom, 1))
 
 
 @pytest.mark.parametrize("name", ["3x3, denom 9", "5x4, denom 60"])
@@ -270,11 +289,10 @@ def test_a_long_chain_crosses_passes_at_the_real_bound(name):
     # 10,000 steps are two passes of 4,096 draws and one of 1,808
     graph = GROUP_GRAPHS[name]
     denom = chain.pair_count(graph.k) * chain.pair_count(graph.l)
-    st, ref = ChainState(graph, np.random.default_rng(23)), np.random.default_rng(23)
-    after = advance(st, 10_000)
-    assert after.graph == scalar_walk(graph, ref, 10_000)
-    assert st.rng.integers(denom) == ref.integers(denom)
-    assert st.rng.random() == ref.random()
+    rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+    assert walked(graph, [rng], 10_000) == [scalar_walk(graph, ref, 10_000)]
+    assert rng.integers(denom) == ref.integers(denom)
+    assert rng.random() == ref.random()
 
 
 class _Counted:
@@ -383,8 +401,8 @@ def test_both_inner_loops_at_the_real_bounds():
                                 BipartiteDegreeSequence((2,) * 4, (2,) * 4)],
                          ids=["48U", "90"])
 def test_holding_probability_counts_the_allowed_swaps(ds):
-    # transition_prob counts core._allowed's field tuples; allowed_swaps
-    # builds a Swap for each
+    # the oracle transition_prob counts core._allowed's field tuples;
+    # allowed_swaps builds a Swap for each
     space = enumerate_states(ds)
     graphs_ = graphs(space) + [sample(BipartiteDegreeSequence((4,) * 16, (4,) * 16), 300, 5)]
     for G in graphs_:

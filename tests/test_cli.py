@@ -545,6 +545,14 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert err.startswith("error[NotGraphical]:")
 
 
+@pytest.mark.parametrize("text, token", [("1_1 1\n" + "1 " * 11 + "\n", "1_1"),
+                                         ("+2 \u0662\n2 2\n", "+2")])
+def test_check_refuses_a_degree_that_is_not_ascii_digits(tmp_path, capsys, text, token):
+    # int() read "1_1" as 11, and check reported "sum(a)=12 vs sum(b)=11"
+    assert main(["check", write(tmp_path, "d.txt", text)]) == 1
+    assert capsys.readouterr() == ("", f"error[ValueError]: not an integer: {token!r}\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

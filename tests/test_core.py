@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from degswap import (BipartiteDegreeSequence, BipartiteGraph, NotGraphical, Swap,
                      allowed_swaps, apply_swap, greedy_realize, is_graphical,
-                     push_up, sample, swap_distance, symmetric_difference)
+                     sample, swap_distance, symmetric_difference)
 from degswap.core import _bits, _key_cells, _masks
 from degswap.errors import DegreeMismatch, ShapeMismatch, SwapNotAllowed
 
 from oracles import (all_degree_pairs, brute_margin_count, brute_margin_matrices, cell_text,
                      graph_bfs_swap_distance, naive_greedy_realize, naive_push_up,
                      numpy_allowed_swaps, numpy_apply_swap, numpy_swap_is_allowed,
-                     numpy_swap_on, numpy_symmetric_difference)
+                     numpy_swap_on, numpy_symmetric_difference, push_up, transition_prob)
 
 
 def bds(a, b):
@@ -59,6 +59,27 @@ class TestDegreeSequence:
     def test_text_round_trip(self):
         ds = bds((2, 2, 2), (3, 2, 1))
         assert BipartiteDegreeSequence.from_text(ds.to_text()) == ds
+
+    # int() reads each of these: a sign, digit-group underscores, and
+    # Arabic-Indic and fullwidth digits are no degree
+    @pytest.mark.parametrize("token", ["+2", "1_1", "0_2", "\u0662", "\uff12", "-", "--2",
+                                       "-+2", "2.0", "0x2", "2-"])
+    @pytest.mark.parametrize("line", [0, 1])
+    def test_text_tokens_are_ascii_integers(self, token, line):
+        lines = ["2 2", "2 2"]
+        lines[line] = f"2 {token}"
+        with pytest.raises(ValueError, match="not an integer") as info:
+            BipartiteDegreeSequence.from_text("\n".join(lines) + "\n")
+        assert repr(token) in str(info.value)
+
+    def test_text_reads_ascii_digits(self):
+        # leading zeros and a signed zero are ASCII integers
+        assert BipartiteDegreeSequence.from_text("02 1\n2 01\n") == bds((2, 1), (2, 1))
+        assert BipartiteDegreeSequence.from_text("-0 0\n0\n") == bds((0, 0), (0,))
+
+    def test_negative_text_degree_meets_its_check(self):
+        with pytest.raises(ValueError, match="degrees must be non-negative"):
+            BipartiteDegreeSequence.from_text("2 -1\n1 0\n")
 
     def test_semi_regular(self):
         assert bds((2, 2, 2), (3, 2, 1)).is_semi_regular()
@@ -414,7 +435,6 @@ class TestSymmetricDifference:
         # the pair entry points raise ShapeMismatch for two shapes, even
         # where the degree vectors differ too, and DegreeMismatch for one
         # shape with other margins
-        from degswap.chain import transition_prob
         from degswap.ryser import ryser_sequence, swap_distance
 
         eye2, eye3 = BipartiteGraph(np.eye(2)), BipartiteGraph(np.eye(3))
@@ -517,7 +537,8 @@ class TestGraphText:
         with pytest.raises(ValueError, match="bad matrix row"):
             BipartiteGraph.from_text("2 3\n" + "\n".join(rows) + "\n")
 
-    @pytest.mark.parametrize("header", ["-1 2", "2 -1", "2 2 2", "2", "a 2", "2.0 2", "2 x"])
+    @pytest.mark.parametrize("header", ["-1 2", "2 -1", "2 2 2", "2", "a 2", "2.0 2", "2 x",
+                                        "+2 2", "0_2 2", "2 \u0662", "\uff12 2", "2 +2"])
     def test_bad_header_is_named(self, header):
         with pytest.raises(ValueError, match="bad graph header") as info:
             BipartiteGraph.from_text(f"{header}\n10\n01\n")

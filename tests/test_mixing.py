@@ -15,8 +15,8 @@ from degswap.errors import (DegenerateChain, Exceeds, NonMixing, PreconditionVio
                             SpecViolation, TooLarge)
 from degswap.mixing import (CongestionReport, StateSpace, TransitionMatrix,
                             build_kernel, congestion, count_realizations,
-                            distance_profile, enumerate_states, spectral_gap,
-                            total_variation, total_variation_time, tv_mixing_time)
+                            enumerate_states, spectral_gap, total_variation_time,
+                            tv_mixing_time)
 
 from oracles import (PINNED_16, all_degree_pairs, brute_margin_count, count_ryser, csr,
                      dense_distance_profile, dense_kernel_rows, dense_total_variation,
@@ -27,6 +27,15 @@ from oracles import (PINNED_16, all_degree_pairs, brute_margin_count, count_ryse
 
 def bds(a, b):
     return BipartiteDegreeSequence(tuple(a), tuple(b))
+
+
+def distances(K, measure, count):
+    """The distances ``dev / (2 * N * D^t)`` for t = 0 .. count - 1 of one
+    ``mixing._decay`` scan: half the largest entrywise deviation from
+    uniform under ``mixing._entrywise``, worst-start total variation under
+    ``mixing._total``."""
+    return [Fraction(dev, 2 * K.n * scale)
+            for dev, scale, _ in itertools.islice(mixing._decay(K, measure), count)]
 
 
 class TestEnumeration:
@@ -459,15 +468,15 @@ class TestMixingTime:
             space = enumerate_states(bds(a, b))
             K = build_kernel(space)
             rows = dense_kernel_rows(space)
-            for t in range(13):
-                assert distance_profile(K, t) == dense_distance_profile(rows, t), (a, b, t)
+            for t, d in enumerate(distances(K, mixing._entrywise, 13)):
+                assert d == dense_distance_profile(rows, t), (a, b, t)
 
     def test_finite_mixing(self):
         K = build_kernel(enumerate_states(bds((2, 2, 2), (3, 2, 1))))
         t = tv_mixing_time(K, 0.01)
         assert t > 0
-        assert distance_profile(K, t) <= Fraction(1, 100)
-        assert distance_profile(K, t - 1) > Fraction(1, 100)
+        profile = distances(K, mixing._entrywise, t + 1)
+        assert profile[t] <= Fraction(1, 100) < profile[t - 1]
 
     @pytest.mark.parametrize("eps", [0, -1, 1e-12, float("inf"), float("nan")])
     def test_bad_eps_rejected(self, eps):
@@ -614,7 +623,7 @@ class TestOrbitScan:
                             lambda space: calls.append(space) or real(space))
         assert K._reps is None
         assert (tv_mixing_time(K, 0.01), total_variation_time(K, 0.01)) == (12, 25)
-        assert distance_profile(K, 7) == distance_profile(K, 7)
+        assert distances(K, mixing._entrywise, 8) == distances(K, mixing._entrywise, 8)
         assert calls == [space]
 
     def test_bare_kernel_scans_every_column(self):
@@ -636,8 +645,8 @@ class TestTotalVariation:
             space = enumerate_states(bds(a, b))
             K = build_kernel(space)
             rows = dense_kernel_rows(space)
-            for t in range(13):
-                assert total_variation(K, t) == dense_total_variation(rows, t), (a, b, t)
+            for t, d in enumerate(distances(K, mixing._total, 13)):
+                assert d == dense_total_variation(rows, t), (a, b, t)
 
     def test_never_increases(self):
         checked = 0
@@ -649,8 +658,7 @@ class TestTotalVariation:
             if space.n < 2:
                 continue
             K = build_kernel(space)
-            tv, entrywise = ([Fraction(dev, 2 * space.n * scale) for dev, scale, _ in
-                              itertools.islice(mixing._decay(K, measure), 31)]
+            tv, entrywise = (distances(K, measure, 31)
                              for measure in (mixing._total, mixing._entrywise))
             assert tv[0] == 1 - Fraction(1, space.n)
             assert entrywise[0] == (1 - Fraction(1, space.n)) / 2
@@ -663,8 +671,9 @@ class TestTotalVariation:
     def test_bounds_the_entrywise_profile(self):
         # each entry's deviation is one term of its row's sum
         K = build_kernel(enumerate_states(bds((2, 2, 2, 2), (3, 2, 2, 1))))
-        for t in range(0, 40, 3):
-            assert distance_profile(K, t) <= total_variation(K, t)
+        pairs = zip(distances(K, mixing._entrywise, 40), distances(K, mixing._total, 40))
+        for t, (entrywise, tv) in enumerate(pairs):
+            assert entrywise <= tv, t
 
     @pytest.mark.parametrize("a, b, t", [
         ((2, 2, 2), (2, 2, 2), 11),
@@ -675,11 +684,12 @@ class TestTotalVariation:
     def test_pinned_mixing_times(self, a, b, t):
         K = build_kernel(enumerate_states(bds(a, b)))
         assert total_variation_time(K, 0.01) == t
-        assert total_variation(K, t) <= Fraction(1, 100) < total_variation(K, t - 1)
+        tv = distances(K, mixing._total, t + 1)
+        assert tv[t] <= Fraction(1, 100) < tv[t - 1]
 
     def test_flip_chain_never_mixes(self):
         K = build_kernel(enumerate_states(bds((1, 1), (1, 1))))
-        assert total_variation(K, 9) == Fraction(1, 2)
+        assert distances(K, mixing._total, 10)[9] == Fraction(1, 2)
         with pytest.raises(NonMixing):
             total_variation_time(K, 0.01)
         # within 1/4 entrywise at t = 0, but never in total variation

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from degswap import (BipartiteDegreeSequence, BipartiteGraph, Unreachable, chain, push_up,
-                     ryser_sequence, swap_distance)
+from degswap import (BipartiteDegreeSequence, BipartiteGraph, Unreachable, chain, ryser_sequence,
+                     swap_distance)
 from degswap.errors import DegreeMismatch
 from degswap.mixing import enumerate_states
 from degswap.ryser import replay
 
-from oracles import graphs, naive_push_up, naive_ryser_sequence
+from oracles import graphs, naive_push_up, naive_ryser_sequence, push_up
 
 M1 = BipartiteGraph([[1, 0], [0, 1]])
 M2 = BipartiteGraph([[0, 1], [1, 0]])
