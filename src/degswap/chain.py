@@ -61,13 +61,23 @@ _GROUP = 1 << 12
 # cross at the same group size.
 _LOCKSTEP = 24
 
-# A move of the lockstep loop reads a chain's cells (x11, x12, x21, x22) as
-# the 4-bit pattern x @ _BITS and writes back _FLIP[pattern]: the pattern's
-# own bits, except for the two one-factors 0b1001 and 0b0110, which swap.
-_BITS = np.array([8, 4, 2, 1], np.uint8)
-_FLIP = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)], np.uint8)
-_FLIP[[0b1001, 0b0110]] = _FLIP[[0b0110, 0b1001]]
-_FLIP.setflags(write=False)
+def _next_words():
+    """The lockstep move's table: a chain's cells (x11, x12, x21, x22), four
+    0/1 bytes, read as one uint32 word w, move to ``_NEXT[w % 31]``, which is
+    w itself except for the two one-factors 1001 and 0110, which exchange.
+    Byte i of w weighs 256^i = 1, 8, 2, 16 mod 31 (in the reverse order on a
+    big-endian host), so the 16 cell patterns have distinct residues; the
+    words are read in the host's byte order, as the walk reads them."""
+    cells = np.array([[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)], np.uint8)
+    after = list(range(16))
+    after[0b1001], after[0b0110] = 0b0110, 0b1001
+    table = np.zeros(31, np.uint32)
+    table[cells.view(np.uint32).ravel() % 31] = cells[after].view(np.uint32).ravel()
+    table.setflags(write=False)
+    return table
+
+
+_NEXT = _next_words()
 
 
 @lru_cache(maxsize=32)
@@ -321,10 +331,10 @@ def _walk(start: BipartiteGraph, g: int, steps: int, draw) -> bytearray:
     Only the inner loop depends on g.  Below ``_LOCKSTEP`` chains a scalar
     loop walks the sub-block draw by draw on the byte buffer.  From
     ``_LOCKSTEP`` on, each step moves every chain at once: gather its four
-    cells as a (g, 4) array, read them as a 4-bit pattern and scatter back
-    ``_FLIP`` of it.  A chain's four cells are distinct and chains hold
-    disjoint rows, so the scatter has no collisions, and each chain's
-    trajectory is the scalar loop's.
+    cells as a (g, 4) array, read each row as one uint32 word and scatter
+    back ``_NEXT`` of its residue mod 31.  A chain's four cells are
+    distinct and chains hold disjoint rows, so the scatter has no
+    collisions, and each chain's trajectory is the scalar loop's.
     """
     k, l = start.k, start.l
     cl = pair_count(l)
@@ -360,7 +370,7 @@ def _walk(start: BipartiteGraph, g: int, steps: int, draw) -> bytearray:
                 for j, p in enumerate(at):
                     pos[:, :, j] = p.T
                 for cell in pos:
-                    flat[cell] = _FLIP[flat[cell] @ _BITS]
+                    flat[cell] = _NEXT.take(flat.take(cell).view(np.uint32) % 31).view(np.uint8)
     return cells
 
 

@@ -13,11 +13,17 @@ Conventions used throughout the package:
   the key read as an int (``_int``), one mask test and one XOR, and
   ``_step`` raises ``SwapNotAllowed`` where it fails.  ``swap_is_allowed``,
   ``apply_swap``, ``Swap.on``, ``ryser.swap_distance`` and the cycle solver
-  of ``canonical`` all step through it; ``_allowed`` lists a graph's swaps
-  off its row bitmasks for ``allowed_swaps`` and ``swap_distance``.  Three
-  measured kernels keep one-factor tests of their own: the sampler's walk
-  (``chain._walk``), ``mixing._swap_targets`` and the 4-cycle route of
-  ``canonical._local_swaps``.
+  of ``canonical`` all step through it, the graph's own calls on rows
+  u1 .. u2 of its key only (``BipartiteGraph._swapped``); ``_allowed``
+  lists a graph's swaps off its row bitmasks for ``allowed_swaps`` and
+  ``swap_distance``.  Three measured kernels keep one-factor tests of their
+  own: the sampler's walk (``chain._walk``), ``mixing._swap_targets`` and
+  the 4-cycle route of ``canonical._local_swaps``.
+* ``greedy_realize`` builds every chain's start and decides graphicality,
+  holding the U-vertices of equal remaining capacity as row bitmasks, with
+  no sort per V-vertex.
+* Both text readers (``_lines``) take ASCII only: digits, "-", spaces and
+  tabs between tokens, and "\\n" or "\\r\\n" line ends.
 * X xor Y is read one way, ``_difference``: the XOR of the two keys read
   as little-endian ints (cell c = u*l+v at bit 8c), its edges in cell
   order; ``_number`` adds the decomposition kernel's codes.
@@ -26,6 +32,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -60,11 +67,11 @@ class BipartiteDegreeSequence:
         object.__setattr__(self, "b", b)
         if not a or not b:
             raise ValueError("both degree lists must be non-empty")
-        if any(x < 0 for x in a) or any(x < 0 for x in b):
+        if min(a) < 0 or min(b) < 0:
             raise ValueError("degrees must be non-negative")
-        if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
+        if sorted(a, reverse=True) != list(a):
             raise ValueError("U degrees must be non-increasing")
-        if any(b[j] < b[j + 1] for j in range(len(b) - 1)):
+        if sorted(b, reverse=True) != list(b):
             raise ValueError("V degrees must be non-increasing")
         if a[0] > len(b):
             raise ValueError("a U degree exceeds the size of class V")
@@ -91,19 +98,40 @@ class BipartiteDegreeSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteDegreeSequence":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        """Read the text ``to_text`` writes: two lines (``_lines``) of
+        integers in ASCII digits, each with an optional leading "-".  A
+        line is matched whole by one pattern and its tokens read by
+        ``int``; ``ValueError`` naming the first token of any other line
+        (``_read_int``), then unless there are exactly two lines."""
+        lines = _lines(text)
+        for ln in lines:
+            if not _INTS.fullmatch(ln):
+                for token in _GAPS.split(ln):
+                    _read_int(token)
         if len(lines) != 2:
             raise ValueError("degree sequence text needs exactly two non-empty lines")
-        a = tuple(map(_read_int, lines[0].split()))
-        b = tuple(map(_read_int, lines[1].split()))
-        return cls(a, b)
+        return cls(*(tuple(map(int, ln.split())) for ln in lines))
+
+
+# a line of degrees, stripped: ASCII integers separated by spaces and tabs
+_INTS = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
+_GAPS = re.compile(r"[ \t]+")
+
+
+def _lines(text: str) -> list:
+    """The lines of a text format, ended by "\\n" or "\\r\\n", with the
+    spaces and tabs around them stripped and the blank ones dropped.  No
+    other character separates anything: a lone "\\r", a form feed or a
+    no-break space stays in its line, where the reader refuses it."""
+    lines = (ln.strip(" \t") for ln in text.replace("\r\n", "\n").split("\n"))
+    return [ln for ln in lines if ln]
 
 
 def _read_int(token: str) -> int:
     """A text token as an int: ASCII digits with an optional leading "-",
     so that a negative degree or size meets its own check; ``ValueError``
-    naming any other token, such as "+2", "1_1" or non-ASCII digits, which
-    ``int`` would read."""
+    naming any other token, such as "+2", "1_1", "2\\xa02" or non-ASCII
+    digits, which ``int`` would read or split."""
     digits = token[1:] if token.startswith("-") else token
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {token!r}")
@@ -141,7 +169,9 @@ class Swap:
         orientation read from the key at (u1, v1): 1 when that cell is on;
         ``SwapNotAllowed`` unless the 2x2 is a one-factor of ``graph``."""
         s = cls(*sorted((ua, ub)), *sorted((va, vb)), 1)
-        if not _int(graph.key()) >> 8 * (s.u1 * graph.l + s.v1) & 1:
+        key, cell = graph.key(), s.u1 * graph.l + s.v1
+        # a cell past the key belongs to an off-shape swap, refused below
+        if cell >= len(key) or not key[cell]:
             s = s.inverse()
         if not graph.swap_is_allowed(s):
             raise SwapNotAllowed(f"({s.u1},{s.u2};{s.v1},{s.v2}) is not a one-factor of this graph")
@@ -237,12 +267,16 @@ class BipartiteGraph:
         return self._swapped(s) is not None
 
     def _swapped(self, s: Swap):
-        """The key read as an int (``_int``) with ``s`` applied by ``_flip``,
-        or None unless ``s`` is allowed.  Its indices are checked against
-        the shape first: a column past l would alias into the next row."""
+        """Rows u1 .. u2 of the key read as an int (``_int``) with ``s``
+        applied by ``_flip``, its rows at offsets 0 and (u2-u1)*l, or None
+        unless ``s`` is allowed: only the swap's span of the key is read.
+        Its indices are checked against the shape first: a column past l
+        would alias into the next row."""
         if s.u2 >= self.k or s.v2 >= self.l:
             return None
-        return _flip(_int(self._key), s.u1 * self.l, s.u2 * self.l, s.v1, s.v2, s.orientation)
+        l = self.l
+        window = _int(self._key[s.u1 * l:(s.u2 + 1) * l])
+        return _flip(window, 0, (s.u2 - s.u1) * l, s.v1, s.v2, s.orientation)
 
     # -- construction -----------------------------------------------------
 
@@ -264,29 +298,31 @@ class BipartiteGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
-        """Read the text ``to_text`` writes.  The header must be two
-        non-negative integers in ASCII digits and every row l characters 0
-        or 1; ``ValueError`` otherwise.  Those checks are the whole
+        """Read the text ``to_text`` writes, its lines read by ``_lines``.
+        The header must be two non-negative integers in ASCII digits
+        separated by spaces or tabs, and every row l characters 0 or 1,
+        checked before the rows are counted; ``ValueError`` naming the
+        header or the row otherwise.  Those checks are the whole
         validation: the matrix is built from the checked rows and not
         checked again."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        lines = _lines(text)
         if not lines:
             raise ValueError("empty graph text")
         try:
-            k, l = map(_read_int, lines[0].split())
+            k, l = map(_read_int, _GAPS.split(lines[0]))
         except ValueError:
             k = l = -1
         if k < 0 or l < 0:
             raise ValueError(f"bad graph header {lines[0]!r}: expected two non-negative "
                              "integers k l")
         body = lines[1:]
+        for ln in body:
+            if len(ln) != l or set(ln) - {"0", "1"}:
+                raise ValueError(f"bad matrix row {ln!r}")
         if l == 0 and not body:
             body = [""] * k      # the k rows of a k x 0 matrix are blank lines
         if len(body) != k:
             raise ValueError(f"expected {k} matrix rows, found {len(body)}")
-        for ln in body:
-            if len(ln) != l or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad matrix row {ln!r}")
         cells = np.frombuffer("".join(body).encode("ascii"), np.uint8) - ord("0")
         return cls._trusted(cells.reshape(k, l))
 
@@ -312,26 +348,79 @@ def greedy_realize(ds: BipartiteDegreeSequence) -> BipartiteGraph:
     connected to the U-vertices with the largest remaining capacity, ties
     broken by lowest index.  Getting stuck proves non-graphicality, so this
     doubles as the graphicality test.
+
+    No sort runs per V-vertex.  The U-vertices of one positive remaining
+    capacity form a run, a row bitmask, and the runs are held highest
+    capacity first.  A column of degree d takes min(d, k) rows: whole runs
+    from the top, then the lowest-index rows of the run it ends in, whose
+    boundary a bisection on the bit count of a low slice of the run finds.
+    It is stuck when fewer rows than that have capacity left.  Taken rows
+    drop one level, and runs that meet at one capacity merge.  The matrix
+    is built once at the end from the column masks.
     """
     if not ds.sums_match():
         raise NotGraphical(
             f"degree sums differ: sum(a)={sum(ds.a)} vs sum(b)={sum(ds.b)}")
     k, l = ds.k, ds.l
-    adj = np.zeros((k, l), dtype=np.uint8)
-    cap = np.array(ds.a, dtype=np.int64)
-    for j in range(l):
-        d = ds.b[j]
+    by_cap = {}
+    for u, c in enumerate(ds.a):
+        if c > 0:
+            by_cap[c] = by_cap.get(c, 0) | 1 << u
+    runs = sorted(by_cap.items(), reverse=True)     # (capacity, rows), highest first
+    left = sum(m.bit_count() for _, m in runs)      # rows with capacity left
+    cols = []
+    for j, d in enumerate(ds.b):
         if d == 0:
+            cols.append(0)
             continue
-        # a stable sort of -cap breaks ties by lowest index
-        chosen = np.argsort(-cap, kind="stable")[:d]
-        if cap[chosen[-1]] == 0:
+        need = min(d, k)
+        if left < need:
             raise NotGraphical(f"cannot satisfy V-vertex {j} with degree {d}")
-        adj[chosen, j] = 1
-        cap[chosen] -= 1
-    if cap.any():
+        col, out, i = 0, [], 0
+        while need:
+            c, m = runs[i]
+            i += 1
+            n = m.bit_count()
+            if n > need:
+                # the need lowest rows of m: the least p with that many below bit p
+                lo, hi = need, m.bit_length()
+                while lo < hi:
+                    p = (lo + hi) >> 1
+                    if (m & ((1 << p) - 1)).bit_count() < need:
+                        lo = p + 1
+                    else:
+                        hi = p
+                rest = m & ~((1 << lo) - 1)
+                m ^= rest
+                _add_run(out, c, rest)
+                n = need
+            col |= m
+            need -= n
+            _add_run(out, c - 1, m)
+        if i < len(runs):
+            _add_run(out, *runs[i])
+            i += 1
+        if out[-1][0] == 0:                     # rows whose capacity ran out
+            left -= out.pop()[1].bit_count()
+        runs[:i] = out
+        cols.append(col)
+    if left:
         raise NotGraphical("leftover capacity after placing all V-vertices")
-    return BipartiteGraph._trusted(adj)
+    # column j's mask as k bits, low row first; its transpose is the matrix
+    width = (k + 7) >> 3
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in cols), np.uint8)
+    bits = np.unpackbits(packed.reshape(l, width), axis=1, count=k, bitorder="little")
+    return BipartiteGraph._trusted(np.ascontiguousarray(bits.T))
+
+
+def _add_run(runs: list, cap: int, rows: int):
+    """Append the run ``(cap, rows)`` to ``runs``, a list in decreasing
+    capacity whose last capacity is at least ``cap``, merging it into the
+    last run when the two capacities are equal."""
+    if runs and runs[-1][0] == cap:
+        runs[-1] = (cap, runs[-1][1] | rows)
+    else:
+        runs.append((cap, rows))
 
 
 def is_graphical(ds: BipartiteDegreeSequence) -> bool:
@@ -380,11 +469,12 @@ def _gale_ryser(a, b) -> bool:
 
 def apply_swap(G: BipartiteGraph, s: Swap) -> BipartiteGraph:
     """Apply an allowed swap, returning the new realization."""
-    key = G._swapped(s)
-    if key is None:
+    window = G._swapped(s)
+    if window is None:
         raise SwapNotAllowed(f"{s} is not allowed in this graph")
-    cells = np.frombuffer(key.to_bytes(G.k * G.l, "little"), np.uint8)
-    return BipartiteGraph._trusted(cells.reshape(G.k, G.l))
+    key, lo, hi = G.key(), s.u1 * G.l, (s.u2 + 1) * G.l
+    cells = key[:lo] + window.to_bytes(hi - lo, "little") + key[hi:]
+    return BipartiteGraph._trusted(np.frombuffer(cells, np.uint8).reshape(G.k, G.l))
 
 
 def allowed_swaps(G: BipartiteGraph) -> list:

@@ -375,6 +375,20 @@ def test_a_pass_holds_its_transient_arrays_to_the_bound(ds, g):
         assert peak - size <= 8 * g * 200 + 256 * chain._GROUP, peak - size
 
 
+def test_lockstep_table_flips_only_the_one_factors():
+    # every pattern of four 0/1 cells, read as one word in either byte
+    # order, has its own residue mod 31; the host's order is the table's
+    for order in ("little", "big"):
+        words = [int.from_bytes(bytes(p), order) for p in product((0, 1), repeat=4)]
+        assert len({w % 31 for w in words}) == 16, order
+    for p in product((0, 1), repeat=4):
+        x11, x12, x21, x22 = p
+        after = [1 - x for x in p] if x11 == x22 != x12 == x21 else list(p)
+        word = np.frombuffer(bytes(p), np.uint32)
+        moved = chain._NEXT.take(word % 31).view(np.uint8)
+        assert moved.tolist() == after, p
+
+
 def test_both_inner_loops_at_the_real_bounds():
     # 180 3 x 3 chains of 200 steps: a lockstep group of 163, then a scalar
     # one of 17, in one _walk_seeds call

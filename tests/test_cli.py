@@ -553,6 +553,21 @@ def test_check_refuses_a_degree_that_is_not_ascii_digits(tmp_path, capsys, text,
     assert capsys.readouterr() == ("", f"error[ValueError]: not an integer: {token!r}\n")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("check", "2\u00a02\n2 2\n", "not an integer: '2\\xa02'"),
+    ("realize", "2 2\n2\u30002\n", "not an integer: '2\\u30002'"),
+    ("transform", "2 2\n10 \n\u300001\n", "bad matrix row '\\u300001'"),
+])
+def test_non_ascii_blank_is_a_value_error(tmp_path, capsys, command, text, message):
+    # a no-break or ideographic space once read as a separator: the 2 x 2
+    # identity or (2, 2) | (2, 2); exit 1 with the character named
+    args = [write(tmp_path, "a.txt", text)]
+    if command == "transform":
+        args.append(write(tmp_path, "b.txt", M1))
+    assert main([command, *args]) == 1
+    assert capsys.readouterr() == ("", f"error[ValueError]: {message}\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -77,6 +77,40 @@ class TestDegreeSequence:
         assert BipartiteDegreeSequence.from_text("02 1\n2 01\n") == bds((2, 1), (2, 1))
         assert BipartiteDegreeSequence.from_text("-0 0\n0\n") == bds((0, 0), (0,))
 
+    # split() and splitlines() act on Unicode whitespace: a no-break space,
+    # an ideographic space, a form feed or a lone carriage return read as a
+    # separator there; only ASCII spaces, tabs and "\n" or "\r\n" line
+    # ends separate here, and every other character meets the token check
+    @pytest.mark.parametrize("text, token", [
+        ("2\u00a02\n2 2\n", "2\u00a02"),
+        ("2 2\n2\u30002\n", "2\u30002"),
+        ("2 2\u00a0\n2 2\n", "2\u00a0"),
+        ("\u00a02 2\n2 2\n", "\u00a02"),
+        ("2 2\n2 2\n\u00a0\n", "\u00a0"),
+        ("2 2\x0c\n2 2\n", "2\x0c"),
+        ("2 2\x0b2 2\n", "2\x0b2"),
+        ("2 2\r2 2\n", "2\r2"),
+        ("2 2\n2 2\r", "2\r"),
+        ("2 2\u20282 2\n", "2\u20282"),
+        ("2 2\x1c2 2\n", "2\x1c2"),
+    ])
+    def test_text_separators_are_ascii(self, text, token):
+        with pytest.raises(ValueError, match="not an integer") as info:
+            BipartiteDegreeSequence.from_text(text)
+        assert str(info.value) == f"not an integer: {token!r}"
+
+    @pytest.mark.parametrize("text", ["2 2\n2 2\n", "2 2\r\n2 2\r\n", "\t2\t 2 \n\n 2  2\t\n",
+                                      "\n \t\n2 2\r\n\r\n2 2", "2 2\n2 2"])
+    def test_text_reads_ascii_separators_and_line_ends(self, text):
+        assert BipartiteDegreeSequence.from_text(text) == bds((2, 2), (2, 2))
+
+    def test_bad_token_is_named_before_the_line_count(self):
+        # a line of a non-ASCII blank is not blank: its character is named
+        with pytest.raises(ValueError, match=r"not an integer: '\\u3000'"):
+            BipartiteDegreeSequence.from_text("2 2\n\u3000\n2 2\n")
+        with pytest.raises(ValueError, match="exactly two non-empty lines"):
+            BipartiteDegreeSequence.from_text("2 2\n \t\n2 2\n1\n")
+
     def test_negative_text_degree_meets_its_check(self):
         with pytest.raises(ValueError, match="degrees must be non-negative"):
             BipartiteDegreeSequence.from_text("2 -1\n1 0\n")
@@ -134,6 +168,9 @@ class TestGreedyRealize:
         ((2, 1), (3,)), ((3, 3), (3, 3)), ((2, 2), (3, 1)), ((3, 1), (4,)),
         ((2, 2, 2), (2, 4)), ((4, 2), (3, 3)),
         ((2, 2), (1, 1)),        # unequal sums
+        # past one 64-bit word of rows: a V degree above k takes all 70 rows
+        # and leaves capacity, or meets a row with none
+        ((2,) + (1,) * 69, (71,)), ((71,) + (0,) * 69, (71,)),
     ])
     def test_matches_python_sort_when_not_graphical(self, a, b):
         ds = unchecked_ds(a, b)
@@ -168,6 +205,55 @@ class TestGreedyRealize:
             assert is_graphical(ds) == (not isinstance(want, str)), (a, b)
             outcomes.add(want.split(":")[0] if isinstance(want, str) else "graph")
         assert {"graph", "degree sums differ"} <= outcomes and len(outcomes) > 2
+
+    def test_matches_python_sort_past_one_word_of_rows(self):
+        # 60 to 130 rows and columns, past one 64-bit word of row mask, each
+        # row drawn at its own density, so the capacities fall into many
+        # classes; then V degree moved onto the largest columns (about one
+        # unit in 20 at most), or one unit added, as above
+        rng = np.random.default_rng(48)
+        outcomes, classes = set(), 0
+        for _ in range(40):
+            k, l = (int(x) for x in rng.integers(60, 131, size=2))
+            adj = rng.random((k, l)) < rng.random((k, 1))
+            a = sorted(adj.sum(axis=1).tolist(), reverse=True)
+            b = sorted(adj.sum(axis=0).tolist(), reverse=True)
+            moves = int(rng.integers(1, 1 + sum(b) // 20)) if rng.random() < 0.6 else 0
+            for _ in range(moves):
+                src = max(j for j in range(l) if b[j] > 0)
+                dst = min((j for j in range(l) if b[j] < k), default=src)
+                if dst < src:
+                    b[src] -= 1
+                    b[dst] += 1
+            if rng.random() < 0.1 and b[-1] < b[0]:
+                b[-1] += 1
+                b.sort(reverse=True)
+            ds = bds(a, b)
+            want = realized(naive_greedy_realize, ds)
+            assert realized(greedy_realize, ds) == want, (a, b)
+            # "graph", "degree sums" or "cannot satisfy" at column j
+            outcomes.add(" ".join(want.split()[:4]) if isinstance(want, str) else "graph")
+            classes = max(classes, len(set(a)))
+        stuck = {o for o in outcomes if o.startswith("cannot satisfy")}
+        assert "graph" in outcomes and any(o.startswith("degree sums") for o in outcomes)
+        assert len(stuck) > 2 and classes > 40, (outcomes, classes)
+
+    @pytest.mark.parametrize("a, b, digest", [
+        ((50,) * 100, (50,) * 100,
+         "fde18c8e2361ffcf2ba3cbe8b0f98fd4c75de791956e0c0a057e0cd227c1c03d"),
+        (sorted(((7 * i) % 41 + 10 for i in range(70)), reverse=True), (23,) * 86 + (22,) * 4,
+         "8453b377e15df95daa79507d42834b32798e6fd5c62882378991fd6694b09887"),
+    ], ids=["100x100 50-regular", "70x90"])
+    def test_pinned_large_realizations(self, a, b, digest):
+        # sha256 of the realization's text, as the CI rows pin `degswap
+        # realize`; recorded while each column still sorted every row
+        import hashlib
+
+        ds = bds(a, b)
+        g = greedy_realize(ds)
+        assert g == naive_greedy_realize(ds)
+        assert hashlib.sha256(g.to_text().encode()).hexdigest() == digest
+        assert g.row_deg == ds.a and g.col_deg == ds.b
 
 
 class TestPushUp:
@@ -371,6 +457,28 @@ class TestOneSwapCheck:
                     assert (swap_distance(x, y, cap)
                             == graph_bfs_swap_distance(x, y, cap)), (x.key(), y.key(), cap)
 
+    def test_large_graph_reads_only_the_swap_rows(self):
+        # the check reads rows u1 .. u2 of the key and apply_swap splices
+        # them back: adjacent rows, rows 0 and k-1, the middle rows, random
+        # rows, and indices one past the shape, on a 100 x 100 graph
+        g = sample(bds((50,) * 100, (50,) * 100), 3000, 48)
+        rng = np.random.default_rng(48)
+        drawn = [tuple(sorted(rng.choice(100, 2, replace=False).tolist())) for _ in range(12)]
+        rows = [(0, 1), (49, 50), (98, 99), (0, 99), (0, 50), (99, 100), (0, 100)] + drawn
+        cols = [(0, 1), (98, 99), (0, 99), (49, 50), (99, 100), (0, 100)] + drawn
+        allowed = 0
+        for u1, u2 in rows:
+            for v1, v2 in cols:
+                for ori in (1, 2):
+                    s = Swap(u1, u2, v1, v2, ori)
+                    ok = g.swap_is_allowed(s)
+                    assert ok == numpy_swap_is_allowed(g, s), s
+                    assert outcome(apply_swap, g, s) == outcome(numpy_apply_swap, g, s), s
+                    allowed += ok
+                for args in ((u1, u2, v1, v2), (u2, u1, v2, v1)):
+                    assert outcome(Swap.on, *args, g) == outcome(numpy_swap_on, *args, g), args
+        assert allowed > 20
+
 
 class TestSymmetricDifference:
     def test_equal_graphs(self):
@@ -543,6 +651,30 @@ class TestGraphText:
         with pytest.raises(ValueError, match="bad graph header") as info:
             BipartiteGraph.from_text(f"{header}\n10\n01\n")
         assert repr(header) in str(info.value)
+
+    @pytest.mark.parametrize("text, what, line", [
+        ("2 2\n10 \n\u300001\n", "matrix row", "\u300001"),
+        ("2 2\n10\u00a0\n01\n", "matrix row", "10\u00a0"),
+        ("2 2\n10\n01\u2029\n", "matrix row", "01\u2029"),
+        ("2 2\n10\r01\n", "matrix row", "10\r01"),
+        ("2 2\n10\n01\r", "matrix row", "01\r"),
+        ("2 2\n10\x0c\n01\n", "matrix row", "10\x0c"),
+        ("2\u00a02\n10\n01\n", "graph header", "2\u00a02"),
+        ("2 2\x0b\n10\n01\n", "graph header", "2 2\x0b"),
+        ("\u30002 2\n10\n01\n", "graph header", "\u30002 2"),
+    ])
+    def test_separators_and_line_ends_are_ascii(self, text, what, line):
+        # strip() and splitlines() read these as blanks or line ends, and
+        # the first text read as the 2 x 2 identity; the row is checked
+        # before the rows are counted, so a lone "\r" names its line
+        with pytest.raises(ValueError) as info:
+            BipartiteGraph.from_text(text)
+        assert str(info.value).startswith(f"bad {what} {line!r}")
+
+    @pytest.mark.parametrize("text", ["2 2\n10\n01\n", "2 2\r\n10\r\n01\r\n",
+                                      "\t2\t2 \n 10\t\n\n01 ", "\r\n2 2\r\n10\r\n \r\n01"])
+    def test_reads_ascii_separators_and_line_ends(self, text):
+        assert BipartiteGraph.from_text(text) == BipartiteGraph([[1, 0], [0, 1]])
 
     @pytest.mark.parametrize("k, l", [(3, 5), (0, 3), (2, 0)])
     def test_read_matrix_is_read_only_uint8(self, k, l):
