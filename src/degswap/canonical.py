@@ -37,12 +37,15 @@ pattern, with pattern and bridge memos that live as long as the table:
 and ``mixing.congestion`` walks state ids with a lift of its own.
 
 The m x m grid has one form, one table per length (``_grid``): a cell is
-its grid index a * m + b, a set of cells one int.  Every search on it is
-one breadth-first routine whose layers are ints (``_flood``): the grid
-metric, the friendly-path search, the king components of the unfriendly
-chords and the rook-path cut test.  Only ``find_friendly_path`` and the
-public helpers build (a, b) cells, and only ``ok_ko_step`` and
-``matches_spec`` read an ``OKKOSpec``; the solver stays on indices.
+its grid index a * m + b, a set of cells one int, and every reader of the
+grid reads those tables.  Every search on it is one breadth-first routine
+whose layers are ints (``_flood``): the grid metric, the friendly-path
+search, the king components of the unfriendly chords and the rook-path
+cut test.  Only ``find_friendly_path`` builds (a, b) cells, ``ring`` and
+``is_chord`` are the only helpers that answer for one, and only
+``ok_ko_step`` and ``matches_spec`` read an ``OKKOSpec``; the solver stays
+on indices.  An ``AlternatingCycle`` is read one way, as the cell mask of
+its edges (``_cycle_cells``), which refuses an edge off the graph.
 
 The cycle solver holds each realization as one int, its key read the same
 way.  One walker, ``_cycle_walk``, reads every alternating cycle: a cell
@@ -83,11 +86,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _int, _key_cells,
-                   _step, symmetric_difference)
+from .core import BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _int, _key_cells, _step
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
-                     MarginMismatch, NoCousinWitness, PreconditionViolation,
-                     ShapeMismatch, SpecViolation)
+                     MarginMismatch, PreconditionViolation, ShapeMismatch, SpecViolation)
 from .pairings import AlternatingCycle, _decompositions, _pairing_partners, _trace
 from .ryser import _eliminate, replay
 
@@ -100,17 +101,23 @@ class _Grid(NamedTuple):
     """The m x m cycle-local grid of one length m, as lookup tables.  Cell
     (a, b) is named by its grid index a * m + b, so index order is the
     cells' lexicographic order, and a set of cells is the int with bit p
-    set for each index p in it."""
+    set for each index p in it.  The solver, the ``verify_*`` checkers and
+    ``FMatrix`` read these tables directly: only ``ring`` and ``is_chord``
+    answer for an (a, b) cell."""
 
     rings: tuple      # rings[p]: the ring of cell p
     chords: int       # the set of chord cells
-    cousins: tuple    # cousins[p]: the set cousins(p); None on the diagonals
+    cousins: tuple    # cousins[p]: the set of chords in chord p's reflected
+                      # 2x2 window; None on the diagonals
     orth: tuple       # orth[p]: the set of the four cells one unit step from p
     king: tuple       # king[p]: the set of the eight cells one king step from p
     open: int         # the set of cells off the main diagonal
-    down: tuple       # down[i]: down_line(i, m)
-    up: tuple         # up[i]: up_line(i, m)
-    near: tuple       # down_up_rings(m), as two sets
+    down: tuple       # down[i]: the down-line of index i, the chord cells
+                      # (i+s, i-s), s = 1.., from the main diagonal on
+    up: tuple         # up[i]: the up-line of index i, the chord cells
+                      # (i-s, i+s), s = 1.., from the small diagonal on
+    near: tuple       # the sets of the chord rings next to the main
+                      # diagonal (ring m-1) and the small diagonal (ring 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -188,47 +195,16 @@ def is_chord(pos, ell: int) -> bool:
     return ring(pos, ell) >= 2
 
 
-def cousins(pos, ell: int) -> tuple:
-    """The up-to-four chord cells in the reflected 2x2 window of ``pos``.
-
-    For a chord (a, b) these are the cells with u-index in {b-1, b} and
-    v-index in {a, a+1}, mod ell, diagonal cells excluded.  A chord and a
-    cousin span a 2x2 submatrix whose other two corners both lie on the
-    diagonals, which is what makes a same-type cousin a switch witness.
-    """
-    out = _grid(ell).cousins[_index(pos, ell)]
-    if out is None:
-        raise DiagonalPosition(f"{pos} lies on a diagonal")
-    return _cells(_bits(out), ell)
-
-
-def position_distance(p, q, ell: int) -> int:
-    """Grid metric: unit horizontal or vertical steps, rows and columns wrap
-    around, and main-diagonal cells cannot be entered."""
-    return _distance(ell, _index(p, ell), _index(q, ell))
-
-
 def _distance(m: int, p: int, q: int) -> int:
-    """``position_distance`` between the grid indices p and q of length m:
-    the first layer of ``_flood`` over the cells off the main diagonal that
-    holds q; ``ValueError`` when none does."""
+    """The grid metric between the grid indices p and q of length m, in unit
+    horizontal or vertical steps that wrap around and never enter the main
+    diagonal: the first layer of ``_flood`` over the cells off the main
+    diagonal that holds q; ``ValueError`` when none does."""
     grid = _grid(m)
     for dist, layer in enumerate(_flood(grid.orth, 1 << p, grid.open)):
         if layer >> q & 1:
             return dist
     raise ValueError(f"{divmod(q, m)} unreachable from {divmod(p, m)}")
-
-
-def down_line(i: int, ell: int) -> tuple:
-    """Chord cells ((i+s) mod ell, (i-s) mod ell), s = 1.., walking from the
-    main diagonal toward the small diagonal."""
-    return _cells(_grid(ell).down[i % ell], ell)
-
-
-def up_line(i: int, ell: int) -> tuple:
-    """Chord cells ((i-s) mod ell, (i+s) mod ell), s = 1.., walking from the
-    small diagonal toward the main diagonal."""
-    return _cells(_grid(ell).up[i % ell], ell)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +228,6 @@ class CycleFrame:
         a, b = pos
         return (self.u_ids[a], self.v_ids[b])
 
-    def main_edge(self, t: int) -> tuple:
-        return (self.u_ids[t], self.v_ids[t])
-
-    def small_edge(self, t: int) -> tuple:
-        return (self.u_ids[t], self.v_ids[(t + 1) % self.m])
-
     def sub(self, arc) -> "CycleFrame":
         return CycleFrame(tuple(self.u_ids[t] for t in arc),
                           tuple(self.v_ids[t] for t in arc))
@@ -266,11 +236,33 @@ class CycleFrame:
     def from_cycle(cls, cycle: AlternatingCycle, G: BipartiteGraph) -> "CycleFrame":
         """Orient the cycle so its edges inside G become the main diagonal,
         from the smallest (``_cycle_walk``).  Raises ``CycleMismatch`` unless
-        the cycle's cells form one cycle alternating against G; a union of
-        several cycles is refused."""
-        l = G.l
-        cells = sum(1 << 8 * (u * l + v) for u, v in cycle.x_edges | cycle.y_edges)
-        return cls(*_cycle_walk(_int(G.key()), l, cells))
+        the cycle's cells (``_cycle_cells``) lie in G and form one cycle
+        alternating against G; a union of several cycles is refused."""
+        return cls(*_cycle_walk(_int(G.key()), G.l, _cycle_cells(cycle, G)))
+
+
+def _cycle_cells(cycle: AlternatingCycle, G: BipartiteGraph) -> int:
+    """The cell mask of the edges of ``cycle`` in keys of G's shape, cell c
+    at bit 8c, the one reading of an ``AlternatingCycle``; ``CycleMismatch``
+    for an edge off G, whose cell would name another edge or none."""
+    k, l = G.k, G.l
+    cells = 0
+    for u, v in cycle.edge_seq:
+        if not (0 <= u < k and 0 <= v < l):
+            raise CycleMismatch(f"cycle edge {(u, v)} lies off the {k}x{l} graph")
+        cells |= 1 << 8 * (u * l + v)
+    return cells
+
+
+def _cycle_difference(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle) -> int:
+    """The cell mask of ``cycle`` (``_cycle_cells``), after checking that G
+    and Gp have one shape and margins (``core._check_margins``) and that
+    they differ in exactly the cycle's cells (``CycleMismatch``)."""
+    _check_margins(G, Gp)
+    cells = _cycle_cells(cycle, G)
+    if _int(G.key()) ^ _int(Gp.key()) != cells:
+        raise CycleMismatch("G and Gp do not differ in exactly this cycle")
+    return cells
 
 
 def _cycle_walk(key: int, l: int, cells: int) -> tuple:
@@ -338,8 +330,10 @@ class FMatrix:
         return 1 if self.cells[pos[0]][pos[1]] >= 2 else 0
 
     def is_friendly(self, pos) -> bool:
-        t = self.type_of(pos)
-        return any(self.type_of(q) == t for q in cousins(pos, self.ell))
+        """Whether the chord ``pos`` has a cousin of its own type."""
+        m, t = self.ell, self.type_of(pos)
+        near = _grid(m).cousins[_index(pos, m)]
+        return any(self.type_of(divmod(q, m)) == t for q in _bits(near))
 
     @classmethod
     def from_types(cls, ell: int, types) -> "FMatrix":
@@ -370,13 +364,12 @@ def f_matrix(G: BipartiteGraph, Gp: BipartiteGraph, Z: BipartiteGraph,
              cycle: AlternatingCycle) -> FMatrix:
     """Cycle-local view of Z against the pair (G, Gp) whose symmetric
     difference is exactly ``cycle``."""
-    part = symmetric_difference(G, Gp)
-    if part.x_edges | part.y_edges != set(cycle.edge_seq):
-        raise CycleMismatch("G and Gp do not differ in exactly this cycle")
+    cells = _cycle_difference(G, Gp, cycle)
     if not Z.same_margins(G):
         raise DegreeMismatch("Z does not realize the same degree sequence")
-    masks = _frame_masks(CycleFrame.from_cycle(cycle, G), G.l)
-    return _local_f(_int(Z.key()), masks, _int(G.key()))
+    g = _int(G.key())
+    masks = _frame_masks(CycleFrame(*_cycle_walk(g, G.l, cells)), G.l)
+    return _local_f(_int(Z.key()), masks, g)
 
 
 def hat_matrix(X: BipartiteGraph, Y: BipartiteGraph, Z: BipartiteGraph) -> np.ndarray:
@@ -427,34 +420,13 @@ def _types(F: FMatrix) -> int:
 
 
 def _anchors(path, m: int, types: int) -> tuple:
-    """The anchor of each grid index on ``path``: the index itself for a
-    type-0 chord, its lowest type-1 cousin for a type-1 chord, where
-    ``types`` is the set of type-1 chords."""
-    grid = _grid(m)
-    out = []
-    for p in path:
-        near = grid.cousins[p]
-        if near is None:
-            raise DiagonalPosition(f"{divmod(p, m)} lies on a diagonal")
-        if not types >> p & 1:
-            out.append(p)
-        elif near & types:
-            out.append(_lowest(near & types))
-        else:
-            raise NoCousinWitness(f"{divmod(p, m)} has no same-type cousin")
-    return tuple(out)
-
-
-def adjusted_positions(path: FriendlyPath, F: FMatrix) -> tuple:
-    """Anchor sequence: type-0 positions stay, type-1 positions are replaced
-    by their lowest same-type cousin."""
-    m = F.ell
-    return _cells(_anchors([_index(p, m) for p in path.positions], m, _types(F)), m)
-
-
-def down_up_rings(ell: int):
-    """The chord rings adjacent to the main diagonal and the small diagonal."""
-    return tuple(_cells(_bits(cells), ell) for cells in _grid(ell).near)
+    """The anchor of each friendly chord, a grid index, on ``path``: the
+    index itself for a type-0 chord, its lowest type-1 cousin for a type-1
+    chord, where ``types`` is the set of type-1 chords.  Both callers,
+    ``_friendly_search`` and ``verify_friendly_path``, pass friendly chords
+    only, so a type-1 chord has a type-1 cousin."""
+    cousins = _grid(m).cousins
+    return tuple([_lowest(cousins[p] & types) if types >> p & 1 else p for p in path])
 
 
 def _cuts(grid: _Grid, block: int) -> bool:
@@ -543,12 +515,12 @@ def verify_friendly_path(path: FriendlyPath, F: FMatrix):
         raise SpecViolation("path does not start next to the main diagonal")
     if ring(P[-1], m) != 2:
         raise SpecViolation("path does not end next to the small diagonal")
-    adj = adjusted_positions(path, F)
-    if adj != path.adjusted:
+    adj = _anchors([_index(p, m) for p in P], m, _types(F))
+    if _cells(adj, m) != path.adjusted:
         raise SpecViolation("stored anchor sequence disagrees with recomputation")
     for i in range(len(P) - 1):
         if F.type_of(P[i]) == F.type_of(P[i + 1]):
-            if position_distance(adj[i], adj[i + 1], m) > 3:
+            if _distance(m, adj[i], adj[i + 1]) > 3:
                 raise SpecViolation("same-type anchors further than 3 apart")
 
 
@@ -1098,15 +1070,11 @@ def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
     """The swap sequence behind ``path_along_cycle``, after checking that G
     and Gp differ exactly in ``cycle`` and that X xor G, the cycle and
     Gp xor Y are pairwise disjoint."""
-    part = symmetric_difference(G, Gp)
-    if part.x_edges | part.y_edges != set(cycle.edge_seq):
-        raise CycleMismatch("G and Gp do not differ in exactly this cycle")
-    cyc_cells = set(cycle.edge_seq)
-    dxg = symmetric_difference(X, G)
-    dgy = symmetric_difference(Gp, Y)
-    side_x = dxg.x_edges | dxg.y_edges
-    side_y = dgy.x_edges | dgy.y_edges
-    if side_x & cyc_cells or side_y & cyc_cells or side_x & side_y:
+    cells = _cycle_difference(G, Gp, cycle)
+    _check_margins(X, G)
+    _check_margins(Gp, Y)
+    side_x, side_y = _int(X.key()) ^ _int(G.key()), _int(Gp.key()) ^ _int(Y.key())
+    if side_x & cells or side_y & cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
     return tuple(Swap(*s) for s in _solve_cycle(G, Gp, cycle, {}))
 

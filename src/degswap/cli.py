@@ -33,12 +33,12 @@ DEFAULT_SEED = 20259
 
 
 def _read_ds(path: str) -> BipartiteDegreeSequence:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return BipartiteDegreeSequence.from_text(fh.read())
 
 
 def _read_graph(path: str) -> BipartiteGraph:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return BipartiteGraph.from_text(fh.read())
 
 

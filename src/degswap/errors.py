@@ -39,10 +39,6 @@ class DiagonalPosition(DegSwapError):
     """A chord position was expected but a diagonal position was given."""
 
 
-class NoCousinWitness(DegSwapError):
-    """A position required a same-type cousin and none exists."""
-
-
 class SpecViolation(DegSwapError):
     """A matrix does not match the anchored pattern it is claimed to match,
     or a structural guarantee of the path construction failed."""

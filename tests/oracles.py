@@ -835,8 +835,8 @@ def spec_realization(G, spec):
     frame = spec.frame
     adj = G.adj.copy()
     for t in range(frame.m):
-        adj[frame.main_edge(t)] = mains[t]
-        adj[frame.small_edge(t)] = smalls[t]
+        adj[frame.cell_edge((t, t))] = mains[t]
+        adj[frame.cell_edge((t, (t + 1) % frame.m))] = smalls[t]
     adj[frame.cell_edge(spec.anchor)] = anchor_val
     return BipartiteGraph(adj)
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSet,
-                     adjusted_positions, canonical_path, cousins, f_matrix,
-                     find_friendly_path, hat_matrix, ok_ko_step, path_along_cycle,
-                     path_distribution, switch_distance)
-from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _int,
-                               _switch_distances, cycle_swaps, down_line, down_up_rings,
-                               matches_spec, position_distance, ring, up_line,
+                     canonical_path, f_matrix, find_friendly_path, hat_matrix, ok_ko_step,
+                     path_along_cycle, path_distribution, switch_distance)
+from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _distance, _grid,
+                               _index, _int, _switch_distances, cycle_swaps, matches_spec, ring,
                                verify_friendly_path, verify_same_state, verify_steinhaus)
 from degswap.core import allowed_swaps, apply_swap
 from degswap.errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, MarginMismatch,
@@ -38,17 +37,30 @@ from oracles import (PINNED_16, count_ryser, cycle_graph_pair, friendly_path_exi
 # ---------------------------------------------------------------------------
 
 
+def at(ids, m):
+    """Grid indices of length m, or a set of them held as an int (the
+    tables of ``canonical._grid``), as (a, b) cells in index order."""
+    if isinstance(ids, int):
+        ids = [i for i in range(m * m) if ids >> i & 1]
+    return tuple(divmod(i, m) for i in ids)
+
+
+def grid_cousins(pos, ell):
+    """The cousins of the chord ``pos``, read off ``_grid(ell).cousins``."""
+    return at(_grid(ell).cousins[_index(pos, ell)], ell)
+
+
 class TestCousins:
     def test_worked_example(self):
         # chord between the sixth U-vertex and the second V-vertex, ell = 8
-        assert set(cousins((5, 1), 8)) == {(0, 5), (0, 6), (1, 5), (1, 6)}
+        assert set(grid_cousins((5, 1), 8)) == {(0, 5), (0, 6), (1, 5), (1, 6)}
 
     def test_at_most_four(self):
         for ell in range(3, 9):
             for a in range(ell):
                 for b in range(ell):
                     if ring((a, b), ell) >= 2:
-                        assert len(cousins((a, b), ell)) <= 4
+                        assert len(grid_cousins((a, b), ell)) <= 4
 
     def test_symmetry(self):
         for ell in range(3, 9):
@@ -56,11 +68,13 @@ class TestCousins:
                       if ring((a, b), ell) >= 2]
             for p in chords:
                 for q in chords:
-                    assert (q in cousins(p, ell)) == (p in cousins(q, ell))
+                    assert (q in grid_cousins(p, ell)) == (p in grid_cousins(q, ell))
 
     def test_diagonal_rejected(self):
+        # a diagonal cell has no cousin set, and F refuses to type it
+        assert _grid(6).cousins[_index((2, 2), 6)] is None
         with pytest.raises(DiagonalPosition):
-            cousins((2, 2), 6)
+            FMatrix.from_types(6, {}).is_friendly((2, 2))
 
     def test_spans_diagonal_corners(self):
         # the 2x2 submatrix of a chord and any cousin has both remaining
@@ -70,7 +84,7 @@ class TestCousins:
             for b in range(ell):
                 if ring((a, b), ell) < 2:
                     continue
-                for (ca, cb) in cousins((a, b), ell):
+                for (ca, cb) in grid_cousins((a, b), ell):
                     assert ring((a, cb), ell) in (0, 1)
                     assert ring((ca, b), ell) in (0, 1)
 
@@ -78,46 +92,36 @@ class TestCousins:
 class TestGridTables:
     @pytest.mark.parametrize("m", range(3, 17))
     def test_tables_match_the_cell_formulas(self, m):
-        # the per-length tables, and the helpers that read them, against
-        # the per-cell formulas, a DiagonalPosition on every diagonal cell;
-        # the tables name cell (a, b) by its grid index a * m + b, and a set
-        # of cells by the int with the bits of their indices set
-        from degswap.canonical import _grid
-
+        # the per-length tables against the per-cell formulas, no cousin set
+        # on a diagonal cell; the tables name cell (a, b) by its grid index
+        # a * m + b, and a set of cells by the int with the bits of their
+        # indices set
         grid = _grid(m)
         cells = [(a, b) for a in range(m) for b in range(m)]
 
-        def at(ids):
-            if isinstance(ids, int):
-                ids = [i for i in range(m * m) if ids >> i & 1]
-            return tuple(cells[i] for i in ids)
-
         assert grid.rings == tuple(naive_ring(p, m) for p in cells)
-        assert at(grid.chords) == tuple(p for p in cells if naive_ring(p, m) >= 2)
-        assert at(grid.open) == tuple(p for p in cells if naive_ring(p, m))
+        assert at(grid.chords, m) == tuple(p for p in cells if naive_ring(p, m) >= 2)
+        assert at(grid.open, m) == tuple(p for p in cells if naive_ring(p, m))
         for i, (a, b) in enumerate(cells):
             p = (a, b)
             assert ring(p, m) == naive_ring(p, m)
             steps = {((a - 1) % m, b), ((a + 1) % m, b), (a, (b - 1) % m), (a, (b + 1) % m)}
-            assert at(grid.orth[i]) == tuple(sorted(steps))
+            assert at(grid.orth[i], m) == tuple(sorted(steps))
             king = {((a + da) % m, (b + db) % m)
                     for da in (-1, 0, 1) for db in (-1, 0, 1) if da or db}
-            assert at(grid.king[i]) == tuple(sorted(king))
+            assert at(grid.king[i], m) == tuple(sorted(king))
             if naive_ring(p, m) >= 2:
-                assert cousins(p, m) == at(grid.cousins[i]) == naive_cousins(p, m)
+                assert at(grid.cousins[i], m) == naive_cousins(p, m)
                 continue
             assert grid.cousins[i] is None
-            for rule in (cousins, naive_cousins):
-                with pytest.raises(DiagonalPosition):
-                    rule(p, m)
+            with pytest.raises(DiagonalPosition):
+                naive_cousins(p, m)
         for i in range(m):
-            assert down_line(i, m) == at(grid.down[i]) == naive_down_line(i, m)
-            assert up_line(i, m) == at(grid.up[i]) == naive_up_line(i, m)
-        assert down_up_rings(m) == tuple(map(at, grid.near)) == naive_down_up_rings(m)
+            assert at(grid.down[i], m) == naive_down_line(i, m)
+            assert at(grid.up[i], m) == naive_up_line(i, m)
+        assert tuple(at(near, m) for near in grid.near) == naive_down_up_rings(m)
 
     def test_one_bounded_table_per_length(self):
-        from degswap.canonical import _grid
-
         assert _grid(7) is _grid(7)
         assert _grid.cache_info().maxsize == 64
 
@@ -126,8 +130,8 @@ class TestGridTables:
         # set was still searched on tuple cells: find_friendly_path on 100
         # seeded typings of each ell = 3..11 and on the 55 ring-blocker
         # typings with ell <= 12 (the 40 blocking sets among them as sorted
-        # cells), and position_distance on every cell pair with ell <= 8,
-        # "x" where it raises ValueError
+        # cells), and the grid metric (``_distance``) on every cell pair
+        # with ell <= 8, "x" where it raises ValueError
         def lines():
             def dichotomy(ell, types):
                 res = find_friendly_path(FMatrix.from_types(ell, types))
@@ -148,7 +152,7 @@ class TestGridTables:
                     row = []
                     for q in cells:
                         try:
-                            row.append(str(position_distance(p, q, ell)))
+                            row.append(str(_distance(ell, _index(p, ell), _index(q, ell))))
                         except ValueError:
                             row.append("x")
                     yield f"d {ell} {p} {' '.join(row)}"
@@ -282,6 +286,52 @@ class TestCycleWalk:
         cyc = AlternatingCycle(tuple(on + off), frozenset(on), frozenset(off))
         with pytest.raises(CycleMismatch, match=message):
             CycleFrame.from_cycle(cyc, G)
+
+    @pytest.mark.parametrize("edge", [(0, 3), (1, -3), (2, 0), (-1, 1)])
+    def test_cycle_edge_off_the_graph_refused(self, edge):
+        # G and Gp differ in the 4-cycle through cells (0, 0), (0, 1), (1, 1)
+        # and (1, 0) of a 2 x 3 graph; an edge off it in the cycle's place
+        # of (1, 0) once read as some other cell or none: (0, 3) as (1, 0),
+        # so the frame of the 4-cycle came back, and (1, -3) as (0, 0), a
+        # ValueError about the mask
+        G, Gp = BipartiteGraph([[1, 0, 0], [0, 1, 0]]), BipartiteGraph([[0, 1, 0], [1, 0, 0]])
+        seq = ((0, 0), (0, 1), (1, 1), edge)
+        cyc = AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
+        for call in (lambda: CycleFrame.from_cycle(cyc, G), lambda: f_matrix(G, Gp, G, cyc),
+                     lambda: cycle_swaps(G, Gp, G, Gp, cyc)):
+            with pytest.raises(CycleMismatch, match=re.escape(f"edge {edge} lies off the 2x3 graph")):
+                call()
+        seq = ((0, 0), (0, 1), (1, 1), (1, 0))
+        cyc = AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
+        assert CycleFrame.from_cycle(cyc, G) == CycleFrame((0, 1), (0, 1))
+
+    def test_checks_run_in_order(self):
+        # the pair (G, Gp) first, then the cycle, then (X, G) and (Gp, Y),
+        # then the overlap of the three differences; f_matrix checks Z's
+        # margins after the cycle
+        G, Gp, cyc = cycle_graph_pair(5, {})
+        other = cycle_graph_pair(4, {})[2]
+        off = AlternatingCycle(((0, 9),), frozenset({(0, 9)}), frozenset())
+        wide = BipartiteGraph(np.zeros((5, 6), np.uint8))
+        empty = BipartiteGraph(np.zeros((5, 5), np.uint8))
+        for args, error in [((G, wide, wide, wide, off), ShapeMismatch),
+                            ((G, empty, wide, wide, off), DegreeMismatch),
+                            ((G, Gp, wide, wide, off), CycleMismatch),
+                            ((G, Gp, wide, wide, other), CycleMismatch),
+                            ((G, Gp, wide, G, cyc), ShapeMismatch),
+                            ((G, Gp, empty, wide, cyc), DegreeMismatch),
+                            ((G, Gp, G, wide, cyc), ShapeMismatch),
+                            ((G, Gp, G, empty, cyc), DegreeMismatch),
+                            ((G, Gp, Gp, Gp, cyc), PreconditionViolation)]:
+            with pytest.raises(error):
+                cycle_swaps(*args)
+        for args, error in [((G, wide, wide, off), ShapeMismatch),
+                            ((G, empty, empty, off), DegreeMismatch),
+                            ((G, Gp, empty, off), CycleMismatch),
+                            ((G, Gp, empty, other), CycleMismatch),
+                            ((G, Gp, empty, cyc), DegreeMismatch)]:
+            with pytest.raises(error):
+                f_matrix(*args)
 
     def test_other_side_reads_the_cycle_backwards(self):
         # every cycle decompose gives for every pairing of 800 seeded pairs
@@ -567,7 +617,8 @@ class TestFriendlyDichotomy:
         F = FMatrix.from_types(ell, types)
         res = find_friendly_path(F)
         assert isinstance(res, FriendlyPath)
-        assert adjusted_positions(res, F) == res.positions
+        assert res.adjusted == res.positions
+        verify_friendly_path(res, F)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +725,9 @@ class TestOkKoStep:
                 refused += 1
                 continue
             mains, smalls, anchor_val = spec.pattern()
-            want = (all(G.adj[frame.main_edge(t)] == mains[t] for t in range(3))
-                    and all(G.adj[frame.small_edge(t)] == smalls[t] for t in range(3))
+            want = (all(G.adj[frame.cell_edge((t, t))] == mains[t] for t in range(3))
+                    and all(G.adj[frame.cell_edge((t, (t + 1) % 3))] == smalls[t]
+                            for t in range(3))
                     and G.adj[frame.cell_edge(spec.anchor)] == anchor_val)
             assert matches_spec(G, spec) == want, (G.adj.tolist(), spec)
             assert matches_spec(spec_realization(G, spec), spec)
@@ -1047,6 +1099,33 @@ class TestPathAlongCycle:
         states = path_along_cycle(G, Gp, G, Gp, cyc)
         assert states[-1] == Gp
         assert len(states) - 1 <= 2 * ell
+
+    def test_blocked_type_zero_child_solved_before_the_closing_swap(self, monkeypatch):
+        # a 6 x 6 pair differing in one 12-cycle, so one pairing, that takes
+        # the type-0 case of canonical._first_possibility at the top frame
+        # with i = 0 and chord (i - 2, i + 2) also of type 0: the child block
+        # is solved before the closing swap; CI pins the same path's sha256
+        from degswap import canonical
+
+        X = BipartiteGraph([[int(c) for c in row] for row in
+                            "100001 110000 011000 011100 000110 000011".split()])
+        Y = BipartiteGraph([[int(c) for c in row] for row in
+                            "010001 101000 010100 011010 000101 100010".split()])
+        real, seen = canonical._first_possibility, []
+
+        def recording(key, l, frame, types, type1, i, t, bridges):
+            m = frame.m
+            seen.append((m, i, t, type1 >> ((i - 2) % m * m + (i + 2) % m) & 1))
+            return real(key, l, frame, types, type1, i, t, bridges)
+
+        monkeypatch.setattr(canonical, "_first_possibility", recording)
+        (pairing,) = all_pairings(X, Y)
+        states, certs = canonical_path(X, Y, pairing, certify=True)
+        assert seen == [(6, 0, 0, 0)]
+        assert len(states) - 1 == 5 and certs == [0, 1, 1, 2, 1, 0]
+        (cyc,) = pairings.decompose(X, Y, pairing).cycles
+        assert len(cyc) == 12
+        assert path_along_cycle(X, Y, X, Y, cyc) == states
 
     def test_cycle_cache_keyed_by_shape(self):
         # A 3x8 and a 4x6 graph with the same bytes, both holding this 6-cycle
@@ -1471,3 +1550,64 @@ class TestCertifiedStack:
         assert len(canonical_path(X, Y, pairing)) == 3
         with pytest.raises(DegreeMismatch):
             canonical_path(X, Y, pairing, certify=True)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+
+def _refusals():
+    """name: (call, error, message) for each refusal of the cycle-local
+    layer that no other test reaches."""
+    F = FMatrix.from_types(5, {})
+    blocked = FMatrix.from_types(9, ring_blocker_types(9, 3))
+    G, Gp, cyc = cycle_graph_pair(5, {})
+    M = BipartiteGraph([[1, 0], [0, 1]])
+    frame = CycleFrame(tuple(range(8)), tuple(range(8)))
+    L = spec_realization(_okko_environment(8, 3, {(2, 5): 1})[0], OKKOSpec("OK", (2, 5), frame))
+    moved = CycleFrame(tuple(range(8)), tuple(range(1, 8)) + (0,))
+    return {
+        "F not ell x ell": (lambda: FMatrix(3, ((1, 0, 0), (0, 1, 0))), ValueError,
+                            "ell x ell grid"),
+        "F diagonal cell 2": (lambda: FMatrix(3, ((2, 0, 0), (0, 1, 0), (0, 0, 1))), ValueError,
+                              r"diagonal cell \(0,0\) must be 0/1, got 2"),
+        "F chord cell 4": (lambda: FMatrix(3, ((1, 0, 4), (0, 1, 0), (0, 0, 1))), ValueError,
+                           r"chord cell \(0,2\) out of range: 4"),
+        "type of a diagonal cell": (lambda: F.type_of((1, 2)), DiagonalPosition,
+                                    "lies on a diagonal"),
+        "type given for a diagonal cell": (lambda: FMatrix.from_types(5, {(3, 3): 1}),
+                                           DiagonalPosition, r"diagonal cell \(3,3\)"),
+        "f_matrix Z off the margins": (
+            lambda: f_matrix(G, Gp, BipartiteGraph(np.zeros((5, 5), np.uint8)), cyc),
+            DegreeMismatch, "Z does not realize"),
+        "hat_matrix shapes": (lambda: hat_matrix(M, M, BipartiteGraph(np.eye(3, dtype=np.uint8))),
+                              ShapeMismatch, "equally shaped"),
+        "hat_matrix margins": (lambda: hat_matrix(M, M, BipartiteGraph([[1, 1], [0, 0]])),
+                               DegreeMismatch, "one sequence"),
+        "friendly path ell 2": (lambda: find_friendly_path(FMatrix(2, ((1, 0), (0, 1)))),
+                                ValueError, "ell >= 3"),
+        "spec kind": (lambda: OKKOSpec("KK", (2, 5), frame), ValueError, "'OK' or 'KO'"),
+        "spec anchor on a diagonal": (lambda: OKKOSpec("KO", (2, 3), frame), DiagonalPosition,
+                                      "lies on a diagonal"),
+        "specs on two frames": (lambda: ok_ko_step(L, OKKOSpec("OK", (2, 5), frame),
+                                                   OKKOSpec("OK", (2, 5), moved)),
+                                SpecViolation, "different cycle frames"),
+        "empty friendly path": (lambda: verify_friendly_path(FriendlyPath((), (), False), F),
+                                SpecViolation, "empty path"),
+        "unfriendly chord on the path": (
+            lambda: verify_friendly_path(FriendlyPath(((0, 3),), ((0, 3),), False), blocked),
+            SpecViolation, r"\(0, 3\) is not a friendly chord"),
+        "empty blocking set": (lambda: verify_steinhaus(SteinhausSet(frozenset(), 5), F),
+                               SpecViolation, "empty blocking set"),
+        "cycle_swaps on another cycle": (
+            lambda: cycle_swaps(G, Gp, G, Gp, cycle_graph_pair(4, {})[2]), CycleMismatch,
+            "do not differ in exactly this cycle"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refusals()))
+def test_canonical_refusals(name):
+    call, error, message = _refusals()[name]
+    with pytest.raises(error, match=message):
+        call()

@@ -568,6 +568,30 @@ def test_non_ascii_blank_is_a_value_error(tmp_path, capsys, command, text, messa
     assert capsys.readouterr() == ("", f"error[ValueError]: {message}\n")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("check", "2 2\r2 2\n", "not an integer: '2\\r2'"),
+    ("transform", "2 2\n10\r01\n", "bad matrix row '10\\r01'"),
+])
+def test_lone_carriage_return_is_a_value_error(tmp_path, capsys, command, text, message):
+    # files were opened with universal newlines, so a lone "\r" ended a
+    # line: check printed "graphical" and transform exited 0
+    args = [write(tmp_path, "a.txt", text)]
+    if command == "transform":
+        args.append(args[0])
+    assert main([command, *args]) == 1
+    assert capsys.readouterr() == ("", f"error[ValueError]: {message}\n")
+
+
+def test_crlf_files_are_read(tmp_path, capsys):
+    crlf = [write(tmp_path, name, text.replace("\n", "\r\n"))
+            for name, text in (("d.txt", "2 2\n2 2\n"), ("x.txt", M1), ("y.txt", M2))]
+    assert main(["check", crlf[0]]) == 0
+    assert main(["transform", *crlf[1:]]) == 0
+    assert main(["transform", write(tmp_path, "x2.txt", M1), write(tmp_path, "y2.txt", M2)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["graphical", "1 2 1 2", "1 2 1 2"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -684,3 +684,28 @@ class TestGraphText:
         with pytest.raises(ValueError):
             g.adj[...] = 0
         assert g == random_graph(1, k, l)
+
+
+# each refusal of the graph layer that no other test reaches, with its message
+CORE_REFUSALS = {
+    "increasing V degrees": (lambda: BipartiteDegreeSequence((1, 1), (1, 2)),
+                             "V degrees must be non-increasing"),
+    "swap orientation 3": (lambda: Swap(0, 1, 0, 1, 3), "orientation must be 1 or 2"),
+    "1-D matrix": (lambda: BipartiteGraph([1, 0]), "must be two-dimensional"),
+    "3-D matrix": (lambda: BipartiteGraph(np.zeros((1, 1, 1), np.uint8)),
+                   "must be two-dimensional"),
+    "empty graph text": (lambda: BipartiteGraph.from_text(""), "empty graph text"),
+    "blank graph text": (lambda: BipartiteGraph.from_text(" \n\t\r\n"), "empty graph text"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_REFUSALS))
+def test_core_refusals(name):
+    build, message = CORE_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_graph_repr_names_shape_and_edge_count():
+    assert repr(BipartiteGraph([[1, 0, 1], [0, 1, 0]])) == "BipartiteGraph(2x3, e=3)"
+    assert repr(BipartiteGraph(np.zeros((0, 4), np.uint8))) == "BipartiteGraph(0x4, e=0)"

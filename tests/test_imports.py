@@ -72,9 +72,8 @@ PUBLIC = [
     "AlternatingCycle", "BipartiteDegreeSequence", "BipartiteGraph", "CircuitDecomposition",
     "DegSwapError", "EdgePartition", "Exceeds", "FMatrix", "FriendlyPath", "NotGraphical",
     "OKKOSpec", "Pairing", "StateSpace", "SteinhausSet", "Swap", "TransitionMatrix",
-    "Unreachable", "adjusted_positions", "all_pairings", "allowed_swaps", "apply_swap",
-    "build_kernel", "canonical_path", "congestion", "count_realizations", "cousins",
-    "decompose", "enumerate_pairings_count", "enumerate_states", "f_matrix",
+    "Unreachable", "all_pairings", "allowed_swaps", "apply_swap", "build_kernel",
+    "canonical_path", "congestion", "count_realizations", "decompose", "enumerate_pairings_count", "enumerate_states", "f_matrix",
     "find_friendly_path", "greedy_realize", "hat_matrix", "is_graphical", "ok_ko_step",
     "path_along_cycle", "path_distribution", "random_pairing", "ryser_sequence", "sample",
     "spectral_gap", "swap_distance", "switch_distance", "symmetric_difference",

@@ -498,3 +498,12 @@ def test_equal_signed_differences_decompose_alike_on_seeded_pairs():
         assert out == kernel_output(Xp.key(), Yp.key(), 5), (xi, yi, xj, yj)
         totals.append(out[0])
     assert max(totals) == 32
+
+
+@pytest.mark.parametrize("edges", [((0, 0), (1, 1)), ((0, 0), (0, 1), (1, 2), (2, 2))])
+def test_vertex_seq_refuses_edges_that_share_no_endpoint(edges):
+    # a walk whose consecutive edges meet in no vertex, the closing pair
+    # included, is not alternating
+    cyc = pairings.AlternatingCycle(edges, frozenset(edges[0::2]), frozenset(edges[1::2]))
+    with pytest.raises(NonAlternating, match="share no endpoint"):
+        cyc.vertex_seq()
