@@ -29,13 +29,10 @@ def cycle_pair(ell, types):
         adj_h[t, (t + 1) % ell] = 1
     for (a, b), ty in types.items():
         adj_g[a, b] = adj_h[a, b] = ty
-    x_edges = frozenset((t, t) for t in range(ell))
-    y_edges = frozenset((t, (t + 1) % ell) for t in range(ell))
     seq = []
     for t in range(ell):
         seq += [(t, t), (t, (t + 1) % ell)]
-    return (BipartiteGraph(adj_g), BipartiteGraph(adj_h),
-            AlternatingCycle(tuple(seq), x_edges, y_edges))
+    return BipartiteGraph(adj_g), BipartiteGraph(adj_h), AlternatingCycle(tuple(seq))
 
 
 def chord_cells(ell):

@@ -34,7 +34,13 @@ segment from a table the caller scopes, keyed by state and cell mask.  A
 segment is lifted once, by ``_key_segment`` on the cycle's local m x m
 pattern, with pattern and bridge memos that live as long as the table:
 ``canonical_path`` and ``path_distribution`` walk keys (``_key_lift``),
-and ``mixing.congestion`` walks state ids with a lift of its own.
+and ``mixing.congestion`` walks state ids with a lift of its own.  The
+graph entry points on one cycle, ``cycle_swaps`` and ``path_along_cycle``,
+take the same route: after their checks, one ``_key_segment`` with memos
+fresh for the call (``_cycle_segment``), whose swaps and keys they return
+as ``Swap``s and states.  No cycle is solved on the whole realization;
+that solve is a test reference (``tests/oracles.py``) the route is held
+to.
 
 The m x m grid has one form, one table per length (``_grid``): a cell is
 its grid index a * m + b, a set of cells one int, and every reader of the
@@ -42,10 +48,12 @@ grid reads those tables.  Every search on it is one breadth-first routine
 whose layers are ints (``_flood``): the grid metric, the friendly-path
 search, the king components of the unfriendly chords and the rook-path
 cut test.  Only ``find_friendly_path`` builds (a, b) cells, ``ring`` and
-``is_chord`` are the only helpers that answer for one, and only
-``ok_ko_step`` and ``matches_spec`` read an ``OKKOSpec``; the solver stays
-on indices.  An ``AlternatingCycle`` is read one way, as the cell mask of
-its edges (``_cycle_cells``), which refuses an edge off the graph.
+``is_chord`` are the only helpers that answer for one, every (a, b) cell
+the public boundary takes is read mod m through ``_index`` (an
+``OKKOSpec`` holds its anchor so reduced), and only ``ok_ko_step`` and
+``matches_spec`` read an ``OKKOSpec``; the solver stays on indices.  An
+``AlternatingCycle`` is read one way, as the cell mask of its edges
+(``_cycle_cells``), which refuses an edge off the graph.
 
 The cycle solver holds each realization as one int, its key read the same
 way.  One walker, ``_cycle_walk``, reads every alternating cycle: a cell
@@ -57,7 +65,8 @@ cycle between two OK/KO targets) are one kind of problem, local to the
 cycle's rows x columns, and take one route, ``_local_swaps``: the local
 key and local mask, read in the same form, key a memo the caller scopes,
 and only a miss walks the local cycle and solves it, by ``_solve_frame``
-for a pattern and by ``ryser._eliminate`` for a bridge.  A 4-cycle, a 2 x 2
+for a pattern (``_pattern_swaps``, its one caller outside its own
+recursion) and by ``ryser._eliminate`` for a bridge.  A 4-cycle, a 2 x 2
 one-factor, is flipped by one swap: its local problem is read off its four
 cells, and a miss stores that swap without a walk or a solve.  The caller
 lifts the local swaps through the rows and columns.  A frame's cells are
@@ -70,10 +79,10 @@ ints, and every swap, lifted or placed on the frame, is one step of
 (one 4-cell mask test, then one XOR), which raises ``SwapNotAllowed``
 where it fails.  The solver carries each swap as its fields ``(u1, u2, v1,
 v2, orientation)``, as ``core._push_up`` and ``ryser._eliminate`` emit
-them; ``Swap`` objects are built only at the graph entry points
-``cycle_swaps`` and ``ok_ko_step``.  Both entry points that take an
-``OKKOSpec``, ``ok_ko_step`` and ``matches_spec``, refuse a frame that does
-not lie in the graph (``_check_frame``).
+them; ``Swap`` objects are built from those fields only at the graph
+entry points ``cycle_swaps`` and ``ok_ko_step``.  Both entry points that
+take an ``OKKOSpec``, ``ok_ko_step`` and ``matches_spec``, refuse a frame
+that does not lie in the graph (``_check_frame``).
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ from .core import BipartiteGraph, Swap, _bits, _check_margins, _gale_ryser, _int
 from .errors import (CycleMismatch, DegreeMismatch, DiagonalPosition, Exceeds,
                      MarginMismatch, PreconditionViolation, ShapeMismatch, SpecViolation)
 from .pairings import AlternatingCycle, _decompositions, _pairing_partners, _trace
-from .ryser import _eliminate, replay
+from .ryser import _eliminate
 
 # ---------------------------------------------------------------------------
 # positions on the cycle-local grid
@@ -225,20 +234,12 @@ class CycleFrame:
         return len(self.u_ids)
 
     def cell_edge(self, pos) -> tuple:
-        a, b = pos
+        a, b = divmod(_index(pos, self.m), self.m)
         return (self.u_ids[a], self.v_ids[b])
 
     def sub(self, arc) -> "CycleFrame":
         return CycleFrame(tuple(self.u_ids[t] for t in arc),
                           tuple(self.v_ids[t] for t in arc))
-
-    @classmethod
-    def from_cycle(cls, cycle: AlternatingCycle, G: BipartiteGraph) -> "CycleFrame":
-        """Orient the cycle so its edges inside G become the main diagonal,
-        from the smallest (``_cycle_walk``).  Raises ``CycleMismatch`` unless
-        the cycle's cells (``_cycle_cells``) lie in G and form one cycle
-        alternating against G; a union of several cycles is refused."""
-        return cls(*_cycle_walk(_int(G.key()), G.l, _cycle_cells(cycle, G)))
 
 
 def _cycle_cells(cycle: AlternatingCycle, G: BipartiteGraph) -> int:
@@ -324,10 +325,13 @@ class FMatrix:
                     raise ValueError(f"chord cell ({a},{b}) out of range: {v}")
 
     def type_of(self, pos) -> int:
-        """Chord type: the chord's value in the start (= end) realization."""
-        if not is_chord(pos, self.ell):
+        """Chord type: the chord's value in the start (= end) realization,
+        its cell read mod ell."""
+        m = self.ell
+        p = _index(pos, m)
+        if _grid(m).rings[p] < 2:
             raise DiagonalPosition(f"{pos} lies on a diagonal")
-        return 1 if self.cells[pos[0]][pos[1]] >= 2 else 0
+        return 1 if self.cells[p // m][p % m] >= 2 else 0
 
     def is_friendly(self, pos) -> bool:
         """Whether the chord ``pos`` has a cousin of its own type."""
@@ -338,15 +342,16 @@ class FMatrix:
     @classmethod
     def from_types(cls, ell: int, types) -> "FMatrix":
         """The start-state view: main diagonal 1, small diagonal 0, chords
-        at three times their type."""
-        cells = [[0] * ell for _ in range(ell)]
-        for t in range(ell):
-            cells[t][t] = 1
+        at three times their type.  A cell is read mod ell, and
+        ``ValueError`` if two entries name one cell."""
+        cells = [int(r == 0) for r in _grid(ell).rings]
         for (a, b), ty in types.items():
             if not is_chord((a, b), ell):
                 raise DiagonalPosition(f"type given for diagonal cell ({a},{b})")
-            cells[a][b] = 3 * int(ty)
-        return cls(ell, tuple(tuple(r) for r in cells))
+            cells[_index((a, b), ell)] = 3 * int(ty)
+        if len({_index(pos, ell) for pos in types}) < len(types):
+            raise ValueError("two types given for one cell")
+        return cls(ell, tuple(tuple(cells[a * ell:a * ell + ell]) for a in range(ell)))
 
 
 def _local_f(key: int, masks: "_Masks", types: int) -> FMatrix:
@@ -501,7 +506,7 @@ def verify_friendly_path(path: FriendlyPath, F: FMatrix):
     P = path.positions
     if not P:
         raise SpecViolation("empty path")
-    if len(set(P)) != len(P):
+    if len({_index(p, m) for p in P}) != len(P):
         raise SpecViolation("path repeats a chord")
     for p in P:
         if not is_chord(p, m) or not F.is_friendly(p):
@@ -578,7 +583,8 @@ class OKKOSpec:
     to index b onto the small diagonal and removes the (type-1) anchor
     chord from the realization.  A KO target at (a, b) shifts the segment
     from b up to a, removing both bounding main-diagonal edges, and adds
-    the (type-0) anchor chord instead.
+    the (type-0) anchor chord instead.  The anchor is held read mod the
+    frame's length, the cell ``matches_spec`` and ``ok_ko_step`` read.
     """
 
     kind: str
@@ -590,6 +596,7 @@ class OKKOSpec:
             raise ValueError("kind must be 'OK' or 'KO'")
         if not is_chord(self.anchor, self.frame.m):
             raise DiagonalPosition(f"anchor {self.anchor} lies on a diagonal")
+        object.__setattr__(self, "anchor", divmod(_index(self.anchor, self.frame.m), self.frame.m))
 
     def pattern(self):
         """Target values for every main cell, small cell, and the anchor."""
@@ -613,14 +620,8 @@ class OKKOSpec:
 
 
 def _cyc_range(s, e, m):
-    out = []
-    t = s
-    while t != e:
-        out.append(t)
-        t = (t + 1) % m
-        if len(out) > m:
-            raise AssertionError("cyclic range did not close")
-    return out
+    """The indices s, s + 1, ..., e - 1 read mod m, for s and e in 0..m-1."""
+    return [(s + i) % m for i in range((e - s) % m)]
 
 
 class _Masks(NamedTuple):
@@ -1049,41 +1050,40 @@ def _second_possibility(key, l, frame, types, i, t, j, jp, bridges):
     return swaps, cur
 
 
-def _solve_cycle(G: BipartiteGraph, Gp: BipartiteGraph, cycle: AlternatingCycle,
-                 bridges: dict) -> tuple:
-    """The swaps carrying G to Gp along ``cycle``, each as its fields,
-    without re-checking that the two differ exactly in it, bridging through
-    the call-scoped memo ``bridges`` (see ``_bridge``); raises
-    ``SpecViolation`` if the construction misses Gp.  The solve runs on G's
-    key read as an int, which also types the chords.  The full-graph
-    reference behind ``cycle_swaps``."""
-    frame = CycleFrame.from_cycle(cycle, G)
-    start = _int(G.key())
-    swaps, end = _solve_frame(start, G.l, frame, start, bridges)
-    if end != _int(Gp.key()):
-        raise SpecViolation("cycle construction missed its target")
-    return tuple(swaps)
-
-
-def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
-                Y: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
-    """The swap sequence behind ``path_along_cycle``, after checking that G
-    and Gp differ exactly in ``cycle`` and that X xor G, the cycle and
-    Gp xor Y are pairwise disjoint."""
+def _cycle_segment(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
+                   Y: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+    """``_key_segment``'s ``(keys, swaps)`` for ``cycle`` in G, with pattern
+    and bridge memos fresh for the call, after checking that G and Gp
+    differ exactly in ``cycle`` (``_cycle_difference``), that X and G, and
+    Gp and Y, are pairs of one shape and margins, and that X xor G, the
+    cycle and Gp xor Y are pairwise disjoint, in that order.  The segment's
+    end check lands it on Gp's key."""
     cells = _cycle_difference(G, Gp, cycle)
     _check_margins(X, G)
     _check_margins(Gp, Y)
     side_x, side_y = _int(X.key()) ^ _int(G.key()), _int(Gp.key()) ^ _int(Y.key())
     if side_x & cells or side_y & cells or side_x & side_y:
         raise PreconditionViolation("the three symmetric differences overlap")
-    return tuple(Swap(*s) for s in _solve_cycle(G, Gp, cycle, {}))
+    return _key_segment({}, {}, G.l, G.key(), cells)
+
+
+def cycle_swaps(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
+                Y: BipartiteGraph, cycle: AlternatingCycle) -> tuple:
+    """The swap sequence behind ``path_along_cycle``: the canonical segment
+    of ``cycle`` (``_cycle_segment``), the route every canonical path takes,
+    its field tuples built as ``Swap``s."""
+    return tuple(Swap(*s) for s in _cycle_segment(G, Gp, X, Y, cycle)[1])
 
 
 def path_along_cycle(G: BipartiteGraph, Gp: BipartiteGraph, X: BipartiteGraph,
                      Y: BipartiteGraph, cycle: AlternatingCycle) -> list:
     """Realizations G = Z_0, ..., Z_m = Gp, consecutive ones one swap apart,
-    built along the given alternating cycle."""
-    return replay(G, cycle_swaps(G, Gp, X, Y, cycle))
+    built along the given alternating cycle: G, then each key of its
+    canonical segment (``_cycle_segment``) read as a graph, with no copy
+    and no second check of its swaps."""
+    keys = _cycle_segment(G, Gp, X, Y, cycle)[0]
+    return [G] + [BipartiteGraph._trusted(np.frombuffer(key, np.uint8).reshape(G.k, G.l))
+                  for key in keys]
 
 
 def _pattern_swaps(key: int, l: int, mask: int, memo: dict, bridges: dict) -> tuple:

@@ -174,12 +174,21 @@ class AlternatingCycle:
     """A simple closed walk alternating X-edges and Y-edges.
 
     ``edge_seq`` lists the edges in walk order with a fixed orientation:
-    rotation puts the lexicographically smallest X-edge first.
+    rotation puts the lexicographically smallest X-edge first, so the even
+    positions hold the X-edges and the odd ones the Y-edges.  The sequence
+    is the cycle's one copy: ``x_edges`` and ``y_edges`` are read-only views
+    of those positions.
     """
 
     edge_seq: tuple
-    x_edges: frozenset
-    y_edges: frozenset
+
+    @property
+    def x_edges(self) -> frozenset:
+        return frozenset(self.edge_seq[0::2])
+
+    @property
+    def y_edges(self) -> frozenset:
+        return frozenset(self.edge_seq[1::2])
 
     def __len__(self) -> int:
         return len(self.edge_seq)
@@ -232,7 +241,7 @@ def _decomposition(numbering, pu, pv, memo: dict) -> CircuitDecomposition:
     for cycle in ids:
         start = cycle.index(min(cycle[0::2] if in_x[cycle[0]] else cycle[1::2]))
         walk = tuple(map(edges.__getitem__, cycle[start:] + cycle[:start]))
-        cycles.append(AlternatingCycle(walk, frozenset(walk[::2]), frozenset(walk[1::2])))
+        cycles.append(AlternatingCycle(walk))
     return CircuitDecomposition(tuple(tuple(map(edges.__getitem__, c)) for c in circuits),
                                 tuple(cycles))
 

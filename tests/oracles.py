@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from degswap import AlternatingCycle, BipartiteGraph, Swap, Unreachable
-from degswap.core import (_allowed, _check_margins, _masks, _push_up, _targets, allowed_swaps,
-                          apply_swap, symmetric_difference)
+from degswap.core import (_allowed, _check_margins, _int, _masks, _push_up, _targets,
+                          allowed_swaps, apply_swap, symmetric_difference)
 from degswap.errors import DiagonalPosition, NonAlternating, SwapNotAllowed
 from degswap.pairings import CircuitDecomposition, _shared_vertex
 
@@ -261,12 +261,10 @@ def cycle_graph_pair(ell: int, types: dict):
     for (a, b), ty in types.items():
         adj_g[a, b] = adj_h[a, b] = ty
     G, H = BipartiteGraph(adj_g), BipartiteGraph(adj_h)
-    x_edges = frozenset((t, t) for t in range(ell))
-    y_edges = frozenset((t, (t + 1) % ell) for t in range(ell))
     seq = []
     for t in range(ell):
         seq += [(t, t), (t, (t + 1) % ell)]
-    return G, H, AlternatingCycle(tuple(seq), x_edges, y_edges)
+    return G, H, AlternatingCycle(tuple(seq))
 
 
 def random_types(ell: int, rng, p: float) -> dict:
@@ -439,11 +437,8 @@ def circuits_of(pairing) -> list:
 
 
 def _as_cycle(edges, x_edges):
-    cyc_x = frozenset(e for e in edges if e in x_edges)
-    cyc_y = frozenset(e for e in edges if e not in x_edges)
-    start = edges.index(min(cyc_x))
-    rotated = tuple(edges[(start + t) % len(edges)] for t in range(len(edges)))
-    return AlternatingCycle(rotated, cyc_x, cyc_y)
+    start = edges.index(min(e for e in edges if e in x_edges))
+    return AlternatingCycle(tuple(edges[(start + t) % len(edges)] for t in range(len(edges))))
 
 
 def cycles_of(circuit, x_edges) -> list:
@@ -474,11 +469,15 @@ def cycles_of(circuit, x_edges) -> list:
     if stack:
         raise NonAlternating("circuit walk did not close at its start vertex")
     for c in cycles:
-        _check_alternating(c)
+        _check_alternating(c, x_edges)
     return cycles
 
 
-def _check_alternating(cycle):
+def _check_alternating(cycle, x_edges):
+    """``NonAlternating`` unless ``cycle`` is an even closed walk of at
+    least four edges through distinct vertices whose consecutive edges lie
+    in different classes of X xor Y, ``x_edges`` its X-class (read off the
+    pairing, not the cycle, whose classes are its positions)."""
     n = len(cycle.edge_seq)
     if n % 2 != 0 or n < 4:
         raise NonAlternating(f"cycle length {n} is not an even number >= 4")
@@ -487,7 +486,7 @@ def _check_alternating(cycle):
         raise NonAlternating("cycle repeats a vertex")
     for t in range(n):
         e, f = cycle.edge_seq[t], cycle.edge_seq[(t + 1) % n]
-        if (e in cycle.x_edges) == (f in cycle.x_edges):
+        if (e in x_edges) == (f in x_edges):
             raise NonAlternating("consecutive edges in one class")
 
 
@@ -621,21 +620,56 @@ def full_deviations(P):
         scale *= denom
 
 
+# -- one cycle solved on the whole realization --------------------------------
+
+
+def from_cycle(cycle, G):
+    """The ``CycleFrame`` of ``cycle`` oriented so that its edges inside G
+    are the main diagonal, from the smallest: the one walker,
+    ``canonical._cycle_walk``, on the cycle's cell mask
+    (``canonical._cycle_cells``), which raise ``CycleMismatch`` unless the
+    cells lie in G and form one cycle alternating against G."""
+    from degswap.canonical import CycleFrame, _cycle_cells, _cycle_walk
+
+    return CycleFrame(*_cycle_walk(_int(G.key()), G.l, _cycle_cells(cycle, G)))
+
+
+def _solve_cycle(G, Gp, cycle, bridges) -> tuple:
+    """The swaps carrying G to Gp along ``cycle``, each as its fields,
+    solved on the whole realization: ``canonical._solve_frame`` on G's key
+    read as an int, which also types the chords, and the frame of
+    ``from_cycle``, bridging through the memo ``bridges``; ``SpecViolation``
+    if the construction misses Gp.  It does not check that G and Gp differ
+    exactly in the cycle.  The full-graph reference for the local route,
+    ``canonical._key_segment``, that ``cycle_swaps``, ``path_along_cycle``
+    and every canonical path take."""
+    from degswap.canonical import _solve_frame
+    from degswap.errors import SpecViolation
+
+    start = _int(G.key())
+    swaps, end = _solve_frame(start, G.l, from_cycle(cycle, G), start, bridges)
+    if end != _int(Gp.key()):
+        raise SpecViolation("cycle construction missed its target")
+    return tuple(swaps)
+
+
 # -- congestion by one canonical path per pairing -----------------------------
 
 
 def reference_path(X, Y, pairing) -> list:
     """The canonical path from X to Y for the pairing, built the direct way:
-    the cycles of ``naive_decompose``, each flipped on the full graphs by
-    the checked ``path_along_cycle``."""
-    from degswap.canonical import path_along_cycle
+    the cycles of ``naive_decompose``, each solved on the full graphs by
+    ``_solve_cycle`` with a fresh bridge memo and its swaps applied one
+    checked ``apply_swap`` at a time (``ryser.replay``)."""
+    from degswap.ryser import replay
 
     states = [X]
     for cyc in naive_decompose(X, Y, pairing).cycles:
         adj = states[-1].adj.copy()
         adj[tuple(zip(*cyc.x_edges))] = 0
         adj[tuple(zip(*cyc.y_edges))] = 1
-        states += path_along_cycle(states[-1], BipartiteGraph(adj), X, Y, cyc)[1:]
+        swaps = _solve_cycle(states[-1], BipartiteGraph(adj), cyc, {})
+        states += replay(states[-1], [Swap(*s) for s in swaps])[1:]
     assert states[-1] == Y
     return states
 
@@ -804,11 +838,10 @@ def naive_segment(G, mask):
     l columns, walked from the smallest edge on in G along its row, then
     along a column, and so on; its X-side is read from G, the cycle cells
     that are on there.  The swaps are ``_solve_cycle``'s, the solve on the
-    full realization with a fresh bridge memo, as field tuples; the keys
-    are those of ``path_along_cycle``, which applies them one checked
+    full realization with a fresh bridge memo, as field tuples, and the keys
+    are those of ``ryser.replay``, which applies them one checked
     ``apply_swap`` at a time."""
-    from degswap.canonical import _solve_cycle, path_along_cycle
-    from degswap.pairings import AlternatingCycle
+    from degswap.ryser import replay
 
     cells = {divmod(c, G.l) for c, byte in enumerate(mask.to_bytes(G.k * G.l, "little")) if byte}
     on = frozenset(e for e in cells if G.adj[e])
@@ -821,9 +854,8 @@ def naive_segment(G, mask):
                 if (e[0] == u if along_row else e[1] == v) and e not in seq]
         seq.append(e)
     target = G.with_edges(sorted(on), sorted(off))
-    cycle = AlternatingCycle(tuple(seq), on, off)
-    return (tuple(g.key() for g in path_along_cycle(G, target, G, target, cycle)[1:]),
-            _solve_cycle(G, target, cycle, {}))
+    swaps = _solve_cycle(G, target, AlternatingCycle(tuple(seq)), {})
+    return tuple(g.key() for g in replay(G, [Swap(*s) for s in swaps])[1:]), swaps
 
 
 def spec_realization(G, spec):

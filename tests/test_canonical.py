@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSet,
+from degswap import (BipartiteGraph, Exceeds, FMatrix, FriendlyPath, SteinhausSet, Swap,
                      canonical_path, f_matrix, find_friendly_path, hat_matrix, ok_ko_step,
                      path_along_cycle, path_distribution, switch_distance)
 from degswap.canonical import (CycleFrame, OKKOSpec, _bridge, _cycle_walk, _distance, _grid,
@@ -24,9 +24,9 @@ from degswap import (AlternatingCycle, BipartiteDegreeSequence, all_pairings, ch
                      pairings, random_pairing)
 from degswap.ryser import replay
 
-from oracles import (PINNED_16, count_ryser, cycle_graph_pair, friendly_path_exists, graphs,
-                     naive_cousins, naive_down_line, naive_down_up_rings, naive_ring,
-                     naive_switch_distance, naive_up_line, never_memoize_bridges,
+from oracles import (PINNED_16, _solve_cycle, count_ryser, cycle_graph_pair,
+                     friendly_path_exists, from_cycle, graphs, naive_cousins, naive_down_line,
+                     naive_down_up_rings, naive_ring, naive_switch_distance, naive_up_line, never_memoize_bridges,
                      perturbed_environment, pinned_pair, random_types, reference_path,
                      ring_blocker_types, sequence_margins_ok, spec_realization,
                      split_environment_pools)
@@ -204,7 +204,7 @@ class TestFMatrix:
             moves = allowed_swaps(Z)
             Z = apply_swap(Z, moves[int(rng.integers(len(moves)))])
         F = f_matrix(G, Gp, Z, cyc)
-        frame = CycleFrame.from_cycle(cyc, G)
+        frame = from_cycle(cyc, G)
         for a in range(6):
             for b in range(6):
                 if ring((a, b), 6) >= 2:
@@ -215,6 +215,42 @@ class TestFMatrix:
         G2, Gp2, cyc2 = _instance(6, 3)
         with pytest.raises(CycleMismatch):
             f_matrix(G, Gp, G, cyc2)
+
+
+class TestCellsReadModEll:
+    """Every (a, b) cell the cycle-local boundary takes is read mod ell,
+    through ``_index``, as ``ring``, ``is_chord`` and ``matches_spec`` read
+    it: (ell, b) is cell (0, b)."""
+
+    def test_type_of_and_is_friendly(self):
+        F = FMatrix.from_types(6, {(0, 2): 1, (0, 3): 1})
+        for pos in ((0, 2), (0, 4)):
+            wrapped = (pos[0] + 6, pos[1] - 12)
+            assert F.type_of(wrapped) == F.type_of(pos)
+            assert F.is_friendly(wrapped) == F.is_friendly(pos)
+        assert F.type_of((6, 2)) == 1 and F.type_of((6, 4)) == 0
+
+    def test_from_types(self):
+        assert FMatrix.from_types(6, {(6, 2): 1}) == FMatrix.from_types(6, {(0, 2): 1})
+        with pytest.raises(ValueError, match="two types given for one cell"):
+            FMatrix.from_types(6, {(0, 2): 1, (6, 2): 0})
+
+    def test_spec_anchor_held_reduced(self):
+        frame = CycleFrame(tuple(range(4)), tuple(range(4)))
+        spec = OKKOSpec("OK", (4, 2), frame)
+        assert spec.anchor == (0, 2) and spec == OKKOSpec("OK", (0, 2), frame)
+        assert spec.pattern() == OKKOSpec("OK", (0, 2), frame).pattern()
+        assert OKKOSpec("KO", (2, -4), frame).pattern() == OKKOSpec("KO", (2, 0), frame).pattern()
+
+    def test_cell_edge(self):
+        frame = CycleFrame((5, 6, 7), (1, 2, 3))
+        assert frame.cell_edge((3, -1)) == frame.cell_edge((0, 2)) == (5, 3)
+
+    def test_friendly_path_repeat(self):
+        # (0, 2) and (6, 2) name one chord of a 6-cycle
+        F = FMatrix.from_types(6, {})
+        with pytest.raises(SpecViolation, match="path repeats a chord"):
+            verify_friendly_path(FriendlyPath(((0, 2), (6, 2)), ((0, 2), (0, 2)), False), F)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +271,7 @@ def _two_by_two_blocks(n):
     Gp = BipartiteGraph(np.eye(n, dtype=np.uint8)[[i ^ 1 for i in range(n)]])
     seq = tuple(e for i in range(0, n, 2)
                 for e in ((i, i), (i, i + 1), (i + 1, i + 1), (i + 1, i)))
-    return G, Gp, AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
+    return G, Gp, AlternatingCycle(seq)
 
 
 # name: (l, cells on, cells off, message) for cell sets that are not one
@@ -262,7 +298,7 @@ class TestCycleWalk:
         # any bridge
         G, Gp, cyc = _two_by_two_blocks(n)
         with pytest.raises(CycleMismatch, match="several cycles"):
-            CycleFrame.from_cycle(cyc, G)
+            from_cycle(cyc, G)
         with pytest.raises(CycleMismatch, match="several cycles"):
             f_matrix(G, Gp, G, cyc)
         with pytest.raises(CycleMismatch, match="several cycles"):
@@ -283,9 +319,9 @@ class TestCycleWalk:
             _cycle_walk(key, l, cells)
         with pytest.raises(CycleMismatch, match=message):
             _bridge(l, key, key ^ cells, {})
-        cyc = AlternatingCycle(tuple(on + off), frozenset(on), frozenset(off))
+        cyc = AlternatingCycle(tuple(on + off))
         with pytest.raises(CycleMismatch, match=message):
-            CycleFrame.from_cycle(cyc, G)
+            from_cycle(cyc, G)
 
     @pytest.mark.parametrize("edge", [(0, 3), (1, -3), (2, 0), (-1, 1)])
     def test_cycle_edge_off_the_graph_refused(self, edge):
@@ -296,14 +332,14 @@ class TestCycleWalk:
         # ValueError about the mask
         G, Gp = BipartiteGraph([[1, 0, 0], [0, 1, 0]]), BipartiteGraph([[0, 1, 0], [1, 0, 0]])
         seq = ((0, 0), (0, 1), (1, 1), edge)
-        cyc = AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
-        for call in (lambda: CycleFrame.from_cycle(cyc, G), lambda: f_matrix(G, Gp, G, cyc),
+        cyc = AlternatingCycle(seq)
+        for call in (lambda: from_cycle(cyc, G), lambda: f_matrix(G, Gp, G, cyc),
                      lambda: cycle_swaps(G, Gp, G, Gp, cyc)):
             with pytest.raises(CycleMismatch, match=re.escape(f"edge {edge} lies off the 2x3 graph")):
                 call()
         seq = ((0, 0), (0, 1), (1, 1), (1, 0))
-        cyc = AlternatingCycle(seq, frozenset(seq[0::2]), frozenset(seq[1::2]))
-        assert CycleFrame.from_cycle(cyc, G) == CycleFrame((0, 1), (0, 1))
+        cyc = AlternatingCycle(seq)
+        assert from_cycle(cyc, G) == CycleFrame((0, 1), (0, 1))
 
     def test_checks_run_in_order(self):
         # the pair (G, Gp) first, then the cycle, then (X, G) and (Gp, Y),
@@ -311,7 +347,7 @@ class TestCycleWalk:
         # margins after the cycle
         G, Gp, cyc = cycle_graph_pair(5, {})
         other = cycle_graph_pair(4, {})[2]
-        off = AlternatingCycle(((0, 9),), frozenset({(0, 9)}), frozenset())
+        off = AlternatingCycle(((0, 9),))
         wide = BipartiteGraph(np.zeros((5, 6), np.uint8))
         empty = BipartiteGraph(np.zeros((5, 5), np.uint8))
         for args, error in [((G, wide, wide, wide, off), ShapeMismatch),
@@ -755,7 +791,7 @@ class TestSwitchDistance:
         # an OK pattern's three-term matrix against its own cycle pair holds
         # one entry 2 whose same-type cousin provides the switch
         G, Gp, cyc = _instance(6, 5, p=1.0)
-        frame = CycleFrame.from_cycle(cyc, G)
+        frame = from_cycle(cyc, G)
         spec = OKKOSpec("OK", (1, 4), frame)
         L = spec_realization(G, spec)
         h = hat_matrix(G, Gp, L)
@@ -1137,8 +1173,7 @@ class TestPathAlongCycle:
                          0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1], np.uint8)
         x_edges = frozenset({(0, 0), (1, 1), (2, 2)})
         y_edges = frozenset({(0, 1), (1, 2), (2, 0)})
-        cyc = AlternatingCycle(((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)),
-                               x_edges, y_edges)
+        cyc = AlternatingCycle(((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)))
         (G1, Gp1), (G2, Gp2) = [
             (G, G.with_edges(sorted(x_edges), sorted(y_edges)))
             for G in (BipartiteGraph(bits.reshape(3, 8)), BipartiteGraph(bits.reshape(4, 6)))]
@@ -1170,6 +1205,75 @@ class TestPathAlongCycle:
                 for Z in path_along_cycle(G, Gp, X, Y, cyc):
                     sd = switch_distance(hat_matrix(X, Y, Z), cap=6)
                     assert isinstance(sd, int) and sd <= 3
+
+
+class TestOneCycleRoute:
+    """``cycle_swaps`` and ``path_along_cycle`` run the key route of every
+    canonical path (``canonical._key_segment``), and give the swaps of the
+    full-graph solve (``oracles._solve_cycle``) and the states of replaying
+    them; where the solve raises, both raise the same exception."""
+
+    @staticmethod
+    def agree(G, Gp, cyc, X, Y) -> bool:
+        """Whether the two routes solve the cycle; they agree either way."""
+        try:
+            want = [Swap(*s) for s in _solve_cycle(G, Gp, cyc, {})]
+        except SpecViolation as exc:
+            for call in (cycle_swaps, path_along_cycle):
+                with pytest.raises(SpecViolation, match=f"^{re.escape(str(exc))}$"):
+                    call(G, Gp, X, Y, cyc)
+            return False
+        assert list(cycle_swaps(G, Gp, X, Y, cyc)) == want
+        assert path_along_cycle(G, Gp, X, Y, cyc) == replay(G, want)
+        return True
+
+    def test_ring_blockers(self):
+        # the six without a cut pattern raise on both routes
+        raised = []
+        for ell, r0 in RING_BLOCKERS:
+            G, Gp, cyc = cycle_graph_pair(ell, ring_blocker_types(ell, r0))
+            if not self.agree(G, Gp, cyc, G, Gp):
+                raised.append((ell, r0))
+        assert raised == NO_CUT_PATTERN
+
+    def test_planted_typings(self):
+        rng = np.random.default_rng(50)
+        solved = 0
+        for ell in range(3, 13):
+            for p in (0.2, 0.5, 0.8):
+                for _ in range(4):
+                    G, Gp, cyc = cycle_graph_pair(ell, random_types(ell, rng, p))
+                    solved += self.agree(G, Gp, cyc, G, Gp)
+        assert solved == 120
+
+    def test_circulants(self):
+        # the 7 x 7 5-regular circulants a + {0, 2, 3, 4, 6} and a + {1, 2,
+        # 3, 4, 6}, one 14-cycle apart: X -> Y has no cut pattern, Y -> X
+        # solves in 6 swaps
+        X, Y = (BipartiteGraph([[int((v - u) % 7 in offsets) for v in range(7)]
+                                for u in range(7)])
+                for offsets in ({0, 2, 3, 4, 6}, {1, 2, 3, 4, 6}))
+        (pairing,) = all_pairings(X, Y)
+        (cyc,) = pairings.decompose(X, Y, pairing).cycles
+        assert not self.agree(X, Y, cyc, X, Y)
+        (back,) = pairings.decompose(Y, X, next(all_pairings(Y, X))).cycles
+        assert self.agree(Y, X, back, Y, X) and len(cycle_swaps(Y, X, Y, X, back)) == 6
+
+    def test_drawn_16x16_decompositions(self):
+        # each cycle of a random pairing's decomposition, in order, between
+        # the pair's own X and Y as the environment
+        ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
+        cycles = 0
+        for p in range(20):
+            X, Y = chain.sample(ds, 1000, 500 + 2 * p), chain.sample(ds, 1000, 501 + 2 * p)
+            G = X
+            for cyc in pairings.decompose(X, Y, random_pairing(X, Y, p)).cycles:
+                target = G.with_edges(sorted(cyc.x_edges), sorted(cyc.y_edges))
+                assert self.agree(G, target, cyc, X, Y)
+                G = target
+                cycles += 1
+            assert G == Y
+        assert cycles == 298
 
 
 # ---------------------------------------------------------------------------
@@ -1255,7 +1359,7 @@ class TestCanonicalPath:
         # pair loop, mixing._routes, which walks both directions of each
         # unordered pair on state ids, with one segment table shared across
         # the pairs, give the distribution of the paths
-        # built cycle by cycle on the full graphs by path_along_cycle, one
+        # built cycle by cycle on the full graphs (reference_path), one
         # per pairing: every ordered pair of the 6-state space and seeded
         # pairs of the 48-state space and of the 31-state 3 x 5 space and
         # its 5 x 3 transpose, where a cell's row c // l and column c % l
@@ -1342,8 +1446,8 @@ class TestCanonicalPath:
         # cycle's m x m pattern (or taken from the memo) and lifted through
         # rows and cols are the swaps of the solve on the full graphs; and
         # canonical_path's states and certificates are those of the path
-        # built cycle by cycle on the full graphs by path_along_cycle
-        from degswap.canonical import _pattern_swaps, _solve_cycle
+        # built cycle by cycle on the full graphs by that solve
+        from degswap.canonical import _pattern_swaps
 
         ds = BipartiteDegreeSequence((4,) * 16, (4,) * 16)
         memo = {}
@@ -1359,8 +1463,9 @@ class TestCanonicalPath:
                                                    _cell_mask(cyc.edge_seq, G.l), memo, {})
                 lifted = tuple((rows[u1], rows[u2], cols[v1], cols[v2], ori)
                                for u1, u2, v1, v2, ori in local)
-                assert lifted == _solve_cycle(G, target, cyc, {}), (p, cyc.edge_seq)
-                reference += path_along_cycle(G, target, X, Y, cyc)[1:]
+                full = _solve_cycle(G, target, cyc, {})
+                assert lifted == full, (p, cyc.edge_seq)
+                reference += replay(G, [Swap(*s) for s in full])[1:]
                 sizes.append(len(rows))
                 G = target
             assert G == Y
@@ -1374,7 +1479,7 @@ class TestCanonicalPath:
         # chord layouts of one 10-cycle whose matrices are row or column
         # permutations of each other share every order-free summary, yet
         # their solves differ; through one memo each gets its own solve
-        from degswap.canonical import _pattern_swaps, _solve_cycle
+        from degswap.canonical import _pattern_swaps
 
         m = 5
         rng = np.random.default_rng(12)

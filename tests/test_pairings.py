@@ -132,14 +132,19 @@ def test_decompose_covers_difference_randomized():
 
 
 def test_cycle_walk_alternates():
+    # the classes come from X xor Y, not from the cycle, whose x_edges and
+    # y_edges are its even and odd positions
+    x_edges = symmetric_difference(FIG8_X, FIG8_Y).x_edges
     for s in all_pairings(FIG8_X, FIG8_Y):
         for c in decompose(FIG8_X, FIG8_Y, s).cycles:
-            assert c.edge_seq[0] == min(c.x_edges)
+            assert c.edge_seq[0] == min(e for e in c.edge_seq if e in x_edges)
             n = len(c.edge_seq)
             for t in range(n):
                 e, f = c.edge_seq[t], c.edge_seq[(t + 1) % n]
-                assert (e in c.x_edges) != (f in c.x_edges)
+                assert (e in x_edges) != (f in x_edges)
             assert len(set(c.vertex_seq())) == n
+            assert c.x_edges == x_edges & set(c.edge_seq)
+            assert c.y_edges == set(c.edge_seq) - x_edges
 
 
 
@@ -504,6 +509,6 @@ def test_equal_signed_differences_decompose_alike_on_seeded_pairs():
 def test_vertex_seq_refuses_edges_that_share_no_endpoint(edges):
     # a walk whose consecutive edges meet in no vertex, the closing pair
     # included, is not alternating
-    cyc = pairings.AlternatingCycle(edges, frozenset(edges[0::2]), frozenset(edges[1::2]))
+    cyc = pairings.AlternatingCycle(edges)
     with pytest.raises(NonAlternating, match="share no endpoint"):
         cyc.vertex_seq()
